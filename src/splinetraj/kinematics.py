@@ -381,43 +381,15 @@ def compose(
     return RationalSplineMatrix(num, den, (ra, cb))
 
 
-def reduce_degree(
-    M: RationalSplineMatrix, cap: int, cfg: RefitConfig = DEFAULT_CONFIG
-) -> RationalSplineMatrix:
-    """Refit a rational matrix onto a capped-degree basis.
-
-    An opt-in approximation for deep chains; the residual of the refit is
-    checked against the configured tolerance so accuracy loss is explicit.
-    """
-    if M.degree <= cap:
-        return M
-    interior = M.numerators.knots.interior_distinct()
-    mult = max(1, cap - 2)
-    values = np.repeat(interior, mult)
-    knots = KnotVector(
-        np.concatenate([np.zeros(cap + 1), values, np.ones(cap + 1)])
-    )
-    taus = collocation_sites(knots, cap, cfg.spans_samples(cap))
-    op = FitOperator(cap, knots, taus)
-    num, nresid = op.fit(M.numerators.eval(taus))
-    den, dresid = op.fit(M.denominator.eval(taus))
-    worst = max(nresid, dresid)
-    if worst > cfg.residual_tolerance * max(1.0, np.abs(M.numerators.eval(taus)).max()):
-        raise RefitError("reduce_degree", float(taus[0]), worst, cfg.residual_tolerance)
-    return RationalSplineMatrix(num, den, M.shape)
-
-
 def forward_kinematics(
     chain: DHChain,
     joints,
     link_index: int,
     cfg: RefitConfig = DEFAULT_CONFIG,
-    degree_cap: int | None = None,
 ) -> RationalSplineMatrix:
     """Base-to-link transform T0 * prod_j T_j as a rational spline matrix.
 
-    Spline degrees grow additively with chain depth; degree_cap opts into
-    a checked refit after every composition.
+    Spline degrees grow additively with chain depth.
     """
     if not 1 <= link_index <= len(chain):
         raise ValueError(f"link index {link_index} outside 1..{len(chain)}")
@@ -426,8 +398,6 @@ def forward_kinematics(
     M = RationalSplineMatrix.constant(chain.base_pose)
     for j in range(link_index):
         M = compose(M, dh_transform(chain.links[j], joints[j], cfg), cfg)
-        if degree_cap is not None:
-            M = reduce_degree(M, degree_cap, cfg)
     return M
 
 
@@ -686,27 +656,4 @@ class NumericFK:
         for j in range(link_index - 1, -1, -1):
             grads[j] = (A[j] @ R)[:, :3, :].transpose(0, 2, 1)
             R = Ts[j] @ R
-        return grads
-
-    @staticmethod
-    def vertex_position_grads(state, verts: np.ndarray) -> np.ndarray:
-        """d(position)/d(q_j) as an array (L, S, V, 3).
-
-        Chain rule through the transform product: the j-th term replaces
-        factor T_j with its derivative, using prefix products on the left
-        and reusing suffix-applied vertices on the right.
-        """
-        Ts, dTs = state["Ts"], state["dTs"]
-        L = len(Ts)
-        S = Ts[0].shape[0] if L else 0
-        hom = np.hstack([verts, np.ones((verts.shape[0], 1))])
-        # suffix[j] = T_{j+1} .. T_L applied to the vertices, shape (S, V, 4)
-        suffix = [None] * (L + 1)
-        suffix[L] = np.broadcast_to(hom, (S, verts.shape[0], 4)).copy()
-        for j in range(L - 1, -1, -1):
-            suffix[j] = np.einsum("sij,svj->svi", Ts[j], suffix[j + 1])
-        grads = np.zeros((L, S, verts.shape[0], 3))
-        for j in range(L):
-            A = np.einsum("sij,sjk->sik", state["prefix"][j], dTs[j])
-            grads[j] = np.einsum("sij,svj->svi", A, suffix[j + 1])[:, :, :3]
         return grads

@@ -17,7 +17,6 @@ from scipy.optimize import minimize
 __all__ = [
     "SolverConfig",
     "ConstraintBlock",
-    "CallableBlock",
     "SolverResult",
     "AugmentedLagrangianSolver",
 ]
@@ -41,7 +40,6 @@ class SolverConfig:
     opt_tol: float = 1e-5
     max_outer: int = 50
     max_inner: int = 500
-    fd_step: float = 1e-7
     knot_refine: bool = False
     rho_init: float = 10.0
     rho_growth: float = 10.0
@@ -56,7 +54,6 @@ class SolverConfig:
             "opt_tol": self.opt_tol,
             "max_outer": self.max_outer,
             "max_inner": self.max_inner,
-            "fd_step": self.fd_step,
             "knot_refine": self.knot_refine,
         }
 
@@ -72,13 +69,23 @@ class ConstraintBlock:
     residuals (residual = raw constraint + gap).  The solver minimizes the
     cushioned form but judges feasibility on the raw constraint, so a
     stall inside the cushion still yields a strictly feasible solution.
+
+    ``dense_violation`` measures the underlying continuous constraint at
+    dense parameters; a verified solution reads at most ``verify_tol``
+    there (exactly zero for hull-relaxed families).
     """
 
     name: str = "block"
     kind: str = INEQ
     cushion_gap: float = 0.0
+    verify_tol: float = 0.0
 
     def evaluate(self, x: np.ndarray):
+        raise NotImplementedError
+
+    def dense_violation(self, dv, splines, taus: np.ndarray) -> float:
+        """Worst violation of the continuous constraint at parameters taus,
+        given the decision ``dv`` and its per-coordinate ``splines``."""
         raise NotImplementedError
 
     def violation(self, residuals: np.ndarray) -> float:
@@ -92,35 +99,6 @@ class ConstraintBlock:
                 np.maximum(residuals - self.cushion_gap, 0.0).max(initial=0.0)
             )
         return float(np.abs(residuals).max(initial=0.0))
-
-
-class CallableBlock(ConstraintBlock):
-    """Adapter for residual-only callables; gradients by central differences."""
-
-    def __init__(self, name: str, kind: str, fun, n: int, step: float = 1e-7):
-        self.name = name
-        self.kind = kind
-        self._fun = fun
-        self._n = n
-        self._step = step
-
-    def evaluate(self, x: np.ndarray):
-        r = np.atleast_1d(np.asarray(self._fun(x), dtype=float))
-
-        def vjp(w: np.ndarray) -> np.ndarray:
-            grad = np.zeros(self._n)
-            for i in range(self._n):
-                h = self._step * (1.0 + abs(x[i]))
-                xp = x.copy()
-                xm = x.copy()
-                xp[i] += h
-                xm[i] -= h
-                grad[i] = w @ (
-                    (np.asarray(self._fun(xp)) - np.asarray(self._fun(xm))) / (2 * h)
-                )
-            return grad
-
-        return r, vjp
 
 
 @dataclass
@@ -183,18 +161,19 @@ class AugmentedLagrangianSolver:
                 grad += vjp(w)
         return total, grad
 
-    def _violations(self, x):
+    @staticmethod
+    def _violations(evals):
         """(cushioned max violation, raw max violation, raw per block)."""
         per_block = {}
         worst = 0.0
         worst_raw = 0.0
-        for block, r, _ in self._eval_blocks(x):
+        for block, r, _ in evals:
             per_block[block.name] = block.raw_violation(r)
             worst = max(worst, block.violation(r))
             worst_raw = max(worst_raw, per_block[block.name])
         return worst, worst_raw, per_block
 
-    def _kkt_residual(self, x, multipliers) -> tuple[float, float]:
+    def _kkt_residual(self, x, multipliers, evals) -> tuple[float, float]:
         """Projected Lagrangian gradient norm and the scale of its terms.
 
         The scale (largest gradient term being balanced) turns the
@@ -204,7 +183,7 @@ class AugmentedLagrangianSolver:
         _, grad = self.objective(x)
         grad = np.array(grad, dtype=float)
         scale = max(1.0, float(np.abs(grad).max(initial=0.0)))
-        for (block, r, vjp), mult in zip(self._eval_blocks(x), multipliers):
+        for (block, r, vjp), mult in zip(evals, multipliers):
             if np.any(mult != 0.0):
                 term = vjp(mult)
                 scale = max(scale, float(np.abs(term).max(initial=0.0)))
@@ -218,10 +197,16 @@ class AugmentedLagrangianSolver:
         return float(np.abs(grad).max(initial=0.0)), scale
 
     def solve(self, x0: np.ndarray) -> SolverResult:
+        """Method of multipliers from x0.
+
+        The blocks are evaluated once per outer iterate; that one
+        evaluation feeds the violation measures, the multiplier update
+        and the KKT residual.
+        """
         cfg = self.config
         x = np.array(x0, dtype=float)
-        sizes = [len(block.evaluate(x)[0]) for block in self.blocks]
-        multipliers = [np.zeros(s) for s in sizes]
+        evals = self._eval_blocks(x)
+        multipliers = [np.zeros(len(r)) for _, r, _ in evals]
         rho = cfg.rho_init
         omega = 1.0 / rho
         eta = 1.0 / rho**0.1
@@ -240,7 +225,7 @@ class AugmentedLagrangianSolver:
                 options={"maxiter": cfg.max_inner, "ftol": 1e-14, "gtol": cfg.opt_tol},
             )
             f, _ = self.objective(res.x)
-            kkt, _ = self._kkt_residual(res.x, multipliers)
+            kkt, _ = self._kkt_residual(res.x, multipliers, [])
             return SolverResult(res.x, "converged", f, 0, int(res.nit), 0.0, kkt)
 
         status = "max-iterations"
@@ -263,51 +248,30 @@ class AugmentedLagrangianSolver:
             )
             x = res.x
             inner_total += int(res.nit)
-            viol, raw_viol, per_block = self._violations(x)
+            evals = self._eval_blocks(x)
+            viol, raw_viol, per_block = self._violations(evals)
             f, _ = self.objective(x)
             trace.append({"outer": outer, "violation": viol,
                           "raw_violation": raw_viol, "objective": f,
                           "rho": rho})
             if best is None or (raw_viol, f) < best[:2]:
-                best = (raw_viol, f, x.copy(), dict(per_block))
+                best = (raw_viol, f, x.copy(), dict(per_block), evals)
 
-            if viol <= max(eta, cfg.feas_tol):
-                for mult, (block, r, _) in zip(multipliers, self._eval_blocks(x)):
+            small = viol <= max(eta, cfg.feas_tol)
+            # Strictly inside the raw constraints counts even when the
+            # cushioned residual is stalling on nonsmooth kinks.
+            feasible = raw_viol <= cfg.feas_tol
+            if small or feasible:
+                for mult, (block, r, _) in zip(multipliers, evals):
                     if block.kind == INEQ:
                         np.copyto(mult, np.maximum(0.0, mult + rho * r))
                     else:
                         mult += rho * r
-                kkt, kkt_scale = self._kkt_residual(x, multipliers)
-                if raw_viol <= cfg.feas_tol:
+                kkt, kkt_scale = self._kkt_residual(x, multipliers, evals)
+                if feasible:
                     feasible_objectives.append(f)
-                    if kkt <= cfg.opt_tol * kkt_scale:
-                        status = "converged"
-                        break
-                    # Feasible and the objective has stopped moving: locally
-                    # non-improvable within tolerance.
-                    if (
-                        len(feasible_objectives) >= 3
-                        and np.ptp(feasible_objectives[-3:])
-                        <= cfg.opt_tol * max(1.0, abs(f))
-                    ):
-                        status = "converged"
-                        break
-                eta = max(eta / rho**0.9, 0.1 * cfg.feas_tol)
-                omega = max(omega / rho, 0.01 * cfg.opt_tol)
-            else:
-                if raw_viol <= cfg.feas_tol:
-                    # Strictly inside the raw constraints; the cushioned
-                    # residual is stalling on nonsmooth kinks.  Track the
-                    # objective for the stall-based exit.
-                    feasible_objectives.append(f)
-                    for mult, (block, r, _) in zip(
-                        multipliers, self._eval_blocks(x)
-                    ):
-                        if block.kind == INEQ:
-                            np.copyto(mult, np.maximum(0.0, mult + rho * r))
-                        else:
-                            mult += rho * r
-                    kkt, kkt_scale = self._kkt_residual(x, multipliers)
+                    # Converged, or feasible with the objective no longer
+                    # moving: locally non-improvable within tolerance.
                     if kkt <= cfg.opt_tol * kkt_scale or (
                         len(feasible_objectives) >= 3
                         and np.ptp(feasible_objectives[-3:])
@@ -315,6 +279,10 @@ class AugmentedLagrangianSolver:
                     ):
                         status = "converged"
                         break
+            if small:
+                eta = max(eta / rho**0.9, 0.1 * cfg.feas_tol)
+                omega = max(omega / rho, 0.01 * cfg.opt_tol)
+            else:
                 rho = min(rho * cfg.rho_growth, cfg.rho_max)
                 eta = max(1.0 / rho**0.1, cfg.feas_tol)
                 omega = max(1.0 / rho, 0.01 * cfg.opt_tol)
@@ -325,10 +293,10 @@ class AugmentedLagrangianSolver:
                         break
             prev_viol = viol
 
-        viol, raw_viol, per_block = self._violations(x)
+        _, raw_viol, per_block = self._violations(evals)
         f, _ = self.objective(x)
         if status != "converged" and best is not None and (raw_viol, f) > best[:2]:
-            raw_viol, f, x, per_block = best[0], best[1], best[2], best[3]
+            raw_viol, f, x, per_block, evals = best
 
         if status != "converged" and raw_viol > cfg.feas_tol and raw_viol <= 1e-2:
             # Near-feasible stall: hold the objective and push the iterate
@@ -336,14 +304,15 @@ class AugmentedLagrangianSolver:
             # strictly.
             x2, nit = self._restore_feasibility(x)
             inner_total += nit
-            _, raw2, per_block2 = self._violations(x2)
+            evals2 = self._eval_blocks(x2)
+            _, raw2, per_block2 = self._violations(evals2)
             if raw2 <= cfg.feas_tol:
-                x, raw_viol, per_block = x2, raw2, per_block2
+                x, evals, raw_viol, per_block = x2, evals2, raw2, per_block2
                 f, _ = self.objective(x)
                 status = "converged"
 
         if not np.isfinite(kkt):
-            kkt, _ = self._kkt_residual(x, multipliers)
+            kkt, _ = self._kkt_residual(x, multipliers, evals)
         if (
             status == "max-iterations"
             and raw_viol > cfg.feas_tol * 100

@@ -249,7 +249,7 @@ class DerivBoxFamily(ConstraintBlock):
 
         return r, vjp
 
-    def dense_check(self, dv: DecisionVector, splines, taus) -> float:
+    def dense_violation(self, dv: DecisionVector, splines, taus) -> float:
         worst = 0.0
         for j, s in enumerate(splines):
             d = s
@@ -303,7 +303,7 @@ class CoeffBoxFamily(ConstraintBlock):
 
         return r, vjp
 
-    def dense_check(self, dv, splines, taus) -> float:
+    def dense_violation(self, dv, splines, taus) -> float:
         worst = 0.0
         for j, s in enumerate(splines):
             vals = s.eval(taus)[:, 0]
@@ -373,7 +373,7 @@ class ChainRateFamily(ConstraintBlock):
 
         return r, vjp
 
-    def dense_check(self, dv, splines, taus) -> float:
+    def dense_violation(self, dv, splines, taus) -> float:
         worst = 0.0
         for j, s in enumerate(splines):
             q = s.eval(taus)[:, 0]
@@ -448,7 +448,7 @@ class ChainAccelFamily(ConstraintBlock):
 
         return r, vjp
 
-    def dense_check(self, dv, splines, taus) -> float:
+    def dense_violation(self, dv, splines, taus) -> float:
         worst = 0.0
         for j, s in enumerate(splines):
             q = s.eval(taus)[:, 0]
@@ -596,13 +596,12 @@ class SDFClearanceFamily(ConstraintBlock):
 
         return r, vjp
 
-    def dense_check(self, dv, splines, taus) -> float:
+    def dense_violation(self, dv, splines, taus) -> float:
         worst = 0.0
         if self.nfk is None:
             pos = np.column_stack([s.eval(taus)[:, 0] for s in splines])
             vals, _ = self.field.query_extended(pos)
-            worst = float(np.maximum(self.bodies[0].radius - vals, 0.0).max())
-            return worst
+            return float(np.maximum(self.bodies[0].radius - vals, 0.0).max())
         qmat = np.column_stack([s.eval(taus)[:, 0] for s in splines])
         for body in self.bodies:
             state = self.nfk.chain_state(qmat, body.link_index)
@@ -718,11 +717,9 @@ class PlaneRobotSideFamily(ConstraintBlock):
 
         return r, vjp
 
-    def dense_expression(self, dv, splines, taus) -> float:
-        from .bspline import basis_matrix as _bm
-
+    def dense_violation(self, dv, splines, taus) -> float:
         a_c, b_c = dv.plane_coeffs[self.plane_index]
-        Bt = _bm(self._basis_knots, self._basis_degree, taus)
+        Bt = basis_matrix(self._basis_knots, self._basis_degree, taus)
         a = Bt @ a_c
         b = Bt @ b_c
         if self.nfk is None:
@@ -791,11 +788,9 @@ class PlaneObstacleSideFamily(ConstraintBlock):
 
         return r, vjp
 
-    def dense_expression(self, dv, taus) -> float:
-        from .bspline import basis_matrix as _bm
-
+    def dense_violation(self, dv, splines, taus) -> float:
         a_c, b_c = dv.plane_coeffs[self.plane_index]
-        Bt = _bm(self._basis_knots, self._basis_degree, taus)
+        Bt = basis_matrix(self._basis_knots, self._basis_degree, taus)
         a = Bt @ a_c
         b = Bt @ b_c
         centers = self.obstacle.center_at(taus)
@@ -838,22 +833,26 @@ class PlaneNormFamily(ConstraintBlock):
 
         return r, vjp
 
-    def dense_expression(self, dv, taus) -> float:
-        from .bspline import basis_matrix as _bm
-
+    def dense_violation(self, dv, splines, taus) -> float:
         a_c, _ = dv.plane_coeffs[self.plane_index]
-        a = _bm(self._basis_knots, self._basis_degree, taus) @ a_c
+        a = basis_matrix(self._basis_knots, self._basis_degree, taus) @ a_c
         return float(np.maximum((a * a).sum(axis=1) - 1.0, 0.0).max())
 
 
 class DynamicsResidualFamily(ConstraintBlock):
-    """Equality family: control points of q' - T f(q) pinned to zero."""
+    """Equality family: control points of q' - T f(q) pinned to zero.
+
+    The solver holds the residual only to feas_tol, so verification
+    accepts dense values up to that tolerance rather than exactly zero.
+    """
 
     kind = EQ
 
-    def __init__(self, name, layout, basis: TrajectoryBasis, poly):
+    def __init__(self, name, layout, basis: TrajectoryBasis, poly,
+                 feas_tol: float):
         self.name = name
         self.layout = layout
+        self.verify_tol = max(feas_tol, 1e-9)
         self.poly = [np.asarray(row, dtype=float) for row in poly]
         p = basis.degree
         deg_f = max(len(row) - 1 for row in self.poly)
@@ -892,7 +891,7 @@ class DynamicsResidualFamily(ConstraintBlock):
 
         return r, vjp
 
-    def dense_check(self, dv, splines, taus) -> float:
+    def dense_violation(self, dv, splines, taus) -> float:
         worst = 0.0
         for j, s in enumerate(splines):
             q = s.eval(taus)[:, 0]
@@ -1185,7 +1184,8 @@ def assemble(scenario: Scenario, cushion: float | None = None) -> PlanningProble
     if scenario.dynamics_poly is not None:
         families.append(
             DynamicsResidualFamily("dynamics_residual", layout, basis,
-                                   scenario.dynamics_poly)
+                                   scenario.dynamics_poly,
+                                   scenario.solver.feas_tol)
         )
 
     return PlanningProblem(
@@ -1366,6 +1366,11 @@ class FamilyReport:
     kind: str
     max_violation: float
     n_samples: int
+    tolerance: float = 0.0
+
+    @property
+    def passed(self) -> bool:
+        return self.max_violation <= self.tolerance
 
 
 @dataclass
@@ -1379,24 +1384,16 @@ class VerificationReport:
     def max_violation(self) -> float:
         return max((f.max_violation for f in self.families), default=0.0)
 
+    @property
+    def passed(self) -> bool:
+        """True when every family's dense violation is within its tolerance."""
+        return all(f.passed for f in self.families)
+
     def family(self, name: str) -> FamilyReport:
         for f in self.families:
             if f.name == name:
                 return f
         raise KeyError(name)
-
-    def hull_families_exact(self, feas_tol: float = 0.0) -> bool:
-        """True when every hull-relaxed family shows zero sampled violation."""
-        for f in self.families:
-            if f.name.startswith(("velocity", "acceleration", "angle",
-                                  "position", "plane", "endpoint")):
-                if f.max_violation > 0.0:
-                    return False
-            elif f.name == "dynamics_residual" and f.max_violation > max(
-                feas_tol, 1e-9
-            ):
-                return False
-        return True
 
     def to_json(self) -> dict:
         return {
@@ -1406,6 +1403,7 @@ class VerificationReport:
                     "name": f.name,
                     "kind": f.kind,
                     "max_violation": f.max_violation,
+                    "tolerance": f.tolerance,
                     "n_samples": f.n_samples,
                 }
                 for f in self.families
@@ -1417,9 +1415,10 @@ def verify(solution: Solution, problem: PlanningProblem,
            oversample: int = 10) -> VerificationReport:
     """Sample every continuous constraint at oversample x collocation density.
 
-    Hull-relaxed families (limits, planes, endpoint conditions) must show
-    exactly zero violations; the SDF family's clearance must be nonnegative
-    at every sample, which the Lipschitz margin guarantees.
+    Each family reports its worst dense violation and its tolerance:
+    zero for hull-relaxed families, endpoint conditions and SDF clearance
+    (which the Lipschitz margin guarantees), solver tolerance for the
+    dynamics residual.
     """
     dv = solution.decision
     scenario = problem.scenario
@@ -1445,18 +1444,10 @@ def verify(solution: Solution, problem: PlanningProblem,
     reports.append(FamilyReport("endpoint_conditions", "eq", end_viol, 12))
 
     for fam in problem.families:
-        if isinstance(fam, (DerivBoxFamily, CoeffBoxFamily, ChainRateFamily,
-                            ChainAccelFamily, DynamicsResidualFamily)):
-            v = fam.dense_check(dv, splines, taus)
-        elif isinstance(fam, SDFClearanceFamily):
-            v = fam.dense_check(dv, splines, taus)
-        elif isinstance(fam, PlaneRobotSideFamily):
-            v = fam.dense_expression(dv, splines, taus)
-        elif isinstance(fam, (PlaneObstacleSideFamily, PlaneNormFamily)):
-            v = fam.dense_expression(dv, taus)
-        else:
-            continue
-        reports.append(FamilyReport(fam.name, fam.kind, float(v), taus.size))
+        v = fam.dense_violation(dv, splines, taus)
+        reports.append(
+            FamilyReport(fam.name, fam.kind, float(v), taus.size, fam.verify_tol)
+        )
     return VerificationReport(reports, oversample)
 
 

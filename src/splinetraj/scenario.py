@@ -322,14 +322,13 @@ def parse_scenario(obj: dict) -> Scenario:
 
     solver_obj = obj.get("solver", {})
     _require_keys(solver_obj, "solver", [],
-                  ["feas_tol", "opt_tol", "max_outer", "max_inner", "fd_step",
+                  ["feas_tol", "opt_tol", "max_outer", "max_inner",
                    "knot_refine"])
     solver = SolverConfig(
         feas_tol=float(solver_obj.get("feas_tol", 1e-6)),
         opt_tol=float(solver_obj.get("opt_tol", 1e-5)),
         max_outer=int(solver_obj.get("max_outer", 50)),
         max_inner=int(solver_obj.get("max_inner", 500)),
-        fd_step=float(solver_obj.get("fd_step", 1e-7)),
         knot_refine=bool(solver_obj.get("knot_refine", False)),
     )
 

@@ -1,7 +1,6 @@
 """Kinematics: half-angle substitution, rational spline transforms, FK oracles."""
 
 import numpy as np
-import pytest
 
 from splinetraj.bspline import BSpline, clamp_knots
 from splinetraj.kinematics import (
@@ -385,8 +384,8 @@ class TestNumericFK:
         taus = np.linspace(0.1, 0.9, 7)
         qmat = rng.uniform(-0.5, 0.5, (taus.size, 3))
         verts = THREE_LINK.link_cuboids[2]
-        state = nfk.chain_state(qmat, 3, with_grad=True)
-        grads = nfk.vertex_position_grads(state, verts)
+        state = nfk.shared_state(qmat, with_grad=True)
+        grads = nfk.body_position_grads(state, 3, verts)
         h = 1e-7
         for j in range(3):
             qp, qm = qmat.copy(), qmat.copy()
@@ -409,28 +408,3 @@ class TestNumericFK:
             cm, sm = halfangle_cos_sin(q - h, depth)
             np.testing.assert_allclose(dc, (cp - cm) / (2 * h), atol=1e-5)
             np.testing.assert_allclose(ds, (sp - sm) / (2 * h), atol=1e-5)
-
-
-class TestDegreeCap:
-    def test_capped_fk_stays_accurate(self):
-        rng = np.random.default_rng(71)
-        joints = [random_joint(rng, scale=0.5) for _ in range(3)]
-        cfg = RefitConfig(residual_tolerance=1e-6)
-        capped = forward_kinematics(THREE_LINK, joints, 3, cfg, degree_cap=12)
-        assert capped.degree <= 12
-        taus = np.linspace(0, 1, 40)
-        nfk = NumericFK(THREE_LINK, [1, 1, 1])
-        qmat = np.column_stack([j.q.eval(taus)[:, 0] for j in joints])
-        ref = nfk.transforms(qmat, 3)
-        np.testing.assert_allclose(capped.eval(taus), ref, atol=1e-4)
-
-    def test_cap_residual_checked(self):
-        from splinetraj.spline_algebra import RefitError
-
-        rng = np.random.default_rng(73)
-        joints = [random_joint(rng, scale=1.2) for _ in range(3)]
-        with pytest.raises(RefitError):
-            forward_kinematics(
-                THREE_LINK, joints, 3, RefitConfig(residual_tolerance=1e-14),
-                degree_cap=6,
-            )

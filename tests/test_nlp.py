@@ -5,7 +5,6 @@ import pytest
 
 from splinetraj.nlp import (
     AugmentedLagrangianSolver,
-    CallableBlock,
     ConstraintBlock,
     SolverConfig,
 )
@@ -141,16 +140,6 @@ class TestQPFloor:
 
         x1, x2 = once(), once()
         np.testing.assert_array_equal(x1, x2)
-
-    def test_callable_block_finite_differences(self):
-        def fun(x):
-            return np.array([x[0] ** 2 + x[1] - 1.0])
-
-        block = CallableBlock("fd", "ineq", fun, 2)
-        x = np.array([0.7, 0.3])
-        r, vjp = block.evaluate(x)
-        grad = vjp(np.array([1.0]))
-        np.testing.assert_allclose(grad, [2 * 0.7, 1.0], atol=1e-6)
 
     def test_nan_residual_names_block(self):
         class Poison(ConstraintBlock):

@@ -309,6 +309,14 @@ class TestVerify:
         rep = verify(sol, prob, oversample=10)
         for fam in rep.families:
             assert fam.max_violation == 0.0, fam.name
+            assert fam.tolerance == 0.0, fam.name
+        assert rep.passed
+
+    def test_converged_mobile2d_passes(self):
+        prob = assemble(load_scenario(SCENARIO_DIR / "mobile2d.json"))
+        sol = solve(prob)
+        assert sol.converged
+        assert verify(sol, prob).passed
 
     def test_hand_built_violation_flagged(self):
         prob = assemble(mobile_scenario())
@@ -319,6 +327,24 @@ class TestVerify:
         fake = Solution(dv, "converged", dv.T, 0, 0, 0.0, 0.0, {})
         rep = verify(fake, prob, oversample=4)
         assert rep.family("velocity_limits").max_violation > 0.0
+        assert not rep.family("velocity_limits").passed
+        assert not rep.passed
+
+    def test_dynamics_residual_tolerance(self):
+        scn = mobile_scenario(obstacles=[], dynamics={"poly": [[0.0, -0.5], [1.0]]})
+        prob = assemble(scn)
+        dv = initial_guess(prob)
+        dv.T = 10.0
+        from splinetraj.planner import Solution
+
+        fake = Solution(dv, "converged", dv.T, 0, 0, 0.0, 0.0, {})
+        rep = verify(fake, prob)
+        fam = rep.family("dynamics_residual")
+        assert fam.tolerance == max(scn.solver.feas_tol, 1e-9)
+        assert fam.max_violation > 1.0
+        assert not rep.passed
+        # Everything but the dynamics residual reads clean.
+        assert all(f.passed for f in rep.families if f is not fam)
 
     def test_oversample_density(self):
         prob = assemble(mobile_scenario())

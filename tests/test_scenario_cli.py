@@ -1,6 +1,7 @@
 """Scenario parsing, CSV exports, CLI commands, benchmark structure."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -8,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import splinetraj
 from splinetraj.cli import (
     benchmark_obstacles,
     export_trajectory,
@@ -16,7 +18,7 @@ from splinetraj.cli import (
     write_benchmark_csv,
 )
 from splinetraj.collision import load_sdf
-from splinetraj.planner import assemble, initial_guess, solve
+from splinetraj.planner import Solution, assemble, initial_guess, solve
 from splinetraj.scenario import (
     ScenarioError,
     load_scenario,
@@ -201,11 +203,15 @@ class TestRun:
         report = run(scn, output_dir=tmp_path, samples=100)
         assert report.converged
         assert all(v == 0.0 for v in report.family_violations.values())
-        for name in ("trajectory.csv", "cartesian.csv", "metadata.json",
-                     "solution.json", "report.json"):
+        for name in ("trajectory.csv", "cartesian.csv", "solution.json",
+                     "report.json"):
             assert (tmp_path / name).exists()
-        meta = json.loads((tmp_path / "metadata.json").read_text())
-        assert meta["status"] == "converged"
+        assert not (tmp_path / "metadata.json").exists()
+        solution = json.loads((tmp_path / "solution.json").read_text())
+        assert solution["status"] == "converged"
+        families = json.loads((tmp_path / "report.json").read_text())[
+            "verification"]["families"]
+        assert all(f["tolerance"] == 0.0 for f in families)
 
 
 class TestCLI:
@@ -228,6 +234,27 @@ class TestCLI:
         code = main(["verify", str(scn_path), str(tmp_path / "solution.json")])
         assert code == 0
 
+    def test_verify_rejects_dynamics_violation(self, tmp_path, capsys):
+        # The initial guess at T = 10 is far from q' = T f(q): the dense
+        # residual reads 10 while every limit holds, and verify must fail.
+        scn_path = tmp_path / "dynamics.json"
+        scn_path.write_text(json.dumps(minimal_mobile(
+            dynamics={"poly": [[0.0, -0.5], [1.0]]},
+        )))
+        problem = assemble(load_scenario(scn_path))
+        dv = initial_guess(problem)
+        dv.T = 10.0
+        sol_path = tmp_path / "solution.json"
+        sol_path.write_text(json.dumps(
+            Solution(dv, "converged", dv.T, 0, 0, 0.0, 0.0, {}).to_json()
+        ))
+        code = main(["verify", str(scn_path), str(sol_path)])
+        out = capsys.readouterr().out
+        assert code == 2
+        assert "verification FAILED" in out
+        line = next(l for l in out.splitlines() if "dynamics_residual" in l)
+        assert line.endswith("VIOLATED")
+
     def test_sdf_build(self, tmp_path):
         out = tmp_path / "field.sdf"
         code = main(["sdf", "build", str(SCENARIO_DIR / "mobile2d.json"),
@@ -239,10 +266,15 @@ class TestCLI:
         assert field.cell_size == pytest.approx(4.0 / 128.0)
 
     def test_console_entry_point(self):
+        # The child process imports the same splinetraj as this one.
+        src = str(Path(splinetraj.__file__).resolve().parents[1])
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ,
+                   PYTHONPATH=src if not path else src + os.pathsep + path)
         proc = subprocess.run(
             [sys.executable, "-m", "splinetraj.cli", "solve",
              str(SCENARIO_DIR / "unconstrained.json")],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=env,
         )
         assert proc.returncode == 0
         assert "converged" in proc.stdout
