@@ -153,23 +153,34 @@ def export_trajectory(solution: Solution, problem: PlanningProblem,
 
 def run(scenario: Scenario, output_dir=None, samples: int = 1000,
         oversample: int = 10) -> RunReport:
-    """Assemble, solve, verify, and export one scenario."""
-    problem = assemble(scenario)
+    """Assemble, solve, verify, and export one scenario.
+
+    With an output directory, report.json records the verification, the
+    problem size, the solver trace and the wall time of each phase.
+    """
     t0 = time.perf_counter()
+    problem = assemble(scenario)
+    t1 = time.perf_counter()
     solution = solve(problem)
-    solve_time = time.perf_counter() - t0
+    t2 = time.perf_counter()
+    solve_time = t2 - t1
     report = verify(solution, problem, oversample=oversample)
+    t3 = time.perf_counter()
     violations = {f.name: f.max_violation for f in report.families}
     if output_dir is not None:
         out = Path(output_dir)
         out.mkdir(parents=True, exist_ok=True)
         export_trajectory(solution, problem, out, samples)
+        timings = {"assemble_s": t1 - t0, "solve_s": solve_time,
+                   "verify_s": t3 - t2, "export_s": time.perf_counter() - t3}
         (out / "report.json").write_text(
             json.dumps(
                 {
                     "verification": report.to_json(),
                     "solve_time_s": solve_time,
+                    "timings": timings,
                     "problem": problem.describe(),
+                    "trace": solution.trace,
                 },
                 indent=2,
             )
@@ -202,9 +213,10 @@ def benchmark_sdf_vs_hyperplane(base_scenario: Scenario, obstacle_counts,
                                 trials: int = 5) -> list[dict]:
     """Solve each obstacle count with both static-obstacle formulations.
 
-    Returns one row per count with mean wall times, the time ratio, and the
-    constraint counts of each formulation.  Rows where either formulation
-    fails to converge are flagged so trend checks can exclude them.
+    Returns one row per count with mean and minimum wall times, the time
+    ratio of the means, the inner iterations and the constraint counts of
+    each formulation.  Rows where either formulation fails to converge are
+    flagged so trend checks can exclude them.
     """
     if isinstance(base_scenario.robot, ChainRobot):
         raise ValueError("benchmark expects a mobile-robot base scenario")
@@ -223,18 +235,17 @@ def benchmark_sdf_vs_hyperplane(base_scenario: Scenario, obstacle_counts,
             problem = assemble(scen)
             solve(problem)  # warmup, untimed
             times = []
-            statuses = []
-            objectives = []
+            solutions = []
             for _ in range(trials):
                 t0 = time.perf_counter()
-                sol = solve(problem)
+                solutions.append(solve(problem))
                 times.append(time.perf_counter() - t0)
-                statuses.append(sol.status)
-                objectives.append(sol.objective)
             counts = problem.constraint_counts()
             row[f"t_{mode}"] = float(np.mean(times))
-            row[f"status_{mode}"] = statuses[0]
-            row[f"objective_{mode}"] = objectives[0]
+            row[f"t_min_{mode}"] = float(min(times))
+            row[f"status_{mode}"] = solutions[0].status
+            row[f"objective_{mode}"] = solutions[0].objective
+            row[f"inner_{mode}"] = solutions[0].inner_iterations
             row[f"constraints_{mode}"] = int(sum(counts.values()))
         row["ratio"] = row["t_hyperplane"] / row["t_sdf"]
         row["ok"] = (

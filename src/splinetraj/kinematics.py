@@ -7,8 +7,8 @@ become matrices of B-splines over a shared positive denominator spline.
 Prismatic joints substitute the offset directly and keep denominator 1.
 
 The module also hosts fast numeric evaluation of the same rational forms
-(values and gradients at sample points), which the planner uses to rebuild
-constraint splines whenever the joint coefficients change.
+(values and gradients at sample points), which the planner uses for
+signed-distance clearance, dense verification and export.
 """
 
 from __future__ import annotations
@@ -621,21 +621,16 @@ class NumericFK:
         is the shared left part of every d(position)/d(q_j).
         """
         if with_grad:
-            Ts, dTs, dens, ddens = self.link_values(qmat, True)
+            Ts, dTs, _, _ = self.link_values(qmat, True)
         else:
-            Ts, dens = self.link_values(qmat)
-            dTs, ddens = None, None
+            Ts, _ = self.link_values(qmat)
         S = qmat.shape[0]
         prefix = [np.broadcast_to(self.chain.base_pose, (S, 4, 4)).copy()]
         for T in Ts:
             prefix.append(prefix[-1] @ T)
-        cumden = [np.ones(S)]
-        for d in dens:
-            cumden.append(cumden[-1] * d)
-        state = {"prefix": prefix, "Ts": Ts, "dens": dens, "cumden": cumden}
+        state = {"prefix": prefix, "Ts": Ts}
         if with_grad:
             state["A"] = [prefix[j] @ dTs[j] for j in range(len(Ts))]
-            state["ddens"] = ddens
         return state
 
     @staticmethod

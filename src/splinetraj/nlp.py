@@ -9,6 +9,7 @@ is delegated to L-BFGS-B.  Everything is deterministic for fixed inputs.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,6 +24,8 @@ __all__ = [
 
 INEQ = "ineq"
 EQ = "eq"
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -61,9 +64,11 @@ class SolverConfig:
 class ConstraintBlock:
     """One family of constraints of a common kind.
 
-    Subclasses set ``name``, ``kind`` (ineq: feasible at <= 0, eq: = 0) and
-    implement evaluate(x) returning (residuals, vjp) where vjp maps a weight
-    vector over the residuals to a gradient contribution over x.
+    Subclasses set ``name``, ``kind`` (ineq: feasible at <= 0, eq: = 0),
+    ``n_rows`` (the length of every residual vector, fixed at
+    construction) and implement evaluate(x) returning (residuals, vjp)
+    where vjp maps a weight vector over the residuals to a gradient
+    contribution over x.
 
     ``cushion_gap`` is the constant strictness margin baked into the
     residuals (residual = raw constraint + gap).  The solver minimizes the
@@ -77,6 +82,7 @@ class ConstraintBlock:
 
     name: str = "block"
     kind: str = INEQ
+    n_rows: int = 0
     cushion_gap: float = 0.0
     verify_tol: float = 0.0
 
@@ -99,6 +105,21 @@ class ConstraintBlock:
                 np.maximum(residuals - self.cushion_gap, 0.0).max(initial=0.0)
             )
         return float(np.abs(residuals).max(initial=0.0))
+
+
+def _trace_entry(outer, rho, f, viol, raw_viol, res, per_block,
+                 restoration=False) -> dict:
+    """One record of the solver trace, also logged at INFO."""
+    log.info("%s %d: rho=%.3g objective=%.9g violation=%.3e raw=%.3e "
+             "inner=%d (%s)", "restoration" if restoration else "outer",
+             outer, rho, f, viol, raw_viol, res.nit, res.message)
+    entry = {"outer": outer, "rho": rho, "objective": f, "violation": viol,
+             "raw_violation": raw_viol, "inner_iterations": int(res.nit),
+             "lbfgsb_message": str(res.message),
+             "block_violations": dict(per_block)}
+    if restoration:
+        entry["restoration"] = True
+    return entry
 
 
 @dataclass
@@ -251,9 +272,8 @@ class AugmentedLagrangianSolver:
             evals = self._eval_blocks(x)
             viol, raw_viol, per_block = self._violations(evals)
             f, _ = self.objective(x)
-            trace.append({"outer": outer, "violation": viol,
-                          "raw_violation": raw_viol, "objective": f,
-                          "rho": rho})
+            trace.append(_trace_entry(outer, rho, f, viol, raw_viol, res,
+                                      per_block))
             if best is None or (raw_viol, f) < best[:2]:
                 best = (raw_viol, f, x.copy(), dict(per_block), evals)
 
@@ -302,13 +322,16 @@ class AugmentedLagrangianSolver:
             # Near-feasible stall: hold the objective and push the iterate
             # into the cushioned interior; the raw constraints then hold
             # strictly.
-            x2, nit = self._restore_feasibility(x)
-            inner_total += nit
+            res = self._restore_feasibility(x)
+            x2 = res.x
+            inner_total += int(res.nit)
             evals2 = self._eval_blocks(x2)
-            _, raw2, per_block2 = self._violations(evals2)
+            viol2, raw2, per_block2 = self._violations(evals2)
+            f2, _ = self.objective(x2)
+            trace.append(_trace_entry(outer, rho, f2, viol2, raw2, res,
+                                      per_block2, restoration=True))
             if raw2 <= cfg.feas_tol:
-                x, evals, raw_viol, per_block = x2, evals2, raw2, per_block2
-                f, _ = self.objective(x)
+                x, evals, raw_viol, per_block, f = x2, evals2, raw2, per_block2, f2
                 status = "converged"
 
         if not np.isfinite(kkt):
@@ -323,13 +346,14 @@ class AugmentedLagrangianSolver:
             x, status, f, outer, inner_total, raw_viol, kkt, per_block, trace
         )
 
-    def _restore_feasibility(self, x: np.ndarray) -> tuple[np.ndarray, int]:
+    def _restore_feasibility(self, x: np.ndarray):
         """Minimize the sum of squared violations with the objective frozen.
 
         Directions that improve the objective are blocked by shrinking its
         gradient direction out of the step: here we simply freeze variables
         the objective depends on by bounding them at their current values
-        plus a small slack on the worsening side.
+        plus a small slack on the worsening side.  Returns the L-BFGS-B
+        result.
         """
         cfg = self.config
         _, fgrad = self.objective(x)
@@ -370,4 +394,4 @@ class AugmentedLagrangianSolver:
             options={"maxiter": cfg.max_inner, "ftol": 1e-18,
                      "gtol": 1e-14},
         )
-        return res.x, int(res.nit)
+        return res

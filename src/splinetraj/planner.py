@@ -7,11 +7,13 @@ three control rows, which are eliminated rather than constrained, so
 endpoint equalities hold exactly.
 
 Every continuous constraint is relaxed to conditions on control points of
-composed B-splines.  At solve time those control points are produced by a
-fixed least-squares fit operator applied to pointwise values of the
-underlying expressions; since the fit is linear, this is the same spline
-the algebra would build, at a fraction of the cost, and its exact adjoint
-supplies analytic gradients.
+composed B-splines.  The separating-plane families compute those control
+points exactly, per span in Bernstein form (see ``bernstein``).  The limit
+and dynamics families apply a fixed least-squares fit operator to
+pointwise values of the underlying expressions; since the fit is linear,
+this is the same spline the algebra would build, at a fraction of the
+cost.  Both routes are linear in the last step and supply exact adjoints
+for analytic gradients.
 """
 
 from __future__ import annotations
@@ -21,18 +23,25 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .bspline import BSpline, KnotVector, basis_matrix, clamp_knots
+from .bernstein import (
+    ChainNumerators,
+    bezier_extraction,
+    left_inverse,
+    product,
+    product_vjp,
+    to_spans,
+)
+from .bspline import BSpline, KnotVector, basis_matrix
 from .collision import ObstaclePrimitive, SignedDistanceField, build_sdf
-from .kinematics import NumericFK, halfangle_cos_sin, recover_theta
+from .kinematics import NumericFK, recover_theta
 from .nlp import (
     EQ,
     INEQ,
     AugmentedLagrangianSolver,
     ConstraintBlock,
     SolverConfig,
-    SolverResult,
 )
-from .scenario import ChainRobot, MobileRobot, Scenario
+from .scenario import ChainRobot, Scenario
 from .spline_algebra import FitOperator, collocation_sites, elevated_union
 
 __all__ = [
@@ -227,6 +236,7 @@ class DerivBoxFamily(ConstraintBlock):
         self.cushion_gap = np.tile(
             np.tile(gap_row, D.shape[0]), 2
         )
+        self.n_rows = self.cushion_gap.size
 
     def evaluate(self, x):
         dv = self.layout.unpack(x)
@@ -284,6 +294,7 @@ class CoeffBoxFamily(ConstraintBlock):
         self.cushion_gap = np.concatenate(
             [np.tile(inset[self.mask_hi], n), np.tile(inset[self.mask_lo], n)]
         )
+        self.n_rows = self.cushion_gap.size
 
     def evaluate(self, x):
         dv = self.layout.unpack(x)
@@ -344,6 +355,7 @@ class ChainRateFamily(ConstraintBlock):
         self.cushion_gap = np.repeat(
             np.concatenate([gap, gap]), self.op.n_coefficients
         )
+        self.n_rows = self.cushion_gap.size
 
     def evaluate(self, x):
         dv = self.layout.unpack(x)
@@ -412,6 +424,7 @@ class ChainAccelFamily(ConstraintBlock):
         self.cushion_gap = np.repeat(
             np.concatenate([gap, gap]), self.op.n_coefficients
         )
+        self.n_rows = self.cushion_gap.size
 
     def evaluate(self, x):
         dv = self.layout.unpack(x)
@@ -511,6 +524,7 @@ class SDFClearanceFamily(ConstraintBlock):
         self._half_gap = half
         self.Bpos = basis_matrix(basis.knots, basis.degree, self.taus)
         self.nfk = nfk
+        self.n_rows = self.taus.size * sum(b.verts.shape[0] for b in self.bodies)
 
     def margin(self, body: TrackedBody, T: float) -> np.ndarray:
         """Per-sample clearance margin (meters)."""
@@ -615,31 +629,35 @@ class SDFClearanceFamily(ConstraintBlock):
 
 
 class FKSiteCache:
-    """Shared forward-kinematics state at one site grid, reused across the
-    plane families evaluated at the same decision vector."""
+    """Per-iterate cache of the exact per-span prefix products of the chain,
+    shared by the robot-side plane families at the same decision vector."""
 
-    def __init__(self, nfk: NumericFK, Bq: np.ndarray):
-        self.nfk = nfk
-        self.Bq = Bq
+    def __init__(self, chain: ChainNumerators):
+        self.chain = chain
         self._key = None
         self._state = None
 
     def state(self, joint_coeffs: np.ndarray):
         key = joint_coeffs.tobytes()
         if key != self._key:
-            self._state = self.nfk.shared_state(self.Bq @ joint_coeffs, True)
+            self._state = self.chain.forward(joint_coeffs)
             self._key = key
         return self._state
 
 
 class PlaneRobotSideFamily(ConstraintBlock):
-    """Family (i): den_j * b + a . num_j >= cushion on control points."""
+    """Family (i): den_j * b + a . num_j >= cushion on control points.
+
+    The rows are the coefficients of den_j (b + a . pos_j) on the space of
+    degree p + sum_j p 2^d_j that represents it exactly, computed per span
+    in Bernstein form from the prefix products of the link numerators.
+    """
 
     kind = INEQ
 
     def __init__(self, name, layout, basis: TrajectoryBasis, plane_index: int,
                  body: TrackedBody, nfk: NumericFK | None, cushion: float,
-                 taus: np.ndarray, fk_cache: "FKSiteCache | None"):
+                 fk_cache: "FKSiteCache | None"):
         self.name = name
         self.layout = layout
         self.plane_index = plane_index
@@ -651,69 +669,52 @@ class PlaneRobotSideFamily(ConstraintBlock):
         p = basis.degree
         if nfk is None:
             target = 2 * p
+            self.hom = None
         else:
             depth_deg = sum(
                 2 * p * (2 ** (nfk.depths[j] - 1)) for j in range(body.link_index)
             )
             target = depth_deg + p
-        knots = elevated_union([(basis.knots, p)], target)
-        self.op = FitOperator(target, knots, taus)
-        self.Bq = basis_matrix(basis.knots, basis.degree, taus)
-        self.Bplane = self.Bq  # planes share the trajectory basis
+            self.hom = np.hstack([body.verts, np.ones((body.verts.shape[0], 1))]).T
+        self.lift = left_inverse(elevated_union([(basis.knots, p)], target), target)
+        self.extraction = bezier_extraction(basis.knots, p)
+        n_points = 1 if self.hom is None else self.hom.shape[1]
+        self.n_rows = n_points * self.lift.shape[0]
         self._basis_knots = basis.knots
         self._basis_degree = basis.degree
 
     def evaluate(self, x):
         dv = self.layout.unpack(x)
+        p = self._basis_degree
         a_c, b_c = dv.plane_coeffs[self.plane_index]
-        a = self.Bplane @ a_c  # (S, world_dim)
-        b = self.Bplane @ b_c  # (S,)
+        # (S, p + 1, 1, d + 1): the plane (a, b) as a row vector per span
+        plane = to_spans(self.extraction, np.column_stack([a_c, b_c]), p)[:, :, None, :]
         if self.nfk is None:
-            pos = self.Bq @ dv.joint_coeffs  # (S, dim)
-            y = ((a * pos).sum(axis=1) + b - self.body.radius)[:, None]
+            C = dv.joint_coeffs
+            pts = to_spans(self.extraction, np.column_stack([C, np.ones(len(C))]),
+                           p)[..., None]  # (S, p + 1, d + 1, 1)
+            y = product(plane, pts) - self.body.radius
             state = None
-            den = None
-            dotted = None
         else:
             state = self.fk_cache.state(dv.joint_coeffs)
-            k = self.body.link_index
-            pos = self.nfk.body_positions(state, k, self.body.verts)  # (S, V, 3)
-            den = state["cumden"][k]  # (S,)
-            dotted = (pos @ a[:, :, None])[:, :, 0]
-            y = den[:, None] * (b[:, None] + dotted)
-        coeffs = self.op.fit_coefficients(y)
+            pts = state["prefix"][self.body.link_index] @ self.hom  # (S, D + 1, 4, V)
+            y = product(plane, pts)  # (S, D + p + 1, 1, V)
+        V = y.shape[3]
+        coeffs = self.lift @ y.reshape(-1, V)
         r = (self.cushion - coeffs).T.reshape(-1)
 
         def vjp(w):
-            V = y.shape[1]
-            Wmat = w.reshape(V, self.op.n_coefficients).T
-            vw = -self.op.adjoint_apply(Wmat)  # (S, V); minus from cushion - coeffs
-            gC = np.zeros_like(dv.joint_coeffs)
+            # minus from cushion - coeffs
+            gy = -(self.lift.T @ w.reshape(V, -1).T).reshape(y.shape)
+            gplane, gpts = product_vjp(plane, pts, gy)
+            gab = self.extraction.T @ gplane.reshape(-1, gplane.shape[3])
+            dplanes = {self.plane_index: (gab[:, :-1], gab[:, -1])}
             if self.nfk is None:
-                v = vw[:, 0]
-                da = self.Bplane.T @ (v[:, None] * pos)
-                db = self.Bplane.T @ v
-                for c in range(self.layout.n_coords):
-                    gC[:, c] = self.Bq.T @ (v * a[:, c])
-                return self.layout.grad(
-                    dC=gC, dplanes={self.plane_index: (da, db)}
-                )
-            k = self.body.link_index
-            # plane gradients
-            vd = vw * den[:, None]
-            da = self.Bplane.T @ (vd[:, None, :] @ pos)[:, 0, :]
-            db = self.Bplane.T @ vd.sum(axis=1)
-            # joint gradients: y = den * (b + a . pos)
-            dpos = self.nfk.body_position_grads(state, k, self.body.verts)
-            ddens = state["ddens"]
-            dens = state["dens"]
-            wa = vd[:, :, None] * a[:, None, :]  # (S, V, 3)
-            wdot = (vw * (b[:, None] + dotted)).sum(axis=1)
-            for j in range(k):
-                term_pos = (wa * dpos[j]).sum(axis=(1, 2))
-                term_den = wdot * (den / dens[j] * ddens[j])
-                gC[:, j] = self.Bq.T @ (term_pos + term_den)
-            return self.layout.grad(dC=gC, dplanes={self.plane_index: (da, db)})
+                gC = self.extraction.T @ gpts[:, :, :-1, 0].reshape(-1, pts.shape[2] - 1)
+            else:
+                gC = self.fk_cache.chain.vjp(state, self.body.link_index,
+                                             gpts @ self.hom.T)
+            return self.layout.grad(dC=gC, dplanes=dplanes)
 
         return r, vjp
 
@@ -734,7 +735,12 @@ class PlaneRobotSideFamily(ConstraintBlock):
 
 
 class PlaneObstacleSideFamily(ConstraintBlock):
-    """Family (ii): a . q_o + b + d_o <= -cushion (per corner for polytopes)."""
+    """Family (ii): a . q_o + b + d_o <= -cushion (per corner for polytopes).
+
+    The obstacle's corners are fixed polynomials per span, so the rows are
+    a fixed linear map of the plane coefficients, built once from exact
+    Bernstein products of the basis functions with the corners.
+    """
 
     kind = INEQ
 
@@ -746,6 +752,8 @@ class PlaneObstacleSideFamily(ConstraintBlock):
         self.obstacle = obstacle
         self.cushion = cushion
         self.cushion_gap = cushion
+        self._basis_knots = basis.knots
+        self._basis_degree = basis.degree
         p = basis.degree
         motion = obstacle.motion
         inputs = [(basis.knots, p)]
@@ -755,36 +763,44 @@ class PlaneObstacleSideFamily(ConstraintBlock):
         else:
             target = p
         knots = elevated_union(inputs, target)
-        self.op = FitOperator(target, knots, _family_sites(knots, target))
-        taus = self.op.taus
-        self.Bplane = basis_matrix(basis.knots, basis.degree, taus)
-        self._basis_knots = basis.knots
-        self._basis_degree = basis.degree
-        self.centers = obstacle.center_at(taus)  # (S, dim)
+        breaks = knots.distinct()
+        units = to_spans(bezier_extraction(basis.knots, p, breaks),
+                         np.eye(basis.n_coeffs), p)  # (S, p + 1, n)
+        if motion is None:
+            centers = np.broadcast_to(obstacle.nominal_center(),
+                                      (units.shape[0], 1, obstacle.dim))
+        else:
+            centers = to_spans(bezier_extraction(motion.knots, motion.degree, breaks),
+                               motion.control_points, motion.degree)
         if obstacle.kind == "sphere":
-            self.offsets = np.zeros((1, self.centers.shape[1]))
+            self.offsets = np.zeros((1, obstacle.dim))
             self.shift = obstacle.radius
         else:
             self.offsets = obstacle.corner_offsets()
             self.shift = 0.0
+        corners = centers[..., None] + self.offsets.T  # (S, m + 1, d, K)
+        ones = np.ones(corners.shape[:2] + (1, corners.shape[3]))
+        corners = np.concatenate([corners, ones], axis=2)
+        # Row (k, t) is linear in the plane coefficients (a_i, b_i): one
+        # product per basis function i and plane component e.
+        n, d1, K = basis.n_coeffs, corners.shape[2], corners.shape[3]
+        planes = np.einsum("sji,ef->sjief", units, np.eye(d1)).reshape(
+            units.shape[0], p + 1, n * d1, d1)
+        y = product(planes, corners)  # (S, p + m + 1, n * d1, K)
+        G = left_inverse(knots, target) @ y.reshape(-1, n * d1 * K)
+        self.G = G.reshape(-1, n * d1, K).transpose(2, 0, 1).reshape(-1, n * d1)
+        self.n_rows = self.G.shape[0]
 
     def evaluate(self, x):
         dv = self.layout.unpack(x)
         a_c, b_c = dv.plane_coeffs[self.plane_index]
-        a = self.Bplane @ a_c
-        b = self.Bplane @ b_c
-        pts = self.centers[:, None, :] + self.offsets[None, :, :]
-        y = np.einsum("sd,skd->sk", a, pts) + b[:, None] + self.shift
-        coeffs = self.op.fit_coefficients(y)
-        r = (coeffs + self.cushion).T.reshape(-1)
+        r = self.G @ np.column_stack([a_c, b_c]).reshape(-1) + (self.shift + self.cushion)
 
         def vjp(w):
-            K = y.shape[1]
-            Wmat = w.reshape(K, self.op.n_coefficients).T
-            vw = self.op.adjoint_apply(Wmat)  # (S, K)
-            da = self.Bplane.T @ np.einsum("sk,skd->sd", vw, pts)
-            db = self.Bplane.T @ vw.sum(axis=1)
-            return self.layout.grad(dplanes={self.plane_index: (da, db)})
+            gab = (w @ self.G).reshape(a_c.shape[0], -1)
+            return self.layout.grad(
+                dplanes={self.plane_index: (gab[:, :-1], gab[:, -1])}
+            )
 
         return r, vjp
 
@@ -800,7 +816,11 @@ class PlaneObstacleSideFamily(ConstraintBlock):
 
 
 class PlaneNormFamily(ConstraintBlock):
-    """Family (iii): |a|^2 - 1 <= -cushion on control points."""
+    """Family (iii): |a|^2 - 1 <= -cushion on control points.
+
+    Row t is the quadratic form sum_d a_d^T Q_t a_d, with Q_t built once
+    from exact Bernstein products of pairs of basis functions.
+    """
 
     kind = INEQ
 
@@ -811,24 +831,23 @@ class PlaneNormFamily(ConstraintBlock):
         self.plane_index = plane_index
         self.cushion = cushion
         self.cushion_gap = cushion
-        p = basis.degree
-        knots = elevated_union([(basis.knots, p)], 2 * p)
-        self.op = FitOperator(2 * p, knots, _family_sites(knots, 2 * p))
-        self.Bplane = basis_matrix(basis.knots, p, self.op.taus)
         self._basis_knots = basis.knots
         self._basis_degree = basis.degree
+        p, n = basis.degree, basis.n_coeffs
+        units = to_spans(bezier_extraction(basis.knots, p), np.eye(n), p)
+        y = product(units[..., :, None], units[..., None, :])  # (S, 2p + 1, n, n)
+        lift = left_inverse(elevated_union([(basis.knots, p)], 2 * p), 2 * p)
+        self.Q = (lift @ y.reshape(-1, n * n)).reshape(-1, n, n)
+        self.n_rows = self.Q.shape[0]
 
     def evaluate(self, x):
         dv = self.layout.unpack(x)
         a_c, _ = dv.plane_coeffs[self.plane_index]
-        a = self.Bplane @ a_c
-        y = (a * a).sum(axis=1) - 1.0
-        coeffs = self.op.fit_coefficients(y)[:, 0]
-        r = coeffs + self.cushion
+        Qa = self.Q @ a_c  # (rows, n, d)
+        r = (Qa * a_c).sum(axis=(1, 2)) + (self.cushion - 1.0)
 
         def vjp(w):
-            v = self.op.adjoint_apply(w)
-            da = self.Bplane.T @ (2.0 * v[:, None] * a)
+            da = 2.0 * np.tensordot(w, Qa, axes=1)  # each Q_t is symmetric
             return self.layout.grad(dplanes={self.plane_index: (da, None)})
 
         return r, vjp
@@ -862,6 +881,7 @@ class DynamicsResidualFamily(ConstraintBlock):
         taus = self.op.taus
         self.Bq = basis_matrix(basis.knots, p, taus)
         self.Bdq = basis_matrix(basis.knots1, p - 1, taus) @ basis.D1
+        self.n_rows = len(self.poly) * self.op.n_coefficients
 
     def evaluate(self, x):
         dv = self.layout.unpack(x)
@@ -931,8 +951,7 @@ class PlanningProblem:
         return float(x[self.layout.idx_T]), g
 
     def constraint_counts(self) -> dict[str, int]:
-        x0 = self.layout.pack(initial_guess(self))
-        return {f.name: len(f.evaluate(x0)[0]) for f in self.families}
+        return {f.name: f.n_rows for f in self.families}
 
     def describe(self) -> dict:
         counts = self.constraint_counts()
@@ -1150,28 +1169,17 @@ def assemble(scenario: Scenario, cushion: float | None = None) -> PlanningProble
 
     body_by_name = {b.name: b for b in bodies}
     fk_cache = None
-    plane_taus = None
-    if plane_specs:
-        p = basis.degree
-        if is_chain:
-            max_link = max(li for (_, li, _) in plane_specs)
-            depth_deg = sum(
-                2 * p * (2 ** (nfk.depths[j] - 1)) for j in range(max_link)
-            )
-            target = depth_deg + p
-        else:
-            target = 2 * p
-        deep_knots = elevated_union([(basis.knots, p)], target)
-        plane_taus = _family_sites(deep_knots, target)
-        if is_chain:
-            fk_cache = FKSiteCache(nfk, basis_matrix(basis.knots, p, plane_taus))
+    if plane_specs and is_chain:
+        fk_cache = FKSiteCache(
+            ChainNumerators(scenario.robot.chain, nfk.depths, basis.knots, basis.degree)
+        )
     for k, (body_name, link_index, oi) in enumerate(plane_specs):
         obs = plane_obstacles[oi]
         tag = f"{body_name}_obs{oi}"
         families.append(
             PlaneRobotSideFamily(f"plane_robot_{tag}", layout, basis, k,
                                  body_by_name[body_name], nfk, cushion,
-                                 plane_taus, fk_cache)
+                                 fk_cache)
         )
         families.append(
             PlaneObstacleSideFamily(f"plane_obstacle_{tag}", layout, basis, k,
@@ -1248,7 +1256,12 @@ def initial_guess(problem: PlanningProblem) -> DecisionVector:
 
 @dataclass
 class Solution:
-    """Solved trajectory with diagnostics."""
+    """Solved trajectory with diagnostics.
+
+    ``trace`` holds the solver's per-outer-iteration record (see
+    ``nlp.AugmentedLagrangianSolver.solve``); it is a run diagnostic and
+    not part of the stored solution.
+    """
 
     decision: DecisionVector
     status: str
@@ -1258,6 +1271,7 @@ class Solution:
     max_violation: float
     kkt_residual: float
     block_violations: dict[str, float]
+    trace: list = field(default_factory=list)
 
     @property
     def converged(self) -> bool:
@@ -1317,6 +1331,7 @@ def solve(problem: PlanningProblem, guess: DecisionVector | None = None,
         max_violation=result.max_violation,
         kkt_residual=result.kkt_residual,
         block_violations=result.block_violations,
+        trace=result.trace,
     )
     if cfg.knot_refine and not solution.converged:
         refined = refine_scenario(problem.scenario)

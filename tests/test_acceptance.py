@@ -225,8 +225,13 @@ class TestCriterion7:
         elapsed = time.perf_counter() - t0
         ok_rows = [r for r in rows if r["ok"]]
         assert len(ok_rows) == len(rows), "some benchmark rows failed to converge"
-        t_sdf = [r["t_sdf"] for r in rows]
+        # Solves take 0.05-0.13 s, so a host hiccup can double one mean;
+        # the fastest of the trials is the solve's own cost.
+        t_sdf = [r["t_min_sdf"] for r in rows]
         flat = max(t_sdf) / min(t_sdf) < 2.0
+        # The SDF problem does not grow with the obstacle count, and
+        # neither does the work of solving it.
+        same_work = len({r["inner_sdf"] for r in rows}) == 1
         ratios_high = all(r["ratio"] > 1.0 for r in rows if r["count"] >= 10)
         t1 = rows[0]
         equal_T = (
@@ -237,8 +242,9 @@ class TestCriterion7:
         report(
             7,
             "SDF vs hyperplane timing trend",
-            flat and ratios_high and equal_T and elapsed < 900.0,
-            f"t_sdf spread {max(t_sdf) / min(t_sdf):.2f}x < 2, ratios at k>=10: "
+            flat and same_work and ratios_high and equal_T and elapsed < 900.0,
+            f"t_sdf spread {max(t_sdf) / min(t_sdf):.2f}x < 2, SDF inner "
+            f"iterations {sorted({r['inner_sdf'] for r in rows})}, ratios at k>=10: "
             + ", ".join(
                 f"{r['ratio']:.1f}" for r in rows if r["count"] >= 10
             )

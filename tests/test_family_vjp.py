@@ -49,7 +49,7 @@ def _mobile(**overrides):
     return parse_scenario(base)
 
 
-def _twolink_moving_sphere():
+def _twolink_moving_sphere_dict():
     obj = _bundled_dict("threelink")
     obj["name"] = "twolink_moving_sphere"
     obj["robot"]["links"] = obj["robot"]["links"][:2]
@@ -60,6 +60,28 @@ def _twolink_moving_sphere():
         {"kind": "sphere", "center": [0.6, -0.6, -0.5], "radius": 0.1,
          "motion": {"kind": "linear", "target": [0.6, 0.6, -0.5]}},
     ]
+    return obj
+
+
+def _twolink_moving_sphere():
+    return parse_scenario(_twolink_moving_sphere_dict())
+
+
+def _twolink_depth2_moving_sphere():
+    obj = _twolink_moving_sphere_dict()
+    obj["name"] = "twolink_depth2_moving_sphere"
+    obj["robot"]["halving_depth"] = 2
+    return parse_scenario(obj)
+
+
+def _prismatic_moving_sphere():
+    obj = _twolink_moving_sphere_dict()
+    obj["name"] = "prismatic_moving_sphere"
+    obj["robot"]["links"][1] = {"a": 0.0, "alpha": 0.0, "d": 0.2,
+                                "kind": "prismatic"}
+    obj["boundary"] = {"initial": [-1.0, 0.1], "goal": [1.0, 0.3],
+                       "units": "rad"}
+    obj["limits"] = {"velocity": 2.0, "acceleration": 4.0}
     return parse_scenario(obj)
 
 
@@ -76,6 +98,8 @@ SCENARIOS = {
     "mobile2d": lambda: _bundled("mobile2d"),
     "threelink": lambda: _bundled("threelink"),
     "twolink_moving_sphere": _twolink_moving_sphere,
+    "twolink_depth2_moving_sphere": _twolink_depth2_moving_sphere,
+    "prismatic_moving_sphere": _prismatic_moving_sphere,
     "mobile_position_limits": lambda: _mobile(
         limits={"velocity": 1.5, "acceleration": 6.0,
                 "angle_min": [-0.2, -0.4], "angle_max": [3.2, 0.4]},
@@ -93,6 +117,8 @@ CASES = [
     ("twolink_moving_sphere", PlaneRobotSideFamily, 2),
     ("twolink_moving_sphere", PlaneObstacleSideFamily, 2),
     ("twolink_moving_sphere", PlaneNormFamily, 2),
+    ("twolink_depth2_moving_sphere", PlaneRobotSideFamily, 2),
+    ("prismatic_moving_sphere", PlaneRobotSideFamily, 2),
     ("mobile_position_limits", CoeffBoxFamily, 1),
     ("threelink_angle_limits", CoeffBoxFamily, 1),
     ("mobile_dynamics", DynamicsResidualFamily, 1),

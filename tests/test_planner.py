@@ -1,6 +1,7 @@
 """Planner: assembly structure, relaxation soundness, solve/verify behavior."""
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -96,6 +97,19 @@ class TestAssemble:
         c1, c2, c4 = count(1), count(2), count(4)
         assert c2 == 2 * c1
         assert c4 == 4 * c1
+
+    @pytest.mark.parametrize("mode", ["sdf", "hyperplane"])
+    @pytest.mark.parametrize(
+        "name", sorted(p.stem for p in SCENARIO_DIR.glob("*.json"))
+    )
+    def test_row_counts_match_residuals(self, name, mode):
+        scn = load_scenario(SCENARIO_DIR / f"{name}.json")
+        scn = replace(scn, collision=replace(scn.collision, static_mode=mode))
+        prob = assemble(scn)
+        x0 = prob.layout.pack(initial_guess(prob))
+        assert prob.constraint_counts() == {
+            f.name: len(f.evaluate(x0)[0]) for f in prob.families
+        }
 
 
 class TestInitialGuess:

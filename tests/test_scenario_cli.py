@@ -1,6 +1,7 @@
 """Scenario parsing, CSV exports, CLI commands, benchmark structure."""
 
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -212,6 +213,27 @@ class TestRun:
         families = json.loads((tmp_path / "report.json").read_text())[
             "verification"]["families"]
         assert all(f["tolerance"] == 0.0 for f in families)
+
+    def test_report_carries_solver_trace(self, tmp_path, caplog):
+        scn = load_scenario(SCENARIO_DIR / "mobile2d.json")
+        with caplog.at_level(logging.INFO, logger="splinetraj.nlp"):
+            run(scn, output_dir=tmp_path, samples=100)
+        report = json.loads((tmp_path / "report.json").read_text())
+        solution = json.loads((tmp_path / "solution.json").read_text())
+        trace = report["trace"]
+        assert "trace" not in solution
+        assert [e["outer"] for e in trace] == list(
+            range(1, solution["outer_iterations"] + 1))
+        assert sum(e["inner_iterations"] for e in trace) == solution[
+            "inner_iterations"]
+        for entry in trace:
+            assert entry["lbfgsb_message"]
+            assert set(entry["block_violations"]) == set(report["problem"][
+                "constraints"])
+        lines = [r for r in caplog.records if r.name == "splinetraj.nlp"]
+        assert len(lines) == len(trace)
+        assert set(report["timings"]) == {"assemble_s", "solve_s", "verify_s",
+                                          "export_s"}
 
 
 class TestCLI:
