@@ -96,6 +96,9 @@ def export_trajectory(solution: Solution, problem: PlanningProblem,
         for j, s in enumerate(splines):
             q = s.eval(taus)[:, 0]
             qd = s.derivative().eval(taus)[:, 0]
+            if not scenario.robot.revolute[j]:
+                rates.append(qd / dv.T)
+                continue
             depth = scenario.robot.halving_depths[j]
             rates.append((2.0**depth) * qd / (dv.T * (1.0 + q * q)))
         dcols = np.column_stack(rates)

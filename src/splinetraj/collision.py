@@ -36,6 +36,7 @@ __all__ = [
 
 SDF_MAGIC = b"SDF1"
 EMPTY_FIELD_VALUE = 1e9
+SDF_BLOCK_POINTS = 1 << 16
 
 
 class OutOfBoundsError(ValueError):
@@ -155,7 +156,7 @@ class ObstaclePrimitive:
 
 
 class SignedDistanceField:
-    """Regular grid of signed distances with multilinear interpolation."""
+    """Regular 2D or 3D grid of signed distances with multilinear interpolation."""
 
     def __init__(self, origin, cell_size: float, values: np.ndarray):
         self.origin = np.asarray(origin, dtype=float)
@@ -165,12 +166,18 @@ class SignedDistanceField:
         self.values = np.asarray(values, dtype=float)
         if self.values.ndim != self.origin.size:
             raise ValueError("values rank must match origin dimension")
+        if self.values.ndim not in (2, 3):
+            raise ValueError("signed distance fields must be 2D or 3D")
         self.dims = self.values.shape
         self.upper = self.origin + self.cell_size * (np.array(self.dims) - 1)
-        self._corner_shifts = np.stack(
-            np.meshgrid(*([np.array([0, 1])] * len(self.dims)), indexing="ij"),
-            axis=-1,
-        ).reshape(-1, len(self.dims))
+        # Flat C-order view for gathers: node (i, j[, k]) sits at
+        # strides . (i, j[, k]), and the 2^dim corners of a cell at its
+        # lowest node plus offsets, in the order (0,0[,0]), (0,0[,1]), ...
+        self._flat = np.ascontiguousarray(self.values).reshape(-1)
+        self._strides = np.cumprod((self.dims[1:] + (1,))[::-1])[::-1]
+        shifts = np.indices((2,) * self.dim).reshape(self.dim, -1)
+        self._corner_offsets = (self._strides @ shifts)[:, None]
+        self._max_cell = np.array(self.dims)[:, None] - 2
 
     @property
     def dim(self) -> int:
@@ -180,68 +187,43 @@ class SignedDistanceField:
         pts = np.atleast_2d(points)
         return np.all((pts >= self.origin) & (pts <= self.upper), axis=1)
 
-    def _interpolate(self, pts: np.ndarray, with_grad: bool = False):
-        t = (pts - self.origin) / self.cell_size
-        idx = np.clip(np.floor(t).astype(int), 0, np.array(self.dims) - 2)
+    def _interpolate(self, pts: np.ndarray):
+        """Values (N,) and gradients (N, dim) of the interpolant at points
+        inside the field, given as (dim, N) rows.
+
+        One flat gather fetches every cell corner; the lerps then run
+        along z, y, x (3D) or y, x (2D) on whole rows of corners at once.
+        """
+        t = (pts - self.origin[:, None]) / self.cell_size
+        # t >= 0 inside the field, so truncation is the floor.
+        idx = np.minimum(t.astype(int), self._max_cell)
         f = t - idx
         g = 1.0 - f
-        V = self.values
+        V = self._flat.take(self._strides @ idx + self._corner_offsets)
+        grads = np.empty_like(t)
         if self.dim == 2:
-            i, j = idx[:, 0], idx[:, 1]
-            v00, v01 = V[i, j], V[i, j + 1]
-            v10, v11 = V[i + 1, j], V[i + 1, j + 1]
-            fx, fy, gx, gy = f[:, 0], f[:, 1], g[:, 0], g[:, 1]
-            out = gx * (gy * v00 + fy * v01) + fx * (gy * v10 + fy * v11)
-            if not with_grad:
-                return out
-            grads = np.empty_like(pts)
-            grads[:, 0] = gy * (v10 - v00) + fy * (v11 - v01)
-            grads[:, 1] = gx * (v01 - v00) + fx * (v11 - v10)
-            return out, grads / self.cell_size
-        if self.dim == 3:
-            i, j, k = idx[:, 0], idx[:, 1], idx[:, 2]
-            v000, v001 = V[i, j, k], V[i, j, k + 1]
-            v010, v011 = V[i, j + 1, k], V[i, j + 1, k + 1]
-            v100, v101 = V[i + 1, j, k], V[i + 1, j, k + 1]
-            v110, v111 = V[i + 1, j + 1, k], V[i + 1, j + 1, k + 1]
-            fx, fy, fz = f[:, 0], f[:, 1], f[:, 2]
-            gx, gy, gz = g[:, 0], g[:, 1], g[:, 2]
-            c00 = gz * v000 + fz * v001
-            c01 = gz * v010 + fz * v011
-            c10 = gz * v100 + fz * v101
-            c11 = gz * v110 + fz * v111
-            c0 = gy * c00 + fy * c01
-            c1 = gy * c10 + fy * c11
-            out = gx * c0 + fx * c1
-            if not with_grad:
-                return out
-            grads = np.empty_like(pts)
-            grads[:, 0] = c1 - c0
-            d0 = c01 - c00
-            d1 = c11 - c10
-            grads[:, 1] = gx * d0 + fx * d1
-            e00 = v001 - v000
-            e01 = v011 - v010
-            e10 = v101 - v100
-            e11 = v111 - v110
-            grads[:, 2] = gx * (gy * e00 + fy * e01) + fx * (gy * e10 + fy * e11)
-            return out, grads / self.cell_size
-        # Generic dimension fallback.
-        out = np.zeros(pts.shape[0])
-        grads = np.zeros_like(pts) if with_grad else None
-        for shift in self._corner_shifts:
-            corner = tuple((idx + shift).T)
-            v = V[corner]
-            factors = np.where(shift[None, :] == 1, f, g)
-            out += np.prod(factors, axis=1) * v
-            if with_grad:
-                sign = np.where(shift == 1, 1.0, -1.0)
-                for axis in range(self.dim):
-                    others = np.prod(np.delete(factors, axis, axis=1), axis=1)
-                    grads[:, axis] += sign[axis] * others * v
-        if with_grad:
-            return out, grads / self.cell_size
-        return out
+            fx, fy = f
+            gx, gy = g
+            # v00 v01 v10 v11 -> (gy v00 + fy v01, gy v10 + fy v11)
+            c = gy * V[0::2] + fy * V[1::2]
+            out = gx * c[0] + fx * c[1]
+            d = V[2:] - V[:2]  # v10 - v00, v11 - v01
+            grads[0] = gy * d[0] + fy * d[1]
+            e = V[1::2] - V[0::2]  # v01 - v00, v11 - v10
+            grads[1] = gx * e[0] + fx * e[1]
+            return out, (grads / self.cell_size).T
+        fx, fy, fz = f
+        gx, gy, gz = g
+        c = gz * V[0::2] + fz * V[1::2]  # c00 c01 c10 c11
+        cc = gy * c[0::2] + fy * c[1::2]  # c0 c1
+        out = gx * cc[0] + fx * cc[1]
+        grads[0] = cc[1] - cc[0]
+        d = c[1::2] - c[0::2]  # c01 - c00, c11 - c10
+        grads[1] = gx * d[0] + fx * d[1]
+        e = V[1::2] - V[0::2]  # v001 - v000, v011 - v010, v101 - v100, v111 - v110
+        ee = gy * e[0::2] + fy * e[1::2]
+        grads[2] = gx * ee[0] + fx * ee[1]
+        return out, (grads / self.cell_size).T
 
     def query(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Interpolated values and gradients; raises if any point is outside.
@@ -251,10 +233,11 @@ class SignedDistanceField:
         so values and gradients are mutually consistent for the optimizer.
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        if not np.all(self.contains(pts)):
-            bad = pts[~self.contains(pts)][0]
+        inside = self.contains(pts)
+        if not np.all(inside):
+            bad = pts[~inside][0]
             raise OutOfBoundsError(f"query point {bad.tolist()} outside field bounds")
-        return self._interpolate(pts, with_grad=True)
+        return self._interpolate(pts.T)
 
     def query_extended(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Lipschitz lower-bound extension for out-of-bounds points.
@@ -264,9 +247,18 @@ class SignedDistanceField:
         1-Lipschitz) and drives an optimizer back toward the interior.
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        clipped = np.clip(pts, self.origin, self.upper)
-        vals, grads = self.query(clipped)
-        excess = pts - clipped
+        clipped = np.empty((self.dim, pts.shape[0]))
+        for a in range(self.dim):
+            np.clip(pts[:, a], self.origin[a], self.upper[a], out=clipped[a])
+        excess = pts - clipped.T
+        moved = excess.any()
+        # Clipping puts every point inside the field but a NaN one.
+        if moved and np.isnan(excess).any():
+            bad = pts[np.isnan(excess).any(axis=1)][0]
+            raise OutOfBoundsError(f"query point {bad.tolist()} outside field bounds")
+        vals, grads = self._interpolate(clipped)
+        if not moved:
+            return vals, grads
         dist = np.linalg.norm(excess, axis=1)
         outside = dist > 0.0
         if np.any(outside):
@@ -281,6 +273,9 @@ def build_sdf(primitives, bounds, cell_size: float,
               empty_value: float = EMPTY_FIELD_VALUE) -> SignedDistanceField:
     """Sample min-over-primitives signed distance on a regular grid.
 
+    The grid is filled in slabs along its first axis, so the working
+    memory beyond the field itself stays at about SDF_BLOCK_POINTS nodes.
+
     Args:
         primitives: Static obstacle primitives (moving ones are rejected).
         bounds: (lower, upper) workspace corners.
@@ -293,20 +288,24 @@ def build_sdf(primitives, bounds, cell_size: float,
         raise ValueError("cell_size must be positive")
     if np.any(hi <= lo):
         raise ValueError("workspace upper corner must exceed lower corner")
+    primitives = list(primitives)
     for p in primitives:
         if not p.is_static:
             raise ValueError("signed distance fields accept static primitives only")
     dims = np.maximum(np.ceil((hi - lo) / cell_size).astype(int) + 1, 2)
     axes = [lo[i] + cell_size * np.arange(dims[i]) for i in range(lo.size)]
-    grid = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([g.ravel() for g in grid], axis=1)
-    if primitives:
-        values = np.min(
-            np.stack([p.signed_distance(pts) for p in primitives], axis=0), axis=0
-        )
-    else:
-        values = np.full(pts.shape[0], empty_value)
-    return SignedDistanceField(lo, cell_size, values.reshape(dims))
+    values = np.full(tuple(dims), empty_value)
+    if not primitives:
+        return SignedDistanceField(lo, cell_size, values)
+    step = max(1, SDF_BLOCK_POINTS // int(np.prod(dims[1:])))
+    for start in range(0, dims[0], step):
+        grid = np.meshgrid(axes[0][start : start + step], *axes[1:], indexing="ij")
+        pts = np.stack([g.ravel() for g in grid], axis=1)
+        block = primitives[0].signed_distance(pts)
+        for p in primitives[1:]:
+            np.minimum(block, p.signed_distance(pts), out=block)
+        values[start : start + step] = block.reshape(grid[0].shape)
+    return SignedDistanceField(lo, cell_size, values)
 
 
 def sdf_query(field: SignedDistanceField, point) -> tuple[float, np.ndarray]:

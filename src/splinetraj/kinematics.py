@@ -45,6 +45,7 @@ __all__ = [
     "polynomial_dynamics_constraint",
     "NumericFK",
     "halfangle_cos_sin",
+    "homogeneous",
 ]
 
 REVOLUTE = "revolute"
@@ -533,11 +534,10 @@ class NumericFK:
 
         qmat has shape (S, L): substituted values for revolute links,
         variable offsets for prismatic links.  Returns per link the numeric
-        transform T_j (S,4,4), its derivative dT_j/dq_j when requested, and
-        the per-link denominator values (S,) with derivative.
+        transform T_j (S,4,4) and, when requested, its derivative dT_j/dq_j.
         """
         S, L = qmat.shape
-        Ts, dTs, dens, ddens = [], [], [], []
+        Ts, dTs = [], []
         for j in range(L):
             Mc, Ms, M0 = self._entry[j]
             qj = qmat[:, j]
@@ -546,67 +546,49 @@ class NumericFK:
                     c, s, dc, ds = halfangle_cos_sin(qj, self.depths[j], True)
                 else:
                     c, s = halfangle_cos_sin(qj, self.depths[j])
-                T = (
+                Ts.append(
                     c[:, None, None] * Mc
                     + s[:, None, None] * Ms
                     + M0[None, :, :]
                 )
-                w = 1.0 + qj * qj
-                den = w ** (2 ** (self.depths[j] - 1))
-                Ts.append(T)
-                dens.append(den)
                 if with_grad:
                     dTs.append(dc[:, None, None] * Mc + ds[:, None, None] * Ms)
-                    ddens.append(
-                        (2 ** (self.depths[j] - 1))
-                        * w ** (2 ** (self.depths[j] - 1) - 1)
-                        * 2.0
-                        * qj
-                    )
             else:
-                T = qj[:, None, None] * Mc + M0[None, :, :]
-                Ts.append(T)
-                dens.append(np.ones(S))
+                Ts.append(qj[:, None, None] * Mc + M0[None, :, :])
                 if with_grad:
                     dTs.append(np.broadcast_to(Mc, (S, 4, 4)).copy())
-                    ddens.append(np.zeros(S))
         if with_grad:
-            return Ts, dTs, dens, ddens
-        return Ts, dens
+            return Ts, dTs
+        return Ts
 
     def transforms(self, qmat: np.ndarray, link_index: int) -> np.ndarray:
         """Cumulative base-to-link transforms T0..T_link at S samples."""
-        Ts, _ = self.link_values(qmat[:, :link_index])
+        Ts = self.link_values(qmat[:, :link_index])
         out = np.broadcast_to(self.chain.base_pose, (qmat.shape[0], 4, 4)).copy()
         for T in Ts:
             out = out @ T
         return out
 
-    def chain_state(self, qmat: np.ndarray, link_index: int, with_grad: bool = False):
-        """Prefix transforms, suffix stubs, and denominators for one link.
+    def chain_state(self, qmat: np.ndarray, link_index: int):
+        """Prefix transforms and the cumulative denominator for one link.
 
         Returns a dict with:
           prefix:   list of cumulative transforms, prefix[j] = T0*T1..Tj
-          den:      cumulative denominator of the link transform (S,)
-          and, when with_grad, dT (per-joint factor derivatives) and dden.
+          Ts:       the per-link factors
+          den:      cumulative denominator of the link transform (S,), the
+                    product of (1 + q_j^2)^(2^(n_j - 1)) over revolute links
         """
         q = qmat[:, :link_index]
-        if with_grad:
-            Ts, dTs, dens, ddens = self.link_values(q, True)
-        else:
-            Ts, dens = self.link_values(q)
+        Ts = self.link_values(q)
         S = qmat.shape[0]
         prefix = [np.broadcast_to(self.chain.base_pose, (S, 4, 4)).copy()]
         for T in Ts:
             prefix.append(prefix[-1] @ T)
         den = np.ones(S)
-        for d in dens:
-            den = den * d
-        state = {"prefix": prefix, "Ts": Ts, "den": den, "dens": dens}
-        if with_grad:
-            state["dTs"] = dTs
-            state["ddens"] = ddens
-        return state
+        for j in range(link_index):
+            if self._kinds[j] == REVOLUTE:
+                den = den * (1.0 + q[:, j] * q[:, j]) ** (2 ** (self.depths[j] - 1))
+        return {"prefix": prefix, "Ts": Ts, "den": den}
 
     @staticmethod
     def vertex_positions(state, verts: np.ndarray) -> np.ndarray:
@@ -621,9 +603,9 @@ class NumericFK:
         is the shared left part of every d(position)/d(q_j).
         """
         if with_grad:
-            Ts, dTs, _, _ = self.link_values(qmat, True)
+            Ts, dTs = self.link_values(qmat, True)
         else:
-            Ts, _ = self.link_values(qmat)
+            Ts = self.link_values(qmat)
         S = qmat.shape[0]
         prefix = [np.broadcast_to(self.chain.base_pose, (S, 4, 4)).copy()]
         for T in Ts:
@@ -634,21 +616,30 @@ class NumericFK:
         return state
 
     @staticmethod
-    def body_positions(state, link_index: int, verts: np.ndarray) -> np.ndarray:
-        hom = np.hstack([verts, np.ones((verts.shape[0], 1))]).T  # (4, V)
+    def body_positions(state, link_index: int, verts: np.ndarray,
+                       hom: np.ndarray | None = None) -> np.ndarray:
+        """Positions (S, V, 3) of one link's local vertices; hom is their
+        precomputed ``homogeneous(verts)`` block when the caller has it."""
+        if hom is None:
+            hom = homogeneous(verts)
         out = state["prefix"][link_index] @ hom  # (S, 4, V)
         return out[:, :3, :].transpose(0, 2, 1)
 
     @staticmethod
-    def body_position_grads(state, link_index: int, verts: np.ndarray) -> np.ndarray:
+    def body_position_grads(state, link_index: int, verts: np.ndarray,
+                            hom: np.ndarray | None = None) -> np.ndarray:
         """d(position)/d(q_j) for one link from the shared state; (k, S, V, 3)."""
         Ts, A = state["Ts"], state["A"]
         S = Ts[0].shape[0]
-        V = verts.shape[0]
-        hom = np.hstack([verts, np.ones((V, 1))]).T  # (4, V)
-        R = np.broadcast_to(hom, (S, 4, V)).copy()
-        grads = np.empty((link_index, S, V, 3))
+        R = homogeneous(verts) if hom is None else hom  # (4, V), then (S, 4, V)
+        grads = np.empty((link_index, S, verts.shape[0], 3))
         for j in range(link_index - 1, -1, -1):
             grads[j] = (A[j] @ R)[:, :3, :].transpose(0, 2, 1)
-            R = Ts[j] @ R
+            if j:
+                R = Ts[j] @ R
         return grads
+
+
+def homogeneous(verts: np.ndarray) -> np.ndarray:
+    """Local vertices (V, 3) as homogeneous columns (4, V)."""
+    return np.hstack([verts, np.ones((verts.shape[0], 1))]).T

@@ -33,7 +33,7 @@ from .bernstein import (
 )
 from .bspline import BSpline, KnotVector, basis_matrix
 from .collision import ObstaclePrimitive, SignedDistanceField, build_sdf
-from .kinematics import NumericFK, recover_theta
+from .kinematics import NumericFK, homogeneous, recover_theta
 from .nlp import (
     EQ,
     INEQ,
@@ -271,7 +271,11 @@ class DerivBoxFamily(ConstraintBlock):
 
 
 class CoeffBoxFamily(ConstraintBlock):
-    """Box on the control rows themselves (angle or position limits)."""
+    """Box on the control rows themselves (angle or position limits).
+
+    With angle_depths, the dense check maps coordinate j back to an angle
+    2^n atan(q) unless angle_depths[j] is None (a prismatic offset).
+    """
 
     kind = INEQ
 
@@ -318,7 +322,7 @@ class CoeffBoxFamily(ConstraintBlock):
         worst = 0.0
         for j, s in enumerate(splines):
             vals = s.eval(taus)[:, 0]
-            if self.angle_depths is not None:
+            if self.angle_depths is not None and self.angle_depths[j] is not None:
                 vals = (2.0 ** self.angle_depths[j]) * np.arctan(vals)
             if np.isfinite(self.raw_hi[j]):
                 worst = max(worst, float(np.maximum(vals - self.raw_hi[j], 0.0).max()))
@@ -333,15 +337,20 @@ class ChainRateFamily(ConstraintBlock):
     theta_dot = 2^n q' / (T (1 + q^2)); clearing the positive denominator
     gives the polynomial spline 2^n q' -+ v T (1 + q^2), whose control
     points on a basis representing it exactly are constrained by sign.
+    A prismatic offset d = q takes the linear form q' -+ v T: factor 1,
+    and q is read as 0 in W = 1 + q^2.
     """
 
     kind = INEQ
 
     def __init__(self, name, layout, basis: TrajectoryBasis, depths,
-                 bound: np.ndarray, cushion: float, t_guess: float):
+                 bound: np.ndarray, cushion: float, t_guess: float,
+                 revolute: np.ndarray):
         self.name = name
         self.layout = layout
         self.depths = depths
+        # 1.0 for half-angle coordinates, 0.0 for prismatic offsets.
+        self.revolute = np.asarray(revolute, dtype=float)
         self.bound = bound
         self.raw_bound = bound
         knots = elevated_union([(basis.knots, basis.degree - 1)], 2 * basis.degree)
@@ -350,7 +359,7 @@ class ChainRateFamily(ConstraintBlock):
         taus = self.op.taus
         self.Bq = basis_matrix(basis.knots, basis.degree, taus)
         self.Bdq = basis_matrix(basis.knots1, basis.degree - 1, taus) @ basis.D1
-        self.factors = np.array([2.0**d for d in depths])
+        self.factors = np.where(self.revolute, 2.0 ** np.array(depths), 1.0)
         gap = cushion * bound * t_guess
         self.cushion_gap = np.repeat(
             np.concatenate([gap, gap]), self.op.n_coefficients
@@ -360,7 +369,7 @@ class ChainRateFamily(ConstraintBlock):
     def evaluate(self, x):
         dv = self.layout.unpack(x)
         C, T = dv.joint_coeffs, dv.T
-        q = self.Bq @ C
+        q = self.Bq @ C * self.revolute
         dq = self.Bdq @ C
         W = 1.0 + q * q
         f = self.factors[None, :]
@@ -388,7 +397,7 @@ class ChainRateFamily(ConstraintBlock):
     def dense_violation(self, dv, splines, taus) -> float:
         worst = 0.0
         for j, s in enumerate(splines):
-            q = s.eval(taus)[:, 0]
+            q = s.eval(taus)[:, 0] * self.revolute[j]
             qd = s.derivative().eval(taus)[:, 0]
             theta_dot = self.factors[j] * qd / (dv.T * (1.0 + q * q))
             worst = max(
@@ -401,15 +410,20 @@ class ChainAccelFamily(ConstraintBlock):
     """Hull-relaxed joint acceleration limits (denominator cleared twice).
 
     theta_ddot * T^2 * (1+q^2)^2 = 2^n [q'' (1+q^2) - 2 q q'^2]; the family
-    spline is that expression minus a T^2 (1+q^2)^2 for each sign.
+    spline is that expression minus a T^2 (1+q^2)^2 for each sign.  A
+    prismatic offset takes the linear form q'' -+ a T^2 (q read as 0 in the
+    half-angle terms, factor 1).
     """
 
     kind = INEQ
 
     def __init__(self, name, layout, basis: TrajectoryBasis, depths,
-                 bound: np.ndarray, cushion: float, t_guess: float):
+                 bound: np.ndarray, cushion: float, t_guess: float,
+                 revolute: np.ndarray):
         self.name = name
         self.layout = layout
+        # 1.0 for half-angle coordinates, 0.0 for prismatic offsets.
+        self.revolute = np.asarray(revolute, dtype=float)
         self.bound = bound
         self.raw_bound = bound
         deg = 4 * basis.degree
@@ -419,7 +433,7 @@ class ChainAccelFamily(ConstraintBlock):
         self.Bq = basis_matrix(basis.knots, basis.degree, taus)
         self.Bdq = basis_matrix(basis.knots1, basis.degree - 1, taus) @ basis.D1
         self.Bddq = basis_matrix(basis.knots2, basis.degree - 2, taus) @ basis.D2
-        self.factors = np.array([2.0**d for d in depths])
+        self.factors = np.where(self.revolute, 2.0 ** np.array(depths), 1.0)
         gap = cushion * bound * t_guess**2
         self.cushion_gap = np.repeat(
             np.concatenate([gap, gap]), self.op.n_coefficients
@@ -429,7 +443,7 @@ class ChainAccelFamily(ConstraintBlock):
     def evaluate(self, x):
         dv = self.layout.unpack(x)
         C, T = dv.joint_coeffs, dv.T
-        q = self.Bq @ C
+        q = self.Bq @ C * self.revolute
         dq = self.Bdq @ C
         ddq = self.Bddq @ C
         W = 1.0 + q * q
@@ -447,7 +461,7 @@ class ChainAccelFamily(ConstraintBlock):
             vl = V[:, self.layout.n_coords :]
             s = vu - vl
             t = vu + vl
-            dE_dq = f * (2.0 * q * ddq - 2.0 * dq * dq)
+            dE_dq = f * (2.0 * q * ddq - 2.0 * dq * dq) * self.revolute
             dE_ddq = -4.0 * f * q * dq
             dE_dddq = f * W
             dA_dq = self.bound[None, :] * (T * T) * 4.0 * W * q
@@ -464,7 +478,7 @@ class ChainAccelFamily(ConstraintBlock):
     def dense_violation(self, dv, splines, taus) -> float:
         worst = 0.0
         for j, s in enumerate(splines):
-            q = s.eval(taus)[:, 0]
+            q = s.eval(taus)[:, 0] * self.revolute[j]
             qd = s.derivative().eval(taus)[:, 0]
             qdd = s.derivative().derivative().eval(taus)[:, 0]
             W = 1.0 + q * q
@@ -522,41 +536,35 @@ class SDFClearanceFamily(ConstraintBlock):
         half[:-1] = np.maximum(half[:-1], 0.5 * gaps)
         half[1:] = np.maximum(half[1:], 0.5 * gaps)
         self._half_gap = half
+        # The T-free pieces of the margin rule, one row per body.
+        self._speed = np.array([[b.speed_bound] for b in self.bodies])
+        self._accel = np.array([[b.accel_bound] for b in self.bodies])
+        self._rest_tau = 1.0 - self.taus
+        self._lip_half = lipschitz * half
+        self._dspeed_lo = self._accel * (self.taus + half)
+        self._dspeed_hi = self._accel * (self._rest_tau + half)
         self.Bpos = basis_matrix(basis.knots, basis.degree, self.taus)
         self.nfk = nfk
+        self._homs = [homogeneous(b.verts) for b in self.bodies]
         self.n_rows = self.taus.size * sum(b.verts.shape[0] for b in self.bodies)
 
-    def margin(self, body: TrackedBody, T: float) -> np.ndarray:
-        """Per-sample clearance margin (meters)."""
+    def margins(self, T: float) -> tuple[np.ndarray, np.ndarray]:
+        """Clearance margin (meters) per body and sample, and its T-derivative;
+        (bodies, samples) each."""
         if self.fixed_margin is not None:
-            return np.full(self.taus.size, self.fixed_margin)
+            shape = (len(self.bodies), self.taus.size)
+            return np.full(shape, self.fixed_margin), np.zeros(shape)
         h = self._half_gap * T
-        local_speed = np.minimum(
-            body.speed_bound,
-            np.minimum(
-                body.accel_bound * (self.taus * T + h),
-                body.accel_bound * ((1.0 - self.taus) * T + h),
-            ),
-        )
-        return self.lipschitz * local_speed * h
-
-    def margin_dT(self, body: TrackedBody, T: float) -> np.ndarray:
-        if self.fixed_margin is not None:
-            return np.zeros(self.taus.size)
-        h = self._half_gap * T
-        cap_lo = body.accel_bound * (self.taus * T + h)
-        cap_hi = body.accel_bound * ((1.0 - self.taus) * T + h)
-        local_speed = np.minimum(body.speed_bound, np.minimum(cap_lo, cap_hi))
+        cap_lo = self._accel * (self.taus * T + h)
+        cap_hi = self._accel * (self._rest_tau * T + h)
+        local_speed = np.minimum(self._speed, np.minimum(cap_lo, cap_hi))
         dspeed = np.where(
-            local_speed >= body.speed_bound,
+            local_speed >= self._speed,
             0.0,
-            np.where(
-                cap_lo <= cap_hi,
-                body.accel_bound * (self.taus + self._half_gap),
-                body.accel_bound * (1.0 - self.taus + self._half_gap),
-            ),
+            np.where(cap_lo <= cap_hi, self._dspeed_lo, self._dspeed_hi),
         )
-        return self.lipschitz * self._half_gap * (local_speed + dspeed * T)
+        return (self.lipschitz * local_speed * h,
+                self._lip_half * (local_speed + dspeed * T))
 
     def evaluate(self, x):
         dv = self.layout.unpack(x)
@@ -567,18 +575,18 @@ class SDFClearanceFamily(ConstraintBlock):
             qmat = self.Bpos @ dv.joint_coeffs
             state = self.nfk.shared_state(qmat, with_grad=True)
             positions = [
-                self.nfk.body_positions(state, body.link_index, body.verts)
-                for body in self.bodies
+                self.nfk.body_positions(state, body.link_index, body.verts, hom)
+                for body, hom in zip(self.bodies, self._homs)
             ]
-        flat = np.concatenate(
-            [p.reshape(-1, p.shape[2])[:, : self.field.dim] for p in positions]
-        )
+        dim = self.field.dim
+        flat = np.concatenate([p.reshape(-1, p.shape[2])[:, :dim] for p in positions])
         vals, grads = self.field.query_extended(flat)
+        margin, margin_dT = self.margins(dv.T)
         residuals = []
         off = 0
-        for body, pos in zip(self.bodies, positions):
+        for b, (body, pos) in enumerate(zip(self.bodies, positions)):
             S, V = pos.shape[0], pos.shape[1]
-            m = np.repeat(self.margin(body, dv.T), V)
+            m = np.repeat(margin[b], V)
             residuals.append(m + body.radius + self.cushion - vals[off : off + S * V])
             off += S * V
         r = np.concatenate(residuals)
@@ -587,25 +595,23 @@ class SDFClearanceFamily(ConstraintBlock):
             gC = np.zeros_like(dv.joint_coeffs)
             gT = 0.0
             off = 0
-            for body, pos in zip(self.bodies, positions):
+            for b, (body, pos) in enumerate(zip(self.bodies, positions)):
                 S, V, _ = pos.shape
                 wb = w[off : off + S * V].reshape(S, V)
-                g = grads[off : off + S * V].reshape(S, V, self.field.dim)
+                g = grads[off : off + S * V].reshape(S, V, dim)
                 off += S * V
-                gT += float(self.margin_dT(body, dv.T) @ wb.sum(axis=1))
+                gT += float(margin_dT[b] @ wb.sum(axis=1))
                 # d(residual)/d(pos) = -grad_sdf
                 wpos = -wb[:, :, None] * g
                 if self.nfk is None:
                     gC += self.Bpos.T @ wpos[:, 0, : self.layout.n_coords]
-                else:
-                    dpos = self.nfk.body_position_grads(
-                        state, body.link_index, body.verts
-                    )
-                    for j in range(body.link_index):
-                        contrib = (
-                            wpos * dpos[j][:, :, : self.field.dim]
-                        ).sum(axis=(1, 2))
-                        gC[:, j] += self.Bpos.T @ contrib
+                    continue
+                dpos = self.nfk.body_position_grads(
+                    state, body.link_index, body.verts, self._homs[b]
+                )
+                contrib = (wpos * dpos[:, :, :, :dim]).sum(axis=(2, 3))
+                for j in range(body.link_index):
+                    gC[:, j] += self.Bpos.T @ contrib[j]
             return self.layout.grad(dC=gC, dT=gT)
 
         return r, vjp
@@ -1020,8 +1026,17 @@ def assemble(scenario: Scenario, cushion: float | None = None) -> PlanningProble
 
     if is_chain:
         depths = scenario.robot.halving_depths
-        q_init = np.tan(scenario.boundary_initial / (2.0 ** np.array(depths)))
-        q_goal = np.tan(scenario.boundary_goal / (2.0 ** np.array(depths)))
+        revolute = scenario.robot.revolute
+        q_init = np.where(
+            revolute,
+            np.tan(scenario.boundary_initial / (2.0 ** np.array(depths))),
+            scenario.boundary_initial,
+        )
+        q_goal = np.where(
+            revolute,
+            np.tan(scenario.boundary_goal / (2.0 ** np.array(depths))),
+            scenario.boundary_goal,
+        )
         world_dim = 3
         nfk = NumericFK(scenario.robot.chain, depths)
     else:
@@ -1096,12 +1111,14 @@ def assemble(scenario: Scenario, cushion: float | None = None) -> PlanningProble
         families.append(
             ChainRateFamily("velocity_limits", layout, basis,
                             scenario.robot.halving_depths,
-                            scenario.limits.velocity, cushion, t_guess)
+                            scenario.limits.velocity, cushion, t_guess,
+                            revolute)
         )
         families.append(
             ChainAccelFamily("acceleration_limits", layout, basis,
                              scenario.robot.halving_depths,
-                             scenario.limits.acceleration, cushion, t_guess)
+                             scenario.limits.acceleration, cushion, t_guess,
+                             revolute)
         )
         if scenario.limits.angle_min is not None or scenario.limits.angle_max is not None:
             depths_arr = np.array(scenario.robot.halving_depths, dtype=float)
@@ -1116,14 +1133,18 @@ def assemble(scenario: Scenario, cushion: float | None = None) -> PlanningProble
                 if scenario.limits.angle_max is not None
                 else np.inf * np.ones(scenario.n_coords)
             )
-            # Angles within the recovery range need no coefficient bound.
+            # Angles within the recovery range need no coefficient bound;
+            # prismatic offsets are bounded as they are.
             qlo = np.where(lo > -half_range, np.tan(np.maximum(lo, -half_range * (1 - 1e-9)) / (2.0**depths_arr)), -np.inf)
             qhi = np.where(hi < half_range, np.tan(np.minimum(hi, half_range * (1 - 1e-9)) / (2.0**depths_arr)), np.inf)
+            qlo = np.where(revolute, qlo, lo)
+            qhi = np.where(revolute, qhi, hi)
             if np.any(np.isfinite(qlo)) or np.any(np.isfinite(qhi)):
                 families.append(
                     CoeffBoxFamily("angle_limits", layout, qlo, qhi, cushion,
                                    raw_lo=lo, raw_hi=hi,
-                                   angle_depths=scenario.robot.halving_depths)
+                                   angle_depths=[d if r else None for d, r in
+                                                 zip(depths, revolute)])
                 )
     else:
         families.append(
@@ -1468,13 +1489,17 @@ def verify(solution: Solution, problem: PlanningProblem,
 
 def recovered_angles(problem: PlanningProblem, dv: DecisionVector,
                      taus: np.ndarray) -> np.ndarray:
-    """Joint angles (chains) or positions (mobile) at the given parameters."""
+    """Joint angles and prismatic offsets (chains) or positions (mobile) at
+    the given parameters."""
     splines = problem.trajectory_splines(dv)
     if isinstance(problem.scenario.robot, ChainRobot):
         from .kinematics import HalfAngleJoint
 
         cols = []
         for j, s in enumerate(splines):
+            if not problem.scenario.robot.revolute[j]:
+                cols.append(s.eval(taus)[:, 0])
+                continue
             joint = HalfAngleJoint(s, problem.scenario.robot.halving_depths[j])
             cols.append(
                 recover_theta(joint, taus,

@@ -93,6 +93,13 @@ class ChainRobot:
     def n_coords(self) -> int:
         return len(self.chain)
 
+    @property
+    def revolute(self) -> np.ndarray:
+        """Per-joint mask: True where the coordinate is the half-angle
+        substitute q = tan(theta / 2^n), False where it is a prismatic
+        offset used as it is."""
+        return np.array([link.joint_kind == "revolute" for link in self.chain.links])
+
 
 @dataclass(frozen=True)
 class Limits:
@@ -363,9 +370,11 @@ def parse_scenario(obj: dict) -> Scenario:
 
     # Physical consistency checks.
     if is_chain:
-        for k, (depth, qi, qg) in enumerate(
-            zip(robot.halving_depths, q_init, q_goal)
+        for k, (depth, qi, qg, revolute) in enumerate(
+            zip(robot.halving_depths, q_init, q_goal, robot.revolute)
         ):
+            if not revolute:
+                continue
             half_range = 2 ** (depth - 1) * np.pi
             if abs(qi) >= half_range or abs(qg) >= half_range:
                 raise ScenarioError(

@@ -127,6 +127,151 @@ class TestSDFQuery:
         assert grads[0][0] < 0.0
 
 
+def reference_interpolate(field, pts):
+    """The fancy-indexed 2D/3D interpolation formulas the flat-gather
+    kernel replaced, kept as a bitwise reference."""
+    t = (pts - field.origin) / field.cell_size
+    idx = np.clip(np.floor(t).astype(int), 0, np.array(field.dims) - 2)
+    f = t - idx
+    g = 1.0 - f
+    V = field.values
+    grads = np.empty_like(pts)
+    if field.dim == 2:
+        i, j = idx[:, 0], idx[:, 1]
+        v00, v01 = V[i, j], V[i, j + 1]
+        v10, v11 = V[i + 1, j], V[i + 1, j + 1]
+        fx, fy, gx, gy = f[:, 0], f[:, 1], g[:, 0], g[:, 1]
+        out = gx * (gy * v00 + fy * v01) + fx * (gy * v10 + fy * v11)
+        grads[:, 0] = gy * (v10 - v00) + fy * (v11 - v01)
+        grads[:, 1] = gx * (v01 - v00) + fx * (v11 - v10)
+        return out, grads / field.cell_size
+    i, j, k = idx[:, 0], idx[:, 1], idx[:, 2]
+    v000, v001 = V[i, j, k], V[i, j, k + 1]
+    v010, v011 = V[i, j + 1, k], V[i, j + 1, k + 1]
+    v100, v101 = V[i + 1, j, k], V[i + 1, j, k + 1]
+    v110, v111 = V[i + 1, j + 1, k], V[i + 1, j + 1, k + 1]
+    fx, fy, fz = f[:, 0], f[:, 1], f[:, 2]
+    gx, gy, gz = g[:, 0], g[:, 1], g[:, 2]
+    c00 = gz * v000 + fz * v001
+    c01 = gz * v010 + fz * v011
+    c10 = gz * v100 + fz * v101
+    c11 = gz * v110 + fz * v111
+    c0 = gy * c00 + fy * c01
+    c1 = gy * c10 + fy * c11
+    out = gx * c0 + fx * c1
+    grads[:, 0] = c1 - c0
+    grads[:, 1] = gx * (c01 - c00) + fx * (c11 - c10)
+    e00 = v001 - v000
+    e01 = v011 - v010
+    e10 = v101 - v100
+    e11 = v111 - v110
+    grads[:, 2] = gx * (gy * e00 + fy * e01) + fx * (gy * e10 + fy * e11)
+    return out, grads / field.cell_size
+
+
+def reference_query_extended(field, pts):
+    clipped = np.clip(pts, field.origin, field.upper)
+    vals, grads = reference_interpolate(field, clipped)
+    excess = pts - clipped
+    dist = np.linalg.norm(excess, axis=1)
+    outside = dist > 0.0
+    if np.any(outside):
+        vals = vals - dist
+        unit = np.zeros_like(excess)
+        unit[outside] = excess[outside] / dist[outside, None]
+        grads = np.where(excess != 0.0, -unit, grads)
+    return vals, grads
+
+
+def assert_bitwise(actual, expected):
+    actual = np.ascontiguousarray(actual)
+    assert actual.shape == expected.shape
+    assert actual.tobytes() == np.ascontiguousarray(expected).tobytes()
+
+
+class TestInterpolationKernel:
+    """The flat-gather kernel against the reference formulas, bit for bit."""
+
+    @pytest.mark.parametrize("dims", [(7, 5), (6, 9, 4), (2, 2, 2)])
+    def test_bitwise_equal_to_reference(self, dims):
+        rng = np.random.default_rng(len(dims) * 100 + dims[0])
+        origin = rng.uniform(-1.0, 1.0, len(dims))
+        field = SignedDistanceField(origin, 0.37, rng.normal(size=dims))
+        lo, hi, h = field.origin, field.upper, field.cell_size
+        inside = rng.uniform(lo, hi, (500, len(dims)))
+        last_cell = hi - rng.uniform(0.0, h, (100, len(dims)))
+        nodes = lo + h * rng.integers(0, np.array(dims), (100, len(dims)))
+        corners = np.array([lo, hi])
+        pts = np.vstack([inside, last_cell, nodes, corners])
+        for mine, ref in zip(field.query(pts), reference_interpolate(field, pts)):
+            assert_bitwise(mine, ref)
+        span = hi - lo
+        outside = rng.uniform(lo - span, hi + span, (500, len(dims)))
+        one_axis = inside.copy()
+        one_axis[:, 0] = hi[0] + rng.uniform(0.0, 1.0, inside.shape[0])
+        for batch in (pts, outside, one_axis, np.vstack([outside, pts])):
+            mine = field.query_extended(batch)
+            ref = reference_query_extended(field, batch)
+            for a, b in zip(mine, ref):
+                assert_bitwise(a, b)
+
+    def test_query_extended_rejects_nan(self):
+        field = SignedDistanceField([0.0, 0.0], 0.5, np.zeros((4, 4)))
+        with pytest.raises(OutOfBoundsError):
+            field.query_extended(np.array([[0.5, 0.5], [np.nan, 0.2]]))
+        with pytest.raises(OutOfBoundsError):
+            field.query_extended(np.array([[9.0, np.nan]]))
+
+    @pytest.mark.parametrize("dims", [(5,), (3, 3, 3, 3)])
+    def test_rejects_rank_other_than_2_or_3(self, dims):
+        with pytest.raises(ValueError):
+            SignedDistanceField(np.zeros(len(dims)), 0.1, np.zeros(dims))
+
+
+class TestBlockedBuild:
+    """build_sdf fills the grid in slabs; the field must equal a one-shot
+    evaluation over every node bit for bit."""
+
+    @staticmethod
+    def one_shot(primitives, lo, hi, cell):
+        lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+        dims = np.maximum(np.ceil((hi - lo) / cell).astype(int) + 1, 2)
+        axes = [lo[i] + cell * np.arange(dims[i]) for i in range(lo.size)]
+        grid = np.meshgrid(*axes, indexing="ij")
+        pts = np.stack([g.ravel() for g in grid], axis=1)
+        values = np.min(np.stack([p.signed_distance(pts) for p in primitives]), axis=0)
+        return values.reshape(dims)
+
+    @pytest.mark.parametrize("block", [1, 97, 1 << 16])
+    def test_blocked_equals_one_shot_3d(self, monkeypatch, block):
+        from splinetraj import collision
+
+        monkeypatch.setattr(collision, "SDF_BLOCK_POINTS", block)
+        prims = [
+            ObstaclePrimitive.sphere([0.3, -0.2, 0.1], 0.35),
+            ObstaclePrimitive.box([-0.8, -0.1, -0.6], [-0.2, 0.7, 0.2]),
+            ObstaclePrimitive.polytope(
+                [[0.5, 0.5, -0.5], [0.9, 0.4, -0.4], [0.6, 0.9, -0.3],
+                 [0.6, 0.6, 0.1]]
+            ),
+        ]
+        bounds = ([-1.0, -1.1, -0.9], [1.05, 1.0, 0.8])
+        field = build_sdf(prims, bounds, 0.07)
+        assert_bitwise(field.values, self.one_shot(prims, *bounds, 0.07))
+
+    def test_blocked_equals_one_shot_2d(self, monkeypatch):
+        from splinetraj import collision
+
+        monkeypatch.setattr(collision, "SDF_BLOCK_POINTS", 50)
+        prims = [
+            ObstaclePrimitive.polytope([[0.0, 0.0], [0.6, 0.1], [0.2, 0.7]]),
+            ObstaclePrimitive.sphere([-0.5, 0.4], 0.3),
+        ]
+        bounds = ([-1.0, -1.0], [1.0, 1.2])
+        field = build_sdf(prims, bounds, 0.05)
+        assert_bitwise(field.values, self.one_shot(prims, *bounds, 0.05))
+
+
 class TestSignCorrectness:
     def test_sphere_box_polytope_signs(self):
         rng = np.random.default_rng(11)

@@ -119,6 +119,8 @@ CASES = [
     ("twolink_moving_sphere", PlaneNormFamily, 2),
     ("twolink_depth2_moving_sphere", PlaneRobotSideFamily, 2),
     ("prismatic_moving_sphere", PlaneRobotSideFamily, 2),
+    ("prismatic_moving_sphere", ChainRateFamily, 1),
+    ("prismatic_moving_sphere", ChainAccelFamily, 1),
     ("mobile_position_limits", CoeffBoxFamily, 1),
     ("threelink_angle_limits", CoeffBoxFamily, 1),
     ("mobile_dynamics", DynamicsResidualFamily, 1),

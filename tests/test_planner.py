@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from splinetraj.bspline import BSpline, basis_matrix
+from splinetraj.cli import export_trajectory
 from splinetraj.collision import Hyperplane, hyperplane_constraints
 from splinetraj.planner import (
     ChainRateFamily,
@@ -310,6 +311,55 @@ class TestSolve:
         np.testing.assert_array_equal(back.decision.joint_coeffs,
                                       sol.decision.joint_coeffs)
         assert back.status == sol.status
+
+
+def prismatic_chain():
+    """threelink cut to two links, the second one prismatic (0.1 -> 0.3 m),
+    beside a sphere crossing the workspace."""
+    obj = json.loads((SCENARIO_DIR / "threelink.json").read_text())
+    obj["name"] = "prismatic_chain"
+    obj["robot"]["links"] = [obj["robot"]["links"][0],
+                             {"a": 0.0, "alpha": 0.0, "d": 0.2, "kind": "prismatic"}]
+    obj["robot"]["cuboids"] = obj["robot"]["cuboids"][:2]
+    obj["boundary"] = {"initial": [-1.0, 0.1], "goal": [1.0, 0.3], "units": "rad"}
+    obj["limits"] = {"velocity": 2.0, "acceleration": 4.0}
+    obj["obstacles"] = [
+        {"kind": "sphere", "center": [0.6, -0.6, -0.5], "radius": 0.1,
+         "motion": {"kind": "linear", "target": [0.6, 0.6, -0.5]}},
+    ]
+    return parse_scenario(obj)
+
+
+class TestPrismaticJoint:
+    """A prismatic coordinate is the offset itself, never tan(offset / 2^n)."""
+
+    def test_plans_verifies_and_exports_offsets(self, tmp_path):
+        prob = assemble(prismatic_chain())
+        np.testing.assert_array_equal(prob.q_init[1:], [0.1])
+        np.testing.assert_array_equal(prob.q_goal[1:], [0.3])
+        sol = solve(prob)
+        assert sol.converged
+        report = verify(sol, prob)
+        assert report.passed, report.to_json()
+        export_trajectory(sol, prob, tmp_path, samples=40)
+        rows = np.loadtxt(tmp_path / "trajectory.csv", delimiter=",", skiprows=1)
+        # Columns: tau, t, q1, q2, dq1, dq2.
+        np.testing.assert_allclose(rows[[0, -1], 2], [-1.0, 1.0], atol=1e-12)
+        np.testing.assert_allclose(rows[[0, -1], 3], [0.1, 0.3], atol=1e-12)
+        np.testing.assert_allclose(rows[[0, -1], 4:], 0.0, atol=1e-9)
+        assert np.abs(rows[:, 5]).max() <= 2.0
+
+    def test_offset_limits_bound_the_offset(self):
+        scn = prismatic_chain()
+        scn = replace(scn, limits=replace(scn.limits,
+                                          angle_min=np.array([-2.0, 0.05]),
+                                          angle_max=np.array([2.0, 0.35])))
+        prob = assemble(scn)
+        fam = next(f for f in prob.families if f.name == "angle_limits")
+        # The cushion insets each bound by cushion * max(hi - lo, 1).
+        inset = scn.solver.cushion * np.array([2.0 * np.tan(1.0), 1.0])
+        np.testing.assert_allclose(fam.hi, [np.tan(1.0), 0.35] - inset, rtol=1e-14)
+        np.testing.assert_allclose(fam.lo, [-np.tan(1.0), 0.05] + inset, rtol=1e-14)
 
 
 def scnario_feas_tol(prob):
