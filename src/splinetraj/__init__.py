@@ -19,28 +19,18 @@ from .bspline import (
     hull_bounds,
 )
 from .collision import (
-    Hyperplane,
     ObstaclePrimitive,
     SignedDistanceField,
     build_sdf,
-    hyperplane_constraints,
     load_sdf,
     save_sdf,
     sdf_query,
-    static_clearance_constraints,
 )
 from .kinematics import (
     DHChain,
     DHLink,
     HalfAngleJoint,
-    RationalSplineMatrix,
-    compose,
-    dh_transform,
-    forward_kinematics,
-    half_angle_trig,
-    polynomial_dynamics_constraint,
     recover_theta,
-    transform_point,
 )
 from .nlp import SolverConfig
 from .planner import (
@@ -62,14 +52,7 @@ from .scenario import (
     parse_scenario,
     save_scenario,
 )
-from .spline_algebra import (
-    RefitConfig,
-    RefitError,
-    add,
-    knot_union,
-    multiply,
-    refit,
-)
+from .spline_algebra import add, multiply
 
 __version__ = "0.1.0"
 
@@ -83,14 +66,10 @@ __all__ = [
     "DomainError",
     "HalfAngleJoint",
     "HullBounds",
-    "Hyperplane",
     "KnotVector",
     "MobileRobot",
     "ObstaclePrimitive",
     "PlanningProblem",
-    "RationalSplineMatrix",
-    "RefitConfig",
-    "RefitError",
     "Scenario",
     "ScenarioError",
     "SignedDistanceField",
@@ -102,27 +81,17 @@ __all__ = [
     "basis_matrix",
     "build_sdf",
     "clamp_knots",
-    "compose",
-    "dh_transform",
     "eval_basis",
-    "forward_kinematics",
-    "half_angle_trig",
     "hull_bounds",
-    "hyperplane_constraints",
     "initial_guess",
-    "knot_union",
     "load_scenario",
     "load_sdf",
     "multiply",
     "parse_scenario",
-    "polynomial_dynamics_constraint",
     "recover_theta",
-    "refit",
     "save_scenario",
     "save_sdf",
     "sdf_query",
     "solve",
-    "static_clearance_constraints",
-    "transform_point",
     "verify",
 ]

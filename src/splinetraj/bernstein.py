@@ -72,9 +72,10 @@ def bezier_extraction(knots: KnotVector, degree: int, breaks=None) -> np.ndarray
 
     Each interior break point is inserted until its multiplicity reaches
     the degree; the refined coefficients of each nonempty span are then
-    its Bernstein coefficients.  ``breaks`` (default: the distinct knots)
-    may add break points, so splines on different knot vectors can be
-    extracted onto one common set of spans.
+    its Bernstein coefficients (degree 0 needs one insertion per break).
+    ``breaks`` (default: the distinct knots) may add break points, so
+    splines on different knot vectors can be extracted onto one common set
+    of spans.
 
     Returns:
         Array of shape (S * (degree + 1), n_coefficients), span-major.
@@ -86,7 +87,7 @@ def bezier_extraction(knots: KnotVector, degree: int, breaks=None) -> np.ndarray
     for t in cuts:
         if not u[0] < t < u[-1]:
             continue
-        while u.count(float(t)) < p:
+        while u.count(float(t)) < max(p, 1):
             coeffs, u = _insert_knot(coeffs, u, p, float(t))
     blocks = [coeffs[i - p : i + 1] for i in range(p, len(u) - p - 1) if u[i] < u[i + 1]]
     return np.vstack(blocks)

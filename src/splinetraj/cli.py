@@ -27,7 +27,6 @@ from .planner import (
     PlanningProblem,
     Solution,
     assemble,
-    initial_guess,
     recovered_angles,
     solve,
     verify,

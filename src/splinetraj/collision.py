@@ -1,33 +1,27 @@
-"""Collision constraint generation.
+"""Collision geometry: convex obstacle primitives and signed distance fields.
 
-Static obstacles are baked into a signed distance field queried at
-collocation parameters with a Lipschitz-based margin; dynamic convex
-obstacles get time-varying separating hyperplanes whose three constraint
-families reduce, through the spline algebra and the convex hull property,
-to sign conditions on control points of composed B-splines.
+Static obstacles are baked into a signed distance field that the planner
+queries at collocation parameters with a Lipschitz-based motion margin.
+Moving obstacles are kept apart by time-varying separating hyperplanes,
+whose constraint rows the planner computes in Bernstein form; this module
+supplies their shapes (centers, corners, radii) and the exact box-sphere
+distance used to check the result.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 
 import numpy as np
 
 from .bspline import BSpline
-from .spline_algebra import DEFAULT_CONFIG, RefitConfig, add, multiply, scale
 
 __all__ = [
     "ObstaclePrimitive",
     "SignedDistanceField",
     "OutOfBoundsError",
-    "Hyperplane",
     "build_sdf",
     "sdf_query",
-    "static_clearance_constraints",
-    "hyperplane_constraints",
-    "StaticClearanceConstraints",
-    "HyperplaneConstraintSet",
     "save_sdf",
     "load_sdf",
     "point_box_distance",
@@ -341,177 +335,6 @@ def load_sdf(path) -> SignedDistanceField:
         count = int(np.prod(dims))
         values = np.frombuffer(fh.read(8 * count), dtype="<f8").reshape(dims)
     return SignedDistanceField(np.array(origin), cell_size, values.copy())
-
-
-@dataclass(frozen=True)
-class StaticClearanceConstraints:
-    """Clearance residuals SD(x(tau_k)) - margin at a collocation grid.
-
-    The margin absorbs inter-sample motion: clearance >= margin at samples
-    spaced dt apart plus a speed bound v implies positive clearance for all
-    time (the field is Lipschitz).  Residuals are positive when satisfied;
-    points outside the field get Lipschitz-extended (violation-valued)
-    residuals.
-    """
-
-    taus: np.ndarray
-    margin: float
-    positions: np.ndarray
-    residuals: np.ndarray
-
-    @property
-    def satisfied(self) -> bool:
-        return bool(np.all(self.residuals >= 0.0))
-
-    def worst(self) -> tuple[float, float]:
-        k = int(np.argmin(self.residuals))
-        return float(self.taus[k]), float(self.residuals[k])
-
-
-def static_clearance_constraints(
-    vertex_traj,
-    field: SignedDistanceField,
-    margin: float,
-    collocation,
-) -> StaticClearanceConstraints:
-    """One clearance inequality per collocation parameter for a tracked point.
-
-    Args:
-        vertex_traj: Either a (numerator, denominator) rational spline point
-            or a plain vector BSpline.
-        field: Precomputed signed distance field.
-        margin: Required clearance at the samples (meters).
-        collocation: Parameter grid.
-    """
-    taus = np.atleast_1d(np.asarray(collocation, dtype=float))
-    if isinstance(vertex_traj, tuple):
-        num, den = vertex_traj
-        dvals = den.eval(taus)[:, 0]
-        if np.any(dvals <= 0.0):
-            raise ValueError("vertex trajectory denominator must stay positive")
-        pos = num.eval(taus) / dvals[:, None]
-    else:
-        pos = vertex_traj.eval(taus)
-    pos = pos[:, : field.dim]
-    vals, _ = field.query_extended(pos)
-    return StaticClearanceConstraints(taus, float(margin), pos, vals - margin)
-
-
-@dataclass(frozen=True)
-class Hyperplane:
-    """Time-varying separating plane a(tau) . x + b(tau) = 0."""
-
-    a: BSpline
-    b: BSpline
-
-    def __post_init__(self):
-        if self.b.dim != 1:
-            raise ValueError("plane offset must be scalar-valued")
-        if not self.a.same_basis(self.b):
-            raise ValueError("plane normal and offset must share a basis")
-
-
-@dataclass(frozen=True)
-class HyperplaneConstraintSet:
-    """Composed constraint splines of the three separation families.
-
-    robot_side:    one spline per tracked robot vertex, den_j*b + a . num_j,
-                   feasible when every control point is >= 0;
-    obstacle_side: one spline per obstacle support point (a . q_o + b + d_o
-                   for spheres, a . v_k + b per corner otherwise), feasible
-                   when every control point is <= 0;
-    norm:          |a|^2 - 1, feasible when every control point is <= 0.
-    """
-
-    robot_side: tuple[BSpline, ...]
-    obstacle_side: tuple[BSpline, ...]
-    norm: BSpline
-
-    def coefficient_margins(self) -> tuple[float, float, float]:
-        """(min robot-side coeff, max obstacle-side coeff, max norm coeff)."""
-        rmin = min(float(s.control_points.min()) for s in self.robot_side)
-        omax = max(float(s.control_points.max()) for s in self.obstacle_side)
-        nmax = float(self.norm.control_points.max())
-        return rmin, omax, nmax
-
-    def coefficients_satisfied(self, slack: float = 0.0) -> bool:
-        rmin, omax, nmax = self.coefficient_margins()
-        return rmin >= -slack and omax <= slack and nmax <= slack
-
-    def sample_violations(self, taus) -> dict[str, float]:
-        """Worst signed violation of each family sampled from the splines."""
-        t = np.atleast_1d(np.asarray(taus, dtype=float))
-        robot = max(
-            float(np.maximum(-s.eval(t)[:, 0], 0.0).max()) for s in self.robot_side
-        )
-        obstacle = max(
-            float(np.maximum(s.eval(t)[:, 0], 0.0).max()) for s in self.obstacle_side
-        )
-        norm = float(np.maximum(self.norm.eval(t)[:, 0], 0.0).max())
-        return {"robot_side": robot, "obstacle_side": obstacle, "norm": norm}
-
-
-def _dot_plane(a: BSpline, point_num: BSpline, cfg: RefitConfig) -> BSpline:
-    """a . p as a spline, summing per-coordinate products."""
-    total = None
-    for c in range(point_num.dim):
-        term = multiply(a.component(c), point_num.component(c), cfg)
-        total = term if total is None else add(total, term, cfg)
-    return total
-
-
-def hyperplane_constraints(
-    link_vertices,
-    obstacle: ObstaclePrimitive,
-    plane: Hyperplane,
-    cfg: RefitConfig = DEFAULT_CONFIG,
-) -> HyperplaneConstraintSet:
-    """Reduce the three separation inequality families to composed splines.
-
-    Args:
-        link_vertices: Tracked robot vertex trajectories as (num, den)
-            rational points (den positive) or plain vector BSplines.
-        obstacle: Convex obstacle, static or moving.
-        plane: Candidate separating plane splines.
-        cfg: Refit configuration for the algebra.
-    """
-    d = plane.a.dim
-    robot_side = []
-    for traj in link_vertices:
-        if isinstance(traj, tuple):
-            num, den = traj
-        else:
-            num, den = traj, BSpline.constant([1.0])
-        dotted = _dot_plane(plane.a, num, cfg)
-        robot_side.append(add(multiply(den, plane.b, cfg), dotted, cfg))
-
-    if obstacle.motion is not None:
-        center = obstacle.motion
-    else:
-        center = BSpline.constant(obstacle.nominal_center())
-    obstacle_side = []
-    if obstacle.kind == "sphere":
-        base = add(_dot_plane(plane.a, center, cfg), plane.b, cfg)
-        shifted = BSpline(
-            base.degree, base.knots, base.control_points + obstacle.radius
-        )
-        obstacle_side.append(shifted)
-    else:
-        for offset in obstacle.corner_offsets():
-            corner = BSpline(
-                center.degree, center.knots, center.control_points + offset
-            )
-            obstacle_side.append(
-                add(_dot_plane(plane.a, corner, cfg), plane.b, cfg)
-            )
-
-    norm_sq = None
-    for c in range(d):
-        term = multiply(plane.a.component(c), plane.a.component(c), cfg)
-        norm_sq = term if norm_sq is None else add(norm_sq, term, cfg)
-    norm = BSpline(norm_sq.degree, norm_sq.knots, norm_sq.control_points - 1.0)
-
-    return HyperplaneConstraintSet(tuple(robot_side), tuple(obstacle_side), norm)
 
 
 def point_box_distance(points: np.ndarray, box_min, box_max) -> np.ndarray:

@@ -1,48 +1,30 @@
-"""Forward kinematics lifted to spline space.
+"""Denavit-Hartenberg chains and their numeric half-angle kinematics.
 
 Revolute joints are parameterized by q = tan(theta / 2^n); the tangent
 half-angle substitution turns every trigonometric entry of a
-Denavit-Hartenberg transform into a polynomial in q, so link transforms
-become matrices of B-splines over a shared positive denominator spline.
-Prismatic joints substitute the offset directly and keep denominator 1.
+Denavit-Hartenberg transform into a rational function of q over a
+positive denominator.  Prismatic joints substitute the offset directly
+and keep denominator 1.
 
-The module also hosts fast numeric evaluation of the same rational forms
-(values and gradients at sample points), which the planner uses for
-signed-distance clearance, dense verification and export.
+``NumericFK`` evaluates those rational forms (values and joint
+gradients) at sample points, for signed-distance clearance, dense
+verification and export.  The same forms as exact polynomial products,
+span by span, are ``bernstein.ChainNumerators``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .bspline import BSpline, KnotVector, clamp_knots
-from .spline_algebra import (
-    DEFAULT_CONFIG,
-    FitOperator,
-    RefitConfig,
-    RefitError,
-    add,
-    collocation_sites,
-    elevated_union,
-    multiply,
-    refit,
-    scale,
-)
+from .bspline import BSpline
 
 __all__ = [
     "DHLink",
     "DHChain",
     "HalfAngleJoint",
-    "RationalSplineMatrix",
-    "half_angle_trig",
-    "dh_transform",
-    "compose",
-    "forward_kinematics",
-    "transform_point",
     "recover_theta",
-    "polynomial_dynamics_constraint",
     "NumericFK",
     "halfangle_cos_sin",
     "homogeneous",
@@ -189,267 +171,6 @@ class HalfAngleJoint:
         return 2 ** (self.halving_depth - 1) * np.pi
 
 
-class RationalSplineMatrix:
-    """Matrix of B-splines over a shared scalar denominator spline.
-
-    All numerator entries live on one basis (stored as a single
-    vector-valued spline with one coordinate per entry in row-major order),
-    and the denominator shares that basis.  The denominator must be
-    strictly positive on [0, 1]; positivity of its control points is the
-    preferred certificate, with dense sampling as fallback.
-    """
-
-    __slots__ = ("numerators", "denominator", "shape", "positive_certified")
-
-    def __init__(self, numerators: BSpline, denominator: BSpline, shape: tuple[int, int]):
-        r, c = shape
-        if numerators.dim != r * c:
-            raise ValueError(
-                f"numerator spline dim {numerators.dim} does not match shape {shape}"
-            )
-        if denominator.dim != 1:
-            raise ValueError("denominator must be scalar-valued")
-        if not denominator.same_basis(numerators):
-            raise ValueError("numerators and denominator must share a basis")
-        certified = bool(np.all(denominator.control_points > 0.0))
-        if not certified:
-            samples = denominator.eval(np.linspace(0.0, 1.0, 1001))[:, 0]
-            if samples.min() <= 0.0:
-                raise ValueError("denominator not strictly positive on [0, 1]")
-        object.__setattr__(self, "numerators", numerators)
-        object.__setattr__(self, "denominator", denominator)
-        object.__setattr__(self, "shape", (r, c))
-        object.__setattr__(self, "positive_certified", certified)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RationalSplineMatrix is immutable")
-
-    @property
-    def degree(self) -> int:
-        return self.numerators.degree
-
-    def entry(self, i: int, j: int) -> BSpline:
-        """Scalar numerator spline of entry (i, j)."""
-        r, c = self.shape
-        col = i * c + j
-        return BSpline(
-            self.numerators.degree,
-            self.numerators.knots,
-            self.numerators.control_points[:, col : col + 1],
-        )
-
-    def eval(self, taus) -> np.ndarray:
-        """Matrix values numerators(tau)/denominator(tau); (..., r, c)."""
-        scalar = np.isscalar(taus) or (
-            isinstance(taus, np.ndarray) and np.ndim(taus) == 0
-        )
-        t = np.atleast_1d(np.asarray(taus, dtype=float))
-        nums = self.numerators.eval(t)
-        dens = self.denominator.eval(t)[:, 0]
-        out = nums.reshape(len(t), *self.shape) / dens[:, None, None]
-        return out[0] if scalar else out
-
-    @classmethod
-    def constant(cls, matrix: np.ndarray) -> "RationalSplineMatrix":
-        """Constant matrix with denominator identically 1 (degree-0 splines)."""
-        mat = np.asarray(matrix, dtype=float)
-        knots = clamp_knots([], 0)
-        num = BSpline(0, knots, mat.reshape(1, -1))
-        den = BSpline(0, knots, [[1.0]])
-        return cls(num, den, mat.shape)
-
-    def __repr__(self):
-        return (
-            f"RationalSplineMatrix(shape={self.shape}, degree={self.degree}, "
-            f"n_coefficients={self.numerators.n_coefficients})"
-        )
-
-
-def _as_shared_basis(splines: dict[str, BSpline], degree: int, knots: KnotVector,
-                     cfg: RefitConfig) -> dict[str, BSpline]:
-    """Re-express splines exactly on a common richer basis."""
-    taus = collocation_sites(knots, degree, cfg.spans_samples(degree))
-    op = FitOperator(degree, knots, taus)
-    out = {}
-    for name, s in splines.items():
-        if s.degree == degree and s.knots == knots:
-            out[name] = s
-            continue
-        fitted, resid = op.fit(s.eval(taus))
-        if resid > cfg.residual_tolerance:
-            raise RefitError(f"basis elevation of {name}", float(taus[0]), resid,
-                             cfg.residual_tolerance)
-        out[name] = fitted
-    return out
-
-
-def half_angle_trig(
-    joint: HalfAngleJoint, cfg: RefitConfig = DEFAULT_CONFIG
-) -> tuple[BSpline, BSpline, BSpline]:
-    """Spline numerators of cos/sin and their shared positive denominator.
-
-    Depth 1 is the classic substitution cos = (1 - q^2)/(1 + q^2),
-    sin = 2q/(1 + q^2).  Greater depths apply the double-angle identities
-    recursively, squaring the denominator at each level, so that
-    cos_num/den and sin_num/den equal cos(theta), sin(theta) with
-    theta = 2^n * atan-chain recovery.
-    """
-    q = joint.q
-    q2 = multiply(q, q, cfg)
-    basis_deg, basis_knots = q2.degree, q2.knots
-    shared = _as_shared_basis({"q": q}, basis_deg, basis_knots, cfg)
-    ones = np.ones((q2.n_coefficients, 1))
-    cos_num = BSpline(basis_deg, basis_knots, ones - q2.control_points)
-    sin_num = BSpline(basis_deg, basis_knots, 2.0 * shared["q"].control_points)
-    den = BSpline(basis_deg, basis_knots, ones + q2.control_points)
-    for _ in range(joint.halving_depth - 1):
-        cc = multiply(cos_num, cos_num, cfg)
-        ss = multiply(sin_num, sin_num, cfg)
-        sc = multiply(sin_num, cos_num, cfg)
-        dd = multiply(den, den, cfg)
-        cos_num = BSpline(cc.degree, cc.knots, cc.control_points - ss.control_points)
-        sin_num = scale(sc, 2.0)
-        den = dd
-    return cos_num, sin_num, den
-
-
-def dh_transform(
-    link: DHLink,
-    joint,
-    cfg: RefitConfig = DEFAULT_CONFIG,
-) -> RationalSplineMatrix:
-    """Link transform as a rational spline matrix.
-
-    Revolute links take a HalfAngleJoint and produce the denominator-cleared
-    half-angle matrix; prismatic links take a scalar BSpline for the
-    variable offset and keep denominator 1.
-    """
-    if link.joint_kind == REVOLUTE:
-        if not isinstance(joint, HalfAngleJoint):
-            raise TypeError("revolute link requires a HalfAngleJoint")
-        cos_num, sin_num, den = half_angle_trig(joint, cfg)
-        Mc, Ms, M0 = link.entry_matrices()
-        coeffs = (
-            cos_num.control_points @ Mc.reshape(1, 16)
-            + sin_num.control_points @ Ms.reshape(1, 16)
-            + den.control_points @ M0.reshape(1, 16)
-        )
-        num = BSpline(den.degree, den.knots, coeffs)
-        return RationalSplineMatrix(num, den, (4, 4))
-    if not isinstance(joint, BSpline) or joint.dim != 1:
-        raise TypeError("prismatic link requires a scalar BSpline offset")
-    Md, _, M0 = link.entry_matrices()
-    ones = np.ones((joint.n_coefficients, 1))
-    coeffs = joint.control_points @ Md.reshape(1, 16) + ones @ M0.reshape(1, 16)
-    num = BSpline(joint.degree, joint.knots, coeffs)
-    den = BSpline(joint.degree, joint.knots, ones)
-    return RationalSplineMatrix(num, den, (4, 4))
-
-
-def compose(
-    A: RationalSplineMatrix,
-    B: RationalSplineMatrix,
-    cfg: RefitConfig = DEFAULT_CONFIG,
-) -> RationalSplineMatrix:
-    """Product of two rational spline matrices.
-
-    Numerator entries are the spline matrix product; the denominator is
-    the product of the two denominators.  Every entry is fit in one batch
-    on a shared basis that represents the products exactly, and the fit
-    residual is checked.
-    """
-    ra, ca = A.shape
-    rb, cb = B.shape
-    if ca != rb:
-        raise ValueError(f"incompatible shapes {A.shape} x {B.shape}")
-    p3 = A.degree + B.degree
-    knots3 = elevated_union(
-        [(A.numerators.knots, A.degree), (B.numerators.knots, B.degree)], p3
-    )
-    taus = collocation_sites(knots3, p3, cfg.spans_samples(p3))
-    op = FitOperator(p3, knots3, taus)
-    Avals = A.numerators.eval(taus).reshape(len(taus), ra, ca)
-    Bvals = B.numerators.eval(taus).reshape(len(taus), rb, cb)
-    Cvals = np.einsum("sik,skj->sij", Avals, Bvals).reshape(len(taus), ra * cb)
-    dvals = A.denominator.eval(taus)[:, 0] * B.denominator.eval(taus)[:, 0]
-    num, num_resid = op.fit(Cvals)
-    den, den_resid = op.fit(dvals)
-    worst = max(num_resid, den_resid)
-    if worst > cfg.residual_tolerance * max(
-        1.0, np.abs(Cvals).max(), np.abs(dvals).max()
-    ):
-        raise RefitError("compose", float(taus[0]), worst, cfg.residual_tolerance)
-    return RationalSplineMatrix(num, den, (ra, cb))
-
-
-def forward_kinematics(
-    chain: DHChain,
-    joints,
-    link_index: int,
-    cfg: RefitConfig = DEFAULT_CONFIG,
-) -> RationalSplineMatrix:
-    """Base-to-link transform T0 * prod_j T_j as a rational spline matrix.
-
-    Spline degrees grow additively with chain depth.
-    """
-    if not 1 <= link_index <= len(chain):
-        raise ValueError(f"link index {link_index} outside 1..{len(chain)}")
-    if len(joints) < link_index:
-        raise ValueError("one joint trajectory required per link")
-    M = RationalSplineMatrix.constant(chain.base_pose)
-    for j in range(link_index):
-        M = compose(M, dh_transform(chain.links[j], joints[j], cfg), cfg)
-    return M
-
-
-def transform_point(
-    T: RationalSplineMatrix,
-    p_local,
-    cfg: RefitConfig = DEFAULT_CONFIG,
-) -> tuple[BSpline, BSpline]:
-    """Trajectory of a local-frame point in the base frame.
-
-    Returns the rational point (num, den): a 3-vector numerator spline and
-    the shared scalar denominator.  Constant points need no refit; a moving
-    local point (scalar-per-coordinate BSpline) goes through the algebra.
-    """
-    if T.shape != (4, 4):
-        raise ValueError("transform_point expects a 4x4 rational matrix")
-    if isinstance(p_local, BSpline):
-        if p_local.dim != 3:
-            raise ValueError("moving local point must be a 3-vector spline")
-        cols = []
-        for i in range(3):
-            acc = None
-            for j in range(3):
-                pj = BSpline(
-                    p_local.degree,
-                    p_local.knots,
-                    p_local.control_points[:, j : j + 1],
-                )
-                term = multiply(T.entry(i, j), pj, cfg)
-                acc = term if acc is None else add(acc, term, cfg)
-            acc = add(acc, T.entry(i, 3), cfg)
-            cols.append(acc)
-        basis = cols[0]
-        coeffs = np.hstack([c.control_points for c in cols])
-        num = BSpline(basis.degree, basis.knots, coeffs)
-        taus = collocation_sites(num.knots, num.degree, cfg.spans_samples(num.degree))
-        den, resid = refit(taus, T.denominator.eval(taus), num.degree, num.knots)
-        if resid > cfg.residual_tolerance:
-            raise RefitError("transform_point", float(taus[0]), resid,
-                             cfg.residual_tolerance)
-        return num, den
-    point = np.asarray(p_local, dtype=float)
-    if point.shape != (3,):
-        raise ValueError("local point must be a 3-vector")
-    hom = np.append(point, 1.0)
-    entry_coeffs = T.numerators.control_points.reshape(-1, 4, 4)
-    num_coeffs = entry_coeffs @ hom
-    num = BSpline(T.degree, T.numerators.knots, num_coeffs[:, :3])
-    return num, T.denominator
-
-
 def recover_theta(joint: HalfAngleJoint, taus, theta_init: float | None = None) -> np.ndarray:
     """Branch-continuous joint angles from the substituted variable.
 
@@ -468,26 +189,6 @@ def recover_theta(joint: HalfAngleJoint, taus, theta_init: float | None = None) 
         out[k] = val + period * np.round((prev - val) / period)
         prev = out[k]
     return out
-
-
-def polynomial_dynamics_constraint(
-    state: BSpline,
-    rhs_builder,
-    cfg: RefitConfig = DEFAULT_CONFIG,
-) -> BSpline:
-    """Residual spline derivative(state) - f(state) for a polynomial f.
-
-    rhs_builder receives the state spline and must assemble f(state) with
-    the spline algebra (add/multiply over the state and constants).  The
-    planner drives the residual's control points to zero, which by the
-    convex hull property pins the residual function itself to zero.
-    """
-    rhs = rhs_builder(state)
-    if not isinstance(rhs, BSpline):
-        raise TypeError("rhs_builder must return a BSpline")
-    if rhs.dim != state.dim:
-        raise ValueError("rhs dimension must match the state dimension")
-    return add(state.derivative(), scale(rhs, -1.0), cfg)
 
 
 def halfangle_cos_sin(qvals: np.ndarray, depth: int, with_grad: bool = False):

@@ -981,18 +981,31 @@ class PlanningProblem:
 def _chain_workspace_bounds(scenario: Scenario, rates: np.ndarray) -> list[float]:
     """Workspace speed/acceleration bound of each link's vertices.
 
-    A vertex of link k moves at most sum_{j<=k} rate_j * r_jk where r_jk
-    bounds the distance from joint j's axis to any vertex of link k.
+    A vertex of link k moves at most sum_{j<=k} rate_j * r_jk over the
+    revolute joints j, where r_jk bounds the distance from joint j's axis
+    to any vertex of link k, plus rate_j for each prismatic joint j, which
+    translates the vertex.  Across a prismatic link the reach is |a| plus
+    the largest |d + offset| within the offset limits.
     """
     chain = scenario.robot.chain
+    lo, hi = scenario.limits.angle_min, scenario.limits.angle_max
+    link_reach = []
+    for i, link in enumerate(chain.links):
+        if link.joint_kind == "revolute":
+            link_reach.append(abs(link.a) + abs(link.d))
+        elif lo is None or hi is None:
+            link_reach.append(math.inf)  # parse_scenario requires them for SDF
+        else:
+            link_reach.append(abs(link.a) + max(abs(link.d + lo[i]), abs(link.d + hi[i])))
     bounds = []
     for k in range(1, len(chain) + 1):
         vert_reach = float(np.linalg.norm(chain.link_cuboids[k - 1], axis=1).max())
         total = 0.0
         for j in range(k):
-            reach = sum(
-                abs(chain.links[i].a) + abs(chain.links[i].d) for i in range(j, k)
-            )
+            if chain.links[j].joint_kind != "revolute":
+                total += rates[j]
+                continue
+            reach = sum(link_reach[i] for i in range(j, k))
             total += rates[j] * (reach + vert_reach)
         bounds.append(total)
     return bounds

@@ -8,7 +8,7 @@ converted on load and written back normalized.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -381,6 +381,18 @@ def parse_scenario(obj: dict) -> Scenario:
                     f"boundary: joint {k + 1} angle outside the recoverable "
                     f"range (+-{half_range:.4f} rad) at halving depth {depth}"
                 )
+    if (
+        is_chain
+        and collision.static_mode == "sdf"
+        and any(o.is_static for o in obstacles)
+        and (limits.angle_min is None or limits.angle_max is None)
+        and not all(robot.revolute)
+    ):
+        k = int(np.argmin(robot.revolute)) + 1
+        raise ScenarioError(
+            f"limits: prismatic joint {k} needs angle_min and angle_max (its "
+            "offset range) to bound the SDF motion margin"
+        )
     if limits.angle_min is not None and limits.angle_max is not None:
         if np.any(q_goal < limits.angle_min) or np.any(q_goal > limits.angle_max):
             raise ScenarioError("boundary.goal: outside the configured angle limits")

@@ -1,107 +1,39 @@
 """Closed algebra over B-splines with arbitrary degrees and knot vectors.
 
-Addition and multiplication construct a common basis (knot union with
-multiplicities raised until the result is exactly representable), sample the
-pointwise sum/product at collocation sites, and recover coefficients by least
-squares.  The fit residual is checked against a tolerance so a silent
-approximation can never leak into constraint formulations built on top.
+Addition and multiplication are exact.  Both operands are extracted onto
+the common break points of the result space (``elevated_union``) as
+per-span Bernstein polynomials, raised or multiplied there with the
+``bernstein`` engine, and lifted back to B-spline coefficients by that
+space's left inverse; nothing is sampled or fitted.
+
+``FitOperator`` is the least-squares fit of sampled values onto a fixed
+basis that the planner's rate, acceleration and dynamics families use.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from .bernstein import bezier_extraction, elevate, left_inverse, product, to_spans
 from .bspline import BSpline, KnotVector, basis_matrix
 
 __all__ = [
-    "RefitConfig",
-    "RefitError",
     "NumericalError",
-    "knot_union",
     "elevated_union",
     "collocation_sites",
     "FitOperator",
-    "refit",
     "add",
     "multiply",
-    "linear_combination",
-    "scale",
 ]
-
-
-class RefitError(RuntimeError):
-    """Least-squares refit residual exceeded the configured tolerance."""
-
-    def __init__(self, op: str, worst_tau: float, worst_residual: float, tolerance: float):
-        super().__init__(
-            f"{op}: refit residual {worst_residual:.3e} at tau={worst_tau:.6f} "
-            f"exceeds tolerance {tolerance:.3e}"
-        )
-        self.worst_tau = worst_tau
-        self.worst_residual = worst_residual
-        self.tolerance = tolerance
 
 
 class NumericalError(RuntimeError):
     """Rank-deficient or otherwise unusable least-squares system."""
 
 
-@dataclass(frozen=True)
-class RefitConfig:
-    """Controls the collocation density and accepted residual of refits.
-
-    samples_per_span of None selects 4*(p+1) samples for a degree-p target
-    basis, which oversamples every polynomial piece 4x.
-    """
-
-    samples_per_span: int | None = None
-    residual_tolerance: float = 1e-8
-
-    def __post_init__(self):
-        if self.samples_per_span is not None and self.samples_per_span < 2:
-            raise ValueError("samples_per_span must be at least 2")
-        if self.residual_tolerance <= 0.0:
-            raise ValueError("residual_tolerance must be positive")
-
-    def spans_samples(self, degree: int) -> int:
-        s = self.samples_per_span if self.samples_per_span is not None else 4 * (degree + 1)
-        if s < degree + 1:
-            raise ValueError(
-                f"samples_per_span = {s} underdetermines a degree-{degree} fit"
-            )
-        return s
-
-
-DEFAULT_CONFIG = RefitConfig()
-
-
 def _check_normalized(knots: KnotVector) -> None:
     if knots.first != 0.0 or knots.last != 1.0:
         raise ValueError("knot vector must be normalized to [0, 1]")
-
-
-def knot_union(u1: KnotVector, u2: KnotVector, degree: int) -> KnotVector:
-    """Merge two knot vectors for a result spline of the given degree.
-
-    Each distinct value keeps the larger of its two multiplicities; the end
-    knots are then raised to multiplicity degree+1 for clamping.
-    """
-    _check_normalized(u1)
-    _check_normalized(u2)
-    values = {}
-    for kv in (u1, u2):
-        for v in kv.distinct():
-            values[float(v)] = max(values.get(float(v), 0), kv.multiplicity(v))
-    values[0.0] = max(values.get(0.0, 0), degree + 1)
-    values[1.0] = max(values.get(1.0, 0), degree + 1)
-    merged = np.concatenate(
-        [np.full(m, v) for v, m in sorted(values.items())]
-    )
-    out = KnotVector(merged)
-    out.validate_for_degree(degree)
-    return out
 
 
 def elevated_union(
@@ -195,110 +127,51 @@ class FitOperator:
             return self._U @ ((self._Vt @ w) / self._s)
         return self._U @ ((self._Vt @ w) / self._s[:, None])
 
-    def fit(self, values: np.ndarray) -> tuple[BSpline, float]:
-        """Fit sampled values; returns the spline and its max pointwise residual."""
-        vals = np.asarray(values, dtype=float)
-        if vals.ndim == 1:
-            vals = vals[:, None]
-        coeffs = self.fit_coefficients(vals)
-        resid = np.abs(self.matrix @ coeffs - vals)
-        return BSpline(self.degree, self.knots, coeffs), float(resid.max())
 
-    def worst_residual_site(self, values: np.ndarray, coeffs: np.ndarray) -> tuple[float, float]:
-        vals = np.asarray(values, dtype=float)
-        if vals.ndim == 1:
-            vals = vals[:, None]
-        resid = np.abs(self.matrix @ coeffs - vals)
-        idx = int(np.argmax(resid.max(axis=1)))
-        return float(self.taus[idx]), float(resid[idx].max())
-
-
-def _fit_operator_for(degree: int, knots: KnotVector, cfg: RefitConfig) -> FitOperator:
-    taus = collocation_sites(knots, degree, cfg.spans_samples(degree))
-    return FitOperator(degree, knots, taus)
-
-
-def refit(taus, values, degree: int, knots: KnotVector) -> tuple[BSpline, float]:
-    """Least-squares fit of sampled function values onto a given basis.
-
-    Args:
-        taus: Collocation parameters.
-        values: Function samples, shape (m,) or (m, d).
-        degree: Target basis degree.
-        knots: Target knot vector.
-
-    Returns:
-        (fitted spline, max pointwise residual over the samples).
-    """
-    op = FitOperator(degree, knots, np.asarray(taus, dtype=float))
-    return op.fit(values)
-
-
-def _binary_op(s1: BSpline, s2: BSpline, cfg: RefitConfig, op: str) -> BSpline:
+def _on_common_spans(s1: BSpline, s2: BSpline, degree: int):
+    """Result space of the given degree and both operands' per-span
+    Bernstein coefficients on its spans, (S, p_i + 1, d_i) each."""
     if s1.domain != (0.0, 1.0) or s2.domain != (0.0, 1.0):
         raise ValueError("spline algebra requires the normalized domain [0, 1]")
-    if op == "add":
-        if s1.dim != s2.dim:
-            raise ValueError(f"cannot add splines of dimension {s1.dim} and {s2.dim}")
-        p3 = max(s1.degree, s2.degree)
-    else:
-        if s1.dim != 1 and s2.dim != 1:
-            raise ValueError("multiply needs at least one scalar-valued operand")
-        p3 = s1.degree + s2.degree
-    knots3 = elevated_union(
-        [(s1.knots, s1.degree), (s2.knots, s2.degree)], p3
-    )
-    fit_op = _fit_operator_for(p3, knots3, cfg)
-    v1 = s1.eval(fit_op.taus)
-    v2 = s2.eval(fit_op.taus)
-    target = v1 + v2 if op == "add" else v1 * v2
-    result, resid = fit_op.fit(target)
-    if resid > cfg.residual_tolerance:
-        tau, worst = fit_op.worst_residual_site(target, result.control_points)
-        raise RefitError(op, tau, worst, cfg.residual_tolerance)
-    return result
+    knots = elevated_union([(s1.knots, s1.degree), (s2.knots, s2.degree)], degree)
+    breaks = knots.distinct()
+    spans = [
+        to_spans(bezier_extraction(s.knots, s.degree, breaks), s.control_points, s.degree)
+        for s in (s1, s2)
+    ]
+    return knots, spans
 
 
-def add(s1: BSpline, s2: BSpline, cfg: RefitConfig = DEFAULT_CONFIG) -> BSpline:
+def _lift(knots: KnotVector, degree: int, spans: np.ndarray) -> BSpline:
+    coeffs = left_inverse(knots, degree) @ spans.reshape(-1, spans.shape[-1])
+    return BSpline(degree, knots, coeffs)
+
+
+def add(s1: BSpline, s2: BSpline) -> BSpline:
     """Pointwise sum of two splines as a spline of degree max(p1, p2).
 
-    Splines sharing a basis are added coefficientwise (exact); otherwise the
-    sum is refit on the merged basis and the residual is checked.
+    Splines sharing a basis are added coefficientwise; otherwise both are
+    degree-elevated per span and summed in Bernstein form.
     """
+    if s1.dim != s2.dim:
+        raise ValueError(f"cannot add splines of dimension {s1.dim} and {s2.dim}")
     if s1.same_basis(s2):
-        if s1.dim != s2.dim:
-            raise ValueError(f"cannot add splines of dimension {s1.dim} and {s2.dim}")
         return BSpline(s1.degree, s1.knots, s1.control_points + s2.control_points)
-    return _binary_op(s1, s2, cfg, "add")
+    p3 = max(s1.degree, s2.degree)
+    knots, (a, b) = _on_common_spans(s1, s2, p3)
+    return _lift(knots, p3, elevate(a, p3 - s1.degree) + elevate(b, p3 - s2.degree))
 
 
-def multiply(s1: BSpline, s2: BSpline, cfg: RefitConfig = DEFAULT_CONFIG) -> BSpline:
+def multiply(s1: BSpline, s2: BSpline) -> BSpline:
     """Pointwise product as a spline of degree p1 + p2.
 
     One operand may be vector-valued provided the other is scalar; the
     scalar multiplies every coordinate.
     """
-    return _binary_op(s1, s2, cfg, "multiply")
-
-
-def linear_combination(splines: list[BSpline], weights) -> BSpline:
-    """Exact weighted sum of splines that share one basis."""
-    if not splines:
-        raise ValueError("need at least one spline")
-    base = splines[0]
-    w = np.asarray(weights, dtype=float)
-    if w.shape != (len(splines),):
-        raise ValueError("one weight per spline required")
-    total = np.zeros_like(base.control_points)
-    for s, wi in zip(splines, w):
-        if not s.same_basis(base):
-            raise ValueError("linear_combination requires a shared basis")
-        if s.dim != base.dim:
-            raise ValueError("dimension mismatch")
-        total = total + wi * s.control_points
-    return BSpline(base.degree, base.knots, total)
-
-
-def scale(s: BSpline, factor: float) -> BSpline:
-    """Exact scalar multiple of a spline."""
-    return BSpline(s.degree, s.knots, factor * s.control_points)
+    if s1.dim != 1 and s2.dim != 1:
+        raise ValueError("multiply needs at least one scalar-valued operand")
+    p3 = s1.degree + s2.degree
+    knots, (a, b) = _on_common_spans(s1, s2, p3)
+    # (S, p1 + 1, d1, 1) times (S, p2 + 1, 1, d2): an outer product per span
+    y = product(a[..., None], b[:, :, None, :])
+    return _lift(knots, p3, y.reshape(y.shape[0], p3 + 1, -1))

@@ -10,22 +10,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from splinetraj.bernstein import ChainNumerators
 from splinetraj.bspline import BSpline, basis_matrix, clamp_knots
 from splinetraj.cli import benchmark_sdf_vs_hyperplane, run
-from splinetraj.collision import Hyperplane, box_sphere_distance, hyperplane_constraints
-from splinetraj.kinematics import (
-    HalfAngleJoint,
-    NumericFK,
-    forward_kinematics,
-    half_angle_trig,
-    transform_point,
-)
-from splinetraj.planner import assemble, initial_guess, solve, verify
+from splinetraj.collision import box_sphere_distance
+from splinetraj.planner import PlaneRobotSideFamily, assemble, solve, verify
 from splinetraj.scenario import load_scenario
-from splinetraj.spline_algebra import RefitConfig, add, multiply
+from splinetraj.spline_algebra import add, elevated_union, multiply
+from tests.test_kinematics import eval_spans
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "src/splinetraj/scenarios"
-CFG = RefitConfig()
 
 
 def report(criterion: int, label: str, ok: bool, detail: str = ""):
@@ -68,8 +62,8 @@ class TestCriterion1:
             p2 = int(rng.integers(1, 5))
             s1 = random_spline(rng, p1)
             s2 = random_spline(rng, p2)
-            sa = add(s1, s2, CFG)
-            sm = multiply(s1, s2, CFG)
+            sa = add(s1, s2)
+            sm = multiply(s1, s2)
             v1 = s1.eval(taus)[:, 0]
             v2 = s2.eval(taus)[:, 0]
             worst_add = max(worst_add, np.abs(sa.eval(taus)[:, 0] - (v1 + v2)).max())
@@ -144,18 +138,21 @@ class TestCriterion3:
 
 class TestCriterion4:
     def test_half_angle_trig_identity(self):
+        # The half-angle identity as orthonormality of every prefix
+        # product's rotation block over its denominator.
+        chain = load_scenario(SCENARIO_DIR / "fanuc6_static.json").robot.chain
         rng = np.random.default_rng(5)
         taus = np.linspace(0.0, 1.0, 500)
         knots = clamp_knots(np.round(np.arange(0.1, 0.95, 0.1), 10), 3)
         worst = 0.0
         for depth in (1, 2):
+            numerators = ChainNumerators(chain, [depth] * 6, knots, 3)
             for _ in range(5):
-                q = BSpline(3, knots, rng.uniform(-0.9, 0.9, (13, 1)))
-                cn, sn, den = half_angle_trig(HalfAngleJoint(q, depth), CFG)
-                c = cn.eval(taus)[:, 0]
-                s = sn.eval(taus)[:, 0]
-                d = den.eval(taus)[:, 0]
-                worst = max(worst, np.abs((c * c + s * s) / (d * d) - 1.0).max())
+                q = rng.uniform(-0.9, 0.9, (13, 6))
+                for P in numerators.forward(q)["prefix"][1:]:
+                    M = eval_spans(P, knots, taus)
+                    R = M[:, :3, :3] / M[:, 3:, 3:]
+                    worst = max(worst, np.abs(R @ R.transpose(0, 2, 1) - np.eye(3)).max())
         assert worst < 1e-8
 
     def test_fanuc_fk_matches_numeric_oracle(self):
@@ -163,20 +160,19 @@ class TestCriterion4:
         chain = scn.robot.chain
         rng = np.random.default_rng(13)
         knots = scn.basis_knots()
-        joints = [
-            HalfAngleJoint(BSpline(3, knots, rng.uniform(-0.7, 0.7, (13, 1))), 1)
-            for _ in range(6)
-        ]
-        fk = forward_kinematics(chain, joints, 6, CFG)
+        q = rng.uniform(-0.7, 0.7, (13, 6))
+        P6 = ChainNumerators(chain, [1] * 6, knots, 3).forward(q)["prefix"][6]
         taus = np.linspace(0.0, 1.0, 50)
-        qmat = np.column_stack([j.q.eval(taus)[:, 0] for j in joints])
-        ref = NumericFK(chain, [1] * 6).transforms(qmat, 6)
-        worst = np.abs(fk.eval(taus) - ref).max()
+        M = eval_spans(P6, knots, taus)
+        fk = M / M[:, 3:, 3:]
+        theta = 2.0 * np.arctan(basis_matrix(knots, 3, taus) @ q)
+        ref = np.array([chain.numeric_fk(t, 6) for t in theta])
+        worst = np.abs(fk - ref).max()
         report(
             4,
             "half-angle kinematics: identity 1e-8, 6-link FK oracle 1e-6",
             worst < 1e-6,
-            f"FK max error {worst:.2e} at degree {fk.degree}",
+            f"FK max error {worst:.2e} at degree {P6.shape[1] - 1}",
         )
 
 
@@ -298,22 +294,22 @@ class TestCriterion8:
             fam_iii = (a * a).sum(axis=1) - 1.0
             worst_norm = max(worst_norm, float(fam_iii.max()))
 
-        # (c) library route: composed constraint splines for the deepest link
-        joints = [
-            HalfAngleJoint(s, scn.robot.halving_depths[j])
-            for j, s in enumerate(splines)
-        ]
-        fk6 = forward_kinematics(chain, joints, 6, CFG)
-        verts6 = [
-            transform_point(fk6, v, CFG) for v in chain.link_cuboids[5]
-        ]
-        a_c, b_c = dv.plane_coeffs[plane_by_link[6]]
-        plane = Hyperplane(
-            BSpline(3, prob.basis.knots, a_c),
-            BSpline(3, prob.basis.knots, b_c[:, None]),
-        )
-        cs = hyperplane_constraints(verts6, obstacle, plane, CFG)
-        sampled = cs.sample_violations(taus)
+        # (c) the planner's exact link-6 rows: all on the feasible side,
+        # and as a spline equal to den_6 (a . x + b) of every vertex x
+        fam = next(f for f in prob.families
+                   if isinstance(f, PlaneRobotSideFamily) and f.body.link_index == 6)
+        rows = (fam.cushion - fam.evaluate(prob.layout.pack(dv))[0]).reshape(8, -1)
+        target = prob.basis.degree + sum(
+            2 * prob.basis.degree * 2 ** (d - 1) for d in scn.robot.halving_depths)
+        knots = elevated_union([(prob.basis.knots, prob.basis.degree)], target)
+        spline_vals = basis_matrix(knots, target, taus) @ rows.T
+        a_c, b_c = dv.plane_coeffs[fam.plane_index]
+        a = B @ a_c
+        b = B @ b_c
+        chain_state = nfk.chain_state(qmat, 6)
+        pos = nfk.vertex_positions(chain_state, chain.link_cuboids[5])
+        expect = chain_state["den"][:, None] * (np.einsum("sd,svd->sv", a, pos) + b[:, None])
+        rel = float(np.abs(spline_vals - expect).max() / np.abs(expect).max())
 
         report(
             8,
@@ -322,11 +318,12 @@ class TestCriterion8:
             and worst_robot >= 0.0
             and worst_obst <= 0.0
             and worst_norm <= 0.0
-            and cs.coefficients_satisfied()
-            and all(v == 0.0 for v in sampled.values()),
+            and rows.min() >= 0.0
+            and rel <= 1e-9,
             f"min geometric distance {min_dist:.4f} m > 0; families "
             f"(i) {worst_robot:.2e} >= 0, (ii) {worst_obst:.2e} <= 0, "
-            f"(iii) {worst_norm:.2e} <= 0; composed-spline route exact",
+            f"(iii) {worst_norm:.2e} <= 0; link-6 rows >= {rows.min():.2e}, "
+            f"spline vs den6 (a.x + b) {rel:.1e} <= 1e-9",
         )
 
 

@@ -1,28 +1,36 @@
-"""Collision: SDF construction/query oracles, separating hyperplane families."""
+"""Collision: SDF construction/query oracles, and the planner's clearance
+and separating-plane families on hand-checkable geometry."""
 
 import numpy as np
 import pytest
 
-from splinetraj.bspline import BSpline, clamp_knots
+from splinetraj.bspline import BSpline, basis_matrix, clamp_knots
 from splinetraj.collision import (
-    Hyperplane,
-    HyperplaneConstraintSet,
     ObstaclePrimitive,
     OutOfBoundsError,
     SignedDistanceField,
     box_sphere_distance,
     build_sdf,
-    hyperplane_constraints,
     load_sdf,
     point_box_distance,
     save_sdf,
     sdf_query,
-    static_clearance_constraints,
 )
-from splinetraj.spline_algebra import RefitConfig
+from splinetraj.kinematics import DHChain, DHLink, NumericFK
+from splinetraj.planner import (
+    DecisionVector,
+    PlaneNormFamily,
+    PlaneObstacleSideFamily,
+    PlaneRobotSideFamily,
+    SDFClearanceFamily,
+    TrackedBody,
+    TrajectoryBasis,
+    VariableLayout,
+)
+from splinetraj.spline_algebra import elevated_union
 
-CFG = RefitConfig()
 CUBIC = clamp_knots(np.round(np.arange(0.1, 0.95, 0.1), 10), 3)
+BASIS = TrajectoryBasis(3, CUBIC)
 
 
 def brute_force_sphere_sd(pts, center, radius):
@@ -334,132 +342,165 @@ class TestSerialization:
             load_sdf(path)
 
 
+def layout_for(C, world_dim, n_planes=0):
+    return VariableLayout(C.shape[0], C.shape[1], world_dim, n_planes, C[:3], C[-3:])
+
+
+def point_body(radius=0.0):
+    return TrackedBody("body", 0, np.zeros((1, 3)), radius, 1.0, 1.0)
+
+
 class TestStaticClearance:
+    """The planner's SDF clearance rows: field value minus the margin at
+    each collocation parameter (cushion 0, a point body)."""
+
     def setup_method(self):
         self.field = build_sdf(
             [ObstaclePrimitive.sphere([0.0, 0.0], 0.3)], ([-2, -2], [2, 2]), 0.02
         )
 
-    def _line_traj(self, start, end):
-        pts = np.linspace(start, end, 13)
-        return BSpline(3, CUBIC, pts)
+    def clearance(self, start, end, margin, taus):
+        C = np.linspace(start, end, 13)
+        layout = layout_for(C, 2)
+        fam = SDFClearanceFamily("sdf", layout, self.field, taus, [point_body()],
+                                 1.0, 0.0, margin, BASIS, None)
+        dv = DecisionVector(C, 1.0, [])
+        r, _ = fam.evaluate(layout.pack(dv))
+        return -r, fam, dv
 
     def test_far_trajectory_positive(self):
-        traj = self._line_traj([1.2, 1.2], [1.5, 1.0])
-        out = static_clearance_constraints(
-            traj, self.field, 0.0, np.linspace(0, 1, 40)
-        )
-        assert out.satisfied
-        assert out.residuals.min() > 0.5
+        taus = np.linspace(0, 1, 40)
+        out, fam, dv = self.clearance([1.2, 1.2], [1.5, 1.0], 0.0, taus)
+        assert out.min() > 0.5
+        splines = [BSpline(3, CUBIC, dv.joint_coeffs[:, j : j + 1]) for j in range(2)]
+        assert fam.dense_violation(dv, splines, np.linspace(0, 1, 1000)) == 0.0
 
     def test_through_obstacle_negative(self):
-        traj = self._line_traj([-1.0, 0.0], [1.0, 0.0])
-        out = static_clearance_constraints(
-            traj, self.field, 0.0, np.linspace(0, 1, 40)
-        )
-        assert not out.satisfied
-        tau, worst = out.worst()
-        assert worst < -0.2
-        assert 0.3 < tau < 0.7
+        taus = np.linspace(0, 1, 40)
+        out, _, _ = self.clearance([-1.0, 0.0], [1.0, 0.0], 0.0, taus)
+        k = int(np.argmin(out))
+        assert out[k] < -0.2
+        assert 0.3 < taus[k] < 0.7
 
     def test_rational_point_form(self):
-        num = self._line_traj([1.0, 1.0], [1.4, 1.2])
-        den = BSpline(3, CUBIC, np.full((13, 1), 2.0))
-        out = static_clearance_constraints(
-            (num, den), self.field, 0.0, np.linspace(0, 1, 20)
+        # A chain vertex is tracked at its rational half-angle position;
+        # the rows must read the field where the plain DH transforms put it.
+        chain = DHChain(
+            base_pose=np.eye(4),
+            links=(DHLink(a=0.5, alpha=-np.pi / 2, d=0.0), DHLink(a=0.44, alpha=np.pi, d=0.0)),
+            link_cuboids=tuple(
+                np.array([[x, y, z] for x in (-0.3, 0.0) for y in (-0.05, 0.05)
+                          for z in (-0.05, 0.05)]) for _ in range(2)
+            ),
         )
-        # Positions are num/den, so the tracked point is near (0.5..0.7, 0.5..0.6).
-        np.testing.assert_allclose(out.positions[0], [0.5, 0.5], atol=1e-9)
+        field = build_sdf([ObstaclePrimitive.sphere([0.6, 0.2, -0.3], 0.15)],
+                          ([-1.2, -1.2, -1.0], [1.2, 1.2, 1.0]), 0.05)
+        rng = np.random.default_rng(3)
+        C = rng.uniform(-0.8, 0.8, (13, 2))
+        taus = np.linspace(0, 1, 20)
+        body = TrackedBody("link2", 2, chain.link_cuboids[1], 0.0, 1.0, 1.0)
+        layout = layout_for(C, 3)
+        fam = SDFClearanceFamily("sdf", layout, field, taus, [body], 1.0, 0.0, 0.0,
+                                 BASIS, NumericFK(chain, [1, 1]))
+        r, _ = fam.evaluate(layout.pack(DecisionVector(C, 1.0, [])))
+        theta = 2.0 * np.arctan(basis_matrix(CUBIC, 3, taus) @ C)
+        hom = np.hstack([body.verts, np.ones((8, 1))]).T
+        pos = np.concatenate([(chain.numeric_fk(t, 2) @ hom)[:3].T for t in theta])
+        vals, _ = field.query_extended(pos)
+        np.testing.assert_allclose(-r, vals, rtol=0, atol=1e-12)
 
     def test_margin_shifts_residuals(self):
-        traj = self._line_traj([1.2, 1.2], [1.5, 1.0])
-        base = static_clearance_constraints(traj, self.field, 0.0, [0.5])
-        shifted = static_clearance_constraints(traj, self.field, 0.25, [0.5])
-        assert shifted.residuals[0] == pytest.approx(base.residuals[0] - 0.25)
+        base, _, _ = self.clearance([1.2, 1.2], [1.5, 1.0], 0.0, np.array([0.5]))
+        shifted, _, _ = self.clearance([1.2, 1.2], [1.5, 1.0], 0.25, np.array([0.5]))
+        assert shifted[0] == pytest.approx(base[0] - 0.25)
 
 
-def constant_plane(normal, offset, dim):
-    n = len(CUBIC) - 4
-    a = BSpline(3, CUBIC, np.tile(np.asarray(normal, float), (n, 1)))
-    b = BSpline(3, CUBIC, np.full((n, 1), float(offset)))
-    return Hyperplane(a, b)
+def separation(obstacle, C, a, b, radius):
+    """The three separating-plane families for a disc robot (cushion 0) at
+    joint coefficients C and plane coefficients (a, b): their raw control
+    point rows (robot side, feasible >= 0; obstacle side and norm, feasible
+    <= 0), the families and the decision vector."""
+    layout = layout_for(C, 2, 1)
+    fams = (
+        PlaneRobotSideFamily("robot", layout, BASIS, 0, point_body(radius), None, 0.0, None),
+        PlaneObstacleSideFamily("obstacle", layout, BASIS, 0, obstacle, 0.0),
+        PlaneNormFamily("norm", layout, BASIS, 0, 0.0),
+    )
+    dv = DecisionVector(C, 1.0, [(a, b)])
+    x = layout.pack(dv)
+    robot, obst, norm = (f.evaluate(x)[0] for f in fams)
+    return (-robot, obst, norm), fams, dv
+
+
+def constant_plane(normal, offset):
+    return np.tile(np.asarray(normal, float), (13, 1)), np.full(13, float(offset))
+
+
+def standing(point):
+    return np.tile(np.asarray(point, float), (13, 1))
 
 
 class TestHyperplaneConstraints:
     def test_hand_checkable_separation(self):
-        # Obstacle sphere at x = -1, robot square around x = +1; the plane
-        # x = 0 (a = (1, 0), b = 0) separates them.
+        # Obstacle sphere at x = -1, robot disc around x = +1; the plane
+        # x = 0 (a = (0.9, 0), b = 0) separates them.
         sphere = ObstaclePrimitive.sphere([-1.0, 0.0], 0.4)
-        square = np.array([[0.8, -0.2], [1.2, -0.2], [0.8, 0.2], [1.2, 0.2]])
-        verts = [
-            BSpline(3, CUBIC, np.tile(v, (13, 1))) for v in square
-        ]
-        plane = constant_plane([0.9, 0.0], 0.0, 2)
-        out = hyperplane_constraints(verts, sphere, plane, CFG)
-        assert out.coefficients_satisfied(slack=1e-9)
+        (robot, obst, norm), _, _ = separation(
+            sphere, standing([1.0, 0.0]), *constant_plane([0.9, 0.0], 0.0), 0.2)
+        assert robot.min() >= -1e-9 and obst.max() <= 1e-9 and norm.max() <= 1e-9
+        assert robot.min() == pytest.approx(0.9 - 0.2, abs=1e-9)
 
     def test_vertex_on_wrong_side_flagged(self):
         sphere = ObstaclePrimitive.sphere([-1.0, 0.0], 0.4)
-        square = np.array([[-0.9, 0.0], [1.2, -0.2], [0.8, 0.2], [1.2, 0.2]])
-        verts = [BSpline(3, CUBIC, np.tile(v, (13, 1))) for v in square]
-        plane = constant_plane([0.9, 0.0], 0.0, 2)
-        out = hyperplane_constraints(verts, sphere, plane, CFG)
-        rmin, omax, nmax = out.coefficient_margins()
-        assert rmin < 0.0
-        assert omax <= 1e-9 and nmax <= 1e-9
+        (robot, obst, norm), _, _ = separation(
+            sphere, standing([-0.1, 0.0]), *constant_plane([0.9, 0.0], 0.0), 0.2)
+        assert robot.min() < 0.0
+        assert obst.max() <= 1e-9 and norm.max() <= 1e-9
 
     def test_norm_family(self):
         sphere = ObstaclePrimitive.sphere([-1.0, 0.0], 0.1)
-        verts = [BSpline(3, CUBIC, np.tile([1.0, 0.0], (13, 1)))]
-        plane = constant_plane([1.2, 0.0], 0.0, 2)
-        out = hyperplane_constraints(verts, sphere, plane, CFG)
-        _, _, nmax = out.coefficient_margins()
-        assert nmax == pytest.approx(1.2**2 - 1.0, abs=1e-9)
+        (_, _, norm), _, _ = separation(
+            sphere, standing([1.0, 0.0]), *constant_plane([1.2, 0.0], 0.0), 0.1)
+        assert norm.max() == pytest.approx(1.2**2 - 1.0, abs=1e-9)
 
     def test_box_obstacle_per_corner(self):
         box = ObstaclePrimitive.box([-1.5, -0.3], [-0.7, 0.3])
-        verts = [BSpline(3, CUBIC, np.tile([1.0, 0.0], (13, 1)))]
-        plane = constant_plane([1.0, 0.0], 0.2, 2)
-        out = hyperplane_constraints(verts, box, plane, CFG)
-        assert len(out.obstacle_side) == 4
+        (_, obst, _), fams, _ = separation(
+            box, standing([1.0, 0.0]), *constant_plane([1.0, 0.0], 0.2), 0.1)
+        assert fams[1].offsets.shape[0] == 4
+        assert obst.size % 4 == 0
         # Corners at x in {-1.5, -0.7}: a.v + b = x + 0.2 <= 0 for all.
-        _, omax, _ = out.coefficient_margins()
-        assert omax == pytest.approx(-0.5, abs=1e-9)
+        assert obst.max() == pytest.approx(-0.5, abs=1e-9)
 
     def test_moving_sphere(self):
         motion = BSpline(3, CUBIC, np.linspace([-1.5, -0.5], [-0.5, 0.5], 13))
         sphere = ObstaclePrimitive.sphere([0.0, 0.0], 0.2, motion=motion)
-        verts = [BSpline(3, CUBIC, np.tile([1.0, 0.0], (13, 1)))]
-        plane = constant_plane([1.0, 0.0], 0.3, 2)
-        out = hyperplane_constraints(verts, sphere, plane, CFG)
+        (_, obst, _), _, _ = separation(
+            sphere, standing([1.0, 0.0]), *constant_plane([1.0, 0.0], 0.3), 0.1)
+        # a . c(tau) + b + radius on the space of the plane times the motion
+        rows = BSpline(6, elevated_union([(CUBIC, 3), (CUBIC, 3)], 6), obst[:, None])
         taus = np.linspace(0, 1, 200)
-        centers = motion.eval(taus)
-        expected = centers[:, 0] + 0.3 + 0.2
-        np.testing.assert_allclose(
-            out.obstacle_side[0].eval(taus)[:, 0], expected, atol=1e-9
-        )
+        expected = motion.eval(taus)[:, 0] + 0.3 + 0.2
+        np.testing.assert_allclose(rows.eval(taus)[:, 0], expected, atol=1e-9)
 
     def test_hull_relaxation_soundness(self):
-        # Whenever all control points of the composed splines satisfy the
-        # sign conditions, dense sampling never finds a violation.
+        # Whenever all control point rows satisfy the sign conditions,
+        # dense sampling never finds a violation.
         rng = np.random.default_rng(17)
         taus = np.linspace(0, 1, 10000)
         sphere = ObstaclePrimitive.sphere([-1.0, 0.0], 0.3)
         found = 0
         for _ in range(10):
-            vert_pts = rng.uniform(0.5, 1.5, (13, 2))
-            verts = [BSpline(3, CUBIC, vert_pts)]
-            a_coeffs = rng.uniform(0.3, 0.9, (13, 1))
-            a = BSpline(3, CUBIC, np.hstack([a_coeffs, rng.uniform(-0.2, 0.2, (13, 1))]))
-            b = BSpline(3, CUBIC, rng.uniform(-0.1, 0.1, (13, 1)))
-            out = hyperplane_constraints(verts, sphere, Hyperplane(a, b), CFG)
-            if not out.coefficients_satisfied():
+            C = rng.uniform(0.5, 1.5, (13, 2))
+            a = np.hstack([rng.uniform(0.3, 0.9, (13, 1)), rng.uniform(-0.2, 0.2, (13, 1))])
+            b = rng.uniform(-0.1, 0.1, 13)
+            (robot, obst, norm), fams, dv = separation(sphere, C, a, b, 0.05)
+            if robot.min() < 0.0 or obst.max() > 0.0 or norm.max() > 0.0:
                 continue
             found += 1
-            v = out.sample_violations(taus)
-            assert v["robot_side"] == 0.0
-            assert v["obstacle_side"] == 0.0
-            assert v["norm"] == 0.0
+            splines = [BSpline(3, CUBIC, C[:, j : j + 1]) for j in range(2)]
+            for fam in fams:
+                assert fam.dense_violation(dv, splines, taus) == 0.0, fam.name
         assert found >= 3
 
 

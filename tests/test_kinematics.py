@@ -1,26 +1,22 @@
-"""Kinematics: half-angle substitution, rational spline transforms, FK oracles."""
+"""Kinematics: half-angle link numerators and their chain products in
+Bernstein form, numeric FK, against independent DH oracles."""
+
+import math
 
 import numpy as np
 
+from splinetraj.bernstein import ChainNumerators, product
 from splinetraj.bspline import BSpline, clamp_knots
 from splinetraj.kinematics import (
     DHChain,
     DHLink,
     HalfAngleJoint,
     NumericFK,
-    RationalSplineMatrix,
-    compose,
-    dh_transform,
-    forward_kinematics,
-    half_angle_trig,
     halfangle_cos_sin,
-    polynomial_dynamics_constraint,
     recover_theta,
-    transform_point,
 )
-from splinetraj.spline_algebra import RefitConfig, add, multiply, refit, collocation_sites
+from splinetraj.spline_algebra import FitOperator, add, collocation_sites, multiply
 
-CFG = RefitConfig()
 CUBIC_KNOTS = clamp_knots(np.round(np.arange(0.1, 0.95, 0.1), 10), 3)
 
 
@@ -80,138 +76,160 @@ FANUC = DHChain(
 )
 
 
+def eval_spans(poly, knots, taus):
+    """Values (T, r, c) at taus of per-span Bernstein polynomials
+    (S, n + 1, r, c) on the spans of knots."""
+    breaks = knots.distinct()
+    taus = np.atleast_1d(np.asarray(taus, dtype=float))
+    s = np.clip(np.searchsorted(breaks, taus, side="right") - 1, 0, len(breaks) - 2)
+    t = ((taus - breaks[s]) / (breaks[s + 1] - breaks[s]))[:, None]
+    n = poly.shape[1] - 1
+    i = np.arange(n + 1)
+    basis = np.array([math.comb(n, k) for k in i]) * t**i * (1.0 - t) ** (n - i)
+    return np.einsum("ti,tirc->trc", basis, poly[s])
+
+
+def prefixes(chain, joints):
+    """Prefix products P_0..P_L of a chain at HalfAngleJoint or offset splines."""
+    splines = [j.q if isinstance(j, HalfAngleJoint) else j for j in joints]
+    depths = [j.halving_depth if isinstance(j, HalfAngleJoint) else 1 for j in joints]
+    numerators = ChainNumerators(chain, depths, CUBIC_KNOTS, 3)
+    coeffs = np.column_stack([s.control_points[:, 0] for s in splines])
+    return numerators.forward(coeffs)["prefix"]
+
+
+def rational_eval(P, taus):
+    """Transforms P / den at taus; den is P's bottom-right entry."""
+    vals = eval_spans(P, CUBIC_KNOTS, taus)
+    return vals / vals[:, 3:4, 3:4]
+
+
+def single(link, base=None):
+    base = np.eye(4) if base is None else base
+    return DHChain(base_pose=base, links=(link,), link_cuboids=(default_cuboid(),))
+
+
+# a link whose transform is the bare rotation [[c, -s], [s, c]] about z
+PLAIN = single(DHLink(a=0.0, alpha=0.0, d=0.0))
+
+
+def trig_numerators(joint):
+    """cos and sin numerators and the denominator of one revolute joint,
+    per span: entries (0, 0), (1, 0) and (3, 3) of the plain link's P_1."""
+    P = prefixes(PLAIN, [joint])[1]
+    return P[..., 0:1, 0:1], P[..., 1:2, 0:1], P[..., 3:4, 3:4]
+
+
+def trig_values(joint, taus):
+    c, s, d = (eval_spans(x, CUBIC_KNOTS, taus)[:, 0, 0] for x in trig_numerators(joint))
+    return c, s, d
+
+
 class TestHalfAngleTrig:
     def test_zero_joint(self):
-        cos_num, sin_num, den = half_angle_trig(constant_joint(0.0), CFG)
-        taus = np.linspace(0, 1, 50)
-        c = cos_num.eval(taus)[:, 0] / den.eval(taus)[:, 0]
-        s = sin_num.eval(taus)[:, 0] / den.eval(taus)[:, 0]
-        np.testing.assert_allclose(c, 1.0, atol=1e-12)
-        np.testing.assert_allclose(s, 0.0, atol=1e-12)
+        c, s, d = trig_values(constant_joint(0.0), np.linspace(0, 1, 50))
+        np.testing.assert_allclose(c / d, 1.0, atol=1e-12)
+        np.testing.assert_allclose(s / d, 0.0, atol=1e-12)
 
     def test_unit_joint_quarter_turn(self):
-        cos_num, sin_num, den = half_angle_trig(constant_joint(1.0), CFG)
-        taus = np.linspace(0, 1, 20)
-        np.testing.assert_allclose(
-            cos_num.eval(taus)[:, 0] / den.eval(taus)[:, 0], 0.0, atol=1e-12
-        )
-        np.testing.assert_allclose(
-            sin_num.eval(taus)[:, 0] / den.eval(taus)[:, 0], 1.0, atol=1e-12
-        )
+        c, s, d = trig_values(constant_joint(1.0), np.linspace(0, 1, 20))
+        np.testing.assert_allclose(c / d, 0.0, atol=1e-12)
+        np.testing.assert_allclose(s / d, 1.0, atol=1e-12)
 
     def test_depth_two_against_trig_oracle(self):
         rng = np.random.default_rng(5)
         taus = np.linspace(0, 1, 300)
         for _ in range(5):
             joint = random_joint(rng, depth=2)
-            cos_num, sin_num, den = half_angle_trig(joint, CFG)
-            q = joint.q.eval(taus)[:, 0]
-            theta = 4.0 * np.arctan(q)
-            np.testing.assert_allclose(
-                cos_num.eval(taus)[:, 0] / den.eval(taus)[:, 0],
-                np.cos(theta),
-                atol=1e-7,
-            )
-            np.testing.assert_allclose(
-                sin_num.eval(taus)[:, 0] / den.eval(taus)[:, 0],
-                np.sin(theta),
-                atol=1e-7,
-            )
+            c, s, d = trig_values(joint, taus)
+            theta = 4.0 * np.arctan(joint.q.eval(taus)[:, 0])
+            np.testing.assert_allclose(c / d, np.cos(theta), atol=1e-7)
+            np.testing.assert_allclose(s / d, np.sin(theta), atol=1e-7)
 
     def test_trig_identity(self):
         rng = np.random.default_rng(7)
         taus = np.linspace(0, 1, 500)
         for depth in (1, 2):
-            joint = random_joint(rng, depth=depth)
-            cos_num, sin_num, den = half_angle_trig(joint, CFG)
-            c, s, d = (
-                cos_num.eval(taus)[:, 0],
-                sin_num.eval(taus)[:, 0],
-                den.eval(taus)[:, 0],
-            )
+            c, s, d = trig_values(random_joint(rng, depth=depth), taus)
             np.testing.assert_allclose((c * c + s * s) / (d * d), 1.0, atol=1e-8)
 
     def test_denominator_positive_control_points(self):
         rng = np.random.default_rng(11)
         for depth in (1, 2):
             for _ in range(10):
-                _, _, den = half_angle_trig(random_joint(rng, depth=depth), CFG)
-                assert np.all(den.control_points > 0.0)
+                _, _, den = trig_numerators(random_joint(rng, depth=depth))
+                assert np.all(den > 0.0)
 
 
 class TestDHTransform:
     def test_constant_zero_joint(self):
         link = DHLink(a=0.5, alpha=-np.pi / 2, d=0.0)
-        M = dh_transform(link, constant_joint(0.0), CFG)
-        for tau in np.linspace(0, 1, 25):
-            np.testing.assert_allclose(
-                M.eval(tau), oracle_dh(0.5, -np.pi / 2, 0.0, 0.0), atol=1e-12
-            )
+        P = prefixes(single(link), [constant_joint(0.0)])[1]
+        np.testing.assert_allclose(
+            rational_eval(P, np.linspace(0, 1, 25)),
+            np.broadcast_to(oracle_dh(0.5, -np.pi / 2, 0.0, 0.0), (25, 4, 4)),
+            atol=1e-12,
+        )
 
     def test_random_joint_against_oracle(self):
         rng = np.random.default_rng(13)
         taus = np.linspace(0, 1, 100)
         for link in THREE_LINK.links:
             joint = random_joint(rng)
-            M = dh_transform(link, joint, CFG)
+            M = rational_eval(prefixes(single(link), [joint])[1], taus)
             q = joint.q.eval(taus)[:, 0]
-            for tau, qv in zip(taus, q):
+            for Mk, qv in zip(M, q):
                 ref = oracle_dh(link.a, link.alpha, link.d, 2.0 * np.arctan(qv))
-                np.testing.assert_allclose(M.eval(tau), ref, atol=1e-7)
+                np.testing.assert_allclose(Mk, ref, atol=1e-7)
 
     def test_prismatic(self):
         link = DHLink(a=0.1, alpha=0.0, d=0.2, theta_offset=0.3, joint_kind="prismatic")
         n = len(CUBIC_KNOTS) - 4
         rng = np.random.default_rng(17)
         offset = BSpline(3, CUBIC_KNOTS, rng.uniform(-0.2, 0.2, (n, 1)))
-        M = dh_transform(link, offset, CFG)
+        P = prefixes(single(link), [offset])[1]
         taus = np.linspace(0, 1, 40)
-        dens = M.denominator.eval(taus)[:, 0]
-        np.testing.assert_allclose(dens, 1.0, atol=1e-14)
-        for tau in taus:
+        vals = eval_spans(P, CUBIC_KNOTS, taus)
+        np.testing.assert_allclose(vals[:, 3, 3], 1.0, atol=1e-14)
+        for M, tau in zip(vals, taus):
             dval = 0.2 + offset.eval(tau)[0]
-            np.testing.assert_allclose(
-                M.eval(tau), oracle_dh(0.1, 0.0, dval, 0.3), atol=1e-10
-            )
+            np.testing.assert_allclose(M, oracle_dh(0.1, 0.0, dval, 0.3), atol=1e-10)
 
     def test_rotation_block_orthonormal(self):
         rng = np.random.default_rng(19)
-        taus = np.linspace(0, 1, 60)
-        joint = random_joint(rng)
         link = DHLink(a=0.3, alpha=0.7, d=0.1)
-        M = dh_transform(link, joint, CFG)
-        mats = M.eval(taus)
-        for R in mats[:, :3, :3]:
+        P = prefixes(single(link), [random_joint(rng)])[1]
+        for R in rational_eval(P, np.linspace(0, 1, 60))[:, :3, :3]:
             np.testing.assert_allclose(R @ R.T, np.eye(3), atol=1e-7)
 
 
 class TestCompose:
+    """Chaining two transforms is the per-span product of their numerators."""
+
     def test_identity(self):
         rng = np.random.default_rng(23)
-        M = dh_transform(THREE_LINK.links[0], random_joint(rng), CFG)
-        I = RationalSplineMatrix.constant(np.eye(4))
-        out = compose(M, I, CFG)
+        N = prefixes(single(THREE_LINK.links[0]), [random_joint(rng)])[1]
+        identity = np.broadcast_to(np.eye(4), (N.shape[0], 1, 4, 4))
+        out = product(N, identity)
         taus = np.linspace(0, 1, 50)
-        np.testing.assert_allclose(out.eval(taus), M.eval(taus), atol=1e-9)
+        np.testing.assert_allclose(
+            eval_spans(out, CUBIC_KNOTS, taus), eval_spans(N, CUBIC_KNOTS, taus), atol=1e-9
+        )
 
     def test_constant_product(self):
         rng = np.random.default_rng(29)
         A = rng.uniform(-1, 1, (4, 4))
         B = rng.uniform(-1, 1, (4, 4))
-        out = compose(
-            RationalSplineMatrix.constant(A), RationalSplineMatrix.constant(B), CFG
-        )
-        np.testing.assert_allclose(out.eval(0.3), A @ B, atol=1e-12)
+        out = product(A[None, None], B[None, None])
+        np.testing.assert_allclose(out[0, 0], A @ B, atol=1e-12)
 
     def test_two_transforms_pointwise(self):
         rng = np.random.default_rng(31)
-        j1, j2 = random_joint(rng), random_joint(rng)
-        M1 = dh_transform(THREE_LINK.links[0], j1, CFG)
-        M2 = dh_transform(THREE_LINK.links[1], j2, CFG)
-        out = compose(M1, M2, CFG)
+        N1 = prefixes(single(THREE_LINK.links[0]), [random_joint(rng)])[1]
+        N2 = prefixes(single(THREE_LINK.links[1]), [random_joint(rng)])[1]
         taus = np.linspace(0, 1, 100)
-        vals = out.eval(taus)
-        ref = np.einsum("sij,sjk->sik", M1.eval(taus), M2.eval(taus))
+        vals = eval_spans(product(N1, N2), CUBIC_KNOTS, taus)
+        ref = eval_spans(N1, CUBIC_KNOTS, taus) @ eval_spans(N2, CUBIC_KNOTS, taus)
         np.testing.assert_allclose(vals, ref, atol=1e-6)
 
 
@@ -219,72 +237,79 @@ class TestForwardKinematics:
     def test_single_link_equals_compose(self):
         rng = np.random.default_rng(37)
         joint = random_joint(rng)
-        fk = forward_kinematics(THREE_LINK, [joint], 1, CFG)
-        direct = compose(
-            RationalSplineMatrix.constant(THREE_LINK.base_pose),
-            dh_transform(THREE_LINK.links[0], joint, CFG),
-            CFG,
-        )
+        base = oracle_dh(0.1, 0.4, -0.2, 0.9)
+        chain = DHChain(base_pose=base, links=THREE_LINK.links[:1],
+                        link_cuboids=THREE_LINK.link_cuboids[:1])
+        fk = prefixes(chain, [joint])[1]
+        N = prefixes(single(THREE_LINK.links[0]), [joint])[1]
+        direct = product(np.broadcast_to(base, (N.shape[0], 1, 4, 4)), N)
         taus = np.linspace(0, 1, 30)
-        np.testing.assert_allclose(fk.eval(taus), direct.eval(taus), atol=1e-9)
+        np.testing.assert_allclose(
+            eval_spans(fk, CUBIC_KNOTS, taus), eval_spans(direct, CUBIC_KNOTS, taus),
+            atol=1e-9,
+        )
 
     def test_constant_joints_match_numeric(self):
         qvals = [0.2, -0.4, 0.1]
-        joints = [constant_joint(q) for q in qvals]
-        fk = forward_kinematics(THREE_LINK, joints, 3, CFG)
-        thetas = [2.0 * np.arctan(q) for q in qvals]
+        P = prefixes(THREE_LINK, [constant_joint(q) for q in qvals])[3]
         ref = np.eye(4)
-        for link, th in zip(THREE_LINK.links, thetas):
-            ref = ref @ oracle_dh(link.a, link.alpha, link.d, th)
-        for tau in np.linspace(0, 1, 10):
-            np.testing.assert_allclose(fk.eval(tau), ref, atol=1e-8)
+        for link, q in zip(THREE_LINK.links, qvals):
+            ref = ref @ oracle_dh(link.a, link.alpha, link.d, 2.0 * np.arctan(q))
+        for M in rational_eval(P, np.linspace(0, 1, 10)):
+            np.testing.assert_allclose(M, ref, atol=1e-8)
 
     def test_three_link_random_joints_oracle(self):
         rng = np.random.default_rng(41)
         joints = [random_joint(rng) for _ in range(3)]
-        fk = forward_kinematics(THREE_LINK, joints, 3, CFG)
         taus = np.linspace(0, 1, 50)
+        fk = rational_eval(prefixes(THREE_LINK, joints)[3], taus)
         qs = np.column_stack([j.q.eval(taus)[:, 0] for j in joints])
-        for k, tau in enumerate(taus):
+        for k in range(taus.size):
             ref = np.eye(4)
             for link, qv in zip(THREE_LINK.links, qs[k]):
                 ref = ref @ oracle_dh(link.a, link.alpha, link.d, 2 * np.arctan(qv))
-            np.testing.assert_allclose(fk.eval(tau), ref, atol=1e-6)
+            np.testing.assert_allclose(fk[k], ref, atol=1e-6)
 
     def test_degree_growth(self):
         rng = np.random.default_rng(43)
-        joints = [random_joint(rng) for _ in range(2)]
-        fk = forward_kinematics(THREE_LINK, joints, 2, CFG)
-        assert fk.degree == 12
+        P = prefixes(THREE_LINK, [random_joint(rng) for _ in range(3)])
+        assert [x.shape[1] - 1 for x in P] == [0, 6, 12, 18]
 
 
 class TestTransformPoint:
+    """A local point [v; 1] carried by a prefix product: num = P_k [v; 1],
+    den = the bottom entry, as the robot-side plane rows use it."""
+
+    @staticmethod
+    def point(P, v, taus):
+        vals = eval_spans(P @ np.append(v, 1.0)[:, None], CUBIC_KNOTS, taus)[:, :, 0]
+        return vals[:, :3] / vals[:, 3:]
+
     def test_identity_transform(self):
-        I = RationalSplineMatrix.constant(np.eye(4))
-        num, den = transform_point(I, np.array([0.1, -0.2, 0.3]), CFG)
+        P = prefixes(PLAIN, [constant_joint(0.0)])[1]
         np.testing.assert_allclose(
-            num.eval(0.5) / den.eval(0.5), [0.1, -0.2, 0.3], atol=1e-14
+            self.point(P, np.array([0.1, -0.2, 0.3]), [0.5])[0], [0.1, -0.2, 0.3],
+            atol=1e-14,
         )
 
     def test_constant_transform_and_point(self):
         T = oracle_dh(0.2, 0.4, 0.1, 0.6)
-        M = RationalSplineMatrix.constant(T)
+        chain = DHChain(base_pose=T, links=PLAIN.links, link_cuboids=PLAIN.link_cuboids)
+        P = prefixes(chain, [constant_joint(0.0)])[1]
         p = np.array([0.05, 0.02, -0.07])
-        num, den = transform_point(M, p, CFG)
         ref = (T @ np.append(p, 1.0))[:3]
-        np.testing.assert_allclose(num.eval(0.7) / den.eval(0.7), ref, atol=1e-13)
+        np.testing.assert_allclose(self.point(P, p, [0.7])[0], ref, atol=1e-13)
 
     def test_fk_vertex_against_numeric_oracle(self):
         rng = np.random.default_rng(47)
-        joints = [random_joint(rng) for _ in range(2)]
-        fk = forward_kinematics(THREE_LINK, joints, 2, CFG)
+        joints = [random_joint(rng) for _ in range(3)]
+        P = prefixes(THREE_LINK, joints)[2]
         vert = THREE_LINK.link_cuboids[1][3]
-        num, den = transform_point(fk, vert, CFG)
         taus = np.linspace(0, 1, 100)
-        pos = num.eval(taus) / den.eval(taus)
+        pos = self.point(P, vert, taus)
         for k, tau in enumerate(taus):
             ref = np.eye(4)
-            for link, joint in zip(THREE_LINK.links, joints):
+            for link, joint in zip(THREE_LINK.links[:2], joints):
                 qv = joint.q.eval(tau)[0]
                 ref = ref @ oracle_dh(link.a, link.alpha, link.d, 2 * np.arctan(qv))
             np.testing.assert_allclose(pos[k], (ref @ np.append(vert, 1))[:3], atol=1e-6)
@@ -327,12 +352,15 @@ class TestRecoverTheta:
         assert np.abs(np.diff(recovered)).max() < np.pi
 
 
+def dynamics_residual(state, rhs):
+    """derivative(state) - rhs(state) with the exact spline algebra."""
+    return add(state.derivative(), multiply(BSpline.constant([-1.0]), rhs(state)))
+
+
 class TestPolynomialDynamics:
     def test_zero_rhs_constant_state(self):
         state = BSpline.constant([2.0], degree=3, knots=CUBIC_KNOTS)
-        resid = polynomial_dynamics_constraint(
-            state, lambda s: BSpline.constant([0.0]), CFG
-        )
+        resid = dynamics_residual(state, lambda s: BSpline.constant([0.0]))
         np.testing.assert_allclose(resid.control_points, 0.0, atol=1e-12)
 
     def test_constant_rhs_linear_state(self):
@@ -340,16 +368,15 @@ class TestPolynomialDynamics:
         u = CUBIC_KNOTS.values
         greville = np.array([u[i + 1 : i + 4].mean() for i in range(len(u) - 4)])
         state = BSpline(3, CUBIC_KNOTS, (k * greville)[:, None])
-        resid = polynomial_dynamics_constraint(
-            state, lambda s: BSpline.constant([k]), CFG
-        )
+        resid = dynamics_residual(state, lambda s: BSpline.constant([k]))
         taus = np.linspace(0, 1, 100)
         np.testing.assert_allclose(resid.eval(taus), 0.0, atol=1e-10)
 
     def test_exponential_residual_matches_representation_error(self):
         sites = collocation_sites(CUBIC_KNOTS, 3, 16)
-        state, _ = refit(sites, np.exp(sites), 3, CUBIC_KNOTS)
-        resid = polynomial_dynamics_constraint(state, lambda s: s, CFG)
+        coeffs = FitOperator(3, CUBIC_KNOTS, sites).fit_coefficients(np.exp(sites))
+        state = BSpline(3, CUBIC_KNOTS, coeffs)
+        resid = dynamics_residual(state, lambda s: s)
         taus = np.linspace(0, 1, 1000)
         independent = state.derivative().eval(taus) - state.eval(taus)
         np.testing.assert_allclose(resid.eval(taus), independent, atol=1e-10)
@@ -359,24 +386,24 @@ class TestNumericFK:
     def test_matches_spline_fk(self):
         rng = np.random.default_rng(53)
         joints = [random_joint(rng) for _ in range(3)]
-        fk = forward_kinematics(THREE_LINK, joints, 3, CFG)
         nfk = NumericFK(THREE_LINK, [1, 1, 1])
         taus = np.linspace(0, 1, 40)
         qmat = np.column_stack([j.q.eval(taus)[:, 0] for j in joints])
         T = nfk.transforms(qmat, 3)
-        np.testing.assert_allclose(T, fk.eval(taus), atol=1e-6)
+        for k in range(taus.size):
+            ref = np.eye(4)
+            for link, qv in zip(THREE_LINK.links, qmat[k]):
+                ref = ref @ oracle_dh(link.a, link.alpha, link.d, 2 * np.arctan(qv))
+            np.testing.assert_allclose(T[k], ref, atol=1e-12)
 
     def test_denominator_product(self):
         rng = np.random.default_rng(59)
-        joints = [random_joint(rng) for _ in range(2)]
-        fk = forward_kinematics(THREE_LINK, joints, 2, CFG)
-        nfk = NumericFK(THREE_LINK, [1, 1, 1])
-        taus = np.linspace(0, 1, 25)
-        qmat = np.column_stack([j.q.eval(taus)[:, 0] for j in joints])
-        state = nfk.chain_state(qmat, 2)
-        np.testing.assert_allclose(
-            state["den"], fk.denominator.eval(taus)[:, 0], atol=1e-8
-        )
+        nfk = NumericFK(THREE_LINK, [1, 2, 1])
+        qmat = rng.uniform(-0.9, 0.9, (25, 3))
+        state = nfk.chain_state(qmat, 3)
+        # depth 2 squares its joint's factor
+        ref = (1 + qmat[:, 0] ** 2) * (1 + qmat[:, 1] ** 2) ** 2 * (1 + qmat[:, 2] ** 2)
+        np.testing.assert_allclose(state["den"], ref, rtol=1e-14)
 
     def test_vertex_gradients_finite_difference(self):
         rng = np.random.default_rng(61)

@@ -9,7 +9,6 @@ import pytest
 
 from splinetraj.bspline import BSpline, basis_matrix
 from splinetraj.cli import export_trajectory
-from splinetraj.collision import Hyperplane, hyperplane_constraints
 from splinetraj.planner import (
     ChainRateFamily,
     DecisionVector,
@@ -19,8 +18,8 @@ from splinetraj.planner import (
     solve,
     verify,
 )
-from splinetraj.scenario import load_scenario, parse_scenario
-from splinetraj.spline_algebra import RefitConfig, add, multiply, scale
+from splinetraj.scenario import ScenarioError, load_scenario, parse_scenario
+from splinetraj.spline_algebra import elevated_union
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "src/splinetraj/scenarios"
 
@@ -200,8 +199,8 @@ class TestRelaxationSoundness:
 
 
 class TestFastPathEquivalence:
-    """The planner's linear-operator constraint splines must equal the
-    splines the full algebra would build."""
+    """The planner's constraint rows, read as splines, must equal the
+    functions they stand for at every tau."""
 
     def test_chain_velocity_family_matches_algebra(self):
         scn = load_scenario(SCENARIO_DIR / "threelink.json")
@@ -214,20 +213,17 @@ class TestFastPathEquivalence:
         dv = prob.layout.unpack(x)  # boundary rows re-pinned
         r, _ = fam.evaluate(x)
         ncoef = fam.op.n_coefficients
-        cfg = RefitConfig(residual_tolerance=1e-6)
+        taus = np.linspace(0.0, 1.0, 500)
         for j in range(3):
             q = BSpline(prob.basis.degree, prob.basis.knots,
                         dv.joint_coeffs[:, j : j + 1])
-            W = add(multiply(q, q, cfg), BSpline.constant([1.0]), cfg)
-            dq = q.derivative()
-            g = add(scale(dq, 2.0),
-                    scale(W, -scn.limits.velocity[j] * dv.T), cfg)
-            # express on the family basis exactly
-            B = basis_matrix(g.knots, g.degree, fam.op.taus)
-            vals = B @ g.control_points
-            coeffs = fam.op.fit_coefficients(vals)[:, 0]
+            qv = q.eval(taus)[:, 0]
+            dqv = q.derivative().eval(taus)[:, 0]
+            # upper row of joint j: 2 q' - v T (1 + q^2), pointwise
+            expect = 2.0 * dqv - scn.limits.velocity[j] * dv.T * (1.0 + qv * qv)
             block = r[j * ncoef : (j + 1) * ncoef] - fam.cushion_gap[j * ncoef : (j + 1) * ncoef]
-            np.testing.assert_allclose(block, coeffs, atol=1e-9)
+            got = BSpline(fam.op.degree, fam.op.knots, block[:, None]).eval(taus)[:, 0]
+            np.testing.assert_allclose(got, expect, atol=1e-9)
 
     def test_mobile_plane_family_matches_collision_module(self):
         scn = mobile_scenario(obstacles=[
@@ -245,19 +241,14 @@ class TestFastPathEquivalence:
         dv = prob.layout.unpack(x)  # boundary rows re-pinned
         a_c, b_c = dv.plane_coeffs[0]
         r, _ = fam.evaluate(x)
-        # library route: composed spline via the algebra
-        pos = BSpline(prob.basis.degree, prob.basis.knots, dv.joint_coeffs)
-        plane = Hyperplane(
-            BSpline(prob.basis.degree, prob.basis.knots, a_c),
-            BSpline(prob.basis.degree, prob.basis.knots, b_c[:, None]),
-        )
-        obstacle = scn.obstacles[0]
-        cs = hyperplane_constraints([pos], obstacle, plane)
-        # fam residual is cushion - (coeffs of a.pos + b - d_r)
-        lib = cs.robot_side[0]
-        shifted = lib.control_points[:, 0] - scn.robot.radius
-        recovered = fam.cushion - r
-        np.testing.assert_allclose(recovered, shifted, atol=1e-9)
+        # fam residual is cushion - (coeffs of a . pos + b - d_r)
+        p = prob.basis.degree
+        rows = BSpline(2 * p, elevated_union([(prob.basis.knots, p)], 2 * p),
+                       (fam.cushion - r)[:, None])
+        taus = np.linspace(0.0, 1.0, 500)
+        B = basis_matrix(prob.basis.knots, p, taus)
+        expect = ((B @ a_c) * (B @ dv.joint_coeffs)).sum(axis=1) + B @ b_c - scn.robot.radius
+        np.testing.assert_allclose(rows.eval(taus)[:, 0], expect, atol=1e-9)
 
 
 class TestSolve:
@@ -316,6 +307,10 @@ class TestSolve:
 def prismatic_chain():
     """threelink cut to two links, the second one prismatic (0.1 -> 0.3 m),
     beside a sphere crossing the workspace."""
+    return parse_scenario(prismatic_chain_dict())
+
+
+def prismatic_chain_dict():
     obj = json.loads((SCENARIO_DIR / "threelink.json").read_text())
     obj["name"] = "prismatic_chain"
     obj["robot"]["links"] = [obj["robot"]["links"][0],
@@ -327,7 +322,7 @@ def prismatic_chain():
         {"kind": "sphere", "center": [0.6, -0.6, -0.5], "radius": 0.1,
          "motion": {"kind": "linear", "target": [0.6, 0.6, -0.5]}},
     ]
-    return parse_scenario(obj)
+    return obj
 
 
 class TestPrismaticJoint:
@@ -360,6 +355,38 @@ class TestPrismaticJoint:
         inset = scn.solver.cushion * np.array([2.0 * np.tan(1.0), 1.0])
         np.testing.assert_allclose(fam.hi, [np.tan(1.0), 0.35] - inset, rtol=1e-14)
         np.testing.assert_allclose(fam.lo, [-np.tan(1.0), 0.05] + inset, rtol=1e-14)
+
+    def test_workspace_speed_bound_covers_vertex_speeds(self):
+        # A 1 m stroke: the SDF motion margin's speed bound of each link must
+        # cover every vertex speed the limits allow.
+        scn = prismatic_chain()
+        scn = replace(scn, limits=replace(scn.limits,
+                                          angle_min=np.array([-2.0, 0.0]),
+                                          angle_max=np.array([2.0, 1.0])))
+        prob = assemble(scn)
+        chain = scn.robot.chain
+        rng = np.random.default_rng(8)
+        h = 1e-6
+        worst = np.zeros(len(chain))
+        for _ in range(500):
+            x = rng.uniform(scn.limits.angle_min, scn.limits.angle_max)
+            xd = rng.choice([-1.0, 1.0], len(chain)) * scn.limits.velocity
+            for k in range(1, len(chain) + 1):
+                hom = np.hstack([chain.link_cuboids[k - 1], np.ones((8, 1))]).T
+                step = chain.numeric_fk(x + h * xd, k) - chain.numeric_fk(x - h * xd, k)
+                speeds = np.linalg.norm((step @ hom)[:3] / (2 * h), axis=0)
+                worst[k - 1] = max(worst[k - 1], speeds.max())
+        bounds = [body.speed_bound for body in prob.bodies]
+        assert np.all(worst <= bounds), (worst, bounds)
+
+    def test_sdf_mode_needs_offset_limits(self):
+        obj = prismatic_chain_dict()
+        obj["obstacles"].append({"kind": "sphere", "center": [0.0, 0.9, 0.5], "radius": 0.1})
+        with pytest.raises(ScenarioError, match="prismatic joint 2"):
+            parse_scenario(obj)
+        parse_scenario(dict(obj, collision={"static_mode": "hyperplane"}))
+        obj["limits"] = dict(obj["limits"], angle_min=[-2.0, 0.0], angle_max=[2.0, 1.0])
+        parse_scenario(obj)
 
 
 def scnario_feas_tol(prob):
