@@ -98,7 +98,14 @@ def to_spans(extraction: np.ndarray, coeffs: np.ndarray, degree: int) -> np.ndar
     return (extraction @ coeffs).reshape(-1, degree + 1, coeffs.shape[1])
 
 
-@lru_cache(maxsize=None)
+# Spaces kept by left_inverse's cache.  A planning problem uses one space
+# per robot-side plane link plus a few shared ones, so the bound leaves
+# every plan's spaces cached; callers of spline_algebra's add/multiply on
+# ever-new knot vectors evict the oldest instead of growing the cache.
+LEFT_INVERSE_CACHE_SIZE = 64
+
+
+@lru_cache(maxsize=LEFT_INVERSE_CACHE_SIZE)
 def left_inverse(knots: KnotVector, degree: int) -> np.ndarray:
     """Left inverse of the extraction matrix of a target space.
 
@@ -106,7 +113,8 @@ def left_inverse(knots: KnotVector, degree: int) -> np.ndarray:
     back to its B-spline coefficients.  The pseudo-inverse is used: the
     extraction matrix has condition number 2-3 for the spaces the planner
     builds (2.0 from target degree 6 to 39 on ten uniform spans), so the
-    map adds no error of note.
+    map adds no error of note.  A space evicted from the cache is rebuilt
+    to the same matrix.
     """
     L = np.linalg.pinv(bezier_extraction(knots, degree))
     L.flags.writeable = False

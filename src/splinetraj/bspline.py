@@ -110,12 +110,6 @@ class KnotVector:
                 f"knot multiplicity {self.max_multiplicity()} exceeds degree+1 = {degree + 1}"
             )
 
-    def is_clamped(self, degree: int) -> bool:
-        return (
-            self.multiplicity(self.first) == degree + 1
-            and self.multiplicity(self.last) == degree + 1
-        )
-
 
 def clamp_knots(interior, degree: int) -> KnotVector:
     """Build a clamped knot vector on [0, 1] from interior knots.
@@ -355,12 +349,6 @@ class BSpline:
         return HullBounds(
             self.control_points.min(axis=0), self.control_points.max(axis=0)
         )
-
-    def component(self, j: int) -> "BSpline":
-        """Scalar spline of coordinate j."""
-        if not 0 <= j < self.dim:
-            raise IndexError(f"component {j} out of range for dim {self.dim}")
-        return BSpline(self.degree, self.knots, self.control_points[:, j : j + 1])
 
     def to_json(self) -> dict:
         """JSON object form: {degree, knots, control_points}."""

@@ -263,18 +263,17 @@ class SignedDistanceField:
         return vals, grads
 
 
-def build_sdf(primitives, bounds, cell_size: float,
-              empty_value: float = EMPTY_FIELD_VALUE) -> SignedDistanceField:
+def build_sdf(primitives, bounds, cell_size: float) -> SignedDistanceField:
     """Sample min-over-primitives signed distance on a regular grid.
 
     The grid is filled in slabs along its first axis, so the working
     memory beyond the field itself stays at about SDF_BLOCK_POINTS nodes.
+    Without primitives every node holds EMPTY_FIELD_VALUE.
 
     Args:
         primitives: Static obstacle primitives (moving ones are rejected).
         bounds: (lower, upper) workspace corners.
         cell_size: Grid node spacing in meters.
-        empty_value: Sentinel stored when there are no primitives.
     """
     lo = np.asarray(bounds[0], dtype=float)
     hi = np.asarray(bounds[1], dtype=float)
@@ -288,7 +287,7 @@ def build_sdf(primitives, bounds, cell_size: float,
             raise ValueError("signed distance fields accept static primitives only")
     dims = np.maximum(np.ceil((hi - lo) / cell_size).astype(int) + 1, 2)
     axes = [lo[i] + cell_size * np.arange(dims[i]) for i in range(lo.size)]
-    values = np.full(tuple(dims), empty_value)
+    values = np.full(tuple(dims), EMPTY_FIELD_VALUE)
     if not primitives:
         return SignedDistanceField(lo, cell_size, values)
     step = max(1, SDF_BLOCK_POINTS // int(np.prod(dims[1:])))

@@ -28,28 +28,29 @@ EQ = "eq"
 log = logging.getLogger(__name__)
 
 
+# Penalty schedule: rho starts at RHO_INIT and grows by RHO_GROWTH on
+# every outer iteration whose violation did not shrink enough.
+RHO_INIT = 10.0
+RHO_GROWTH = 10.0
+# Feasibility restoration lets each objective-bearing variable move this far
+# (relative, at least absolute) in the direction that worsens the objective.
+RESTORE_OBJECTIVE_SLACK = 1e-3
+
+
 @dataclass(frozen=True)
 class SolverConfig:
-    """Tolerances and schedule of the embedded solver.
+    """Tolerances and limits of the embedded solver.
 
     feas_tol / opt_tol are the convergence thresholds on the maximum
-    constraint violation and the projected KKT gradient.  cushion is the
-    relative strictness margin added inside hull-relaxed inequality
-    families so converged solutions satisfy the underlying constraints
-    strictly rather than to solver tolerance.
+    constraint violation and the projected KKT gradient; rho_max caps the
+    penalty parameter.
     """
 
     feas_tol: float = 1e-6
     opt_tol: float = 1e-5
     max_outer: int = 50
     max_inner: int = 500
-    knot_refine: bool = False
-    rho_init: float = 10.0
-    rho_growth: float = 10.0
     rho_max: float = 1e8
-    cushion: float = 1e-4
-    t_min: float = 0.1
-    restore_objective_slack: float = 1e-3
 
     def to_json(self) -> dict:
         return {
@@ -57,7 +58,6 @@ class SolverConfig:
             "opt_tol": self.opt_tol,
             "max_outer": self.max_outer,
             "max_inner": self.max_inner,
-            "knot_refine": self.knot_refine,
         }
 
 
@@ -228,7 +228,7 @@ class AugmentedLagrangianSolver:
         x = np.array(x0, dtype=float)
         evals = self._eval_blocks(x)
         multipliers = [np.zeros(len(r)) for _, r, _ in evals]
-        rho = cfg.rho_init
+        rho = RHO_INIT
         omega = 1.0 / rho
         eta = 1.0 / rho**0.1
         inner_total = 0
@@ -303,7 +303,7 @@ class AugmentedLagrangianSolver:
                 eta = max(eta / rho**0.9, 0.1 * cfg.feas_tol)
                 omega = max(omega / rho, 0.01 * cfg.opt_tol)
             else:
-                rho = min(rho * cfg.rho_growth, cfg.rho_max)
+                rho = min(rho * RHO_GROWTH, cfg.rho_max)
                 eta = max(1.0 / rho**0.1, cfg.feas_tol)
                 omega = max(1.0 / rho, 0.01 * cfg.opt_tol)
                 if rho >= cfg.rho_max and raw_viol > cfg.feas_tol:
@@ -363,7 +363,7 @@ class AugmentedLagrangianSolver:
         ] * x.size
         for i in np.nonzero(fgrad)[0]:
             lo, hi = bounds[i]
-            slack = cfg.restore_objective_slack * max(1.0, abs(x[i]))
+            slack = RESTORE_OBJECTIVE_SLACK * max(1.0, abs(x[i]))
             if fgrad[i] > 0:
                 hi = x[i] + slack if hi is None else min(hi, x[i] + slack)
             else:

@@ -19,7 +19,7 @@ for analytic gradients.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -39,7 +39,6 @@ from .nlp import (
     INEQ,
     AugmentedLagrangianSolver,
     ConstraintBlock,
-    SolverConfig,
 )
 from .scenario import ChainRobot, Scenario
 from .spline_algebra import FitOperator, collocation_sites, elevated_union
@@ -54,6 +53,13 @@ __all__ = [
     "solve",
     "verify",
 ]
+
+# Relative strictness margin added inside the hull-relaxed inequality
+# families, so converged solutions satisfy the underlying constraints
+# strictly rather than to solver tolerance.
+CUSHION = 1e-4
+# Lower bound on the travel time T, in seconds.
+T_MIN = 0.1
 
 
 class AssemblyError(ValueError):
@@ -122,11 +128,6 @@ class TrajectoryBasis:
                 D[i, i] = -degree / span
                 D[i, i + 1] = degree / span
         return D, KnotVector(u[1:-1])
-
-    def greville(self) -> np.ndarray:
-        u = self.knots.values
-        p = self.degree
-        return np.array([u[i + 1 : i + p + 1].mean() for i in range(self.n_coeffs)])
 
 
 class VariableLayout:
@@ -513,24 +514,24 @@ class SDFClearanceFamily(ConstraintBlock):
     bound) x (half the sample gap), where the local speed bound is the
     smaller of the velocity-limit bound and the acceleration-limit bound
     from the rest endpoints - trajectories start and end at zero velocity,
-    so endpoint samples need far less margin than the interior.
+    so endpoint samples need far less margin than the interior.  The
+    interpolated field's gradient norm is at most sqrt(dim), so that is the
+    Lipschitz factor the margin scales by.
     """
 
     kind = INEQ
 
     def __init__(self, name, layout, field: SignedDistanceField, taus,
-                 bodies, lipschitz: float, cushion_abs: float,
-                 fixed_margin: float | None, basis: TrajectoryBasis,
+                 bodies, cushion_abs: float, basis: TrajectoryBasis,
                  nfk: NumericFK | None):
         self.name = name
         self.layout = layout
         self.field = field
         self.taus = np.asarray(taus, dtype=float)
         self.bodies = list(bodies)
-        self.lipschitz = lipschitz
+        self.lipschitz = math.sqrt(field.dim)
         self.cushion = cushion_abs
         self.cushion_gap = cushion_abs
-        self.fixed_margin = fixed_margin
         gaps = np.diff(self.taus)
         half = np.zeros_like(self.taus)
         half[:-1] = np.maximum(half[:-1], 0.5 * gaps)
@@ -540,7 +541,7 @@ class SDFClearanceFamily(ConstraintBlock):
         self._speed = np.array([[b.speed_bound] for b in self.bodies])
         self._accel = np.array([[b.accel_bound] for b in self.bodies])
         self._rest_tau = 1.0 - self.taus
-        self._lip_half = lipschitz * half
+        self._lip_half = self.lipschitz * half
         self._dspeed_lo = self._accel * (self.taus + half)
         self._dspeed_hi = self._accel * (self._rest_tau + half)
         self.Bpos = basis_matrix(basis.knots, basis.degree, self.taus)
@@ -551,9 +552,6 @@ class SDFClearanceFamily(ConstraintBlock):
     def margins(self, T: float) -> tuple[np.ndarray, np.ndarray]:
         """Clearance margin (meters) per body and sample, and its T-derivative;
         (bodies, samples) each."""
-        if self.fixed_margin is not None:
-            shape = (len(self.bodies), self.taus.size)
-            return np.full(shape, self.fixed_margin), np.zeros(shape)
         h = self._half_gap * T
         cap_lo = self._accel * (self.taus * T + h)
         cap_hi = self._accel * (self._rest_tau * T + h)
@@ -681,7 +679,7 @@ class PlaneRobotSideFamily(ConstraintBlock):
                 2 * p * (2 ** (nfk.depths[j] - 1)) for j in range(body.link_index)
             )
             target = depth_deg + p
-            self.hom = np.hstack([body.verts, np.ones((body.verts.shape[0], 1))]).T
+            self.hom = homogeneous(body.verts)
         self.lift = left_inverse(elevated_union([(basis.knots, p)], target), target)
         self.extraction = bezier_extraction(basis.knots, p)
         n_points = 1 if self.hom is None else self.hom.shape[1]
@@ -942,7 +940,7 @@ class PlanningProblem:
     families: list
     field: SignedDistanceField | None
     nfk: NumericFK | None
-    plane_specs: list  # (body_name, link_index, obstacle_index)
+    plane_specs: list  # (body_name, link_index, obstacle) per plane
     bodies: list  # TrackedBody per protected body
     q_init: np.ndarray  # boundary rows in spline-variable space
     q_goal: np.ndarray
@@ -1020,10 +1018,10 @@ def _collocation_grid(scenario: Scenario, basis: TrajectoryBasis) -> np.ndarray:
 def _time_heuristic(scenario: Scenario) -> float:
     delta = np.abs(scenario.boundary_goal - scenario.boundary_initial)
     t = float(np.max(delta / scenario.limits.velocity, initial=0.0)) * 1.5
-    return max(t, scenario.solver.t_min)
+    return max(t, T_MIN)
 
 
-def assemble(scenario: Scenario, cushion: float | None = None) -> PlanningProblem:
+def assemble(scenario: Scenario) -> PlanningProblem:
     """Build the relaxed coefficient-space problem for a scenario.
 
     Endpoint equalities are eliminated by pinning control rows; velocity,
@@ -1034,7 +1032,6 @@ def assemble(scenario: Scenario, cushion: float | None = None) -> PlanningProble
     """
     basis = TrajectoryBasis(scenario.basis_degree, scenario.basis_knots())
     is_chain = isinstance(scenario.robot, ChainRobot)
-    cushion = scenario.solver.cushion if cushion is None else cushion
     t_guess = _time_heuristic(scenario)
 
     if is_chain:
@@ -1105,9 +1102,11 @@ def assemble(scenario: Scenario, cushion: float | None = None) -> PlanningProble
         plane_obstacles += static_obs
 
     plane_specs = []
+    plane_tags = []
     for oi, obs in enumerate(plane_obstacles):
         for body in bodies:
-            plane_specs.append((body.name, body.link_index, oi))
+            plane_specs.append((body.name, body.link_index, obs))
+            plane_tags.append(f"{body.name}_obs{oi}")
 
     layout = VariableLayout(
         basis.n_coeffs,
@@ -1124,13 +1123,13 @@ def assemble(scenario: Scenario, cushion: float | None = None) -> PlanningProble
         families.append(
             ChainRateFamily("velocity_limits", layout, basis,
                             scenario.robot.halving_depths,
-                            scenario.limits.velocity, cushion, t_guess,
+                            scenario.limits.velocity, CUSHION, t_guess,
                             revolute)
         )
         families.append(
             ChainAccelFamily("acceleration_limits", layout, basis,
                              scenario.robot.halving_depths,
-                             scenario.limits.acceleration, cushion, t_guess,
+                             scenario.limits.acceleration, CUSHION, t_guess,
                              revolute)
         )
         if scenario.limits.angle_min is not None or scenario.limits.angle_max is not None:
@@ -1154,7 +1153,7 @@ def assemble(scenario: Scenario, cushion: float | None = None) -> PlanningProble
             qhi = np.where(revolute, qhi, hi)
             if np.any(np.isfinite(qlo)) or np.any(np.isfinite(qhi)):
                 families.append(
-                    CoeffBoxFamily("angle_limits", layout, qlo, qhi, cushion,
+                    CoeffBoxFamily("angle_limits", layout, qlo, qhi, CUSHION,
                                    raw_lo=lo, raw_hi=hi,
                                    angle_depths=[d if r else None for d, r in
                                                  zip(depths, revolute)])
@@ -1162,11 +1161,11 @@ def assemble(scenario: Scenario, cushion: float | None = None) -> PlanningProble
     else:
         families.append(
             DerivBoxFamily("velocity_limits", layout, basis.D1,
-                           scenario.limits.velocity, 1, cushion, t_guess)
+                           scenario.limits.velocity, 1, CUSHION, t_guess)
         )
         families.append(
             DerivBoxFamily("acceleration_limits", layout, basis.D2,
-                           scenario.limits.acceleration, 2, cushion, t_guess)
+                           scenario.limits.acceleration, 2, CUSHION, t_guess)
         )
         if scenario.limits.angle_min is not None or scenario.limits.angle_max is not None:
             lo = (
@@ -1180,7 +1179,7 @@ def assemble(scenario: Scenario, cushion: float | None = None) -> PlanningProble
                 else np.inf * np.ones(scenario.n_coords)
             )
             families.append(
-                CoeffBoxFamily("position_limits", layout, lo, hi, cushion)
+                CoeffBoxFamily("position_limits", layout, lo, hi, CUSHION)
             )
 
     field = None
@@ -1190,14 +1189,11 @@ def assemble(scenario: Scenario, cushion: float | None = None) -> PlanningProble
         field = build_sdf(
             static_obs, (scenario.workspace_min, scenario.workspace_max), cell
         )
-        lipschitz = scenario.collision.lipschitz_factor or math.sqrt(field.dim)
         taus = _collocation_grid(scenario, basis)
         families.append(
             SDFClearanceFamily(
-                "sdf_clearance", layout, field, taus, bodies, lipschitz,
-                cushion_abs=max(cushion, 2e-3),
-                fixed_margin=scenario.collision.margin,
-                basis=basis, nfk=nfk,
+                "sdf_clearance", layout, field, taus, bodies,
+                cushion_abs=max(CUSHION, 2e-3), basis=basis, nfk=nfk,
             )
         )
 
@@ -1207,20 +1203,18 @@ def assemble(scenario: Scenario, cushion: float | None = None) -> PlanningProble
         fk_cache = FKSiteCache(
             ChainNumerators(scenario.robot.chain, nfk.depths, basis.knots, basis.degree)
         )
-    for k, (body_name, link_index, oi) in enumerate(plane_specs):
-        obs = plane_obstacles[oi]
-        tag = f"{body_name}_obs{oi}"
+    for k, ((body_name, _, obs), tag) in enumerate(zip(plane_specs, plane_tags)):
         families.append(
             PlaneRobotSideFamily(f"plane_robot_{tag}", layout, basis, k,
-                                 body_by_name[body_name], nfk, cushion,
+                                 body_by_name[body_name], nfk, CUSHION,
                                  fk_cache)
         )
         families.append(
             PlaneObstacleSideFamily(f"plane_obstacle_{tag}", layout, basis, k,
-                                    obs, cushion)
+                                    obs, CUSHION)
         )
         families.append(
-            PlaneNormFamily(f"plane_norm_{tag}", layout, basis, k, cushion)
+            PlaneNormFamily(f"plane_norm_{tag}", layout, basis, k, CUSHION)
         )
 
     if scenario.dynamics_poly is not None:
@@ -1257,34 +1251,22 @@ def initial_guess(problem: PlanningProblem) -> DecisionVector:
     T = _time_heuristic(scenario)
 
     planes = []
-    if problem.plane_specs:
-        plane_obstacles = [o for o in scenario.obstacles if not o.is_static]
-        if scenario.collision.static_mode == "hyperplane":
-            plane_obstacles += [o for o in scenario.obstacles if o.is_static]
-        for body_name, link_index, oi in problem.plane_specs:
-            obs = plane_obstacles[oi]
-            o0 = obs.center_at(0.0)[0]
-            if problem.nfk is None:
-                r0 = problem.q_init[: problem.layout.world_dim]
-            else:
-                chain = scenario.robot.chain
-                theta0 = scenario.boundary_initial
-                Tfk = chain.numeric_fk(theta0, link_index)
-                body = next(b for b in problem.bodies if b.name == body_name)
-                hom = np.hstack([body.verts, np.ones((body.verts.shape[0], 1))])
-                r0 = (Tfk @ hom.T).T[:, :3].mean(axis=0)[: problem.layout.world_dim]
-            sep = r0 - o0
-            norm = np.linalg.norm(sep)
-            direction = sep / norm if norm > 1e-12 else np.eye(len(sep))[0]
-            a_const = 0.9 * direction
-            midpoint = 0.5 * (r0 + o0)
-            b_const = -float(a_const @ midpoint)
-            planes.append(
-                (
-                    np.tile(a_const, (n, 1)),
-                    np.full(n, b_const),
-                )
-            )
+    for body_name, link_index, obs in problem.plane_specs:
+        o0 = obs.center_at(0.0)[0]
+        if problem.nfk is None:
+            r0 = problem.q_init[: problem.layout.world_dim]
+        else:
+            Tfk = scenario.robot.chain.numeric_fk(scenario.boundary_initial,
+                                                  link_index)
+            body = next(b for b in problem.bodies if b.name == body_name)
+            r0 = (Tfk @ homogeneous(body.verts)).T[:, :3].mean(axis=0)[
+                : problem.layout.world_dim]
+        sep = r0 - o0
+        norm = np.linalg.norm(sep)
+        direction = sep / norm if norm > 1e-12 else np.eye(len(sep))[0]
+        a_const = 0.9 * direction
+        b_const = -float(a_const @ (0.5 * (r0 + o0)))
+        planes.append((np.tile(a_const, (n, 1)), np.full(n, b_const)))
     return DecisionVector(C, T, planes)
 
 
@@ -1337,26 +1319,24 @@ class Solution:
         )
 
 
-def solve(problem: PlanningProblem, guess: DecisionVector | None = None,
-          config: SolverConfig | None = None) -> Solution:
+def solve(problem: PlanningProblem, guess: DecisionVector | None = None) -> Solution:
     """Run the augmented Lagrangian solver on the assembled problem.
 
     A degenerate scenario (start equals goal) returns the constant
     trajectory at the minimum time without invoking the solver.
     """
-    cfg = config or problem.scenario.solver
     if np.array_equal(problem.q_init, problem.q_goal):
         dv = initial_guess(problem)
-        dv.T = cfg.t_min
+        dv.T = T_MIN
         return Solution(dv, "converged", dv.T, 0, 0, 0.0, 0.0, {})
     dv0 = guess or initial_guess(problem)
     x0 = problem.layout.pack(dv0)
     solver = AugmentedLagrangianSolver(
         problem.objective, problem.families,
-        bounds=problem.layout.bounds(cfg.t_min), config=cfg,
+        bounds=problem.layout.bounds(T_MIN), config=problem.scenario.solver,
     )
     result = solver.solve(x0)
-    solution = Solution(
+    return Solution(
         decision=problem.layout.unpack(result.x),
         status=result.status,
         objective=result.objective,
@@ -1367,41 +1347,6 @@ def solve(problem: PlanningProblem, guess: DecisionVector | None = None,
         block_violations=result.block_violations,
         trace=result.trace,
     )
-    if cfg.knot_refine and not solution.converged:
-        refined = refine_scenario(problem.scenario)
-        rproblem = assemble(refined)
-        rguess = refit_guess(problem, solution.decision, rproblem)
-        rsolution = solve(rproblem, rguess,
-                          config=replace(cfg, knot_refine=False))
-        if rsolution.converged:
-            return rsolution
-    return solution
-
-
-def refine_scenario(scenario: Scenario) -> Scenario:
-    """Double the interior knots (span midpoints) to tighten the hulls."""
-    breaks = np.concatenate([[0.0], np.unique(scenario.basis_interior), [1.0]])
-    mids = 0.5 * (breaks[:-1] + breaks[1:])
-    interior = np.sort(np.concatenate([scenario.basis_interior, mids]))
-    return replace(scenario, basis_interior=interior)
-
-
-def refit_guess(problem: PlanningProblem, dv: DecisionVector,
-                refined: PlanningProblem) -> DecisionVector:
-    """Express a coarse solution on a refined basis as a warm start."""
-    taus = collocation_sites(refined.basis.knots, refined.basis.degree,
-                             4 * (refined.basis.degree + 1))
-    B_old = basis_matrix(problem.basis.knots, problem.basis.degree, taus)
-    op = FitOperator(refined.basis.degree, refined.basis.knots, taus)
-    C = op.fit_coefficients(B_old @ dv.joint_coeffs)
-    C[:3] = refined.q_init
-    C[-3:] = refined.q_goal
-    planes = []
-    for a, b in dv.plane_coeffs:
-        a_new = op.fit_coefficients(B_old @ a)
-        b_new = op.fit_coefficients(B_old @ b)[:, 0]
-        planes.append((a_new, b_new))
-    return DecisionVector(C, dv.T, planes)
 
 
 # ---------------------------------------------------------------------------

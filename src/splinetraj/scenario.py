@@ -2,7 +2,8 @@
 
 All quantities are stored internally in SI units (meters, radians,
 seconds); the file format may declare angle blocks in degrees, which are
-converted on load and written back normalized.
+converted on load (revolute joints only; prismatic offsets stay in
+meters) and written back normalized.
 """
 
 from __future__ import annotations
@@ -119,12 +120,14 @@ class Limits:
 
 @dataclass(frozen=True)
 class CollisionSettings:
-    """Collision machinery knobs; None selects the documented defaults."""
+    """Collision machinery knobs; a cell_size of None selects the default.
+
+    The SDF motion margin and its Lipschitz factor are not settings: the
+    planner always derives them, so the clearance guarantee holds.
+    """
 
     cell_size: float | None = None
     collocation_per_span: int = 8
-    margin: float | None = None
-    lipschitz_factor: float | None = None
     static_mode: str = "sdf"
 
     def __post_init__(self):
@@ -156,10 +159,6 @@ class Scenario:
 
     def basis_knots(self) -> KnotVector:
         return clamp_knots(self.basis_interior, self.basis_degree)
-
-    @property
-    def is_mobile(self) -> bool:
-        return isinstance(self.robot, MobileRobot)
 
 
 def _parse_motion(obj, path: str, dim: int, nominal: np.ndarray) -> BSpline | None:
@@ -288,7 +287,9 @@ def parse_scenario(obj: dict) -> Scenario:
 
     bnd = obj["boundary"]
     _require_keys(bnd, "boundary", ["initial", "goal"], ["units"])
-    scale = DEG if (is_chain and bnd.get("units", "rad") == "deg") else 1.0
+    # Degrees convert revolute joints only; prismatic offsets are meters.
+    deg_scale = np.where(robot.revolute, DEG, 1.0) if is_chain else 1.0
+    scale = deg_scale if bnd.get("units", "rad") == "deg" else 1.0
     if bnd.get("units", "rad") not in ("rad", "deg", "m"):
         raise ScenarioError("boundary.units: must be 'rad', 'deg', or 'm'")
     q_init = _vector(bnd["initial"], "boundary.initial", n) * scale
@@ -297,7 +298,7 @@ def parse_scenario(obj: dict) -> Scenario:
     lim = obj["limits"]
     _require_keys(lim, "limits", ["velocity", "acceleration"],
                   ["angle_min", "angle_max", "units"])
-    lscale = DEG if (is_chain and lim.get("units", "rad") == "deg") else 1.0
+    lscale = deg_scale if lim.get("units", "rad") == "deg" else 1.0
 
     def _limit_vec(value, path):
         if isinstance(value, (int, float)):
@@ -329,31 +330,21 @@ def parse_scenario(obj: dict) -> Scenario:
 
     solver_obj = obj.get("solver", {})
     _require_keys(solver_obj, "solver", [],
-                  ["feas_tol", "opt_tol", "max_outer", "max_inner",
-                   "knot_refine"])
+                  ["feas_tol", "opt_tol", "max_outer", "max_inner"])
     solver = SolverConfig(
         feas_tol=float(solver_obj.get("feas_tol", 1e-6)),
         opt_tol=float(solver_obj.get("opt_tol", 1e-5)),
         max_outer=int(solver_obj.get("max_outer", 50)),
         max_inner=int(solver_obj.get("max_inner", 500)),
-        knot_refine=bool(solver_obj.get("knot_refine", False)),
     )
 
     col_obj = obj.get("collision", {})
     _require_keys(col_obj, "collision", [],
-                  ["cell_size", "collocation_per_span", "margin",
-                   "lipschitz_factor", "static_mode"])
-
-    def _auto(value):
-        if value is None or value == "auto":
-            return None
-        return float(value)
-
+                  ["cell_size", "collocation_per_span", "static_mode"])
+    cell_size = col_obj.get("cell_size")
     collision = CollisionSettings(
-        cell_size=_auto(col_obj.get("cell_size")),
+        cell_size=None if cell_size in (None, "auto") else float(cell_size),
         collocation_per_span=int(col_obj.get("collocation_per_span", 8)),
-        margin=_auto(col_obj.get("margin")),
-        lipschitz_factor=_auto(col_obj.get("lipschitz_factor")),
         static_mode=col_obj.get("static_mode", "sdf"),
     )
 
@@ -498,12 +489,6 @@ def scenario_to_dict(s: Scenario) -> dict:
         "collision": {
             "cell_size": s.collision.cell_size if s.collision.cell_size else "auto",
             "collocation_per_span": s.collision.collocation_per_span,
-            "margin": s.collision.margin if s.collision.margin else "auto",
-            "lipschitz_factor": (
-                s.collision.lipschitz_factor
-                if s.collision.lipschitz_factor
-                else "auto"
-            ),
             "static_mode": s.collision.static_mode,
         },
     }

@@ -1,6 +1,8 @@
 """Collision: SDF construction/query oracles, and the planner's clearance
 and separating-plane families on hand-checkable geometry."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -351,33 +353,34 @@ def point_body(radius=0.0):
 
 
 class TestStaticClearance:
-    """The planner's SDF clearance rows: field value minus the margin at
-    each collocation parameter (cushion 0, a point body)."""
+    """The planner's SDF clearance rows: field value minus the derived
+    motion margin margins(T) at each collocation parameter (cushion 0, a
+    point body)."""
 
     def setup_method(self):
         self.field = build_sdf(
             [ObstaclePrimitive.sphere([0.0, 0.0], 0.3)], ([-2, -2], [2, 2]), 0.02
         )
 
-    def clearance(self, start, end, margin, taus):
+    def clearance(self, start, end, taus, T=1.0):
         C = np.linspace(start, end, 13)
         layout = layout_for(C, 2)
         fam = SDFClearanceFamily("sdf", layout, self.field, taus, [point_body()],
-                                 1.0, 0.0, margin, BASIS, None)
-        dv = DecisionVector(C, 1.0, [])
+                                 0.0, BASIS, None)
+        dv = DecisionVector(C, T, [])
         r, _ = fam.evaluate(layout.pack(dv))
         return -r, fam, dv
 
     def test_far_trajectory_positive(self):
         taus = np.linspace(0, 1, 40)
-        out, fam, dv = self.clearance([1.2, 1.2], [1.5, 1.0], 0.0, taus)
+        out, fam, dv = self.clearance([1.2, 1.2], [1.5, 1.0], taus)
         assert out.min() > 0.5
         splines = [BSpline(3, CUBIC, dv.joint_coeffs[:, j : j + 1]) for j in range(2)]
         assert fam.dense_violation(dv, splines, np.linspace(0, 1, 1000)) == 0.0
 
     def test_through_obstacle_negative(self):
         taus = np.linspace(0, 1, 40)
-        out, _, _ = self.clearance([-1.0, 0.0], [1.0, 0.0], 0.0, taus)
+        out, _, _ = self.clearance([-1.0, 0.0], [1.0, 0.0], taus)
         k = int(np.argmin(out))
         assert out[k] < -0.2
         assert 0.3 < taus[k] < 0.7
@@ -400,19 +403,29 @@ class TestStaticClearance:
         taus = np.linspace(0, 1, 20)
         body = TrackedBody("link2", 2, chain.link_cuboids[1], 0.0, 1.0, 1.0)
         layout = layout_for(C, 3)
-        fam = SDFClearanceFamily("sdf", layout, field, taus, [body], 1.0, 0.0, 0.0,
+        fam = SDFClearanceFamily("sdf", layout, field, taus, [body], 0.0,
                                  BASIS, NumericFK(chain, [1, 1]))
         r, _ = fam.evaluate(layout.pack(DecisionVector(C, 1.0, [])))
+        margin = np.repeat(fam.margins(1.0)[0][0], 8)
         theta = 2.0 * np.arctan(basis_matrix(CUBIC, 3, taus) @ C)
         hom = np.hstack([body.verts, np.ones((8, 1))]).T
         pos = np.concatenate([(chain.numeric_fk(t, 2) @ hom)[:3].T for t in theta])
         vals, _ = field.query_extended(pos)
-        np.testing.assert_allclose(-r, vals, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(-r + margin, vals, rtol=0, atol=1e-12)
 
     def test_margin_shifts_residuals(self):
-        base, _, _ = self.clearance([1.2, 1.2], [1.5, 1.0], 0.0, np.array([0.5]))
-        shifted, _, _ = self.clearance([1.2, 1.2], [1.5, 1.0], 0.25, np.array([0.5]))
-        assert shifted[0] == pytest.approx(base[0] - 0.25)
+        # A longer travel time lets the body move farther between samples;
+        # the rows shift by exactly the change of the derived margin.
+        taus = np.linspace(0, 1, 11)
+        base, fam, _ = self.clearance([1.2, 1.2], [1.5, 1.0], taus, T=1.0)
+        shifted, _, _ = self.clearance([1.2, 1.2], [1.5, 1.0], taus, T=4.0)
+        m1, m4 = fam.margins(1.0)[0][0], fam.margins(4.0)[0][0]
+        assert m4[5] > m1[5] > 0.0
+        np.testing.assert_allclose(shifted, base - (m4 - m1), rtol=0, atol=1e-12)
+        # Mid-trajectory at T = 4 the velocity bound (1 m/s) binds: the
+        # margin is sqrt(dim) x speed x half the sample gap in seconds.
+        assert fam.lipschitz == math.sqrt(2)
+        assert m4[5] == pytest.approx(math.sqrt(2) * 1.0 * 0.05 * 4.0, rel=1e-12)
 
 
 def separation(obstacle, C, a, b, radius):

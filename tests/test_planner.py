@@ -10,6 +10,8 @@ import pytest
 from splinetraj.bspline import BSpline, basis_matrix
 from splinetraj.cli import export_trajectory
 from splinetraj.planner import (
+    CUSHION,
+    T_MIN,
     ChainRateFamily,
     DecisionVector,
     PlaneRobotSideFamily,
@@ -146,7 +148,7 @@ class TestInitialGuess:
 
         solver = AugmentedLagrangianSolver(
             prob.objective, prob.families,
-            bounds=prob.layout.bounds(scn.solver.t_min), config=scn.solver,
+            bounds=prob.layout.bounds(T_MIN), config=scn.solver,
         )
         result = solver.solve(prob.layout.pack(initial_guess(prob)))
         trace = result.trace
@@ -260,7 +262,7 @@ class TestSolve:
         prob = assemble(scn)
         sol = solve(prob)
         assert sol.converged
-        assert sol.objective == scn.solver.t_min
+        assert sol.objective == T_MIN
         assert sol.inner_iterations == 0
         np.testing.assert_array_equal(
             sol.decision.joint_coeffs, np.tile([1.0, 0.5], (13, 1))
@@ -352,7 +354,7 @@ class TestPrismaticJoint:
         prob = assemble(scn)
         fam = next(f for f in prob.families if f.name == "angle_limits")
         # The cushion insets each bound by cushion * max(hi - lo, 1).
-        inset = scn.solver.cushion * np.array([2.0 * np.tan(1.0), 1.0])
+        inset = CUSHION * np.array([2.0 * np.tan(1.0), 1.0])
         np.testing.assert_allclose(fam.hi, [np.tan(1.0), 0.35] - inset, rtol=1e-14)
         np.testing.assert_allclose(fam.lo, [-np.tan(1.0), 0.05] + inset, rtol=1e-14)
 
@@ -445,15 +447,6 @@ class TestVerify:
         assert rep10.family("sdf_clearance").n_samples > rep5.family(
             "sdf_clearance"
         ).n_samples
-
-
-class TestKnotRefinement:
-    def test_refine_scenario_doubles_interior(self):
-        from splinetraj.planner import refine_scenario
-
-        scn = mobile_scenario()
-        refined = refine_scenario(scn)
-        assert refined.basis_interior.size == 2 * scn.basis_interior.size + 1
 
 
 class TestDynamicsFamily:

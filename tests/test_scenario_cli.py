@@ -78,6 +78,35 @@ class TestParsing:
                                    np.full(3, 200 * np.pi / 180))
         np.testing.assert_allclose(scn.boundary_goal[0], 60 * np.pi / 180)
 
+    def test_degree_units_leave_prismatic_offsets(self):
+        # Degrees convert revolute joints only: a prismatic joint's offsets,
+        # offset limits and rates stay in meters.
+        obj = json.loads((SCENARIO_DIR / "threelink.json").read_text())
+        obj["robot"]["links"][2]["kind"] = "prismatic"
+        obj["boundary"] = {"initial": [-60, 40, 0.1], "goal": [60, 40, 0.3],
+                           "units": "deg"}
+        obj["limits"].update(angle_min=[-200, -200, 0.0],
+                             angle_max=[200, 200, 0.5])
+        scn = parse_scenario(obj)
+        deg = np.pi / 180
+        assert scn.boundary_initial.tolist() == [-60 * deg, 40 * deg, 0.1]
+        assert scn.boundary_goal.tolist() == [60 * deg, 40 * deg, 0.3]
+        assert scn.limits.angle_min.tolist() == [-200 * deg, -200 * deg, 0.0]
+        assert scn.limits.angle_max.tolist() == [200 * deg, 200 * deg, 0.5]
+        assert scn.limits.velocity.tolist() == [200 * deg, 200 * deg, 200.0]
+        assert scn.limits.acceleration.tolist() == [200 * deg, 200 * deg, 200.0]
+
+    @pytest.mark.parametrize("block, key, value", [
+        ("solver", "knot_refine", True),
+        ("collision", "margin", 0.01),
+        ("collision", "lipschitz_factor", 1.0),
+    ])
+    def test_removed_setting_rejected(self, block, key, value):
+        # The SDF margin and its Lipschitz factor are always derived, and
+        # there is no knot-refinement retry: the keys are unknown fields.
+        with pytest.raises(ScenarioError, match=f"{block}.{key}: unknown field"):
+            parse_scenario(minimal_mobile(**{block: {key: value}}))
+
     def test_empty_obstacles_valid(self):
         scn = parse_scenario(minimal_mobile())
         assert scn.obstacles == ()

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from splinetraj.bernstein import left_inverse
 from splinetraj.bspline import BSpline, KnotVector, basis_matrix, clamp_knots
 from splinetraj.spline_algebra import (
     FitOperator,
@@ -362,3 +363,30 @@ class TestExactAlgebra:
         s1, s2 = self.operands(71, dim1=3)
         assert_exact(multiply(s2, s1), s2, s1, pmul)
         assert_exact(multiply(s1, s2), s1, s2, pmul)
+
+
+class TestLeftInverseCache:
+    """add/multiply build a result space per call; the left inverses they
+    cache stay bounded, and an evicted space comes back unchanged."""
+
+    def test_cache_stays_bounded(self):
+        rng = np.random.default_rng(404)
+        for _ in range(200):
+            s1, s2 = random_spline(rng), random_spline(rng)
+            add(s1, s2)
+            multiply(s1, s2)
+        info = left_inverse.cache_info()
+        assert info.maxsize is not None
+        assert info.currsize <= info.maxsize
+
+    def test_evicted_space_rebuilds_same_matrix(self):
+        bound = left_inverse.cache_info().maxsize
+        assert bound is not None
+        knots = clamp_knots([0.25, 0.5, 0.75], 7)
+        first = left_inverse(knots, 7).copy()
+        for k in range(bound + 1):
+            left_inverse(clamp_knots([0.5 + 1e-3 * (k + 1)], 3), 3)
+        misses = left_inverse.cache_info().misses
+        again = left_inverse(knots, 7)
+        assert left_inverse.cache_info().misses == misses + 1  # rebuilt
+        assert again.tobytes() == first.tobytes()
