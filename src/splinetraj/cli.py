@@ -26,6 +26,7 @@ from .collision import ObstaclePrimitive, build_sdf, save_sdf
 from .planner import (
     PlanningProblem,
     Solution,
+    TrajectorySamples,
     assemble,
     recovered_angles,
     solve,
@@ -42,6 +43,33 @@ __all__ = ["run", "export_trajectory", "benchmark_sdf_vs_hyperplane", "main",
 def _fmt(value: float) -> str:
     """Shortest round-trip decimal form; deterministic across runs."""
     return repr(float(value))
+
+
+# Values the CSV writer turns into Python floats at a time.
+CSV_CHUNK_VALUES = 4096
+
+
+def _csv_rows(columns, prefix=None) -> list[str]:
+    """The columns as CSV rows of ``_fmt`` values, each row joined onto
+    ``prefix[k] + ","`` when a list of row prefixes is given.
+
+    The table goes to Python floats (``tolist``) a block of rows at a
+    time, so the text equals per-value ``_fmt`` without holding a wide
+    table as Python floats at once.
+    """
+    table = np.column_stack(columns)
+    step = max(1, CSV_CHUNK_VALUES // table.shape[1])
+    rows = []
+    for start in range(0, len(table), step):
+        rows += [",".join(map(repr, row))
+                 for row in table[start : start + step].tolist()]
+    if prefix is None:
+        return rows
+    return [head + "," + row for head, row in zip(prefix, rows)]
+
+
+def _write_csv(path: Path, header: list[str], rows: list[str]) -> None:
+    path.write_text("\n".join([",".join(header)] + rows) + "\n")
 
 
 @dataclass
@@ -85,16 +113,14 @@ def export_trajectory(solution: Solution, problem: PlanningProblem,
     dv = solution.decision
     scenario = problem.scenario
     taus = np.linspace(0.0, 1.0, samples)
-    splines = problem.trajectory_splines(dv)
+    traj = TrajectorySamples(problem.trajectory_splines(dv), taus)
     is_chain = isinstance(scenario.robot, ChainRobot)
     J = problem.layout.n_coords
 
-    qcols = recovered_angles(problem, dv, taus)
+    qcols = recovered_angles(problem, traj)
     if is_chain:
         rates = []
-        for j, s in enumerate(splines):
-            q = s.eval(taus)[:, 0]
-            qd = s.derivative().eval(taus)[:, 0]
+        for j, (q, qd) in enumerate(zip(traj.columns(0), traj.columns(1))):
             if not scenario.robot.revolute[j]:
                 rates.append(qd / dv.T)
                 continue
@@ -102,51 +128,37 @@ def export_trajectory(solution: Solution, problem: PlanningProblem,
             rates.append((2.0**depth) * qd / (dv.T * (1.0 + q * q)))
         dcols = np.column_stack(rates)
     else:
-        dcols = np.column_stack(
-            [s.derivative().eval(taus)[:, 0] / dv.T for s in splines]
-        )
+        dcols = np.column_stack([qd / dv.T for qd in traj.columns(1)])
 
     header = (
         ["tau", "t"]
         + [f"q{j + 1}" for j in range(J)]
         + [f"dq{j + 1}" for j in range(J)]
     )
-    lines = [",".join(header)]
-    for k, tau in enumerate(taus):
-        row = [_fmt(tau), _fmt(tau * dv.T)]
-        row += [_fmt(v) for v in qcols[k]]
-        row += [_fmt(v) for v in dcols[k]]
-        lines.append(",".join(row))
+    traj_rows = _csv_rows([taus, taus * dv.T, qcols, dcols])
     traj_path = out / "trajectory.csv"
-    traj_path.write_text("\n".join(lines) + "\n")
+    _write_csv(traj_path, header, traj_rows)
 
     if is_chain:
         nfk = problem.nfk
-        qmat = np.column_stack([s.eval(taus)[:, 0] for s in splines])
-        state = nfk.shared_state(qmat)
+        state = nfk.shared_state(traj.matrix())
         cart_header = ["tau", "t"]
         blocks = []
         for body in problem.bodies:
             pos = nfk.body_positions(state, body.link_index, body.verts)
-            blocks.append(pos)
+            blocks.append(pos.reshape(samples, -1))
             for v in range(body.verts.shape[0]):
                 cart_header += [f"{body.name}_v{v + 1}_{ax}" for ax in "xyz"]
-        cart_lines = [",".join(cart_header)]
-        for k, tau in enumerate(taus):
-            row = [_fmt(tau), _fmt(tau * dv.T)]
-            for pos in blocks:
-                row += [_fmt(c) for c in pos[k].reshape(-1)]
-            cart_lines.append(",".join(row))
+        # Each row starts with the "tau,t" text of its trajectory row.
+        times = [row[: row.find(",", row.find(",") + 1)] for row in traj_rows]
+        cart_rows = _csv_rows(blocks, times)
     else:
-        pos = np.column_stack([s.eval(taus)[:, 0] for s in splines])
-        axes = "xyz"[: pos.shape[1]]
-        cart_header = ["tau", "t"] + [f"body_{ax}" for ax in axes]
-        cart_lines = [",".join(cart_header)]
-        for k, tau in enumerate(taus):
-            row = [_fmt(tau), _fmt(tau * dv.T)] + [_fmt(c) for c in pos[k]]
-            cart_lines.append(",".join(row))
+        cart_header = ["tau", "t"] + [f"body_{ax}" for ax in "xyz"[:J]]
+        # A mobile robot's positions are its coordinates: its Cartesian
+        # rows are its trajectory rows without the rates.
+        cart_rows = [row.rsplit(",", J)[0] for row in traj_rows]
     cart_path = out / "cartesian.csv"
-    cart_path.write_text("\n".join(cart_lines) + "\n")
+    _write_csv(cart_path, cart_header, cart_rows)
 
     solution_path = out / "solution.json"
     solution_path.write_text(json.dumps(solution.to_json(), indent=2) + "\n")

@@ -25,6 +25,7 @@ __all__ = [
     "DHChain",
     "HalfAngleJoint",
     "recover_theta",
+    "unwrap_half_angles",
     "NumericFK",
     "halfangle_cos_sin",
     "homogeneous",
@@ -179,8 +180,14 @@ def recover_theta(joint: HalfAngleJoint, taus, theta_init: float | None = None) 
     branch, seeded by theta_init when given.
     """
     t = np.atleast_1d(np.asarray(taus, dtype=float))
-    qvals = joint.q.eval(t)[:, 0]
-    n = joint.halving_depth
+    return unwrap_half_angles(joint.q.eval(t)[:, 0], joint.halving_depth,
+                              theta_init)
+
+
+def unwrap_half_angles(qvals: np.ndarray, n: int,
+                       theta_init: float | None = None) -> np.ndarray:
+    """Branch-continuous angles 2^n atan(q) from sampled values of q; see
+    :func:`recover_theta`."""
     period = (2.0**n) * np.pi
     raw = (2.0**n) * np.arctan(qvals)
     out = np.empty_like(raw)

@@ -89,9 +89,10 @@ class ConstraintBlock:
     def evaluate(self, x: np.ndarray):
         raise NotImplementedError
 
-    def dense_violation(self, dv, splines, taus: np.ndarray) -> float:
-        """Worst violation of the continuous constraint at parameters taus,
-        given the decision ``dv`` and its per-coordinate ``splines``."""
+    def dense_violation(self, dv, samples) -> float:
+        """Worst violation of the continuous constraint at the parameters
+        ``samples.taus``, given the decision ``dv`` and ``samples``, its
+        trajectory sampled there (``planner.TrajectorySamples``)."""
         raise NotImplementedError
 
     def violation(self, residuals: np.ndarray) -> float:
@@ -159,26 +160,39 @@ class AugmentedLagrangianSolver:
         out = []
         for block in self.blocks:
             r, vjp = block.evaluate(x)
-            if not np.all(np.isfinite(r)):
+            if not np.isfinite(r).all():
                 raise FloatingPointError(
                     f"non-finite residual in constraint family {block.name!r}"
                 )
             out.append((block, r, vjp))
         return out
 
-    def _al_value_grad(self, x, multipliers, rho):
+    @staticmethod
+    def _scaled_multipliers(multipliers, rho):
+        """Per block: mult / rho and its squared norm, which the inequality
+        terms use.  Both are fixed for one inner solve."""
+        out = []
+        for mult in multipliers:
+            scaled = mult / rho
+            out.append((scaled, scaled @ scaled))
+        return out
+
+    def _al_value_grad(self, x, multipliers, rho, scaled):
+        """Augmented Lagrangian value and gradient; ``scaled`` is
+        ``_scaled_multipliers(multipliers, rho)``."""
         f, g = self.objective(x)
         total = f
         grad = np.array(g, dtype=float)
-        for (block, r, vjp), mult in zip(self._eval_blocks(x), multipliers):
+        for (block, r, vjp), mult, (m_rho, m_rho_sq) in zip(
+                self._eval_blocks(x), multipliers, scaled):
             if block.kind == INEQ:
-                shifted = np.maximum(0.0, mult / rho + r)
-                total += 0.5 * rho * float(shifted @ shifted - (mult / rho) @ (mult / rho))
+                shifted = np.maximum(0.0, m_rho + r)
+                total += 0.5 * rho * float(shifted @ shifted - m_rho_sq)
                 w = rho * shifted
             else:
                 total += float(mult @ r) + 0.5 * rho * float(r @ r)
                 w = mult + rho * r
-            if np.any(w != 0.0):
+            if (w != 0.0).any():
                 grad += vjp(w)
         return total, grad
 
@@ -205,7 +219,7 @@ class AugmentedLagrangianSolver:
         grad = np.array(grad, dtype=float)
         scale = max(1.0, float(np.abs(grad).max(initial=0.0)))
         for (block, r, vjp), mult in zip(evals, multipliers):
-            if np.any(mult != 0.0):
+            if (mult != 0.0).any():
                 term = vjp(mult)
                 scale = max(scale, float(np.abs(term).max(initial=0.0)))
                 grad += term
@@ -255,8 +269,9 @@ class AugmentedLagrangianSolver:
         trace: list[dict] = []
         kkt = np.inf
         for outer in range(1, cfg.max_outer + 1):
+            scaled = self._scaled_multipliers(multipliers, rho)
             res = minimize(
-                lambda z: self._al_value_grad(z, multipliers, rho),
+                lambda z: self._al_value_grad(z, multipliers, rho, scaled),
                 x,
                 jac=True,
                 method="L-BFGS-B",
@@ -385,7 +400,7 @@ class AugmentedLagrangianSolver:
                 else:
                     active = r
                 total += float(active @ active)
-                if np.any(active != 0.0):
+                if (active != 0.0).any():
                     grad += vjp(2.0 * active)
             return total, grad
 

@@ -33,7 +33,7 @@ from .bernstein import (
 )
 from .bspline import BSpline, KnotVector, basis_matrix
 from .collision import ObstaclePrimitive, SignedDistanceField, build_sdf
-from .kinematics import NumericFK, homogeneous, recover_theta
+from .kinematics import NumericFK, homogeneous, unwrap_half_angles
 from .nlp import (
     EQ,
     INEQ,
@@ -150,9 +150,28 @@ class VariableLayout:
         self.idx_T = self.n_free_c
         self.plane_size = n_coeffs * (world_dim + 1)
         self.n_x = self.n_free_c + 1 + n_planes * self.plane_size
+        self._last_key = None
+        self._last = None
 
     def unpack(self, x: np.ndarray) -> DecisionVector:
-        C = np.vstack(
+        """The decision vector at x, shared by every family evaluated there.
+
+        The last result is kept, keyed on the bytes of x, so the families
+        of one solver call unpack once.  It is built from a private,
+        read-only copy of x and must not be modified; ``copy()`` gives a
+        private one.
+        """
+        key = x.tobytes()
+        if key != self._last_key:
+            own = np.array(x, dtype=float)
+            own.flags.writeable = False
+            dv = self._build(own)
+            dv.joint_coeffs.flags.writeable = False
+            self._last, self._last_key = dv, key
+        return self._last
+
+    def _build(self, x: np.ndarray) -> DecisionVector:
+        C = np.concatenate(
             [
                 self.top_rows,
                 x[: self.n_free_c].reshape(self.free_rows, self.n_coords),
@@ -260,13 +279,10 @@ class DerivBoxFamily(ConstraintBlock):
 
         return r, vjp
 
-    def dense_violation(self, dv: DecisionVector, splines, taus) -> float:
+    def dense_violation(self, dv: DecisionVector, samples) -> float:
         worst = 0.0
-        for j, s in enumerate(splines):
-            d = s
-            for _ in range(self.power):
-                d = d.derivative()
-            vals = d.eval(taus)[:, 0] / dv.T**self.power
+        for j, d in enumerate(samples.columns(self.power)):
+            vals = d / dv.T**self.power
             worst = max(worst, float(np.maximum(np.abs(vals) - self.raw_bound[j], 0.0).max()))
         return worst
 
@@ -319,10 +335,9 @@ class CoeffBoxFamily(ConstraintBlock):
 
         return r, vjp
 
-    def dense_violation(self, dv, splines, taus) -> float:
+    def dense_violation(self, dv, samples) -> float:
         worst = 0.0
-        for j, s in enumerate(splines):
-            vals = s.eval(taus)[:, 0]
+        for j, vals in enumerate(samples.columns(0)):
             if self.angle_depths is not None and self.angle_depths[j] is not None:
                 vals = (2.0 ** self.angle_depths[j]) * np.arctan(vals)
             if np.isfinite(self.raw_hi[j]):
@@ -395,11 +410,10 @@ class ChainRateFamily(ConstraintBlock):
 
         return r, vjp
 
-    def dense_violation(self, dv, splines, taus) -> float:
+    def dense_violation(self, dv, samples) -> float:
         worst = 0.0
-        for j, s in enumerate(splines):
-            q = s.eval(taus)[:, 0] * self.revolute[j]
-            qd = s.derivative().eval(taus)[:, 0]
+        for j, (q, qd) in enumerate(zip(samples.columns(0), samples.columns(1))):
+            q = q * self.revolute[j]
             theta_dot = self.factors[j] * qd / (dv.T * (1.0 + q * q))
             worst = max(
                 worst, float(np.maximum(np.abs(theta_dot) - self.raw_bound[j], 0.0).max())
@@ -476,12 +490,11 @@ class ChainAccelFamily(ConstraintBlock):
 
         return r, vjp
 
-    def dense_violation(self, dv, splines, taus) -> float:
+    def dense_violation(self, dv, samples) -> float:
         worst = 0.0
-        for j, s in enumerate(splines):
-            q = s.eval(taus)[:, 0] * self.revolute[j]
-            qd = s.derivative().eval(taus)[:, 0]
-            qdd = s.derivative().derivative().eval(taus)[:, 0]
+        for j, (q, qd, qdd) in enumerate(zip(samples.columns(0), samples.columns(1),
+                                              samples.columns(2))):
+            q = q * self.revolute[j]
             W = 1.0 + q * q
             theta_dd = self.factors[j] * (qdd * W - 2.0 * q * qd * qd) / (
                 dv.T**2 * W * W
@@ -537,13 +550,22 @@ class SDFClearanceFamily(ConstraintBlock):
         half[:-1] = np.maximum(half[:-1], 0.5 * gaps)
         half[1:] = np.maximum(half[1:], 0.5 * gaps)
         self._half_gap = half
-        # The T-free pieces of the margin rule, one row per body.
+        # The T-free pieces of the margin rule, one row per body.  The
+        # acceleration cap counts from the nearer rest endpoint: tau from
+        # the start where tau <= 1 - tau, 1 - tau from the goal elsewhere.
+        # For T > 0 rounding is monotone, so that cap is the smaller of
+        # the two to the bit.  The two caps can round to a tie, where the
+        # choice of _dspeed would matter, only for a tau a few ulps above
+        # 1/2; collocation grids hold 1/2 itself or nothing that close.
         self._speed = np.array([[b.speed_bound] for b in self.bodies])
-        self._accel = np.array([[b.accel_bound] for b in self.bodies])
-        self._rest_tau = 1.0 - self.taus
+        accel = np.array([[b.accel_bound] for b in self.bodies])
+        rest_tau = 1.0 - self.taus
+        from_start = self.taus <= rest_tau
+        self._cap_tau = np.where(from_start, self.taus, rest_tau)
+        self._accel = accel
         self._lip_half = self.lipschitz * half
-        self._dspeed_lo = self._accel * (self.taus + half)
-        self._dspeed_hi = self._accel * (self._rest_tau + half)
+        self._dspeed = np.where(from_start, accel * (self.taus + half),
+                                accel * (rest_tau + half))
         self.Bpos = basis_matrix(basis.knots, basis.degree, self.taus)
         self.nfk = nfk
         self._homs = [homogeneous(b.verts) for b in self.bodies]
@@ -553,14 +575,9 @@ class SDFClearanceFamily(ConstraintBlock):
         """Clearance margin (meters) per body and sample, and its T-derivative;
         (bodies, samples) each."""
         h = self._half_gap * T
-        cap_lo = self._accel * (self.taus * T + h)
-        cap_hi = self._accel * (self._rest_tau * T + h)
-        local_speed = np.minimum(self._speed, np.minimum(cap_lo, cap_hi))
-        dspeed = np.where(
-            local_speed >= self._speed,
-            0.0,
-            np.where(cap_lo <= cap_hi, self._dspeed_lo, self._dspeed_hi),
-        )
+        local_speed = np.minimum(self._speed,
+                                 self._accel * (self._cap_tau * T + h))
+        dspeed = np.where(local_speed >= self._speed, 0.0, self._dspeed)
         return (self.lipschitz * local_speed * h,
                 self._lip_half * (local_speed + dspeed * T))
 
@@ -614,13 +631,12 @@ class SDFClearanceFamily(ConstraintBlock):
 
         return r, vjp
 
-    def dense_violation(self, dv, splines, taus) -> float:
+    def dense_violation(self, dv, samples) -> float:
         worst = 0.0
         if self.nfk is None:
-            pos = np.column_stack([s.eval(taus)[:, 0] for s in splines])
-            vals, _ = self.field.query_extended(pos)
+            vals, _ = self.field.query_extended(samples.matrix())
             return float(np.maximum(self.bodies[0].radius - vals, 0.0).max())
-        qmat = np.column_stack([s.eval(taus)[:, 0] for s in splines])
+        qmat = samples.matrix()
         for body in self.bodies:
             state = self.nfk.chain_state(qmat, body.link_index)
             pos = self.nfk.vertex_positions(state, body.verts)
@@ -684,7 +700,6 @@ class PlaneRobotSideFamily(ConstraintBlock):
         self.extraction = bezier_extraction(basis.knots, p)
         n_points = 1 if self.hom is None else self.hom.shape[1]
         self.n_rows = n_points * self.lift.shape[0]
-        self._basis_knots = basis.knots
         self._basis_degree = basis.degree
 
     def evaluate(self, x):
@@ -722,17 +737,15 @@ class PlaneRobotSideFamily(ConstraintBlock):
 
         return r, vjp
 
-    def dense_violation(self, dv, splines, taus) -> float:
+    def dense_violation(self, dv, samples) -> float:
         a_c, b_c = dv.plane_coeffs[self.plane_index]
-        Bt = basis_matrix(self._basis_knots, self._basis_degree, taus)
+        Bt = samples.basis(0)
         a = Bt @ a_c
         b = Bt @ b_c
         if self.nfk is None:
-            pos = np.column_stack([s.eval(taus)[:, 0] for s in splines])
-            y = (a * pos).sum(axis=1) + b - self.body.radius
+            y = (a * samples.matrix()).sum(axis=1) + b - self.body.radius
             return float(np.maximum(-y, 0.0).max())
-        qmat = np.column_stack([s.eval(taus)[:, 0] for s in splines])
-        state = self.nfk.chain_state(qmat, self.body.link_index)
+        state = self.nfk.chain_state(samples.matrix(), self.body.link_index)
         pos = self.nfk.vertex_positions(state, self.body.verts)
         y = b[:, None] + np.einsum("sd,svd->sv", a, pos)
         return float(np.maximum(-y, 0.0).max())
@@ -756,8 +769,6 @@ class PlaneObstacleSideFamily(ConstraintBlock):
         self.obstacle = obstacle
         self.cushion = cushion
         self.cushion_gap = cushion
-        self._basis_knots = basis.knots
-        self._basis_degree = basis.degree
         p = basis.degree
         motion = obstacle.motion
         inputs = [(basis.knots, p)]
@@ -808,12 +819,12 @@ class PlaneObstacleSideFamily(ConstraintBlock):
 
         return r, vjp
 
-    def dense_violation(self, dv, splines, taus) -> float:
+    def dense_violation(self, dv, samples) -> float:
         a_c, b_c = dv.plane_coeffs[self.plane_index]
-        Bt = basis_matrix(self._basis_knots, self._basis_degree, taus)
+        Bt = samples.basis(0)
         a = Bt @ a_c
         b = Bt @ b_c
-        centers = self.obstacle.center_at(taus)
+        centers = self.obstacle.center_at(samples.taus)
         pts = centers[:, None, :] + self.offsets[None, :, :]
         y = np.einsum("sd,skd->sk", a, pts) + b[:, None] + self.shift
         return float(np.maximum(y, 0.0).max())
@@ -835,8 +846,6 @@ class PlaneNormFamily(ConstraintBlock):
         self.plane_index = plane_index
         self.cushion = cushion
         self.cushion_gap = cushion
-        self._basis_knots = basis.knots
-        self._basis_degree = basis.degree
         p, n = basis.degree, basis.n_coeffs
         units = to_spans(bezier_extraction(basis.knots, p), np.eye(n), p)
         y = product(units[..., :, None], units[..., None, :])  # (S, 2p + 1, n, n)
@@ -856,9 +865,9 @@ class PlaneNormFamily(ConstraintBlock):
 
         return r, vjp
 
-    def dense_violation(self, dv, splines, taus) -> float:
+    def dense_violation(self, dv, samples) -> float:
         a_c, _ = dv.plane_coeffs[self.plane_index]
-        a = basis_matrix(self._basis_knots, self._basis_degree, taus) @ a_c
+        a = samples.basis(0) @ a_c
         return float(np.maximum((a * a).sum(axis=1) - 1.0, 0.0).max())
 
 
@@ -915,11 +924,9 @@ class DynamicsResidualFamily(ConstraintBlock):
 
         return r, vjp
 
-    def dense_violation(self, dv, splines, taus) -> float:
+    def dense_violation(self, dv, samples) -> float:
         worst = 0.0
-        for j, s in enumerate(splines):
-            q = s.eval(taus)[:, 0]
-            dq = s.derivative().eval(taus)[:, 0]
+        for j, (q, dq) in enumerate(zip(samples.columns(0), samples.columns(1))):
             f = np.polyval(self.poly[j][::-1], q)
             worst = max(worst, float(np.abs(dq - dv.T * f).max()))
         return worst
@@ -974,6 +981,49 @@ class PlanningProblem:
                     dv.joint_coeffs[:, j : j + 1])
             for j in range(self.layout.n_coords)
         ]
+
+
+class TrajectorySamples:
+    """Trajectory coordinates and their tau-derivatives at fixed parameters,
+    for one verify or export call.
+
+    Each derivative order's basis matrix at ``taus`` is built once and
+    multiplied with every coordinate's control column in turn: the product
+    ``BSpline.eval`` forms, so the values equal it to the bit.
+    """
+
+    def __init__(self, splines, taus):
+        self.taus = taus
+        self._splines = [list(splines)]
+        self._bases = []
+        self._columns = {}
+        self._matrix = None
+
+    def _order(self, order: int) -> list[BSpline]:
+        while len(self._splines) <= order:
+            self._splines.append([s.derivative() for s in self._splines[-1]])
+        return self._splines[order]
+
+    def basis(self, order: int = 0) -> np.ndarray:
+        """Basis matrix of the order-th derivative splines at ``taus``."""
+        while len(self._bases) <= order:
+            s = self._order(len(self._bases))[0]
+            self._bases.append(basis_matrix(s.knots, s.degree, self.taus))
+        return self._bases[order]
+
+    def columns(self, order: int = 0) -> list[np.ndarray]:
+        """Per coordinate, the order-th tau-derivative at ``taus``."""
+        if order not in self._columns:
+            B = self.basis(order)
+            self._columns[order] = [(B @ s.control_points)[:, 0]
+                                    for s in self._order(order)]
+        return self._columns[order]
+
+    def matrix(self) -> np.ndarray:
+        """Coordinate values at ``taus``, one column per coordinate."""
+        if self._matrix is None:
+            self._matrix = np.column_stack(self.columns(0))
+        return self._matrix
 
 
 def _chain_workspace_bounds(scenario: Scenario, rates: np.ndarray) -> list[float]:
@@ -1337,7 +1387,7 @@ def solve(problem: PlanningProblem, guess: DecisionVector | None = None) -> Solu
     )
     result = solver.solve(x0)
     return Solution(
-        decision=problem.layout.unpack(result.x),
+        decision=problem.layout.unpack(result.x).copy(),
         status=result.status,
         objective=result.objective,
         outer_iterations=result.outer_iterations,
@@ -1419,49 +1469,48 @@ def verify(solution: Solution, problem: PlanningProblem,
     per_span = max(2, scenario.collision.collocation_per_span * oversample)
     taus = collocation_sites(problem.basis.knots, problem.basis.degree, per_span)
     splines = problem.trajectory_splines(dv)
+    samples = TrajectorySamples(splines, taus)
     reports = []
 
     # Endpoint conditions are exact by construction; report the residuals.
+    # The clamped basis is a unit row at either end, so each value is one
+    # control point times 1 whatever the product's summation order.
+    ends = TrajectorySamples(splines, np.array([0.0, 1.0]))
     end_viol = 0.0
-    for j, s in enumerate(splines):
-        d1 = s.derivative()
-        d2 = d1.derivative()
+    for j, (q, d1, d2) in enumerate(zip(ends.columns(0), ends.columns(1),
+                                        ends.columns(2))):
         end_viol = max(
             end_viol,
-            float(abs(s.eval(0.0)[0] - problem.q_init[j])),
-            float(abs(s.eval(1.0)[0] - problem.q_goal[j])),
-            float(abs(d1.eval(0.0)[0])),
-            float(abs(d1.eval(1.0)[0])),
-            float(abs(d2.eval(0.0)[0])),
-            float(abs(d2.eval(1.0)[0])),
+            float(abs(q[0] - problem.q_init[j])),
+            float(abs(q[1] - problem.q_goal[j])),
+            float(abs(d1[0])),
+            float(abs(d1[1])),
+            float(abs(d2[0])),
+            float(abs(d2[1])),
         )
     reports.append(FamilyReport("endpoint_conditions", "eq", end_viol, 12))
 
     for fam in problem.families:
-        v = fam.dense_violation(dv, splines, taus)
+        v = fam.dense_violation(dv, samples)
         reports.append(
             FamilyReport(fam.name, fam.kind, float(v), taus.size, fam.verify_tol)
         )
     return VerificationReport(reports, oversample)
 
 
-def recovered_angles(problem: PlanningProblem, dv: DecisionVector,
-                     taus: np.ndarray) -> np.ndarray:
+def recovered_angles(problem: PlanningProblem,
+                     samples: TrajectorySamples) -> np.ndarray:
     """Joint angles and prismatic offsets (chains) or positions (mobile) at
-    the given parameters."""
-    splines = problem.trajectory_splines(dv)
-    if isinstance(problem.scenario.robot, ChainRobot):
-        from .kinematics import HalfAngleJoint
-
-        cols = []
-        for j, s in enumerate(splines):
-            if not problem.scenario.robot.revolute[j]:
-                cols.append(s.eval(taus)[:, 0])
-                continue
-            joint = HalfAngleJoint(s, problem.scenario.robot.halving_depths[j])
-            cols.append(
-                recover_theta(joint, taus,
-                              theta_init=float(problem.scenario.boundary_initial[j]))
-            )
-        return np.column_stack(cols)
-    return np.column_stack([s.eval(taus)[:, 0] for s in splines])
+    the sampled parameters."""
+    robot = problem.scenario.robot
+    if not isinstance(robot, ChainRobot):
+        return samples.matrix()
+    cols = []
+    for j, q in enumerate(samples.columns(0)):
+        if not robot.revolute[j]:
+            cols.append(q)
+            continue
+        cols.append(unwrap_half_angles(
+            q, robot.halving_depths[j],
+            theta_init=float(problem.scenario.boundary_initial[j])))
+    return np.column_stack(cols)

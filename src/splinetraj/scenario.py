@@ -9,6 +9,7 @@ meters) and written back normalized.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -131,6 +132,10 @@ class CollisionSettings:
     static_mode: str = "sdf"
 
     def __post_init__(self):
+        if self.cell_size is not None and not (
+                math.isfinite(self.cell_size) and self.cell_size > 0.0):
+            raise ScenarioError(
+                "collision.cell_size: must be a finite number > 0 or 'auto'")
         if self.collocation_per_span < 2:
             raise ScenarioError("collision.collocation_per_span: must be >= 2")
         if self.static_mode not in ("sdf", "hyperplane"):
@@ -342,8 +347,15 @@ def parse_scenario(obj: dict) -> Scenario:
     _require_keys(col_obj, "collision", [],
                   ["cell_size", "collocation_per_span", "static_mode"])
     cell_size = col_obj.get("cell_size")
+    if cell_size == "auto":
+        cell_size = None
+    elif cell_size is not None:
+        try:
+            cell_size = float(cell_size)
+        except (TypeError, ValueError):
+            cell_size = math.nan  # rejected by CollisionSettings
     collision = CollisionSettings(
-        cell_size=None if cell_size in (None, "auto") else float(cell_size),
+        cell_size=cell_size,
         collocation_per_span=int(col_obj.get("collocation_per_span", 8)),
         static_mode=col_obj.get("static_mode", "sdf"),
     )

@@ -27,6 +27,7 @@ from splinetraj.planner import (
     SDFClearanceFamily,
     TrackedBody,
     TrajectoryBasis,
+    TrajectorySamples,
     VariableLayout,
 )
 from splinetraj.spline_algebra import elevated_union
@@ -376,7 +377,8 @@ class TestStaticClearance:
         out, fam, dv = self.clearance([1.2, 1.2], [1.5, 1.0], taus)
         assert out.min() > 0.5
         splines = [BSpline(3, CUBIC, dv.joint_coeffs[:, j : j + 1]) for j in range(2)]
-        assert fam.dense_violation(dv, splines, np.linspace(0, 1, 1000)) == 0.0
+        assert fam.dense_violation(
+            dv, TrajectorySamples(splines, np.linspace(0, 1, 1000))) == 0.0
 
     def test_through_obstacle_negative(self):
         taus = np.linspace(0, 1, 40)
@@ -513,7 +515,8 @@ class TestHyperplaneConstraints:
             found += 1
             splines = [BSpline(3, CUBIC, C[:, j : j + 1]) for j in range(2)]
             for fam in fams:
-                assert fam.dense_violation(dv, splines, taus) == 0.0, fam.name
+                assert fam.dense_violation(
+                    dv, TrajectorySamples(splines, taus)) == 0.0, fam.name
         assert found >= 3
 
 

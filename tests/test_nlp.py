@@ -1,5 +1,7 @@
 """Embedded augmented-Lagrangian solver against independent oracles."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,10 @@ from splinetraj.nlp import (
     ConstraintBlock,
     SolverConfig,
 )
+from splinetraj.planner import T_MIN, assemble, initial_guess
+from splinetraj.scenario import load_scenario, parse_scenario
+
+SCENARIO_DIR = Path(__file__).resolve().parents[1] / "src/splinetraj/scenarios"
 
 
 class LinearInequalityBlock(ConstraintBlock):
@@ -155,3 +161,81 @@ class TestQPFloor:
         solver = AugmentedLagrangianSolver(objective, [Poison()])
         with pytest.raises(FloatingPointError, match="poisoned_family"):
             solver.solve(np.array([1.0]))
+
+
+def reference_al_value_grad(objective, blocks, x, multipliers, rho):
+    """The augmented Lagrangian as first written: mult / rho formed on
+    every call, each block evaluated on its own."""
+    f, g = objective(x)
+    total = f
+    grad = np.array(g, dtype=float)
+    for block, mult in zip(blocks, multipliers):
+        r, vjp = block.evaluate(x)
+        if block.kind == "ineq":
+            shifted = np.maximum(0.0, mult / rho + r)
+            total += 0.5 * rho * float(shifted @ shifted - (mult / rho) @ (mult / rho))
+            w = rho * shifted
+        else:
+            total += float(mult @ r) + 0.5 * rho * float(r @ r)
+            w = mult + rho * r
+        if np.any(w != 0.0):
+            grad += vjp(w)
+    return total, grad
+
+
+def mobile_with_dynamics():
+    return parse_scenario({
+        "name": "mobile_dynamics",
+        "robot": {"kind": "mobile", "dimension": 2, "radius": 0.15},
+        "boundary": {"initial": [0.0, 0.0], "goal": [3.0, 0.0], "units": "m"},
+        "limits": {"velocity": 1.5, "acceleration": 6.0},
+        "workspace": {"min": [-0.5, -1.5], "max": [3.5, 1.5]},
+        "obstacles": [{"kind": "sphere", "center": [1.5, 0.45], "radius": 0.25}],
+        "collision": {"collocation_per_span": 6},
+        "dynamics": {"poly": [[0.0, -0.5], [1.0]]},
+    })
+
+
+class TestAugmentedLagrangianBitIdentity:
+    """The solver's bookkeeping (mult / rho once per outer iteration, one
+    unpack per call) must leave the value and gradient unchanged to the
+    bit, so the iterates do not move."""
+
+    @pytest.mark.parametrize("scenario", [
+        pytest.param(lambda: load_scenario(SCENARIO_DIR / "threelink.json"),
+                     id="threelink"),
+        pytest.param(mobile_with_dynamics, id="mobile_dynamics"),
+    ])
+    def test_value_and_gradient_match_reference(self, scenario):
+        problem = assemble(scenario())
+        kinds = {f.kind for f in problem.families}
+        solver = AugmentedLagrangianSolver(
+            problem.objective, problem.families,
+            bounds=problem.layout.bounds(T_MIN), config=problem.scenario.solver)
+        rng = np.random.default_rng(23)
+        x0 = problem.layout.pack(initial_guess(problem))
+        free = problem.layout.n_free_c
+        checked = 0
+        for _ in range(4):
+            x = x0.copy()
+            x[:free] += rng.normal(0.0, 0.05, free)
+            x[problem.layout.idx_T] *= rng.uniform(0.5, 1.5)
+            zero = [np.zeros(f.n_rows) for f in problem.families]
+            nonzero = [
+                np.where(rng.random(f.n_rows) < 0.5, 0.0,
+                         rng.uniform(0.0, 2.0, f.n_rows) if f.kind == "ineq"
+                         else rng.normal(0.0, 1.0, f.n_rows))
+                for f in problem.families
+            ]
+            for multipliers in (zero, nonzero):
+                for rho in (10.0, 1e4):
+                    scaled = solver._scaled_multipliers(multipliers, rho)
+                    got = solver._al_value_grad(x, multipliers, rho, scaled)
+                    want = reference_al_value_grad(
+                        problem.objective, problem.families, x, multipliers, rho)
+                    assert got[0] == want[0]
+                    assert np.array_equal(got[1], want[1])
+                    checked += 1
+        assert checked == 16
+        assert kinds == ({"ineq", "eq"} if "dynamics" in problem.scenario.name
+                         else {"ineq"})

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from splinetraj.bspline import BSpline, basis_matrix
-from splinetraj.cli import export_trajectory
+from splinetraj.cli import benchmark_obstacles, export_trajectory
 from splinetraj.planner import (
     CUSHION,
     T_MIN,
@@ -251,6 +251,90 @@ class TestFastPathEquivalence:
         B = basis_matrix(prob.basis.knots, p, taus)
         expect = ((B @ a_c) * (B @ dv.joint_coeffs)).sum(axis=1) + B @ b_c - scn.robot.radius
         np.testing.assert_allclose(rows.eval(taus)[:, 0], expect, atol=1e-9)
+
+
+MOVING_SPHERE = {"kind": "sphere", "center": [1.5, -0.5], "radius": 0.2,
+                 "motion": {"kind": "linear", "target": [1.5, 0.5]}}
+
+
+class TestUnpackMemo:
+    """``VariableLayout.unpack`` keeps its last result so the families of
+    one solver call share it; it must follow the values of x and never be
+    handed out where a caller may change it."""
+
+    def test_in_place_change_of_x_is_seen(self):
+        prob = assemble(mobile_scenario(obstacles=[MOVING_SPHERE]))
+        layout = prob.layout
+        x = layout.pack(initial_guess(prob))
+        first = layout.unpack(x)
+        C0 = first.joint_coeffs.copy()
+        a0, b0 = (v.copy() for v in first.plane_coeffs[0])
+        T0 = first.T
+        x[0] += 0.25
+        x[layout.idx_T] += 1.0
+        x[-1] += 0.5
+        second = layout.unpack(x)
+        assert second.joint_coeffs[3, 0] == C0[3, 0] + 0.25
+        assert second.T == T0 + 1.0
+        assert second.plane_coeffs[0][1][-1] == b0[-1] + 0.5
+        # The earlier result was built from its own copy of x.
+        np.testing.assert_array_equal(first.joint_coeffs, C0)
+        np.testing.assert_array_equal(first.plane_coeffs[0][0], a0)
+        np.testing.assert_array_equal(first.plane_coeffs[0][1], b0)
+        assert layout.unpack(x) is second
+
+    def test_solution_decision_is_private(self):
+        scn = mobile_scenario(obstacles=[MOVING_SPHERE], solver={"max_outer": 3})
+        prob = assemble(scn)
+        sol = solve(prob)
+        x = prob.layout.pack(sol.decision)
+        before = [f.evaluate(x)[0] for f in prob.families]
+        sol.decision.joint_coeffs[3:-3] += 0.1
+        for a, b in sol.decision.plane_coeffs:
+            a += 0.1
+            b += 0.1
+        after = [f.evaluate(x)[0] for f in prob.families]
+        assert len(before) == len(prob.families) >= 5
+        for r0, r1 in zip(before, after):
+            np.testing.assert_array_equal(r0, r1)
+
+
+def two_sided_margins(fam, T):
+    """The SDF motion margin with both acceleration caps formed at every
+    sample and the smaller one taken, as first written."""
+    taus = fam.taus
+    half = np.zeros_like(taus)
+    half[:-1] = np.maximum(half[:-1], 0.5 * np.diff(taus))
+    half[1:] = np.maximum(half[1:], 0.5 * np.diff(taus))
+    speed = np.array([[b.speed_bound] for b in fam.bodies])
+    accel = np.array([[b.accel_bound] for b in fam.bodies])
+    h = half * T
+    cap_lo = accel * (taus * T + h)
+    cap_hi = accel * ((1.0 - taus) * T + h)
+    local = np.minimum(speed, np.minimum(cap_lo, cap_hi))
+    dspeed = np.where(local >= speed, 0.0,
+                      np.where(cap_lo <= cap_hi, accel * (taus + half),
+                               accel * ((1.0 - taus) + half)))
+    return (fam.lipschitz * local * h,
+            fam.lipschitz * half * (local + dspeed * T))
+
+
+class TestSDFMargins:
+    @pytest.mark.parametrize("name, per_span", [
+        ("bench2d", 8), ("mobile2d", 8), ("mobile3d", 8), ("threelink", 8),
+        ("fanuc6_static", 8), ("mobile2d", 2), ("mobile2d", 5), ("mobile2d", 13),
+    ])
+    def test_one_cap_matches_two_sided_rule(self, name, per_span):
+        # The cap from the nearer rest endpoint, chosen at construction,
+        # is the smaller of the two caps to the bit for every T.
+        scn = load_scenario(SCENARIO_DIR / f"{name}.json")
+        obstacles = scn.obstacles or tuple(benchmark_obstacles(3))
+        scn = replace(scn, obstacles=obstacles, collision=replace(
+            scn.collision, static_mode="sdf", collocation_per_span=per_span))
+        fam = next(f for f in assemble(scn).families if f.name == "sdf_clearance")
+        for T in np.concatenate([np.geomspace(T_MIN, 100.0, 400), [1.0, 2.5]]):
+            got, want = fam.margins(T), two_sided_margins(fam, T)
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
 class TestSolve:

@@ -12,6 +12,7 @@ import pytest
 
 import splinetraj
 from splinetraj.cli import (
+    _csv_rows,
     benchmark_obstacles,
     export_trajectory,
     main,
@@ -106,6 +107,22 @@ class TestParsing:
         # there is no knot-refinement retry: the keys are unknown fields.
         with pytest.raises(ScenarioError, match=f"{block}.{key}: unknown field"):
             parse_scenario(minimal_mobile(**{block: {key: value}}))
+
+    @pytest.mark.parametrize("value", [-0.05, 0, 0.0, float("nan"),
+                                       float("inf"), "fine", [0.05]])
+    def test_bad_cell_size_rejected(self, value):
+        # Not a finite number > 0: 0 used to be read as "auto" and a
+        # negative or NaN size failed only inside the SDF build.
+        with pytest.raises(ScenarioError, match="collision.cell_size"):
+            parse_scenario(minimal_mobile(collision={"cell_size": value}))
+
+    @pytest.mark.parametrize("collision, expected", [
+        ({}, None), ({"cell_size": "auto"}, None), ({"cell_size": None}, None),
+        ({"cell_size": 0.05}, 0.05), ({"cell_size": 1}, 1.0),
+    ])
+    def test_cell_size_auto_or_positive(self, collision, expected):
+        scn = parse_scenario(minimal_mobile(collision=collision))
+        assert scn.collision.cell_size == expected
 
     def test_empty_obstacles_valid(self):
         scn = parse_scenario(minimal_mobile())
@@ -227,6 +244,79 @@ class TestExport:
             assert b1 == b2, name
 
 
+SPECIAL_VALUES = [-0.0, 5e-324, 1e-05, 0.1 + 0.2, 1e16, 123456789.0]
+
+
+def per_value_rows(table):
+    return [",".join(repr(float(v)) for v in row) for row in table]
+
+
+def reference_export_text(sol, prob, samples):
+    """trajectory.csv and cartesian.csv as first written: every spline
+    evaluated on its own, every value formatted on its own."""
+    from splinetraj.kinematics import HalfAngleJoint, recover_theta
+
+    dv, scn = sol.decision, prob.scenario
+    taus = np.linspace(0.0, 1.0, samples)
+    splines = prob.trajectory_splines(dv)
+    is_chain = not isinstance(scn.robot, splinetraj.MobileRobot)
+    q = [s.eval(taus)[:, 0] for s in splines]
+    qd = [s.derivative().eval(taus)[:, 0] for s in splines]
+    if is_chain:
+        angles, rates = [], []
+        for j, s in enumerate(splines):
+            if not scn.robot.revolute[j]:
+                angles.append(q[j])
+                rates.append(qd[j] / dv.T)
+                continue
+            depth = scn.robot.halving_depths[j]
+            angles.append(recover_theta(HalfAngleJoint(s, depth), taus,
+                                        float(scn.boundary_initial[j])))
+            rates.append((2.0**depth) * qd[j] / (dv.T * (1.0 + q[j] * q[j])))
+        state = prob.nfk.shared_state(np.column_stack(q))
+        cart = [prob.nfk.body_positions(state, b.link_index, b.verts)
+                .reshape(samples, -1) for b in prob.bodies]
+    else:
+        angles, rates = q, [d / dv.T for d in qd]
+        cart = [np.column_stack(q)]
+    traj_rows, cart_rows = [], []
+    for k, tau in enumerate(taus):
+        head = [repr(float(tau)), repr(float(tau * dv.T))]
+        traj_rows.append(",".join(
+            head + [repr(float(c[k])) for c in angles + rates]))
+        cart_rows.append(",".join(
+            head + [repr(float(v)) for block in cart for v in block[k]]))
+    return traj_rows, cart_rows
+
+
+class TestCsvText:
+    """The export writes each value as repr(float(v)), the shortest
+    round-trip form, whatever route the rows take."""
+
+    @pytest.mark.parametrize("width", [6, 26], ids=["mobile", "chain"])
+    def test_rows_equal_per_value_repr(self, width):
+        rng = np.random.default_rng(width)
+        table = rng.choice(SPECIAL_VALUES, size=(40, width))
+        table[:, 0] = SPECIAL_VALUES * 6 + [-1e-300] * 4
+        expected = per_value_rows(table)
+        assert _csv_rows([table]) == expected
+        assert _csv_rows([table[:, :2], table[:, 2:]]) == expected
+        head = _csv_rows([table[:, :2]])
+        assert _csv_rows([table[:, 2:]], head) == expected
+
+    @pytest.mark.parametrize("name", ["threelink", "mobile2d"])
+    def test_export_matches_per_value_reference(self, tmp_path, name):
+        prob = assemble(load_scenario(SCENARIO_DIR / f"{name}.json"))
+        dv = initial_guess(prob)
+        rng = np.random.default_rng(8)
+        dv.joint_coeffs[3:-3] += rng.uniform(-0.3, 0.3, dv.joint_coeffs[3:-3].shape)
+        sol = Solution(dv, "converged", dv.T, 0, 0, 0.0, 0.0, {})
+        export_trajectory(sol, prob, tmp_path, samples=120)
+        traj_rows, cart_rows = reference_export_text(sol, prob, 120)
+        assert (tmp_path / "trajectory.csv").read_text().splitlines()[1:] == traj_rows
+        assert (tmp_path / "cartesian.csv").read_text().splitlines()[1:] == cart_rows
+
+
 class TestRun:
     def test_report_and_outputs(self, tmp_path):
         scn = load_scenario(SCENARIO_DIR / "mobile2d.json")
@@ -275,6 +365,15 @@ class TestCLI:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(minimal_mobile(turbo=1)))
         assert main(["solve", str(bad)]) == 3
+
+    @pytest.mark.parametrize("value", [-0.05, 0, float("nan")])
+    def test_bad_cell_size_exit_three(self, tmp_path, capsys, value):
+        obj = json.loads((SCENARIO_DIR / "mobile2d.json").read_text())
+        obj.setdefault("collision", {})["cell_size"] = value
+        bad = tmp_path / "cell.json"
+        bad.write_text(json.dumps(obj))
+        assert main(["solve", str(bad)]) == 3
+        assert "collision.cell_size" in capsys.readouterr().err
 
     def test_missing_file_exit_three(self):
         assert main(["solve", "/nonexistent/nope.json"]) == 3

@@ -1,0 +1,67 @@
+"""Print a digest of every bundled scenario's exported outputs.
+
+For each scenario under ``src/splinetraj/scenarios/`` (or the names given
+on the command line) this plans it through ``splinetraj.cli.run`` with
+1000 export samples and prints one line:
+
+    <scenario> <status> <float.hex(T)> <sha256 of solution.json>
+        <sha256 of trajectory.csv> <sha256 of cartesian.csv>
+
+BLAS runs on one thread, as in the test suite and the benchmark, because
+the chain solves take different iterations at other thread counts.  Two
+trees whose digests match wrote the same bytes.  ``--tree`` plans with the
+``src/`` of another checkout, so one copy of this script compares any two
+trees:
+
+    python3 tools/output_digest.py --tree ../parent > parent.txt
+    python3 tools/output_digest.py > change.txt
+    diff parent.txt change.txt
+
+All seven bundled scenarios take a few minutes; ``fanuc6_dynamic`` is
+most of that.
+"""
+
+from __future__ import annotations
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse  # noqa: E402
+import hashlib  # noqa: E402
+import sys  # noqa: E402
+import tempfile  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+OUTPUTS = ("solution.json", "trajectory.csv", "cartesian.csv")
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("scenarios", nargs="*",
+                        help="scenario names (default: every bundled one)")
+    parser.add_argument("--tree", default=str(Path(__file__).resolve().parents[1]),
+                        help="checkout whose src/ is planned (default: this one)")
+    args = parser.parse_args(argv)
+
+    src = Path(args.tree).resolve() / "src"
+    sys.path.insert(0, str(src))
+    from splinetraj.cli import run
+    from splinetraj.scenario import load_scenario
+
+    bundled = src / "splinetraj" / "scenarios"
+    names = args.scenarios or sorted(p.stem for p in bundled.glob("*.json"))
+    for name in names:
+        scenario = load_scenario(bundled / f"{name}.json")
+        with tempfile.TemporaryDirectory() as tmp:
+            report = run(scenario, output_dir=tmp, samples=1000)
+            digests = [hashlib.sha256((Path(tmp) / f).read_bytes()).hexdigest()
+                       for f in OUTPUTS]
+        print(name, report.status, float(report.objective).hex(), *digests,
+              flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
