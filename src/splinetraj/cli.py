@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .collision import ObstaclePrimitive, build_sdf, save_sdf
+from .collision import ObstaclePrimitive, save_sdf
 from .planner import (
     PlanningProblem,
     Solution,
@@ -30,6 +30,7 @@ from .planner import (
     assemble,
     recovered_angles,
     solve,
+    static_field,
     verify,
 )
 from .scenario import ChainRobot, Scenario, ScenarioError, load_scenario
@@ -334,12 +335,7 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_sdf_build(args) -> int:
-    scenario = load_scenario(args.scenario)
-    statics = [o for o in scenario.obstacles if o.is_static]
-    extent = float((scenario.workspace_max - scenario.workspace_min).max())
-    cell = scenario.collision.cell_size or extent / 128.0
-    field = build_sdf(statics, (scenario.workspace_min, scenario.workspace_max),
-                      cell)
+    field = static_field(load_scenario(args.scenario))
     save_sdf(field, args.out)
     print(f"wrote {args.out}: dims {field.dims}, cell {field.cell_size:.5f} m")
     return 0
@@ -375,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sdf = sub.add_parser("sdf", help="signed distance field utilities")
     sdf_sub = p_sdf.add_subparsers(dest="sdf_command", required=True)
-    p_build = sdf_sub.add_parser("build", help="build and save the field")
+    p_build = sdf_sub.add_parser("build", help="build and save the field the planner uses")
     p_build.add_argument("scenario")
     p_build.add_argument("--out", required=True)
     p_build.set_defaults(func=_cmd_sdf_build)

@@ -166,11 +166,6 @@ class HalfAngleJoint:
         if self.halving_depth < 1:
             raise ValueError("halving_depth must be a positive integer")
 
-    @property
-    def theta_range(self) -> float:
-        """Half-width of the open recoverable joint range."""
-        return 2 ** (self.halving_depth - 1) * np.pi
-
 
 def recover_theta(joint: HalfAngleJoint, taus, theta_init: float | None = None) -> np.ndarray:
     """Branch-continuous joint angles from the substituted variable.

@@ -28,10 +28,11 @@ EQ = "eq"
 log = logging.getLogger(__name__)
 
 
-# Penalty schedule: rho starts at RHO_INIT and grows by RHO_GROWTH on
-# every outer iteration whose violation did not shrink enough.
+# Penalty schedule: rho starts at RHO_INIT and grows by RHO_GROWTH, up to
+# RHO_MAX, on every outer iteration whose violation did not shrink enough.
 RHO_INIT = 10.0
 RHO_GROWTH = 10.0
+RHO_MAX = 1e8
 # Feasibility restoration lets each objective-bearing variable move this far
 # (relative, at least absolute) in the direction that worsens the objective.
 RESTORE_OBJECTIVE_SLACK = 1e-3
@@ -42,15 +43,13 @@ class SolverConfig:
     """Tolerances and limits of the embedded solver.
 
     feas_tol / opt_tol are the convergence thresholds on the maximum
-    constraint violation and the projected KKT gradient; rho_max caps the
-    penalty parameter.
+    constraint violation and the projected KKT gradient.
     """
 
     feas_tol: float = 1e-6
     opt_tol: float = 1e-5
     max_outer: int = 50
     max_inner: int = 500
-    rho_max: float = 1e8
 
     def to_json(self) -> dict:
         return {
@@ -250,19 +249,6 @@ class AugmentedLagrangianSolver:
         stagnant = 0
         prev_viol = np.inf
 
-        if not self.blocks:
-            res = minimize(
-                lambda z: self.objective(z),
-                x,
-                jac=True,
-                method="L-BFGS-B",
-                bounds=self.bounds,
-                options={"maxiter": cfg.max_inner, "ftol": 1e-14, "gtol": cfg.opt_tol},
-            )
-            f, _ = self.objective(res.x)
-            kkt, _ = self._kkt_residual(res.x, multipliers, [])
-            return SolverResult(res.x, "converged", f, 0, int(res.nit), 0.0, kkt)
-
         status = "max-iterations"
         outer = 0
         feasible_objectives: list[float] = []
@@ -318,10 +304,10 @@ class AugmentedLagrangianSolver:
                 eta = max(eta / rho**0.9, 0.1 * cfg.feas_tol)
                 omega = max(omega / rho, 0.01 * cfg.opt_tol)
             else:
-                rho = min(rho * RHO_GROWTH, cfg.rho_max)
+                rho = min(rho * RHO_GROWTH, RHO_MAX)
                 eta = max(1.0 / rho**0.1, cfg.feas_tol)
                 omega = max(1.0 / rho, 0.01 * cfg.opt_tol)
-                if rho >= cfg.rho_max and raw_viol > cfg.feas_tol:
+                if rho >= RHO_MAX and raw_viol > cfg.feas_tol:
                     stagnant = stagnant + 1 if viol >= 0.99 * prev_viol else 0
                     if stagnant >= 3:
                         status = "infeasible"
@@ -354,7 +340,7 @@ class AugmentedLagrangianSolver:
         if (
             status == "max-iterations"
             and raw_viol > cfg.feas_tol * 100
-            and rho >= cfg.rho_max
+            and rho >= RHO_MAX
         ):
             status = "infeasible"
         return SolverResult(

@@ -103,7 +103,12 @@ class DecisionVector:
 
 
 class TrajectoryBasis:
-    """Shared clamped basis with closed-form derivative coefficient maps."""
+    """Shared clamped basis with its derivative coefficient maps.
+
+    D1 maps control rows to those of the tau-derivative on ``knots1``, and
+    D2 to those of the second derivative on ``knots2``: the derivatives of
+    the unit coefficient vectors, by ``BSpline.derivative``.
+    """
 
     def __init__(self, degree: int, knots: KnotVector):
         if degree < 3:
@@ -113,21 +118,10 @@ class TrajectoryBasis:
         self.n_coeffs = len(knots) - degree - 1
         if self.n_coeffs < 7:
             raise AssemblyError("need at least 7 control points (6 are pinned)")
-        self.D1, self.knots1 = self._derivative_map(knots, degree)
-        self.D2_from_1, self.knots2 = self._derivative_map(self.knots1, degree - 1)
-        self.D2 = self.D2_from_1 @ self.D1
-
-    @staticmethod
-    def _derivative_map(knots: KnotVector, degree: int):
-        u = knots.values
-        n = len(u) - degree - 1
-        D = np.zeros((n - 1, n))
-        for i in range(n - 1):
-            span = u[i + degree + 1] - u[i + 1]
-            if span > 0.0:
-                D[i, i] = -degree / span
-                D[i, i + 1] = degree / span
-        return D, KnotVector(u[1:-1])
+        d1 = BSpline(degree, knots, np.eye(self.n_coeffs)).derivative()
+        d2 = BSpline(degree - 1, d1.knots, np.eye(self.n_coeffs - 1)).derivative()
+        self.D1, self.knots1 = d1.control_points, d1.knots
+        self.D2, self.knots2 = d2.control_points @ self.D1, d2.knots
 
 
 class VariableLayout:
@@ -224,11 +218,6 @@ class VariableLayout:
         return out
 
 
-def _family_sites(knots: KnotVector, degree: int, samples_per_span: int = None):
-    s = samples_per_span if samples_per_span is not None else 4 * (degree + 1)
-    return collocation_sites(knots, degree, s)
-
-
 # ---------------------------------------------------------------------------
 # Constraint families
 # ---------------------------------------------------------------------------
@@ -250,7 +239,6 @@ class DerivBoxFamily(ConstraintBlock):
         self.layout = layout
         self.D = D
         self.bound = bound
-        self.raw_bound = bound
         self.power = power
         gap_row = cushion * bound * t_guess**power
         self.cushion_gap = np.tile(
@@ -283,7 +271,7 @@ class DerivBoxFamily(ConstraintBlock):
         worst = 0.0
         for j, d in enumerate(samples.columns(self.power)):
             vals = d / dv.T**self.power
-            worst = max(worst, float(np.maximum(np.abs(vals) - self.raw_bound[j], 0.0).max()))
+            worst = max(worst, float(np.maximum(np.abs(vals) - self.bound[j], 0.0).max()))
         return worst
 
 
@@ -347,14 +335,59 @@ class CoeffBoxFamily(ConstraintBlock):
         return worst
 
 
-class ChainRateFamily(ConstraintBlock):
-    """Hull-relaxed joint velocity limits through the half-angle substitution.
+class _FittedFamily(ConstraintBlock):
+    """Rows fitted onto a space that holds the family's polynomial exactly.
 
-    theta_dot = 2^n q' / (T (1 + q^2)); clearing the positive denominator
-    gives the polynomial spline 2^n q' -+ v T (1 + q^2), whose control
-    points on a basis representing it exactly are constrained by sign.
-    A prismatic offset d = q takes the linear form q' -+ v T: factor 1,
-    and q is read as 0 in W = 1 + q^2.
+    A subclass gives ``pointwise(T, q, dq, ddq) -> (values, pullback)``:
+    the polynomial's values at the fit sites from q and its first
+    ``order`` tau-derivatives there (ddq is None for order 1), one column
+    per row block, and a map from weights on those values to the weights
+    on q, dq and ddq (None where unused) and the T-derivative.  The fit
+    onto ``elevated_union([(knots, p - order)], degree)`` at 4 (degree + 1)
+    sites per span, the cushion gap, the row layout and the adjoint are
+    shared.
+    """
+
+    order = 1
+
+    def __init__(self, name, layout, basis: TrajectoryBasis, degree: int):
+        self.name = name
+        self.layout = layout
+        knots = elevated_union([(basis.knots, basis.degree - self.order)], degree)
+        self.op = FitOperator(degree, knots,
+                              collocation_sites(knots, degree, 4 * (degree + 1)))
+        taus = self.op.taus
+        self.Bq = basis_matrix(basis.knots, basis.degree, taus)
+        self.Bdq = basis_matrix(basis.knots1, basis.degree - 1, taus) @ basis.D1
+        if self.order > 1:
+            self.Bddq = basis_matrix(basis.knots2, basis.degree - 2, taus) @ basis.D2
+
+    def evaluate(self, x):
+        dv = self.layout.unpack(x)
+        C = dv.joint_coeffs
+        ddq = self.Bddq @ C if self.order > 1 else None
+        values, pullback = self.pointwise(dv.T, self.Bq @ C, self.Bdq @ C, ddq)
+        coeffs = self.op.fit_coefficients(values)
+        r = coeffs.T.reshape(-1) + self.cushion_gap
+
+        def vjp(w):
+            V = self.op.adjoint_apply(w.reshape(-1, self.op.n_coefficients).T)
+            wq, wdq, wddq, gT = pullback(V)
+            gC = self.Bq.T @ wq + self.Bdq.T @ wdq
+            if wddq is not None:
+                gC = gC + self.Bddq.T @ wddq
+            return self.layout.grad(dC=gC, dT=gT)
+
+        return r, vjp
+
+
+class _ChainLimitFamily(_FittedFamily):
+    """A joint rate (order 1) or acceleration (order 2) limit through the
+    half-angle substitution, fitted at degree 2^order p: an upper and a
+    lower row block per joint, cushioned by cushion * bound * t_guess^order.
+
+    A prismatic offset d = q takes the linear form, with factor 1 and q
+    read as 0 in W = 1 + q^2.
     """
 
     kind = INEQ
@@ -362,53 +395,46 @@ class ChainRateFamily(ConstraintBlock):
     def __init__(self, name, layout, basis: TrajectoryBasis, depths,
                  bound: np.ndarray, cushion: float, t_guess: float,
                  revolute: np.ndarray):
-        self.name = name
-        self.layout = layout
-        self.depths = depths
+        super().__init__(name, layout, basis, 2**self.order * basis.degree)
         # 1.0 for half-angle coordinates, 0.0 for prismatic offsets.
         self.revolute = np.asarray(revolute, dtype=float)
         self.bound = bound
-        self.raw_bound = bound
-        knots = elevated_union([(basis.knots, basis.degree - 1)], 2 * basis.degree)
-        self.op = FitOperator(2 * basis.degree, knots,
-                              _family_sites(knots, 2 * basis.degree))
-        taus = self.op.taus
-        self.Bq = basis_matrix(basis.knots, basis.degree, taus)
-        self.Bdq = basis_matrix(basis.knots1, basis.degree - 1, taus) @ basis.D1
         self.factors = np.where(self.revolute, 2.0 ** np.array(depths), 1.0)
-        gap = cushion * bound * t_guess
+        gap = cushion * bound * t_guess**self.order
         self.cushion_gap = np.repeat(
             np.concatenate([gap, gap]), self.op.n_coefficients
         )
         self.n_rows = self.cushion_gap.size
 
-    def evaluate(self, x):
-        dv = self.layout.unpack(x)
-        C, T = dv.joint_coeffs, dv.T
-        q = self.Bq @ C * self.revolute
-        dq = self.Bdq @ C
+    def _blocks(self, V):
+        """Weights on the upper and on the lower row block."""
+        n = self.layout.n_coords
+        return V[:, :n], V[:, n:]
+
+
+class ChainRateFamily(_ChainLimitFamily):
+    """Hull-relaxed joint velocity limits through the half-angle substitution.
+
+    theta_dot = 2^n q' / (T (1 + q^2)); clearing the positive denominator
+    gives the polynomial spline 2^n q' -+ v T (1 + q^2), whose control
+    points on a basis representing it exactly are constrained by sign.
+    """
+
+    def evaluate(self, x):  # own entry: perfbench patches it per family class
+        return super().evaluate(x)
+
+    def pointwise(self, T, q, dq, ddq):
+        q = q * self.revolute
         W = 1.0 + q * q
         f = self.factors[None, :]
         vT = self.bound[None, :] * T
-        gup = f * dq - vT * W
-        glo = -f * dq - vT * W
-        coeffs = self.op.fit_coefficients(np.hstack([gup, glo]))
-        r = coeffs.T.reshape(-1) + self.cushion_gap
 
-        def vjp(w):
-            ncols = 2 * self.layout.n_coords
-            Wmat = w.reshape(ncols, self.op.n_coefficients).T
-            V = self.op.adjoint_apply(Wmat)
-            vu = V[:, : self.layout.n_coords]
-            vl = V[:, self.layout.n_coords :]
-            gC = (
-                self.Bdq.T @ (f * (vu - vl))
-                - self.Bq.T @ (vT * 2.0 * q * (vu + vl))
-            )
+        def pullback(V):
+            vu, vl = self._blocks(V)
             gT = float(-((vu + vl) * self.bound[None, :] * W).sum())
-            return self.layout.grad(dC=gC, dT=gT)
+            return -(vT * 2.0 * q * (vu + vl)), f * (vu - vl), None, gT
 
-        return r, vjp
+        return np.hstack([f * dq - vT * W, -f * dq - vT * W]), pullback
 
     def dense_violation(self, dv, samples) -> float:
         worst = 0.0
@@ -416,79 +442,42 @@ class ChainRateFamily(ConstraintBlock):
             q = q * self.revolute[j]
             theta_dot = self.factors[j] * qd / (dv.T * (1.0 + q * q))
             worst = max(
-                worst, float(np.maximum(np.abs(theta_dot) - self.raw_bound[j], 0.0).max())
+                worst, float(np.maximum(np.abs(theta_dot) - self.bound[j], 0.0).max())
             )
         return worst
 
 
-class ChainAccelFamily(ConstraintBlock):
+class ChainAccelFamily(_ChainLimitFamily):
     """Hull-relaxed joint acceleration limits (denominator cleared twice).
 
     theta_ddot * T^2 * (1+q^2)^2 = 2^n [q'' (1+q^2) - 2 q q'^2]; the family
-    spline is that expression minus a T^2 (1+q^2)^2 for each sign.  A
-    prismatic offset takes the linear form q'' -+ a T^2 (q read as 0 in the
-    half-angle terms, factor 1).
+    spline is that expression minus a T^2 (1+q^2)^2 for each sign.
     """
 
-    kind = INEQ
+    order = 2
 
-    def __init__(self, name, layout, basis: TrajectoryBasis, depths,
-                 bound: np.ndarray, cushion: float, t_guess: float,
-                 revolute: np.ndarray):
-        self.name = name
-        self.layout = layout
-        # 1.0 for half-angle coordinates, 0.0 for prismatic offsets.
-        self.revolute = np.asarray(revolute, dtype=float)
-        self.bound = bound
-        self.raw_bound = bound
-        deg = 4 * basis.degree
-        knots = elevated_union([(basis.knots, basis.degree - 2)], deg)
-        self.op = FitOperator(deg, knots, _family_sites(knots, deg))
-        taus = self.op.taus
-        self.Bq = basis_matrix(basis.knots, basis.degree, taus)
-        self.Bdq = basis_matrix(basis.knots1, basis.degree - 1, taus) @ basis.D1
-        self.Bddq = basis_matrix(basis.knots2, basis.degree - 2, taus) @ basis.D2
-        self.factors = np.where(self.revolute, 2.0 ** np.array(depths), 1.0)
-        gap = cushion * bound * t_guess**2
-        self.cushion_gap = np.repeat(
-            np.concatenate([gap, gap]), self.op.n_coefficients
-        )
-        self.n_rows = self.cushion_gap.size
+    def evaluate(self, x):  # own entry: perfbench patches it per family class
+        return super().evaluate(x)
 
-    def evaluate(self, x):
-        dv = self.layout.unpack(x)
-        C, T = dv.joint_coeffs, dv.T
-        q = self.Bq @ C * self.revolute
-        dq = self.Bdq @ C
-        ddq = self.Bddq @ C
+    def pointwise(self, T, q, dq, ddq):
+        q = q * self.revolute
         W = 1.0 + q * q
         f = self.factors[None, :]
         E = f * (ddq * W - 2.0 * q * dq * dq)
         aT2W2 = self.bound[None, :] * (T * T) * W * W
-        coeffs = self.op.fit_coefficients(np.hstack([E - aT2W2, -E - aT2W2]))
-        r = coeffs.T.reshape(-1) + self.cushion_gap
 
-        def vjp(w):
-            ncols = 2 * self.layout.n_coords
-            Wmat = w.reshape(ncols, self.op.n_coefficients).T
-            V = self.op.adjoint_apply(Wmat)
-            vu = V[:, : self.layout.n_coords]
-            vl = V[:, self.layout.n_coords :]
+        def pullback(V):
+            vu, vl = self._blocks(V)
             s = vu - vl
             t = vu + vl
             dE_dq = f * (2.0 * q * ddq - 2.0 * dq * dq) * self.revolute
             dE_ddq = -4.0 * f * q * dq
             dE_dddq = f * W
             dA_dq = self.bound[None, :] * (T * T) * 4.0 * W * q
-            gC = (
-                self.Bq.T @ (s * dE_dq - t * dA_dq)
-                + self.Bdq.T @ (s * dE_ddq)
-                + self.Bddq.T @ (s * dE_dddq)
-            )
             gT = float(-(t * self.bound[None, :] * 2.0 * T * W * W).sum())
-            return self.layout.grad(dC=gC, dT=gT)
+            return s * dE_dq - t * dA_dq, s * dE_ddq, s * dE_dddq, gT
 
-        return r, vjp
+        return np.hstack([E - aT2W2, -E - aT2W2]), pullback
 
     def dense_violation(self, dv, samples) -> float:
         worst = 0.0
@@ -501,7 +490,7 @@ class ChainAccelFamily(ConstraintBlock):
             )
             worst = max(
                 worst,
-                float(np.maximum(np.abs(theta_dd) - self.raw_bound[j], 0.0).max()),
+                float(np.maximum(np.abs(theta_dd) - self.bound[j], 0.0).max()),
             )
         return worst
 
@@ -871,7 +860,7 @@ class PlaneNormFamily(ConstraintBlock):
         return float(np.maximum((a * a).sum(axis=1) - 1.0, 0.0).max())
 
 
-class DynamicsResidualFamily(ConstraintBlock):
+class DynamicsResidualFamily(_FittedFamily):
     """Equality family: control points of q' - T f(q) pinned to zero.
 
     The solver holds the residual only to feas_tol, so verification
@@ -882,47 +871,28 @@ class DynamicsResidualFamily(ConstraintBlock):
 
     def __init__(self, name, layout, basis: TrajectoryBasis, poly,
                  feas_tol: float):
-        self.name = name
-        self.layout = layout
-        self.verify_tol = max(feas_tol, 1e-9)
         self.poly = [np.asarray(row, dtype=float) for row in poly]
-        p = basis.degree
         deg_f = max(len(row) - 1 for row in self.poly)
-        target = max(p - 1, deg_f * p)
-        knots = elevated_union([(basis.knots, p - 1)], target)
-        self.op = FitOperator(target, knots, _family_sites(knots, target))
-        taus = self.op.taus
-        self.Bq = basis_matrix(basis.knots, p, taus)
-        self.Bdq = basis_matrix(basis.knots1, p - 1, taus) @ basis.D1
+        super().__init__(name, layout, basis,
+                         max(basis.degree - 1, deg_f * basis.degree))
+        self.verify_tol = max(feas_tol, 1e-9)
         self.n_rows = len(self.poly) * self.op.n_coefficients
 
-    def evaluate(self, x):
-        dv = self.layout.unpack(x)
-        C, T = dv.joint_coeffs, dv.T
-        q = self.Bq @ C
-        dq = self.Bdq @ C
+    def pointwise(self, T, q, dq, ddq):
         fvals = np.column_stack(
             [np.polyval(row[::-1], q[:, j]) for j, row in enumerate(self.poly)]
         )
-        g = dq - T * fvals
-        coeffs = self.op.fit_coefficients(g)
-        r = coeffs.T.reshape(-1)
 
-        def vjp(w):
-            ncols = self.layout.n_coords
-            Wmat = w.reshape(ncols, self.op.n_coefficients).T
-            V = self.op.adjoint_apply(Wmat)
+        def pullback(V):
             dfdq = np.column_stack(
                 [
                     np.polyval(np.polyder(np.poly1d(row[::-1])), q[:, j])
                     for j, row in enumerate(self.poly)
                 ]
             )
-            gC = self.Bdq.T @ V - self.Bq.T @ (V * T * dfdq)
-            gT = float(-(V * fvals).sum())
-            return self.layout.grad(dC=gC, dT=gT)
+            return -(V * T * dfdq), V, None, float(-(V * fvals).sum())
 
-        return r, vjp
+        return dq - T * fvals, pullback
 
     def dense_violation(self, dv, samples) -> float:
         worst = 0.0
@@ -945,16 +915,11 @@ class PlanningProblem:
     basis: TrajectoryBasis
     layout: VariableLayout
     families: list
-    field: SignedDistanceField | None
     nfk: NumericFK | None
     plane_specs: list  # (body_name, link_index, obstacle) per plane
     bodies: list  # TrackedBody per protected body
     q_init: np.ndarray  # boundary rows in spline-variable space
     q_goal: np.ndarray
-
-    @property
-    def n_variables(self) -> int:
-        return self.layout.n_x
 
     def objective(self, x: np.ndarray):
         g = np.zeros(self.layout.n_x)
@@ -1059,10 +1024,14 @@ def _chain_workspace_bounds(scenario: Scenario, rates: np.ndarray) -> list[float
     return bounds
 
 
-def _collocation_grid(scenario: Scenario, basis: TrajectoryBasis) -> np.ndarray:
-    return collocation_sites(
-        basis.knots, basis.degree, scenario.collision.collocation_per_span
-    )
+def static_field(scenario: Scenario) -> SignedDistanceField:
+    """The signed distance field of the scenario's static obstacles over its
+    workspace box, at ``collision.cell_size`` or, by default, 1/128 of the
+    box's longest side: the field the planner's SDF clearance queries."""
+    statics = [o for o in scenario.obstacles if o.is_static]
+    extent = float((scenario.workspace_max - scenario.workspace_min).max())
+    cell = scenario.collision.cell_size or extent / 128.0
+    return build_sdf(statics, (scenario.workspace_min, scenario.workspace_max), cell)
 
 
 def _time_heuristic(scenario: Scenario) -> float:
@@ -1087,15 +1056,9 @@ def assemble(scenario: Scenario) -> PlanningProblem:
     if is_chain:
         depths = scenario.robot.halving_depths
         revolute = scenario.robot.revolute
-        q_init = np.where(
-            revolute,
-            np.tan(scenario.boundary_initial / (2.0 ** np.array(depths))),
-            scenario.boundary_initial,
-        )
-        q_goal = np.where(
-            revolute,
-            np.tan(scenario.boundary_goal / (2.0 ** np.array(depths))),
-            scenario.boundary_goal,
+        q_init, q_goal = (
+            np.where(revolute, np.tan(theta / (2.0 ** np.array(depths))), theta)
+            for theta in (scenario.boundary_initial, scenario.boundary_goal)
         )
         world_dim = 3
         nfk = NumericFK(scenario.robot.chain, depths)
@@ -1104,14 +1067,9 @@ def assemble(scenario: Scenario) -> PlanningProblem:
         q_goal = scenario.boundary_goal.copy()
         world_dim = scenario.robot.dimension
         nfk = None
-        if np.any(q_init < scenario.workspace_min) or np.any(
-            q_init > scenario.workspace_max
-        ):
-            raise AssemblyError("boundary.initial outside the workspace box")
-        if np.any(q_goal < scenario.workspace_min) or np.any(
-            q_goal > scenario.workspace_max
-        ):
-            raise AssemblyError("boundary.goal outside the workspace box")
+        for end, q in (("initial", q_init), ("goal", q_goal)):
+            if np.any(q < scenario.workspace_min) or np.any(q > scenario.workspace_max):
+                raise AssemblyError(f"boundary.{end} outside the workspace box")
 
     # Tracked bodies for collision handling.
     bodies = []
@@ -1168,6 +1126,12 @@ def assemble(scenario: Scenario) -> PlanningProblem:
     )
 
     families: list[ConstraintBlock] = []
+    # The angle (chain) or position (mobile) box, a missing side unbounded.
+    box = None
+    lo, hi = scenario.limits.angle_min, scenario.limits.angle_max
+    if lo is not None or hi is not None:
+        box = (np.full(scenario.n_coords, -np.inf) if lo is None else lo,
+               np.full(scenario.n_coords, np.inf) if hi is None else hi)
 
     if is_chain:
         families.append(
@@ -1182,19 +1146,10 @@ def assemble(scenario: Scenario) -> PlanningProblem:
                              scenario.limits.acceleration, CUSHION, t_guess,
                              revolute)
         )
-        if scenario.limits.angle_min is not None or scenario.limits.angle_max is not None:
+        if box is not None:
+            lo, hi = box
             depths_arr = np.array(scenario.robot.halving_depths, dtype=float)
             half_range = (2.0 ** (depths_arr - 1)) * np.pi
-            lo = (
-                scenario.limits.angle_min
-                if scenario.limits.angle_min is not None
-                else -np.inf * np.ones(scenario.n_coords)
-            )
-            hi = (
-                scenario.limits.angle_max
-                if scenario.limits.angle_max is not None
-                else np.inf * np.ones(scenario.n_coords)
-            )
             # Angles within the recovery range need no coefficient bound;
             # prismatic offsets are bounded as they are.
             qlo = np.where(lo > -half_range, np.tan(np.maximum(lo, -half_range * (1 - 1e-9)) / (2.0**depths_arr)), -np.inf)
@@ -1217,32 +1172,17 @@ def assemble(scenario: Scenario) -> PlanningProblem:
             DerivBoxFamily("acceleration_limits", layout, basis.D2,
                            scenario.limits.acceleration, 2, CUSHION, t_guess)
         )
-        if scenario.limits.angle_min is not None or scenario.limits.angle_max is not None:
-            lo = (
-                scenario.limits.angle_min
-                if scenario.limits.angle_min is not None
-                else -np.inf * np.ones(scenario.n_coords)
-            )
-            hi = (
-                scenario.limits.angle_max
-                if scenario.limits.angle_max is not None
-                else np.inf * np.ones(scenario.n_coords)
-            )
+        if box is not None:
             families.append(
-                CoeffBoxFamily("position_limits", layout, lo, hi, CUSHION)
+                CoeffBoxFamily("position_limits", layout, *box, CUSHION)
             )
 
-    field = None
     if static_obs and not use_planes_for_static:
-        extent = float((scenario.workspace_max - scenario.workspace_min).max())
-        cell = scenario.collision.cell_size or extent / 128.0
-        field = build_sdf(
-            static_obs, (scenario.workspace_min, scenario.workspace_max), cell
-        )
-        taus = _collocation_grid(scenario, basis)
+        taus = collocation_sites(basis.knots, basis.degree,
+                                 scenario.collision.collocation_per_span)
         families.append(
             SDFClearanceFamily(
-                "sdf_clearance", layout, field, taus, bodies,
+                "sdf_clearance", layout, static_field(scenario), taus, bodies,
                 cushion_abs=max(CUSHION, 2e-3), basis=basis, nfk=nfk,
             )
         )
@@ -1279,7 +1219,6 @@ def assemble(scenario: Scenario) -> PlanningProblem:
         basis=basis,
         layout=layout,
         families=families,
-        field=field,
         nfk=nfk,
         plane_specs=plane_specs,
         bodies=bodies,

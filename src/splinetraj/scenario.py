@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -60,6 +61,21 @@ def _vector(obj, path: str, size: int | None = None) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise ScenarioError(f"{path}: entries must be finite")
     return arr
+
+
+def _count(value, path: str, minimum: int = 1) -> int:
+    """An integer >= minimum; an integral float such as 2.0 counts."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not math.isfinite(value) or value != int(value) or value < minimum):
+        raise ScenarioError(f"{path}: must be an integer >= {minimum}")
+    return int(value)
+
+
+def _tolerance(value, path: str) -> float:
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not math.isfinite(value) or value <= 0.0):
+        raise ScenarioError(f"{path}: must be a finite number > 0")
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -229,7 +245,8 @@ def _parse_robot(obj):
         for key in ("dimension", "radius"):
             if key not in obj:
                 raise ScenarioError(f"robot.{key}: missing required field")
-        return MobileRobot(int(obj["dimension"]), float(obj["radius"]))
+        return MobileRobot(_count(obj["dimension"], "robot.dimension", 2),
+                           float(obj["radius"]))
     if kind == "chain":
         for key in ("base_pose", "links", "cuboids"):
             if key not in obj:
@@ -255,13 +272,14 @@ def _parse_robot(obj):
                 raise ScenarioError(f"robot.cuboids[{i}]: expected 8x3 vertices")
             cuboids.append(arr)
         depths = obj.get("halving_depth", 1)
-        if isinstance(depths, (int, float)):
-            depths = [int(depths)] * len(links)
+        if not isinstance(depths, (list, tuple)):
+            depths = [depths] * len(links)
+        depths = tuple(_count(d, "robot.halving_depth") for d in depths)
         try:
             chain = DHChain(base, tuple(links), tuple(cuboids))
         except ValueError as exc:
             raise ScenarioError(f"robot: {exc}") from exc
-        return ChainRobot(chain, tuple(int(d) for d in depths))
+        return ChainRobot(chain, depths)
     raise ScenarioError(f"robot.kind: unknown robot kind {kind!r}")
 
 
@@ -278,13 +296,18 @@ def parse_scenario(obj: dict) -> Scenario:
 
     basis_obj = obj.get("basis", {})
     _require_keys(basis_obj, "basis", [], ["degree", "interior_knots"])
-    degree = int(basis_obj.get("degree", 3))
-    if degree < 3:
-        raise ScenarioError("basis.degree: planner requires degree >= 3")
-    interior = np.asarray(
+    degree = _count(basis_obj.get("degree", 3), "basis.degree", 3)
+    interior = _vector(
         basis_obj.get("interior_knots", np.round(np.arange(0.1, 0.95, 0.1), 10)),
-        dtype=float,
+        "basis.interior_knots",
     )
+    # The planner differentiates the trajectory twice, which takes every
+    # interior knot at most degree - 1 times.
+    if (np.any(interior <= 0.0) or np.any(interior >= 1.0)
+            or np.any(np.diff(interior) < 0.0)
+            or np.unique(interior, return_counts=True)[1].max(initial=0) >= degree):
+        raise ScenarioError("basis.interior_knots: must be sorted, strictly inside "
+                            "(0, 1) and each at most degree - 1 times")
     n_coeff = len(interior) + degree + 1
     if n_coeff < 7:
         raise ScenarioError("basis.interior_knots: need at least 7 coefficients "
@@ -294,16 +317,21 @@ def parse_scenario(obj: dict) -> Scenario:
     _require_keys(bnd, "boundary", ["initial", "goal"], ["units"])
     # Degrees convert revolute joints only; prismatic offsets are meters.
     deg_scale = np.where(robot.revolute, DEG, 1.0) if is_chain else 1.0
-    scale = deg_scale if bnd.get("units", "rad") == "deg" else 1.0
-    if bnd.get("units", "rad") not in ("rad", "deg", "m"):
-        raise ScenarioError("boundary.units: must be 'rad', 'deg', or 'm'")
+
+    def _unit_scale(block, path):
+        units = block.get("units", "rad")
+        if units not in ("rad", "deg", "m"):
+            raise ScenarioError(f"{path}.units: must be 'rad', 'deg', or 'm'")
+        return deg_scale if units == "deg" else 1.0
+
+    scale = _unit_scale(bnd, "boundary")
     q_init = _vector(bnd["initial"], "boundary.initial", n) * scale
     q_goal = _vector(bnd["goal"], "boundary.goal", n) * scale
 
     lim = obj["limits"]
     _require_keys(lim, "limits", ["velocity", "acceleration"],
                   ["angle_min", "angle_max", "units"])
-    lscale = deg_scale if lim.get("units", "rad") == "deg" else 1.0
+    lscale = _unit_scale(lim, "limits")
 
     def _limit_vec(value, path):
         if isinstance(value, (int, float)):
@@ -337,10 +365,10 @@ def parse_scenario(obj: dict) -> Scenario:
     _require_keys(solver_obj, "solver", [],
                   ["feas_tol", "opt_tol", "max_outer", "max_inner"])
     solver = SolverConfig(
-        feas_tol=float(solver_obj.get("feas_tol", 1e-6)),
-        opt_tol=float(solver_obj.get("opt_tol", 1e-5)),
-        max_outer=int(solver_obj.get("max_outer", 50)),
-        max_inner=int(solver_obj.get("max_inner", 500)),
+        feas_tol=_tolerance(solver_obj.get("feas_tol", 1e-6), "solver.feas_tol"),
+        opt_tol=_tolerance(solver_obj.get("opt_tol", 1e-5), "solver.opt_tol"),
+        max_outer=_count(solver_obj.get("max_outer", 50), "solver.max_outer"),
+        max_inner=_count(solver_obj.get("max_inner", 500), "solver.max_inner"),
     )
 
     col_obj = obj.get("collision", {})
@@ -356,7 +384,8 @@ def parse_scenario(obj: dict) -> Scenario:
             cell_size = math.nan  # rejected by CollisionSettings
     collision = CollisionSettings(
         cell_size=cell_size,
-        collocation_per_span=int(col_obj.get("collocation_per_span", 8)),
+        collocation_per_span=_count(col_obj.get("collocation_per_span", 8),
+                                    "collision.collocation_per_span", 2),
         static_mode=col_obj.get("static_mode", "sdf"),
     )
 

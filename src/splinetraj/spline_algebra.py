@@ -66,12 +66,12 @@ def elevated_union(
 
 
 def collocation_sites(
-    knots: KnotVector, degree: int, samples_per_span: int
+    knots: KnotVector, degree: int, per_span: int
 ) -> np.ndarray:
     """Uniform collocation sites per knot span, endpoints included, deduplicated."""
     breaks = knots.distinct()
     pieces = [
-        np.linspace(a, b, samples_per_span)
+        np.linspace(a, b, per_span)
         for a, b in zip(breaks[:-1], breaks[1:])
         if b > a
     ]

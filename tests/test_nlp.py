@@ -113,7 +113,7 @@ class TestQPFloor:
         def objective(x):
             return float(x[0] ** 2), np.array([2 * x[0]])
 
-        cfg = SolverConfig(max_outer=30, rho_max=1e6)
+        cfg = SolverConfig(max_outer=30)
         solver = AugmentedLagrangianSolver(objective, [Contradiction()], config=cfg)
         result = solver.solve(np.array([0.0]))
         assert result.status == "infeasible"

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from splinetraj.bspline import BSpline, basis_matrix
+from splinetraj.bspline import BSpline, KnotVector, basis_matrix, clamp_knots
 from splinetraj.cli import benchmark_obstacles, export_trajectory
 from splinetraj.planner import (
     CUSHION,
@@ -15,6 +15,7 @@ from splinetraj.planner import (
     ChainRateFamily,
     DecisionVector,
     PlaneRobotSideFamily,
+    TrajectoryBasis,
     assemble,
     initial_guess,
     solve,
@@ -40,6 +41,45 @@ def mobile_scenario(**overrides):
     }
     base.update(overrides)
     return parse_scenario(base)
+
+
+def closed_form_derivative_map(knots, degree):
+    """The first-written derivative coefficient map, kept as the reference:
+    row i is p (e_{i+1} - e_i) / (u_{i+p+1} - u_{i+1}), zero over an empty
+    span, and the derivative's knots drop the first and last knots."""
+    u = knots.values
+    n = len(u) - degree - 1
+    D = np.zeros((n - 1, n))
+    for i in range(n - 1):
+        span = u[i + degree + 1] - u[i + 1]
+        if span > 0.0:
+            D[i, i] = -degree / span
+            D[i, i + 1] = degree / span
+    return D, KnotVector(u[1:-1])
+
+
+def _bundled_interior(name):
+    obj = json.loads((SCENARIO_DIR / f"{name}.json").read_text())
+    return obj["basis"]["interior_knots"]
+
+
+class TestTrajectoryBasis:
+    @pytest.mark.parametrize("degree", [3, 4, 5])
+    @pytest.mark.parametrize("interior", [
+        _bundled_interior("threelink"),
+        _bundled_interior("unconstrained"),
+        [0.2, 0.4, 0.4, 0.7],
+    ], ids=["bundled", "uneven", "double_knot"])
+    def test_maps_equal_the_closed_form_bit_for_bit(self, degree, interior):
+        basis = TrajectoryBasis(degree, clamp_knots(interior, degree))
+        D1, knots1 = closed_form_derivative_map(basis.knots, degree)
+        D2_from_1, knots2 = closed_form_derivative_map(knots1, degree - 1)
+        D2 = D2_from_1 @ D1
+        for got, want in ((basis.D1, D1), (basis.D2, D2),
+                          (basis.knots1.values, knots1.values),
+                          (basis.knots2.values, knots2.values)):
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
 
 
 class TestAssemble:

@@ -79,3 +79,46 @@ def test_no_unused_top_level_imports(path):
     used.update(exported(tree) or [])
     unused = {name: line for name, line in imported(tree).items() if name not in used}
     assert not unused, f"{path.stem}: unused imports {unused}"
+
+
+ROOT = PACKAGE.parents[1]
+REFERENCE_DIRS = ("src", "tests", "tools", "perfbench")
+
+
+def references(tree):
+    """(name, line) of every use of a name: a variable, an attribute, an
+    imported name, or a string that is an identifier (``__all__`` entries
+    and the attribute names perfbench patches)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.alias):
+            yield node.name.split(".")[-1], node.lineno
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and node.value.isidentifier():
+            yield node.value, node.lineno
+
+
+def test_every_definition_is_referenced():
+    """Each function, class, method and property of the package is used by
+    name somewhere outside its own definition; dunders are exempt."""
+    used = {}
+    for folder in REFERENCE_DIRS:
+        for path in sorted((ROOT / folder).rglob("*.py")):
+            for name, line in references(parse(path)):
+                used.setdefault(name, []).append((path, line))
+    dead = []
+    for path in MODULES:
+        for node in ast.walk(parse(path)):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                     ast.ClassDef)):
+                continue
+            if node.name.startswith("__") and node.name.endswith("__"):
+                continue
+            inside = range(node.lineno, node.end_lineno + 1)
+            if not any(p != path or line not in inside
+                       for p, line in used.get(node.name, [])):
+                dead.append(f"{path.stem}:{node.lineno} {node.name}")
+    assert not dead, f"defined but never referenced: {dead}"

@@ -20,7 +20,13 @@ from splinetraj.cli import (
     write_benchmark_csv,
 )
 from splinetraj.collision import load_sdf
-from splinetraj.planner import Solution, assemble, initial_guess, solve
+from splinetraj.planner import (
+    SDFClearanceFamily,
+    Solution,
+    assemble,
+    initial_guess,
+    solve,
+)
 from splinetraj.scenario import (
     ScenarioError,
     load_scenario,
@@ -142,6 +148,49 @@ class TestParsing:
         obj["workspace"] = {"min": [-1, -1, -1], "max": [1, 1, 1]}
         with pytest.raises(ScenarioError, match="recoverable"):
             parse_scenario(obj)
+
+
+    @pytest.mark.parametrize("depth", [0, -1, 1.5, [1, 0, 1], [1, 2.5, 1]])
+    def test_bad_halving_depth_rejected(self, depth):
+        # Depth 0 used to plan with q = tan(theta) but read each joint at
+        # depth 1, twice its angle; -1 failed on the boundary range and 1.5
+        # was read as 1.
+        obj = json.loads((SCENARIO_DIR / "threelink.json").read_text())
+        obj["robot"]["halving_depth"] = depth
+        with pytest.raises(ScenarioError, match="robot.halving_depth"):
+            parse_scenario(obj)
+
+    @pytest.mark.parametrize("block, key, value", [
+        ("limits", "units", "degrees"),
+        ("solver", "feas_tol", -1),
+        ("solver", "feas_tol", 0.0),
+        ("solver", "opt_tol", float("nan")),
+        ("solver", "opt_tol", float("inf")),
+        ("solver", "max_outer", 0),
+        ("solver", "max_inner", -5),
+        ("solver", "max_inner", 2.5),
+        ("collision", "collocation_per_span", 2.7),
+        ("robot", "dimension", 2.9),
+        ("basis", "degree", 3.5),
+        ("basis", "interior_knots", [0.2, 0.5, 0.5, 0.5, 0.7]),
+        ("basis", "interior_knots", [0.5, 0.3]),
+        ("basis", "interior_knots", [0.5, 1.0]),
+    ])
+    def test_bad_numeric_input_rejected(self, block, key, value):
+        obj = minimal_mobile()
+        obj.setdefault(block, {})[key] = value
+        with pytest.raises(ScenarioError, match=f"{block}.{key}"):
+            parse_scenario(obj)
+
+    def test_integral_numbers_accepted(self):
+        obj = json.loads((SCENARIO_DIR / "threelink.json").read_text())
+        obj["robot"]["halving_depth"] = [1, 2.0, 1]
+        obj["solver"] = {"max_outer": 40.0, "max_inner": 300, "feas_tol": 1e-6}
+        obj["collision"] = {"collocation_per_span": 6.0}
+        scn = parse_scenario(obj)
+        assert scn.robot.halving_depths == (1, 2, 1)
+        assert (scn.solver.max_outer, scn.solver.max_inner) == (40, 300)
+        assert scn.collision.collocation_per_span == 6
 
 
 class TestBundledScenarios:
@@ -375,6 +424,20 @@ class TestCLI:
         assert main(["solve", str(bad)]) == 3
         assert "collision.cell_size" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name, block, key, value", [
+        ("threelink", "robot", "halving_depth", 0),
+        ("threelink", "limits", "units", "degrees"),
+        ("mobile2d", "solver", "max_outer", 0),
+    ])
+    def test_bad_numeric_input_exit_three(self, tmp_path, capsys, name, block,
+                                          key, value):
+        obj = json.loads((SCENARIO_DIR / f"{name}.json").read_text())
+        obj.setdefault(block, {})[key] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(obj))
+        assert main(["solve", str(bad)]) == 3
+        assert f"{block}.{key}" in capsys.readouterr().err
+
     def test_missing_file_exit_three(self):
         assert main(["solve", "/nonexistent/nope.json"]) == 3
 
@@ -414,6 +477,20 @@ class TestCLI:
         assert field.dim == 2
         # default grid resolution: max extent / 128
         assert field.cell_size == pytest.approx(4.0 / 128.0)
+
+    @pytest.mark.parametrize("name", ["mobile2d", "threelink"])
+    def test_sdf_build_writes_the_planner_field(self, tmp_path, name):
+        path = SCENARIO_DIR / f"{name}.json"
+        out = tmp_path / "field.sdf"
+        assert main(["sdf", "build", str(path), "--out", str(out)]) == 0
+        problem = assemble(load_scenario(path))
+        planned = next(f.field for f in problem.families
+                       if isinstance(f, SDFClearanceFamily))
+        built = load_sdf(out)
+        assert built.cell_size == planned.cell_size
+        assert built.origin.tobytes() == np.asarray(planned.origin, float).tobytes()
+        assert built.values.shape == planned.values.shape
+        assert built.values.astype(float).tobytes() == planned.values.tobytes()
 
     def test_console_entry_point(self):
         # The child process imports the same splinetraj as this one.
