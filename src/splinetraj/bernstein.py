@@ -6,7 +6,11 @@ by knot insertion (Piegl & Tiller, *The NURBS Book*, section 5.6): each
 inserted coefficient is a convex combination of two old ones, so nothing
 is sampled and the hull can only tighten.  Products of polynomials in
 Bernstein form are binomially scaled convolutions (Farouki & Rajan,
-CAGD 1988), and their adjoints the matching correlations.
+CAGD 1988), and their adjoints the matching correlations.  Each is one
+gather and one batched matrix product per span: a cached flat index lays
+out the weighted Toeplitz matrix of the left factor (for the adjoint, the
+weighted correlation window of the product weights), so the number of
+numpy calls does not grow with the degrees.
 
 Polynomials are stored per span as arrays of shape (S, n + 1, r, c): S
 spans, n + 1 Bernstein coefficients of degree n, each an r x c matrix.
@@ -40,18 +44,54 @@ __all__ = [
 ]
 
 
-@lru_cache(maxsize=None)
-def _binom(n: int) -> np.ndarray:
-    """Binomial coefficients C(n, i), shaped to scale (S, n + 1, r, c)."""
-    row = np.array([math.comb(n, i) for i in range(n + 1)], dtype=float)
-    row.flags.writeable = False
-    return row[:, None, None]
+def _gather(blocks: np.ndarray, weights: np.ndarray, u: int, v: int):
+    """Flat gather positions and weights of a block matrix.
+
+    Block (x, y) of the (X u, Y v) result is block ``blocks[x, y]`` of a
+    contiguous (B, u, v) operand, times ``weights[x, y]``.  Both arrays are
+    read-only and shaped (X u, Y v).
+    """
+    X, Y = blocks.shape
+    index = (blocks[:, None, :, None] * (u * v)
+             + np.arange(u)[None, :, None, None] * v + np.arange(v))
+    scale = np.broadcast_to(weights[:, None, :, None], (X, u, Y, v))
+    index, scale = index.reshape(X * u, Y * v), scale.reshape(X * u, Y * v)
+    index.flags.writeable = False
+    scale.flags.writeable = False
+    return index, scale
+
+
+def _weights(m: int, n: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """C(m, i) C(n, j) / C(m + n, i + j) over index grids, correctly rounded;
+    zero where i is outside 0..m."""
+    i, j = np.broadcast_arrays(i, j)
+    out = np.zeros(i.shape)
+    for at in zip(*np.nonzero((i >= 0) & (i <= m))):
+        a, b = int(i[at]), int(j[at])
+        out[at] = math.comb(m, a) * math.comb(n, b) / math.comb(m + n, a + b)
+    return out
 
 
 @lru_cache(maxsize=None)
-def _window(m1: int, n1: int) -> np.ndarray:
-    """Index array i + j of shape (m1, n1)."""
-    return np.add.outer(np.arange(m1), np.arange(n1))
+def _toeplitz(m: int, n: int, r: int, k: int):
+    """Gather of the left factor's weighted Toeplitz matrix for :func:`product`.
+
+    Block (l, j) is C(m, l - j) C(n, j) / C(m + n, l) times coefficient
+    l - j of the (m + 1, r, k) factor, zero where l - j is outside 0..m.
+    """
+    l, j = np.arange(m + n + 1)[:, None], np.arange(n + 1)
+    return _gather(np.clip(l - j, 0, m), _weights(m, n, l - j, j), r, k)
+
+
+@lru_cache(maxsize=None)
+def _correlation(m: int, n: int, r: int, c: int):
+    """Gather of the weighted correlation window for :func:`product_vjp`.
+
+    Block (i, j) is C(m, i) C(n, j) / C(m + n, i + j) times coefficient
+    i + j of the (m + n + 1, r, c) product weights.
+    """
+    i, j = np.arange(m + 1)[:, None], np.arange(n + 1)
+    return _gather(i + j, _weights(m, n, i, j), r, c)
 
 
 def _insert_knot(coeffs: np.ndarray, knots: list, degree: int, t: float):
@@ -124,10 +164,9 @@ def left_inverse(knots: KnotVector, degree: int) -> np.ndarray:
 @lru_cache(maxsize=None)
 def elevation_matrix(n: int, r: int) -> np.ndarray:
     """Degree elevation from n to n + r in Bernstein form, (n + r + 1, n + 1)."""
-    M = np.zeros((n + r + 1, n + 1))
-    for i in range(n + 1):
-        for j in range(r + 1):
-            M[i + j, i] = math.comb(n, i) * math.comb(r, j) / math.comb(n + r, i + j)
+    k, i = np.arange(n + r + 1)[:, None], np.arange(n + 1)
+    # the product with the constant 1 of degree r: zero where k - i > r
+    M = _weights(r, n, k - i, i)
     M.flags.writeable = False
     return M
 
@@ -149,39 +188,34 @@ def elevate_vjp(g: np.ndarray, r: int) -> np.ndarray:
 def product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Per-span product of (S, m + 1, r, k) and (S, n + 1, k, c) polynomials.
 
-    Bernstein coefficients of degree m + n: scale by C(m, i) and C(n, j),
-    convolve (matrix products of the entries), divide by C(m + n, i + j).
+    Coefficient l of degree m + n is the sum over i + j = l of
+    C(m, i) C(n, j) / C(m + n, l) a_i b_j: one gather of the weighted
+    Toeplitz matrix of a, shaped ((m + n + 1) r, (n + 1) k) per span, and
+    one batched matrix product with b stacked as ((n + 1) k, c).
     """
-    m = a.shape[1] - 1
-    n = b.shape[1] - 1
-    sa = a * _binom(m)
-    sb = b * _binom(n)
-    out = np.zeros((a.shape[0], m + n + 1, a.shape[2], b.shape[3]))
-    if n <= m:
-        for j in range(n + 1):
-            out[:, j : j + m + 1] += sa @ sb[:, j : j + 1]
-    else:
-        for i in range(m + 1):
-            out[:, i : i + n + 1] += sa[:, i : i + 1] @ sb
-    out /= _binom(m + n)
-    return out
+    S, m1, r, k = a.shape
+    n1, c = b.shape[1], b.shape[3]
+    index, scale = _toeplitz(m1 - 1, n1 - 1, r, k)
+    A = np.take(a.reshape(S, -1), index, axis=1)
+    A *= scale
+    return (A @ b.reshape(S, n1 * k, c)).reshape(S, m1 + n1 - 1, r, c)
 
 
 def product_vjp(a: np.ndarray, b: np.ndarray, g: np.ndarray):
     """Adjoint of :func:`product`: weights g on the product to (ga, gb).
 
-    The correlation window G[i, j] = g[i + j] turns both adjoints into one
-    batched matrix product each.
+    One gather of the weighted correlation window W[(i, .), (j, .)] =
+    C(m, i) C(n, j) / C(m + n, i + j) g_{i + j}, shaped ((m + 1) r,
+    (n + 1) c) per span, then one batched matrix product per operand.
     """
     S, m1, r, k = a.shape
     n1, c = b.shape[1], b.shape[3]
-    A = (a * _binom(m1 - 1)).reshape(S, m1 * r, k)
-    B = (b * _binom(n1 - 1)).transpose(0, 2, 1, 3).reshape(S, k, n1 * c)
-    window = (g / _binom(m1 + n1 - 2))[:, _window(m1, n1)]  # (S, m1, n1, r, c)
-    G = window.transpose(0, 1, 3, 2, 4).reshape(S, m1 * r, n1 * c)
-    ga = (G @ B.transpose(0, 2, 1)).reshape(S, m1, r, k) * _binom(m1 - 1)
-    gb = (A.transpose(0, 2, 1) @ G).reshape(S, k, n1, c).transpose(0, 2, 1, 3)
-    return ga, gb * _binom(n1 - 1)
+    index, scale = _correlation(m1 - 1, n1 - 1, r, c)
+    W = np.take(g.reshape(S, -1), index, axis=1)
+    W *= scale
+    ga = W @ b.transpose(0, 1, 3, 2).reshape(S, n1 * c, k)
+    gb = a.reshape(S, m1 * r, k).transpose(0, 2, 1) @ W
+    return ga.reshape(a.shape), gb.reshape(S, k, n1, c).transpose(0, 2, 1, 3)
 
 
 class ChainNumerators:
@@ -195,46 +229,54 @@ class ChainNumerators:
     P_k = base N_1 ... N_k carry the cumulative denominator in their
     bottom row, so a plane (a, b) dotted with P_k [v; 1] is
     den_k (b + a . pos_k(v)).
+
+    Links of one kind and depth share every step up to their numerators,
+    so each such group is built in one pass with its links stacked on the
+    span axis; only the prefix products run link by link.
     """
 
     def __init__(self, chain, depths, knots: KnotVector, degree: int):
         self.degree = degree
-        self.depths = tuple(int(d) for d in depths)
-        # (Mc, Ms, M0) of each link as the rows of one (3, 16) matrix
-        self.entries = [np.stack(link.entry_matrices()).reshape(3, 16)
-                        for link in chain.links]
-        self.revolute = [link.joint_kind == "revolute" for link in chain.links]
-        self.extraction = bezier_extraction(knots, degree)
-        self.n_spans = self.extraction.shape[0] // (degree + 1)
+        depths = tuple(int(d) for d in depths)
         base = np.array(chain.base_pose, dtype=float)
         # Rows 0-2 of a prefix depend only on rows 0-2 of the base; the
         # homogeneous bottom row makes row 3 the cumulative denominator.
         base[3] = (0.0, 0.0, 0.0, 1.0)
+        entries = [np.stack(link.entry_matrices()) for link in chain.links]
+        # The base is constant, so it is folded into the first link: P_1 = N_1.
+        entries[0] = base @ entries[0]
+        # (Mc, Ms, M0) of each link as the rows of one (3, 16) matrix
+        self.entries = np.stack(entries).reshape(len(entries), 3, 16)
+        kinds = [(link.joint_kind == "revolute", d)
+                 for link, d in zip(chain.links, depths)]
+        # (revolute, depth, ascending link indices) per group
+        self.groups = [(rev, d, np.array([j for j, kind in enumerate(kinds)
+                                          if kind == (rev, d)]))
+                       for rev, d in dict.fromkeys(kinds)]
+        self.extraction = bezier_extraction(knots, degree)
+        self.n_spans = self.extraction.shape[0] // (degree + 1)
         self.base = np.broadcast_to(base, (self.n_spans, 1, 4, 4))
 
-    def _link(self, j: int, q: np.ndarray):
-        """Numerator of link j from q (S, p + 1, 1, 1), and the tape of it."""
+    def _parts(self, revolute: bool, depth: int, q: np.ndarray):
+        """(c, s, den) stacked on the last axis from q (G S, p + 1, 1, 1),
+        and the tape of the depth recursion."""
         p = self.degree
-        if self.revolute[j]:
-            q2 = product(q, q)
-            c, s, den = 1.0 - q2, 2.0 * elevate(q, p), 1.0 + q2
-        else:
-            c, s, den = q, np.zeros_like(q), np.ones_like(q)
+        if not revolute:
+            csd = np.concatenate([q, np.zeros_like(q), np.ones_like(q)], axis=3)
+            return elevate(csd, p * 2 ** depth - p), []
+        q2 = product(q, q)
+        c, s, den = 1.0 - q2, 2.0 * elevate(q, p), 1.0 + q2
         tape = []
-        for _ in range(self.depths[j] - 1 if self.revolute[j] else 0):
+        for _ in range(depth - 1):
             tape.append((c, s, den))
             c, s, den = (product(c, c) - product(s, s), 2.0 * product(s, c),
                          product(den, den))
-        csd = elevate(np.concatenate([c, s, den], axis=3),
-                      p * 2 ** self.depths[j] - (c.shape[1] - 1))
-        N = (csd @ self.entries[j]).reshape(csd.shape[:2] + (4, 4))
-        return N, tape
+        return np.concatenate([c, s, den], axis=3), tape
 
-    def _link_vjp(self, j: int, q: np.ndarray, tape, gN: np.ndarray) -> np.ndarray:
-        """Weights on link j's numerator back to weights on q."""
+    def _parts_vjp(self, revolute: bool, q: np.ndarray, tape, g: np.ndarray):
+        """Weights g on (c, s, den) back to weights on q."""
         p = self.degree
-        g = gN.reshape(gN.shape[:2] + (1, 16)) @ self.entries[j].T
-        if not self.revolute[j]:
+        if not revolute:
             return elevate_vjp(g[..., 0:1], g.shape[1] - 1 - p)
         gc, gs, gd = g[..., 0:1], g[..., 1:2], g[..., 2:3]
         for c, s, den in reversed(tape):
@@ -248,24 +290,40 @@ class ChainNumerators:
 
     def forward(self, joint_coeffs: np.ndarray) -> dict:
         """Prefix products P_0..P_L at the joint coefficients (n, L)."""
-        # (S, p + 1, L, 1, 1): one scalar polynomial per span and joint
-        Q = to_spans(self.extraction, joint_coeffs, self.degree)[..., None, None]
-        prefix = [self.base]
-        links = []
-        for j in range(len(self.entries)):
-            q = Q[:, :, j]
-            N, tape = self._link(j, q)
-            links.append((q, N, tape))
+        S, p1 = self.n_spans, self.degree + 1
+        # (L, S, p + 1): one scalar polynomial per link and span
+        Q = (self.extraction @ joint_coeffs).T.reshape(-1, S, p1)
+        numerators = [None] * len(self.entries)
+        tapes = []
+        for revolute, depth, links in self.groups:
+            q = Q[links].reshape(-1, p1, 1, 1)
+            csd, tape = self._parts(revolute, depth, q)
+            N = csd.reshape(len(links), -1, 3) @ self.entries[links]
+            for j, Nj in zip(links, N.reshape(len(links), S, -1, 4, 4)):
+                numerators[j] = Nj
+            tapes.append((q, tape))
+        prefix = [self.base, numerators[0]]
+        for N in numerators[1:]:
             prefix.append(product(prefix[-1], N))
-        return {"prefix": prefix, "links": links}
+        return {"prefix": prefix, "numerators": numerators, "tapes": tapes}
 
     def vjp(self, state: dict, link_index: int, gP: np.ndarray) -> np.ndarray:
         """Weights on prefix P_k back to joint coefficients (n, L)."""
-        gC = np.zeros((self.extraction.shape[1], len(self.entries)))
-        prefix = state["prefix"]
-        for j in range(link_index - 1, -1, -1):
-            q, N, tape = state["links"][j]
-            gP, gN = product_vjp(prefix[j], N, gP)
-            gq = self._link_vjp(j, q, tape, gN)
-            gC[:, j] = self.extraction.T @ gq.reshape(-1)
-        return gC
+        S, p1 = self.n_spans, self.degree + 1
+        prefix, numerators = state["prefix"], state["numerators"]
+        gN = [None] * link_index
+        for j in range(link_index - 1, 0, -1):
+            gP, gN[j] = product_vjp(prefix[j], numerators[j], gP)
+        gN[0] = gP
+        gQ = np.zeros((len(self.entries), S, p1))
+        for (revolute, _, links), (q, tape) in zip(self.groups, state["tapes"]):
+            links = links[links < link_index]
+            if links.size == 0:
+                continue
+            rows = links.size * S
+            g = (np.stack([gN[j] for j in links]).reshape(links.size, -1, 16)
+                 @ self.entries[links].transpose(0, 2, 1))
+            tape = [tuple(x[:rows] for x in level) for level in tape]
+            g = self._parts_vjp(revolute, q[:rows], tape, g.reshape(rows, -1, 1, 3))
+            gQ[links] = g.reshape(links.size, S, p1)
+        return self.extraction.T @ gQ.reshape(len(gQ), -1).T

@@ -14,6 +14,7 @@ span by span, are ``bernstein.ChainNumerators``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -184,13 +185,16 @@ def unwrap_half_angles(qvals: np.ndarray, n: int,
     """Branch-continuous angles 2^n atan(q) from sampled values of q; see
     :func:`recover_theta`."""
     period = (2.0**n) * np.pi
-    raw = (2.0**n) * np.arctan(qvals)
-    out = np.empty_like(raw)
-    prev = raw[0] if theta_init is None else theta_init
-    for k, val in enumerate(raw):
-        out[k] = val + period * np.round((prev - val) / period)
-        prev = out[k]
-    return out
+    raw = ((2.0**n) * np.arctan(qvals)).tolist()
+    out = []
+    prev = raw[0] if theta_init is None else float(theta_init)
+    for val in raw:
+        turns = (prev - val) / period
+        if math.isfinite(turns):  # round half to even, keeping the sign of a zero
+            turns = math.copysign(round(turns), turns)
+        prev = val + period * turns
+        out.append(prev)
+    return np.array(out)
 
 
 def halfangle_cos_sin(qvals: np.ndarray, depth: int, with_grad: bool = False):

@@ -660,6 +660,8 @@ class PlaneRobotSideFamily(ConstraintBlock):
     The rows are the coefficients of den_j (b + a . pos_j) on the space of
     degree p + sum_j p 2^d_j that represents it exactly, computed per span
     in Bernstein form from the prefix products of the link numerators.
+    The plane multiplies the prefix before the vertices do, so one row
+    polynomial per span serves every vertex of the body.
     """
 
     kind = INEQ
@@ -678,7 +680,7 @@ class PlaneRobotSideFamily(ConstraintBlock):
         p = basis.degree
         if nfk is None:
             target = 2 * p
-            self.hom = None
+            self.hom = np.ones((1, 1))  # the point robot is its own vertex
         else:
             depth_deg = sum(
                 2 * p * (2 ** (nfk.depths[j] - 1)) for j in range(body.link_index)
@@ -687,8 +689,7 @@ class PlaneRobotSideFamily(ConstraintBlock):
             self.hom = homogeneous(body.verts)
         self.lift = left_inverse(elevated_union([(basis.knots, p)], target), target)
         self.extraction = bezier_extraction(basis.knots, p)
-        n_points = 1 if self.hom is None else self.hom.shape[1]
-        self.n_rows = n_points * self.lift.shape[0]
+        self.n_rows = self.hom.shape[1] * self.lift.shape[0]
         self._basis_degree = basis.degree
 
     def evaluate(self, x):
@@ -705,23 +706,22 @@ class PlaneRobotSideFamily(ConstraintBlock):
             state = None
         else:
             state = self.fk_cache.state(dv.joint_coeffs)
-            pts = state["prefix"][self.body.link_index] @ self.hom  # (S, D + 1, 4, V)
-            y = product(plane, pts)  # (S, D + p + 1, 1, V)
-        V = y.shape[3]
-        coeffs = self.lift @ y.reshape(-1, V)
+            pts = state["prefix"][self.body.link_index]  # (S, D + 1, 4, 4)
+            y = product(plane, pts)  # (S, D + p + 1, 1, 4)
+        coeffs = (self.lift @ y.reshape(-1, y.shape[3])) @ self.hom  # (rows, V)
+        V = coeffs.shape[1]
         r = (self.cushion - coeffs).T.reshape(-1)
 
         def vjp(w):
             # minus from cushion - coeffs
-            gy = -(self.lift.T @ w.reshape(V, -1).T).reshape(y.shape)
+            gy = -(self.lift.T @ (w.reshape(V, -1).T @ self.hom.T)).reshape(y.shape)
             gplane, gpts = product_vjp(plane, pts, gy)
             gab = self.extraction.T @ gplane.reshape(-1, gplane.shape[3])
             dplanes = {self.plane_index: (gab[:, :-1], gab[:, -1])}
             if self.nfk is None:
                 gC = self.extraction.T @ gpts[:, :, :-1, 0].reshape(-1, pts.shape[2] - 1)
             else:
-                gC = self.fk_cache.chain.vjp(state, self.body.link_index,
-                                             gpts @ self.hom.T)
+                gC = self.fk_cache.chain.vjp(state, self.body.link_index, gpts)
             return self.layout.grad(dC=gC, dplanes=dplanes)
 
         return r, vjp

@@ -181,21 +181,48 @@ def test_left_inverse_recovers_coefficients():
     assert np.linalg.cond(bezier_extraction(knots, 9)) < 3.0
 
 
-@pytest.mark.parametrize("m,n", [(3, 2), (1, 4), (6, 6)])
-def test_product_matches_power_basis(m, n):
-    rng = np.random.default_rng(m * 10 + n)
-    a = rng.standard_normal((2, m + 1, 2, 3))
-    b = rng.standard_normal((2, n + 1, 3, 2))
+# (m, n, r, k, c): degrees of the two factors and the block shapes of
+# (r, k) times (k, c); degree-0 factors, m < n, m > n, m = n, scalar
+# (1 x 1) blocks and a wide (c = 8) right factor.
+PRODUCT_SHAPES = [
+    (3, 2, 2, 3, 2),
+    (1, 4, 2, 3, 2),
+    (6, 6, 2, 3, 2),
+    (0, 3, 2, 3, 2),
+    (3, 0, 2, 3, 2),
+    (0, 0, 1, 1, 1),
+    (2, 5, 1, 1, 1),
+    (5, 2, 1, 1, 1),
+    (4, 4, 1, 1, 1),
+    (3, 6, 1, 4, 8),
+    (6, 1, 4, 4, 4),
+]
+
+
+def _shape_id(shape):
+    """Shapes with (2 x 3) by (3 x 2) blocks are named by their degrees."""
+    return "-".join(map(str, shape[:2] if shape[2:] == (2, 3, 2) else shape))
+
+
+@pytest.mark.parametrize("m,n,r,k,c", PRODUCT_SHAPES,
+                         ids=[_shape_id(s) for s in PRODUCT_SHAPES])
+def test_product_matches_power_basis(m, n, r, k, c):
+    # (2 x 3) by (3 x 2) blocks keep the seed the first three shapes were tested with
+    rng = np.random.default_rng(m * 10 + n if (r, k, c) == (2, 3, 2)
+                                else [m, n, r, k, c])
+    a = rng.standard_normal((2, m + 1, r, k))
+    b = rng.standard_normal((2, n + 1, k, c))
     got = product(a, b)
+    assert got.shape == (2, m + n + 1, r, c)
     for s in range(2):
-        for r in range(2):
-            for c in range(2):
+        for i in range(r):
+            for j in range(c):
                 total = [Fraction(0)]
-                for k in range(3):
-                    pa = from_bernstein([Fraction(v) for v in a[s, :, r, k]])
-                    pb = from_bernstein([Fraction(v) for v in b[s, :, k, c]])
+                for t in range(k):
+                    pa = from_bernstein([Fraction(v) for v in a[s, :, i, t]])
+                    pb = from_bernstein([Fraction(v) for v in b[s, :, t, j]])
                     total = padd(total, pmul(pa, pb))
-                assert close(got[s, :, r, c], to_bernstein(total, m + n)) <= REL
+                assert close(got[s, :, i, j], to_bernstein(total, m + n)) <= REL
 
 
 def test_elevation_matches_power_basis():
@@ -206,16 +233,21 @@ def test_elevation_matches_power_basis():
 
 
 def test_product_vjp_is_the_adjoint():
-    rng = np.random.default_rng(4)
-    a = rng.standard_normal((3, 5, 4, 4))
-    b = rng.standard_normal((3, 3, 4, 2))
-    g = rng.standard_normal((3, 7, 4, 2))
-    da = rng.standard_normal(a.shape)
-    db = rng.standard_normal(b.shape)
-    ga, gb = product_vjp(a, b, g)
-    # product is bilinear: <g, d product> = <ga, da> + <gb, db> exactly
-    lhs = float((g * (product(da, b) + product(a, db))).sum())
-    assert abs(lhs - float((ga * da).sum() + (gb * db).sum())) <= 1e-12 * abs(lhs)
+    for m, n, r, k, c in PRODUCT_SHAPES + [(4, 2, 4, 4, 2)]:
+        # the first tested shape keeps its inputs
+        rng = np.random.default_rng(4 if (m, n, r, k, c) == (4, 2, 4, 4, 2)
+                                    else [4, m, n, r, k, c])
+        a = rng.standard_normal((3, m + 1, r, k))
+        b = rng.standard_normal((3, n + 1, k, c))
+        g = rng.standard_normal((3, m + n + 1, r, c))
+        da = rng.standard_normal(a.shape)
+        db = rng.standard_normal(b.shape)
+        ga, gb = product_vjp(a, b, g)
+        assert ga.shape == a.shape and gb.shape == b.shape
+        # product is bilinear: <g, d product> = <ga, da> + <gb, db> exactly
+        lhs = float((g * (product(da, b) + product(a, db))).sum())
+        rhs = float((ga * da).sum() + (gb * db).sum())
+        assert abs(lhs - rhs) <= 1e-12 * abs(lhs), (m, n, r, k, c)
 
 
 def _twolink_moving_sphere():

@@ -4,6 +4,7 @@ Bernstein form, numeric FK, against independent DH oracles."""
 import math
 
 import numpy as np
+import pytest
 
 from splinetraj.bernstein import ChainNumerators, product
 from splinetraj.bspline import BSpline, clamp_knots
@@ -14,6 +15,7 @@ from splinetraj.kinematics import (
     NumericFK,
     halfangle_cos_sin,
     recover_theta,
+    unwrap_half_angles,
 )
 from splinetraj.spline_algebra import FitOperator, add, collocation_sites, multiply
 
@@ -350,6 +352,59 @@ class TestRecoverTheta:
         np.testing.assert_allclose(np.tan(recovered / 4.0), qvals, atol=1e-9)
         assert recovered.min() < -1.2 * np.pi and recovered.max() > 1.2 * np.pi
         assert np.abs(np.diff(recovered)).max() < np.pi
+
+
+def reference_unwrap(qvals, n, theta_init=None):
+    """The numpy-scalar loop that unwrap_half_angles replaced, kept as the
+    byte-for-byte reference."""
+    period = (2.0**n) * np.pi
+    raw = (2.0**n) * np.arctan(qvals)
+    out = np.empty_like(raw)
+    prev = raw[0] if theta_init is None else theta_init
+    for k, val in enumerate(raw):
+        out[k] = val + period * np.round((prev - val) / period)
+        prev = out[k]
+    return out
+
+
+class TestUnwrapHalfAngles:
+    """The Python-float loop reproduces the numpy-scalar loop bit for bit."""
+
+    @staticmethod
+    def cases():
+        rng = np.random.default_rng(21)
+        big = np.tan(np.pi / 2 - 1e-9)
+        yield np.array([0.0, -0.0, 0.0, -0.0, -0.0])
+        yield np.array([-0.0, 1e-300, -1e-300, 0.0])
+        # sign flips through +-infinity in q: the angle wraps every step
+        yield np.array([big, -big, big, -big, -0.0, big, np.inf, -np.inf])
+        yield rng.uniform(-5.0, 5.0, 400)
+        yield np.tan(np.linspace(-3.0, 3.0, 301) / 2.0)
+        yield rng.standard_normal(50) * 1e3
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_matches_reference_loop(self, n):
+        period = (2.0**n) * np.pi
+        inits = [None, 0.0, -0.0, 0.3, -0.3, 1e300]
+        # exact half-period ties with raw = 0, both signs, several turns
+        inits += [k * period / 2.0 for k in range(-7, 8)]
+        for q in self.cases():
+            for theta_init in inits:
+                want = reference_unwrap(q, n, theta_init)
+                got = unwrap_half_angles(q, n, theta_init)
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes(), (q[:4], theta_init)
+
+    def test_ties_round_to_even(self):
+        period = 2.0 * np.pi
+        for k, turns in [(1, 0.0), (3, 2.0), (-1, -0.0), (-3, -2.0)]:
+            out = unwrap_half_angles(np.array([0.0]), 1, theta_init=k * period / 2.0)
+            assert out.tobytes() == np.array([0.0 + turns * period]).tobytes()
+
+    def test_nan_propagates(self):
+        q = np.array([0.5, np.nan, 0.5])
+        assert (unwrap_half_angles(q, 1).tobytes()
+                == reference_unwrap(q, 1).tobytes())
 
 
 def dynamics_residual(state, rhs):
