@@ -26,12 +26,7 @@ from .collision import (
     save_sdf,
     sdf_query,
 )
-from .kinematics import (
-    DHChain,
-    DHLink,
-    HalfAngleJoint,
-    recover_theta,
-)
+from .kinematics import DHChain, DHLink
 from .nlp import SolverConfig
 from .planner import (
     DecisionVector,
@@ -64,7 +59,6 @@ __all__ = [
     "DecisionVector",
     "DegreeError",
     "DomainError",
-    "HalfAngleJoint",
     "HullBounds",
     "KnotVector",
     "MobileRobot",
@@ -88,7 +82,6 @@ __all__ = [
     "load_sdf",
     "multiply",
     "parse_scenario",
-    "recover_theta",
     "save_scenario",
     "save_sdf",
     "sdf_query",

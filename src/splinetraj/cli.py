@@ -114,22 +114,20 @@ def export_trajectory(solution: Solution, problem: PlanningProblem,
     dv = solution.decision
     scenario = problem.scenario
     taus = np.linspace(0.0, 1.0, samples)
-    traj = TrajectorySamples(problem.trajectory_splines(dv), taus)
+    traj = TrajectorySamples(problem.trajectory(dv), taus)
     is_chain = isinstance(scenario.robot, ChainRobot)
     J = problem.layout.n_coords
 
     qcols = recovered_angles(problem, traj)
     if is_chain:
-        rates = []
-        for j, (q, qd) in enumerate(zip(traj.columns(0), traj.columns(1))):
-            if not scenario.robot.revolute[j]:
-                rates.append(qd / dv.T)
-                continue
-            depth = scenario.robot.halving_depths[j]
-            rates.append((2.0**depth) * qd / (dv.T * (1.0 + q * q)))
-        dcols = np.column_stack(rates)
+        # 2^n q' / (T (1 + q^2)) for a half-angle joint; a prismatic offset
+        # reads factor 1 and q = 0, so its rate is q' / T to the bit.
+        robot = scenario.robot
+        factors = np.where(robot.revolute, 2.0 ** np.array(robot.halving_depths), 1.0)
+        q = traj.values(0) * robot.revolute
+        dcols = factors * traj.values(1) / (dv.T * (1.0 + q * q))
     else:
-        dcols = np.column_stack([qd / dv.T for qd in traj.columns(1)])
+        dcols = traj.values(1) / dv.T
 
     header = (
         ["tau", "t"]
@@ -142,7 +140,7 @@ def export_trajectory(solution: Solution, problem: PlanningProblem,
 
     if is_chain:
         nfk = problem.nfk
-        state = nfk.shared_state(traj.matrix())
+        state = nfk.shared_state(traj.values(0))
         cart_header = ["tau", "t"]
         blocks = []
         for body in problem.bodies:

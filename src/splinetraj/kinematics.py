@@ -10,6 +10,11 @@ and keep denominator 1.
 gradients) at sample points, for signed-distance clearance, dense
 verification and export.  The same forms as exact polynomial products,
 span by span, are ``bernstein.ChainNumerators``.
+
+The joint variables live in one joint-space spline, the planner's
+coefficient matrix; ``unwrap_half_angles`` turns one revolute column of
+it, sampled, back into branch-continuous angles, which is how
+``planner.recovered_angles`` recovers them.
 """
 
 from __future__ import annotations
@@ -19,13 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bspline import BSpline
-
 __all__ = [
     "DHLink",
     "DHChain",
-    "HalfAngleJoint",
-    "recover_theta",
     "unwrap_half_angles",
     "NumericFK",
     "halfangle_cos_sin",
@@ -154,36 +155,15 @@ class DHChain:
         return T
 
 
-@dataclass(frozen=True)
-class HalfAngleJoint:
-    """Substituted revolute joint variable q = tan(theta / 2^n)."""
-
-    q: BSpline
-    halving_depth: int = 1
-
-    def __post_init__(self):
-        if self.q.dim != 1:
-            raise ValueError("joint spline must be scalar-valued")
-        if self.halving_depth < 1:
-            raise ValueError("halving_depth must be a positive integer")
-
-
-def recover_theta(joint: HalfAngleJoint, taus, theta_init: float | None = None) -> np.ndarray:
-    """Branch-continuous joint angles from the substituted variable.
-
-    theta = 2^n * atan(q) is defined up to multiples of 2^n * pi; samples
-    are unwrapped sequentially so consecutive angles stay on the same
-    branch, seeded by theta_init when given.
-    """
-    t = np.atleast_1d(np.asarray(taus, dtype=float))
-    return unwrap_half_angles(joint.q.eval(t)[:, 0], joint.halving_depth,
-                              theta_init)
-
-
 def unwrap_half_angles(qvals: np.ndarray, n: int,
                        theta_init: float | None = None) -> np.ndarray:
-    """Branch-continuous angles 2^n atan(q) from sampled values of q; see
-    :func:`recover_theta`."""
+    """Branch-continuous joint angles from sampled values of the substituted
+    variable q = tan(theta / 2^n).
+
+    theta = 2^n atan(q) is defined up to multiples of 2^n pi; the samples
+    are unwrapped in order so consecutive angles stay on the same branch,
+    seeded by theta_init when given.
+    """
     period = (2.0**n) * np.pi
     raw = ((2.0**n) * np.arctan(qvals)).tolist()
     out = []

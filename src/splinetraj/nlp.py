@@ -124,6 +124,10 @@ def _trace_entry(outer, rho, f, viol, raw_viol, res, per_block,
 
 @dataclass
 class SolverResult:
+    """``status``: converged, max-iterations, infeasible (the violation
+    stopped shrinking at the largest penalty) or stalled (it did, but each
+    of those inner solves failed its first line search and took no step)."""
+
     x: np.ndarray
     status: str
     objective: float
@@ -247,6 +251,7 @@ class AugmentedLagrangianSolver:
         inner_total = 0
         best = None
         stagnant = 0
+        no_steps = 0  # stagnant inner solves that failed their first line search
         prev_viol = np.inf
 
         status = "max-iterations"
@@ -308,9 +313,14 @@ class AugmentedLagrangianSolver:
                 eta = max(1.0 / rho**0.1, cfg.feas_tol)
                 omega = max(1.0 / rho, 0.01 * cfg.opt_tol)
                 if rho >= RHO_MAX and raw_viol > cfg.feas_tol:
-                    stagnant = stagnant + 1 if viol >= 0.99 * prev_viol else 0
+                    if viol >= 0.99 * prev_viol:
+                        stagnant += 1
+                        no_steps += (res.nit == 0
+                                     and str(res.message).startswith("ABNORMAL"))
+                    else:
+                        stagnant = no_steps = 0
                     if stagnant >= 3:
-                        status = "infeasible"
+                        status = "stalled" if no_steps == stagnant else "infeasible"
                         break
             prev_viol = viol
 

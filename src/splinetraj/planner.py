@@ -223,6 +223,13 @@ class VariableLayout:
 # ---------------------------------------------------------------------------
 
 
+def _excess(x: np.ndarray) -> float:
+    """A dense check's violation: the largest entry of x above zero, 0.0
+    when there is none, and NaN when x holds a NaN, which fails verify."""
+    worst = float(x.max())
+    return 0.0 if worst <= 0.0 else worst
+
+
 class DerivBoxFamily(ConstraintBlock):
     """Coefficient box on derivative rows: |D C| <= bound * T^power.
 
@@ -268,11 +275,8 @@ class DerivBoxFamily(ConstraintBlock):
         return r, vjp
 
     def dense_violation(self, dv: DecisionVector, samples) -> float:
-        worst = 0.0
-        for j, d in enumerate(samples.columns(self.power)):
-            vals = d / dv.T**self.power
-            worst = max(worst, float(np.maximum(np.abs(vals) - self.bound[j], 0.0).max()))
-        return worst
+        vals = samples.values(self.power) / dv.T**self.power
+        return _excess(np.abs(vals) - self.bound)
 
 
 class CoeffBoxFamily(ConstraintBlock):
@@ -324,15 +328,13 @@ class CoeffBoxFamily(ConstraintBlock):
         return r, vjp
 
     def dense_violation(self, dv, samples) -> float:
-        worst = 0.0
-        for j, vals in enumerate(samples.columns(0)):
-            if self.angle_depths is not None and self.angle_depths[j] is not None:
-                vals = (2.0 ** self.angle_depths[j]) * np.arctan(vals)
-            if np.isfinite(self.raw_hi[j]):
-                worst = max(worst, float(np.maximum(vals - self.raw_hi[j], 0.0).max()))
-            if np.isfinite(self.raw_lo[j]):
-                worst = max(worst, float(np.maximum(self.raw_lo[j] - vals, 0.0).max()))
-        return worst
+        vals = samples.values(0)
+        if self.angle_depths is not None:
+            angle = [d is not None for d in self.angle_depths]
+            scale = 2.0 ** np.array([d or 0 for d in self.angle_depths])
+            vals = np.where(angle, scale * np.arctan(vals), vals)
+        # An infinite side reads -inf and never counts.
+        return _excess(np.maximum(vals - self.raw_hi, self.raw_lo - vals))
 
 
 class _FittedFamily(ConstraintBlock):
@@ -437,14 +439,9 @@ class ChainRateFamily(_ChainLimitFamily):
         return np.hstack([f * dq - vT * W, -f * dq - vT * W]), pullback
 
     def dense_violation(self, dv, samples) -> float:
-        worst = 0.0
-        for j, (q, qd) in enumerate(zip(samples.columns(0), samples.columns(1))):
-            q = q * self.revolute[j]
-            theta_dot = self.factors[j] * qd / (dv.T * (1.0 + q * q))
-            worst = max(
-                worst, float(np.maximum(np.abs(theta_dot) - self.bound[j], 0.0).max())
-            )
-        return worst
+        q = samples.values(0) * self.revolute
+        theta_dot = self.factors * samples.values(1) / (dv.T * (1.0 + q * q))
+        return _excess(np.abs(theta_dot) - self.bound)
 
 
 class ChainAccelFamily(_ChainLimitFamily):
@@ -480,19 +477,11 @@ class ChainAccelFamily(_ChainLimitFamily):
         return np.hstack([E - aT2W2, -E - aT2W2]), pullback
 
     def dense_violation(self, dv, samples) -> float:
-        worst = 0.0
-        for j, (q, qd, qdd) in enumerate(zip(samples.columns(0), samples.columns(1),
-                                              samples.columns(2))):
-            q = q * self.revolute[j]
-            W = 1.0 + q * q
-            theta_dd = self.factors[j] * (qdd * W - 2.0 * q * qd * qd) / (
-                dv.T**2 * W * W
-            )
-            worst = max(
-                worst,
-                float(np.maximum(np.abs(theta_dd) - self.bound[j], 0.0).max()),
-            )
-        return worst
+        q = samples.values(0) * self.revolute
+        qd, qdd = samples.values(1), samples.values(2)
+        W = 1.0 + q * q
+        theta_dd = self.factors * (qdd * W - 2.0 * q * qd * qd) / (dv.T**2 * W * W)
+        return _excess(np.abs(theta_dd) - self.bound)
 
 
 @dataclass(frozen=True)
@@ -623,9 +612,9 @@ class SDFClearanceFamily(ConstraintBlock):
     def dense_violation(self, dv, samples) -> float:
         worst = 0.0
         if self.nfk is None:
-            vals, _ = self.field.query_extended(samples.matrix())
+            vals, _ = self.field.query_extended(samples.values(0))
             return float(np.maximum(self.bodies[0].radius - vals, 0.0).max())
-        qmat = samples.matrix()
+        qmat = samples.values(0)
         for body in self.bodies:
             state = self.nfk.chain_state(qmat, body.link_index)
             pos = self.nfk.vertex_positions(state, body.verts)
@@ -732,9 +721,9 @@ class PlaneRobotSideFamily(ConstraintBlock):
         a = Bt @ a_c
         b = Bt @ b_c
         if self.nfk is None:
-            y = (a * samples.matrix()).sum(axis=1) + b - self.body.radius
+            y = (a * samples.values(0)).sum(axis=1) + b - self.body.radius
             return float(np.maximum(-y, 0.0).max())
-        state = self.nfk.chain_state(samples.matrix(), self.body.link_index)
+        state = self.nfk.chain_state(samples.values(0), self.body.link_index)
         pos = self.nfk.vertex_positions(state, self.body.verts)
         y = b[:, None] + np.einsum("sd,svd->sv", a, pos)
         return float(np.maximum(-y, 0.0).max())
@@ -895,11 +884,10 @@ class DynamicsResidualFamily(_FittedFamily):
         return dq - T * fvals, pullback
 
     def dense_violation(self, dv, samples) -> float:
-        worst = 0.0
-        for j, (q, dq) in enumerate(zip(samples.columns(0), samples.columns(1))):
-            f = np.polyval(self.poly[j][::-1], q)
-            worst = max(worst, float(np.abs(dq - dv.T * f).max()))
-        return worst
+        q = samples.values(0)
+        f = np.column_stack([np.polyval(row[::-1], q[:, j])
+                             for j, row in enumerate(self.poly)])
+        return float(np.abs(samples.values(1) - dv.T * f).max())
 
 
 # ---------------------------------------------------------------------------
@@ -940,55 +928,48 @@ class PlanningProblem:
             "total_constraints": int(sum(counts.values())),
         }
 
-    def trajectory_splines(self, dv: DecisionVector) -> list[BSpline]:
-        return [
-            BSpline(self.basis.degree, self.basis.knots,
-                    dv.joint_coeffs[:, j : j + 1])
-            for j in range(self.layout.n_coords)
-        ]
+    def trajectory(self, dv: DecisionVector) -> BSpline:
+        """The joint-space spline: one column per coordinate."""
+        return BSpline(self.basis.degree, self.basis.knots, dv.joint_coeffs)
 
 
 class TrajectorySamples:
-    """Trajectory coordinates and their tau-derivatives at fixed parameters,
-    for one verify or export call.
+    """The trajectory and its tau-derivatives at fixed parameters, for one
+    verify or export call.
 
-    Each derivative order's basis matrix at ``taus`` is built once and
-    multiplied with every coordinate's control column in turn: the product
-    ``BSpline.eval`` forms, so the values equal it to the bit.
+    The spline is differentiated as a whole, and each derivative order's
+    basis matrix at ``taus`` is built once.  The values are formed one
+    coordinate column at a time, ``B @ C[:, j]``: the product
+    ``BSpline.eval`` forms for a one-coordinate spline, so they equal it
+    to the bit, which a single ``B @ C`` does not.
     """
 
-    def __init__(self, splines, taus):
+    def __init__(self, trajectory: BSpline, taus):
         self.taus = taus
-        self._splines = [list(splines)]
+        self._splines = [trajectory]
         self._bases = []
-        self._columns = {}
-        self._matrix = None
+        self._values = {}
 
-    def _order(self, order: int) -> list[BSpline]:
+    def _spline(self, order: int) -> BSpline:
         while len(self._splines) <= order:
-            self._splines.append([s.derivative() for s in self._splines[-1]])
+            self._splines.append(self._splines[-1].derivative())
         return self._splines[order]
 
     def basis(self, order: int = 0) -> np.ndarray:
-        """Basis matrix of the order-th derivative splines at ``taus``."""
+        """Basis matrix of the order-th derivative spline at ``taus``."""
         while len(self._bases) <= order:
-            s = self._order(len(self._bases))[0]
+            s = self._spline(len(self._bases))
             self._bases.append(basis_matrix(s.knots, s.degree, self.taus))
         return self._bases[order]
 
-    def columns(self, order: int = 0) -> list[np.ndarray]:
-        """Per coordinate, the order-th tau-derivative at ``taus``."""
-        if order not in self._columns:
+    def values(self, order: int = 0) -> np.ndarray:
+        """The order-th tau-derivative at ``taus``, (S, n_coords)."""
+        if order not in self._values:
             B = self.basis(order)
-            self._columns[order] = [(B @ s.control_points)[:, 0]
-                                    for s in self._order(order)]
-        return self._columns[order]
-
-    def matrix(self) -> np.ndarray:
-        """Coordinate values at ``taus``, one column per coordinate."""
-        if self._matrix is None:
-            self._matrix = np.column_stack(self.columns(0))
-        return self._matrix
+            C = self._spline(order).control_points
+            self._values[order] = np.column_stack(
+                [B @ C[:, j] for j in range(C.shape[1])])
+        return self._values[order]
 
 
 def _chain_workspace_bounds(scenario: Scenario, rates: np.ndarray) -> list[float]:
@@ -1407,26 +1388,18 @@ def verify(solution: Solution, problem: PlanningProblem,
     scenario = problem.scenario
     per_span = max(2, scenario.collision.collocation_per_span * oversample)
     taus = collocation_sites(problem.basis.knots, problem.basis.degree, per_span)
-    splines = problem.trajectory_splines(dv)
-    samples = TrajectorySamples(splines, taus)
+    trajectory = problem.trajectory(dv)
+    samples = TrajectorySamples(trajectory, taus)
     reports = []
 
     # Endpoint conditions are exact by construction; report the residuals.
     # The clamped basis is a unit row at either end, so each value is one
     # control point times 1 whatever the product's summation order.
-    ends = TrajectorySamples(splines, np.array([0.0, 1.0]))
-    end_viol = 0.0
-    for j, (q, d1, d2) in enumerate(zip(ends.columns(0), ends.columns(1),
-                                        ends.columns(2))):
-        end_viol = max(
-            end_viol,
-            float(abs(q[0] - problem.q_init[j])),
-            float(abs(q[1] - problem.q_goal[j])),
-            float(abs(d1[0])),
-            float(abs(d1[1])),
-            float(abs(d2[0])),
-            float(abs(d2[1])),
-        )
+    ends = TrajectorySamples(trajectory, np.array([0.0, 1.0]))
+    q = ends.values(0)
+    residuals = [q[0] - problem.q_init, q[1] - problem.q_goal,
+                 ends.values(1), ends.values(2)]
+    end_viol = float(np.abs(np.concatenate([r.ravel() for r in residuals])).max())
     reports.append(FamilyReport("endpoint_conditions", "eq", end_viol, 12))
 
     for fam in problem.families:
@@ -1442,14 +1415,12 @@ def recovered_angles(problem: PlanningProblem,
     """Joint angles and prismatic offsets (chains) or positions (mobile) at
     the sampled parameters."""
     robot = problem.scenario.robot
+    q = samples.values(0)
     if not isinstance(robot, ChainRobot):
-        return samples.matrix()
-    cols = []
-    for j, q in enumerate(samples.columns(0)):
-        if not robot.revolute[j]:
-            cols.append(q)
-            continue
-        cols.append(unwrap_half_angles(
-            q, robot.halving_depths[j],
-            theta_init=float(problem.scenario.boundary_initial[j])))
-    return np.column_stack(cols)
+        return q
+    angles = q.copy()
+    for j in np.flatnonzero(robot.revolute):  # unwrapping is sequential
+        angles[:, j] = unwrap_half_angles(
+            q[:, j], robot.halving_depths[j],
+            theta_init=float(problem.scenario.boundary_initial[j]))
+    return angles

@@ -53,9 +53,19 @@ def _require_keys(obj: dict, path: str, required, optional=()):
             raise ScenarioError(f"{path}.{key}: missing required field")
 
 
+def _floats(obj) -> np.ndarray | None:
+    """obj as a float array, or None when it is ragged or holds anything
+    but numbers (true, false and strings are not numbers)."""
+    items = np.asarray(obj, dtype=object)
+    if not all(isinstance(v, numbers.Real) and not isinstance(v, bool)
+               for v in items.flat):
+        return None
+    return items.astype(float)
+
+
 def _vector(obj, path: str, size: int | None = None) -> np.ndarray:
-    arr = np.asarray(obj, dtype=float)
-    if arr.ndim != 1 or (size is not None and arr.size != size):
+    arr = _floats(obj)
+    if arr is None or arr.ndim != 1 or (size is not None and arr.size != size):
         raise ScenarioError(f"{path}: expected a vector"
                             + (f" of length {size}" if size else ""))
     if not np.all(np.isfinite(arr)):
@@ -63,17 +73,42 @@ def _vector(obj, path: str, size: int | None = None) -> np.ndarray:
     return arr
 
 
+def _points(obj, path: str, dim: int) -> np.ndarray:
+    """A (k, dim) array of finite coordinates."""
+    arr = _floats(obj)
+    if (arr is None or arr.ndim != 2 or arr.shape[1] != dim
+            or not np.all(np.isfinite(arr))):
+        raise ScenarioError(f"{path}: expected a finite (k, {dim}) array")
+    return arr
+
+
+def _list(value, path: str):
+    if not isinstance(value, (list, tuple)):
+        raise ScenarioError(f"{path}: expected a list")
+    return value
+
+
+def _is_number(value) -> bool:
+    """A finite real number; true, false and strings are not numbers."""
+    return (not isinstance(value, bool) and isinstance(value, numbers.Real)
+            and math.isfinite(value))
+
+
+def _number(value, path: str) -> float:
+    if not _is_number(value):
+        raise ScenarioError(f"{path}: must be a finite number")
+    return float(value)
+
+
 def _count(value, path: str, minimum: int = 1) -> int:
     """An integer >= minimum; an integral float such as 2.0 counts."""
-    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-            or not math.isfinite(value) or value != int(value) or value < minimum):
+    if not _is_number(value) or value != int(value) or value < minimum:
         raise ScenarioError(f"{path}: must be an integer >= {minimum}")
     return int(value)
 
 
 def _tolerance(value, path: str) -> float:
-    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-            or not math.isfinite(value) or value <= 0.0):
+    if not _is_number(value) or value <= 0.0:
         raise ScenarioError(f"{path}: must be a finite number > 0")
     return float(value)
 
@@ -197,7 +232,8 @@ def _parse_motion(obj, path: str, dim: int, nominal: np.ndarray) -> BSpline | No
         for key in ("degree", "knots", "control_points"):
             if key not in obj:
                 raise ScenarioError(f"{path}.{key}: missing for spline motion")
-        spline = BSpline(obj["degree"], obj["knots"], obj["control_points"])
+        spline = BSpline(_count(obj["degree"], f"{path}.degree", 0), obj["knots"],
+                         obj["control_points"])
         if spline.dim != dim:
             raise ScenarioError(f"{path}.control_points: dimension mismatch")
         if spline.domain != (0.0, 1.0):
@@ -213,7 +249,7 @@ def _parse_obstacle(obj, path: str, dim: int) -> ObstaclePrimitive:
     try:
         if kind == "sphere":
             center = _vector(obj.get("center"), f"{path}.center", dim)
-            radius = float(obj.get("radius", 0.0))
+            radius = _number(obj.get("radius", 0.0), f"{path}.radius")
             motion = _parse_motion(obj.get("motion"), f"{path}.motion", dim, center)
             return ObstaclePrimitive.sphere(center, radius, motion=motion)
         if kind == "box":
@@ -223,15 +259,13 @@ def _parse_obstacle(obj, path: str, dim: int) -> ObstaclePrimitive:
             motion = _parse_motion(obj.get("motion"), f"{path}.motion", dim, nominal)
             return ObstaclePrimitive.box(lo, hi, motion=motion)
         if kind == "polytope":
-            verts = np.asarray(obj.get("vertices"), dtype=float)
-            if verts.ndim != 2 or verts.shape[1] != dim:
-                raise ScenarioError(f"{path}.vertices: expected (k, {dim}) array")
+            verts = _points(obj.get("vertices"), f"{path}.vertices", dim)
             motion = _parse_motion(obj.get("motion"), f"{path}.motion", dim,
                                    verts.mean(axis=0))
             return ObstaclePrimitive.polytope(verts, motion=motion)
     except ScenarioError:
         raise
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ScenarioError(f"{path}: {exc}") from exc
     raise ScenarioError(f"{path}.kind: unknown obstacle kind {kind!r}")
 
@@ -246,28 +280,25 @@ def _parse_robot(obj):
             if key not in obj:
                 raise ScenarioError(f"robot.{key}: missing required field")
         return MobileRobot(_count(obj["dimension"], "robot.dimension", 2),
-                           float(obj["radius"]))
+                           _number(obj["radius"], "robot.radius"))
     if kind == "chain":
         for key in ("base_pose", "links", "cuboids"):
             if key not in obj:
                 raise ScenarioError(f"robot.{key}: missing required field")
         base = _vector(obj["base_pose"], "robot.base_pose", 16).reshape(4, 4)
         links = []
-        for i, entry in enumerate(obj["links"]):
-            _require_keys(entry, f"robot.links[{i}]", ["a", "alpha", "d"],
-                          ["theta0", "kind"])
-            links.append(
-                DHLink(
-                    a=float(entry["a"]),
-                    alpha=float(entry["alpha"]),
-                    d=float(entry["d"]),
-                    theta_offset=float(entry.get("theta0", 0.0)),
-                    joint_kind=entry.get("kind", "revolute"),
-                )
-            )
+        for i, entry in enumerate(_list(obj["links"], "robot.links")):
+            path = f"robot.links[{i}]"
+            _require_keys(entry, path, ["a", "alpha", "d"], ["theta0", "kind"])
+            a, alpha, d, theta0 = (_number(entry.get(key, 0.0), f"{path}.{key}")
+                                   for key in ("a", "alpha", "d", "theta0"))
+            kind = entry.get("kind", "revolute")
+            if kind not in ("revolute", "prismatic"):
+                raise ScenarioError(f"{path}.kind: must be 'revolute' or 'prismatic'")
+            links.append(DHLink(a, alpha, d, theta0, kind))
         cuboids = []
-        for i, verts in enumerate(obj["cuboids"]):
-            arr = np.asarray(verts, dtype=float)
+        for i, verts in enumerate(_list(obj["cuboids"], "robot.cuboids")):
+            arr = _points(verts, f"robot.cuboids[{i}]", 3)
             if arr.shape != (8, 3):
                 raise ScenarioError(f"robot.cuboids[{i}]: expected 8x3 vertices")
             cuboids.append(arr)
@@ -334,9 +365,9 @@ def parse_scenario(obj: dict) -> Scenario:
     lscale = _unit_scale(lim, "limits")
 
     def _limit_vec(value, path):
-        if isinstance(value, (int, float)):
-            return np.full(n, float(value))
-        return _vector(value, path, n)
+        if isinstance(value, (list, tuple, np.ndarray)):
+            return _vector(value, path, n)
+        return np.full(n, _number(value, path))  # one value for every coordinate
 
     velocity = _limit_vec(lim["velocity"], "limits.velocity") * lscale
     acceleration = _limit_vec(lim["acceleration"], "limits.acceleration") * lscale
@@ -358,7 +389,7 @@ def parse_scenario(obj: dict) -> Scenario:
     obs_dim = wdim
     obstacles = tuple(
         _parse_obstacle(o, f"obstacles[{i}]", obs_dim)
-        for i, o in enumerate(obj.get("obstacles", []))
+        for i, o in enumerate(_list(obj.get("obstacles", []), "obstacles"))
     )
 
     solver_obj = obj.get("solver", {})
@@ -378,10 +409,8 @@ def parse_scenario(obj: dict) -> Scenario:
     if cell_size == "auto":
         cell_size = None
     elif cell_size is not None:
-        try:
-            cell_size = float(cell_size)
-        except (TypeError, ValueError):
-            cell_size = math.nan  # rejected by CollisionSettings
+        # Anything but a number is rejected by CollisionSettings as NaN.
+        cell_size = float(cell_size) if _is_number(cell_size) else math.nan
     collision = CollisionSettings(
         cell_size=cell_size,
         collocation_per_span=_count(col_obj.get("collocation_per_span", 8),
@@ -395,10 +424,12 @@ def parse_scenario(obj: dict) -> Scenario:
         _require_keys(dyn, "dynamics", ["poly"])
         if is_chain:
             raise ScenarioError("dynamics: ODE constraints support mobile robots only")
-        rows = dyn["poly"]
-        if len(rows) != n:
-            raise ScenarioError("dynamics.poly: one coefficient row per coordinate")
-        dynamics = tuple(tuple(float(v) for v in row) for row in rows)
+        rows = _list(dyn["poly"], "dynamics.poly")
+        dynamics = tuple(tuple(_vector(row, f"dynamics.poly[{j}]").tolist())
+                         for j, row in enumerate(rows))
+        if len(dynamics) != n or not all(dynamics):
+            raise ScenarioError("dynamics.poly: one non-empty coefficient row per "
+                                "coordinate")
 
     # Physical consistency checks.
     if is_chain:

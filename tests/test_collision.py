@@ -376,9 +376,9 @@ class TestStaticClearance:
         taus = np.linspace(0, 1, 40)
         out, fam, dv = self.clearance([1.2, 1.2], [1.5, 1.0], taus)
         assert out.min() > 0.5
-        splines = [BSpline(3, CUBIC, dv.joint_coeffs[:, j : j + 1]) for j in range(2)]
+        trajectory = BSpline(3, CUBIC, dv.joint_coeffs)
         assert fam.dense_violation(
-            dv, TrajectorySamples(splines, np.linspace(0, 1, 1000))) == 0.0
+            dv, TrajectorySamples(trajectory, np.linspace(0, 1, 1000))) == 0.0
 
     def test_through_obstacle_negative(self):
         taus = np.linspace(0, 1, 40)
@@ -513,10 +513,10 @@ class TestHyperplaneConstraints:
             if robot.min() < 0.0 or obst.max() > 0.0 or norm.max() > 0.0:
                 continue
             found += 1
-            splines = [BSpline(3, CUBIC, C[:, j : j + 1]) for j in range(2)]
+            trajectory = BSpline(3, CUBIC, C)
             for fam in fams:
                 assert fam.dense_violation(
-                    dv, TrajectorySamples(splines, taus)) == 0.0, fam.name
+                    dv, TrajectorySamples(trajectory, taus)) == 0.0, fam.name
         assert found >= 3
 
 

@@ -15,16 +15,20 @@ from splinetraj.planner import (
     ChainAccelFamily,
     ChainRateFamily,
     CoeffBoxFamily,
+    DecisionVector,
     DerivBoxFamily,
     DynamicsResidualFamily,
     PlaneNormFamily,
     PlaneObstacleSideFamily,
     PlaneRobotSideFamily,
     SDFClearanceFamily,
+    TrajectorySamples,
     assemble,
     initial_guess,
 )
 from splinetraj.scenario import load_scenario, parse_scenario
+from splinetraj.spline_algebra import collocation_sites
+from tests.test_planner import PerCoordinateSamples
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "src/splinetraj/scenarios"
 
@@ -174,3 +178,70 @@ def test_vjp_matches_central_differences(problems, scenario, cls, count):
             assert abs(analytic - numeric) <= 1e-6 * max(1.0, scale), (
                 fam.name, analytic, numeric
             )
+
+
+def reference_dense_violation(fam, dv, samples):
+    """The per-coordinate loops of the limit and dynamics families' dense
+    checks, as they ran before they read the sampled matrix; kept as the
+    byte-for-byte reference.  Other families read the matrix as they did."""
+    worst = 0.0
+    cols = samples.columns
+    if isinstance(fam, DerivBoxFamily):
+        for j, d in enumerate(cols(fam.power)):
+            vals = d / dv.T**fam.power
+            worst = max(worst, float(np.maximum(np.abs(vals) - fam.bound[j], 0.0).max()))
+    elif isinstance(fam, CoeffBoxFamily):
+        for j, vals in enumerate(cols(0)):
+            if fam.angle_depths is not None and fam.angle_depths[j] is not None:
+                vals = (2.0 ** fam.angle_depths[j]) * np.arctan(vals)
+            if np.isfinite(fam.raw_hi[j]):
+                worst = max(worst, float(np.maximum(vals - fam.raw_hi[j], 0.0).max()))
+            if np.isfinite(fam.raw_lo[j]):
+                worst = max(worst, float(np.maximum(fam.raw_lo[j] - vals, 0.0).max()))
+    elif isinstance(fam, ChainRateFamily):
+        for j, (q, qd) in enumerate(zip(cols(0), cols(1))):
+            q = q * fam.revolute[j]
+            theta_dot = fam.factors[j] * qd / (dv.T * (1.0 + q * q))
+            worst = max(
+                worst, float(np.maximum(np.abs(theta_dot) - fam.bound[j], 0.0).max())
+            )
+    elif isinstance(fam, ChainAccelFamily):
+        for j, (q, qd, qdd) in enumerate(zip(cols(0), cols(1), cols(2))):
+            q = q * fam.revolute[j]
+            W = 1.0 + q * q
+            theta_dd = fam.factors[j] * (qdd * W - 2.0 * q * qd * qd) / (dv.T**2 * W * W)
+            worst = max(
+                worst, float(np.maximum(np.abs(theta_dd) - fam.bound[j], 0.0).max())
+            )
+    elif isinstance(fam, DynamicsResidualFamily):
+        for j, (q, dq) in enumerate(zip(cols(0), cols(1))):
+            f = np.polyval(fam.poly[j][::-1], q)
+            worst = max(worst, float(np.abs(dq - dv.T * f).max()))
+    else:
+        return fam.dense_violation(dv, samples)
+    return worst
+
+
+@pytest.mark.parametrize(
+    "scenario,cls,count", CASES,
+    ids=[f"{s}-{c.__name__}" for s, c, _ in CASES],
+)
+def test_dense_violation_matches_per_coordinate_reference(problems, scenario, cls,
+                                                          count):
+    problem = problems(scenario)
+    families = [f for f in problem.families if type(f) is cls]
+    rng = np.random.default_rng(31)
+    taus = collocation_sites(problem.basis.knots, problem.basis.degree, 80)
+    # At the perturbed point, at a third of its T, where the rate,
+    # acceleration and dynamics checks read well above zero, and with its
+    # joint coefficients scaled 8x, which breaks the angle and position boxes.
+    point = problem.layout.unpack(_perturbed_point(problem, rng))
+    for T, scale in ((point.T, 1.0), (point.T / 3.0, 1.0), (point.T, 8.0)):
+        dv = DecisionVector(scale * point.joint_coeffs, T, point.plane_coeffs)
+        trajectory = problem.trajectory(dv)
+        samples = TrajectorySamples(trajectory, taus)
+        reference = PerCoordinateSamples(trajectory, taus)
+        for fam in families:
+            got = fam.dense_violation(dv, samples)
+            want = reference_dense_violation(fam, dv, reference)
+            assert float(got).hex() == float(want).hex(), (fam.name, T, got, want)

@@ -2,6 +2,7 @@
 Bernstein form, numeric FK, against independent DH oracles."""
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -11,10 +12,8 @@ from splinetraj.bspline import BSpline, clamp_knots
 from splinetraj.kinematics import (
     DHChain,
     DHLink,
-    HalfAngleJoint,
     NumericFK,
     halfangle_cos_sin,
-    recover_theta,
     unwrap_half_angles,
 )
 from splinetraj.spline_algebra import FitOperator, add, collocation_sites, multiply
@@ -35,17 +34,22 @@ def oracle_dh(a, alpha, d, theta):
     )
 
 
+class Joint(NamedTuple):
+    """One revolute joint: the spline of q = tan(theta / 2^n) and n."""
+
+    q: BSpline
+    halving_depth: int = 1
+
+
 def random_joint(rng, depth=1, scale=0.8):
     n = len(CUBIC_KNOTS) - 4
     coeffs = rng.uniform(-scale, scale, (n, 1))
-    return HalfAngleJoint(BSpline(3, CUBIC_KNOTS, coeffs), halving_depth=depth)
+    return Joint(BSpline(3, CUBIC_KNOTS, coeffs), halving_depth=depth)
 
 
 def constant_joint(value, depth=1):
     n = len(CUBIC_KNOTS) - 4
-    return HalfAngleJoint(
-        BSpline(3, CUBIC_KNOTS, np.full((n, 1), float(value))), halving_depth=depth
-    )
+    return Joint(BSpline(3, CUBIC_KNOTS, np.full((n, 1), float(value))), halving_depth=depth)
 
 
 def default_cuboid():
@@ -92,9 +96,9 @@ def eval_spans(poly, knots, taus):
 
 
 def prefixes(chain, joints):
-    """Prefix products P_0..P_L of a chain at HalfAngleJoint or offset splines."""
-    splines = [j.q if isinstance(j, HalfAngleJoint) else j for j in joints]
-    depths = [j.halving_depth if isinstance(j, HalfAngleJoint) else 1 for j in joints]
+    """Prefix products P_0..P_L of a chain at Joint or offset splines."""
+    splines = [j.q if isinstance(j, Joint) else j for j in joints]
+    depths = [j.halving_depth if isinstance(j, Joint) else 1 for j in joints]
     numerators = ChainNumerators(chain, depths, CUBIC_KNOTS, 3)
     coeffs = np.column_stack([s.control_points[:, 0] for s in splines])
     return numerators.forward(coeffs)["prefix"]
@@ -317,13 +321,18 @@ class TestTransformPoint:
             np.testing.assert_allclose(pos[k], (ref @ np.append(vert, 1))[:3], atol=1e-6)
 
 
+def recover(joint, taus, theta_init=None):
+    """Angles of one sampled joint, as the export recovers them."""
+    return unwrap_half_angles(joint.q.eval(taus)[:, 0], joint.halving_depth, theta_init)
+
+
 class TestRecoverTheta:
     def test_zero(self):
-        out = recover_theta(constant_joint(0.0), np.linspace(0, 1, 10))
+        out = recover(constant_joint(0.0), np.linspace(0, 1, 10))
         np.testing.assert_allclose(out, 0.0, atol=1e-14)
 
     def test_unit(self):
-        out = recover_theta(constant_joint(1.0), np.linspace(0, 1, 10))
+        out = recover(constant_joint(1.0), np.linspace(0, 1, 10))
         np.testing.assert_allclose(out, np.pi / 2, atol=1e-12)
 
     def test_continuity_across_pi_depth_two(self):
@@ -332,9 +341,8 @@ class TestRecoverTheta:
         n = len(knots) - 4
         theta_targets = np.linspace(0.0, 1.4 * np.pi, n)
         q = BSpline(3, knots, np.tan(theta_targets / 4.0)[:, None])
-        joint = HalfAngleJoint(q, halving_depth=2)
         taus = np.linspace(0, 1, 500)
-        theta = recover_theta(joint, taus, theta_init=0.0)
+        theta = recover(Joint(q, halving_depth=2), taus, theta_init=0.0)
         steps = np.abs(np.diff(theta))
         assert steps.max() < np.pi
 
@@ -345,13 +353,45 @@ class TestRecoverTheta:
         n = len(knots) - 4
         theta_targets = np.linspace(-1.5 * np.pi, 1.5 * np.pi, n)
         q = BSpline(3, knots, np.tan(theta_targets / 4.0)[:, None])
-        joint = HalfAngleJoint(q, halving_depth=2)
         taus = np.linspace(0, 1, 200)
-        recovered = recover_theta(joint, taus, theta_init=-1.5 * np.pi)
+        recovered = recover(Joint(q, halving_depth=2), taus, theta_init=-1.5 * np.pi)
         qvals = q.eval(taus)[:, 0]
         np.testing.assert_allclose(np.tan(recovered / 4.0), qvals, atol=1e-9)
         assert recovered.min() < -1.2 * np.pi and recovered.max() > 1.2 * np.pi
         assert np.abs(np.diff(recovered)).max() < np.pi
+
+    def test_recovered_angles_per_joint(self):
+        # The export's route: revolute columns unwrapped from the start
+        # angle, prismatic offsets as they are, mobile coordinates as they are.
+        import json
+
+        from splinetraj.planner import TrajectorySamples, assemble, recovered_angles
+        from splinetraj.scenario import ChainRobot, parse_scenario
+
+        from tests.test_planner import SCENARIO_DIR
+
+        prismatic = json.loads((SCENARIO_DIR / "threelink.json").read_text())
+        prismatic["robot"]["links"][2]["kind"] = "prismatic"
+        prismatic["boundary"] = {"initial": [-60, 40, 0.1], "goal": [60, 40, 0.3],
+                                 "units": "deg"}
+        prismatic["obstacles"] = []
+        scenarios = [json.loads((SCENARIO_DIR / f"{name}.json").read_text())
+                     for name in ("threelink", "mobile2d")] + [prismatic]
+        taus = np.linspace(0, 1, 200)
+        for obj in scenarios:
+            prob = assemble(parse_scenario(obj))
+            rng = np.random.default_rng(3)
+            C = rng.uniform(-2.0, 2.0, (prob.basis.n_coeffs, prob.layout.n_coords))
+            trajectory = BSpline(prob.basis.degree, prob.basis.knots, C)
+            got = recovered_angles(prob, TrajectorySamples(trajectory, taus))
+            robot = prob.scenario.robot
+            for j in range(prob.layout.n_coords):
+                column = BSpline(prob.basis.degree, prob.basis.knots, C[:, j : j + 1])
+                want = column.eval(taus)[:, 0]
+                if isinstance(robot, ChainRobot) and robot.revolute[j]:
+                    joint = Joint(column, robot.halving_depths[j])
+                    want = recover(joint, taus, float(prob.scenario.boundary_initial[j]))
+                assert got[:, j].tobytes() == want.tobytes(), (obj["name"], j)
 
 
 def reference_unwrap(qvals, n, theta_init=None):

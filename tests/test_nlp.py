@@ -118,6 +118,24 @@ class TestQPFloor:
         result = solver.solve(np.array([0.0]))
         assert result.status == "infeasible"
         assert result.max_violation > 0.5
+        # An empty feasible set still moves the inner solves; none stalls.
+        assert not result.trace[-1]["lbfgsb_message"].startswith("ABNORMAL")
+
+    def test_stalled_line_search_is_not_infeasible(self):
+        # A 5-circle slalom of the mobile benchmark: after 9 inner
+        # iterations every L-BFGS-B call fails its first line search, so
+        # the plan stops without showing the geometry infeasible.
+        from perfbench.workloads import generate
+        from splinetraj.planner import solve
+
+        obj = next(o for o in generate("mobile_sdf")
+                   if o["name"] == "bench2d_slalom_5_0")
+        sol = solve(assemble(parse_scenario(obj)))
+        assert sol.status == "stalled"
+        assert not sol.converged
+        tail = sol.trace[-3:]
+        assert all(e["inner_iterations"] == 0
+                   and e["lbfgsb_message"].startswith("ABNORMAL") for e in tail)
 
     def test_unconstrained_path(self):
         def objective(x):

@@ -16,13 +16,14 @@ from splinetraj.planner import (
     DecisionVector,
     PlaneRobotSideFamily,
     TrajectoryBasis,
+    TrajectorySamples,
     assemble,
     initial_guess,
     solve,
     verify,
 )
 from splinetraj.scenario import ScenarioError, load_scenario, parse_scenario
-from splinetraj.spline_algebra import elevated_union
+from splinetraj.spline_algebra import collocation_sites, elevated_union
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "src/splinetraj/scenarios"
 
@@ -80,6 +81,66 @@ class TestTrajectoryBasis:
                           (basis.knots2.values, knots2.values)):
             assert got.shape == want.shape
             assert got.tobytes() == want.tobytes()
+
+
+class PerCoordinateSamples:
+    """The trajectory as one one-column spline per coordinate, each
+    differentiated and evaluated on its own: how verify and export sampled
+    it before they read the joint-coefficient spline as a whole, kept as
+    the byte-for-byte reference."""
+
+    def __init__(self, trajectory, taus):
+        self.taus = taus
+        self.splines = [BSpline(trajectory.degree, trajectory.knots,
+                                trajectory.control_points[:, j : j + 1])
+                        for j in range(trajectory.dim)]
+
+    def _order(self, order):
+        out = self.splines
+        for _ in range(order):
+            out = [s.derivative() for s in out]
+        return out
+
+    def columns(self, order=0):
+        return [s.eval(self.taus)[:, 0] for s in self._order(order)]
+
+    def values(self, order=0):
+        return np.column_stack(self.columns(order))
+
+    def basis(self, order=0):
+        s = self._order(order)[0]
+        return basis_matrix(s.knots, s.degree, self.taus)
+
+
+class TestTrajectorySamples:
+    @pytest.mark.parametrize("degree", [3, 4, 5])
+    @pytest.mark.parametrize("interior", [
+        _bundled_interior("threelink"),
+        _bundled_interior("unconstrained"),
+    ], ids=["bundled", "uneven"])
+    def test_values_equal_per_coordinate_splines_bit_for_bit(self, degree, interior):
+        knots = clamp_knots(interior, degree)
+        rng = np.random.default_rng(degree)
+        n = len(knots) - degree - 1
+        for n_coords in (2, 3, 6):
+            C = rng.uniform(-2.0, 2.0, (n, n_coords))
+            trajectory = BSpline(degree, knots, C)
+            taus = collocation_sites(knots, degree, 80)
+            samples = TrajectorySamples(trajectory, taus)
+            reference = PerCoordinateSamples(trajectory, taus)
+            for order in range(3):
+                got = samples.values(order)
+                assert got.shape == (taus.size, n_coords)
+                for j, want in enumerate(reference.columns(order)):
+                    assert got[:, j].tobytes() == want.tobytes(), (order, j)
+                assert samples.basis(order).tobytes() == reference.basis(order).tobytes()
+
+    def test_is_the_problem_trajectory(self):
+        prob = assemble(load_scenario(SCENARIO_DIR / "threelink.json"))
+        dv = initial_guess(prob)
+        trajectory = prob.trajectory(dv)
+        assert (trajectory.degree, trajectory.knots) == (prob.basis.degree, prob.basis.knots)
+        assert trajectory.control_points.tobytes() == dv.joint_coeffs.tobytes()
 
 
 class TestAssemble:
@@ -547,6 +608,20 @@ class TestVerify:
         assert not rep.family("velocity_limits").passed
         assert not rep.passed
 
+    def test_nan_travel_time_fails(self):
+        # A stored solution.json may read "T": NaN; the limit checks used
+        # to drop the NaN samples and pass it.
+        prob = assemble(mobile_scenario())
+        dv = initial_guess(prob)
+        dv.T = float("nan")
+        from splinetraj.planner import Solution
+
+        rep = verify(Solution(dv, "converged", dv.T, 0, 0, 0.0, 0.0, {}), prob)
+        for name in ("velocity_limits", "acceleration_limits"):
+            assert np.isnan(rep.family(name).max_violation), name
+            assert not rep.family(name).passed
+        assert not rep.passed
+
     def test_dynamics_residual_tolerance(self):
         scn = mobile_scenario(obstacles=[], dynamics={"poly": [[0.0, -0.5], [1.0]]})
         prob = assemble(scn)
@@ -588,10 +663,10 @@ class TestDynamicsFamily:
         # independent: sample q' - T f(q) densely; the fitted spline of the
         # residual must reproduce those values
         taus = fam.op.taus
-        splines = prob.trajectory_splines(dv)
+        trajectory = prob.trajectory(dv)
         for j, poly in enumerate([[0.0, -0.5], [1.0]]):
-            q = splines[j].eval(taus)[:, 0]
-            dq = splines[j].derivative().eval(taus)[:, 0]
+            q = trajectory.eval(taus)[:, j]
+            dq = trajectory.derivative().eval(taus)[:, j]
             f = np.polyval(np.array(poly)[::-1], q)
             expected = fam.op.fit_coefficients(dq - dv.T * f)[:, 0]
             n = fam.op.n_coefficients

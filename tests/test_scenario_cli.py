@@ -2,7 +2,9 @@
 
 import json
 import logging
+import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -115,7 +117,7 @@ class TestParsing:
             parse_scenario(minimal_mobile(**{block: {key: value}}))
 
     @pytest.mark.parametrize("value", [-0.05, 0, 0.0, float("nan"),
-                                       float("inf"), "fine", [0.05]])
+                                       float("inf"), "fine", [0.05], True, "0.05"])
     def test_bad_cell_size_rejected(self, value):
         # Not a finite number > 0: 0 used to be read as "auto" and a
         # negative or NaN size failed only inside the SDF build.
@@ -181,6 +183,58 @@ class TestParsing:
         obj.setdefault(block, {})[key] = value
         with pytest.raises(ScenarioError, match=f"{block}.{key}"):
             parse_scenario(obj)
+
+    @pytest.mark.parametrize("base, where, value, key", [
+        ("mobile", ("robot", "radius"), math.nan, "robot.radius"),
+        ("mobile", ("robot", "radius"), math.inf, "robot.radius"),
+        ("mobile", ("obstacles", 0, "radius"), math.nan, "obstacles[0].radius"),
+        ("mobile", ("obstacles", 0, "radius"), math.inf, "obstacles[0].radius"),
+        ("mobile", ("limits", "velocity"), math.nan, "limits.velocity"),
+        ("mobile", ("limits", "velocity"), math.inf, "limits.velocity"),
+        ("mobile", ("limits", "velocity"), True, "limits.velocity"),
+        ("mobile", ("limits", "acceleration"), math.nan, "limits.acceleration"),
+        ("mobile", ("limits", "acceleration"), math.inf, "limits.acceleration"),
+        ("mobile", ("limits", "acceleration"), True, "limits.acceleration"),
+        ("mobile", ("obstacles", 0, "motion", "degree"), "x",
+         "obstacles[0].motion.degree"),
+        ("mobile", ("dynamics", "poly", 0, 1), math.nan, "dynamics.poly[0]"),
+        ("mobile", ("dynamics", "poly", 1, 0), "x", "dynamics.poly[1]"),
+        ("mobile", ("dynamics", "poly", 1), [], "dynamics.poly"),
+        ("chain", ("robot", "links", 0, "a"), math.nan, "robot.links[0].a"),
+        ("chain", ("robot", "links", 1, "alpha"), math.nan, "robot.links[1].alpha"),
+        ("chain", ("robot", "links", 2, "d"), math.nan, "robot.links[2].d"),
+        ("chain", ("robot", "links", 0, "theta0"), math.nan, "robot.links[0].theta0"),
+        ("chain", ("robot", "links", 0, "theta0"), "x", "robot.links[0].theta0"),
+        ("chain", ("robot", "links"), 5, "robot.links"),
+        ("mobile", ("boundary", "initial"), ["0.5", 0], "boundary.initial"),
+        ("mobile", ("boundary", "initial"), [True, 0], "boundary.initial"),
+        ("mobile", ("workspace", "max"), [2, False], "workspace.max"),
+    ])
+    def test_value_that_would_crash_the_solve_rejected(self, tmp_path, capsys,
+                                                       base, where, value, key):
+        # Each value used to parse and then end the plan in a non-finite
+        # residual or an out-of-bounds SDF query, to leak a bare
+        # TypeError/ValueError from the parser, or to be read as a number.
+        if base == "chain":
+            obj = json.loads((SCENARIO_DIR / "threelink.json").read_text())
+        else:
+            obj = minimal_mobile(
+                obstacles=[{"kind": "sphere", "center": [0.5, 0.5], "radius": 0.2,
+                            "motion": {"kind": "spline", "degree": 1,
+                                       "knots": [0, 0, 1, 1],
+                                       "control_points": [[0.5, 0.5], [0.6, 0.5]]}}],
+                dynamics={"poly": [[0.0, -0.5], [1.0]]},
+            )
+        node = obj
+        for step in where[:-1]:
+            node = node[step]
+        node[where[-1]] = value
+        with pytest.raises(ScenarioError, match=re.escape(key)):
+            parse_scenario(obj)
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(obj))
+        assert main(["solve", str(path)]) == 3
+        assert key in capsys.readouterr().err
 
     def test_integral_numbers_accepted(self):
         obj = json.loads((SCENARIO_DIR / "threelink.json").read_text())
@@ -301,13 +355,15 @@ def per_value_rows(table):
 
 
 def reference_export_text(sol, prob, samples):
-    """trajectory.csv and cartesian.csv as first written: every spline
-    evaluated on its own, every value formatted on its own."""
-    from splinetraj.kinematics import HalfAngleJoint, recover_theta
+    """trajectory.csv and cartesian.csv as first written: every coordinate
+    a spline evaluated on its own, every value formatted on its own."""
+    from splinetraj.kinematics import unwrap_half_angles
 
     dv, scn = sol.decision, prob.scenario
     taus = np.linspace(0.0, 1.0, samples)
-    splines = prob.trajectory_splines(dv)
+    splines = [splinetraj.BSpline(prob.basis.degree, prob.basis.knots,
+                                  dv.joint_coeffs[:, j : j + 1])
+               for j in range(prob.layout.n_coords)]
     is_chain = not isinstance(scn.robot, splinetraj.MobileRobot)
     q = [s.eval(taus)[:, 0] for s in splines]
     qd = [s.derivative().eval(taus)[:, 0] for s in splines]
@@ -319,8 +375,8 @@ def reference_export_text(sol, prob, samples):
                 rates.append(qd[j] / dv.T)
                 continue
             depth = scn.robot.halving_depths[j]
-            angles.append(recover_theta(HalfAngleJoint(s, depth), taus,
-                                        float(scn.boundary_initial[j])))
+            angles.append(unwrap_half_angles(q[j], depth,
+                                             float(scn.boundary_initial[j])))
             rates.append((2.0**depth) * qd[j] / (dv.T * (1.0 + q[j] * q[j])))
         state = prob.nfk.shared_state(np.column_stack(q))
         cart = [prob.nfk.body_positions(state, b.link_index, b.verts)

@@ -6,6 +6,11 @@ on the command line) this plans it through ``splinetraj.cli.run`` with
 
     <scenario> <status> <float.hex(T)> <sha256 of solution.json>
         <sha256 of trajectory.csv> <sha256 of cartesian.csv>
+        <sha256 of report.json's "verification" object>
+
+The verification object holds each family's dense violation, tolerance
+and sample count; the run's timings sit beside it in ``report.json`` and
+are left out, so the last digest covers what ``verify`` computed.
 
 BLAS runs on one thread, as in the test suite and the benchmark, because
 the chain solves take different iterations at other thread counts.  Two
@@ -30,6 +35,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import argparse  # noqa: E402
 import hashlib  # noqa: E402
+import json  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
 from pathlib import Path  # noqa: E402
@@ -58,6 +64,10 @@ def main(argv=None) -> int:
             report = run(scenario, output_dir=tmp, samples=1000)
             digests = [hashlib.sha256((Path(tmp) / f).read_bytes()).hexdigest()
                        for f in OUTPUTS]
+            verification = json.loads(
+                (Path(tmp) / "report.json").read_text())["verification"]
+            blob = json.dumps(verification, sort_keys=True)
+            digests.append(hashlib.sha256(blob.encode()).hexdigest())
         print(name, report.status, float(report.objective).hex(), *digests,
               flush=True)
     return 0
