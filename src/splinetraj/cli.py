@@ -304,10 +304,12 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    scenario = load_scenario(args.scenario)
-    payload = json.loads(Path(args.solution).read_text())
-    solution = Solution.from_json(payload)
-    problem = assemble(scenario)
+    problem = assemble(load_scenario(args.scenario))
+    try:
+        payload = json.loads(Path(args.solution).read_text())
+    except json.JSONDecodeError as exc:
+        raise ScenarioError(f"{args.solution}: malformed JSON ({exc})") from exc
+    solution = Solution.from_json(payload, problem.layout)
     report = verify(solution, problem, oversample=args.oversample)
     for fam in report.families:
         flag = "" if fam.passed else "  VIOLATED"

@@ -248,14 +248,6 @@ class NumericFK:
             return Ts, dTs
         return Ts
 
-    def transforms(self, qmat: np.ndarray, link_index: int) -> np.ndarray:
-        """Cumulative base-to-link transforms T0..T_link at S samples."""
-        Ts = self.link_values(qmat[:, :link_index])
-        out = np.broadcast_to(self.chain.base_pose, (qmat.shape[0], 4, 4)).copy()
-        for T in Ts:
-            out = out @ T
-        return out
-
     def chain_state(self, qmat: np.ndarray, link_index: int):
         """Prefix transforms and the cumulative denominator for one link.
 

@@ -4,7 +4,9 @@ Constraints arrive as blocks, each producing a residual vector (inequalities
 feasible at <= 0, equalities at = 0) together with an adjoint callback that
 maps residual weights to a gradient contribution.  The outer loop follows the
 classic multiplier/penalty schedule; the inner bound-constrained minimization
-is delegated to L-BFGS-B.  Everything is deterministic for fixed inputs.
+is delegated to L-BFGS-B.  Only the outer loop sets the status; after it, a
+solve that did not converge returns its best iterate.  Everything is
+deterministic for fixed inputs.
 """
 
 from __future__ import annotations
@@ -33,9 +35,6 @@ log = logging.getLogger(__name__)
 RHO_INIT = 10.0
 RHO_GROWTH = 10.0
 RHO_MAX = 1e8
-# Feasibility restoration lets each objective-bearing variable move this far
-# (relative, at least absolute) in the direction that worsens the objective.
-RESTORE_OBJECTIVE_SLACK = 1e-3
 
 
 @dataclass(frozen=True)
@@ -107,26 +106,24 @@ class ConstraintBlock:
         return float(np.abs(residuals).max(initial=0.0))
 
 
-def _trace_entry(outer, rho, f, viol, raw_viol, res, per_block,
-                 restoration=False) -> dict:
+def _trace_entry(outer, rho, f, viol, raw_viol, res, per_block) -> dict:
     """One record of the solver trace, also logged at INFO."""
-    log.info("%s %d: rho=%.3g objective=%.9g violation=%.3e raw=%.3e "
-             "inner=%d (%s)", "restoration" if restoration else "outer",
-             outer, rho, f, viol, raw_viol, res.nit, res.message)
-    entry = {"outer": outer, "rho": rho, "objective": f, "violation": viol,
-             "raw_violation": raw_viol, "inner_iterations": int(res.nit),
-             "lbfgsb_message": str(res.message),
-             "block_violations": dict(per_block)}
-    if restoration:
-        entry["restoration"] = True
-    return entry
+    log.info("outer %d: rho=%.3g objective=%.9g violation=%.3e raw=%.3e "
+             "inner=%d (%s)", outer, rho, f, viol, raw_viol, res.nit,
+             res.message)
+    return {"outer": outer, "rho": rho, "objective": f, "violation": viol,
+            "raw_violation": raw_viol, "inner_iterations": int(res.nit),
+            "lbfgsb_message": str(res.message),
+            "block_violations": dict(per_block)}
 
 
 @dataclass
 class SolverResult:
-    """``status``: converged, max-iterations, infeasible (the violation
-    stopped shrinking at the largest penalty) or stalled (it did, but each
-    of those inner solves failed its first line search and took no step)."""
+    """``status``: converged, max-iterations (the outer limit ran out,
+    whatever the violation), infeasible (the violation stopped shrinking at
+    the largest penalty) or stalled (it did, but each of those inner solves
+    failed its first line search and took no step).  Unless converged,
+    ``x`` is the iterate of least raw violation, then least objective."""
 
     x: np.ndarray
     status: str
@@ -329,80 +326,8 @@ class AugmentedLagrangianSolver:
         if status != "converged" and best is not None and (raw_viol, f) > best[:2]:
             raw_viol, f, x, per_block, evals = best
 
-        if status != "converged" and raw_viol > cfg.feas_tol and raw_viol <= 1e-2:
-            # Near-feasible stall: hold the objective and push the iterate
-            # into the cushioned interior; the raw constraints then hold
-            # strictly.
-            res = self._restore_feasibility(x)
-            x2 = res.x
-            inner_total += int(res.nit)
-            evals2 = self._eval_blocks(x2)
-            viol2, raw2, per_block2 = self._violations(evals2)
-            f2, _ = self.objective(x2)
-            trace.append(_trace_entry(outer, rho, f2, viol2, raw2, res,
-                                      per_block2, restoration=True))
-            if raw2 <= cfg.feas_tol:
-                x, evals, raw_viol, per_block, f = x2, evals2, raw2, per_block2, f2
-                status = "converged"
-
         if not np.isfinite(kkt):
             kkt, _ = self._kkt_residual(x, multipliers, evals)
-        if (
-            status == "max-iterations"
-            and raw_viol > cfg.feas_tol * 100
-            and rho >= RHO_MAX
-        ):
-            status = "infeasible"
         return SolverResult(
             x, status, f, outer, inner_total, raw_viol, kkt, per_block, trace
         )
-
-    def _restore_feasibility(self, x: np.ndarray):
-        """Minimize the sum of squared violations with the objective frozen.
-
-        Directions that improve the objective are blocked by shrinking its
-        gradient direction out of the step: here we simply freeze variables
-        the objective depends on by bounding them at their current values
-        plus a small slack on the worsening side.  Returns the L-BFGS-B
-        result.
-        """
-        cfg = self.config
-        _, fgrad = self.objective(x)
-        fgrad = np.asarray(fgrad)
-        bounds = list(self.bounds) if self.bounds is not None else [
-            (None, None)
-        ] * x.size
-        for i in np.nonzero(fgrad)[0]:
-            lo, hi = bounds[i]
-            slack = RESTORE_OBJECTIVE_SLACK * max(1.0, abs(x[i]))
-            if fgrad[i] > 0:
-                hi = x[i] + slack if hi is None else min(hi, x[i] + slack)
-            else:
-                lo = x[i] - slack if lo is None else max(lo, x[i] - slack)
-            bounds[i] = (lo, hi)
-
-        def phi(z):
-            # Target: raw residuals at most -delta, with delta well inside
-            # each family's cushion so already-safe rows stay inactive.
-            total = 0.0
-            grad = np.zeros_like(z)
-            for block, r, vjp in self._eval_blocks(z):
-                if block.kind == INEQ:
-                    gap = np.broadcast_to(
-                        np.asarray(block.cushion_gap, dtype=float), r.shape
-                    )
-                    delta = np.minimum(0.5 * gap, 100.0 * cfg.feas_tol)
-                    active = np.maximum(r - gap + delta, 0.0)
-                else:
-                    active = r
-                total += float(active @ active)
-                if (active != 0.0).any():
-                    grad += vjp(2.0 * active)
-            return total, grad
-
-        res = minimize(
-            phi, x, jac=True, method="L-BFGS-B", bounds=bounds,
-            options={"maxiter": cfg.max_inner, "ftol": 1e-18,
-                     "gtol": 1e-14},
-        )
-        return res

@@ -40,7 +40,15 @@ from .nlp import (
     AugmentedLagrangianSolver,
     ConstraintBlock,
 )
-from .scenario import ChainRobot, Scenario
+from .scenario import (
+    ChainRobot,
+    Scenario,
+    ScenarioError,
+    _count,
+    _floats,
+    _list,
+    _require_keys,
+)
 from .spline_algebra import FitOperator, collocation_sites, elevated_union
 
 __all__ = [
@@ -91,15 +99,47 @@ class DecisionVector:
         }
 
     @classmethod
-    def from_json(cls, obj: dict) -> "DecisionVector":
+    def from_json(cls, obj: dict, layout: "VariableLayout") -> "DecisionVector":
+        """The stored decision, its keys and shapes checked against
+        ``layout``; a mismatch or a non-finite coefficient raises
+        ScenarioError naming the key.  T's value is left to ``verify``."""
+        path = "solution.decision"
+        _require_keys(obj, path, ("joint_coeffs", "T", "planes"))
+        n = layout.n_coeffs
+        planes = _list(obj["planes"], f"{path}.planes")
+        if len(planes) != layout.n_planes:
+            raise ScenarioError(f"{path}.planes: expected {layout.n_planes} "
+                                f"planes, got {len(planes)}")
+        plane_coeffs = []
+        for i, plane in enumerate(planes):
+            key = f"{path}.planes[{i}]"
+            _require_keys(plane, key, ("a", "b"))
+            plane_coeffs.append((
+                _stored_array(plane["a"], f"{key}.a", (n, layout.world_dim)),
+                _stored_array(plane["b"], f"{key}.b", (n,)),
+            ))
         return cls(
-            np.asarray(obj["joint_coeffs"], dtype=float),
-            float(obj["T"]),
-            [
-                (np.asarray(p["a"], dtype=float), np.asarray(p["b"], dtype=float))
-                for p in obj["planes"]
-            ],
+            _stored_array(obj["joint_coeffs"], f"{path}.joint_coeffs",
+                          (n, layout.n_coords)),
+            _stored_number(obj["T"], f"{path}.T"),
+            plane_coeffs,
         )
+
+
+def _stored_array(value, path: str, shape: tuple) -> np.ndarray:
+    """``value`` as a finite float array of ``shape``."""
+    arr = _floats(value)
+    if arr is None or arr.shape != shape or not np.isfinite(arr).all():
+        raise ScenarioError(f"{path}: expected a finite {shape} array")
+    return arr
+
+
+def _stored_number(value, path: str) -> float:
+    """``value`` as a float; NaN and inf pass, for ``verify`` to judge."""
+    arr = _floats(value)
+    if arr is None or arr.shape != ():
+        raise ScenarioError(f"{path}: expected a number")
+    return float(arr)
 
 
 class TrajectoryBasis:
@@ -357,7 +397,7 @@ class _FittedFamily(ConstraintBlock):
         self.layout = layout
         knots = elevated_union([(basis.knots, basis.degree - self.order)], degree)
         self.op = FitOperator(degree, knots,
-                              collocation_sites(knots, degree, 4 * (degree + 1)))
+                              collocation_sites(knots, 4 * (degree + 1)))
         taus = self.op.taus
         self.Bq = basis_matrix(basis.knots, basis.degree, taus)
         self.Bdq = basis_matrix(basis.knots1, basis.degree - 1, taus) @ basis.D1
@@ -1159,7 +1199,7 @@ def assemble(scenario: Scenario) -> PlanningProblem:
             )
 
     if static_obs and not use_planes_for_static:
-        taus = collocation_sites(basis.knots, basis.degree,
+        taus = collocation_sites(basis.knots,
                                  scenario.collision.collocation_per_span)
         families.append(
             SDFClearanceFamily(
@@ -1276,15 +1316,32 @@ class Solution:
         }
 
     @classmethod
-    def from_json(cls, obj: dict) -> "Solution":
+    def from_json(cls, obj: dict, layout: VariableLayout) -> "Solution":
+        """A stored solution of the problem with ``layout``; a missing key
+        or a malformed entry raises ScenarioError naming the key."""
+        _require_keys(obj, "solution", (
+            "decision", "status", "objective", "outer_iterations",
+            "inner_iterations", "max_violation", "kkt_residual",
+            "block_violations"))
+        if not isinstance(obj["status"], str):
+            raise ScenarioError("solution.status: expected a string")
+        if not isinstance(obj["block_violations"], dict):
+            raise ScenarioError("solution.block_violations: expected an object")
+
+        def number(key):
+            return _stored_number(obj[key], f"solution.{key}")
+
+        def count(key):
+            return _count(obj[key], f"solution.{key}", 0)
+
         return cls(
-            decision=DecisionVector.from_json(obj["decision"]),
+            decision=DecisionVector.from_json(obj["decision"], layout),
             status=obj["status"],
-            objective=float(obj["objective"]),
-            outer_iterations=int(obj["outer_iterations"]),
-            inner_iterations=int(obj["inner_iterations"]),
-            max_violation=float(obj["max_violation"]),
-            kkt_residual=float(obj["kkt_residual"]),
+            objective=number("objective"),
+            outer_iterations=count("outer_iterations"),
+            inner_iterations=count("inner_iterations"),
+            max_violation=number("max_violation"),
+            kkt_residual=number("kkt_residual"),
             block_violations=dict(obj["block_violations"]),
         )
 
@@ -1387,7 +1444,7 @@ def verify(solution: Solution, problem: PlanningProblem,
     dv = solution.decision
     scenario = problem.scenario
     per_span = max(2, scenario.collision.collocation_per_span * oversample)
-    taus = collocation_sites(problem.basis.knots, problem.basis.degree, per_span)
+    taus = collocation_sites(problem.basis.knots, per_span)
     trajectory = problem.trajectory(dv)
     samples = TrajectorySamples(trajectory, taus)
     reports = []

@@ -65,9 +65,7 @@ def elevated_union(
     return KnotVector(merged)
 
 
-def collocation_sites(
-    knots: KnotVector, degree: int, per_span: int
-) -> np.ndarray:
+def collocation_sites(knots: KnotVector, per_span: int) -> np.ndarray:
     """Uniform collocation sites per knot span, endpoints included, deduplicated."""
     breaks = knots.distinct()
     pieces = [

@@ -231,7 +231,7 @@ def test_dense_violation_matches_per_coordinate_reference(problems, scenario, cl
     problem = problems(scenario)
     families = [f for f in problem.families if type(f) is cls]
     rng = np.random.default_rng(31)
-    taus = collocation_sites(problem.basis.knots, problem.basis.degree, 80)
+    taus = collocation_sites(problem.basis.knots, 80)
     # At the perturbed point, at a third of its T, where the rate,
     # acceleration and dynamics checks read well above zero, and with its
     # joint coefficients scaled 8x, which breaks the angle and position boxes.

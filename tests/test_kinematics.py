@@ -468,7 +468,7 @@ class TestPolynomialDynamics:
         np.testing.assert_allclose(resid.eval(taus), 0.0, atol=1e-10)
 
     def test_exponential_residual_matches_representation_error(self):
-        sites = collocation_sites(CUBIC_KNOTS, 3, 16)
+        sites = collocation_sites(CUBIC_KNOTS, 16)
         coeffs = FitOperator(3, CUBIC_KNOTS, sites).fit_coefficients(np.exp(sites))
         state = BSpline(3, CUBIC_KNOTS, coeffs)
         resid = dynamics_residual(state, lambda s: s)
@@ -484,7 +484,7 @@ class TestNumericFK:
         nfk = NumericFK(THREE_LINK, [1, 1, 1])
         taus = np.linspace(0, 1, 40)
         qmat = np.column_stack([j.q.eval(taus)[:, 0] for j in joints])
-        T = nfk.transforms(qmat, 3)
+        T = nfk.chain_state(qmat, 3)["prefix"][-1]
         for k in range(taus.size):
             ref = np.eye(4)
             for link, qv in zip(THREE_LINK.links, qmat[k]):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from splinetraj.nlp import (
+    RHO_MAX,
     AugmentedLagrangianSolver,
     ConstraintBlock,
     SolverConfig,
@@ -29,6 +30,20 @@ class LinearInequalityBlock(ConstraintBlock):
     def evaluate(self, x):
         r = self.A @ x - self.b
         return r, lambda w: self.A.T @ w
+
+
+class Contradiction(ConstraintBlock):
+    kind = "ineq"
+    name = "contradiction"
+
+    def evaluate(self, x):
+        # 1 - x <= 0 (x >= 1) and x + 1 <= 0 (x <= -1): empty set.
+        r = np.array([1.0 - x[0], x[0] + 1.0])
+        return r, lambda w: np.array([w[1] - w[0]])
+
+
+def square(x):
+    return float(x[0] ** 2), np.array([2 * x[0]])
 
 
 def projected_gradient_qp(target, A, b, lo, hi, iters=200000, step=None):
@@ -101,25 +116,26 @@ class TestQPFloor:
         np.testing.assert_allclose(result.x, [0.5, 0.5], atol=1e-6)
 
     def test_infeasible_detected(self):
-        class Contradiction(ConstraintBlock):
-            kind = "ineq"
-            name = "contradiction"
-
-            def evaluate(self, x):
-                # 1 - x <= 0 (x >= 1) and x + 1 <= 0 (x <= -1): empty set.
-                r = np.array([1.0 - x[0], x[0] + 1.0])
-                return r, lambda w: np.array([w[1] - w[0]])
-
-        def objective(x):
-            return float(x[0] ** 2), np.array([2 * x[0]])
-
         cfg = SolverConfig(max_outer=30)
-        solver = AugmentedLagrangianSolver(objective, [Contradiction()], config=cfg)
+        solver = AugmentedLagrangianSolver(square, [Contradiction()], config=cfg)
         result = solver.solve(np.array([0.0]))
         assert result.status == "infeasible"
         assert result.max_violation > 0.5
         # An empty feasible set still moves the inner solves; none stalls.
         assert not result.trace[-1]["lbfgsb_message"].startswith("ABNORMAL")
+
+    def test_outer_limit_is_max_iterations_whatever_the_violation(self):
+        # rho reaches its cap after outer iteration 7, so 8 iterations see
+        # only 2 stagnant ones of the 3 that mean infeasible: the limit ran
+        # out first, and the status says so.
+        solver = AugmentedLagrangianSolver(square, [Contradiction()],
+                                           config=SolverConfig(max_outer=8))
+        result = solver.solve(np.array([0.0]))
+        assert result.status == "max-iterations"
+        assert result.outer_iterations == 8
+        assert result.trace[-1]["rho"] == RHO_MAX
+        assert result.max_violation > 0.5
+        assert not any("restoration" in entry for entry in result.trace)
 
     def test_stalled_line_search_is_not_infeasible(self):
         # A 5-circle slalom of the mobile benchmark: after 9 inner

@@ -125,7 +125,7 @@ class TestTrajectorySamples:
         for n_coords in (2, 3, 6):
             C = rng.uniform(-2.0, 2.0, (n, n_coords))
             trajectory = BSpline(degree, knots, C)
-            taus = collocation_sites(knots, degree, 80)
+            taus = collocation_sites(knots, 80)
             samples = TrajectorySamples(trajectory, taus)
             reference = PerCoordinateSamples(trajectory, taus)
             for order in range(3):
@@ -485,7 +485,7 @@ class TestSolve:
         sol = solve(prob)
         from splinetraj.planner import Solution
 
-        back = Solution.from_json(json.loads(json.dumps(sol.to_json())))
+        back = Solution.from_json(json.loads(json.dumps(sol.to_json())), prob.layout)
         np.testing.assert_array_equal(back.decision.joint_coeffs,
                                       sol.decision.joint_coeffs)
         assert back.status == sol.status

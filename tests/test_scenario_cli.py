@@ -503,6 +503,38 @@ class TestCLI:
         code = main(["verify", str(scn_path), str(tmp_path / "solution.json")])
         assert code == 0
 
+    @pytest.mark.parametrize("key, edit", [
+        ("solution.decision.joint_coeffs",
+         lambda dec: dec.update(joint_coeffs=dec["joint_coeffs"][:5])),
+        ("solution.decision.T", lambda dec: dec.pop("T")),
+        ("solution.decision.planes",
+         lambda dec: dec["planes"].append({"a": [[0.0, 0.0]] * 13,
+                                           "b": [0.0] * 13})),
+        ("solution.decision.joint_coeffs",
+         lambda dec: dec["joint_coeffs"][5].__setitem__(0, float("nan"))),
+    ], ids=["five_rows", "missing_T", "extra_plane", "nan_coeff"])
+    def test_verify_malformed_solution_exit_three(self, tmp_path, capsys,
+                                                  key, edit):
+        # A solution.json that does not fit its scenario is invalid input,
+        # named by its key, not a traceback from building the trajectory.
+        scn_path = SCENARIO_DIR / "mobile2d.json"
+        dv = initial_guess(assemble(load_scenario(scn_path)))
+        obj = Solution(dv, "converged", dv.T, 0, 0, 0.0, 0.0, {}).to_json()
+        edit(obj["decision"])
+        sol_path = tmp_path / "solution.json"
+        sol_path.write_text(json.dumps(obj))
+        assert main(["verify", str(scn_path), str(sol_path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("invalid input: ")
+        assert key in err
+
+    def test_verify_malformed_json_exit_three(self, tmp_path, capsys):
+        sol_path = tmp_path / "solution.json"
+        sol_path.write_text('{"decision": ')
+        code = main(["verify", str(SCENARIO_DIR / "mobile2d.json"), str(sol_path)])
+        assert code == 3
+        assert "malformed JSON" in capsys.readouterr().err
+
     def test_verify_rejects_dynamics_violation(self, tmp_path, capsys):
         # The initial guess at T = 10 is far from q' = T f(q): the dense
         # residual reads 10 while every limit holds, and verify must fail.

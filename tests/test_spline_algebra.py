@@ -86,7 +86,7 @@ class TestKnotUnion:
 class TestCollocation:
     def test_covers_every_span(self):
         knots = clamp_knots([0.25, 0.5], 3)
-        taus = collocation_sites(knots, 3, 5)
+        taus = collocation_sites(knots, 5)
         assert taus[0] == 0.0 and taus[-1] == 1.0
         for a, b in [(0, 0.25), (0.25, 0.5), (0.5, 1.0)]:
             assert np.count_nonzero((taus >= a) & (taus <= b)) >= 5
@@ -94,7 +94,7 @@ class TestCollocation:
     def test_default_density_determines_full_rank(self):
         knots = clamp_knots(PAPER_INTERIOR, 3)
         # the planner's fit density, 4 (p + 1) sites per span
-        taus = collocation_sites(knots, 3, 16)
+        taus = collocation_sites(knots, 16)
         op = FitOperator(3, knots, taus)
         assert op.condition < 1e4
 
@@ -106,21 +106,21 @@ class TestRefit:
     def test_recovers_representable_target(self):
         rng = np.random.default_rng(3)
         s = random_spline(rng, degree=3, dim=2)
-        taus = collocation_sites(s.knots, 3, 16)
+        taus = collocation_sites(s.knots, 16)
         fitted, resid = fit(taus, s.eval(taus), 3, s.knots)
         assert resid < 1e-12
         np.testing.assert_allclose(fitted.control_points, s.control_points, atol=1e-10)
 
     def test_low_degree_polynomial_exact(self):
         knots = clamp_knots(PAPER_INTERIOR, 3)
-        taus = collocation_sites(knots, 3, 16)
+        taus = collocation_sites(knots, 16)
         _, resid = fit(taus, taus**2, 3, knots)
         assert resid < 1e-10
 
     def test_matches_normal_equations_oracle(self):
         # Independent least-squares solve via explicit normal equations.
         knots = clamp_knots(PAPER_INTERIOR, 3)
-        taus = collocation_sites(knots, 3, 16)
+        taus = collocation_sites(knots, 16)
         target = np.sin(2 * np.pi * taus)
         fitted, resid = fit(taus, target, 3, knots)
         B = basis_matrix(knots, 3, taus)

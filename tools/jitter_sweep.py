@@ -45,19 +45,19 @@ JITTER = 1e-12
 BOUNDARY_ROWS = 3
 
 
-def load(tree: Path, name: str):
-    """The parsed scenario: a bundled one, or one of a perfbench workload."""
-    from splinetraj import parse_scenario
-
+def scenario_dicts(tree: Path, name: str) -> list[dict]:
+    """The bundled scenario ``name`` of ``tree`` as a one-item list, or
+    every scenario of the perfbench workload ``name``.  ``tree``'s ``src/``
+    and root must lead ``sys.path``."""
     bundled = tree / "src" / "splinetraj" / "scenarios" / f"{name}.json"
     if bundled.exists():
-        return parse_scenario(json.loads(bundled.read_text()))
+        return [json.loads(bundled.read_text())]
     from perfbench.workloads import WORKLOADS, generate
 
     if name not in WORKLOADS:
         raise SystemExit(f"{name}: neither a bundled scenario nor a workload "
                          f"({', '.join(WORKLOADS)})")
-    return parse_scenario(generate(name)[0])
+    return generate(name)
 
 
 def plan(problem, guess) -> dict:
@@ -95,9 +95,10 @@ def main(argv=None) -> int:
     tree = Path(args.tree).resolve()
     sys.path[:0] = [str(tree / "src"), str(tree)]
     import numpy as np
+    from splinetraj import parse_scenario
     from splinetraj.planner import assemble, initial_guess
 
-    problem = assemble(load(tree, args.scenario))
+    problem = assemble(parse_scenario(scenario_dicts(tree, args.scenario)[0]))
     rows = []
     for start in range(-1, args.k):
         guess = initial_guess(problem)

@@ -8,6 +8,11 @@ on the command line) this plans it through ``splinetraj.cli.run`` with
         <sha256 of trajectory.csv> <sha256 of cartesian.csv>
         <sha256 of report.json's "verification" object>
 
+A perfbench workload name (``mobile_sdf``, ``arm_sdf``, ``arm_dynamic``)
+prints one such line for each scenario of that workload, labelled
+``<workload>/<scenario name>``, so every plan's T is compared, not a
+mean over the workload.
+
 The verification object holds each family's dense violation, tolerance
 and sample count; the run's timings sit beside it in ``report.json`` and
 are left out, so the last digest covers what ``verify`` computed.
@@ -15,8 +20,8 @@ are left out, so the last digest covers what ``verify`` computed.
 BLAS runs on one thread, as in the test suite and the benchmark, because
 the chain solves take different iterations at other thread counts.  Two
 trees whose digests match wrote the same bytes.  ``--tree`` plans with the
-``src/`` of another checkout, so one copy of this script compares any two
-trees:
+``src/`` (and ``perfbench/``) of another checkout, so one copy of this
+script compares any two trees:
 
     python3 tools/output_digest.py --tree ../parent > parent.txt
     python3 tools/output_digest.py > change.txt
@@ -46,31 +51,41 @@ OUTPUTS = ("solution.json", "trajectory.csv", "cartesian.csv")
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("scenarios", nargs="*",
-                        help="scenario names (default: every bundled one)")
+                        help="bundled scenario or perfbench workload names "
+                             "(default: every bundled scenario)")
     parser.add_argument("--tree", default=str(Path(__file__).resolve().parents[1]),
-                        help="checkout whose src/ is planned (default: this one)")
+                        help="checkout whose src/ (and perfbench/) is planned "
+                             "(default: this one)")
     args = parser.parse_args(argv)
 
-    src = Path(args.tree).resolve() / "src"
-    sys.path.insert(0, str(src))
-    from splinetraj.cli import run
-    from splinetraj.scenario import load_scenario
+    tree = Path(args.tree).resolve()
+    sys.path[:0] = [str(tree / "src"), str(tree)]
+    from jitter_sweep import scenario_dicts
+    from splinetraj.scenario import parse_scenario
 
-    bundled = src / "splinetraj" / "scenarios"
+    bundled = tree / "src" / "splinetraj" / "scenarios"
     names = args.scenarios or sorted(p.stem for p in bundled.glob("*.json"))
     for name in names:
-        scenario = load_scenario(bundled / f"{name}.json")
-        with tempfile.TemporaryDirectory() as tmp:
-            report = run(scenario, output_dir=tmp, samples=1000)
-            digests = [hashlib.sha256((Path(tmp) / f).read_bytes()).hexdigest()
-                       for f in OUTPUTS]
-            verification = json.loads(
-                (Path(tmp) / "report.json").read_text())["verification"]
-            blob = json.dumps(verification, sort_keys=True)
-            digests.append(hashlib.sha256(blob.encode()).hexdigest())
-        print(name, report.status, float(report.objective).hex(), *digests,
-              flush=True)
+        is_bundled = (bundled / f"{name}.json").exists()
+        for obj in scenario_dicts(tree, name):
+            label = name if is_bundled else f"{name}/{obj['name']}"
+            print(label, *digest(parse_scenario(obj)), flush=True)
     return 0
+
+
+def digest(scenario) -> list[str]:
+    """Status, float.hex(T) and the output hashes of one plan."""
+    from splinetraj.cli import run
+
+    with tempfile.TemporaryDirectory() as tmp:
+        report = run(scenario, output_dir=tmp, samples=1000)
+        digests = [hashlib.sha256((Path(tmp) / f).read_bytes()).hexdigest()
+                   for f in OUTPUTS]
+        verification = json.loads(
+            (Path(tmp) / "report.json").read_text())["verification"]
+        blob = json.dumps(verification, sort_keys=True)
+        digests.append(hashlib.sha256(blob.encode()).hexdigest())
+    return [report.status, float(report.objective).hex(), *digests]
 
 
 if __name__ == "__main__":
