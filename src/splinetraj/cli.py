@@ -2,11 +2,16 @@
 
 Subcommands:
     solve <scenario> [--out DIR] [--samples N]
-    verify <scenario> <solution.json>
+    verify <scenario> <solution.json> [--oversample N]
     bench <scenario> --counts 1,2,5,10,20 --trials N [--out DIR]
     sdf build <scenario> --out FILE
 
-Exit codes: 0 converged / verified, 2 not converged, 3 invalid input.
+``--samples``, ``--oversample`` and ``--trials`` are integers >= 1 and
+``--counts`` a comma-separated list of integers >= 0; a bad value, like
+any other usage error, is invalid input and rejected before any work.
+
+Exit codes: 0 converged / verified, 2 not converged / not verified,
+3 invalid input.
 """
 
 from __future__ import annotations
@@ -321,8 +326,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_bench(args) -> int:
     scenario = load_scenario(args.scenario)
-    counts = [int(c) for c in args.counts.split(",")]
-    rows = benchmark_sdf_vs_hyperplane(scenario, counts, trials=args.trials)
+    rows = benchmark_sdf_vs_hyperplane(scenario, args.counts, trials=args.trials)
     out = Path(args.out) if args.out else Path("benchmark.csv")
     out.parent.mkdir(parents=True, exist_ok=True)
     write_benchmark_csv(rows, out)
@@ -341,8 +345,37 @@ def _cmd_sdf_build(args) -> int:
     return 0
 
 
+def _integer(text: str, low: int) -> int:
+    """``text`` as an integer >= ``low``, or an argparse type error."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = None
+    if value is None or value < low:
+        raise argparse.ArgumentTypeError(
+            f"must be an integer >= {low}, got {text!r}")
+    return value
+
+
+def _positive(text: str) -> int:
+    return _integer(text, 1)
+
+
+def _counts(text: str) -> list[int]:
+    return [_integer(part, 0) for part in text.split(",")]
+
+
+class _Parser(argparse.ArgumentParser):
+    """A usage error is invalid input (ScenarioError, exit 3), not
+    argparse's exit 2, which here means "not converged / not verified"."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise ScenarioError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="splinetraj",
         description="Minimum-time B-spline trajectory planning",
     )
@@ -351,21 +384,21 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve = sub.add_parser("solve", help="solve a scenario")
     p_solve.add_argument("scenario")
     p_solve.add_argument("--out", default=None, help="output directory")
-    p_solve.add_argument("--samples", type=int, default=1000)
+    p_solve.add_argument("--samples", type=_positive, default=1000)
     p_solve.set_defaults(func=_cmd_solve)
 
     p_verify = sub.add_parser("verify", help="re-verify a stored solution")
     p_verify.add_argument("scenario")
     p_verify.add_argument("solution")
-    p_verify.add_argument("--oversample", type=int, default=10)
+    p_verify.add_argument("--oversample", type=_positive, default=10)
     p_verify.set_defaults(func=_cmd_verify)
 
     p_bench = sub.add_parser(
         "bench", help="signed distance field vs separating hyperplane timing"
     )
     p_bench.add_argument("scenario")
-    p_bench.add_argument("--counts", default="1,2,5,10,20")
-    p_bench.add_argument("--trials", type=int, default=5)
+    p_bench.add_argument("--counts", type=_counts, default=[1, 2, 5, 10, 20])
+    p_bench.add_argument("--trials", type=_positive, default=5)
     p_bench.add_argument("--out", default=None)
     p_bench.set_defaults(func=_cmd_bench)
 
@@ -384,9 +417,8 @@ def main(argv=None) -> int:
         level=os.environ.get("SPLINETRAJ_LOG", "WARNING").upper(),
         format="%(levelname)s %(name)s: %(message)s",
     )
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except ScenarioError as exc:
         print(f"invalid input: {exc}", file=sys.stderr)

@@ -8,7 +8,9 @@ endpoint equalities hold exactly.
 
 Every continuous constraint is relaxed to conditions on control points of
 composed B-splines.  The separating-plane families compute those control
-points exactly, per span in Bernstein form (see ``bernstein``).  The limit
+points exactly: the fixed obstacle-side and norm rows once, with
+``spline_algebra.multiply``, and the robot-side rows at every iterate,
+per span in Bernstein form (see ``bernstein``).  The limit
 and dynamics families apply a fixed least-squares fit operator to
 pointwise values of the underlying expressions; since the fit is linear,
 this is the same spline the algebra would build, at a fraction of the
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -49,7 +52,7 @@ from .scenario import (
     _list,
     _require_keys,
 )
-from .spline_algebra import FitOperator, collocation_sites, elevated_union
+from .spline_algebra import FitOperator, collocation_sites, elevated_union, multiply
 
 __all__ = [
     "DecisionVector",
@@ -145,9 +148,11 @@ def _stored_number(value, path: str) -> float:
 class TrajectoryBasis:
     """Shared clamped basis with its derivative coefficient maps.
 
+    ``units`` is the spline whose coordinate i is basis function i (unit
+    coefficient vectors).
     D1 maps control rows to those of the tau-derivative on ``knots1``, and
     D2 to those of the second derivative on ``knots2``: the derivatives of
-    the unit coefficient vectors, by ``BSpline.derivative``.
+    ``units``, by ``BSpline.derivative``.
     """
 
     def __init__(self, degree: int, knots: KnotVector):
@@ -158,10 +163,17 @@ class TrajectoryBasis:
         self.n_coeffs = len(knots) - degree - 1
         if self.n_coeffs < 7:
             raise AssemblyError("need at least 7 control points (6 are pinned)")
-        d1 = BSpline(degree, knots, np.eye(self.n_coeffs)).derivative()
+        self.units = BSpline(degree, knots, np.eye(self.n_coeffs))
+        d1 = self.units.derivative()
         d2 = BSpline(degree - 1, d1.knots, np.eye(self.n_coeffs - 1)).derivative()
         self.D1, self.knots1 = d1.control_points, d1.knots
         self.D2, self.knots2 = d2.control_points @ self.D1, d2.knots
+
+    @cached_property
+    def extraction(self) -> np.ndarray:
+        """The per-span Bernstein map of the basis, built on first use and
+        shared by the robot-side plane families."""
+        return bezier_extraction(self.knots, self.degree)
 
 
 class VariableLayout:
@@ -650,11 +662,11 @@ class SDFClearanceFamily(ConstraintBlock):
         return r, vjp
 
     def dense_violation(self, dv, samples) -> float:
-        worst = 0.0
         if self.nfk is None:
             vals, _ = self.field.query_extended(samples.values(0))
-            return float(np.maximum(self.bodies[0].radius - vals, 0.0).max())
+            return _excess(self.bodies[0].radius - vals)
         qmat = samples.values(0)
+        gaps = []
         for body in self.bodies:
             state = self.nfk.chain_state(qmat, body.link_index)
             pos = self.nfk.vertex_positions(state, body.verts)
@@ -662,8 +674,8 @@ class SDFClearanceFamily(ConstraintBlock):
             vals, _ = self.field.query_extended(
                 pos.reshape(S * V, 3)[:, : self.field.dim]
             )
-            worst = max(worst, float(np.maximum(body.radius - vals, 0.0).max()))
-        return worst
+            gaps.append(body.radius - vals)
+        return _excess(np.concatenate(gaps))
 
 
 class FKSiteCache:
@@ -717,7 +729,7 @@ class PlaneRobotSideFamily(ConstraintBlock):
             target = depth_deg + p
             self.hom = homogeneous(body.verts)
         self.lift = left_inverse(elevated_union([(basis.knots, p)], target), target)
-        self.extraction = bezier_extraction(basis.knots, p)
+        self.extraction = basis.extraction
         self.n_rows = self.hom.shape[1] * self.lift.shape[0]
         self._basis_degree = basis.degree
 
@@ -762,19 +774,20 @@ class PlaneRobotSideFamily(ConstraintBlock):
         b = Bt @ b_c
         if self.nfk is None:
             y = (a * samples.values(0)).sum(axis=1) + b - self.body.radius
-            return float(np.maximum(-y, 0.0).max())
+            return _excess(-y)
         state = self.nfk.chain_state(samples.values(0), self.body.link_index)
         pos = self.nfk.vertex_positions(state, self.body.verts)
         y = b[:, None] + np.einsum("sd,svd->sv", a, pos)
-        return float(np.maximum(-y, 0.0).max())
+        return _excess(-y)
 
 
 class PlaneObstacleSideFamily(ConstraintBlock):
     """Family (ii): a . q_o + b + d_o <= -cushion (per corner for polytopes).
 
-    The obstacle's corners are fixed polynomials per span, so the rows are
-    a fixed linear map of the plane coefficients, built once from exact
-    Bernstein products of the basis functions with the corners.
+    The obstacle's corners are fixed splines, so the rows are a fixed
+    linear map G of the plane coefficients, built once as the exact
+    product (``spline_algebra.multiply``) of the basis functions with the
+    homogeneous corners [corner_k(tau), 1].
     """
 
     kind = INEQ
@@ -787,41 +800,25 @@ class PlaneObstacleSideFamily(ConstraintBlock):
         self.obstacle = obstacle
         self.cushion = cushion
         self.cushion_gap = cushion
-        p = basis.degree
-        motion = obstacle.motion
-        inputs = [(basis.knots, p)]
-        if motion is not None:
-            inputs.append((motion.knots, motion.degree))
-            target = p + motion.degree
-        else:
-            target = p
-        knots = elevated_union(inputs, target)
-        breaks = knots.distinct()
-        units = to_spans(bezier_extraction(basis.knots, p, breaks),
-                         np.eye(basis.n_coeffs), p)  # (S, p + 1, n)
-        if motion is None:
-            centers = np.broadcast_to(obstacle.nominal_center(),
-                                      (units.shape[0], 1, obstacle.dim))
-        else:
-            centers = to_spans(bezier_extraction(motion.knots, motion.degree, breaks),
-                               motion.control_points, motion.degree)
+        center = obstacle.motion
+        if center is None:
+            center = BSpline.constant(obstacle.nominal_center())
         if obstacle.kind == "sphere":
             self.offsets = np.zeros((1, obstacle.dim))
             self.shift = obstacle.radius
         else:
             self.offsets = obstacle.corner_offsets()
             self.shift = 0.0
-        corners = centers[..., None] + self.offsets.T  # (S, m + 1, d, K)
-        ones = np.ones(corners.shape[:2] + (1, corners.shape[3]))
-        corners = np.concatenate([corners, ones], axis=2)
-        # Row (k, t) is linear in the plane coefficients (a_i, b_i): one
-        # product per basis function i and plane component e.
-        n, d1, K = basis.n_coeffs, corners.shape[2], corners.shape[3]
-        planes = np.einsum("sji,ef->sjief", units, np.eye(d1)).reshape(
-            units.shape[0], p + 1, n * d1, d1)
-        y = product(planes, corners)  # (S, p + m + 1, n * d1, K)
-        G = left_inverse(knots, target) @ y.reshape(-1, n * d1 * K)
-        self.G = G.reshape(-1, n * d1, K).transpose(2, 0, 1).reshape(-1, n * d1)
+        # Control points of the homogeneous corners, corner-major columns.
+        n, K, d1 = basis.n_coeffs, self.offsets.shape[0], obstacle.dim + 1
+        cp = center.control_points[:, None, :] + self.offsets
+        cp = np.concatenate([cp, np.ones(cp.shape[:2] + (1,))], axis=2)
+        corners = BSpline(center.degree, center.knots, cp.reshape(len(cp), -1))
+        # The product's column (i, k, e) is basis function i times component
+        # e of corner k, so row (k, t) of G is linear in the plane
+        # coefficients (a_i, b_i), columns (i, e).
+        G = multiply(basis.units, corners).control_points
+        self.G = G.reshape(-1, n, K, d1).transpose(2, 0, 1, 3).reshape(-1, n * d1)
         self.n_rows = self.G.shape[0]
 
     def evaluate(self, x):
@@ -845,14 +842,15 @@ class PlaneObstacleSideFamily(ConstraintBlock):
         centers = self.obstacle.center_at(samples.taus)
         pts = centers[:, None, :] + self.offsets[None, :, :]
         y = np.einsum("sd,skd->sk", a, pts) + b[:, None] + self.shift
-        return float(np.maximum(y, 0.0).max())
+        return _excess(y)
 
 
 class PlaneNormFamily(ConstraintBlock):
     """Family (iii): |a|^2 - 1 <= -cushion on control points.
 
     Row t is the quadratic form sum_d a_d^T Q_t a_d, with Q_t built once
-    from exact Bernstein products of pairs of basis functions.
+    as the exact products of pairs of basis functions
+    (``spline_algebra.multiply``).
     """
 
     kind = INEQ
@@ -864,11 +862,8 @@ class PlaneNormFamily(ConstraintBlock):
         self.plane_index = plane_index
         self.cushion = cushion
         self.cushion_gap = cushion
-        p, n = basis.degree, basis.n_coeffs
-        units = to_spans(bezier_extraction(basis.knots, p), np.eye(n), p)
-        y = product(units[..., :, None], units[..., None, :])  # (S, 2p + 1, n, n)
-        lift = left_inverse(elevated_union([(basis.knots, p)], 2 * p), 2 * p)
-        self.Q = (lift @ y.reshape(-1, n * n)).reshape(-1, n, n)
+        n = basis.n_coeffs
+        self.Q = multiply(basis.units, basis.units).control_points.reshape(-1, n, n)
         self.n_rows = self.Q.shape[0]
 
     def evaluate(self, x):
@@ -886,7 +881,7 @@ class PlaneNormFamily(ConstraintBlock):
     def dense_violation(self, dv, samples) -> float:
         a_c, _ = dv.plane_coeffs[self.plane_index]
         a = samples.basis(0) @ a_c
-        return float(np.maximum((a * a).sum(axis=1) - 1.0, 0.0).max())
+        return _excess((a * a).sum(axis=1) - 1.0)
 
 
 class DynamicsResidualFamily(_FittedFamily):
@@ -1439,11 +1434,12 @@ def verify(solution: Solution, problem: PlanningProblem,
     Each family reports its worst dense violation and its tolerance:
     zero for hull-relaxed families, endpoint conditions and SDF clearance
     (which the Lipschitz margin guarantees), solver tolerance for the
-    dynamics residual.
+    dynamics residual.  ``oversample`` must be at least 1.
     """
+    if oversample < 1:
+        raise ValueError(f"oversample must be >= 1, got {oversample}")
     dv = solution.decision
-    scenario = problem.scenario
-    per_span = max(2, scenario.collision.collocation_per_span * oversample)
+    per_span = problem.scenario.collision.collocation_per_span * oversample
     taus = collocation_sites(problem.basis.knots, per_span)
     trajectory = problem.trajectory(dv)
     samples = TrajectorySamples(trajectory, taus)

@@ -38,8 +38,8 @@ DEG = np.pi / 180.0
 
 
 class ScenarioError(ValueError):
-    """A scenario file, or a stored solution of one, violates the schema;
-    the message names the field."""
+    """A scenario file, a stored solution of one or a command-line
+    argument is invalid; the message names the field."""
 
 
 def _require_keys(obj: dict, path: str, required, optional=()):

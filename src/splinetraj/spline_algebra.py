@@ -4,7 +4,9 @@ Addition and multiplication are exact.  Both operands are extracted onto
 the common break points of the result space (``elevated_union``) as
 per-span Bernstein polynomials, raised or multiplied there with the
 ``bernstein`` engine, and lifted back to B-spline coefficients by that
-space's left inverse; nothing is sampled or fitted.
+space's left inverse; nothing is sampled or fitted.  ``multiply`` is
+the per-coordinate outer product; the planner builds the fixed rows of
+its separating-plane families with it.
 
 ``FitOperator`` is the least-squares fit of sampled values onto a fixed
 basis that the planner's rate, acceleration and dynamics families use.
@@ -161,13 +163,12 @@ def add(s1: BSpline, s2: BSpline) -> BSpline:
 
 
 def multiply(s1: BSpline, s2: BSpline) -> BSpline:
-    """Pointwise product as a spline of degree p1 + p2.
+    """Pointwise outer product as a spline of degree p1 + p2.
 
-    One operand may be vector-valued provided the other is scalar; the
-    scalar multiplies every coordinate.
+    Coordinate i * d2 + j of the result is coordinate i of s1 times
+    coordinate j of s2, so a scalar operand (d = 1) scales every
+    coordinate of the other.
     """
-    if s1.dim != 1 and s2.dim != 1:
-        raise ValueError("multiply needs at least one scalar-valued operand")
     p3 = s1.degree + s2.degree
     knots, (a, b) = _on_common_spans(s1, s2, p3)
     # (S, p1 + 1, d1, 1) times (S, p2 + 1, 1, d2): an outer product per span

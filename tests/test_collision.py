@@ -1,11 +1,14 @@
 """Collision: SDF construction/query oracles, and the planner's clearance
 and separating-plane families on hand-checkable geometry."""
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from splinetraj.bernstein import bezier_extraction, left_inverse, product, to_spans
 from splinetraj.bspline import BSpline, basis_matrix, clamp_knots
 from splinetraj.collision import (
     ObstaclePrimitive,
@@ -29,8 +32,12 @@ from splinetraj.planner import (
     TrajectoryBasis,
     TrajectorySamples,
     VariableLayout,
+    assemble,
 )
+from splinetraj.scenario import parse_scenario
 from splinetraj.spline_algebra import elevated_union
+
+SCENARIO_DIR = Path(__file__).resolve().parents[1] / "src/splinetraj/scenarios"
 
 CUBIC = clamp_knots(np.round(np.arange(0.1, 0.95, 0.1), 10), 3)
 BASIS = TrajectoryBasis(3, CUBIC)
@@ -518,6 +525,100 @@ class TestHyperplaneConstraints:
                 assert fam.dense_violation(
                     dv, TrajectorySamples(trajectory, taus)) == 0.0, fam.name
         assert found >= 3
+
+
+def span_obstacle_rows(basis, obstacle):
+    """PlaneObstacleSideFamily's G built directly per span in Bernstein
+    form, the planner's construction before ``spline_algebra.multiply``:
+    the reference for G's bytes."""
+    p = basis.degree
+    motion = obstacle.motion
+    inputs = [(basis.knots, p)]
+    if motion is not None:
+        inputs.append((motion.knots, motion.degree))
+        target = p + motion.degree
+    else:
+        target = p
+    knots = elevated_union(inputs, target)
+    breaks = knots.distinct()
+    units = to_spans(bezier_extraction(basis.knots, p, breaks),
+                     np.eye(basis.n_coeffs), p)  # (S, p + 1, n)
+    if motion is None:
+        centers = np.broadcast_to(obstacle.nominal_center(),
+                                  (units.shape[0], 1, obstacle.dim))
+    else:
+        centers = to_spans(bezier_extraction(motion.knots, motion.degree, breaks),
+                           motion.control_points, motion.degree)
+    if obstacle.kind == "sphere":
+        offsets = np.zeros((1, obstacle.dim))
+    else:
+        offsets = obstacle.corner_offsets()
+    corners = centers[..., None] + offsets.T  # (S, m + 1, d, K)
+    ones = np.ones(corners.shape[:2] + (1, corners.shape[3]))
+    corners = np.concatenate([corners, ones], axis=2)
+    n, d1, K = basis.n_coeffs, corners.shape[2], corners.shape[3]
+    planes = np.einsum("sji,ef->sjief", units, np.eye(d1)).reshape(
+        units.shape[0], p + 1, n * d1, d1)
+    y = product(planes, corners)  # (S, p + m + 1, n * d1, K)
+    G = left_inverse(knots, target) @ y.reshape(-1, n * d1 * K)
+    return G.reshape(-1, n * d1, K).transpose(2, 0, 1).reshape(-1, n * d1)
+
+
+def span_norm_rows(basis):
+    """PlaneNormFamily's Q built directly per span, the reference for its
+    bytes."""
+    p, n = basis.degree, basis.n_coeffs
+    units = to_spans(bezier_extraction(basis.knots, p), np.eye(n), p)
+    y = product(units[..., :, None], units[..., None, :])  # (S, 2p + 1, n, n)
+    lift = left_inverse(elevated_union([(basis.knots, p)], 2 * p), 2 * p)
+    return (lift @ y.reshape(-1, n * n)).reshape(-1, n, n)
+
+
+class TestFixedPlaneRows:
+    """The obstacle-side and norm rows come from ``spline_algebra.multiply``
+    and keep the bytes of the direct per-span construction."""
+
+    @pytest.mark.parametrize("name, mode", [("fanuc6_dynamic", None),
+                                            ("mobile2d", "hyperplane"),
+                                            ("mobile3d", "hyperplane")])
+    def test_bytes_match_the_span_construction(self, name, mode):
+        obj = json.loads((SCENARIO_DIR / f"{name}.json").read_text())
+        if mode is not None:
+            obj.setdefault("collision", {})["static_mode"] = mode
+        problem = assemble(parse_scenario(obj))
+        obstacle_side = [f for f in problem.families
+                         if isinstance(f, PlaneObstacleSideFamily)]
+        norms = [f for f in problem.families if isinstance(f, PlaneNormFamily)]
+        assert obstacle_side and len(norms) == len(obstacle_side)
+        for fam in obstacle_side:
+            assert fam.G.tobytes() == span_obstacle_rows(
+                problem.basis, fam.obstacle).tobytes(), fam.name
+        Q = span_norm_rows(problem.basis).tobytes()
+        for fam in norms:
+            assert fam.Q.tobytes() == Q, fam.name
+
+    @pytest.mark.parametrize("degree", [1, 2, 3])
+    def test_box_on_a_spline_motion(self, degree):
+        # A moving box's rows round differently from the span construction
+        # (its corner offsets join the motion's control points before the
+        # break points are inserted), so they are checked against the
+        # pointwise definition a . corner_k(tau) + b instead of its bytes.
+        rng = np.random.default_rng(53 + degree)
+        knots = clamp_knots([0.37, 0.6], degree)
+        motion = BSpline(degree, knots, rng.uniform(-1.5, -0.5, (degree + 3, 2)))
+        box = ObstaclePrimitive.box([-0.2, -0.3], [0.2, 0.1], motion=motion)
+        a = rng.uniform(-1.0, 1.0, (13, 2))
+        b = rng.uniform(-1.0, 1.0, 13)
+        (_, obst, _), fams, _ = separation(box, standing([1.0, 0.0]), a, b, 0.1)
+        offsets = fams[1].offsets
+        space = elevated_union([(CUBIC, 3), (knots, degree)], 3 + degree)
+        taus = np.linspace(0, 1, 1001)
+        plane = BSpline(3, CUBIC, np.column_stack([a, b])).eval(taus)
+        center = motion.eval(taus)
+        for k, rows in enumerate(obst.reshape(len(offsets), -1)):
+            expected = (plane[:, :2] * (center + offsets[k])).sum(axis=1) + plane[:, 2]
+            got = BSpline(3 + degree, space, rows[:, None]).eval(taus)[:, 0]
+            np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
 
 
 class TestConvexDistanceOracle:

@@ -646,6 +646,10 @@ class TestVerify:
         assert rep10.family("sdf_clearance").n_samples > rep5.family(
             "sdf_clearance"
         ).n_samples
+        # Below 1 there is no density to check at.
+        for bad in (0, -3):
+            with pytest.raises(ValueError, match="oversample"):
+                verify(sol, prob, oversample=bad)
 
 
 class TestDynamicsFamily:

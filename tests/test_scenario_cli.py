@@ -16,6 +16,7 @@ import splinetraj
 from splinetraj.cli import (
     _csv_rows,
     benchmark_obstacles,
+    build_parser,
     export_trajectory,
     main,
     run,
@@ -493,6 +494,42 @@ class TestCLI:
         bad.write_text(json.dumps(obj))
         assert main(["solve", str(bad)]) == 3
         assert f"{block}.{key}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, name", [
+        (["verify", "{scenario}", "{solution}", "--oversample", "0"], "--oversample"),
+        (["verify", "{scenario}", "{solution}", "--oversample", "-3"], "--oversample"),
+        (["solve", "{scenario}", "--samples", "-1"], "--samples"),
+        (["bench", "{bench}", "--counts", "1,x"], "--counts"),
+        (["bench", "{bench}", "--trials", "0"], "--trials"),
+        (["solve", "{scenario}", "--samples", "ten"], "--samples"),
+        (["plan", "{scenario}"], "plan"),
+    ], ids=["oversample_zero", "oversample_negative", "samples_negative",
+            "counts_not_integers", "trials_zero", "samples_not_an_integer",
+            "unknown_command"])
+    def test_bad_argument_exit_three(self, tmp_path, capsys, argv, name):
+        # Rejected before any work as invalid input; exit 2 would read as
+        # "not converged / not verified".
+        scenario = SCENARIO_DIR / "unconstrained.json"
+        assert main(["solve", str(scenario), "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        paths = {"scenario": str(scenario), "bench": str(SCENARIO_DIR / "bench2d.json"),
+                 "solution": str(tmp_path / "solution.json")}
+        assert main([arg.format(**paths) for arg in argv]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "invalid input: " in err and name in err
+
+    def test_usage_error_is_invalid_input(self, capsys):
+        # argparse reports every usage error through the parser's ``error``.
+        with pytest.raises(ScenarioError, match="no such flag"):
+            build_parser().error("no such flag")
+        assert capsys.readouterr().err.startswith("usage: splinetraj")
+
+    def test_help_exit_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--help"])
+        assert exc.value.code == 0
+        assert "--samples" in capsys.readouterr().out
 
     def test_missing_file_exit_three(self):
         assert main(["solve", "/nonexistent/nope.json"]) == 3

@@ -219,10 +219,18 @@ class TestMultiply:
             out.eval(taus), s.eval(taus) * v.eval(taus), atol=1e-8
         )
 
-    def test_vector_vector_rejected(self):
+    def test_vector_times_vector_is_the_outer_product(self):
+        # Coordinate i * d2 + j is s1_i(tau) s2_j(tau).
         rng = np.random.default_rng(37)
-        with pytest.raises(ValueError):
-            multiply(random_spline(rng, dim=2), random_spline(rng, dim=2))
+        taus = np.linspace(0, 1, 400)
+        for d1, d2 in ((2, 3), (3, 2), (4, 4)):
+            s1, s2 = random_spline(rng, dim=d1), random_spline(rng, dim=d2)
+            out = multiply(s1, s2)
+            assert out.dim == d1 * d2
+            expected = s1.eval(taus)[:, :, None] * s2.eval(taus)[:, None, :]
+            np.testing.assert_allclose(
+                out.eval(taus), expected.reshape(len(taus), -1), atol=1e-8
+            )
 
     def test_commutative_at_evaluation(self):
         rng = np.random.default_rng(41)

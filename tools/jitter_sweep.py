@@ -15,7 +15,8 @@ seeded 0 .. K - 1, and prints one line per start:
 
 then the medians of the last five columns.  BLAS runs on one thread, as
 in the test suite and the benchmark.  The scenario is a bundled scenario
-name or a perfbench workload name (its first scenario).
+name, a scenario file path or a perfbench workload name (its first
+scenario).
 ``--tree`` plans with the ``src/`` (and ``perfbench/``) of another
 checkout, so one copy of this script compares two trees:
 
@@ -46,12 +47,14 @@ BOUNDARY_ROWS = 3
 
 
 def scenario_dicts(tree: Path, name: str) -> list[dict]:
-    """The bundled scenario ``name`` of ``tree`` as a one-item list, or
-    every scenario of the perfbench workload ``name``.  ``tree``'s ``src/``
-    and root must lead ``sys.path``."""
-    bundled = tree / "src" / "splinetraj" / "scenarios" / f"{name}.json"
-    if bundled.exists():
-        return [json.loads(bundled.read_text())]
+    """The bundled scenario ``name`` of ``tree``, or the scenario file at
+    the path ``name``, as a one-item list; or every scenario of the
+    perfbench workload ``name``.  ``tree``'s ``src/`` and root must lead
+    ``sys.path``."""
+    for path in (tree / "src" / "splinetraj" / "scenarios" / f"{name}.json",
+                 Path(name)):
+        if path.is_file():
+            return [json.loads(path.read_text())]
     from perfbench.workloads import WORKLOADS, generate
 
     if name not in WORKLOADS:
@@ -86,7 +89,8 @@ def plan(problem, guess) -> dict:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("scenario", help="bundled scenario or perfbench workload name")
+    parser.add_argument("scenario", help="bundled scenario name, scenario file "
+                                         "path or perfbench workload name")
     parser.add_argument("-k", type=int, default=6, help="jittered starts (default 6)")
     parser.add_argument("--tree", default=str(Path(__file__).resolve().parents[1]),
                         help="checkout whose src/ is planned (default: this one)")

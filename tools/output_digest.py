@@ -1,15 +1,18 @@
 """Print a digest of every bundled scenario's exported outputs.
 
-For each scenario under ``src/splinetraj/scenarios/`` (or the names given
-on the command line) this plans it through ``splinetraj.cli.run`` with
-1000 export samples and prints one line:
+For each scenario under ``src/splinetraj/scenarios/`` (or the bundled
+names or scenario file paths given on the command line) this plans it
+through ``splinetraj.cli.run`` with 1000 export samples and prints one
+line:
 
     <scenario> <status> <float.hex(T)> <sha256 of solution.json>
         <sha256 of trajectory.csv> <sha256 of cartesian.csv>
         <sha256 of report.json's "verification" object>
 
-A perfbench workload name (``mobile_sdf``, ``arm_sdf``, ``arm_dynamic``)
-prints one such line for each scenario of that workload, labelled
+A scenario file reaches plans that no bundled scenario does, such as
+``mobile2d`` with ``"static_mode": "hyperplane"``.  A perfbench workload
+name (``mobile_sdf``, ``arm_sdf``, ``arm_dynamic``) prints one such line
+for each scenario of that workload, labelled
 ``<workload>/<scenario name>``, so every plan's T is compared, not a
 mean over the workload.
 
@@ -51,7 +54,8 @@ OUTPUTS = ("solution.json", "trajectory.csv", "cartesian.csv")
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("scenarios", nargs="*",
-                        help="bundled scenario or perfbench workload names "
+                        help="bundled scenario names, scenario file paths or "
+                             "perfbench workload names "
                              "(default: every bundled scenario)")
     parser.add_argument("--tree", default=str(Path(__file__).resolve().parents[1]),
                         help="checkout whose src/ (and perfbench/) is planned "
@@ -66,9 +70,9 @@ def main(argv=None) -> int:
     bundled = tree / "src" / "splinetraj" / "scenarios"
     names = args.scenarios or sorted(p.stem for p in bundled.glob("*.json"))
     for name in names:
-        is_bundled = (bundled / f"{name}.json").exists()
+        one_file = (bundled / f"{name}.json").exists() or Path(name).is_file()
         for obj in scenario_dicts(tree, name):
-            label = name if is_bundled else f"{name}/{obj['name']}"
+            label = name if one_file else f"{name}/{obj['name']}"
             print(label, *digest(parse_scenario(obj)), flush=True)
     return 0
 
