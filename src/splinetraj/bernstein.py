@@ -227,15 +227,16 @@ class ChainNumerators:
     recursion c <- c^2 - s^2, s <- 2sc, den <- den^2.  A prismatic link is
     q Mc + M0, elevated to the same degree.  The prefix products
     P_k = base N_1 ... N_k carry the cumulative denominator in their
-    bottom row, so a plane (a, b) dotted with P_k [v; 1] is
-    den_k (b + a . pos_k(v)).
+    bottom row, so a plane [a | b] dotted with P_k [v; 1] is
+    den_k (b + a . pos_k(v)).  ``extraction`` is the trajectory basis's
+    ``bezier_extraction(knots, degree)``, shared with its other users.
 
     Links of one kind and depth share every step up to their numerators,
     so each such group is built in one pass with its links stacked on the
     span axis; only the prefix products run link by link.
     """
 
-    def __init__(self, chain, depths, knots: KnotVector, degree: int):
+    def __init__(self, chain, depths, extraction: np.ndarray, degree: int):
         self.degree = degree
         depths = tuple(int(d) for d in depths)
         base = np.array(chain.base_pose, dtype=float)
@@ -253,7 +254,7 @@ class ChainNumerators:
         self.groups = [(rev, d, np.array([j for j, kind in enumerate(kinds)
                                           if kind == (rev, d)]))
                        for rev, d in dict.fromkeys(kinds)]
-        self.extraction = bezier_extraction(knots, degree)
+        self.extraction = extraction
         self.n_spans = self.extraction.shape[0] // (degree + 1)
         self.base = np.broadcast_to(base, (self.n_spans, 1, 4, 4))
 

@@ -94,16 +94,6 @@ class RunReport:
     def converged(self) -> bool:
         return self.status == "converged"
 
-    def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "status": self.status,
-            "objective": self.objective,
-            "solve_time_s": self.solve_time,
-            "family_violations": self.family_violations,
-            "samples": self.samples,
-        }
-
 
 def export_trajectory(solution: Solution, problem: PlanningProblem,
                       out_dir, samples: int = 1000) -> list[Path]:
@@ -234,12 +224,13 @@ def benchmark_sdf_vs_hyperplane(base_scenario: Scenario, obstacle_counts,
     Returns one row per count with mean and minimum wall times, the time
     ratio of the means, the inner iterations and the constraint counts of
     each formulation.  Rows where either formulation fails to converge are
-    flagged so trend checks can exclude them.
+    flagged so trend checks can exclude them.  A chain robot or a moving
+    obstacle in the base scenario is invalid input (ScenarioError).
     """
     if isinstance(base_scenario.robot, ChainRobot):
-        raise ValueError("benchmark expects a mobile-robot base scenario")
+        raise ScenarioError("benchmark expects a mobile-robot base scenario")
     if any(not o.is_static for o in base_scenario.obstacles):
-        raise ValueError("benchmark expects static obstacles only")
+        raise ScenarioError("benchmark expects static obstacles only")
     rows = []
     for k in obstacle_counts:
         obstacles = tuple(benchmark_obstacles(k))

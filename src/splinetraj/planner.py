@@ -79,26 +79,28 @@ class AssemblyError(ValueError):
 
 @dataclass
 class DecisionVector:
-    """Full coefficient matrix, travel time, and plane spline coefficients."""
+    """Full coefficient matrix, travel time, and plane spline coefficients.
+
+    Plane k is one (n_coeffs, world_dim + 1) block [a | b]: row i holds the
+    i-th control point of the normal a(tau) and of the offset b(tau), so
+    the plane's value at a point x is the row dotted with [x, 1].  Only
+    ``to_json`` and the packed solver vector store a and b apart.
+    """
 
     joint_coeffs: np.ndarray  # (n_coeffs, n_coords)
     T: float
-    plane_coeffs: list  # per plane: (a (n_coeffs, world_dim), b (n_coeffs,))
+    plane_coeffs: list  # per plane: [a | b], (n_coeffs, world_dim + 1)
 
     def copy(self) -> "DecisionVector":
-        return DecisionVector(
-            self.joint_coeffs.copy(),
-            self.T,
-            [(a.copy(), b.copy()) for a, b in self.plane_coeffs],
-        )
+        return DecisionVector(self.joint_coeffs.copy(), self.T,
+                              [ab.copy() for ab in self.plane_coeffs])
 
     def to_json(self) -> dict:
         return {
             "joint_coeffs": self.joint_coeffs.tolist(),
             "T": self.T,
-            "planes": [
-                {"a": a.tolist(), "b": b.tolist()} for a, b in self.plane_coeffs
-            ],
+            "planes": [{"a": ab[:, :-1].tolist(), "b": ab[:, -1].tolist()}
+                       for ab in self.plane_coeffs],
         }
 
     @classmethod
@@ -117,10 +119,10 @@ class DecisionVector:
         for i, plane in enumerate(planes):
             key = f"{path}.planes[{i}]"
             _require_keys(plane, key, ("a", "b"))
-            plane_coeffs.append((
+            plane_coeffs.append(np.column_stack([
                 _stored_array(plane["a"], f"{key}.a", (n, layout.world_dim)),
                 _stored_array(plane["b"], f"{key}.b", (n,)),
-            ))
+            ]))
         return cls(
             _stored_array(obj["joint_coeffs"], f"{path}.joint_coeffs",
                           (n, layout.n_coords)),
@@ -203,65 +205,55 @@ class VariableLayout:
         """The decision vector at x, shared by every family evaluated there.
 
         The last result is kept, keyed on the bytes of x, so the families
-        of one solver call unpack once.  It is built from a private,
-        read-only copy of x and must not be modified; ``copy()`` gives a
-        private one.
+        of one solver call unpack once.  Its arrays are read-only copies
+        of the entries of x and must not be modified; ``copy()`` gives
+        writable ones.
         """
         key = x.tobytes()
         if key != self._last_key:
-            own = np.array(x, dtype=float)
-            own.flags.writeable = False
-            dv = self._build(own)
-            dv.joint_coeffs.flags.writeable = False
-            self._last, self._last_key = dv, key
-        return self._last
-
-    def _build(self, x: np.ndarray) -> DecisionVector:
-        C = np.concatenate(
-            [
+            C = np.concatenate([
                 self.top_rows,
                 x[: self.n_free_c].reshape(self.free_rows, self.n_coords),
                 self.bottom_rows,
-            ]
-        )
-        T = float(x[self.idx_T])
-        planes = []
-        off = self.idx_T + 1
-        for _ in range(self.n_planes):
-            a = x[off : off + self.n_coeffs * self.world_dim].reshape(
-                self.n_coeffs, self.world_dim
-            )
-            off += self.n_coeffs * self.world_dim
-            b = x[off : off + self.n_coeffs]
-            off += self.n_coeffs
-            planes.append((a, b))
-        return DecisionVector(C, T, planes)
+            ])
+            a, b = self._planes(x)
+            planes = np.concatenate([a, b[:, :, None]], axis=2)
+            C.flags.writeable = planes.flags.writeable = False
+            self._last = DecisionVector(C, float(x[self.idx_T]), list(planes))
+            self._last_key = key
+        return self._last
+
+    def _planes(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Views of every plane's entries in x: a (n_planes, n_coeffs,
+        world_dim) and b (n_planes, n_coeffs).  Plane k packs its a
+        row-major, then its b."""
+        n, d = self.n_coeffs, self.world_dim
+        region = x[self.idx_T + 1 :].reshape(self.n_planes, self.plane_size)
+        return region[:, : n * d].reshape(self.n_planes, n, d), region[:, n * d :]
 
     def pack(self, dv: DecisionVector) -> np.ndarray:
         x = np.zeros(self.n_x)
         x[: self.n_free_c] = dv.joint_coeffs[3:-3].reshape(-1)
         x[self.idx_T] = dv.T
-        off = self.idx_T + 1
-        for a, b in dv.plane_coeffs:
-            x[off : off + a.size] = a.reshape(-1)
-            off += a.size
-            x[off : off + b.size] = b
-            off += b.size
+        a, b = self._planes(x)
+        for k, ab in enumerate(dv.plane_coeffs):
+            a[k], b[k] = ab[:, :-1], ab[:, -1]
         return x
 
     def grad(self, dC: np.ndarray | None = None, dT: float = 0.0,
-             dplanes: dict | None = None) -> np.ndarray:
+             plane: tuple | None = None) -> np.ndarray:
+        """The packed gradient of weights dC on the joint coefficients
+        (its pinned rows drop out), dT on T and, with plane = (k, block),
+        the (n_coeffs, world_dim + 1) weights [a | b] on plane k."""
         g = np.zeros(self.n_x)
         if dC is not None:
             g[: self.n_free_c] = dC[3:-3].reshape(-1)
         g[self.idx_T] = dT
-        if dplanes:
-            for k, (da, db) in dplanes.items():
-                off = self.idx_T + 1 + k * self.plane_size
-                if da is not None:
-                    g[off : off + da.size] += da.reshape(-1)
-                if db is not None:
-                    g[off + self.n_coeffs * self.world_dim : off + self.plane_size] += db
+        if plane is not None:
+            k, block = plane
+            a, b = self._planes(g)
+            a[k] += block[:, :-1]
+            b[k] += block[:, -1]
         return g
 
     def bounds(self, t_min: float):
@@ -280,6 +272,13 @@ def _excess(x: np.ndarray) -> float:
     when there is none, and NaN when x holds a NaN, which fails verify."""
     worst = float(x.max())
     return 0.0 if worst <= 0.0 else worst
+
+
+def _plane_values(ab: np.ndarray, samples) -> tuple[np.ndarray, np.ndarray]:
+    """a(tau) and b(tau) of the plane [a | b] at the sampled parameters:
+    two products, since one ``B @ ab`` rounds differently."""
+    Bt = samples.basis(0)
+    return Bt @ ab[:, :-1], Bt @ ab[:, -1]
 
 
 class DerivBoxFamily(ConstraintBlock):
@@ -736,9 +735,9 @@ class PlaneRobotSideFamily(ConstraintBlock):
     def evaluate(self, x):
         dv = self.layout.unpack(x)
         p = self._basis_degree
-        a_c, b_c = dv.plane_coeffs[self.plane_index]
-        # (S, p + 1, 1, d + 1): the plane (a, b) as a row vector per span
-        plane = to_spans(self.extraction, np.column_stack([a_c, b_c]), p)[:, :, None, :]
+        # (S, p + 1, 1, d + 1): the plane [a | b] as a row vector per span
+        plane = to_spans(self.extraction, dv.plane_coeffs[self.plane_index],
+                         p)[:, :, None, :]
         if self.nfk is None:
             C = dv.joint_coeffs
             pts = to_spans(self.extraction, np.column_stack([C, np.ones(len(C))]),
@@ -758,20 +757,16 @@ class PlaneRobotSideFamily(ConstraintBlock):
             gy = -(self.lift.T @ (w.reshape(V, -1).T @ self.hom.T)).reshape(y.shape)
             gplane, gpts = product_vjp(plane, pts, gy)
             gab = self.extraction.T @ gplane.reshape(-1, gplane.shape[3])
-            dplanes = {self.plane_index: (gab[:, :-1], gab[:, -1])}
             if self.nfk is None:
                 gC = self.extraction.T @ gpts[:, :, :-1, 0].reshape(-1, pts.shape[2] - 1)
             else:
                 gC = self.fk_cache.chain.vjp(state, self.body.link_index, gpts)
-            return self.layout.grad(dC=gC, dplanes=dplanes)
+            return self.layout.grad(dC=gC, plane=(self.plane_index, gab))
 
         return r, vjp
 
     def dense_violation(self, dv, samples) -> float:
-        a_c, b_c = dv.plane_coeffs[self.plane_index]
-        Bt = samples.basis(0)
-        a = Bt @ a_c
-        b = Bt @ b_c
+        a, b = _plane_values(dv.plane_coeffs[self.plane_index], samples)
         if self.nfk is None:
             y = (a * samples.values(0)).sum(axis=1) + b - self.body.radius
             return _excess(-y)
@@ -822,23 +817,17 @@ class PlaneObstacleSideFamily(ConstraintBlock):
         self.n_rows = self.G.shape[0]
 
     def evaluate(self, x):
-        dv = self.layout.unpack(x)
-        a_c, b_c = dv.plane_coeffs[self.plane_index]
-        r = self.G @ np.column_stack([a_c, b_c]).reshape(-1) + (self.shift + self.cushion)
+        ab = self.layout.unpack(x).plane_coeffs[self.plane_index]
+        r = self.G @ ab.reshape(-1) + (self.shift + self.cushion)
 
         def vjp(w):
-            gab = (w @ self.G).reshape(a_c.shape[0], -1)
             return self.layout.grad(
-                dplanes={self.plane_index: (gab[:, :-1], gab[:, -1])}
-            )
+                plane=(self.plane_index, (w @ self.G).reshape(ab.shape)))
 
         return r, vjp
 
     def dense_violation(self, dv, samples) -> float:
-        a_c, b_c = dv.plane_coeffs[self.plane_index]
-        Bt = samples.basis(0)
-        a = Bt @ a_c
-        b = Bt @ b_c
+        a, b = _plane_values(dv.plane_coeffs[self.plane_index], samples)
         centers = self.obstacle.center_at(samples.taus)
         pts = centers[:, None, :] + self.offsets[None, :, :]
         y = np.einsum("sd,skd->sk", a, pts) + b[:, None] + self.shift
@@ -867,20 +856,20 @@ class PlaneNormFamily(ConstraintBlock):
         self.n_rows = self.Q.shape[0]
 
     def evaluate(self, x):
-        dv = self.layout.unpack(x)
-        a_c, _ = dv.plane_coeffs[self.plane_index]
+        ab = self.layout.unpack(x).plane_coeffs[self.plane_index]
+        a_c = ab[:, :-1]
         Qa = self.Q @ a_c  # (rows, n, d)
         r = (Qa * a_c).sum(axis=(1, 2)) + (self.cushion - 1.0)
 
         def vjp(w):
-            da = 2.0 * np.tensordot(w, Qa, axes=1)  # each Q_t is symmetric
-            return self.layout.grad(dplanes={self.plane_index: (da, None)})
+            gab = np.zeros_like(ab)  # b does not enter the norm
+            gab[:, :-1] = 2.0 * np.tensordot(w, Qa, axes=1)  # each Q_t is symmetric
+            return self.layout.grad(plane=(self.plane_index, gab))
 
         return r, vjp
 
     def dense_violation(self, dv, samples) -> float:
-        a_c, _ = dv.plane_coeffs[self.plane_index]
-        a = samples.basis(0) @ a_c
+        a = samples.basis(0) @ dv.plane_coeffs[self.plane_index][:, :-1]
         return _excess((a * a).sum(axis=1) - 1.0)
 
 
@@ -939,7 +928,7 @@ class PlanningProblem:
     layout: VariableLayout
     families: list
     nfk: NumericFK | None
-    plane_specs: list  # (body_name, link_index, obstacle) per plane
+    plane_specs: list  # (TrackedBody, obstacle) per plane
     bodies: list  # TrackedBody per protected body
     q_init: np.ndarray  # boundary rows in spline-variable space
     q_goal: np.ndarray
@@ -1083,9 +1072,6 @@ def assemble(scenario: Scenario) -> PlanningProblem:
         q_goal = scenario.boundary_goal.copy()
         world_dim = scenario.robot.dimension
         nfk = None
-        for end, q in (("initial", q_init), ("goal", q_goal)):
-            if np.any(q < scenario.workspace_min) or np.any(q > scenario.workspace_max):
-                raise AssemblyError(f"boundary.{end} outside the workspace box")
 
     # Tracked bodies for collision handling.
     bodies = []
@@ -1125,12 +1111,7 @@ def assemble(scenario: Scenario) -> PlanningProblem:
     if use_planes_for_static:
         plane_obstacles += static_obs
 
-    plane_specs = []
-    plane_tags = []
-    for oi, obs in enumerate(plane_obstacles):
-        for body in bodies:
-            plane_specs.append((body.name, body.link_index, obs))
-            plane_tags.append(f"{body.name}_obs{oi}")
+    plane_specs = [(body, obs) for obs in plane_obstacles for body in bodies]
 
     layout = VariableLayout(
         basis.n_coeffs,
@@ -1203,17 +1184,15 @@ def assemble(scenario: Scenario) -> PlanningProblem:
             )
         )
 
-    body_by_name = {b.name: b for b in bodies}
     fk_cache = None
     if plane_specs and is_chain:
-        fk_cache = FKSiteCache(
-            ChainNumerators(scenario.robot.chain, nfk.depths, basis.knots, basis.degree)
-        )
-    for k, ((body_name, _, obs), tag) in enumerate(zip(plane_specs, plane_tags)):
+        fk_cache = FKSiteCache(ChainNumerators(
+            scenario.robot.chain, nfk.depths, basis.extraction, basis.degree))
+    for k, (body, obs) in enumerate(plane_specs):
+        tag = f"{body.name}_obs{k // len(bodies)}"
         families.append(
             PlaneRobotSideFamily(f"plane_robot_{tag}", layout, basis, k,
-                                 body_by_name[body_name], nfk, CUSHION,
-                                 fk_cache)
+                                 body, nfk, CUSHION, fk_cache)
         )
         families.append(
             PlaneObstacleSideFamily(f"plane_obstacle_{tag}", layout, basis, k,
@@ -1256,14 +1235,13 @@ def initial_guess(problem: PlanningProblem) -> DecisionVector:
     T = _time_heuristic(scenario)
 
     planes = []
-    for body_name, link_index, obs in problem.plane_specs:
+    for body, obs in problem.plane_specs:
         o0 = obs.center_at(0.0)[0]
         if problem.nfk is None:
             r0 = problem.q_init[: problem.layout.world_dim]
         else:
             Tfk = scenario.robot.chain.numeric_fk(scenario.boundary_initial,
-                                                  link_index)
-            body = next(b for b in problem.bodies if b.name == body_name)
+                                                  body.link_index)
             r0 = (Tfk @ homogeneous(body.verts)).T[:, :3].mean(axis=0)[
                 : problem.layout.world_dim]
         sep = r0 - o0
@@ -1271,7 +1249,7 @@ def initial_guess(problem: PlanningProblem) -> DecisionVector:
         direction = sep / norm if norm > 1e-12 else np.eye(len(sep))[0]
         a_const = 0.9 * direction
         b_const = -float(a_const @ (0.5 * (r0 + o0)))
-        planes.append((np.tile(a_const, (n, 1)), np.full(n, b_const)))
+        planes.append(np.tile(np.append(a_const, b_const), (n, 1)))
     return DecisionVector(C, T, planes)
 
 
@@ -1447,12 +1425,16 @@ def verify(solution: Solution, problem: PlanningProblem,
 
     # Endpoint conditions are exact by construction; report the residuals.
     # The clamped basis is a unit row at either end, so each value is one
-    # control point times 1 whatever the product's summation order.
+    # control point times 1 whatever the product's summation order.  T's
+    # bound T >= T_MIN holds by construction too, and is checked with
+    # them: the limit checks read T only as |q'/T| or T^2, so a negated T
+    # would pass them.
     ends = TrajectorySamples(trajectory, np.array([0.0, 1.0]))
     q = ends.values(0)
     residuals = [q[0] - problem.q_init, q[1] - problem.q_goal,
                  ends.values(1), ends.values(2)]
-    end_viol = float(np.abs(np.concatenate([r.ravel() for r in residuals])).max())
+    end_viol = float(np.concatenate(
+        [np.abs(r).ravel() for r in residuals] + [[T_MIN - dv.T]]).max())
     reports.append(FamilyReport("endpoint_conditions", "eq", end_viol, 12))
 
     for fam in problem.families:

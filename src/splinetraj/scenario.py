@@ -457,6 +457,10 @@ def parse_scenario(obj: dict) -> Scenario:
             f"limits: prismatic joint {k} needs angle_min and angle_max (its "
             "offset range) to bound the SDF motion margin"
         )
+    if not is_chain:
+        for end, q in (("initial", q_init), ("goal", q_goal)):
+            if np.any(q < ws_min) or np.any(q > ws_max):
+                raise ScenarioError(f"boundary.{end}: outside the workspace box")
     if limits.angle_min is not None and limits.angle_max is not None:
         if np.any(q_goal < limits.angle_min) or np.any(q_goal > limits.angle_max):
             raise ScenarioError("boundary.goal: outside the configured angle limits")

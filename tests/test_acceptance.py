@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from splinetraj.bernstein import ChainNumerators
+from splinetraj.bernstein import ChainNumerators, bezier_extraction
 from splinetraj.bspline import BSpline, basis_matrix, clamp_knots
 from perfbench.speed import SpeedProbe, reference_seconds
 from splinetraj.cli import benchmark_obstacles, benchmark_sdf_vs_hyperplane, run
@@ -148,7 +148,8 @@ class TestCriterion4:
         knots = clamp_knots(np.round(np.arange(0.1, 0.95, 0.1), 10), 3)
         worst = 0.0
         for depth in (1, 2):
-            numerators = ChainNumerators(chain, [depth] * 6, knots, 3)
+            numerators = ChainNumerators(chain, [depth] * 6,
+                                         bezier_extraction(knots, 3), 3)
             for _ in range(5):
                 q = rng.uniform(-0.9, 0.9, (13, 6))
                 for P in numerators.forward(q)["prefix"][1:]:
@@ -163,7 +164,8 @@ class TestCriterion4:
         rng = np.random.default_rng(13)
         knots = scn.basis_knots()
         q = rng.uniform(-0.7, 0.7, (13, 6))
-        P6 = ChainNumerators(chain, [1] * 6, knots, 3).forward(q)["prefix"][6]
+        numerators = ChainNumerators(chain, [1] * 6, bezier_extraction(knots, 3), 3)
+        P6 = numerators.forward(q)["prefix"][6]
         taus = np.linspace(0.0, 1.0, 50)
         M = eval_spans(P6, knots, taus)
         fk = M / M[:, 3:, 3:]
@@ -307,13 +309,13 @@ class TestCriterion8:
         worst_obst = -np.inf
         worst_norm = -np.inf
         plane_by_link = {
-            li: pi for pi, (_, li, _) in enumerate(prob.plane_specs)
+            body.link_index: pi for pi, (body, _) in enumerate(prob.plane_specs)
         }
         B = basis_matrix(prob.basis.knots, prob.basis.degree, taus)
         for k in range(1, len(chain) + 1):
-            a_c, b_c = dv.plane_coeffs[plane_by_link[k]]
-            a = B @ a_c
-            b = B @ b_c
+            ab = dv.plane_coeffs[plane_by_link[k]]
+            a = B @ ab[:, :-1]
+            b = B @ ab[:, -1]
             pos = nfk.body_positions(state, k, chain.link_cuboids[k - 1])
             fam_i = (pos @ a[:, :, None])[:, :, 0] + b[:, None]
             worst_robot = min(worst_robot, float(fam_i.min()))
@@ -331,9 +333,9 @@ class TestCriterion8:
             2 * prob.basis.degree * 2 ** (d - 1) for d in scn.robot.halving_depths)
         knots = elevated_union([(prob.basis.knots, prob.basis.degree)], target)
         spline_vals = basis_matrix(knots, target, taus) @ rows.T
-        a_c, b_c = dv.plane_coeffs[fam.plane_index]
-        a = B @ a_c
-        b = B @ b_c
+        ab = dv.plane_coeffs[fam.plane_index]
+        a = B @ ab[:, :-1]
+        b = B @ ab[:, -1]
         chain_state = nfk.chain_state(qmat, 6)
         pos = nfk.vertex_positions(chain_state, chain.link_cuboids[5])
         expect = chain_state["den"][:, None] * (np.einsum("sd,svd->sv", a, pos) + b[:, None])

@@ -265,14 +265,23 @@ def _twolink_moving_sphere():
     return parse_scenario(obj)
 
 
+def test_one_extraction_per_problem():
+    problem = assemble(_twolink_moving_sphere())
+    fams = [f for f in problem.families if isinstance(f, PlaneRobotSideFamily)]
+    assert len(fams) == 2
+    for fam in fams:
+        assert fam.extraction is problem.basis.extraction
+        assert fam.fk_cache.chain.extraction is fam.extraction
+
+
 def test_robot_side_rows_match_exact_rationals():
     problem = assemble(_twolink_moving_sphere())
     rng = np.random.default_rng(12)
     dv = initial_guess(problem)
     dv.joint_coeffs = dv.joint_coeffs + rng.uniform(-0.2, 0.2, dv.joint_coeffs.shape)
-    for a, b in dv.plane_coeffs:
-        a += rng.uniform(-0.1, 0.1, a.shape)
-        b += rng.uniform(-0.1, 0.1, b.shape)
+    for ab in dv.plane_coeffs:
+        ab[:, :-1] += rng.uniform(-0.1, 0.1, ab[:, :-1].shape)
+        ab[:, -1] += rng.uniform(-0.1, 0.1, ab[:, -1].shape)
     x = problem.layout.pack(dv)
     dv = problem.layout.unpack(x)
     chain = problem.scenario.robot.chain
@@ -293,7 +302,8 @@ def test_robot_side_rows_match_exact_rationals():
         knots = elevated_union([(problem.basis.knots, p)], target)
         E = exact_extraction(knots, target)
         n_t = len(E[0])
-        a_c, b_c = dv.plane_coeffs[fam.plane_index]
+        ab = dv.plane_coeffs[fam.plane_index]
+        a_c, b_c = ab[:, :-1], ab[:, -1]
         bez = [[] for _ in fam.body.verts]
         for s in range(len(pieces)):
             P = [[[Fraction(float(v))] for v in row] for row in chain.base_pose]

@@ -448,7 +448,7 @@ def separation(obstacle, C, a, b, radius):
         PlaneObstacleSideFamily("obstacle", layout, BASIS, 0, obstacle, 0.0),
         PlaneNormFamily("norm", layout, BASIS, 0, 0.0),
     )
-    dv = DecisionVector(C, 1.0, [(a, b)])
+    dv = DecisionVector(C, 1.0, [np.column_stack([a, b])])
     x = layout.pack(dv)
     robot, obst, norm = (f.evaluate(x)[0] for f in fams)
     return (-robot, obst, norm), fams, dv

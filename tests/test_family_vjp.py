@@ -147,9 +147,9 @@ def _perturbed_point(problem, rng):
     dv = initial_guess(problem)
     dv.joint_coeffs = dv.joint_coeffs + rng.uniform(-0.1, 0.1, dv.joint_coeffs.shape)
     dv.T *= 1.1
-    for a, b in dv.plane_coeffs:
-        a += rng.uniform(-0.05, 0.05, a.shape)
-        b += rng.uniform(-0.05, 0.05, b.shape)
+    for ab in dv.plane_coeffs:
+        ab[:, :-1] += rng.uniform(-0.05, 0.05, ab[:, :-1].shape)
+        ab[:, -1] += rng.uniform(-0.05, 0.05, ab[:, -1].shape)
     return problem.layout.pack(dv)
 
 

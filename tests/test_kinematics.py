@@ -7,7 +7,7 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
-from splinetraj.bernstein import ChainNumerators, product
+from splinetraj.bernstein import ChainNumerators, bezier_extraction, product
 from splinetraj.bspline import BSpline, clamp_knots
 from splinetraj.kinematics import (
     DHChain,
@@ -99,7 +99,8 @@ def prefixes(chain, joints):
     """Prefix products P_0..P_L of a chain at Joint or offset splines."""
     splines = [j.q if isinstance(j, Joint) else j for j in joints]
     depths = [j.halving_depth if isinstance(j, Joint) else 1 for j in joints]
-    numerators = ChainNumerators(chain, depths, CUBIC_KNOTS, 3)
+    numerators = ChainNumerators(chain, depths,
+                                 bezier_extraction(CUBIC_KNOTS, 3), 3)
     coeffs = np.column_stack([s.control_points[:, 0] for s in splines])
     return numerators.forward(coeffs)["prefix"]
 

@@ -235,8 +235,7 @@ class TestInitialGuess:
         ])
         prob = assemble(scn)
         dv = initial_guess(prob)
-        a, b = dv.plane_coeffs[0]
-        norms = np.linalg.norm(a, axis=1)
+        norms = np.linalg.norm(dv.plane_coeffs[0][:, :-1], axis=1)
         np.testing.assert_allclose(norms, 0.9, atol=1e-12)
 
     def test_guess_violation_decreases_in_outer_loop(self):
@@ -338,11 +337,11 @@ class TestFastPathEquivalence:
         dv = initial_guess(prob)
         rng = np.random.default_rng(5)
         dv.joint_coeffs = dv.joint_coeffs + rng.uniform(-0.2, 0.2, dv.joint_coeffs.shape)
-        a_c, b_c = dv.plane_coeffs[0]
+        a_c = dv.plane_coeffs[0][:, :-1]
         a_c += rng.uniform(-0.1, 0.1, a_c.shape)
         x = prob.layout.pack(dv)
         dv = prob.layout.unpack(x)  # boundary rows re-pinned
-        a_c, b_c = dv.plane_coeffs[0]
+        a_c, b_c = dv.plane_coeffs[0][:, :-1], dv.plane_coeffs[0][:, -1]
         r, _ = fam.evaluate(x)
         # fam residual is cushion - (coeffs of a . pos + b - d_r)
         p = prob.basis.degree
@@ -369,7 +368,7 @@ class TestUnpackMemo:
         x = layout.pack(initial_guess(prob))
         first = layout.unpack(x)
         C0 = first.joint_coeffs.copy()
-        a0, b0 = (v.copy() for v in first.plane_coeffs[0])
+        ab0 = first.plane_coeffs[0].copy()
         T0 = first.T
         x[0] += 0.25
         x[layout.idx_T] += 1.0
@@ -377,11 +376,10 @@ class TestUnpackMemo:
         second = layout.unpack(x)
         assert second.joint_coeffs[3, 0] == C0[3, 0] + 0.25
         assert second.T == T0 + 1.0
-        assert second.plane_coeffs[0][1][-1] == b0[-1] + 0.5
+        assert second.plane_coeffs[0][-1, -1] == ab0[-1, -1] + 0.5
         # The earlier result was built from its own copy of x.
         np.testing.assert_array_equal(first.joint_coeffs, C0)
-        np.testing.assert_array_equal(first.plane_coeffs[0][0], a0)
-        np.testing.assert_array_equal(first.plane_coeffs[0][1], b0)
+        np.testing.assert_array_equal(first.plane_coeffs[0], ab0)
         assert layout.unpack(x) is second
 
     def test_solution_decision_is_private(self):
@@ -391,9 +389,8 @@ class TestUnpackMemo:
         x = prob.layout.pack(sol.decision)
         before = [f.evaluate(x)[0] for f in prob.families]
         sol.decision.joint_coeffs[3:-3] += 0.1
-        for a, b in sol.decision.plane_coeffs:
-            a += 0.1
-            b += 0.1
+        for ab in sol.decision.plane_coeffs:
+            ab += 0.1
         after = [f.evaluate(x)[0] for f in prob.families]
         assert len(before) == len(prob.families) >= 5
         for r0, r1 in zip(before, after):
@@ -621,6 +618,22 @@ class TestVerify:
             assert np.isnan(rep.family(name).max_violation), name
             assert not rep.family(name).passed
         assert not rep.passed
+
+    @pytest.mark.parametrize("scenario", ["mobile2d", "threelink"])
+    @pytest.mark.parametrize("T", [-2.5, 0.05])
+    def test_travel_time_below_minimum_fails(self, scenario, T):
+        # The limit checks read T as |q'/T| or T^2, so a negated T passed
+        # them; the endpoint conditions hold T to its bound T_MIN.
+        prob = assemble(load_scenario(SCENARIO_DIR / f"{scenario}.json"))
+        dv = initial_guess(prob)
+        dv.T = T
+        from splinetraj.planner import T_MIN, Solution
+
+        rep = verify(Solution(dv, "converged", dv.T, 0, 0, 0.0, 0.0, {}), prob,
+                     oversample=1)
+        ends = rep.family("endpoint_conditions")
+        assert ends.max_violation == pytest.approx(T_MIN - T)
+        assert not ends.passed and not rep.passed
 
     def test_dynamics_residual_tolerance(self):
         scn = mobile_scenario(obstacles=[], dynamics={"poly": [[0.0, -0.5], [1.0]]})

@@ -540,6 +540,50 @@ class TestCLI:
         code = main(["verify", str(scn_path), str(tmp_path / "solution.json")])
         assert code == 0
 
+    def test_verify_fails_a_negated_travel_time(self, tmp_path, capsys):
+        # The limit checks read T as |q'/T| or T^2, so a negated T passed
+        # every one of them.
+        scn_path = SCENARIO_DIR / "mobile2d.json"
+        sol_path = tmp_path / "solution.json"
+        assert main(["solve", str(scn_path), "--out", str(tmp_path)]) == 0
+        obj = json.loads(sol_path.read_text())
+        obj["decision"]["T"] = -obj["decision"]["T"]
+        sol_path.write_text(json.dumps(obj))
+        capsys.readouterr()
+        assert main(["verify", str(scn_path), str(sol_path)]) == 2
+        out = capsys.readouterr().out
+        assert "verification FAILED" in out
+        line = next(l for l in out.splitlines() if "endpoint_conditions" in l)
+        assert line.endswith("VIOLATED")
+
+    @pytest.mark.parametrize("command", ["solve", "verify"])
+    @pytest.mark.parametrize("end", ["initial", "goal"])
+    def test_boundary_outside_workspace_exit_three(self, tmp_path, capsys,
+                                                   command, end):
+        obj = json.loads((SCENARIO_DIR / "mobile2d.json").read_text())
+        obj["boundary"][end] = [0.0, 9.0]
+        bad = tmp_path / "outside.json"
+        bad.write_text(json.dumps(obj))
+        argv = [command, str(bad)] + ([str(bad)] if command == "verify" else [])
+        assert main(argv) == 3
+        assert f"boundary.{end}: outside the workspace box" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("scenario", ["threelink", "moving_obstacle"])
+    def test_bench_rejects_its_base_scenario_exit_three(self, tmp_path, capsys,
+                                                        scenario):
+        path = SCENARIO_DIR / "threelink.json"
+        if scenario == "moving_obstacle":
+            obj = json.loads((SCENARIO_DIR / "mobile2d.json").read_text())
+            obj["obstacles"][0]["motion"] = {"kind": "linear",
+                                             "target": [1.5, 0.5]}
+            path = tmp_path / "moving.json"
+            path.write_text(json.dumps(obj))
+        out = tmp_path / "bench.csv"
+        assert main(["bench", str(path), "--counts", "1", "--trials", "1",
+                     "--out", str(out)]) == 3
+        assert "invalid input: benchmark expects" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("key, edit", [
         ("solution.decision.joint_coeffs",
          lambda dec: dec.update(joint_coeffs=dec["joint_coeffs"][:5])),
