@@ -31,14 +31,12 @@ from .collision import ObstaclePrimitive, save_sdf
 from .planner import (
     PlanningProblem,
     Solution,
-    TrajectorySamples,
     assemble,
-    recovered_angles,
     solve,
     static_field,
     verify,
 )
-from .scenario import ChainRobot, Scenario, ScenarioError, load_scenario
+from .scenario import ChainRobot, Scenario, ScenarioError, _read_json, load_scenario
 
 log = logging.getLogger("splinetraj")
 
@@ -107,40 +105,24 @@ def export_trajectory(solution: Solution, problem: PlanningProblem,
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     dv = solution.decision
-    scenario = problem.scenario
     taus = np.linspace(0.0, 1.0, samples)
-    traj = TrajectorySamples(problem.trajectory(dv), taus)
-    is_chain = isinstance(scenario.robot, ChainRobot)
+    traj = problem.samples(dv, taus)
     J = problem.layout.n_coords
-
-    qcols = recovered_angles(problem, traj)
-    if is_chain:
-        # 2^n q' / (T (1 + q^2)) for a half-angle joint; a prismatic offset
-        # reads factor 1 and q = 0, so its rate is q' / T to the bit.
-        robot = scenario.robot
-        factors = np.where(robot.revolute, 2.0 ** np.array(robot.halving_depths), 1.0)
-        q = traj.values(0) * robot.revolute
-        dcols = factors * traj.values(1) / (dv.T * (1.0 + q * q))
-    else:
-        dcols = traj.values(1) / dv.T
 
     header = (
         ["tau", "t"]
         + [f"q{j + 1}" for j in range(J)]
         + [f"dq{j + 1}" for j in range(J)]
     )
-    traj_rows = _csv_rows([taus, taus * dv.T, qcols, dcols])
+    traj_rows = _csv_rows([taus, taus * dv.T, traj.angles(), traj.rates()])
     traj_path = out / "trajectory.csv"
     _write_csv(traj_path, header, traj_rows)
 
-    if is_chain:
-        nfk = problem.nfk
-        state = nfk.shared_state(traj.values(0))
+    if isinstance(problem.scenario.robot, ChainRobot):
         cart_header = ["tau", "t"]
         blocks = []
         for body in problem.bodies:
-            pos = nfk.body_positions(state, body.link_index, body.verts)
-            blocks.append(pos.reshape(samples, -1))
+            blocks.append(traj.positions(body).reshape(samples, -1))
             for v in range(body.verts.shape[0]):
                 cart_header += [f"{body.name}_v{v + 1}_{ax}" for ax in "xyz"]
         # Each row starts with the "tau,t" text of its trajectory row.
@@ -301,11 +283,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_verify(args) -> int:
     problem = assemble(load_scenario(args.scenario))
-    try:
-        payload = json.loads(Path(args.solution).read_text())
-    except json.JSONDecodeError as exc:
-        raise ScenarioError(f"{args.solution}: malformed JSON ({exc})") from exc
-    solution = Solution.from_json(payload, problem.layout)
+    solution = Solution.from_json(_read_json(args.solution), problem.layout)
     report = verify(solution, problem, oversample=args.oversample)
     for fam in report.families:
         flag = "" if fam.passed else "  VIOLATED"

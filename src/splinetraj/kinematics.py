@@ -8,13 +8,15 @@ and keep denominator 1.
 
 ``NumericFK`` evaluates those rational forms (values and joint
 gradients) at sample points, for signed-distance clearance, dense
-verification and export.  The same forms as exact polynomial products,
-span by span, are ``bernstein.ChainNumerators``.
+verification and export: ``shared_state`` forms every link's prefix
+transform in one pass and ``body_positions`` places a link's vertices.
+The same forms as exact polynomial products, span by span, are
+``bernstein.ChainNumerators``.
 
 The joint variables live in one joint-space spline, the planner's
 coefficient matrix; ``unwrap_half_angles`` turns one revolute column of
 it, sampled, back into branch-continuous angles, which is how
-``planner.recovered_angles`` recovers them.
+``planner.TrajectorySamples.angles`` recovers them.
 """
 
 from __future__ import annotations
@@ -249,31 +251,24 @@ class NumericFK:
         return Ts
 
     def chain_state(self, qmat: np.ndarray, link_index: int):
-        """Prefix transforms and the cumulative denominator for one link.
-
-        Returns a dict with:
-          prefix:   list of cumulative transforms, prefix[j] = T0*T1..Tj
-          Ts:       the per-link factors
-          den:      cumulative denominator of the link transform (S,), the
-                    product of (1 + q_j^2)^(2^(n_j - 1)) over revolute links
-        """
+        """``shared_state`` of the first link_index links, plus ``den``: the
+        cumulative denominator of the link transform (S,), the product of
+        (1 + q_j^2)^(2^(n_j - 1)) over revolute links.  Tests read it as
+        the sampled oracle of the rational forms."""
         q = qmat[:, :link_index]
-        Ts = self.link_values(q)
-        S = qmat.shape[0]
-        prefix = [np.broadcast_to(self.chain.base_pose, (S, 4, 4)).copy()]
-        for T in Ts:
-            prefix.append(prefix[-1] @ T)
-        den = np.ones(S)
+        state = self.shared_state(q)
+        den = np.ones(q.shape[0])
         for j in range(link_index):
             if self._kinds[j] == REVOLUTE:
                 den = den * (1.0 + q[:, j] * q[:, j]) ** (2 ** (self.depths[j] - 1))
-        return {"prefix": prefix, "Ts": Ts, "den": den}
+        state["den"] = den
+        return state
 
     @staticmethod
     def vertex_positions(state, verts: np.ndarray) -> np.ndarray:
-        """Positions (S, V, 3) of local-frame vertices under prefix[-1]."""
-        hom = np.hstack([verts, np.ones((verts.shape[0], 1))])
-        return np.einsum("sij,vj->svi", state["prefix"][-1], hom)[:, :, :3]
+        """Positions (S, V, 3) of local-frame vertices under the last prefix
+        transform: ``body_positions`` at that link."""
+        return NumericFK.body_positions(state, len(state["prefix"]) - 1, verts)
 
     def shared_state(self, qmat: np.ndarray, with_grad: bool = False):
         """Full-chain factors computed once for use by every link.

@@ -87,10 +87,10 @@ class ConstraintBlock:
     def evaluate(self, x: np.ndarray):
         raise NotImplementedError
 
-    def dense_violation(self, dv, samples) -> float:
+    def dense_violation(self, samples) -> float:
         """Worst violation of the continuous constraint at the parameters
-        ``samples.taus``, given the decision ``dv`` and ``samples``, its
-        trajectory sampled there (``planner.TrajectorySamples``)."""
+        ``samples.taus``, read from ``samples``, the decision sampled
+        there (``planner.TrajectorySamples``)."""
         raise NotImplementedError
 
     def violation(self, residuals: np.ndarray) -> float:

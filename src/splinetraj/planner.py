@@ -274,13 +274,6 @@ def _excess(x: np.ndarray) -> float:
     return 0.0 if worst <= 0.0 else worst
 
 
-def _plane_values(ab: np.ndarray, samples) -> tuple[np.ndarray, np.ndarray]:
-    """a(tau) and b(tau) of the plane [a | b] at the sampled parameters:
-    two products, since one ``B @ ab`` rounds differently."""
-    Bt = samples.basis(0)
-    return Bt @ ab[:, :-1], Bt @ ab[:, -1]
-
-
 class DerivBoxFamily(ConstraintBlock):
     """Coefficient box on derivative rows: |D C| <= bound * T^power.
 
@@ -325,8 +318,8 @@ class DerivBoxFamily(ConstraintBlock):
 
         return r, vjp
 
-    def dense_violation(self, dv: DecisionVector, samples) -> float:
-        vals = samples.values(self.power) / dv.T**self.power
+    def dense_violation(self, samples) -> float:
+        vals = samples.values(self.power) / samples.T**self.power
         return _excess(np.abs(vals) - self.bound)
 
 
@@ -378,7 +371,7 @@ class CoeffBoxFamily(ConstraintBlock):
 
         return r, vjp
 
-    def dense_violation(self, dv, samples) -> float:
+    def dense_violation(self, samples) -> float:
         vals = samples.values(0)
         if self.angle_depths is not None:
             angle = [d is not None for d in self.angle_depths]
@@ -489,10 +482,8 @@ class ChainRateFamily(_ChainLimitFamily):
 
         return np.hstack([f * dq - vT * W, -f * dq - vT * W]), pullback
 
-    def dense_violation(self, dv, samples) -> float:
-        q = samples.values(0) * self.revolute
-        theta_dot = self.factors * samples.values(1) / (dv.T * (1.0 + q * q))
-        return _excess(np.abs(theta_dot) - self.bound)
+    def dense_violation(self, samples) -> float:
+        return _excess(np.abs(samples.rates()) - self.bound)
 
 
 class ChainAccelFamily(_ChainLimitFamily):
@@ -527,11 +518,11 @@ class ChainAccelFamily(_ChainLimitFamily):
 
         return np.hstack([E - aT2W2, -E - aT2W2]), pullback
 
-    def dense_violation(self, dv, samples) -> float:
+    def dense_violation(self, samples) -> float:
         q = samples.values(0) * self.revolute
         qd, qdd = samples.values(1), samples.values(2)
         W = 1.0 + q * q
-        theta_dd = self.factors * (qdd * W - 2.0 * q * qd * qd) / (dv.T**2 * W * W)
+        theta_dd = self.factors * (qdd * W - 2.0 * q * qd * qd) / (samples.T**2 * W * W)
         return _excess(np.abs(theta_dd) - self.bound)
 
 
@@ -660,19 +651,12 @@ class SDFClearanceFamily(ConstraintBlock):
 
         return r, vjp
 
-    def dense_violation(self, dv, samples) -> float:
-        if self.nfk is None:
-            vals, _ = self.field.query_extended(samples.values(0))
-            return _excess(self.bodies[0].radius - vals)
-        qmat = samples.values(0)
+    def dense_violation(self, samples) -> float:
         gaps = []
         for body in self.bodies:
-            state = self.nfk.chain_state(qmat, body.link_index)
-            pos = self.nfk.vertex_positions(state, body.verts)
-            S, V, _ = pos.shape
+            pos = samples.positions(body)
             vals, _ = self.field.query_extended(
-                pos.reshape(S * V, 3)[:, : self.field.dim]
-            )
+                pos.reshape(-1, pos.shape[2])[:, : self.field.dim])
             gaps.append(body.radius - vals)
         return _excess(np.concatenate(gaps))
 
@@ -765,15 +749,10 @@ class PlaneRobotSideFamily(ConstraintBlock):
 
         return r, vjp
 
-    def dense_violation(self, dv, samples) -> float:
-        a, b = _plane_values(dv.plane_coeffs[self.plane_index], samples)
-        if self.nfk is None:
-            y = (a * samples.values(0)).sum(axis=1) + b - self.body.radius
-            return _excess(-y)
-        state = self.nfk.chain_state(samples.values(0), self.body.link_index)
-        pos = self.nfk.vertex_positions(state, self.body.verts)
-        y = b[:, None] + np.einsum("sd,svd->sv", a, pos)
-        return _excess(-y)
+    def dense_violation(self, samples) -> float:
+        a, b = samples.plane(self.plane_index)
+        y = b[:, None] + np.einsum("sd,svd->sv", a, samples.positions(self.body))
+        return _excess(self.body.radius - y)
 
 
 class PlaneObstacleSideFamily(ConstraintBlock):
@@ -826,8 +805,8 @@ class PlaneObstacleSideFamily(ConstraintBlock):
 
         return r, vjp
 
-    def dense_violation(self, dv, samples) -> float:
-        a, b = _plane_values(dv.plane_coeffs[self.plane_index], samples)
+    def dense_violation(self, samples) -> float:
+        a, b = samples.plane(self.plane_index)
         centers = self.obstacle.center_at(samples.taus)
         pts = centers[:, None, :] + self.offsets[None, :, :]
         y = np.einsum("sd,skd->sk", a, pts) + b[:, None] + self.shift
@@ -868,8 +847,8 @@ class PlaneNormFamily(ConstraintBlock):
 
         return r, vjp
 
-    def dense_violation(self, dv, samples) -> float:
-        a = samples.basis(0) @ dv.plane_coeffs[self.plane_index][:, :-1]
+    def dense_violation(self, samples) -> float:
+        a, _ = samples.plane(self.plane_index)
         return _excess((a * a).sum(axis=1) - 1.0)
 
 
@@ -907,11 +886,11 @@ class DynamicsResidualFamily(_FittedFamily):
 
         return dq - T * fvals, pullback
 
-    def dense_violation(self, dv, samples) -> float:
+    def dense_violation(self, samples) -> float:
         q = samples.values(0)
         f = np.column_stack([np.polyval(row[::-1], q[:, j])
                              for j, row in enumerate(self.poly)])
-        return float(np.abs(samples.values(1) - dv.T * f).max())
+        return float(np.abs(samples.values(1) - samples.T * f).max())
 
 
 # ---------------------------------------------------------------------------
@@ -956,10 +935,16 @@ class PlanningProblem:
         """The joint-space spline: one column per coordinate."""
         return BSpline(self.basis.degree, self.basis.knots, dv.joint_coeffs)
 
+    def samples(self, dv: DecisionVector, taus) -> TrajectorySamples:
+        """The decision sampled at ``taus``, as verify and the export read it."""
+        return TrajectorySamples(self.trajectory(dv), taus, dv, self)
+
 
 class TrajectorySamples:
-    """The trajectory and its tau-derivatives at fixed parameters, for one
-    verify or export call.
+    """A decision sampled at fixed parameters, built by
+    ``PlanningProblem.samples``: all that one verify or export call reads
+    of it, each piece formed on first use and kept.  From a bare spline,
+    without the decision and its problem, it gives the values alone.
 
     The spline is differentiated as a whole, and each derivative order's
     basis matrix at ``taus`` is built once.  The values are formed one
@@ -968,32 +953,81 @@ class TrajectorySamples:
     to the bit, which a single ``B @ C`` does not.
     """
 
-    def __init__(self, trajectory: BSpline, taus):
+    def __init__(self, trajectory: BSpline, taus,
+                 decision: DecisionVector | None = None,
+                 problem: PlanningProblem | None = None):
         self.taus = taus
-        self._splines = [trajectory]
-        self._bases = []
-        self._values = {}
+        self.T = None if decision is None else decision.T
+        self._decision = decision
+        self._problem = problem
+        robot = None if problem is None else problem.scenario.robot
+        self._chain = robot if isinstance(robot, ChainRobot) else None
+        self._kept = {("spline", 0): trajectory}
+
+    def _keep(self, key, make):
+        """The piece ``key``, formed by ``make()`` on first use."""
+        if key not in self._kept:
+            self._kept[key] = make()
+        return self._kept[key]
 
     def _spline(self, order: int) -> BSpline:
-        while len(self._splines) <= order:
-            self._splines.append(self._splines[-1].derivative())
-        return self._splines[order]
+        return self._keep(("spline", order),
+                          lambda: self._spline(order - 1).derivative())
 
     def basis(self, order: int = 0) -> np.ndarray:
         """Basis matrix of the order-th derivative spline at ``taus``."""
-        while len(self._bases) <= order:
-            s = self._spline(len(self._bases))
-            self._bases.append(basis_matrix(s.knots, s.degree, self.taus))
-        return self._bases[order]
+        s = self._spline(order)
+        return self._keep(("basis", order),
+                          lambda: basis_matrix(s.knots, s.degree, self.taus))
 
     def values(self, order: int = 0) -> np.ndarray:
         """The order-th tau-derivative at ``taus``, (S, n_coords)."""
-        if order not in self._values:
-            B = self.basis(order)
-            C = self._spline(order).control_points
-            self._values[order] = np.column_stack(
-                [B @ C[:, j] for j in range(C.shape[1])])
-        return self._values[order]
+        B, C = self.basis(order), self._spline(order).control_points
+        return self._keep(("values", order), lambda: np.column_stack(
+            [B @ C[:, j] for j in range(C.shape[1])]))
+
+    def angles(self) -> np.ndarray:
+        """Joint angles and prismatic offsets (chain) or positions (mobile),
+        (S, n_coords); revolute columns unwrap from their start angles."""
+        def make():
+            q = self.values(0).copy()
+            start = self._problem.scenario.boundary_initial
+            for j in np.flatnonzero(self._chain.revolute):  # sequential
+                q[:, j] = unwrap_half_angles(q[:, j], self._chain.halving_depths[j],
+                                             theta_init=float(start[j]))
+            return q
+        return self.values(0) if self._chain is None else self._keep("angles", make)
+
+    def rates(self) -> np.ndarray:
+        """Joint rates (chain) or velocities (mobile), (S, n_coords):
+        2^n q' / (T (1 + q^2)) for a half-angle joint; a prismatic offset
+        reads factor 1 and q = 0, so its rate is q' / T to the bit."""
+        def make():
+            if self._chain is None:
+                return self.values(1) / self.T
+            depths, revolute = self._chain.halving_depths, self._chain.revolute
+            factors = np.where(revolute, 2.0 ** np.array(depths), 1.0)
+            q = self.values(0) * revolute
+            return factors * self.values(1) / (self.T * (1.0 + q * q))
+        return self._keep("rates", make)
+
+    def plane(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """a(tau) and b(tau) of plane k: two products, since one
+        ``B @ [a | b]`` rounds differently."""
+        ab = self._decision.plane_coeffs[k]
+        return self._keep(("plane", k), lambda: (self.basis(0) @ ab[:, :-1],
+                                                 self.basis(0) @ ab[:, -1]))
+
+    def positions(self, body: TrackedBody) -> np.ndarray:
+        """The body's workspace points: a chain link's vertices (S, V, 3),
+        placed from one forward-kinematics pass for all links, or a mobile
+        robot's coordinates (S, 1, n_coords)."""
+        if self._chain is None:
+            return self.values(0)[:, None, :]
+        nfk = self._problem.nfk
+        state = self._keep("fk", lambda: nfk.shared_state(self.values(0)))
+        return self._keep(("positions", body.name), lambda: nfk.body_positions(
+            state, body.link_index, body.verts))
 
 
 def _chain_workspace_bounds(scenario: Scenario, rates: np.ndarray) -> list[float]:
@@ -1419,8 +1453,7 @@ def verify(solution: Solution, problem: PlanningProblem,
     dv = solution.decision
     per_span = problem.scenario.collision.collocation_per_span * oversample
     taus = collocation_sites(problem.basis.knots, per_span)
-    trajectory = problem.trajectory(dv)
-    samples = TrajectorySamples(trajectory, taus)
+    samples = problem.samples(dv, taus)
     reports = []
 
     # Endpoint conditions are exact by construction; report the residuals.
@@ -1429,7 +1462,7 @@ def verify(solution: Solution, problem: PlanningProblem,
     # bound T >= T_MIN holds by construction too, and is checked with
     # them: the limit checks read T only as |q'/T| or T^2, so a negated T
     # would pass them.
-    ends = TrajectorySamples(trajectory, np.array([0.0, 1.0]))
+    ends = problem.samples(dv, np.array([0.0, 1.0]))
     q = ends.values(0)
     residuals = [q[0] - problem.q_init, q[1] - problem.q_goal,
                  ends.values(1), ends.values(2)]
@@ -1438,24 +1471,9 @@ def verify(solution: Solution, problem: PlanningProblem,
     reports.append(FamilyReport("endpoint_conditions", "eq", end_viol, 12))
 
     for fam in problem.families:
-        v = fam.dense_violation(dv, samples)
+        v = fam.dense_violation(samples)
         reports.append(
             FamilyReport(fam.name, fam.kind, float(v), taus.size, fam.verify_tol)
         )
     return VerificationReport(reports, oversample)
 
-
-def recovered_angles(problem: PlanningProblem,
-                     samples: TrajectorySamples) -> np.ndarray:
-    """Joint angles and prismatic offsets (chains) or positions (mobile) at
-    the sampled parameters."""
-    robot = problem.scenario.robot
-    q = samples.values(0)
-    if not isinstance(robot, ChainRobot):
-        return q
-    angles = q.copy()
-    for j in np.flatnonzero(robot.revolute):  # unwrapping is sequential
-        angles[:, j] = unwrap_half_angles(
-            q[:, j], robot.halving_depths[j],
-            theta_init=float(problem.scenario.boundary_initial[j]))
-    return angles

@@ -233,10 +233,9 @@ def _parse_motion(obj, path: str, dim: int, nominal: np.ndarray) -> BSpline | No
         for key in ("degree", "knots", "control_points"):
             if key not in obj:
                 raise ScenarioError(f"{path}.{key}: missing for spline motion")
-        spline = BSpline(_count(obj["degree"], f"{path}.degree", 0), obj["knots"],
-                         obj["control_points"])
-        if spline.dim != dim:
-            raise ScenarioError(f"{path}.control_points: dimension mismatch")
+        spline = BSpline(_count(obj["degree"], f"{path}.degree", 0),
+                         _vector(obj["knots"], f"{path}.knots"),
+                         _points(obj["control_points"], f"{path}.control_points", dim))
         if spline.domain != (0.0, 1.0):
             raise ScenarioError(f"{path}.knots: motion domain must be [0, 1]")
         return spline
@@ -322,6 +321,8 @@ def parse_scenario(obj: dict) -> Scenario:
         ["name", "robot", "boundary", "limits", "workspace"],
         ["basis", "obstacles", "solver", "collision", "dynamics"],
     )
+    if not isinstance(obj["name"], str):
+        raise ScenarioError("name: must be a string")
     robot = _parse_robot(obj["robot"])
     n = robot.n_coords
     is_chain = isinstance(robot, ChainRobot)
@@ -468,7 +469,7 @@ def parse_scenario(obj: dict) -> Scenario:
             raise ScenarioError("boundary.initial: outside the configured angle limits")
 
     return Scenario(
-        name=str(obj["name"]),
+        name=obj["name"],
         robot=robot,
         basis_degree=degree,
         basis_interior=interior,
@@ -484,16 +485,22 @@ def parse_scenario(obj: dict) -> Scenario:
     )
 
 
+def _read_json(path):
+    """The JSON value in the file at ``path``.  A file that is missing, a
+    directory, unreadable, not UTF-8 text or not JSON is invalid input:
+    ScenarioError naming the path."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise ScenarioError(f"{path}: cannot read ({reason})") from exc
+    except json.JSONDecodeError as exc:
+        raise ScenarioError(f"{path}: malformed JSON ({exc})") from exc
+
+
 def load_scenario(path) -> Scenario:
     """Load and validate a scenario JSON file."""
-    p = Path(path)
-    if not p.exists():
-        raise ScenarioError(f"scenario file not found: {p}")
-    try:
-        obj = json.loads(p.read_text())
-    except json.JSONDecodeError as exc:
-        raise ScenarioError(f"{p}: malformed JSON ({exc})") from exc
-    return parse_scenario(obj)
+    return parse_scenario(_read_json(path))
 
 
 def _motion_to_dict(motion: BSpline | None):

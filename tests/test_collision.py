@@ -385,7 +385,7 @@ class TestStaticClearance:
         assert out.min() > 0.5
         trajectory = BSpline(3, CUBIC, dv.joint_coeffs)
         assert fam.dense_violation(
-            dv, TrajectorySamples(trajectory, np.linspace(0, 1, 1000))) == 0.0
+            TrajectorySamples(trajectory, np.linspace(0, 1, 1000), dv)) == 0.0
 
     def test_through_obstacle_negative(self):
         taus = np.linspace(0, 1, 40)
@@ -523,7 +523,7 @@ class TestHyperplaneConstraints:
             trajectory = BSpline(3, CUBIC, C)
             for fam in fams:
                 assert fam.dense_violation(
-                    dv, TrajectorySamples(trajectory, taus)) == 0.0, fam.name
+                    TrajectorySamples(trajectory, taus, dv)) == 0.0, fam.name
         assert found >= 3
 
 

@@ -22,7 +22,6 @@ from splinetraj.planner import (
     PlaneObstacleSideFamily,
     PlaneRobotSideFamily,
     SDFClearanceFamily,
-    TrajectorySamples,
     assemble,
     initial_guess,
 )
@@ -180,7 +179,7 @@ def test_vjp_matches_central_differences(problems, scenario, cls, count):
             )
 
 
-def reference_dense_violation(fam, dv, samples):
+def reference_dense_violation(fam, samples):
     """The per-coordinate loops of the limit and dynamics families' dense
     checks, as they ran before they read the sampled matrix; kept as the
     byte-for-byte reference.  Other families read the matrix as they did."""
@@ -188,7 +187,7 @@ def reference_dense_violation(fam, dv, samples):
     cols = samples.columns
     if isinstance(fam, DerivBoxFamily):
         for j, d in enumerate(cols(fam.power)):
-            vals = d / dv.T**fam.power
+            vals = d / samples.T**fam.power
             worst = max(worst, float(np.maximum(np.abs(vals) - fam.bound[j], 0.0).max()))
     elif isinstance(fam, CoeffBoxFamily):
         for j, vals in enumerate(cols(0)):
@@ -201,7 +200,7 @@ def reference_dense_violation(fam, dv, samples):
     elif isinstance(fam, ChainRateFamily):
         for j, (q, qd) in enumerate(zip(cols(0), cols(1))):
             q = q * fam.revolute[j]
-            theta_dot = fam.factors[j] * qd / (dv.T * (1.0 + q * q))
+            theta_dot = fam.factors[j] * qd / (samples.T * (1.0 + q * q))
             worst = max(
                 worst, float(np.maximum(np.abs(theta_dot) - fam.bound[j], 0.0).max())
             )
@@ -209,16 +208,16 @@ def reference_dense_violation(fam, dv, samples):
         for j, (q, qd, qdd) in enumerate(zip(cols(0), cols(1), cols(2))):
             q = q * fam.revolute[j]
             W = 1.0 + q * q
-            theta_dd = fam.factors[j] * (qdd * W - 2.0 * q * qd * qd) / (dv.T**2 * W * W)
+            theta_dd = fam.factors[j] * (qdd * W - 2.0 * q * qd * qd) / (samples.T**2 * W * W)
             worst = max(
                 worst, float(np.maximum(np.abs(theta_dd) - fam.bound[j], 0.0).max())
             )
     elif isinstance(fam, DynamicsResidualFamily):
         for j, (q, dq) in enumerate(zip(cols(0), cols(1))):
             f = np.polyval(fam.poly[j][::-1], q)
-            worst = max(worst, float(np.abs(dq - dv.T * f).max()))
+            worst = max(worst, float(np.abs(dq - samples.T * f).max()))
     else:
-        return fam.dense_violation(dv, samples)
+        return fam.dense_violation(samples)
     return worst
 
 
@@ -238,10 +237,9 @@ def test_dense_violation_matches_per_coordinate_reference(problems, scenario, cl
     point = problem.layout.unpack(_perturbed_point(problem, rng))
     for T, scale in ((point.T, 1.0), (point.T / 3.0, 1.0), (point.T, 8.0)):
         dv = DecisionVector(scale * point.joint_coeffs, T, point.plane_coeffs)
-        trajectory = problem.trajectory(dv)
-        samples = TrajectorySamples(trajectory, taus)
-        reference = PerCoordinateSamples(trajectory, taus)
+        samples = problem.samples(dv, taus)
+        reference = PerCoordinateSamples(problem.trajectory(dv), taus, dv, problem)
         for fam in families:
-            got = fam.dense_violation(dv, samples)
-            want = reference_dense_violation(fam, dv, reference)
+            got = fam.dense_violation(samples)
+            want = reference_dense_violation(fam, reference)
             assert float(got).hex() == float(want).hex(), (fam.name, T, got, want)

@@ -9,12 +9,14 @@ import pytest
 
 from splinetraj.bspline import BSpline, KnotVector, basis_matrix, clamp_knots
 from splinetraj.cli import benchmark_obstacles, export_trajectory
+from splinetraj.kinematics import NumericFK, unwrap_half_angles
 from splinetraj.planner import (
     CUSHION,
     T_MIN,
     ChainRateFamily,
     DecisionVector,
     PlaneRobotSideFamily,
+    Solution,
     TrajectoryBasis,
     TrajectorySamples,
     assemble,
@@ -83,14 +85,15 @@ class TestTrajectoryBasis:
             assert got.tobytes() == want.tobytes()
 
 
-class PerCoordinateSamples:
+class PerCoordinateSamples(TrajectorySamples):
     """The trajectory as one one-column spline per coordinate, each
     differentiated and evaluated on its own: how verify and export sampled
     it before they read the joint-coefficient spline as a whole, kept as
-    the byte-for-byte reference."""
+    the byte-for-byte reference.  Given the decision and its problem, the
+    rest of ``TrajectorySamples`` reads these values."""
 
-    def __init__(self, trajectory, taus):
-        self.taus = taus
+    def __init__(self, trajectory, taus, decision=None, problem=None):
+        super().__init__(trajectory, taus, decision, problem)
         self.splines = [BSpline(trajectory.degree, trajectory.knots,
                                 trajectory.control_points[:, j : j + 1])
                         for j in range(trajectory.dim)]
@@ -142,6 +145,39 @@ class TestTrajectorySamples:
         assert (trajectory.degree, trajectory.knots) == (prob.basis.degree, prob.basis.knots)
         assert trajectory.control_points.tobytes() == dv.joint_coeffs.tobytes()
 
+
+    def test_one_forward_kinematics_pass_per_verify_and_export(self, tmp_path,
+                                                               monkeypatch):
+        # Every link's vertices come from one shared_state per call; the
+        # per-link chain_state rebuilt the prefix products for each link.
+        # The angles and rates are the unwrapped half angles and
+        # 2^n q' / (T (1 + q^2)), written out as the export formed them.
+        prob = assemble(load_scenario(SCENARIO_DIR / "threelink.json"))
+        dv = initial_guess(prob)
+        solution = Solution(dv, "converged", dv.T, 0, 0, 0.0, 0.0, {})
+        calls = {"shared_state": 0, "chain_state": 0}
+        for name in calls:
+            def counted(self, *args, _name=name, _f=getattr(NumericFK, name)):
+                calls[_name] += 1
+                return _f(self, *args)
+            monkeypatch.setattr(NumericFK, name, counted)
+        verify(solution, prob)
+        assert calls == {"shared_state": 1, "chain_state": 0}
+        export_trajectory(solution, prob, tmp_path, samples=200)
+        assert calls == {"shared_state": 2, "chain_state": 0}
+
+        samples = prob.samples(dv, np.linspace(0.0, 1.0, 1000))
+        robot, q = prob.scenario.robot, samples.values(0)
+        angles = q.copy()
+        for j in np.flatnonzero(robot.revolute):
+            angles[:, j] = unwrap_half_angles(
+                q[:, j], robot.halving_depths[j],
+                theta_init=float(prob.scenario.boundary_initial[j]))
+        factors = np.where(robot.revolute, 2.0 ** np.array(robot.halving_depths), 1.0)
+        qr = q * robot.revolute
+        rates = factors * samples.values(1) / (dv.T * (1.0 + qr * qr))
+        assert samples.angles().tobytes() == angles.tobytes()
+        assert samples.rates().tobytes() == rates.tobytes()
 
 class TestAssemble:
     def test_threelink_decision_structure(self):

@@ -210,12 +210,18 @@ class TestParsing:
         ("mobile", ("boundary", "initial"), ["0.5", 0], "boundary.initial"),
         ("mobile", ("boundary", "initial"), [True, 0], "boundary.initial"),
         ("mobile", ("workspace", "max"), [2, False], "workspace.max"),
+        ("mobile", ("obstacles", 0, "motion", "knots", 2), True,
+         "obstacles[0].motion.knots"),
+        ("mobile", ("obstacles", 0, "motion", "control_points", 0, 0), True,
+         "obstacles[0].motion.control_points"),
+        ("mobile", ("name",), ["x"], "name: must be a string"),
     ])
     def test_value_that_would_crash_the_solve_rejected(self, tmp_path, capsys,
                                                        base, where, value, key):
         # Each value used to parse and then end the plan in a non-finite
         # residual or an out-of-bounds SDF query, to leak a bare
-        # TypeError/ValueError from the parser, or to be read as a number.
+        # TypeError/ValueError from the parser, or to be read as a number
+        # (or, for the name, as a string).
         if base == "chain":
             obj = json.loads((SCENARIO_DIR / "threelink.json").read_text())
         else:
@@ -533,6 +539,28 @@ class TestCLI:
 
     def test_missing_file_exit_three(self):
         assert main(["solve", "/nonexistent/nope.json"]) == 3
+
+    @pytest.mark.parametrize("kind", ["directory", "not_utf8"])
+    @pytest.mark.parametrize("argv", [
+        ["solve", "{bad}"],
+        ["verify", "{bad}", "{solution}"],
+        ["verify", "{scenario}", "{bad}"],
+    ], ids=["solve_scenario", "verify_scenario", "verify_solution"])
+    def test_unreadable_file_exit_three(self, tmp_path, capsys, argv, kind):
+        # Each used to end in IsADirectoryError or UnicodeDecodeError, exit 1.
+        scenario = SCENARIO_DIR / "mobile2d.json"
+        dv = initial_guess(assemble(load_scenario(scenario)))
+        solution = tmp_path / "solution.json"
+        solution.write_text(json.dumps(
+            Solution(dv, "converged", dv.T, 0, 0, 0.0, 0.0, {}).to_json()))
+        bad = tmp_path / kind
+        if kind == "directory":
+            bad.mkdir()
+        else:
+            bad.write_bytes(b'{"name": "\xff"}')
+        paths = {"bad": bad, "scenario": scenario, "solution": solution}
+        assert main([arg.format(**paths) for arg in argv]) == 3
+        assert capsys.readouterr().err.startswith(f"invalid input: {bad}: ")
 
     def test_verify_command(self, tmp_path):
         scn_path = SCENARIO_DIR / "mobile2d.json"

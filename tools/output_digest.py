@@ -1,16 +1,20 @@
 """Print a digest of every bundled scenario's exported outputs.
 
-For each scenario under ``src/splinetraj/scenarios/`` (or the bundled
-names or scenario file paths given on the command line) this plans it
-through ``splinetraj.cli.run`` with 1000 export samples and prints one
-line:
+For each scenario under ``src/splinetraj/scenarios/``, and for
+``mobile2d`` and ``mobile3d`` with ``"static_mode": "hyperplane"`` (or for
+the bundled names or scenario file paths given on the command line) this
+plans it through ``splinetraj.cli.run`` with 1000 export samples and
+prints one line:
 
     <scenario> <status> <float.hex(T)> <sha256 of solution.json>
         <sha256 of trajectory.csv> <sha256 of cartesian.csv>
         <sha256 of report.json's "verification" object>
 
-A scenario file reaches plans that no bundled scenario does, such as
-``mobile2d`` with ``"static_mode": "hyperplane"``.  A perfbench workload
+A name with the suffix ``+hyperplane``, such as ``mobile2d+hyperplane``,
+plans that scenario with its static obstacles as separating planes, built
+in memory from the tree's bundled file: the two by default are the only
+bundled route into a mobile robot's plane rows.  A scenario file reaches
+other plans that no bundled scenario does.  A perfbench workload
 name (``mobile_sdf``, ``arm_sdf``, ``arm_dynamic``) prints one such line
 for each scenario of that workload, labelled
 ``<workload>/<scenario name>``, so every plan's T is compared, not a
@@ -49,14 +53,16 @@ import tempfile  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 OUTPUTS = ("solution.json", "trajectory.csv", "cartesian.csv")
+HYPERPLANE = "+hyperplane"
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("scenarios", nargs="*",
                         help="bundled scenario names, scenario file paths or "
-                             "perfbench workload names "
-                             "(default: every bundled scenario)")
+                             "perfbench workload names, each optionally with "
+                             "the suffix +hyperplane (default: every bundled "
+                             "scenario, then mobile2d and mobile3d with it)")
     parser.add_argument("--tree", default=str(Path(__file__).resolve().parents[1]),
                         help="checkout whose src/ (and perfbench/) is planned "
                              "(default: this one)")
@@ -68,11 +74,16 @@ def main(argv=None) -> int:
     from splinetraj.scenario import parse_scenario
 
     bundled = tree / "src" / "splinetraj" / "scenarios"
-    names = args.scenarios or sorted(p.stem for p in bundled.glob("*.json"))
+    names = args.scenarios or (
+        sorted(p.stem for p in bundled.glob("*.json"))
+        + [f"{name}{HYPERPLANE}" for name in ("mobile2d", "mobile3d")])
     for name in names:
-        one_file = (bundled / f"{name}.json").exists() or Path(name).is_file()
-        for obj in scenario_dicts(tree, name):
+        base = name.removesuffix(HYPERPLANE)
+        one_file = (bundled / f"{base}.json").exists() or Path(base).is_file()
+        for obj in scenario_dicts(tree, base):
             label = name if one_file else f"{name}/{obj['name']}"
+            if base != name:
+                obj.setdefault("collision", {})["static_mode"] = "hyperplane"
             print(label, *digest(parse_scenario(obj)), flush=True)
     return 0
 
