@@ -238,7 +238,7 @@ class ChainNumerators:
 
     def __init__(self, chain, depths, extraction: np.ndarray, degree: int):
         self.degree = degree
-        depths = tuple(int(d) for d in depths)
+        self.depths = depths = tuple(int(d) for d in depths)
         base = np.array(chain.base_pose, dtype=float)
         # Rows 0-2 of a prefix depend only on rows 0-2 of the base; the
         # homogeneous bottom row makes row 3 the cumulative denominator.

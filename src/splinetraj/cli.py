@@ -93,9 +93,22 @@ class RunReport:
         return self.status == "converged"
 
 
+def _output_path(path, file: bool = False) -> Path:
+    """The directory ``path``, or with ``file`` the file's directory,
+    created; ScenarioError naming ``path`` where that cannot be."""
+    out = Path(path)
+    try:
+        (out.parent if file else out).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ScenarioError(f"{path}: {exc.strerror or exc}") from exc
+    if file and out.is_dir():
+        raise ScenarioError(f"{path}: is a directory")
+    return out
+
+
 def export_trajectory(solution: Solution, problem: PlanningProblem,
                       out_dir, samples: int = 1000) -> list[Path]:
-    """Write the joint-space CSV, the Cartesian vertex CSV and solution.json.
+    """Write the joint-space CSV, the Cartesian CSV and solution.json to out_dir.
 
     The joint CSV has columns tau, t, q1..qJ, dq1..dqJ: recovered joint
     angles and angular rates for chains (radians), positions and velocities
@@ -103,7 +116,6 @@ def export_trajectory(solution: Solution, problem: PlanningProblem,
     vertex (chains) or the body center (mobile).
     """
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     dv = solution.decision
     taus = np.linspace(0.0, 1.0, samples)
     traj = problem.samples(dv, taus)
@@ -145,9 +157,10 @@ def run(scenario: Scenario, output_dir=None, samples: int = 1000,
         oversample: int = 10) -> RunReport:
     """Assemble, solve, verify, and export one scenario.
 
-    With an output directory, report.json records the verification, the
-    problem size, the solver trace and the wall time of each phase.
+    With an output directory (created first), report.json records the
+    verification, problem size, solver trace and wall time of each phase.
     """
+    out = None if output_dir is None else _output_path(output_dir)
     t0 = time.perf_counter()
     problem = assemble(scenario)
     t1 = time.perf_counter()
@@ -157,9 +170,7 @@ def run(scenario: Scenario, output_dir=None, samples: int = 1000,
     report = verify(solution, problem, oversample=oversample)
     t3 = time.perf_counter()
     violations = {f.name: f.max_violation for f in report.families}
-    if output_dir is not None:
-        out = Path(output_dir)
-        out.mkdir(parents=True, exist_ok=True)
+    if out is not None:
         export_trajectory(solution, problem, out, samples)
         timings = {"assemble_s": t1 - t0, "solve_s": solve_time,
                    "verify_s": t3 - t2, "export_s": time.perf_counter() - t3}
@@ -295,9 +306,8 @@ def _cmd_verify(args) -> int:
 
 def _cmd_bench(args) -> int:
     scenario = load_scenario(args.scenario)
+    out = _output_path(args.out or "benchmark.csv", file=True)
     rows = benchmark_sdf_vs_hyperplane(scenario, args.counts, trials=args.trials)
-    out = Path(args.out) if args.out else Path("benchmark.csv")
-    out.parent.mkdir(parents=True, exist_ok=True)
     write_benchmark_csv(rows, out)
     print(f"{'count':>6} {'t_sdf':>9} {'t_hyp':>9} {'ratio':>7}")
     for r in rows:
@@ -308,8 +318,9 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_sdf_build(args) -> int:
+    out = _output_path(args.out, file=True)
     field = static_field(load_scenario(args.scenario))
-    save_sdf(field, args.out)
+    save_sdf(field, out)
     print(f"wrote {args.out}: dims {field.dims}, cell {field.cell_size:.5f} m")
     return 0
 
@@ -382,17 +393,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(
-        level=os.environ.get("SPLINETRAJ_LOG", "WARNING").upper(),
-        format="%(levelname)s %(name)s: %(message)s",
-    )
     try:
+        level = os.environ.get("SPLINETRAJ_LOG", "WARNING").upper()
+        if not isinstance(logging.getLevelName(level), int):
+            raise ScenarioError(f"SPLINETRAJ_LOG: unknown level {level!r}")
+        logging.basicConfig(level=level,
+                            format="%(levelname)s %(name)s: %(message)s")
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except ScenarioError as exc:
-        print(f"invalid input: {exc}", file=sys.stderr)
-        return 3
-    except FileNotFoundError as exc:
+    except (ScenarioError, FileNotFoundError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return 3
 

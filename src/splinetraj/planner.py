@@ -4,7 +4,8 @@ The decision vector holds the free trajectory control points, the total
 travel time T, and separating-plane spline coefficients.  The clamped basis
 makes the boundary conditions equivalent to pinning the first and last
 three control rows, which are eliminated rather than constrained, so
-endpoint equalities hold exactly.
+endpoint equalities hold exactly.  The coordinates are the robot's joint
+map (``scenario``): tan(theta / factor) for an angle, linear ones as they are.
 
 Every continuous constraint is relaxed to conditions on control points of
 composed B-splines.  The separating-plane families compute those control
@@ -267,6 +268,13 @@ class VariableLayout:
 # ---------------------------------------------------------------------------
 
 
+def _coords(robot, theta: np.ndarray) -> np.ndarray:
+    """The robot's coordinates at joint values theta: tan(theta / factor)
+    for an angle; a linear entry, even an infinite one, as it is."""
+    angles = np.where(robot.revolute, theta, 0.0)
+    return np.where(robot.revolute, np.tan(angles / robot.factors), theta)
+
+
 def _excess(x: np.ndarray) -> float:
     """A dense check's violation: the largest entry of x above zero, 0.0
     when there is none, and NaN when x holds a NaN, which fails verify."""
@@ -326,27 +334,31 @@ class DerivBoxFamily(ConstraintBlock):
 class CoeffBoxFamily(ConstraintBlock):
     """Box on the control rows themselves (angle or position limits).
 
-    With angle_depths, the dense check maps coordinate j back to an angle
-    2^n atan(q) unless angle_depths[j] is None (a prismatic offset).
+    ``lo`` and ``hi`` bound the joint values, a missing side unbounded.
+    An angle bound within the recoverable range bounds tan(theta / factor)
+    and one beyond it nothing; the dense check reads factor * atan(q).
     """
 
     kind = INEQ
 
-    def __init__(self, name, layout, lo: np.ndarray, hi: np.ndarray, cushion: float,
-                 raw_lo=None, raw_hi=None, angle_depths=None):
+    def __init__(self, name, layout, robot, lo, hi, cushion: float):
         self.name = name
         self.layout = layout
-        span = np.where(
-            np.isfinite(hi) & np.isfinite(lo), np.maximum(hi - lo, 1.0), 1.0
-        )
-        inset = cushion * span
-        self.lo = lo + inset
-        self.hi = hi - inset
-        self.raw_lo = lo if raw_lo is None else raw_lo
-        self.raw_hi = hi if raw_hi is None else raw_hi
-        self.angle_depths = angle_depths
+        self.raw_lo = np.full(layout.n_coords, -np.inf) if lo is None else lo
+        self.raw_hi = np.full(layout.n_coords, np.inf) if hi is None else hi
+        self.revolute, self.factors = robot.revolute, robot.factors
+        half_range = robot.half_range
+        inner = half_range * (1 - 1e-9)
+        lo = np.where(self.raw_lo > -half_range,
+                      _coords(robot, np.maximum(self.raw_lo, -inner)), -np.inf)
+        hi = np.where(self.raw_hi < half_range,
+                      _coords(robot, np.minimum(self.raw_hi, inner)), np.inf)
         self.mask_lo = np.isfinite(lo)
         self.mask_hi = np.isfinite(hi)
+        inset = cushion * np.where(self.mask_lo & self.mask_hi,
+                                   np.maximum(hi - lo, 1.0), 1.0)
+        self.lo = lo + inset
+        self.hi = hi - inset
         n = layout.n_coeffs
         self.cushion_gap = np.concatenate(
             [np.tile(inset[self.mask_hi], n), np.tile(inset[self.mask_lo], n)]
@@ -373,10 +385,7 @@ class CoeffBoxFamily(ConstraintBlock):
 
     def dense_violation(self, samples) -> float:
         vals = samples.values(0)
-        if self.angle_depths is not None:
-            angle = [d is not None for d in self.angle_depths]
-            scale = 2.0 ** np.array([d or 0 for d in self.angle_depths])
-            vals = np.where(angle, scale * np.arctan(vals), vals)
+        vals = np.where(self.revolute, self.factors * np.arctan(vals), vals)
         # An infinite side reads -inf and never counts.
         return _excess(np.maximum(vals - self.raw_hi, self.raw_lo - vals))
 
@@ -438,14 +447,13 @@ class _ChainLimitFamily(_FittedFamily):
 
     kind = INEQ
 
-    def __init__(self, name, layout, basis: TrajectoryBasis, depths,
-                 bound: np.ndarray, cushion: float, t_guess: float,
-                 revolute: np.ndarray):
+    def __init__(self, name, layout, basis: TrajectoryBasis, robot,
+                 bound: np.ndarray, cushion: float, t_guess: float):
         super().__init__(name, layout, basis, 2**self.order * basis.degree)
         # 1.0 for half-angle coordinates, 0.0 for prismatic offsets.
-        self.revolute = np.asarray(revolute, dtype=float)
+        self.revolute = robot.revolute.astype(float)
         self.bound = bound
-        self.factors = np.where(self.revolute, 2.0 ** np.array(depths), 1.0)
+        self.factors = robot.factors
         gap = cushion * bound * t_guess**self.order
         self.cushion_gap = np.repeat(
             np.concatenate([gap, gap]), self.op.n_coefficients
@@ -691,25 +699,21 @@ class PlaneRobotSideFamily(ConstraintBlock):
     kind = INEQ
 
     def __init__(self, name, layout, basis: TrajectoryBasis, plane_index: int,
-                 body: TrackedBody, nfk: NumericFK | None, cushion: float,
-                 fk_cache: "FKSiteCache | None"):
+                 body: TrackedBody, cushion: float, fk_cache: "FKSiteCache | None"):
         self.name = name
         self.layout = layout
         self.plane_index = plane_index
         self.body = body
-        self.nfk = nfk
         self.cushion = cushion
         self.cushion_gap = cushion
         self.fk_cache = fk_cache
         p = basis.degree
-        if nfk is None:
+        if fk_cache is None:
             target = 2 * p
             self.hom = np.ones((1, 1))  # the point robot is its own vertex
         else:
-            depth_deg = sum(
-                2 * p * (2 ** (nfk.depths[j] - 1)) for j in range(body.link_index)
-            )
-            target = depth_deg + p
+            depths = fk_cache.chain.depths[: body.link_index]
+            target = sum(p * 2**d for d in depths) + p
             self.hom = homogeneous(body.verts)
         self.lift = left_inverse(elevated_union([(basis.knots, p)], target), target)
         self.extraction = basis.extraction
@@ -722,7 +726,7 @@ class PlaneRobotSideFamily(ConstraintBlock):
         # (S, p + 1, 1, d + 1): the plane [a | b] as a row vector per span
         plane = to_spans(self.extraction, dv.plane_coeffs[self.plane_index],
                          p)[:, :, None, :]
-        if self.nfk is None:
+        if self.fk_cache is None:
             C = dv.joint_coeffs
             pts = to_spans(self.extraction, np.column_stack([C, np.ones(len(C))]),
                            p)[..., None]  # (S, p + 1, d + 1, 1)
@@ -741,7 +745,7 @@ class PlaneRobotSideFamily(ConstraintBlock):
             gy = -(self.lift.T @ (w.reshape(V, -1).T @ self.hom.T)).reshape(y.shape)
             gplane, gpts = product_vjp(plane, pts, gy)
             gab = self.extraction.T @ gplane.reshape(-1, gplane.shape[3])
-            if self.nfk is None:
+            if self.fk_cache is None:
                 gC = self.extraction.T @ gpts[:, :, :-1, 0].reshape(-1, pts.shape[2] - 1)
             else:
                 gC = self.fk_cache.chain.vjp(state, self.body.link_index, gpts)
@@ -960,8 +964,6 @@ class TrajectorySamples:
         self.T = None if decision is None else decision.T
         self._decision = decision
         self._problem = problem
-        robot = None if problem is None else problem.scenario.robot
-        self._chain = robot if isinstance(robot, ChainRobot) else None
         self._kept = {("spline", 0): trajectory}
 
     def _keep(self, key, make):
@@ -990,25 +992,23 @@ class TrajectorySamples:
         """Joint angles and prismatic offsets (chain) or positions (mobile),
         (S, n_coords); revolute columns unwrap from their start angles."""
         def make():
-            q = self.values(0).copy()
-            start = self._problem.scenario.boundary_initial
-            for j in np.flatnonzero(self._chain.revolute):  # sequential
-                q[:, j] = unwrap_half_angles(q[:, j], self._chain.halving_depths[j],
+            q, scenario = self.values(0).copy(), self._problem.scenario
+            start, robot = scenario.boundary_initial, scenario.robot
+            for j in np.flatnonzero(robot.revolute):  # sequential; chains only
+                q[:, j] = unwrap_half_angles(q[:, j], robot.halving_depths[j],
                                              theta_init=float(start[j]))
             return q
-        return self.values(0) if self._chain is None else self._keep("angles", make)
+        return self._keep("angles", make)
 
     def rates(self) -> np.ndarray:
         """Joint rates (chain) or velocities (mobile), (S, n_coords):
-        2^n q' / (T (1 + q^2)) for a half-angle joint; a prismatic offset
-        reads factor 1 and q = 0, so its rate is q' / T to the bit."""
+        factor q' / (T (1 + q^2)) for a half-angle joint; a linear
+        coordinate reads factor 1 and q = 0, so its rate is q' / T to the
+        bit."""
         def make():
-            if self._chain is None:
-                return self.values(1) / self.T
-            depths, revolute = self._chain.halving_depths, self._chain.revolute
-            factors = np.where(revolute, 2.0 ** np.array(depths), 1.0)
-            q = self.values(0) * revolute
-            return factors * self.values(1) / (self.T * (1.0 + q * q))
+            robot = self._problem.scenario.robot
+            q = self.values(0) * robot.revolute
+            return robot.factors * self.values(1) / (self.T * (1.0 + q * q))
         return self._keep("rates", make)
 
     def plane(self, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -1021,10 +1021,10 @@ class TrajectorySamples:
     def positions(self, body: TrackedBody) -> np.ndarray:
         """The body's workspace points: a chain link's vertices (S, V, 3),
         placed from one forward-kinematics pass for all links, or a mobile
-        robot's coordinates (S, 1, n_coords)."""
-        if self._chain is None:
+        robot's coordinates (S, 1, n_coords), also without a problem."""
+        nfk = None if self._problem is None else self._problem.nfk
+        if nfk is None:
             return self.values(0)[:, None, :]
-        nfk = self._problem.nfk
         state = self._keep("fk", lambda: nfk.shared_state(self.values(0)))
         return self._keep(("positions", body.name), lambda: nfk.body_positions(
             state, body.link_index, body.verts))
@@ -1089,23 +1089,13 @@ def assemble(scenario: Scenario) -> PlanningProblem:
     separating-plane families.
     """
     basis = TrajectoryBasis(scenario.basis_degree, scenario.basis_knots())
-    is_chain = isinstance(scenario.robot, ChainRobot)
+    robot = scenario.robot
+    is_chain = isinstance(robot, ChainRobot)
     t_guess = _time_heuristic(scenario)
 
-    if is_chain:
-        depths = scenario.robot.halving_depths
-        revolute = scenario.robot.revolute
-        q_init, q_goal = (
-            np.where(revolute, np.tan(theta / (2.0 ** np.array(depths))), theta)
-            for theta in (scenario.boundary_initial, scenario.boundary_goal)
-        )
-        world_dim = 3
-        nfk = NumericFK(scenario.robot.chain, depths)
-    else:
-        q_init = scenario.boundary_initial.copy()
-        q_goal = scenario.boundary_goal.copy()
-        world_dim = scenario.robot.dimension
-        nfk = None
+    q_init, q_goal = (_coords(robot, theta) for theta in
+                      (scenario.boundary_initial, scenario.boundary_goal))
+    nfk = NumericFK(robot.chain, robot.halving_depths) if is_chain else None
 
     # Tracked bodies for collision handling.
     bodies = []
@@ -1150,50 +1140,22 @@ def assemble(scenario: Scenario) -> PlanningProblem:
     layout = VariableLayout(
         basis.n_coeffs,
         scenario.n_coords,
-        world_dim,
+        robot.world_dim,
         len(plane_specs),
         np.tile(q_init, (3, 1)),
         np.tile(q_goal, (3, 1)),
     )
 
     families: list[ConstraintBlock] = []
-    # The angle (chain) or position (mobile) box, a missing side unbounded.
-    box = None
-    lo, hi = scenario.limits.angle_min, scenario.limits.angle_max
-    if lo is not None or hi is not None:
-        box = (np.full(scenario.n_coords, -np.inf) if lo is None else lo,
-               np.full(scenario.n_coords, np.inf) if hi is None else hi)
-
     if is_chain:
         families.append(
-            ChainRateFamily("velocity_limits", layout, basis,
-                            scenario.robot.halving_depths,
-                            scenario.limits.velocity, CUSHION, t_guess,
-                            revolute)
+            ChainRateFamily("velocity_limits", layout, basis, robot,
+                            scenario.limits.velocity, CUSHION, t_guess)
         )
         families.append(
-            ChainAccelFamily("acceleration_limits", layout, basis,
-                             scenario.robot.halving_depths,
-                             scenario.limits.acceleration, CUSHION, t_guess,
-                             revolute)
+            ChainAccelFamily("acceleration_limits", layout, basis, robot,
+                             scenario.limits.acceleration, CUSHION, t_guess)
         )
-        if box is not None:
-            lo, hi = box
-            depths_arr = np.array(scenario.robot.halving_depths, dtype=float)
-            half_range = (2.0 ** (depths_arr - 1)) * np.pi
-            # Angles within the recovery range need no coefficient bound;
-            # prismatic offsets are bounded as they are.
-            qlo = np.where(lo > -half_range, np.tan(np.maximum(lo, -half_range * (1 - 1e-9)) / (2.0**depths_arr)), -np.inf)
-            qhi = np.where(hi < half_range, np.tan(np.minimum(hi, half_range * (1 - 1e-9)) / (2.0**depths_arr)), np.inf)
-            qlo = np.where(revolute, qlo, lo)
-            qhi = np.where(revolute, qhi, hi)
-            if np.any(np.isfinite(qlo)) or np.any(np.isfinite(qhi)):
-                families.append(
-                    CoeffBoxFamily("angle_limits", layout, qlo, qhi, CUSHION,
-                                   raw_lo=lo, raw_hi=hi,
-                                   angle_depths=[d if r else None for d, r in
-                                                 zip(depths, revolute)])
-                )
     else:
         families.append(
             DerivBoxFamily("velocity_limits", layout, basis.D1,
@@ -1203,10 +1165,14 @@ def assemble(scenario: Scenario) -> PlanningProblem:
             DerivBoxFamily("acceleration_limits", layout, basis.D2,
                            scenario.limits.acceleration, 2, CUSHION, t_guess)
         )
-        if box is not None:
-            families.append(
-                CoeffBoxFamily("position_limits", layout, *box, CUSHION)
-            )
+    # The angle (chain) or position (mobile) box; angle limits at or beyond
+    # the recoverable range bound nothing and add no rows.
+    lo, hi = scenario.limits.angle_min, scenario.limits.angle_max
+    if lo is not None or hi is not None:
+        box = CoeffBoxFamily("angle_limits" if is_chain else "position_limits",
+                             layout, robot, lo, hi, CUSHION)
+        if box.n_rows:
+            families.append(box)
 
     if static_obs and not use_planes_for_static:
         taus = collocation_sites(basis.knots,
@@ -1221,12 +1187,12 @@ def assemble(scenario: Scenario) -> PlanningProblem:
     fk_cache = None
     if plane_specs and is_chain:
         fk_cache = FKSiteCache(ChainNumerators(
-            scenario.robot.chain, nfk.depths, basis.extraction, basis.degree))
+            robot.chain, robot.halving_depths, basis.extraction, basis.degree))
     for k, (body, obs) in enumerate(plane_specs):
         tag = f"{body.name}_obs{k // len(bodies)}"
         families.append(
             PlaneRobotSideFamily(f"plane_robot_{tag}", layout, basis, k,
-                                 body, nfk, CUSHION, fk_cache)
+                                 body, CUSHION, fk_cache)
         )
         families.append(
             PlaneObstacleSideFamily(f"plane_obstacle_{tag}", layout, basis, k,
@@ -1272,12 +1238,11 @@ def initial_guess(problem: PlanningProblem) -> DecisionVector:
     for body, obs in problem.plane_specs:
         o0 = obs.center_at(0.0)[0]
         if problem.nfk is None:
-            r0 = problem.q_init[: problem.layout.world_dim]
+            r0 = problem.q_init  # the point robot's position
         else:
             Tfk = scenario.robot.chain.numeric_fk(scenario.boundary_initial,
                                                   body.link_index)
-            r0 = (Tfk @ homogeneous(body.verts)).T[:, :3].mean(axis=0)[
-                : problem.layout.world_dim]
+            r0 = (Tfk @ homogeneous(body.verts)).T[:, :3].mean(axis=0)
         sep = r0 - o0
         norm = np.linalg.norm(sep)
         direction = sep / norm if norm > 1e-12 else np.eye(len(sep))[0]

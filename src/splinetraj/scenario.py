@@ -4,6 +4,13 @@ All quantities are stored internally in SI units (meters, radians,
 seconds); the file format may declare angle blocks in degrees, which are
 converted on load (revolute joints only; prismatic offsets stay in
 meters) and written back normalized.
+
+Each robot states its joint map.  ``revolute`` marks the half-angle
+coordinates q = tan(theta / 2^n); ``factors`` gives theta = factor * atan q,
+2^n, or 1 for a linear coordinate (a prismatic offset; every coordinate of
+a mobile robot), read as it is; ``half_range`` is the recoverable range
+2^(n-1) pi, +inf for a linear coordinate; ``world_dim`` is the workspace
+dimension.
 """
 
 from __future__ import annotations
@@ -131,6 +138,22 @@ class MobileRobot:
     def n_coords(self) -> int:
         return self.dimension
 
+    @property
+    def world_dim(self) -> int:
+        return self.dimension
+
+    @property
+    def revolute(self) -> np.ndarray:
+        return np.zeros(self.dimension, dtype=bool)
+
+    @property
+    def factors(self) -> np.ndarray:
+        return np.ones(self.dimension)
+
+    @property
+    def half_range(self) -> np.ndarray:
+        return np.full(self.dimension, np.inf)
+
 
 @dataclass(frozen=True)
 class ChainRobot:
@@ -147,12 +170,20 @@ class ChainRobot:
     def n_coords(self) -> int:
         return len(self.chain)
 
+    world_dim = 3
+
     @property
     def revolute(self) -> np.ndarray:
-        """Per-joint mask: True where the coordinate is the half-angle
-        substitute q = tan(theta / 2^n), False where it is a prismatic
-        offset used as it is."""
+        """True where the joint is revolute, False where prismatic."""
         return np.array([link.joint_kind == "revolute" for link in self.chain.links])
+
+    @property
+    def factors(self) -> np.ndarray:
+        return np.where(self.revolute, 2.0 ** np.array(self.halving_depths), 1.0)
+
+    @property
+    def half_range(self) -> np.ndarray:
+        return np.where(self.revolute, 0.5 * np.pi * self.factors, np.inf)
 
 
 @dataclass(frozen=True)
@@ -348,14 +379,13 @@ def parse_scenario(obj: dict) -> Scenario:
 
     bnd = obj["boundary"]
     _require_keys(bnd, "boundary", ["initial", "goal"], ["units"])
-    # Degrees convert revolute joints only; prismatic offsets are meters.
-    deg_scale = np.where(robot.revolute, DEG, 1.0) if is_chain else 1.0
 
     def _unit_scale(block, path):
         units = block.get("units", "rad")
         if units not in ("rad", "deg", "m"):
             raise ScenarioError(f"{path}.units: must be 'rad', 'deg', or 'm'")
-        return deg_scale if units == "deg" else 1.0
+        # Degrees convert angles only; linear coordinates are meters.
+        return np.where(robot.revolute, DEG, 1.0) if units == "deg" else 1.0
 
     scale = _unit_scale(bnd, "boundary")
     q_init = _vector(bnd["initial"], "boundary.initial", n) * scale
@@ -382,15 +412,13 @@ def parse_scenario(obj: dict) -> Scenario:
 
     ws = obj["workspace"]
     _require_keys(ws, "workspace", ["min", "max"])
-    wdim = 2 if (not is_chain and robot.dimension == 2) else 3
-    ws_min = _vector(ws["min"], "workspace.min", wdim)
-    ws_max = _vector(ws["max"], "workspace.max", wdim)
+    ws_min = _vector(ws["min"], "workspace.min", robot.world_dim)
+    ws_max = _vector(ws["max"], "workspace.max", robot.world_dim)
     if np.any(ws_min >= ws_max):
         raise ScenarioError("workspace: min must be strictly below max")
 
-    obs_dim = wdim
     obstacles = tuple(
-        _parse_obstacle(o, f"obstacles[{i}]", obs_dim)
+        _parse_obstacle(o, f"obstacles[{i}]", robot.world_dim)
         for i, o in enumerate(_list(obj.get("obstacles", []), "obstacles"))
     )
 
@@ -433,19 +461,15 @@ def parse_scenario(obj: dict) -> Scenario:
             raise ScenarioError("dynamics.poly: one non-empty coefficient row per "
                                 "coordinate")
 
-    # Physical consistency checks.
-    if is_chain:
-        for k, (depth, qi, qg, revolute) in enumerate(
-            zip(robot.halving_depths, q_init, q_goal, robot.revolute)
-        ):
-            if not revolute:
-                continue
-            half_range = 2 ** (depth - 1) * np.pi
-            if abs(qi) >= half_range or abs(qg) >= half_range:
-                raise ScenarioError(
-                    f"boundary: joint {k + 1} angle outside the recoverable "
-                    f"range (+-{half_range:.4f} rad) at halving depth {depth}"
-                )
+    # Physical consistency checks; only an angle has a finite range.
+    half_range = robot.half_range
+    outside = np.maximum(np.abs(q_init), np.abs(q_goal)) >= half_range
+    if outside.any():
+        k = int(np.argmax(outside))
+        raise ScenarioError(
+            f"boundary: joint {k + 1} angle outside the recoverable range "
+            f"(+-{half_range[k]:.4f} rad) at halving depth {robot.halving_depths[k]}"
+        )
     if (
         is_chain
         and collision.static_mode == "sdf"

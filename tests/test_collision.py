@@ -444,7 +444,7 @@ def separation(obstacle, C, a, b, radius):
     <= 0), the families and the decision vector."""
     layout = layout_for(C, 2, 1)
     fams = (
-        PlaneRobotSideFamily("robot", layout, BASIS, 0, point_body(radius), None, 0.0, None),
+        PlaneRobotSideFamily("robot", layout, BASIS, 0, point_body(radius), 0.0, None),
         PlaneObstacleSideFamily("obstacle", layout, BASIS, 0, obstacle, 0.0),
         PlaneNormFamily("norm", layout, BASIS, 0, 0.0),
     )

@@ -191,8 +191,8 @@ def reference_dense_violation(fam, samples):
             worst = max(worst, float(np.maximum(np.abs(vals) - fam.bound[j], 0.0).max()))
     elif isinstance(fam, CoeffBoxFamily):
         for j, vals in enumerate(cols(0)):
-            if fam.angle_depths is not None and fam.angle_depths[j] is not None:
-                vals = (2.0 ** fam.angle_depths[j]) * np.arctan(vals)
+            if fam.revolute[j]:
+                vals = fam.factors[j] * np.arctan(vals)
             if np.isfinite(fam.raw_hi[j]):
                 worst = max(worst, float(np.maximum(vals - fam.raw_hi[j], 0.0).max()))
             if np.isfinite(fam.raw_lo[j]):

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import splinetraj
+from splinetraj import cli
 from splinetraj.cli import (
     _csv_rows,
     benchmark_obstacles,
@@ -689,19 +690,60 @@ class TestCLI:
         assert built.values.shape == planned.values.shape
         assert built.values.astype(float).tobytes() == planned.values.tobytes()
 
-    def test_console_entry_point(self):
-        # The child process imports the same splinetraj as this one.
+    @staticmethod
+    def _child(argv, **env):
+        """``splinetraj`` run in a child process that imports the same
+        splinetraj as this one."""
         src = str(Path(splinetraj.__file__).resolve().parents[1])
         path = os.environ.get("PYTHONPATH")
-        env = dict(os.environ,
+        env = dict(os.environ, **env,
                    PYTHONPATH=src if not path else src + os.pathsep + path)
-        proc = subprocess.run(
-            [sys.executable, "-m", "splinetraj.cli", "solve",
-             str(SCENARIO_DIR / "unconstrained.json")],
-            capture_output=True, text=True, env=env,
-        )
+        return subprocess.run([sys.executable, "-m", "splinetraj.cli", *argv],
+                              capture_output=True, text=True, env=env)
+
+    def test_console_entry_point(self):
+        proc = self._child(["solve", str(SCENARIO_DIR / "unconstrained.json")])
         assert proc.returncode == 0
         assert "converged" in proc.stdout
+
+    def test_bad_log_level_exit_three(self):
+        # It used to end in basicConfig's ValueError, exit 1.  A child
+        # process, since pytest's root handlers make basicConfig skip the
+        # level here.
+        proc = self._child(["solve", str(SCENARIO_DIR / "unconstrained.json")],
+                           SPLINETRAJ_LOG="bogus")
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("invalid input: SPLINETRAJ_LOG: ")
+
+    @staticmethod
+    def _no_plan(scenario):
+        raise AssertionError("planning started")
+
+    @pytest.mark.parametrize("out", ["file", "file/sub"])
+    def test_solve_bad_out_exit_three_before_planning(self, tmp_path, capsys,
+                                                      monkeypatch, out):
+        # Each used to plan the whole scenario, then end in FileExistsError
+        # or NotADirectoryError, exit 1.
+        (tmp_path / "file").write_text("")
+        monkeypatch.setattr(cli, "assemble", self._no_plan)
+        path = tmp_path / out
+        assert main(["solve", str(SCENARIO_DIR / "mobile2d.json"),
+                     "--out", str(path)]) == 3
+        assert capsys.readouterr().err.startswith(f"invalid input: {path}: ")
+
+    def test_bench_out_directory_exit_three_before_planning(self, tmp_path, capsys,
+                                                            monkeypatch):
+        # It used to run the whole benchmark, then end in IsADirectoryError.
+        monkeypatch.setattr(cli, "assemble", self._no_plan)
+        assert main(["bench", str(SCENARIO_DIR / "bench2d.json"), "--counts", "1",
+                     "--trials", "1", "--out", str(tmp_path)]) == 3
+        assert capsys.readouterr().err.startswith(f"invalid input: {tmp_path}: ")
+
+    def test_sdf_build_out_directory_exit_three(self, tmp_path, capsys):
+        # It used to end in IsADirectoryError, exit 1.
+        assert main(["sdf", "build", str(SCENARIO_DIR / "mobile2d.json"),
+                     "--out", str(tmp_path)]) == 3
+        assert capsys.readouterr().err.startswith(f"invalid input: {tmp_path}: ")
 
 
 class TestBenchmarkStructure:

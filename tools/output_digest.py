@@ -1,10 +1,11 @@
 """Print a digest of every bundled scenario's exported outputs.
 
-For each scenario under ``src/splinetraj/scenarios/``, and for
-``mobile2d`` and ``mobile3d`` with ``"static_mode": "hyperplane"`` (or for
-the bundled names or scenario file paths given on the command line) this
-plans it through ``splinetraj.cli.run`` with 1000 export samples and
-prints one line:
+For each scenario under ``src/splinetraj/scenarios/``, for ``mobile2d``
+and ``mobile3d`` with ``"static_mode": "hyperplane"`` and for
+``threelink`` and ``mobile2d`` with a limits box (or for the bundled
+names or scenario file paths given on the command line) this plans it
+through ``splinetraj.cli.run`` with 1000 export samples and prints one
+line:
 
     <scenario> <status> <float.hex(T)> <sha256 of solution.json>
         <sha256 of trajectory.csv> <sha256 of cartesian.csv>
@@ -13,7 +14,12 @@ prints one line:
 A name with the suffix ``+hyperplane``, such as ``mobile2d+hyperplane``,
 plans that scenario with its static obstacles as separating planes, built
 in memory from the tree's bundled file: the two by default are the only
-bundled route into a mobile robot's plane rows.  A scenario file reaches
+bundled route into a mobile robot's plane rows.  The suffix ``+limits``
+adds a box on the coordinates: angle limits of +-150 degrees for
+``threelink`` and the position box [-0.4, -0.6] to [3.4, 0.6] for
+``mobile2d``.  No bundled scenario builds that box family otherwise: the
+bundled chains' limits lie at or beyond the recoverable range, where
+they add no rows, and no mobile scenario sets one.  A scenario file reaches
 other plans that no bundled scenario does.  A perfbench workload
 name (``mobile_sdf``, ``arm_sdf``, ``arm_dynamic``) prints one such line
 for each scenario of that workload, labelled
@@ -53,7 +59,21 @@ import tempfile  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 OUTPUTS = ("solution.json", "trajectory.csv", "cartesian.csv")
-HYPERPLANE = "+hyperplane"
+# The +limits box of each scenario that takes one, in its file's units.
+LIMITS = {"threelink": (-150, 150), "mobile2d": ([-0.4, -0.6], [3.4, 0.6])}
+
+
+def _hyperplane(obj: dict) -> None:
+    obj.setdefault("collision", {})["static_mode"] = "hyperplane"
+
+
+def _limits(obj: dict) -> None:
+    if obj["name"] not in LIMITS:
+        raise SystemExit(f"{obj['name']}: no +limits box (one of {', '.join(LIMITS)})")
+    obj["limits"]["angle_min"], obj["limits"]["angle_max"] = LIMITS[obj["name"]]
+
+
+VARIANTS = {"+hyperplane": _hyperplane, "+limits": _limits}
 
 
 def main(argv=None) -> int:
@@ -61,8 +81,10 @@ def main(argv=None) -> int:
     parser.add_argument("scenarios", nargs="*",
                         help="bundled scenario names, scenario file paths or "
                              "perfbench workload names, each optionally with "
-                             "the suffix +hyperplane (default: every bundled "
-                             "scenario, then mobile2d and mobile3d with it)")
+                             "the suffix +hyperplane or +limits (default: "
+                             "every bundled scenario, then mobile2d and "
+                             "mobile3d +hyperplane, threelink and mobile2d "
+                             "+limits)")
     parser.add_argument("--tree", default=str(Path(__file__).resolve().parents[1]),
                         help="checkout whose src/ (and perfbench/) is planned "
                              "(default: this one)")
@@ -76,14 +98,18 @@ def main(argv=None) -> int:
     bundled = tree / "src" / "splinetraj" / "scenarios"
     names = args.scenarios or (
         sorted(p.stem for p in bundled.glob("*.json"))
-        + [f"{name}{HYPERPLANE}" for name in ("mobile2d", "mobile3d")])
+        + ["mobile2d+hyperplane", "mobile3d+hyperplane",
+           "threelink+limits", "mobile2d+limits"])
     for name in names:
-        base = name.removesuffix(HYPERPLANE)
+        base, suffix = name, None
+        for key in VARIANTS:
+            if name.endswith(key):
+                base, suffix = name.removesuffix(key), key
         one_file = (bundled / f"{base}.json").exists() or Path(base).is_file()
         for obj in scenario_dicts(tree, base):
             label = name if one_file else f"{name}/{obj['name']}"
-            if base != name:
-                obj.setdefault("collision", {})["static_mode"] = "hyperplane"
+            if suffix is not None:
+                VARIANTS[suffix](obj)
             print(label, *digest(parse_scenario(obj)), flush=True)
     return 0
 
