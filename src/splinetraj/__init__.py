@@ -45,7 +45,6 @@ from .scenario import (
     ScenarioError,
     load_scenario,
     parse_scenario,
-    save_scenario,
 )
 from .spline_algebra import add, multiply
 
@@ -82,7 +81,6 @@ __all__ = [
     "load_sdf",
     "multiply",
     "parse_scenario",
-    "save_scenario",
     "save_sdf",
     "sdf_query",
     "solve",

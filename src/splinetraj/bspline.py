@@ -350,18 +350,6 @@ class BSpline:
             self.control_points.min(axis=0), self.control_points.max(axis=0)
         )
 
-    def to_json(self) -> dict:
-        """JSON object form: {degree, knots, control_points}."""
-        return {
-            "degree": self.degree,
-            "knots": self.knots.values.tolist(),
-            "control_points": self.control_points.tolist(),
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "BSpline":
-        return cls(obj["degree"], obj["knots"], obj["control_points"])
-
     @classmethod
     def constant(cls, value, degree: int = 0, knots: KnotVector | None = None) -> "BSpline":
         """Constant curve; by partition of unity every coefficient equals value."""

@@ -1,8 +1,8 @@
 """Embedded constrained solver: augmented Lagrangian with a quasi-Newton core.
 
-Constraints arrive as blocks, each producing a residual vector (inequalities
-feasible at <= 0, equalities at = 0) together with an adjoint callback that
-maps residual weights to a gradient contribution.  The outer loop follows the
+Constraints arrive as blocks of inequalities, each producing a residual
+vector, feasible at <= 0, together with an adjoint callback that maps
+residual weights to a gradient contribution.  The outer loop follows the
 classic multiplier/penalty schedule; the inner bound-constrained minimization
 is delegated to L-BFGS-B.  Only the outer loop sets the status; after it, a
 solve that did not converge returns its best iterate.  Everything is
@@ -23,9 +23,6 @@ __all__ = [
     "SolverResult",
     "AugmentedLagrangianSolver",
 ]
-
-INEQ = "ineq"
-EQ = "eq"
 
 log = logging.getLogger(__name__)
 
@@ -50,23 +47,14 @@ class SolverConfig:
     max_outer: int = 50
     max_inner: int = 500
 
-    def to_json(self) -> dict:
-        return {
-            "feas_tol": self.feas_tol,
-            "opt_tol": self.opt_tol,
-            "max_outer": self.max_outer,
-            "max_inner": self.max_inner,
-        }
-
 
 class ConstraintBlock:
-    """One family of constraints of a common kind.
+    """One family of inequality constraints, feasible at <= 0.
 
-    Subclasses set ``name``, ``kind`` (ineq: feasible at <= 0, eq: = 0),
-    ``n_rows`` (the length of every residual vector, fixed at
-    construction) and implement evaluate(x) returning (residuals, vjp)
-    where vjp maps a weight vector over the residuals to a gradient
-    contribution over x.
+    Subclasses set ``name``, ``n_rows`` (the length of every residual
+    vector, fixed at construction) and implement evaluate(x) returning
+    (residuals, vjp) where vjp maps a weight vector over the residuals to
+    a gradient contribution over x.
 
     ``cushion_gap`` is the constant strictness margin baked into the
     residuals (residual = raw constraint + gap).  The solver minimizes the
@@ -74,15 +62,12 @@ class ConstraintBlock:
     stall inside the cushion still yields a strictly feasible solution.
 
     ``dense_violation`` measures the underlying continuous constraint at
-    dense parameters; a verified solution reads at most ``verify_tol``
-    there (exactly zero for hull-relaxed families).
+    dense parameters; a verified solution reads exactly zero there.
     """
 
     name: str = "block"
-    kind: str = INEQ
     n_rows: int = 0
     cushion_gap: float = 0.0
-    verify_tol: float = 0.0
 
     def evaluate(self, x: np.ndarray):
         raise NotImplementedError
@@ -94,16 +79,12 @@ class ConstraintBlock:
         raise NotImplementedError
 
     def violation(self, residuals: np.ndarray) -> float:
-        if self.kind == INEQ:
-            return float(np.maximum(residuals, 0.0).max(initial=0.0))
-        return float(np.abs(residuals).max(initial=0.0))
+        return float(np.maximum(residuals, 0.0).max(initial=0.0))
 
     def raw_violation(self, residuals: np.ndarray) -> float:
-        if self.kind == INEQ:
-            return float(
-                np.maximum(residuals - self.cushion_gap, 0.0).max(initial=0.0)
-            )
-        return float(np.abs(residuals).max(initial=0.0))
+        return float(
+            np.maximum(residuals - self.cushion_gap, 0.0).max(initial=0.0)
+        )
 
 
 def _trace_entry(outer, rho, f, viol, raw_viol, res, per_block) -> dict:
@@ -169,29 +150,24 @@ class AugmentedLagrangianSolver:
 
     @staticmethod
     def _scaled_multipliers(multipliers, rho):
-        """Per block: mult / rho and its squared norm, which the inequality
-        terms use.  Both are fixed for one inner solve."""
+        """Per block: mult / rho and its squared norm.  Both are fixed for
+        one inner solve."""
         out = []
         for mult in multipliers:
             scaled = mult / rho
             out.append((scaled, scaled @ scaled))
         return out
 
-    def _al_value_grad(self, x, multipliers, rho, scaled):
+    def _al_value_grad(self, x, rho, scaled):
         """Augmented Lagrangian value and gradient; ``scaled`` is
         ``_scaled_multipliers(multipliers, rho)``."""
         f, g = self.objective(x)
         total = f
         grad = np.array(g, dtype=float)
-        for (block, r, vjp), mult, (m_rho, m_rho_sq) in zip(
-                self._eval_blocks(x), multipliers, scaled):
-            if block.kind == INEQ:
-                shifted = np.maximum(0.0, m_rho + r)
-                total += 0.5 * rho * float(shifted @ shifted - m_rho_sq)
-                w = rho * shifted
-            else:
-                total += float(mult @ r) + 0.5 * rho * float(r @ r)
-                w = mult + rho * r
+        for (_, r, vjp), (m_rho, m_rho_sq) in zip(self._eval_blocks(x), scaled):
+            shifted = np.maximum(0.0, m_rho + r)
+            total += 0.5 * rho * float(shifted @ shifted - m_rho_sq)
+            w = rho * shifted
             if (w != 0.0).any():
                 grad += vjp(w)
         return total, grad
@@ -259,7 +235,7 @@ class AugmentedLagrangianSolver:
         for outer in range(1, cfg.max_outer + 1):
             scaled = self._scaled_multipliers(multipliers, rho)
             res = minimize(
-                lambda z: self._al_value_grad(z, multipliers, rho, scaled),
+                lambda z: self._al_value_grad(z, rho, scaled),
                 x,
                 jac=True,
                 method="L-BFGS-B",
@@ -285,11 +261,8 @@ class AugmentedLagrangianSolver:
             # cushioned residual is stalling on nonsmooth kinks.
             feasible = raw_viol <= cfg.feas_tol
             if small or feasible:
-                for mult, (block, r, _) in zip(multipliers, evals):
-                    if block.kind == INEQ:
-                        np.copyto(mult, np.maximum(0.0, mult + rho * r))
-                    else:
-                        mult += rho * r
+                for mult, (_, r, _) in zip(multipliers, evals):
+                    np.copyto(mult, np.maximum(0.0, mult + rho * r))
                 kkt, kkt_scale = self._kkt_residual(x, multipliers, evals)
                 if feasible:
                     feasible_objectives.append(f)

@@ -7,16 +7,16 @@ three control rows, which are eliminated rather than constrained, so
 endpoint equalities hold exactly.  The coordinates are the robot's joint
 map (``scenario``): tan(theta / factor) for an angle, linear ones as they are.
 
-Every continuous constraint is relaxed to conditions on control points of
-composed B-splines.  The separating-plane families compute those control
-points exactly: the fixed obstacle-side and norm rows once, with
-``spline_algebra.multiply``, and the robot-side rows at every iterate,
-per span in Bernstein form (see ``bernstein``).  The limit
-and dynamics families apply a fixed least-squares fit operator to
-pointwise values of the underlying expressions; since the fit is linear,
-this is the same spline the algebra would build, at a fraction of the
-cost.  Both routes are linear in the last step and supply exact adjoints
-for analytic gradients.
+Every continuous constraint is relaxed to inequalities on control points
+of composed B-splines, feasible at <= 0.  The separating-plane families
+compute those control points exactly: the fixed obstacle-side and norm
+rows once, with ``spline_algebra.multiply``, and the robot-side rows at
+every iterate, per span in Bernstein form (see ``bernstein``).  The chain
+rate and acceleration families apply a fixed least-squares fit operator
+to pointwise values of the underlying expressions; since the fit is
+linear, this is the same spline the algebra would build, at a fraction of
+the cost.  Both routes are linear in the last step and supply exact
+adjoints for analytic gradients.
 """
 
 from __future__ import annotations
@@ -38,12 +38,7 @@ from .bernstein import (
 from .bspline import BSpline, KnotVector, basis_matrix
 from .collision import ObstaclePrimitive, SignedDistanceField, build_sdf
 from .kinematics import NumericFK, homogeneous, unwrap_half_angles
-from .nlp import (
-    EQ,
-    INEQ,
-    AugmentedLagrangianSolver,
-    ConstraintBlock,
-)
+from .nlp import AugmentedLagrangianSolver, ConstraintBlock
 from .scenario import (
     ChainRobot,
     Scenario,
@@ -290,8 +285,6 @@ class DerivBoxFamily(ConstraintBlock):
     multiplicative so converged solutions satisfy the raw bound strictly.
     """
 
-    kind = INEQ
-
     def __init__(self, name, layout: VariableLayout, D: np.ndarray,
                  bound: np.ndarray, power: int, cushion: float, t_guess: float):
         self.name = name
@@ -338,8 +331,6 @@ class CoeffBoxFamily(ConstraintBlock):
     An angle bound within the recoverable range bounds tan(theta / factor)
     and one beyond it nothing; the dense check reads factor * atan(q).
     """
-
-    kind = INEQ
 
     def __init__(self, name, layout, robot, lo, hi, cushion: float):
         self.name = name
@@ -390,24 +381,31 @@ class CoeffBoxFamily(ConstraintBlock):
         return _excess(np.maximum(vals - self.raw_hi, self.raw_lo - vals))
 
 
-class _FittedFamily(ConstraintBlock):
-    """Rows fitted onto a space that holds the family's polynomial exactly.
+class _ChainLimitFamily(ConstraintBlock):
+    """A joint rate (order 1) or acceleration (order 2) limit through the
+    half-angle substitution: an upper and a lower row block per joint,
+    cushioned by cushion * bound * t_guess^order.
 
+    The rows are the control points of the family's polynomial on
+    ``elevated_union([(knots, p - order)], 2^order p)``, a space that holds
+    it exactly, fitted from its values at 4 (degree + 1) sites per span.
     A subclass gives ``pointwise(T, q, dq, ddq) -> (values, pullback)``:
     the polynomial's values at the fit sites from q and its first
     ``order`` tau-derivatives there (ddq is None for order 1), one column
     per row block, and a map from weights on those values to the weights
-    on q, dq and ddq (None where unused) and the T-derivative.  The fit
-    onto ``elevated_union([(knots, p - order)], degree)`` at 4 (degree + 1)
-    sites per span, the cushion gap, the row layout and the adjoint are
-    shared.
+    on q, dq and ddq (None where unused) and the T-derivative.
+
+    A prismatic offset d = q takes the linear form, with factor 1 and q
+    read as 0 in W = 1 + q^2.
     """
 
     order = 1
 
-    def __init__(self, name, layout, basis: TrajectoryBasis, degree: int):
+    def __init__(self, name, layout, basis: TrajectoryBasis, robot,
+                 bound: np.ndarray, cushion: float, t_guess: float):
         self.name = name
         self.layout = layout
+        degree = 2**self.order * basis.degree
         knots = elevated_union([(basis.knots, basis.degree - self.order)], degree)
         self.op = FitOperator(degree, knots,
                               collocation_sites(knots, 4 * (degree + 1)))
@@ -416,6 +414,15 @@ class _FittedFamily(ConstraintBlock):
         self.Bdq = basis_matrix(basis.knots1, basis.degree - 1, taus) @ basis.D1
         if self.order > 1:
             self.Bddq = basis_matrix(basis.knots2, basis.degree - 2, taus) @ basis.D2
+        # 1.0 for half-angle coordinates, 0.0 for prismatic offsets.
+        self.revolute = robot.revolute.astype(float)
+        self.bound = bound
+        self.factors = robot.factors
+        gap = cushion * bound * t_guess**self.order
+        self.cushion_gap = np.repeat(
+            np.concatenate([gap, gap]), self.op.n_coefficients
+        )
+        self.n_rows = self.cushion_gap.size
 
     def evaluate(self, x):
         dv = self.layout.unpack(x)
@@ -434,31 +441,6 @@ class _FittedFamily(ConstraintBlock):
             return self.layout.grad(dC=gC, dT=gT)
 
         return r, vjp
-
-
-class _ChainLimitFamily(_FittedFamily):
-    """A joint rate (order 1) or acceleration (order 2) limit through the
-    half-angle substitution, fitted at degree 2^order p: an upper and a
-    lower row block per joint, cushioned by cushion * bound * t_guess^order.
-
-    A prismatic offset d = q takes the linear form, with factor 1 and q
-    read as 0 in W = 1 + q^2.
-    """
-
-    kind = INEQ
-
-    def __init__(self, name, layout, basis: TrajectoryBasis, robot,
-                 bound: np.ndarray, cushion: float, t_guess: float):
-        super().__init__(name, layout, basis, 2**self.order * basis.degree)
-        # 1.0 for half-angle coordinates, 0.0 for prismatic offsets.
-        self.revolute = robot.revolute.astype(float)
-        self.bound = bound
-        self.factors = robot.factors
-        gap = cushion * bound * t_guess**self.order
-        self.cushion_gap = np.repeat(
-            np.concatenate([gap, gap]), self.op.n_coefficients
-        )
-        self.n_rows = self.cushion_gap.size
 
     def _blocks(self, V):
         """Weights on the upper and on the lower row block."""
@@ -559,8 +541,6 @@ class SDFClearanceFamily(ConstraintBlock):
     interpolated field's gradient norm is at most sqrt(dim), so that is the
     Lipschitz factor the margin scales by.
     """
-
-    kind = INEQ
 
     def __init__(self, name, layout, field: SignedDistanceField, taus,
                  bodies, cushion_abs: float, basis: TrajectoryBasis,
@@ -696,8 +676,6 @@ class PlaneRobotSideFamily(ConstraintBlock):
     polynomial per span serves every vertex of the body.
     """
 
-    kind = INEQ
-
     def __init__(self, name, layout, basis: TrajectoryBasis, plane_index: int,
                  body: TrackedBody, cushion: float, fk_cache: "FKSiteCache | None"):
         self.name = name
@@ -768,8 +746,6 @@ class PlaneObstacleSideFamily(ConstraintBlock):
     homogeneous corners [corner_k(tau), 1].
     """
 
-    kind = INEQ
-
     def __init__(self, name, layout, basis: TrajectoryBasis, plane_index: int,
                  obstacle: ObstaclePrimitive, cushion: float):
         self.name = name
@@ -825,8 +801,6 @@ class PlaneNormFamily(ConstraintBlock):
     (``spline_algebra.multiply``).
     """
 
-    kind = INEQ
-
     def __init__(self, name, layout, basis: TrajectoryBasis, plane_index: int,
                  cushion: float):
         self.name = name
@@ -854,47 +828,6 @@ class PlaneNormFamily(ConstraintBlock):
     def dense_violation(self, samples) -> float:
         a, _ = samples.plane(self.plane_index)
         return _excess((a * a).sum(axis=1) - 1.0)
-
-
-class DynamicsResidualFamily(_FittedFamily):
-    """Equality family: control points of q' - T f(q) pinned to zero.
-
-    The solver holds the residual only to feas_tol, so verification
-    accepts dense values up to that tolerance rather than exactly zero.
-    """
-
-    kind = EQ
-
-    def __init__(self, name, layout, basis: TrajectoryBasis, poly,
-                 feas_tol: float):
-        self.poly = [np.asarray(row, dtype=float) for row in poly]
-        deg_f = max(len(row) - 1 for row in self.poly)
-        super().__init__(name, layout, basis,
-                         max(basis.degree - 1, deg_f * basis.degree))
-        self.verify_tol = max(feas_tol, 1e-9)
-        self.n_rows = len(self.poly) * self.op.n_coefficients
-
-    def pointwise(self, T, q, dq, ddq):
-        fvals = np.column_stack(
-            [np.polyval(row[::-1], q[:, j]) for j, row in enumerate(self.poly)]
-        )
-
-        def pullback(V):
-            dfdq = np.column_stack(
-                [
-                    np.polyval(np.polyder(np.poly1d(row[::-1])), q[:, j])
-                    for j, row in enumerate(self.poly)
-                ]
-            )
-            return -(V * T * dfdq), V, None, float(-(V * fvals).sum())
-
-        return dq - T * fvals, pullback
-
-    def dense_violation(self, samples) -> float:
-        q = samples.values(0)
-        f = np.column_stack([np.polyval(row[::-1], q[:, j])
-                             for j, row in enumerate(self.poly)])
-        return float(np.abs(samples.values(1) - samples.T * f).max())
 
 
 # ---------------------------------------------------------------------------
@@ -1202,13 +1135,6 @@ def assemble(scenario: Scenario) -> PlanningProblem:
             PlaneNormFamily(f"plane_norm_{tag}", layout, basis, k, CUSHION)
         )
 
-    if scenario.dynamics_poly is not None:
-        families.append(
-            DynamicsResidualFamily("dynamics_residual", layout, basis,
-                                   scenario.dynamics_poly,
-                                   scenario.solver.feas_tol)
-        )
-
     return PlanningProblem(
         scenario=scenario,
         basis=basis,
@@ -1355,11 +1281,13 @@ def solve(problem: PlanningProblem, guess: DecisionVector | None = None) -> Solu
 
 @dataclass
 class FamilyReport:
+    """One family's worst dense violation; it passes at zero or below."""
+
     name: str
-    kind: str
+    kind: str  # "eq" for the endpoint conditions, "ineq" for every family
     max_violation: float
     n_samples: int
-    tolerance: float = 0.0
+    tolerance = 0.0  # a class constant, stated in report.json
 
     @property
     def passed(self) -> bool:
@@ -1379,7 +1307,7 @@ class VerificationReport:
 
     @property
     def passed(self) -> bool:
-        """True when every family's dense violation is within its tolerance."""
+        """True when no family's dense violation exceeds zero."""
         return all(f.passed for f in self.families)
 
     def family(self, name: str) -> FamilyReport:
@@ -1408,10 +1336,10 @@ def verify(solution: Solution, problem: PlanningProblem,
            oversample: int = 10) -> VerificationReport:
     """Sample every continuous constraint at oversample x collocation density.
 
-    Each family reports its worst dense violation and its tolerance:
-    zero for hull-relaxed families, endpoint conditions and SDF clearance
-    (which the Lipschitz margin guarantees), solver tolerance for the
-    dynamics residual.  ``oversample`` must be at least 1.
+    Each family reports its worst dense violation, and passes only at
+    zero or below: the hull-relaxed families, the endpoint conditions and
+    SDF clearance (which the Lipschitz margin guarantees) all hold exactly.
+    ``oversample`` must be at least 1.
     """
     if oversample < 1:
         raise ValueError(f"oversample must be >= 1, got {oversample}")
@@ -1424,21 +1352,20 @@ def verify(solution: Solution, problem: PlanningProblem,
     # Endpoint conditions are exact by construction; report the residuals.
     # The clamped basis is a unit row at either end, so each value is one
     # control point times 1 whatever the product's summation order.  T's
-    # bound T >= T_MIN holds by construction too, and is checked with
-    # them: the limit checks read T only as |q'/T| or T^2, so a negated T
-    # would pass them.
+    # bounds T_MIN <= T < inf hold by construction too, and are checked
+    # with them: the limit checks read T only as |q'/T| or T^2, so a
+    # negated or an infinite T would pass them.
     ends = problem.samples(dv, np.array([0.0, 1.0]))
     q = ends.values(0)
     residuals = [q[0] - problem.q_init, q[1] - problem.q_goal,
                  ends.values(1), ends.values(2)]
+    t_viol = T_MIN - dv.T if math.isfinite(dv.T) else math.inf
     end_viol = float(np.concatenate(
-        [np.abs(r).ravel() for r in residuals] + [[T_MIN - dv.T]]).max())
+        [np.abs(r).ravel() for r in residuals] + [[t_viol]]).max())
     reports.append(FamilyReport("endpoint_conditions", "eq", end_viol, 12))
 
     for fam in problem.families:
         v = fam.dense_violation(samples)
-        reports.append(
-            FamilyReport(fam.name, fam.kind, float(v), taus.size, fam.verify_tol)
-        )
+        reports.append(FamilyReport(fam.name, "ineq", float(v), taus.size))
     return VerificationReport(reports, oversample)
 

@@ -1,9 +1,9 @@
-"""Scenario configuration: strict JSON parsing, validation, serialization.
+"""Scenario configuration: strict JSON parsing and validation.
 
 All quantities are stored internally in SI units (meters, radians,
 seconds); the file format may declare angle blocks in degrees, which are
 converted on load (revolute joints only; prismatic offsets stay in
-meters) and written back normalized.
+meters).
 
 Each robot states its joint map.  ``revolute`` marks the half-angle
 coordinates q = tan(theta / 2^n); ``factors`` gives theta = factor * atan q,
@@ -37,8 +37,6 @@ __all__ = [
     "Scenario",
     "load_scenario",
     "parse_scenario",
-    "scenario_to_dict",
-    "save_scenario",
 ]
 
 DEG = np.pi / 180.0
@@ -239,7 +237,6 @@ class Scenario:
     workspace_max: np.ndarray
     solver: SolverConfig
     collision: CollisionSettings
-    dynamics_poly: tuple[tuple[float, ...], ...] | None = None
 
     @property
     def n_coords(self) -> int:
@@ -350,7 +347,7 @@ def parse_scenario(obj: dict) -> Scenario:
     _require_keys(
         obj, "scenario",
         ["name", "robot", "boundary", "limits", "workspace"],
-        ["basis", "obstacles", "solver", "collision", "dynamics"],
+        ["basis", "obstacles", "solver", "collision"],
     )
     if not isinstance(obj["name"], str):
         raise ScenarioError("name: must be a string")
@@ -448,19 +445,6 @@ def parse_scenario(obj: dict) -> Scenario:
         static_mode=col_obj.get("static_mode", "sdf"),
     )
 
-    dynamics = None
-    if "dynamics" in obj and obj["dynamics"] is not None:
-        dyn = obj["dynamics"]
-        _require_keys(dyn, "dynamics", ["poly"])
-        if is_chain:
-            raise ScenarioError("dynamics: ODE constraints support mobile robots only")
-        rows = _list(dyn["poly"], "dynamics.poly")
-        dynamics = tuple(tuple(_vector(row, f"dynamics.poly[{j}]").tolist())
-                         for j, row in enumerate(rows))
-        if len(dynamics) != n or not all(dynamics):
-            raise ScenarioError("dynamics.poly: one non-empty coefficient row per "
-                                "coordinate")
-
     # Physical consistency checks; only an angle has a finite range.
     half_range = robot.half_range
     outside = np.maximum(np.abs(q_init), np.abs(q_goal)) >= half_range
@@ -505,7 +489,6 @@ def parse_scenario(obj: dict) -> Scenario:
         workspace_max=ws_max,
         solver=solver,
         collision=collision,
-        dynamics_poly=dynamics,
     )
 
 
@@ -526,88 +509,3 @@ def load_scenario(path) -> Scenario:
     """Load and validate a scenario JSON file."""
     return parse_scenario(_read_json(path))
 
-
-def _motion_to_dict(motion: BSpline | None):
-    if motion is None:
-        return {"kind": "static"}
-    return {
-        "kind": "spline",
-        "degree": motion.degree,
-        "knots": motion.knots.values.tolist(),
-        "control_points": motion.control_points.tolist(),
-    }
-
-
-def _obstacle_to_dict(obs: ObstaclePrimitive) -> dict:
-    if obs.kind == "sphere":
-        return {
-            "kind": "sphere",
-            "center": obs.center.tolist(),
-            "radius": obs.radius,
-            "motion": _motion_to_dict(obs.motion),
-        }
-    if obs.kind == "box":
-        return {
-            "kind": "box",
-            "min": obs.box_min.tolist(),
-            "max": obs.box_max.tolist(),
-            "motion": _motion_to_dict(obs.motion),
-        }
-    return {
-        "kind": "polytope",
-        "vertices": obs.vertices_arr.tolist(),
-        "motion": _motion_to_dict(obs.motion),
-    }
-
-
-def scenario_to_dict(s: Scenario) -> dict:
-    """Normalized (SI-unit) dictionary form; parse_scenario round-trips it."""
-    if isinstance(s.robot, MobileRobot):
-        robot = {"kind": "mobile", "dimension": s.robot.dimension,
-                 "radius": s.robot.radius}
-    else:
-        chain = s.robot.chain
-        robot = {
-            "kind": "chain",
-            "base_pose": chain.base_pose.reshape(-1).tolist(),
-            "links": [
-                {"a": l.a, "alpha": l.alpha, "d": l.d, "theta0": l.theta_offset,
-                 "kind": l.joint_kind}
-                for l in chain.links
-            ],
-            "cuboids": [c.tolist() for c in chain.link_cuboids],
-            "halving_depth": list(s.robot.halving_depths),
-        }
-    out = {
-        "name": s.name,
-        "robot": robot,
-        "basis": {"degree": s.basis_degree,
-                  "interior_knots": s.basis_interior.tolist()},
-        "boundary": {"initial": s.boundary_initial.tolist(),
-                     "goal": s.boundary_goal.tolist(), "units": "rad"},
-        "limits": {
-            "velocity": s.limits.velocity.tolist(),
-            "acceleration": s.limits.acceleration.tolist(),
-            "units": "rad",
-        },
-        "obstacles": [_obstacle_to_dict(o) for o in s.obstacles],
-        "workspace": {"min": s.workspace_min.tolist(),
-                      "max": s.workspace_max.tolist()},
-        "solver": s.solver.to_json(),
-        "collision": {
-            "cell_size": s.collision.cell_size if s.collision.cell_size else "auto",
-            "collocation_per_span": s.collision.collocation_per_span,
-            "static_mode": s.collision.static_mode,
-        },
-    }
-    if s.limits.angle_min is not None:
-        out["limits"]["angle_min"] = s.limits.angle_min.tolist()
-    if s.limits.angle_max is not None:
-        out["limits"]["angle_max"] = s.limits.angle_max.tolist()
-    if s.dynamics_poly is not None:
-        out["dynamics"] = {"poly": [list(row) for row in s.dynamics_poly]}
-    return out
-
-
-def save_scenario(s: Scenario, path) -> None:
-    Path(path).write_text(json.dumps(scenario_to_dict(s), indent=2) + "\n")

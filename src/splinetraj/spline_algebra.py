@@ -9,7 +9,7 @@ the per-coordinate outer product; the planner builds the fixed rows of
 its separating-plane families with it.
 
 ``FitOperator`` is the least-squares fit of sampled values onto a fixed
-basis that the planner's rate, acceleration and dynamics families use.
+basis that the planner's chain rate and acceleration families use.
 """
 
 from __future__ import annotations

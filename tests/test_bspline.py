@@ -289,15 +289,6 @@ class TestInvariants:
 
 
 class TestSerialization:
-    def test_json_round_trip(self):
-        rng = np.random.default_rng(41)
-        s = random_clamped(rng, degree=3, dim=2)
-        obj = s.to_json()
-        assert list(obj.keys()) == ["degree", "knots", "control_points"]
-        s2 = BSpline.from_json(obj)
-        assert s2.same_basis(s)
-        np.testing.assert_array_equal(s2.control_points, s.control_points)
-
     def test_structure_validation(self):
         with pytest.raises(ValueError):
             BSpline(3, CLAMPED_CUBIC, np.zeros((7, 1)))

@@ -17,7 +17,6 @@ from splinetraj.planner import (
     CoeffBoxFamily,
     DecisionVector,
     DerivBoxFamily,
-    DynamicsResidualFamily,
     PlaneNormFamily,
     PlaneObstacleSideFamily,
     PlaneRobotSideFamily,
@@ -108,7 +107,6 @@ SCENARIOS = {
                 "angle_min": [-0.2, -0.4], "angle_max": [3.2, 0.4]},
     ),
     "threelink_angle_limits": _threelink_angle_limits,
-    "mobile_dynamics": lambda: _mobile(dynamics={"poly": [[0.0, -0.5], [1.0]]}),
 }
 
 CASES = [
@@ -126,7 +124,6 @@ CASES = [
     ("prismatic_moving_sphere", ChainAccelFamily, 1),
     ("mobile_position_limits", CoeffBoxFamily, 1),
     ("threelink_angle_limits", CoeffBoxFamily, 1),
-    ("mobile_dynamics", DynamicsResidualFamily, 1),
 ]
 
 
@@ -180,9 +177,9 @@ def test_vjp_matches_central_differences(problems, scenario, cls, count):
 
 
 def reference_dense_violation(fam, samples):
-    """The per-coordinate loops of the limit and dynamics families' dense
-    checks, as they ran before they read the sampled matrix; kept as the
-    byte-for-byte reference.  Other families read the matrix as they did."""
+    """The per-coordinate loops of the limit families' dense checks, as
+    they ran before they read the sampled matrix; kept as the byte-for-byte
+    reference.  Other families read the matrix as they did."""
     worst = 0.0
     cols = samples.columns
     if isinstance(fam, DerivBoxFamily):
@@ -212,10 +209,6 @@ def reference_dense_violation(fam, samples):
             worst = max(
                 worst, float(np.maximum(np.abs(theta_dd) - fam.bound[j], 0.0).max())
             )
-    elif isinstance(fam, DynamicsResidualFamily):
-        for j, (q, dq) in enumerate(zip(cols(0), cols(1))):
-            f = np.polyval(fam.poly[j][::-1], q)
-            worst = max(worst, float(np.abs(dq - samples.T * f).max()))
     else:
         return fam.dense_violation(samples)
     return worst
@@ -231,8 +224,8 @@ def test_dense_violation_matches_per_coordinate_reference(problems, scenario, cl
     families = [f for f in problem.families if type(f) is cls]
     rng = np.random.default_rng(31)
     taus = collocation_sites(problem.basis.knots, 80)
-    # At the perturbed point, at a third of its T, where the rate,
-    # acceleration and dynamics checks read well above zero, and with its
+    # At the perturbed point, at a third of its T, where the rate and
+    # acceleration checks read well above zero, and with its
     # joint coefficients scaled 8x, which breaks the angle and position boxes.
     point = problem.layout.unpack(_perturbed_point(problem, rng))
     for T, scale in ((point.T, 1.0), (point.T / 3.0, 1.0), (point.T, 8.0)):

@@ -20,8 +20,6 @@ SCENARIO_DIR = Path(__file__).resolve().parents[1] / "src/splinetraj/scenarios"
 class LinearInequalityBlock(ConstraintBlock):
     """A x - b <= 0 with exact gradients."""
 
-    kind = "ineq"
-
     def __init__(self, name, A, b):
         self.name = name
         self.A = np.asarray(A, dtype=float)
@@ -33,7 +31,6 @@ class LinearInequalityBlock(ConstraintBlock):
 
 
 class Contradiction(ConstraintBlock):
-    kind = "ineq"
     name = "contradiction"
 
     def evaluate(self, x):
@@ -93,27 +90,6 @@ class TestQPFloor:
         assert result.converged
         np.testing.assert_allclose(result.x, oracle, atol=1e-6)
         np.testing.assert_allclose(result.x, pg, atol=1e-6)
-
-    def test_equality_block(self):
-        # min (x0-1)^2 + (x1-1)^2 s.t. x0 + x1 = 1 -> (0.5, 0.5)
-        class SumToOne(ConstraintBlock):
-            kind = "eq"
-            name = "sum"
-
-            def evaluate(self, x):
-                return np.array([x[0] + x[1] - 1.0]), lambda w: np.array(
-                    [w[0], w[0]]
-                )
-
-        def objective(x):
-            return float((x[0] - 1) ** 2 + (x[1] - 1) ** 2), np.array(
-                [2 * (x[0] - 1), 2 * (x[1] - 1)]
-            )
-
-        solver = AugmentedLagrangianSolver(objective, [SumToOne()])
-        result = solver.solve(np.zeros(2))
-        assert result.converged
-        np.testing.assert_allclose(result.x, [0.5, 0.5], atol=1e-6)
 
     def test_infeasible_detected(self):
         cfg = SolverConfig(max_outer=30)
@@ -183,7 +159,6 @@ class TestQPFloor:
 
     def test_nan_residual_names_block(self):
         class Poison(ConstraintBlock):
-            kind = "ineq"
             name = "poisoned_family"
 
             def evaluate(self, x):
@@ -205,28 +180,23 @@ def reference_al_value_grad(objective, blocks, x, multipliers, rho):
     grad = np.array(g, dtype=float)
     for block, mult in zip(blocks, multipliers):
         r, vjp = block.evaluate(x)
-        if block.kind == "ineq":
-            shifted = np.maximum(0.0, mult / rho + r)
-            total += 0.5 * rho * float(shifted @ shifted - (mult / rho) @ (mult / rho))
-            w = rho * shifted
-        else:
-            total += float(mult @ r) + 0.5 * rho * float(r @ r)
-            w = mult + rho * r
+        shifted = np.maximum(0.0, mult / rho + r)
+        total += 0.5 * rho * float(shifted @ shifted - (mult / rho) @ (mult / rho))
+        w = rho * shifted
         if np.any(w != 0.0):
             grad += vjp(w)
     return total, grad
 
 
-def mobile_with_dynamics():
+def mobile_sphere():
     return parse_scenario({
-        "name": "mobile_dynamics",
+        "name": "mobile_sphere",
         "robot": {"kind": "mobile", "dimension": 2, "radius": 0.15},
         "boundary": {"initial": [0.0, 0.0], "goal": [3.0, 0.0], "units": "m"},
         "limits": {"velocity": 1.5, "acceleration": 6.0},
         "workspace": {"min": [-0.5, -1.5], "max": [3.5, 1.5]},
         "obstacles": [{"kind": "sphere", "center": [1.5, 0.45], "radius": 0.25}],
         "collision": {"collocation_per_span": 6},
-        "dynamics": {"poly": [[0.0, -0.5], [1.0]]},
     })
 
 
@@ -238,11 +208,10 @@ class TestAugmentedLagrangianBitIdentity:
     @pytest.mark.parametrize("scenario", [
         pytest.param(lambda: load_scenario(SCENARIO_DIR / "threelink.json"),
                      id="threelink"),
-        pytest.param(mobile_with_dynamics, id="mobile_dynamics"),
+        pytest.param(mobile_sphere, id="mobile_sphere"),
     ])
     def test_value_and_gradient_match_reference(self, scenario):
         problem = assemble(scenario())
-        kinds = {f.kind for f in problem.families}
         solver = AugmentedLagrangianSolver(
             problem.objective, problem.families,
             bounds=problem.layout.bounds(T_MIN), config=problem.scenario.solver)
@@ -257,19 +226,16 @@ class TestAugmentedLagrangianBitIdentity:
             zero = [np.zeros(f.n_rows) for f in problem.families]
             nonzero = [
                 np.where(rng.random(f.n_rows) < 0.5, 0.0,
-                         rng.uniform(0.0, 2.0, f.n_rows) if f.kind == "ineq"
-                         else rng.normal(0.0, 1.0, f.n_rows))
+                         rng.uniform(0.0, 2.0, f.n_rows))
                 for f in problem.families
             ]
             for multipliers in (zero, nonzero):
                 for rho in (10.0, 1e4):
                     scaled = solver._scaled_multipliers(multipliers, rho)
-                    got = solver._al_value_grad(x, multipliers, rho, scaled)
+                    got = solver._al_value_grad(x, rho, scaled)
                     want = reference_al_value_grad(
                         problem.objective, problem.families, x, multipliers, rho)
                     assert got[0] == want[0]
                     assert np.array_equal(got[1], want[1])
                     checked += 1
         assert checked == 16
-        assert kinds == ({"ineq", "eq"} if "dynamics" in problem.scenario.name
-                         else {"ineq"})

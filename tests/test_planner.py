@@ -671,22 +671,6 @@ class TestVerify:
         assert ends.max_violation == pytest.approx(T_MIN - T)
         assert not ends.passed and not rep.passed
 
-    def test_dynamics_residual_tolerance(self):
-        scn = mobile_scenario(obstacles=[], dynamics={"poly": [[0.0, -0.5], [1.0]]})
-        prob = assemble(scn)
-        dv = initial_guess(prob)
-        dv.T = 10.0
-        from splinetraj.planner import Solution
-
-        fake = Solution(dv, "converged", dv.T, 0, 0, 0.0, 0.0, {})
-        rep = verify(fake, prob)
-        fam = rep.family("dynamics_residual")
-        assert fam.tolerance == max(scn.solver.feas_tol, 1e-9)
-        assert fam.max_violation > 1.0
-        assert not rep.passed
-        # Everything but the dynamics residual reads clean.
-        assert all(f.passed for f in rep.families if f is not fam)
-
     def test_oversample_density(self):
         prob = assemble(mobile_scenario())
         sol = solve(prob)
@@ -700,38 +684,3 @@ class TestVerify:
             with pytest.raises(ValueError, match="oversample"):
                 verify(sol, prob, oversample=bad)
 
-
-class TestDynamicsFamily:
-    def test_residual_and_gradient(self):
-        scn = mobile_scenario(obstacles=[], dynamics={"poly": [[0.0, -0.5], [1.0]]})
-        prob = assemble(scn)
-        fam = next(f for f in prob.families if f.name == "dynamics_residual")
-        assert fam.kind == "eq"
-        rng = np.random.default_rng(17)
-        dv = initial_guess(prob)
-        dv.joint_coeffs = dv.joint_coeffs + rng.uniform(-0.3, 0.3, dv.joint_coeffs.shape)
-        x = prob.layout.pack(dv)
-        dv = prob.layout.unpack(x)
-        r, vjp = fam.evaluate(x)
-        # independent: sample q' - T f(q) densely; the fitted spline of the
-        # residual must reproduce those values
-        taus = fam.op.taus
-        trajectory = prob.trajectory(dv)
-        for j, poly in enumerate([[0.0, -0.5], [1.0]]):
-            q = trajectory.eval(taus)[:, j]
-            dq = trajectory.derivative().eval(taus)[:, j]
-            f = np.polyval(np.array(poly)[::-1], q)
-            expected = fam.op.fit_coefficients(dq - dv.T * f)[:, 0]
-            n = fam.op.n_coefficients
-            np.testing.assert_allclose(r[j * n : (j + 1) * n], expected, atol=1e-10)
-        # gradient check
-        w = rng.standard_normal(r.size)
-        g = vjp(w)
-        h = 1e-7
-        gfd = np.zeros_like(g)
-        for i in range(x.size):
-            xp, xm = x.copy(), x.copy()
-            xp[i] += h
-            xm[i] -= h
-            gfd[i] = w @ (fam.evaluate(xp)[0] - fam.evaluate(xm)[0]) / (2 * h)
-        np.testing.assert_allclose(g, gfd, atol=1e-5)

@@ -35,8 +35,6 @@ from splinetraj.scenario import (
     ScenarioError,
     load_scenario,
     parse_scenario,
-    scenario_to_dict,
-    save_scenario,
 )
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "src/splinetraj/scenarios"
@@ -199,9 +197,12 @@ class TestParsing:
         ("mobile", ("limits", "acceleration"), True, "limits.acceleration"),
         ("mobile", ("obstacles", 0, "motion", "degree"), "x",
          "obstacles[0].motion.degree"),
-        ("mobile", ("dynamics", "poly", 0, 1), math.nan, "dynamics.poly[0]"),
-        ("mobile", ("dynamics", "poly", 1, 0), "x", "dynamics.poly[1]"),
-        ("mobile", ("dynamics", "poly", 1), [], "dynamics.poly"),
+        ("mobile", ("obstacles", 0, "motion", "control_points", 1, 0), math.nan,
+         "obstacles[0].motion.control_points"),
+        ("mobile", ("obstacles", 0, "motion", "knots", 1), "x",
+         "obstacles[0].motion.knots"),
+        ("mobile", ("obstacles", 0, "motion", "control_points"), [],
+         "obstacles[0].motion.control_points"),
         ("chain", ("robot", "links", 0, "a"), math.nan, "robot.links[0].a"),
         ("chain", ("robot", "links", 1, "alpha"), math.nan, "robot.links[1].alpha"),
         ("chain", ("robot", "links", 2, "d"), math.nan, "robot.links[2].d"),
@@ -231,7 +232,6 @@ class TestParsing:
                             "motion": {"kind": "spline", "degree": 1,
                                        "knots": [0, 0, 1, 1],
                                        "control_points": [[0.5, 0.5], [0.6, 0.5]]}}],
-                dynamics={"poly": [[0.0, -0.5], [1.0]]},
             )
         node = obj
         for step in where[:-1]:
@@ -273,20 +273,6 @@ class TestBundledScenarios:
         assert chain.links[5].d == -0.19
         assert chain.links[2].a == 0.035
         assert len(chain) == 6
-
-    def test_round_trip_all_bundled(self):
-        for path in sorted(SCENARIO_DIR.glob("*.json")):
-            scn = load_scenario(path)
-            d1 = scenario_to_dict(scn)
-            d2 = scenario_to_dict(parse_scenario(d1))
-            assert d1 == d2, path.name
-
-    def test_save_and_reload(self, tmp_path):
-        scn = load_scenario(SCENARIO_DIR / "mobile2d.json")
-        out = tmp_path / "copy.json"
-        save_scenario(scn, out)
-        again = load_scenario(out)
-        assert scenario_to_dict(again) == scenario_to_dict(scn)
 
 
 class TestExport:
@@ -474,10 +460,14 @@ class TestCLI:
                      "--out", str(tmp_path / "out"), "--samples", "50"])
         assert code == 0
 
-    def test_invalid_input_exit_three(self, tmp_path):
+    def test_invalid_input_exit_three(self, tmp_path, capsys):
+        # dynamics is a removed key: rejected even when null.
         bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps(minimal_mobile(turbo=1)))
-        assert main(["solve", str(bad)]) == 3
+        for key, value in (("turbo", 1), ("dynamics", None),
+                           ("dynamics", {"poly": [[0.0, -0.5], [1.0]]})):
+            bad.write_text(json.dumps(minimal_mobile(**{key: value})))
+            assert main(["solve", str(bad)]) == 3
+            assert f"scenario.{key}: unknown field" in capsys.readouterr().err
 
     @pytest.mark.parametrize("value", [-0.05, 0, float("nan")])
     def test_bad_cell_size_exit_three(self, tmp_path, capsys, value):
@@ -570,20 +560,21 @@ class TestCLI:
         assert code == 0
 
     def test_verify_fails_a_negated_travel_time(self, tmp_path, capsys):
-        # The limit checks read T as |q'/T| or T^2, so a negated T passed
-        # every one of them.
+        # The limit checks read T as |q'/T| or T^2, so a negated or an
+        # infinite T (written "Infinity") passed every one of them.
         scn_path = SCENARIO_DIR / "mobile2d.json"
         sol_path = tmp_path / "solution.json"
         assert main(["solve", str(scn_path), "--out", str(tmp_path)]) == 0
         obj = json.loads(sol_path.read_text())
-        obj["decision"]["T"] = -obj["decision"]["T"]
-        sol_path.write_text(json.dumps(obj))
-        capsys.readouterr()
-        assert main(["verify", str(scn_path), str(sol_path)]) == 2
-        out = capsys.readouterr().out
-        assert "verification FAILED" in out
-        line = next(l for l in out.splitlines() if "endpoint_conditions" in l)
-        assert line.endswith("VIOLATED")
+        for T in (-obj["decision"]["T"], math.inf, math.nan):
+            obj["decision"]["T"] = T
+            sol_path.write_text(json.dumps(obj))
+            capsys.readouterr()
+            assert main(["verify", str(scn_path), str(sol_path)]) == 2, T
+            out = capsys.readouterr().out
+            assert "verification FAILED" in out
+            line = next(l for l in out.splitlines() if "endpoint_conditions" in l)
+            assert line.endswith("VIOLATED"), T
 
     @pytest.mark.parametrize("command", ["solve", "verify"])
     @pytest.mark.parametrize("end", ["initial", "goal"])
@@ -644,27 +635,6 @@ class TestCLI:
         code = main(["verify", str(SCENARIO_DIR / "mobile2d.json"), str(sol_path)])
         assert code == 3
         assert "malformed JSON" in capsys.readouterr().err
-
-    def test_verify_rejects_dynamics_violation(self, tmp_path, capsys):
-        # The initial guess at T = 10 is far from q' = T f(q): the dense
-        # residual reads 10 while every limit holds, and verify must fail.
-        scn_path = tmp_path / "dynamics.json"
-        scn_path.write_text(json.dumps(minimal_mobile(
-            dynamics={"poly": [[0.0, -0.5], [1.0]]},
-        )))
-        problem = assemble(load_scenario(scn_path))
-        dv = initial_guess(problem)
-        dv.T = 10.0
-        sol_path = tmp_path / "solution.json"
-        sol_path.write_text(json.dumps(
-            Solution(dv, "converged", dv.T, 0, 0, 0.0, 0.0, {}).to_json()
-        ))
-        code = main(["verify", str(scn_path), str(sol_path)])
-        out = capsys.readouterr().out
-        assert code == 2
-        assert "verification FAILED" in out
-        line = next(l for l in out.splitlines() if "dynamics_residual" in l)
-        assert line.endswith("VIOLATED")
 
     def test_sdf_build(self, tmp_path):
         out = tmp_path / "field.sdf"

@@ -100,7 +100,7 @@ class TestCollocation:
 
 
 class TestRefit:
-    """The least-squares fit the planner's rate, acceleration and dynamics
+    """The least-squares fit the planner's chain rate and acceleration
     families use."""
 
     def test_recovers_representable_target(self):

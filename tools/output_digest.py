@@ -92,11 +92,21 @@ def main(argv=None) -> int:
 
     tree = Path(args.tree).resolve()
     sys.path[:0] = [str(tree / "src"), str(tree)]
-    from jitter_sweep import scenario_dicts
     from splinetraj.scenario import parse_scenario
 
+    for label, obj in plans(tree, args.scenarios):
+        print(label, *digest(parse_scenario(obj)), flush=True)
+    return 0
+
+
+def plans(tree: Path, names: list[str]):
+    """(label, scenario dict) for each of ``names``, or for the default
+    list when there are none, each variant applied.  ``tree``'s ``src/``
+    and root must lead ``sys.path``."""
+    from jitter_sweep import scenario_dicts
+
     bundled = tree / "src" / "splinetraj" / "scenarios"
-    names = args.scenarios or (
+    names = names or (
         sorted(p.stem for p in bundled.glob("*.json"))
         + ["mobile2d+hyperplane", "mobile3d+hyperplane",
            "threelink+limits", "mobile2d+limits"])
@@ -110,8 +120,7 @@ def main(argv=None) -> int:
             label = name if one_file else f"{name}/{obj['name']}"
             if suffix is not None:
                 VARIANTS[suffix](obj)
-            print(label, *digest(parse_scenario(obj)), flush=True)
-    return 0
+            yield label, obj
 
 
 def digest(scenario) -> list[str]:
