@@ -182,6 +182,7 @@ def run(scenario: Scenario, output_dir=None, samples: int = 1000,
                     "timings": timings,
                     "problem": problem.describe(),
                     "trace": solution.trace,
+                    "block_scales": solution.block_scales,
                 },
                 indent=2,
             )

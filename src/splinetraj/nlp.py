@@ -7,6 +7,18 @@ classic multiplier/penalty schedule; the inner bound-constrained minimization
 is delegated to L-BFGS-B.  Only the outer loop sets the status; after it, a
 solve that did not converge returns its best iterate.  Everything is
 deterministic for fixed inputs.
+
+The blocks are equilibrated once per solve.  Each block b gets one fixed
+scale s_b = sqrt(max(max |r_b(x0)|, 1e-12)) from its residuals at the
+start x0, and the penalty, its gradient, the multiplier update and the
+KKT residual read the rows r_b / s_b.  One rho then weights blocks whose
+residuals differ by orders of magnitude (joint accelerations beside
+clearances) without making the largest one a cliff for the first step of
+each inner solve.  The square root is a compromise: dividing by the full
+max |r_b(x0)| weights a large block down so far that the first inner
+solve can trade it away and not recover.  The scales are positive, so the
+feasible set is unchanged, and the violation measures, the best-iterate
+rule and every status test read the unscaled rows.
 """
 
 from __future__ import annotations
@@ -32,6 +44,9 @@ log = logging.getLogger(__name__)
 RHO_INIT = 10.0
 RHO_GROWTH = 10.0
 RHO_MAX = 1e8
+# Floor under max |r_b(x0)| in a block's scale, so a block at zero at the
+# start (all rows exactly active) gets the finite scale 1e-6.
+SCALE_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -104,7 +119,8 @@ class SolverResult:
     whatever the violation), infeasible (the violation stopped shrinking at
     the largest penalty) or stalled (it did, but each of those inner solves
     failed its first line search and took no step).  Unless converged,
-    ``x`` is the iterate of least raw violation, then least objective."""
+    ``x`` is the iterate of least raw violation, then least objective.
+    ``block_scales`` maps each block's name to its fixed scale s_b."""
 
     x: np.ndarray
     status: str
@@ -115,6 +131,7 @@ class SolverResult:
     kkt_residual: float
     block_violations: dict[str, float] = field(default_factory=dict)
     trace: list = field(default_factory=list)
+    block_scales: dict[str, float] = field(default_factory=dict)
 
     @property
     def converged(self) -> bool:
@@ -149,6 +166,14 @@ class AugmentedLagrangianSolver:
         return out
 
     @staticmethod
+    def _block_scales(evals) -> list[float]:
+        """One fixed positive scale per block from its residuals at the
+        start: sqrt(max(max |r_b|, SCALE_FLOOR))."""
+        return [float(np.sqrt(max(float(np.abs(r).max(initial=0.0)),
+                                  SCALE_FLOOR)))
+                for _, r, _ in evals]
+
+    @staticmethod
     def _scaled_multipliers(multipliers, rho):
         """Per block: mult / rho and its squared norm.  Both are fixed for
         one inner solve."""
@@ -158,18 +183,20 @@ class AugmentedLagrangianSolver:
             out.append((scaled, scaled @ scaled))
         return out
 
-    def _al_value_grad(self, x, rho, scaled):
-        """Augmented Lagrangian value and gradient; ``scaled`` is
-        ``_scaled_multipliers(multipliers, rho)``."""
+    def _al_value_grad(self, x, rho, scaled, scales):
+        """Augmented Lagrangian value and gradient over the rows r_b / s_b;
+        ``scaled`` is ``_scaled_multipliers(multipliers, rho)`` and
+        ``scales`` the blocks' s_b."""
         f, g = self.objective(x)
         total = f
         grad = np.array(g, dtype=float)
-        for (_, r, vjp), (m_rho, m_rho_sq) in zip(self._eval_blocks(x), scaled):
-            shifted = np.maximum(0.0, m_rho + r)
+        for (_, r, vjp), (m_rho, m_rho_sq), s in zip(
+                self._eval_blocks(x), scaled, scales):
+            shifted = np.maximum(0.0, m_rho + r / s)
             total += 0.5 * rho * float(shifted @ shifted - m_rho_sq)
             w = rho * shifted
             if (w != 0.0).any():
-                grad += vjp(w)
+                grad += vjp(w / s)
         return total, grad
 
     @staticmethod
@@ -184,19 +211,20 @@ class AugmentedLagrangianSolver:
             worst_raw = max(worst_raw, per_block[block.name])
         return worst, worst_raw, per_block
 
-    def _kkt_residual(self, x, multipliers, evals) -> tuple[float, float]:
+    def _kkt_residual(self, x, multipliers, evals, scales) -> tuple[float, float]:
         """Projected Lagrangian gradient norm and the scale of its terms.
 
-        The scale (largest gradient term being balanced) turns the
-        optimality test into a relative one; an absolute test is
-        unattainable when active-constraint gradients are large.
+        The multipliers belong to the rows r_b / s_b.  The scale (largest
+        gradient term being balanced) turns the optimality test into a
+        relative one; an absolute test is unattainable when
+        active-constraint gradients are large.
         """
         _, grad = self.objective(x)
         grad = np.array(grad, dtype=float)
         scale = max(1.0, float(np.abs(grad).max(initial=0.0)))
-        for (block, r, vjp), mult in zip(evals, multipliers):
+        for (_, _, vjp), mult, s in zip(evals, multipliers, scales):
             if (mult != 0.0).any():
-                term = vjp(mult)
+                term = vjp(mult / s)
                 scale = max(scale, float(np.abs(term).max(initial=0.0)))
                 grad += term
         if self.bounds is not None:
@@ -212,11 +240,16 @@ class AugmentedLagrangianSolver:
 
         The blocks are evaluated once per outer iterate; that one
         evaluation feeds the violation measures, the multiplier update
-        and the KKT residual.
+        and the KKT residual.  The evaluation at x0 fixes the block
+        scales for the whole solve.
         """
         cfg = self.config
         x = np.array(x0, dtype=float)
         evals = self._eval_blocks(x)
+        scales = self._block_scales(evals)
+        block_scales = {b.name: s for b, s in zip(self.blocks, scales)}
+        log.info("block scales: %s", ", ".join(
+            f"{name}={s:.3g}" for name, s in block_scales.items()))
         multipliers = [np.zeros(len(r)) for _, r, _ in evals]
         rho = RHO_INIT
         omega = 1.0 / rho
@@ -235,7 +268,7 @@ class AugmentedLagrangianSolver:
         for outer in range(1, cfg.max_outer + 1):
             scaled = self._scaled_multipliers(multipliers, rho)
             res = minimize(
-                lambda z: self._al_value_grad(z, rho, scaled),
+                lambda z: self._al_value_grad(z, rho, scaled, scales),
                 x,
                 jac=True,
                 method="L-BFGS-B",
@@ -261,9 +294,10 @@ class AugmentedLagrangianSolver:
             # cushioned residual is stalling on nonsmooth kinks.
             feasible = raw_viol <= cfg.feas_tol
             if small or feasible:
-                for mult, (_, r, _) in zip(multipliers, evals):
-                    np.copyto(mult, np.maximum(0.0, mult + rho * r))
-                kkt, kkt_scale = self._kkt_residual(x, multipliers, evals)
+                for mult, (_, r, _), s in zip(multipliers, evals, scales):
+                    np.copyto(mult, np.maximum(0.0, mult + rho * r / s))
+                kkt, kkt_scale = self._kkt_residual(x, multipliers, evals,
+                                                    scales)
                 if feasible:
                     feasible_objectives.append(f)
                     # Converged, or feasible with the objective no longer
@@ -300,7 +334,8 @@ class AugmentedLagrangianSolver:
             raw_viol, f, x, per_block, evals = best
 
         if not np.isfinite(kkt):
-            kkt, _ = self._kkt_residual(x, multipliers, evals)
+            kkt, _ = self._kkt_residual(x, multipliers, evals, scales)
         return SolverResult(
-            x, status, f, outer, inner_total, raw_viol, kkt, per_block, trace
+            x, status, f, outer, inner_total, raw_viol, kkt, per_block, trace,
+            block_scales,
         )

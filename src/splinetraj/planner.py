@@ -102,8 +102,9 @@ class DecisionVector:
     @classmethod
     def from_json(cls, obj: dict, layout: "VariableLayout") -> "DecisionVector":
         """The stored decision, its keys and shapes checked against
-        ``layout``; a mismatch or a non-finite coefficient raises
-        ScenarioError naming the key.  T's value is left to ``verify``."""
+        ``layout``; a mismatch, a non-finite coefficient or a non-finite
+        T raises ScenarioError naming the key.  A finite T's value is left
+        to ``verify``."""
         path = "solution.decision"
         _require_keys(obj, path, ("joint_coeffs", "T", "planes"))
         n = layout.n_coeffs
@@ -119,10 +120,13 @@ class DecisionVector:
                 _stored_array(plane["a"], f"{key}.a", (n, layout.world_dim)),
                 _stored_array(plane["b"], f"{key}.b", (n,)),
             ]))
+        T = _stored_number(obj["T"], f"{path}.T")
+        if not np.isfinite(T):
+            raise ScenarioError(f"{path}.T: expected a finite number")
         return cls(
             _stored_array(obj["joint_coeffs"], f"{path}.joint_coeffs",
                           (n, layout.n_coords)),
-            _stored_number(obj["T"], f"{path}.T"),
+            T,
             plane_coeffs,
         )
 
@@ -1182,8 +1186,9 @@ def initial_guess(problem: PlanningProblem) -> DecisionVector:
 class Solution:
     """Solved trajectory with diagnostics.
 
-    ``trace`` holds the solver's per-outer-iteration record (see
-    ``nlp.AugmentedLagrangianSolver.solve``); it is a run diagnostic and
+    ``trace`` holds the solver's per-outer-iteration record and
+    ``block_scales`` its fixed scale per constraint family (see
+    ``nlp.AugmentedLagrangianSolver.solve``); both are run diagnostics and
     not part of the stored solution.
     """
 
@@ -1196,6 +1201,7 @@ class Solution:
     kkt_residual: float
     block_violations: dict[str, float]
     trace: list = field(default_factory=list)
+    block_scales: dict[str, float] = field(default_factory=dict)
 
     @property
     def converged(self) -> bool:
@@ -1271,6 +1277,7 @@ def solve(problem: PlanningProblem, guess: DecisionVector | None = None) -> Solu
         kkt_residual=result.kkt_residual,
         block_violations=result.block_violations,
         trace=result.trace,
+        block_scales=result.block_scales,
     )
 
 

@@ -114,14 +114,14 @@ class TestQPFloor:
         assert not any("restoration" in entry for entry in result.trace)
 
     def test_stalled_line_search_is_not_infeasible(self):
-        # A 5-circle slalom of the mobile benchmark: after 9 inner
-        # iterations every L-BFGS-B call fails its first line search, so
-        # the plan stops without showing the geometry infeasible.
+        # A 3-circle slalom of the mobile benchmark: once rho is at its cap,
+        # every L-BFGS-B call fails its first line search, so the plan
+        # stops without showing the geometry infeasible.
         from perfbench.workloads import generate
         from splinetraj.planner import solve
 
         obj = next(o for o in generate("mobile_sdf")
-                   if o["name"] == "bench2d_slalom_5_0")
+                   if o["name"] == "bench2d_slalom_3_0")
         sol = solve(assemble(parse_scenario(obj)))
         assert sol.status == "stalled"
         assert not sol.converged
@@ -172,20 +172,27 @@ class TestQPFloor:
             solver.solve(np.array([1.0]))
 
 
-def reference_al_value_grad(objective, blocks, x, multipliers, rho):
-    """The augmented Lagrangian as first written: mult / rho formed on
-    every call, each block evaluated on its own."""
+def reference_al_value_grad(objective, blocks, x, multipliers, rho, scales):
+    """The augmented Lagrangian over the rows r_b / s_b as first written:
+    mult / rho formed on every call, each block evaluated on its own and
+    divided by its scale s_b from ``scales``."""
     f, g = objective(x)
     total = f
     grad = np.array(g, dtype=float)
-    for block, mult in zip(blocks, multipliers):
+    for block, mult, s in zip(blocks, multipliers, scales):
         r, vjp = block.evaluate(x)
-        shifted = np.maximum(0.0, mult / rho + r)
+        shifted = np.maximum(0.0, mult / rho + r / s)
         total += 0.5 * rho * float(shifted @ shifted - (mult / rho) @ (mult / rho))
         w = rho * shifted
         if np.any(w != 0.0):
-            grad += vjp(w)
+            grad += vjp(w / s)
     return total, grad
+
+
+def reference_block_scales(blocks, x0):
+    """sqrt(max(max |r_b(x0)|, 1e-12)) per block."""
+    return [float(np.sqrt(max(np.abs(b.evaluate(x0)[0]).max(initial=0.0), 1e-12)))
+            for b in blocks]
 
 
 def mobile_sphere():
@@ -202,8 +209,10 @@ def mobile_sphere():
 
 class TestAugmentedLagrangianBitIdentity:
     """The solver's bookkeeping (mult / rho once per outer iteration, one
-    unpack per call) must leave the value and gradient unchanged to the
-    bit, so the iterates do not move."""
+    unpack per call, the block scales fixed once per solve) must leave the
+    value and gradient unchanged to the bit, so the iterates do not move.
+    The scales are passed in: those of the start and random positive
+    ones."""
 
     @pytest.mark.parametrize("scenario", [
         pytest.param(lambda: load_scenario(SCENARIO_DIR / "threelink.json"),
@@ -217,6 +226,8 @@ class TestAugmentedLagrangianBitIdentity:
             bounds=problem.layout.bounds(T_MIN), config=problem.scenario.solver)
         rng = np.random.default_rng(23)
         x0 = problem.layout.pack(initial_guess(problem))
+        start_scales = reference_block_scales(problem.families, x0)
+        assert solver._block_scales(solver._eval_blocks(x0)) == start_scales
         free = problem.layout.n_free_c
         checked = 0
         for _ in range(4):
@@ -229,13 +240,98 @@ class TestAugmentedLagrangianBitIdentity:
                          rng.uniform(0.0, 2.0, f.n_rows))
                 for f in problem.families
             ]
+            random_scales = list(rng.uniform(0.1, 10.0, len(problem.families)))
             for multipliers in (zero, nonzero):
                 for rho in (10.0, 1e4):
                     scaled = solver._scaled_multipliers(multipliers, rho)
-                    got = solver._al_value_grad(x, rho, scaled)
-                    want = reference_al_value_grad(
-                        problem.objective, problem.families, x, multipliers, rho)
-                    assert got[0] == want[0]
-                    assert np.array_equal(got[1], want[1])
-                    checked += 1
-        assert checked == 16
+                    for scales in (start_scales, random_scales):
+                        got = solver._al_value_grad(x, rho, scaled, scales)
+                        want = reference_al_value_grad(
+                            problem.objective, problem.families, x,
+                            multipliers, rho, scales)
+                        assert got[0] == want[0]
+                        assert np.array_equal(got[1], want[1])
+                        checked += 1
+        assert checked == 32
+
+
+class TestBlockScales:
+    """Each block's rows are divided by one scale fixed at the start,
+    s_b = sqrt(max(max |r_b(x0)|, 1e-12)); feasibility reads the
+    unscaled rows."""
+
+    def test_scales_fixed_at_the_start_leave_the_optimum(self):
+        # The QP of test_matches_projected_gradient_oracle without its box,
+        # its rows split into two blocks, one of them multiplied by 100:
+        # the scales differ, the feasible set and the optimum do not.
+        rng = np.random.default_rng(3)
+        n = 12
+        target = rng.uniform(-2.0, 2.0, n)
+        upper = LinearInequalityBlock("upper", 100.0 * np.eye(n), np.full(n, 100.0))
+        lower = LinearInequalityBlock("lower", -np.eye(n), np.ones(n))
+
+        def objective(x):
+            return float((x - target) @ (x - target)), 2.0 * (x - target)
+
+        solver = AugmentedLagrangianSolver(
+            objective, [upper, lower],
+            config=SolverConfig(feas_tol=1e-10, opt_tol=1e-8))
+        x0 = np.full(n, 0.5)
+        result = solver.solve(x0)
+        assert result.block_scales == {
+            "upper": np.sqrt(50.0), "lower": np.sqrt(1.5)}
+        assert result.converged
+        assert result.max_violation <= 1e-10
+        np.testing.assert_allclose(result.x, np.clip(target, -1.0, 1.0),
+                                   atol=1e-6)
+
+    def test_block_at_zero_gets_the_floor(self):
+        block = LinearInequalityBlock("active", np.eye(2), np.zeros(2))
+        solver = AugmentedLagrangianSolver(
+            lambda x: (float((x - 1.0) @ (x - 1.0)), 2.0 * (x - 1.0)), [block])
+        result = solver.solve(np.zeros(2))
+        assert result.block_scales == {"active": 1e-6}
+        assert result.converged
+        np.testing.assert_allclose(result.x, 0.0, atol=1e-5)
+
+
+class TestChainPlansConverge:
+    """Regression plans for the unscaled solver's failures: fanuc6_static
+    stopped through the flat-objective rule at a point that was not
+    stationary (T = 1.2098, KKT residual 1.0), and jittered starts of
+    fanuc6_dynamic converged to other local optima (T = 1.5432, 1.2243)."""
+
+    def test_fanuc6_static_is_stationary(self, monkeypatch):
+        from splinetraj.planner import solve
+
+        kkt = []
+        residual = AugmentedLagrangianSolver._kkt_residual
+
+        def recorded(self, *args):
+            kkt.append(residual(self, *args))
+            return kkt[-1]
+
+        monkeypatch.setattr(AugmentedLagrangianSolver, "_kkt_residual", recorded)
+        problem = assemble(load_scenario(SCENARIO_DIR / "fanuc6_static.json"))
+        sol = solve(problem)
+        assert sol.status == "converged"
+        assert sol.objective <= 1.12546
+        value, scale = kkt[-1]
+        assert sol.kkt_residual == value
+        assert value <= problem.scenario.solver.opt_tol * scale
+
+    def test_fanuc6_dynamic_jittered_starts(self):
+        # Built as tools/jitter_sweep.py builds them: the interior joint
+        # coefficients scaled by 1 + 1e-12 N(0, 1), seeds 0, 1, 2.
+        from splinetraj.planner import solve
+        from tools.jitter_sweep import BOUNDARY_ROWS, JITTER
+
+        problem = assemble(load_scenario(SCENARIO_DIR / "fanuc6_dynamic.json"))
+        for seed in range(3):
+            guess = initial_guess(problem)
+            rng = np.random.default_rng(seed)
+            inner = guess.joint_coeffs[BOUNDARY_ROWS:-BOUNDARY_ROWS]
+            inner *= 1.0 + JITTER * rng.standard_normal(inner.shape)
+            sol = solve(problem, guess)
+            assert sol.status == "converged", seed
+            assert sol.objective == pytest.approx(1.125454, rel=1e-5), seed

@@ -448,8 +448,17 @@ class TestRun:
             assert entry["lbfgsb_message"]
             assert set(entry["block_violations"]) == set(report["problem"][
                 "constraints"])
-        lines = [r for r in caplog.records if r.name == "splinetraj.nlp"]
-        assert len(lines) == len(trace)
+        # One line of block scales per solve, then one line per outer
+        # iteration.
+        lines = [r.getMessage() for r in caplog.records
+                 if r.name == "splinetraj.nlp"]
+        assert len(lines) == len(trace) + 1
+        scales = report["block_scales"]
+        assert list(scales) == list(report["problem"]["constraints"])
+        assert all(s > 0.0 for s in scales.values())
+        assert lines[0] == "block scales: " + ", ".join(
+            f"{name}={s:.3g}" for name, s in scales.items())
+        assert all(line.startswith("outer ") for line in lines[1:])
         assert set(report["timings"]) == {"assemble_s", "solve_s", "verify_s",
                                           "export_s"}
 
@@ -560,21 +569,21 @@ class TestCLI:
         assert code == 0
 
     def test_verify_fails_a_negated_travel_time(self, tmp_path, capsys):
-        # The limit checks read T as |q'/T| or T^2, so a negated or an
-        # infinite T (written "Infinity") passed every one of them.
+        # The limit checks read T as |q'/T| or T^2, so a negated T passed
+        # every one of them.  A non-finite T is invalid input
+        # (test_verify_malformed_solution_exit_three).
         scn_path = SCENARIO_DIR / "mobile2d.json"
         sol_path = tmp_path / "solution.json"
         assert main(["solve", str(scn_path), "--out", str(tmp_path)]) == 0
         obj = json.loads(sol_path.read_text())
-        for T in (-obj["decision"]["T"], math.inf, math.nan):
-            obj["decision"]["T"] = T
-            sol_path.write_text(json.dumps(obj))
-            capsys.readouterr()
-            assert main(["verify", str(scn_path), str(sol_path)]) == 2, T
-            out = capsys.readouterr().out
-            assert "verification FAILED" in out
-            line = next(l for l in out.splitlines() if "endpoint_conditions" in l)
-            assert line.endswith("VIOLATED"), T
+        obj["decision"]["T"] = -obj["decision"]["T"]
+        sol_path.write_text(json.dumps(obj))
+        capsys.readouterr()
+        assert main(["verify", str(scn_path), str(sol_path)]) == 2
+        out = capsys.readouterr().out
+        assert "verification FAILED" in out
+        line = next(l for l in out.splitlines() if "endpoint_conditions" in l)
+        assert line.endswith("VIOLATED")
 
     @pytest.mark.parametrize("command", ["solve", "verify"])
     @pytest.mark.parametrize("end", ["initial", "goal"])
@@ -613,7 +622,11 @@ class TestCLI:
                                            "b": [0.0] * 13})),
         ("solution.decision.joint_coeffs",
          lambda dec: dec["joint_coeffs"][5].__setitem__(0, float("nan"))),
-    ], ids=["five_rows", "missing_T", "extra_plane", "nan_coeff"])
+        ("solution.decision.T", lambda dec: dec.update(T=math.nan)),
+        ("solution.decision.T", lambda dec: dec.update(T=math.inf)),
+        ("solution.decision.T", lambda dec: dec.update(T=-math.inf)),
+    ], ids=["five_rows", "missing_T", "extra_plane", "nan_coeff", "nan_T",
+            "inf_T", "minus_inf_T"])
     def test_verify_malformed_solution_exit_three(self, tmp_path, capsys,
                                                   key, edit):
         # A solution.json that does not fit its scenario is invalid input,
