@@ -22,12 +22,8 @@ from .collision import (
     ObstaclePrimitive,
     SignedDistanceField,
     build_sdf,
-    load_sdf,
-    save_sdf,
-    sdf_query,
 )
 from .kinematics import DHChain, DHLink
-from .nlp import SolverConfig
 from .planner import (
     DecisionVector,
     PlanningProblem,
@@ -67,7 +63,6 @@ __all__ = [
     "ScenarioError",
     "SignedDistanceField",
     "Solution",
-    "SolverConfig",
     "VerificationReport",
     "add",
     "assemble",
@@ -78,11 +73,8 @@ __all__ = [
     "hull_bounds",
     "initial_guess",
     "load_scenario",
-    "load_sdf",
     "multiply",
     "parse_scenario",
-    "save_sdf",
-    "sdf_query",
     "solve",
     "verify",
 ]

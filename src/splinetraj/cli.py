@@ -4,7 +4,6 @@ Subcommands:
     solve <scenario> [--out DIR] [--samples N]
     verify <scenario> <solution.json> [--oversample N]
     bench <scenario> --counts 1,2,5,10,20 --trials N [--out DIR]
-    sdf build <scenario> --out FILE
 
 ``--samples``, ``--oversample`` and ``--trials`` are integers >= 1 and
 ``--counts`` a comma-separated list of integers >= 0; a bad value, like
@@ -27,15 +26,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .collision import ObstaclePrimitive, save_sdf
-from .planner import (
-    PlanningProblem,
-    Solution,
-    assemble,
-    solve,
-    static_field,
-    verify,
-)
+from .collision import ObstaclePrimitive
+from .planner import PlanningProblem, Solution, assemble, solve, verify
 from .scenario import ChainRobot, Scenario, ScenarioError, _read_json, load_scenario
 
 log = logging.getLogger("splinetraj")
@@ -158,7 +150,8 @@ def run(scenario: Scenario, output_dir=None, samples: int = 1000,
     """Assemble, solve, verify, and export one scenario.
 
     With an output directory (created first), report.json records the
-    verification, problem size, solver trace and wall time of each phase.
+    verification, problem size, solver trace, block scales, the test that
+    stopped the solve and wall time of each phase.
     """
     out = None if output_dir is None else _output_path(output_dir)
     t0 = time.perf_counter()
@@ -183,6 +176,7 @@ def run(scenario: Scenario, output_dir=None, samples: int = 1000,
                     "problem": problem.describe(),
                     "trace": solution.trace,
                     "block_scales": solution.block_scales,
+                    "stop": solution.stop,
                 },
                 indent=2,
             )
@@ -318,14 +312,6 @@ def _cmd_bench(args) -> int:
     return 0 if all(r["ok"] for r in rows) else 2
 
 
-def _cmd_sdf_build(args) -> int:
-    out = _output_path(args.out, file=True)
-    field = static_field(load_scenario(args.scenario))
-    save_sdf(field, out)
-    print(f"wrote {args.out}: dims {field.dims}, cell {field.cell_size:.5f} m")
-    return 0
-
-
 def _integer(text: str, low: int) -> int:
     """``text`` as an integer >= ``low``, or an argparse type error."""
     try:
@@ -382,13 +368,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--trials", type=_positive, default=5)
     p_bench.add_argument("--out", default=None)
     p_bench.set_defaults(func=_cmd_bench)
-
-    p_sdf = sub.add_parser("sdf", help="signed distance field utilities")
-    sdf_sub = p_sdf.add_subparsers(dest="sdf_command", required=True)
-    p_build = sdf_sub.add_parser("build", help="build and save the field the planner uses")
-    p_build.add_argument("scenario")
-    p_build.add_argument("--out", required=True)
-    p_build.set_defaults(func=_cmd_sdf_build)
 
     return parser
 

@@ -2,6 +2,8 @@
 
 Static obstacles are baked into a signed distance field that the planner
 queries at collocation parameters with a Lipschitz-based motion margin.
+The field lives in memory only: the planner builds it from the scenario
+(``planner.static_field``), and ``query_extended`` is its one query.
 Moving obstacles are kept apart by time-varying separating hyperplanes,
 whose constraint rows the planner computes in Bernstein form; this module
 supplies their shapes (centers, corners, radii) and the exact box-sphere
@@ -9,8 +11,6 @@ distance used to check the result.
 """
 
 from __future__ import annotations
-
-import struct
 
 import numpy as np
 
@@ -21,20 +21,16 @@ __all__ = [
     "SignedDistanceField",
     "OutOfBoundsError",
     "build_sdf",
-    "sdf_query",
-    "save_sdf",
-    "load_sdf",
     "point_box_distance",
     "box_sphere_distance",
 ]
 
-SDF_MAGIC = b"SDF1"
 EMPTY_FIELD_VALUE = 1e9
 SDF_BLOCK_POINTS = 1 << 16
 
 
 class OutOfBoundsError(ValueError):
-    """Query point outside the field's sampled region."""
+    """Query point that no clipping puts inside the field (a NaN one)."""
 
 
 def _convex_face_planes(vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -177,10 +173,6 @@ class SignedDistanceField:
     def dim(self) -> int:
         return len(self.dims)
 
-    def contains(self, points: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(points)
-        return np.all((pts >= self.origin) & (pts <= self.upper), axis=1)
-
     def _interpolate(self, pts: np.ndarray):
         """Values (N,) and gradients (N, dim) of the interpolant at points
         inside the field, given as (dim, N) rows.
@@ -219,26 +211,17 @@ class SignedDistanceField:
         grads[2] = gx * ee[0] + fx * ee[1]
         return out, (grads / self.cell_size).T
 
-    def query(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Interpolated values and gradients; raises if any point is outside.
-
-        The gradient is the exact derivative of the multilinear interpolant
-        inside each cell (continuous value, per-cell-face piecewise gradient),
-        so values and gradients are mutually consistent for the optimizer.
-        """
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        inside = self.contains(pts)
-        if not np.all(inside):
-            bad = pts[~inside][0]
-            raise OutOfBoundsError(f"query point {bad.tolist()} outside field bounds")
-        return self._interpolate(pts.T)
-
     def query_extended(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Lipschitz lower-bound extension for out-of-bounds points.
+        """Interpolated values (N,) and gradients (N, dim) at points (N, dim),
+        with a Lipschitz lower-bound extension outside the field.
 
-        Outside the field, value = V(clip(p)) - |p - clip(p)|, which is a
+        Inside, the gradient is the exact derivative of the multilinear
+        interpolant in each cell (continuous value, per-cell-face piecewise
+        gradient), so values and gradients are mutually consistent for the
+        optimizer.  Outside, value = V(clip(p)) - |p - clip(p)|, which is a
         valid lower bound on the true signed distance (the field is
-        1-Lipschitz) and drives an optimizer back toward the interior.
+        1-Lipschitz) and drives an optimizer back toward the interior.  A
+        NaN coordinate raises OutOfBoundsError.
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         clipped = np.empty((self.dim, pts.shape[0]))
@@ -299,41 +282,6 @@ def build_sdf(primitives, bounds, cell_size: float) -> SignedDistanceField:
             np.minimum(block, p.signed_distance(pts), out=block)
         values[start : start + step] = block.reshape(grid[0].shape)
     return SignedDistanceField(lo, cell_size, values)
-
-
-def sdf_query(field: SignedDistanceField, point) -> tuple[float, np.ndarray]:
-    """Interpolated signed distance and gradient at one point."""
-    vals, grads = field.query(np.atleast_2d(np.asarray(point, dtype=float)))
-    return float(vals[0]), grads[0]
-
-
-def save_sdf(field: SignedDistanceField, path) -> None:
-    """Binary form: magic 'SDF1', then float64 little-endian header and values.
-
-    Header floats: ndim, dims..., origin..., cell_size; values row-major.
-    """
-    with open(path, "wb") as fh:
-        fh.write(SDF_MAGIC)
-        header = [float(field.dim), *map(float, field.dims), *field.origin,
-                  field.cell_size]
-        fh.write(struct.pack(f"<{len(header)}d", *header))
-        fh.write(field.values.astype("<f8").tobytes(order="C"))
-
-
-def load_sdf(path) -> SignedDistanceField:
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != SDF_MAGIC:
-            raise ValueError(f"not a signed distance field file (magic {magic!r})")
-        (ndim,) = struct.unpack("<d", fh.read(8))
-        ndim = int(ndim)
-        dims = struct.unpack(f"<{ndim}d", fh.read(8 * ndim))
-        origin = struct.unpack(f"<{ndim}d", fh.read(8 * ndim))
-        (cell_size,) = struct.unpack("<d", fh.read(8))
-        dims = tuple(int(d) for d in dims)
-        count = int(np.prod(dims))
-        values = np.frombuffer(fh.read(8 * count), dtype="<f8").reshape(dims)
-    return SignedDistanceField(np.array(origin), cell_size, values.copy())
 
 
 def point_box_distance(points: np.ndarray, box_min, box_max) -> np.ndarray:

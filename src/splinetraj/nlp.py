@@ -5,8 +5,10 @@ vector, feasible at <= 0, together with an adjoint callback that maps
 residual weights to a gradient contribution.  The outer loop follows the
 classic multiplier/penalty schedule; the inner bound-constrained minimization
 is delegated to L-BFGS-B.  Only the outer loop sets the status; after it, a
-solve that did not converge returns its best iterate.  Everything is
-deterministic for fixed inputs.
+solve that did not converge returns its best iterate.  The tolerances and
+iteration limits are the module constants FEAS_TOL, OPT_TOL, MAX_OUTER
+and MAX_INNER, not settings.  Everything is deterministic for fixed
+inputs.
 
 The blocks are equilibrated once per solve.  Each block b gets one fixed
 scale s_b = sqrt(max(max |r_b(x0)|, 1e-12)) from its residuals at the
@@ -19,6 +21,9 @@ max |r_b(x0)| weights a large block down so far that the first inner
 solve can trade it away and not recover.  The scales are positive, so the
 feasible set is unchanged, and the violation measures, the best-iterate
 rule and every status test read the unscaled rows.
+
+A converged solve stops through the KKT test or the flat-objective rule;
+the result names which (``stop``), and the solve logs it once at INFO.
 """
 
 from __future__ import annotations
@@ -30,7 +35,6 @@ import numpy as np
 from scipy.optimize import minimize
 
 __all__ = [
-    "SolverConfig",
     "ConstraintBlock",
     "SolverResult",
     "AugmentedLagrangianSolver",
@@ -47,20 +51,12 @@ RHO_MAX = 1e8
 # Floor under max |r_b(x0)| in a block's scale, so a block at zero at the
 # start (all rows exactly active) gets the finite scale 1e-6.
 SCALE_FLOOR = 1e-12
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    """Tolerances and limits of the embedded solver.
-
-    feas_tol / opt_tol are the convergence thresholds on the maximum
-    constraint violation and the projected KKT gradient.
-    """
-
-    feas_tol: float = 1e-6
-    opt_tol: float = 1e-5
-    max_outer: int = 50
-    max_inner: int = 500
+# Thresholds on the raw violation and the projected KKT gradient, and the
+# outer and per-inner-solve iteration limits; read when ``solve`` runs.
+FEAS_TOL = 1e-6
+OPT_TOL = 1e-5
+MAX_OUTER = 50
+MAX_INNER = 500
 
 
 class ConstraintBlock:
@@ -120,7 +116,10 @@ class SolverResult:
     the largest penalty) or stalled (it did, but each of those inner solves
     failed its first line search and took no step).  Unless converged,
     ``x`` is the iterate of least raw violation, then least objective.
-    ``block_scales`` maps each block's name to its fixed scale s_b."""
+    ``block_scales`` maps each block's name to its fixed scale s_b.
+    ``stop`` names the test that ended a converged solve (``kkt`` or
+    ``flat_objective``; None otherwise) with the final KKT residual and
+    its scale."""
 
     x: np.ndarray
     status: str
@@ -132,6 +131,7 @@ class SolverResult:
     block_violations: dict[str, float] = field(default_factory=dict)
     trace: list = field(default_factory=list)
     block_scales: dict[str, float] = field(default_factory=dict)
+    stop: dict = field(default_factory=dict)
 
     @property
     def converged(self) -> bool:
@@ -141,18 +141,16 @@ class SolverResult:
 class AugmentedLagrangianSolver:
     """Method of multipliers over constraint blocks with box-bounded variables."""
 
-    def __init__(self, objective, blocks, bounds=None, config: SolverConfig | None = None):
+    def __init__(self, objective, blocks, bounds=None):
         """
         Args:
             objective: Callable x -> (value, gradient).
             blocks: Constraint blocks; may be empty.
             bounds: Optional list of (lo, hi) pairs per variable (None = free).
-            config: Solver configuration.
         """
         self.objective = objective
         self.blocks = list(blocks)
         self.bounds = bounds
-        self.config = config or SolverConfig()
 
     def _eval_blocks(self, x: np.ndarray):
         out = []
@@ -243,7 +241,6 @@ class AugmentedLagrangianSolver:
         and the KKT residual.  The evaluation at x0 fixes the block
         scales for the whole solve.
         """
-        cfg = self.config
         x = np.array(x0, dtype=float)
         evals = self._eval_blocks(x)
         scales = self._block_scales(evals)
@@ -264,8 +261,9 @@ class AugmentedLagrangianSolver:
         outer = 0
         feasible_objectives: list[float] = []
         trace: list[dict] = []
-        kkt = np.inf
-        for outer in range(1, cfg.max_outer + 1):
+        kkt, kkt_scale = np.inf, 1.0
+        stop_test = None
+        for outer in range(1, MAX_OUTER + 1):
             scaled = self._scaled_multipliers(multipliers, rho)
             res = minimize(
                 lambda z: self._al_value_grad(z, rho, scaled, scales),
@@ -274,9 +272,9 @@ class AugmentedLagrangianSolver:
                 method="L-BFGS-B",
                 bounds=self.bounds,
                 options={
-                    "maxiter": cfg.max_inner,
+                    "maxiter": MAX_INNER,
                     "ftol": 1e-14,
-                    "gtol": max(omega, 0.1 * cfg.opt_tol),
+                    "gtol": max(omega, 0.1 * OPT_TOL),
                 },
             )
             x = res.x
@@ -289,10 +287,10 @@ class AugmentedLagrangianSolver:
             if best is None or (raw_viol, f) < best[:2]:
                 best = (raw_viol, f, x.copy(), dict(per_block), evals)
 
-            small = viol <= max(eta, cfg.feas_tol)
+            small = viol <= max(eta, FEAS_TOL)
             # Strictly inside the raw constraints counts even when the
             # cushioned residual is stalling on nonsmooth kinks.
-            feasible = raw_viol <= cfg.feas_tol
+            feasible = raw_viol <= FEAS_TOL
             if small or feasible:
                 for mult, (_, r, _), s in zip(multipliers, evals, scales):
                     np.copyto(mult, np.maximum(0.0, mult + rho * r / s))
@@ -302,21 +300,23 @@ class AugmentedLagrangianSolver:
                     feasible_objectives.append(f)
                     # Converged, or feasible with the objective no longer
                     # moving: locally non-improvable within tolerance.
-                    if kkt <= cfg.opt_tol * kkt_scale or (
-                        len(feasible_objectives) >= 3
-                        and np.ptp(feasible_objectives[-3:])
-                        <= cfg.opt_tol * max(1.0, abs(f))
-                    ):
+                    if kkt <= OPT_TOL * kkt_scale:
+                        stop_test = "kkt"
+                    elif (len(feasible_objectives) >= 3
+                          and np.ptp(feasible_objectives[-3:])
+                          <= OPT_TOL * max(1.0, abs(f))):
+                        stop_test = "flat_objective"
+                    if stop_test is not None:
                         status = "converged"
                         break
             if small:
-                eta = max(eta / rho**0.9, 0.1 * cfg.feas_tol)
-                omega = max(omega / rho, 0.01 * cfg.opt_tol)
+                eta = max(eta / rho**0.9, 0.1 * FEAS_TOL)
+                omega = max(omega / rho, 0.01 * OPT_TOL)
             else:
                 rho = min(rho * RHO_GROWTH, RHO_MAX)
-                eta = max(1.0 / rho**0.1, cfg.feas_tol)
-                omega = max(1.0 / rho, 0.01 * cfg.opt_tol)
-                if rho >= RHO_MAX and raw_viol > cfg.feas_tol:
+                eta = max(1.0 / rho**0.1, FEAS_TOL)
+                omega = max(1.0 / rho, 0.01 * OPT_TOL)
+                if rho >= RHO_MAX and raw_viol > FEAS_TOL:
                     if viol >= 0.99 * prev_viol:
                         stagnant += 1
                         no_steps += (res.nit == 0
@@ -334,8 +334,11 @@ class AugmentedLagrangianSolver:
             raw_viol, f, x, per_block, evals = best
 
         if not np.isfinite(kkt):
-            kkt, _ = self._kkt_residual(x, multipliers, evals, scales)
+            kkt, kkt_scale = self._kkt_residual(x, multipliers, evals, scales)
+        stop = {"test": stop_test, "kkt_residual": kkt, "kkt_scale": kkt_scale}
+        log.info("stop: %s, kkt residual %.3e, scale %.3g", stop_test, kkt,
+                 kkt_scale)
         return SolverResult(
             x, status, f, outer, inner_total, raw_viol, kkt, per_block, trace,
-            block_scales,
+            block_scales, stop,
         )

@@ -1002,12 +1002,12 @@ def _chain_workspace_bounds(scenario: Scenario, rates: np.ndarray) -> list[float
 
 def static_field(scenario: Scenario) -> SignedDistanceField:
     """The signed distance field of the scenario's static obstacles over its
-    workspace box, at ``collision.cell_size`` or, by default, 1/128 of the
-    box's longest side: the field the planner's SDF clearance queries."""
+    workspace box, at 1/128 of the box's longest side (129 nodes on that
+    axis): the field the planner's SDF clearance queries."""
     statics = [o for o in scenario.obstacles if o.is_static]
     extent = float((scenario.workspace_max - scenario.workspace_min).max())
-    cell = scenario.collision.cell_size or extent / 128.0
-    return build_sdf(statics, (scenario.workspace_min, scenario.workspace_max), cell)
+    return build_sdf(statics, (scenario.workspace_min, scenario.workspace_max),
+                     extent / 128.0)
 
 
 def _time_heuristic(scenario: Scenario) -> float:
@@ -1186,10 +1186,11 @@ def initial_guess(problem: PlanningProblem) -> DecisionVector:
 class Solution:
     """Solved trajectory with diagnostics.
 
-    ``trace`` holds the solver's per-outer-iteration record and
-    ``block_scales`` its fixed scale per constraint family (see
-    ``nlp.AugmentedLagrangianSolver.solve``); both are run diagnostics and
-    not part of the stored solution.
+    ``trace`` holds the solver's per-outer-iteration record,
+    ``block_scales`` its fixed scale per constraint family and ``stop`` the
+    test that ended a converged solve with the final KKT residual and its
+    scale (see ``nlp.AugmentedLagrangianSolver.solve``); all three are run
+    diagnostics and not part of the stored solution.
     """
 
     decision: DecisionVector
@@ -1202,6 +1203,7 @@ class Solution:
     block_violations: dict[str, float]
     trace: list = field(default_factory=list)
     block_scales: dict[str, float] = field(default_factory=dict)
+    stop: dict = field(default_factory=dict)
 
     @property
     def converged(self) -> bool:
@@ -1262,10 +1264,8 @@ def solve(problem: PlanningProblem, guess: DecisionVector | None = None) -> Solu
         return Solution(dv, "converged", dv.T, 0, 0, 0.0, 0.0, {})
     dv0 = guess or initial_guess(problem)
     x0 = problem.layout.pack(dv0)
-    solver = AugmentedLagrangianSolver(
-        problem.objective, problem.families,
-        bounds=problem.layout.bounds(T_MIN), config=problem.scenario.solver,
-    )
+    solver = AugmentedLagrangianSolver(problem.objective, problem.families,
+                                       bounds=problem.layout.bounds(T_MIN))
     result = solver.solve(x0)
     return Solution(
         decision=problem.layout.unpack(result.x).copy(),
@@ -1278,6 +1278,7 @@ def solve(problem: PlanningProblem, guess: DecisionVector | None = None) -> Solu
         block_violations=result.block_violations,
         trace=result.trace,
         block_scales=result.block_scales,
+        stop=result.stop,
     )
 
 

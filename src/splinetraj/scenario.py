@@ -26,7 +26,6 @@ import numpy as np
 from .bspline import BSpline, KnotVector, clamp_knots
 from .collision import ObstaclePrimitive
 from .kinematics import DHChain, DHLink
-from .nlp import SolverConfig
 
 __all__ = [
     "ScenarioError",
@@ -113,12 +112,6 @@ def _count(value, path: str, minimum: int = 1) -> int:
     return int(value)
 
 
-def _tolerance(value, path: str) -> float:
-    if not _is_number(value) or value <= 0.0:
-        raise ScenarioError(f"{path}: must be a finite number > 0")
-    return float(value)
-
-
 @dataclass(frozen=True)
 class MobileRobot:
     """Spherical holonomic vehicle."""
@@ -202,21 +195,18 @@ class Limits:
 
 @dataclass(frozen=True)
 class CollisionSettings:
-    """Collision machinery knobs; a cell_size of None selects the default.
+    """Collision machinery knobs.
 
-    The SDF motion margin and its Lipschitz factor are not settings: the
-    planner always derives them, so the clearance guarantee holds.
+    The SDF grid spacing, the motion margin and its Lipschitz factor are
+    not settings: the planner always derives them (``planner.static_field``
+    and ``SDFClearanceFamily``), so the clearance guarantee holds and the
+    field's size stays bounded.
     """
 
-    cell_size: float | None = None
     collocation_per_span: int = 8
     static_mode: str = "sdf"
 
     def __post_init__(self):
-        if self.cell_size is not None and not (
-                math.isfinite(self.cell_size) and self.cell_size > 0.0):
-            raise ScenarioError(
-                "collision.cell_size: must be a finite number > 0 or 'auto'")
         if self.collocation_per_span < 2:
             raise ScenarioError("collision.collocation_per_span: must be >= 2")
         if self.static_mode not in ("sdf", "hyperplane"):
@@ -235,7 +225,6 @@ class Scenario:
     obstacles: tuple[ObstaclePrimitive, ...]
     workspace_min: np.ndarray
     workspace_max: np.ndarray
-    solver: SolverConfig
     collision: CollisionSettings
 
     @property
@@ -349,6 +338,9 @@ def parse_scenario(obj: dict) -> Scenario:
         ["name", "robot", "boundary", "limits", "workspace"],
         ["basis", "obstacles", "solver", "collision"],
     )
+    if "solver" in obj:  # the settings are nlp constants; name any key set
+        _require_keys(obj["solver"], "solver", [])
+        raise ScenarioError("scenario.solver: unknown field")
     if not isinstance(obj["name"], str):
         raise ScenarioError("name: must be a string")
     robot = _parse_robot(obj["robot"])
@@ -419,27 +411,10 @@ def parse_scenario(obj: dict) -> Scenario:
         for i, o in enumerate(_list(obj.get("obstacles", []), "obstacles"))
     )
 
-    solver_obj = obj.get("solver", {})
-    _require_keys(solver_obj, "solver", [],
-                  ["feas_tol", "opt_tol", "max_outer", "max_inner"])
-    solver = SolverConfig(
-        feas_tol=_tolerance(solver_obj.get("feas_tol", 1e-6), "solver.feas_tol"),
-        opt_tol=_tolerance(solver_obj.get("opt_tol", 1e-5), "solver.opt_tol"),
-        max_outer=_count(solver_obj.get("max_outer", 50), "solver.max_outer"),
-        max_inner=_count(solver_obj.get("max_inner", 500), "solver.max_inner"),
-    )
-
     col_obj = obj.get("collision", {})
     _require_keys(col_obj, "collision", [],
-                  ["cell_size", "collocation_per_span", "static_mode"])
-    cell_size = col_obj.get("cell_size")
-    if cell_size == "auto":
-        cell_size = None
-    elif cell_size is not None:
-        # Anything but a number is rejected by CollisionSettings as NaN.
-        cell_size = float(cell_size) if _is_number(cell_size) else math.nan
+                  ["collocation_per_span", "static_mode"])
     collision = CollisionSettings(
-        cell_size=cell_size,
         collocation_per_span=_count(col_obj.get("collocation_per_span", 8),
                                     "collision.collocation_per_span", 2),
         static_mode=col_obj.get("static_mode", "sdf"),
@@ -487,7 +462,6 @@ def parse_scenario(obj: dict) -> Scenario:
         obstacles=obstacles,
         workspace_min=ws_min,
         workspace_max=ws_max,
-        solver=solver,
         collision=collision,
     )
 

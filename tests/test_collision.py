@@ -16,10 +16,7 @@ from splinetraj.collision import (
     SignedDistanceField,
     box_sphere_distance,
     build_sdf,
-    load_sdf,
     point_box_distance,
-    save_sdf,
-    sdf_query,
 )
 from splinetraj.kinematics import DHChain, DHLink, NumericFK
 from splinetraj.planner import (
@@ -61,10 +58,9 @@ class TestBuildSDF:
         sphere = ObstaclePrimitive.sphere([0.0, 0.0, 0.0], 0.5)
         field = build_sdf([sphere], ([-2, -2, -2], [2, 2, 2]), 0.25)
         # Node exactly 1.0 from the center along x.
-        val, _ = sdf_query(field, [1.0, 0.0, 0.0])
-        assert val == pytest.approx(0.5, abs=1e-12)
-        val_c, _ = sdf_query(field, [0.0, 0.0, 0.0])
-        assert val_c == pytest.approx(-0.5, abs=1e-12)
+        vals, _ = field.query_extended([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+        assert vals[0] == pytest.approx(0.5, abs=1e-12)
+        assert vals[1] == pytest.approx(-0.5, abs=1e-12)
 
     def test_two_overlapping_boxes_brute_force(self):
         rng = np.random.default_rng(3)
@@ -75,7 +71,7 @@ class TestBuildSDF:
         # Snap to grid nodes so interpolation does not enter the comparison.
         pts = field.origin + np.round((pts - field.origin) / 0.1) * 0.1
         pts = np.clip(pts, field.origin, field.upper)
-        vals, _ = field.query(pts)
+        vals, _ = field.query_extended(pts)
         ref = np.minimum(
             brute_force_box_sd(pts, [-0.5, -0.5], [0.3, 0.4]),
             brute_force_box_sd(pts, [0.0, -0.2], [0.8, 0.6]),
@@ -109,14 +105,14 @@ class TestSDFQuery:
     def test_grid_node_exact(self):
         idx = (10, 20, 30)
         p = self.field.origin + np.array(idx) * self.field.cell_size
-        val, _ = sdf_query(self.field, p)
-        assert val == pytest.approx(self.field.values[idx], abs=1e-12)
+        vals, _ = self.field.query_extended(p)
+        assert vals[0] == pytest.approx(self.field.values[idx], abs=1e-12)
 
     def test_boundary_within_cell(self):
         rng = np.random.default_rng(5)
         dirs = rng.normal(size=(50, 3))
         dirs /= np.linalg.norm(dirs, axis=1)[:, None]
-        vals, _ = self.field.query(0.5 * dirs)
+        vals, _ = self.field.query_extended(0.5 * dirs)
         assert np.abs(vals).max() <= self.field.cell_size
 
     def test_random_queries_vs_analytic(self):
@@ -124,24 +120,20 @@ class TestSDFQuery:
         pts = rng.uniform(-1.8, 1.8, (2000, 3))
         # Stay a few cells away from the center kink of the sphere SD.
         pts = pts[np.linalg.norm(pts, axis=1) > 0.2]
-        vals, _ = self.field.query(pts)
+        vals, _ = self.field.query_extended(pts)
         ref = brute_force_sphere_sd(pts, np.zeros(3), 0.5)
         assert np.abs(vals - ref).max() <= self.field.cell_size
 
     def test_gradient_points_outward(self):
-        val, grad = sdf_query(self.field, [1.0, 0.0, 0.0])
-        assert grad[0] > 0.5
-        np.testing.assert_allclose(grad[1:], 0.0, atol=0.05)
-
-    def test_out_of_bounds(self):
-        with pytest.raises(OutOfBoundsError):
-            sdf_query(self.field, [5.0, 0.0, 0.0])
+        _, grads = self.field.query_extended([1.0, 0.0, 0.0])
+        assert grads[0, 0] > 0.5
+        np.testing.assert_allclose(grads[0, 1:], 0.0, atol=0.05)
 
     def test_extended_query_lower_bound(self):
         p = np.array([[3.0, 0.0, 0.0]])
         vals, grads = self.field.query_extended(p)
-        inside_val, _ = sdf_query(self.field, [2.0, 0.0, 0.0])
-        assert vals[0] == pytest.approx(inside_val - 1.0, abs=1e-12)
+        inside_vals, _ = self.field.query_extended([2.0, 0.0, 0.0])
+        assert vals[0] == pytest.approx(inside_vals[0] - 1.0, abs=1e-12)
         assert grads[0][0] < 0.0
 
 
@@ -221,7 +213,8 @@ class TestInterpolationKernel:
         nodes = lo + h * rng.integers(0, np.array(dims), (100, len(dims)))
         corners = np.array([lo, hi])
         pts = np.vstack([inside, last_cell, nodes, corners])
-        for mine, ref in zip(field.query(pts), reference_interpolate(field, pts)):
+        for mine, ref in zip(field.query_extended(pts),
+                             reference_interpolate(field, pts)):
             assert_bitwise(mine, ref)
         span = hi - lo
         outside = rng.uniform(lo - span, hi + span, (500, len(dims)))
@@ -332,24 +325,6 @@ class TestSignCorrectness:
             # Distance lower bound check via any hull vertex.
             true_dist = np.linalg.norm(verts - p, axis=1).min()
             assert v <= true_dist + 1e-9
-
-
-class TestSerialization:
-    def test_round_trip(self, tmp_path):
-        sphere = ObstaclePrimitive.sphere([0.0, 0.3], 0.4)
-        field = build_sdf([sphere], ([-1, -1], [1, 1]), 0.125)
-        path = tmp_path / "field.sdf"
-        save_sdf(field, path)
-        loaded = load_sdf(path)
-        np.testing.assert_array_equal(loaded.values, field.values)
-        np.testing.assert_array_equal(loaded.origin, field.origin)
-        assert loaded.cell_size == field.cell_size
-
-    def test_magic_check(self, tmp_path):
-        path = tmp_path / "junk.sdf"
-        path.write_bytes(b"NOPE" + b"\x00" * 64)
-        with pytest.raises(ValueError):
-            load_sdf(path)
 
 
 def layout_for(C, world_dim, n_planes=0):

@@ -5,12 +5,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from splinetraj.nlp import (
-    RHO_MAX,
-    AugmentedLagrangianSolver,
-    ConstraintBlock,
-    SolverConfig,
-)
+from splinetraj import nlp
+from splinetraj.nlp import RHO_MAX, AugmentedLagrangianSolver, ConstraintBlock
 from splinetraj.planner import T_MIN, assemble, initial_guess
 from splinetraj.scenario import load_scenario, parse_scenario
 
@@ -62,8 +58,14 @@ def projected_gradient_qp(target, A, b, lo, hi, iters=200000, step=None):
     return x
 
 
+def tight_tolerances(monkeypatch):
+    """The QP tests' feas_tol 1e-10 and opt_tol 1e-8."""
+    monkeypatch.setattr(nlp, "FEAS_TOL", 1e-10)
+    monkeypatch.setattr(nlp, "OPT_TOL", 1e-8)
+
+
 class TestQPFloor:
-    def test_matches_projected_gradient_oracle(self):
+    def test_matches_projected_gradient_oracle(self, monkeypatch):
         # Coefficient box + velocity-style coefficient limits around a target:
         # the planner's QP-reducible core (fixed time, limits only).
         rng = np.random.default_rng(3)
@@ -78,11 +80,11 @@ class TestQPFloor:
         def objective(x):
             return float((x - target) @ (x - target)), 2.0 * (x - target)
 
+        tight_tolerances(monkeypatch)
         solver = AugmentedLagrangianSolver(
             objective,
             [LinearInequalityBlock("box_rows", A, b)],
             bounds=[(l, h) for l, h in zip(lo, hi)],
-            config=SolverConfig(feas_tol=1e-10, opt_tol=1e-8),
         )
         result = solver.solve(np.zeros(n))
         oracle = np.clip(target, -1.0, 1.0)  # analytic optimum of this QP
@@ -91,27 +93,29 @@ class TestQPFloor:
         np.testing.assert_allclose(result.x, oracle, atol=1e-6)
         np.testing.assert_allclose(result.x, pg, atol=1e-6)
 
-    def test_infeasible_detected(self):
-        cfg = SolverConfig(max_outer=30)
-        solver = AugmentedLagrangianSolver(square, [Contradiction()], config=cfg)
+    def test_infeasible_detected(self, monkeypatch):
+        monkeypatch.setattr(nlp, "MAX_OUTER", 30)
+        solver = AugmentedLagrangianSolver(square, [Contradiction()])
         result = solver.solve(np.array([0.0]))
         assert result.status == "infeasible"
         assert result.max_violation > 0.5
         # An empty feasible set still moves the inner solves; none stalls.
         assert not result.trace[-1]["lbfgsb_message"].startswith("ABNORMAL")
 
-    def test_outer_limit_is_max_iterations_whatever_the_violation(self):
+    def test_outer_limit_is_max_iterations_whatever_the_violation(self,
+                                                                  monkeypatch):
         # rho reaches its cap after outer iteration 7, so 8 iterations see
         # only 2 stagnant ones of the 3 that mean infeasible: the limit ran
         # out first, and the status says so.
-        solver = AugmentedLagrangianSolver(square, [Contradiction()],
-                                           config=SolverConfig(max_outer=8))
+        monkeypatch.setattr(nlp, "MAX_OUTER", 8)
+        solver = AugmentedLagrangianSolver(square, [Contradiction()])
         result = solver.solve(np.array([0.0]))
         assert result.status == "max-iterations"
         assert result.outer_iterations == 8
         assert result.trace[-1]["rho"] == RHO_MAX
         assert result.max_violation > 0.5
         assert not any("restoration" in entry for entry in result.trace)
+        assert result.stop["test"] is None
 
     def test_stalled_line_search_is_not_infeasible(self):
         # A 3-circle slalom of the mobile benchmark: once rho is at its cap,
@@ -223,7 +227,7 @@ class TestAugmentedLagrangianBitIdentity:
         problem = assemble(scenario())
         solver = AugmentedLagrangianSolver(
             problem.objective, problem.families,
-            bounds=problem.layout.bounds(T_MIN), config=problem.scenario.solver)
+            bounds=problem.layout.bounds(T_MIN))
         rng = np.random.default_rng(23)
         x0 = problem.layout.pack(initial_guess(problem))
         start_scales = reference_block_scales(problem.families, x0)
@@ -260,7 +264,7 @@ class TestBlockScales:
     s_b = sqrt(max(max |r_b(x0)|, 1e-12)); feasibility reads the
     unscaled rows."""
 
-    def test_scales_fixed_at_the_start_leave_the_optimum(self):
+    def test_scales_fixed_at_the_start_leave_the_optimum(self, monkeypatch):
         # The QP of test_matches_projected_gradient_oracle without its box,
         # its rows split into two blocks, one of them multiplied by 100:
         # the scales differ, the feasible set and the optimum do not.
@@ -273,9 +277,8 @@ class TestBlockScales:
         def objective(x):
             return float((x - target) @ (x - target)), 2.0 * (x - target)
 
-        solver = AugmentedLagrangianSolver(
-            objective, [upper, lower],
-            config=SolverConfig(feas_tol=1e-10, opt_tol=1e-8))
+        tight_tolerances(monkeypatch)
+        solver = AugmentedLagrangianSolver(objective, [upper, lower])
         x0 = np.full(n, 0.5)
         result = solver.solve(x0)
         assert result.block_scales == {
@@ -318,7 +321,22 @@ class TestChainPlansConverge:
         assert sol.objective <= 1.12546
         value, scale = kkt[-1]
         assert sol.kkt_residual == value
-        assert value <= problem.scenario.solver.opt_tol * scale
+        assert value <= nlp.OPT_TOL * scale
+
+    def test_stop_test_of_each_plan(self):
+        # threelink still stops through the flat-objective rule (KKT
+        # residual / scale about 5.7e-5 there), fanuc6_static through the
+        # KKT test.
+        from splinetraj.planner import solve
+
+        for name, test in (("threelink", "flat_objective"),
+                           ("fanuc6_static", "kkt")):
+            sol = solve(assemble(load_scenario(SCENARIO_DIR / f"{name}.json")))
+            assert sol.status == "converged", name
+            assert sol.stop["test"] == test, name
+            assert sol.stop["kkt_residual"] == sol.kkt_residual, name
+            ratio = sol.stop["kkt_residual"] / sol.stop["kkt_scale"]
+            assert (ratio <= nlp.OPT_TOL) == (test == "kkt"), name
 
     def test_fanuc6_dynamic_jittered_starts(self):
         # Built as tools/jitter_sweep.py builds them: the interior joint

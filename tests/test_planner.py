@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from splinetraj import nlp
 from splinetraj.bspline import BSpline, KnotVector, basis_matrix, clamp_knots
 from splinetraj.cli import benchmark_obstacles, export_trajectory
 from splinetraj.kinematics import NumericFK, unwrap_half_angles
@@ -280,12 +281,8 @@ class TestInitialGuess:
         sol = solve(prob)
         assert sol.converged
         # Reconstruct the trace through the nlp solver.
-        from splinetraj.nlp import AugmentedLagrangianSolver
-
-        solver = AugmentedLagrangianSolver(
-            prob.objective, prob.families,
-            bounds=prob.layout.bounds(T_MIN), config=scn.solver,
-        )
+        solver = nlp.AugmentedLagrangianSolver(
+            prob.objective, prob.families, bounds=prob.layout.bounds(T_MIN))
         result = solver.solve(prob.layout.pack(initial_guess(prob)))
         trace = result.trace
         assert len(trace) >= 1
@@ -418,8 +415,9 @@ class TestUnpackMemo:
         np.testing.assert_array_equal(first.plane_coeffs[0], ab0)
         assert layout.unpack(x) is second
 
-    def test_solution_decision_is_private(self):
-        scn = mobile_scenario(obstacles=[MOVING_SPHERE], solver={"max_outer": 3})
+    def test_solution_decision_is_private(self, monkeypatch):
+        monkeypatch.setattr(nlp, "MAX_OUTER", 3)
+        scn = mobile_scenario(obstacles=[MOVING_SPHERE])
         prob = assemble(scn)
         sol = solve(prob)
         x = prob.layout.pack(sol.decision)
@@ -486,10 +484,10 @@ class TestSolve:
             sol.decision.joint_coeffs, np.tile([1.0, 0.5], (13, 1))
         )
 
-    def test_infeasible_goal_inside_obstacle(self):
+    def test_infeasible_goal_inside_obstacle(self, monkeypatch):
+        monkeypatch.setattr(nlp, "MAX_OUTER", 12)
         scn = mobile_scenario(
             boundary={"initial": [0.0, 0.0], "goal": [1.5, 0.45], "units": "m"},
-            solver={"max_outer": 12},
         )
         prob = assemble(scn)
         sol = solve(prob)
@@ -501,7 +499,7 @@ class TestSolve:
         prob = assemble(mobile_scenario())
         sol = solve(prob)
         assert sol.converged
-        assert sol.max_violation <= scnario_feas_tol(prob)
+        assert sol.max_violation <= nlp.FEAS_TOL
 
     def test_determinism_bit_identical(self):
         prob1 = assemble(mobile_scenario())
@@ -607,10 +605,6 @@ class TestPrismaticJoint:
         parse_scenario(dict(obj, collision={"static_mode": "hyperplane"}))
         obj["limits"] = dict(obj["limits"], angle_min=[-2.0, 0.0], angle_max=[2.0, 1.0])
         parse_scenario(obj)
-
-
-def scnario_feas_tol(prob):
-    return prob.scenario.solver.feas_tol
 
 
 class TestVerify:

@@ -23,13 +23,13 @@ from splinetraj.cli import (
     run,
     write_benchmark_csv,
 )
-from splinetraj.collision import load_sdf
+from splinetraj import nlp
 from splinetraj.planner import (
-    SDFClearanceFamily,
     Solution,
     assemble,
     initial_guess,
     solve,
+    static_field,
 )
 from splinetraj.scenario import (
     ScenarioError,
@@ -119,18 +119,10 @@ class TestParsing:
     @pytest.mark.parametrize("value", [-0.05, 0, 0.0, float("nan"),
                                        float("inf"), "fine", [0.05], True, "0.05"])
     def test_bad_cell_size_rejected(self, value):
-        # Not a finite number > 0: 0 used to be read as "auto" and a
-        # negative or NaN size failed only inside the SDF build.
-        with pytest.raises(ScenarioError, match="collision.cell_size"):
+        # The grid spacing is derived from the workspace (static_field), so
+        # every value, a valid size of old included, is an unknown field.
+        with pytest.raises(ScenarioError, match="collision.cell_size: unknown field"):
             parse_scenario(minimal_mobile(collision={"cell_size": value}))
-
-    @pytest.mark.parametrize("collision, expected", [
-        ({}, None), ({"cell_size": "auto"}, None), ({"cell_size": None}, None),
-        ({"cell_size": 0.05}, 0.05), ({"cell_size": 1}, 1.0),
-    ])
-    def test_cell_size_auto_or_positive(self, collision, expected):
-        scn = parse_scenario(minimal_mobile(collision=collision))
-        assert scn.collision.cell_size == expected
 
     def test_empty_obstacles_valid(self):
         scn = parse_scenario(minimal_mobile())
@@ -164,6 +156,7 @@ class TestParsing:
 
     @pytest.mark.parametrize("block, key, value", [
         ("limits", "units", "degrees"),
+        # The solver's settings are constants: each key is rejected by name.
         ("solver", "feas_tol", -1),
         ("solver", "feas_tol", 0.0),
         ("solver", "opt_tol", float("nan")),
@@ -247,11 +240,9 @@ class TestParsing:
     def test_integral_numbers_accepted(self):
         obj = json.loads((SCENARIO_DIR / "threelink.json").read_text())
         obj["robot"]["halving_depth"] = [1, 2.0, 1]
-        obj["solver"] = {"max_outer": 40.0, "max_inner": 300, "feas_tol": 1e-6}
         obj["collision"] = {"collocation_per_span": 6.0}
         scn = parse_scenario(obj)
         assert scn.robot.halving_depths == (1, 2, 1)
-        assert (scn.solver.max_outer, scn.solver.max_inner) == (40, 300)
         assert scn.collision.collocation_per_span == 6
 
 
@@ -273,6 +264,16 @@ class TestBundledScenarios:
         assert chain.links[5].d == -0.19
         assert chain.links[2].a == 0.035
         assert len(chain) == 6
+
+    @pytest.mark.parametrize("path", sorted(SCENARIO_DIR.glob("*.json")),
+                             ids=lambda p: p.stem)
+    def test_default_cell_is_a_128th_of_the_longest_side(self, path):
+        scn = load_scenario(path)
+        field = static_field(scn)
+        extent = scn.workspace_max - scn.workspace_min
+        assert field.cell_size == extent.max() / 128.0
+        assert max(field.dims) == 129
+        assert field.dims[int(np.argmax(extent))] == 129
 
 
 class TestExport:
@@ -449,16 +450,23 @@ class TestRun:
             assert set(entry["block_violations"]) == set(report["problem"][
                 "constraints"])
         # One line of block scales per solve, then one line per outer
-        # iteration.
+        # iteration, then the stop line.
         lines = [r.getMessage() for r in caplog.records
                  if r.name == "splinetraj.nlp"]
-        assert len(lines) == len(trace) + 1
+        assert len(lines) == len(trace) + 2
         scales = report["block_scales"]
         assert list(scales) == list(report["problem"]["constraints"])
         assert all(s > 0.0 for s in scales.values())
         assert lines[0] == "block scales: " + ", ".join(
             f"{name}={s:.3g}" for name, s in scales.items())
-        assert all(line.startswith("outer ") for line in lines[1:])
+        assert all(line.startswith("outer ") for line in lines[1:-1])
+        stop = report["stop"]
+        assert set(stop) == {"test", "kkt_residual", "kkt_scale"}
+        assert stop["test"] in ("kkt", "flat_objective")
+        assert stop["kkt_residual"] == solution["kkt_residual"]
+        assert lines[-1] == (f"stop: {stop['test']}, kkt residual "
+                             f"{stop['kkt_residual']:.3e}, scale "
+                             f"{stop['kkt_scale']:.3g}")
         assert set(report["timings"]) == {"assemble_s", "solve_s", "verify_s",
                                           "export_s"}
 
@@ -470,16 +478,19 @@ class TestCLI:
         assert code == 0
 
     def test_invalid_input_exit_three(self, tmp_path, capsys):
-        # dynamics is a removed key: rejected even when null.
+        # dynamics and solver are removed keys: rejected even when null or
+        # empty.
         bad = tmp_path / "bad.json"
         for key, value in (("turbo", 1), ("dynamics", None),
-                           ("dynamics", {"poly": [[0.0, -0.5], [1.0]]})):
+                           ("dynamics", {"poly": [[0.0, -0.5], [1.0]]}),
+                           ("solver", {})):
             bad.write_text(json.dumps(minimal_mobile(**{key: value})))
             assert main(["solve", str(bad)]) == 3
             assert f"scenario.{key}: unknown field" in capsys.readouterr().err
 
     @pytest.mark.parametrize("value", [-0.05, 0, float("nan")])
     def test_bad_cell_size_exit_three(self, tmp_path, capsys, value):
+        # Any cell_size is rejected now: the grid spacing is derived.
         obj = json.loads((SCENARIO_DIR / "mobile2d.json").read_text())
         obj.setdefault("collision", {})["cell_size"] = value
         bad = tmp_path / "cell.json"
@@ -490,6 +501,7 @@ class TestCLI:
     @pytest.mark.parametrize("name, block, key, value", [
         ("threelink", "robot", "halving_depth", 0),
         ("threelink", "limits", "units", "degrees"),
+        # Any solver key is rejected now, by name: the settings are constants.
         ("mobile2d", "solver", "max_outer", 0),
     ])
     def test_bad_numeric_input_exit_three(self, tmp_path, capsys, name, block,
@@ -509,9 +521,10 @@ class TestCLI:
         (["bench", "{bench}", "--trials", "0"], "--trials"),
         (["solve", "{scenario}", "--samples", "ten"], "--samples"),
         (["plan", "{scenario}"], "plan"),
+        (["sdf", "build", "{scenario}"], "sdf"),
     ], ids=["oversample_zero", "oversample_negative", "samples_negative",
             "counts_not_integers", "trials_zero", "samples_not_an_integer",
-            "unknown_command"])
+            "unknown_command", "sdf_build"])
     def test_bad_argument_exit_three(self, tmp_path, capsys, argv, name):
         # Rejected before any work as invalid input; exit 2 would read as
         # "not converged / not verified".
@@ -649,30 +662,6 @@ class TestCLI:
         assert code == 3
         assert "malformed JSON" in capsys.readouterr().err
 
-    def test_sdf_build(self, tmp_path):
-        out = tmp_path / "field.sdf"
-        code = main(["sdf", "build", str(SCENARIO_DIR / "mobile2d.json"),
-                     "--out", str(out)])
-        assert code == 0
-        field = load_sdf(out)
-        assert field.dim == 2
-        # default grid resolution: max extent / 128
-        assert field.cell_size == pytest.approx(4.0 / 128.0)
-
-    @pytest.mark.parametrize("name", ["mobile2d", "threelink"])
-    def test_sdf_build_writes_the_planner_field(self, tmp_path, name):
-        path = SCENARIO_DIR / f"{name}.json"
-        out = tmp_path / "field.sdf"
-        assert main(["sdf", "build", str(path), "--out", str(out)]) == 0
-        problem = assemble(load_scenario(path))
-        planned = next(f.field for f in problem.families
-                       if isinstance(f, SDFClearanceFamily))
-        built = load_sdf(out)
-        assert built.cell_size == planned.cell_size
-        assert built.origin.tobytes() == np.asarray(planned.origin, float).tobytes()
-        assert built.values.shape == planned.values.shape
-        assert built.values.astype(float).tobytes() == planned.values.tobytes()
-
     @staticmethod
     def _child(argv, **env):
         """``splinetraj`` run in a child process that imports the same
@@ -722,12 +711,6 @@ class TestCLI:
                      "--trials", "1", "--out", str(tmp_path)]) == 3
         assert capsys.readouterr().err.startswith(f"invalid input: {tmp_path}: ")
 
-    def test_sdf_build_out_directory_exit_three(self, tmp_path, capsys):
-        # It used to end in IsADirectoryError, exit 1.
-        assert main(["sdf", "build", str(SCENARIO_DIR / "mobile2d.json"),
-                     "--out", str(tmp_path)]) == 3
-        assert capsys.readouterr().err.startswith(f"invalid input: {tmp_path}: ")
-
 
 class TestBenchmarkStructure:
     def test_obstacles_deterministic(self):
@@ -764,11 +747,11 @@ class TestBenchmarkStructure:
 
 
 class TestCLIExitCodes:
-    def test_not_converged_exit_two(self, tmp_path):
+    def test_not_converged_exit_two(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(nlp, "MAX_OUTER", 8)
         obj = minimal_mobile(
             boundary={"initial": [0.0, 0.0], "goal": [0.5, 0.0], "units": "m"},
             obstacles=[{"kind": "sphere", "center": [0.5, 0.0], "radius": 0.2}],
-            solver={"max_outer": 8},
         )
         path = tmp_path / "stuck.json"
         path.write_text(json.dumps(obj))

@@ -1,11 +1,11 @@
 """Print a digest of every bundled scenario's exported outputs.
 
 For each scenario under ``src/splinetraj/scenarios/``, for ``mobile2d``
-and ``mobile3d`` with ``"static_mode": "hyperplane"`` and for
-``threelink`` and ``mobile2d`` with a limits box (or for the bundled
-names or scenario file paths given on the command line) this plans it
-through ``splinetraj.cli.run`` with 1000 export samples and prints one
-line:
+and ``mobile3d`` with ``"static_mode": "hyperplane"``, for ``threelink``
+and ``mobile2d`` with a limits box and for ``mobile2d`` with hexagons for
+circles, in SDF and in hyperplane mode (or for the bundled names or
+scenario file paths given on the command line) this plans it through
+``splinetraj.cli.run`` with 1000 export samples and prints one line:
 
     <scenario> <status> <float.hex(T)> <sha256 of solution.json>
         <sha256 of trajectory.csv> <sha256 of cartesian.csv>
@@ -19,8 +19,14 @@ adds a box on the coordinates: angle limits of +-150 degrees for
 ``threelink`` and the position box [-0.4, -0.6] to [3.4, 0.6] for
 ``mobile2d``.  No bundled scenario builds that box family otherwise: the
 bundled chains' limits lie at or beyond the recoverable range, where
-they add no rows, and no mobile scenario sets one.  A scenario file reaches
-other plans that no bundled scenario does.  A perfbench workload
+they add no rows, and no mobile scenario sets one.  The suffix
+``+polytope`` replaces each circle of a 2D scenario by its circumscribed
+regular hexagon (vertices at r / cos 30 degrees from the center, at 30,
+90, ..., 330 degrees, rounded to 6 decimals): no bundled scenario has a polytope obstacle, so
+``mobile2d+polytope`` and ``mobile2d+polytope+hyperplane`` are the
+default list's route into the polytope's field and plane rows.  Suffixes
+chain and apply from left to right.  A scenario file reaches other plans
+that no bundled scenario does.  A perfbench workload
 name (``mobile_sdf``, ``arm_sdf``, ``arm_dynamic``) prints one such line
 for each scenario of that workload, labelled
 ``<workload>/<scenario name>``, so every plan's T is compared, not a
@@ -58,6 +64,8 @@ import sys  # noqa: E402
 import tempfile  # noqa: E402
 from pathlib import Path  # noqa: E402
 
+import numpy as np  # noqa: E402
+
 OUTPUTS = ("solution.json", "trajectory.csv", "cartesian.csv")
 # The +limits box of each scenario that takes one, in its file's units.
 LIMITS = {"threelink": (-150, 150), "mobile2d": ([-0.4, -0.6], [3.4, 0.6])}
@@ -73,7 +81,21 @@ def _limits(obj: dict) -> None:
     obj["limits"]["angle_min"], obj["limits"]["angle_max"] = LIMITS[obj["name"]]
 
 
-VARIANTS = {"+hyperplane": _hyperplane, "+limits": _limits}
+def _polytope(obj: dict) -> None:
+    if len(obj["workspace"]["min"]) != 2:
+        raise SystemExit(f"{obj['name']}: +polytope takes a 2D scenario")
+    angles = np.radians(np.arange(30, 390, 60))
+    unit = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    for obstacle in obj.get("obstacles", []):
+        if obstacle["kind"] == "sphere":
+            center = np.asarray(obstacle.pop("center"), dtype=float)
+            radius = obstacle.pop("radius") / np.cos(np.radians(30))
+            obstacle.update(kind="polytope",
+                            vertices=np.round(center + radius * unit, 6).tolist())
+
+
+VARIANTS = {"+hyperplane": _hyperplane, "+limits": _limits,
+            "+polytope": _polytope}
 
 
 def main(argv=None) -> int:
@@ -81,10 +103,11 @@ def main(argv=None) -> int:
     parser.add_argument("scenarios", nargs="*",
                         help="bundled scenario names, scenario file paths or "
                              "perfbench workload names, each optionally with "
-                             "the suffix +hyperplane or +limits (default: "
-                             "every bundled scenario, then mobile2d and "
-                             "mobile3d +hyperplane, threelink and mobile2d "
-                             "+limits)")
+                             "one or more of the suffixes +hyperplane, +limits "
+                             "and +polytope (default: every bundled scenario, "
+                             "then mobile2d and mobile3d +hyperplane, "
+                             "threelink and mobile2d +limits, mobile2d "
+                             "+polytope and +polytope+hyperplane)")
     parser.add_argument("--tree", default=str(Path(__file__).resolve().parents[1]),
                         help="checkout whose src/ (and perfbench/) is planned "
                              "(default: this one)")
@@ -109,17 +132,18 @@ def plans(tree: Path, names: list[str]):
     names = names or (
         sorted(p.stem for p in bundled.glob("*.json"))
         + ["mobile2d+hyperplane", "mobile3d+hyperplane",
-           "threelink+limits", "mobile2d+limits"])
+           "threelink+limits", "mobile2d+limits", "mobile2d+polytope",
+           "mobile2d+polytope+hyperplane"])
     for name in names:
-        base, suffix = name, None
-        for key in VARIANTS:
-            if name.endswith(key):
-                base, suffix = name.removesuffix(key), key
+        base, suffixes = name, []
+        while key := next((k for k in VARIANTS if base.endswith(k)), None):
+            base = base.removesuffix(key)
+            suffixes.insert(0, key)
         one_file = (bundled / f"{base}.json").exists() or Path(base).is_file()
         for obj in scenario_dicts(tree, base):
             label = name if one_file else f"{name}/{obj['name']}"
-            if suffix is not None:
-                VARIANTS[suffix](obj)
+            for key in suffixes:
+                VARIANTS[key](obj)
             yield label, obj
 
 

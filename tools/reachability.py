@@ -4,11 +4,11 @@ This runs the command line as a user does, under ``sys.setprofile``, and
 records every function entry:
 
 - ``splinetraj solve`` of each scenario on ``output_digest.py``'s list:
-  the same names and ``+hyperplane``/``+limits`` variants, or the names
-  given on the command line, each written to a temporary scenario file;
+  the same names and ``+hyperplane``/``+limits``/``+polytope`` variants,
+  or the names given on the command line, each written to a temporary
+  scenario file;
 - ``splinetraj verify`` of the first plan's stored solution;
-- ``splinetraj bench bench2d --counts 1 --trials 1``;
-- ``splinetraj sdf build mobile2d``.
+- ``splinetraj bench bench2d --counts 1 --trials 1``.
 
 Then it prints each function or method defined in ``src/splinetraj/*.py``
 that was never entered, one per line:
@@ -113,8 +113,6 @@ def run_commands(names: list[str], tmp: Path) -> None:
         "verify": ["verify", str(scenario), str(solution)],
         "bench": ["bench", str(bundled / "bench2d.json"), "--counts", "1",
                   "--trials", "1", "--out", str(tmp / "bench.csv")],
-        "sdf build": ["sdf", "build", str(bundled / "mobile2d.json"),
-                      "--out", str(tmp / "field.sdf")],
     }
     for label, argv in commands.items():
         print(f"{label}: exit {main(argv)}", file=sys.stderr)
