@@ -129,6 +129,25 @@ class TestSDFQuery:
         assert grads[0, 0] > 0.5
         np.testing.assert_allclose(grads[0, 1:], 0.0, atol=0.05)
 
+    def test_out_of_bounds(self):
+        # Points past every face, edge and corner of the field get a value,
+        # not an error: V(clip(p)) - |p - clip(p)|, which stays below the
+        # true signed distance, with a gradient pointing back inside.
+        rng = np.random.default_rng(11)
+        pts = rng.uniform(-6.0, 6.0, (400, 3))
+        pts = pts[np.abs(pts).max(axis=1) > 2.0]
+        clipped = np.clip(pts, self.field.origin, self.field.upper)
+        vals, grads = self.field.query_extended(pts)
+        inside, _ = self.field.query_extended(clipped)
+        dist = np.linalg.norm(pts - clipped, axis=1)
+        np.testing.assert_allclose(vals, inside - dist, rtol=0, atol=1e-12)
+        ref = brute_force_sphere_sd(pts, np.zeros(3), 0.5)
+        assert np.all(vals <= ref + self.field.cell_size)
+        excess = pts - clipped
+        away = excess != 0.0
+        np.testing.assert_array_equal(grads[away], -(excess / dist[:, None])[away])
+        assert np.all(np.sum(grads * excess, axis=1) < 0.0)
+
     def test_extended_query_lower_bound(self):
         p = np.array([[3.0, 0.0, 0.0]])
         vals, grads = self.field.query_extended(p)

@@ -513,6 +513,32 @@ class TestCLI:
         assert main(["solve", str(bad)]) == 3
         assert f"{block}.{key}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("block, value, message", [
+        ("solver", {}, "scenario.solver: unknown field"),
+        ("solver", {"max_outer": 50}, "solver.max_outer: unknown field"),
+        ("collision", {"cell_size": 4.0 / 128.0}, "collision.cell_size: unknown field"),
+        (None, None, "sdf"),
+    ], ids=["solver", "solver.max_outer", "collision.cell_size", "sdf_build"])
+    def test_removed_setting_exit_three(self, tmp_path, capsys, block, value,
+                                        message):
+        # The solver settings and the grid spacing are constants and the
+        # sdf subcommand is gone: each old spelling, even with the value
+        # the constant holds, is invalid input that writes nothing.
+        obj = json.loads((SCENARIO_DIR / "mobile2d.json").read_text())
+        if block is None:
+            argv = ["sdf", "build", str(SCENARIO_DIR / "mobile2d.json")]
+        else:
+            obj[block] = {**obj.get(block, {}), **value}
+            path = tmp_path / "old.json"
+            path.write_text(json.dumps(obj))
+            argv = ["solve", str(path)]
+        out = tmp_path / "out"
+        assert main(argv + ["--out", str(out)]) == 3
+        stdout, err = capsys.readouterr()
+        assert stdout == ""
+        assert "invalid input: " in err and message in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv, name", [
         (["verify", "{scenario}", "{solution}", "--oversample", "0"], "--oversample"),
         (["verify", "{scenario}", "{solution}", "--oversample", "-3"], "--oversample"),
