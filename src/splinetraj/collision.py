@@ -224,9 +224,13 @@ class SignedDistanceField:
         NaN coordinate raises OutOfBoundsError.
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
+        # np.maximum/np.minimum skip np.clip's Python wrapper.  With the
+        # bound first, a tie of zeros keeps the point's zero, as np.clip
+        # does, and a NaN passes through to the check below.
         clipped = np.empty((self.dim, pts.shape[0]))
         for a in range(self.dim):
-            np.clip(pts[:, a], self.origin[a], self.upper[a], out=clipped[a])
+            np.maximum(self.origin[a], pts[:, a], out=clipped[a])
+            np.minimum(self.upper[a], clipped[a], out=clipped[a])
         excess = pts - clipped.T
         moved = excess.any()
         # Clipping puts every point inside the field but a NaN one.
@@ -246,11 +250,48 @@ class SignedDistanceField:
         return vals, grads
 
 
+def _grid_distance(primitive: ObstaclePrimitive, axes) -> np.ndarray:
+    """``primitive.signed_distance`` at every node of the grid spanned by
+    the 1-D coordinate arrays ``axes``; shape (len(axes[0]), ...).
+
+    Spheres and boxes broadcast per-axis terms and add the squares axis by
+    axis, in the order ``signed_distance`` sums a point's coordinates, so
+    every node gets the same bits without a point block.  Polytopes
+    evaluate the nodes as points.
+    """
+    if primitive.kind == "polytope":
+        grid = np.meshgrid(*axes, indexing="ij")
+        pts = np.stack([g.ravel() for g in grid], axis=1)
+        return primitive.signed_distance(pts).reshape(grid[0].shape)
+    box = primitive.kind == "box"
+    center = primitive.nominal_center()
+    if box:
+        half = 0.5 * (primitive.box_max - primitive.box_min)
+    sq = worst = None
+    for a, x in enumerate(axes):
+        col = (-1,) + (1,) * (len(axes) - 1 - a)  # broadcasts along axis a
+        d = x - center[a]
+        if box:
+            q = np.abs(d) - half[a]
+            d = np.maximum(q, 0.0)
+            q = q.reshape(col)
+            worst = q if worst is None else np.maximum(worst, q)
+        term = (d * d).reshape(col)
+        sq = term if sq is None else sq + term
+    if box:
+        return np.sqrt(sq) + np.minimum(worst, 0.0)
+    return np.sqrt(sq) - primitive.radius
+
+
 def build_sdf(primitives, bounds, cell_size: float) -> SignedDistanceField:
     """Sample min-over-primitives signed distance on a regular grid.
 
     The grid is filled in slabs along its first axis, so the working
-    memory beyond the field itself stays at about SDF_BLOCK_POINTS nodes.
+    memory beyond the field itself stays at a few slabs of about
+    SDF_BLOCK_POINTS nodes.  Each primitive fills a slab through
+    ``_grid_distance``: spheres and boxes from the 1-D axis arrays by
+    broadcasting, polytopes from the slab's nodes as points.  The values
+    equal ``signed_distance`` at the nodes bit for bit.
     Without primitives every node holds EMPTY_FIELD_VALUE.
 
     Args:
@@ -275,12 +316,11 @@ def build_sdf(primitives, bounds, cell_size: float) -> SignedDistanceField:
         return SignedDistanceField(lo, cell_size, values)
     step = max(1, SDF_BLOCK_POINTS // int(np.prod(dims[1:])))
     for start in range(0, dims[0], step):
-        grid = np.meshgrid(axes[0][start : start + step], *axes[1:], indexing="ij")
-        pts = np.stack([g.ravel() for g in grid], axis=1)
-        block = primitives[0].signed_distance(pts)
+        slab_axes = [axes[0][start : start + step], *axes[1:]]
+        block = values[start : start + step]
+        block[...] = _grid_distance(primitives[0], slab_axes)
         for p in primitives[1:]:
-            np.minimum(block, p.signed_distance(pts), out=block)
-        values[start : start + step] = block.reshape(grid[0].shape)
+            np.minimum(block, _grid_distance(p, slab_axes), out=block)
     return SignedDistanceField(lo, cell_size, values)
 
 

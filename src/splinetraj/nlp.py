@@ -118,8 +118,8 @@ class SolverResult:
     ``x`` is the iterate of least raw violation, then least objective.
     ``block_scales`` maps each block's name to its fixed scale s_b.
     ``stop`` names the test that ended a converged solve (``kkt`` or
-    ``flat_objective``; None otherwise) with the final KKT residual and
-    its scale."""
+    ``flat_objective``; None otherwise) with the KKT residual of the
+    returned ``x`` and its scale."""
 
     x: np.ndarray
     status: str
@@ -333,7 +333,9 @@ class AugmentedLagrangianSolver:
         if status != "converged" and best is not None and (raw_viol, f) > best[:2]:
             raw_viol, f, x, per_block, evals = best
 
-        if not np.isfinite(kkt):
+        # A converged solve computed the residual at x; any other may
+        # return an earlier iterate than the last one it computed it at.
+        if status != "converged":
             kkt, kkt_scale = self._kkt_residual(x, multipliers, evals, scales)
         stop = {"test": stop_test, "kkt_residual": kkt, "kkt_scale": kkt_scale}
         log.info("stop: %s, kkt residual %.3e, scale %.3g", stop_test, kkt,

@@ -544,6 +544,12 @@ class SDFClearanceFamily(ConstraintBlock):
     so endpoint samples need far less margin than the interior.  The
     interpolated field's gradient norm is at most sqrt(dim), so that is the
     Lipschitz factor the margin scales by.
+
+    ``evaluate`` places a chain's vertices by forward kinematics without
+    gradients.  The vjp takes the FK gradients only at the samples where
+    some row carries weight, usually a few near an obstacle, and scatters
+    each link's contribution into a full-length column, so the result
+    equals the all-sample formula bit for bit.
     """
 
     def __init__(self, name, layout, field: SignedDistanceField, taus,
@@ -595,12 +601,11 @@ class SDFClearanceFamily(ConstraintBlock):
 
     def evaluate(self, x):
         dv = self.layout.unpack(x)
+        qmat = self.Bpos @ dv.joint_coeffs
         if self.nfk is None:
-            positions = [(self.Bpos @ dv.joint_coeffs)[:, None, :]]
-            state = None
+            positions = [qmat[:, None, :]]
         else:
-            qmat = self.Bpos @ dv.joint_coeffs
-            state = self.nfk.shared_state(qmat, with_grad=True)
+            state = self.nfk.shared_state(qmat)
             positions = [
                 self.nfk.body_positions(state, body.link_index, body.verts, hom)
                 for body, hom in zip(self.bodies, self._homs)
@@ -621,24 +626,36 @@ class SDFClearanceFamily(ConstraintBlock):
         def vjp(w):
             gC = np.zeros_like(dv.joint_coeffs)
             gT = 0.0
+            wpos = []
+            weighted = np.zeros(qmat.shape[0], dtype=bool)
             off = 0
-            for b, (body, pos) in enumerate(zip(self.bodies, positions)):
+            for b, pos in enumerate(positions):
                 S, V, _ = pos.shape
                 wb = w[off : off + S * V].reshape(S, V)
                 g = grads[off : off + S * V].reshape(S, V, dim)
                 off += S * V
                 gT += float(margin_dT[b] @ wb.sum(axis=1))
                 # d(residual)/d(pos) = -grad_sdf
-                wpos = -wb[:, :, None] * g
+                wp = -wb[:, :, None] * g
                 if self.nfk is None:
-                    gC += self.Bpos.T @ wpos[:, 0, : self.layout.n_coords]
+                    gC += self.Bpos.T @ wp[:, 0, : self.layout.n_coords]
                     continue
-                dpos = self.nfk.body_position_grads(
-                    state, body.link_index, body.verts, self._homs[b]
-                )
-                contrib = (wpos * dpos[:, :, :, :dim]).sum(axis=(2, 3))
-                for j in range(body.link_index):
-                    gC[:, j] += self.Bpos.T @ contrib[j]
+                wpos.append(wp)
+                weighted |= (wb != 0.0).any(axis=1)
+            # FK gradients only at the samples where some row carries
+            # weight; every other sample adds zero to gC.
+            idx = np.flatnonzero(weighted)
+            if idx.size:
+                state = self.nfk.shared_state(qmat[idx], with_grad=True)
+                column = np.zeros(qmat.shape[0])
+                for b, (body, wp) in enumerate(zip(self.bodies, wpos)):
+                    dpos = self.nfk.body_position_grads(
+                        state, body.link_index, body.verts, self._homs[b]
+                    )
+                    contrib = (wp[idx] * dpos[:, :, :, :dim]).sum(axis=(2, 3))
+                    for j in range(body.link_index):
+                        column[idx] = contrib[j]
+                        gC[:, j] += self.Bpos.T @ column
             return self.layout.grad(dC=gC, dT=gT)
 
         return r, vjp

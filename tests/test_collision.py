@@ -30,8 +30,9 @@ from splinetraj.planner import (
     TrajectorySamples,
     VariableLayout,
     assemble,
+    static_field,
 )
-from splinetraj.scenario import parse_scenario
+from splinetraj.scenario import load_scenario, parse_scenario
 from splinetraj.spline_algebra import elevated_union
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "src/splinetraj/scenarios"
@@ -300,6 +301,61 @@ class TestBlockedBuild:
         bounds = ([-1.0, -1.0], [1.0, 1.2])
         field = build_sdf(prims, bounds, 0.05)
         assert_bitwise(field.values, self.one_shot(prims, *bounds, 0.05))
+
+    SINGLE_KIND = {
+        "sphere_2d": ([ObstaclePrimitive.sphere([0.3, -0.2], 0.35),
+                       ObstaclePrimitive.sphere([-0.6, 0.5], 0.2)],
+                      ([-1.0, -1.1], [1.05, 1.0]), 0.03),
+        "sphere_3d": ([ObstaclePrimitive.sphere([0.3, -0.2, 0.1], 0.35),
+                       ObstaclePrimitive.sphere([-0.6, 0.5, -0.4], 0.2)],
+                      ([-1.0, -1.1, -0.9], [1.05, 1.0, 0.8]), 0.07),
+        "box_2d": ([ObstaclePrimitive.box([-0.8, -0.1], [-0.2, 0.7]),
+                    ObstaclePrimitive.box([0.1, -0.9], [0.6, -0.3])],
+                   ([-1.0, -1.1], [1.05, 1.0]), 0.03),
+        "box_3d": ([ObstaclePrimitive.box([-0.8, -0.1, -0.6], [-0.2, 0.7, 0.2]),
+                    ObstaclePrimitive.box([0.1, -0.9, 0.0], [0.6, -0.3, 0.5])],
+                   ([-1.0, -1.1, -0.9], [1.05, 1.0, 0.8]), 0.07),
+    }
+
+    @pytest.mark.parametrize("block", [1, 97])
+    @pytest.mark.parametrize("case", sorted(SINGLE_KIND))
+    def test_single_kind_equals_one_shot(self, monkeypatch, case, block):
+        # Spheres and boxes broadcast their axis terms; each kind alone,
+        # in slabs of one node row and of a few rows.
+        from splinetraj import collision
+
+        monkeypatch.setattr(collision, "SDF_BLOCK_POINTS", block)
+        prims, bounds, cell = self.SINGLE_KIND[case]
+        field = build_sdf(prims, bounds, cell)
+        assert_bitwise(field.values, self.one_shot(prims, *bounds, cell))
+
+    @pytest.mark.parametrize("name", ["mobile2d", "mobile3d", "threelink",
+                                      "fanuc6_static"])
+    def test_bundled_field_equals_one_shot(self, name):
+        scenario = load_scenario(SCENARIO_DIR / f"{name}.json")
+        field = static_field(scenario)
+        statics = [o for o in scenario.obstacles if o.is_static]
+        assert_bitwise(field.values, self.one_shot(
+            statics, scenario.workspace_min, scenario.workspace_max,
+            field.cell_size))
+
+    def test_build_memory_stays_within_a_few_slabs(self):
+        # The field plus a few slabs of SDF_BLOCK_POINTS nodes; a point
+        # block with its meshgrid took 18 slabs on threelink.
+        import tracemalloc
+
+        from splinetraj import collision
+
+        scenario = load_scenario(SCENARIO_DIR / "threelink.json")
+        tracemalloc.start()
+        try:
+            field = static_field(scenario)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        row = int(np.prod(field.dims[1:]))
+        slab = (collision.SDF_BLOCK_POINTS // row) * row * field.values.itemsize
+        assert peak < field.values.nbytes + 6 * slab
 
 
 class TestSignCorrectness:

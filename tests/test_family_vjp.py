@@ -236,3 +236,76 @@ def test_dense_violation_matches_per_coordinate_reference(problems, scenario, cl
             got = fam.dense_violation(samples)
             want = reference_dense_violation(fam, reference)
             assert float(got).hex() == float(want).hex(), (fam.name, T, got, want)
+
+
+def reference_sdf_vjp(fam, x, w):
+    """SDFClearanceFamily's vjp as it ran with FK gradients at every
+    sample; kept as the bit-for-bit reference for the vjp that takes them
+    only at samples whose rows carry weight."""
+    dv = fam.layout.unpack(x)
+    qmat = fam.Bpos @ dv.joint_coeffs
+    dim = fam.field.dim
+    if fam.nfk is None:
+        positions = [qmat[:, None, :]]
+    else:
+        state = fam.nfk.shared_state(qmat, with_grad=True)
+        positions = [fam.nfk.body_positions(state, b.link_index, b.verts, hom)
+                     for b, hom in zip(fam.bodies, fam._homs)]
+    flat = np.concatenate([p.reshape(-1, p.shape[2])[:, :dim] for p in positions])
+    _, grads = fam.field.query_extended(flat)
+    _, margin_dT = fam.margins(dv.T)
+    gC = np.zeros_like(dv.joint_coeffs)
+    gT = 0.0
+    off = 0
+    for b, (body, pos) in enumerate(zip(fam.bodies, positions)):
+        S, V, _ = pos.shape
+        wb = w[off : off + S * V].reshape(S, V)
+        g = grads[off : off + S * V].reshape(S, V, dim)
+        off += S * V
+        gT += float(margin_dT[b] @ wb.sum(axis=1))
+        wpos = -wb[:, :, None] * g
+        if fam.nfk is None:
+            gC += fam.Bpos.T @ wpos[:, 0, : fam.layout.n_coords]
+            continue
+        dpos = fam.nfk.body_position_grads(state, body.link_index, body.verts,
+                                           fam._homs[b])
+        contrib = (wpos * dpos[:, :, :, :dim]).sum(axis=(2, 3))
+        for j in range(body.link_index):
+            gC[:, j] += fam.Bpos.T @ contrib[j]
+    return fam.layout.grad(dC=gC, dT=gT)
+
+
+def _sdf_weights(fam, rng):
+    """Weights that reach the vjp: none, one vertex, one sample of every
+    body, about 0.4% of the rows at random, and every row."""
+    n = fam.n_rows
+    S = fam.taus.size
+    one_vertex = np.zeros(n)
+    one_vertex[rng.integers(n)] = rng.uniform(0.1, 2.0)
+    one_sample = np.zeros(n)
+    s = int(rng.integers(S))
+    off = 0
+    for body in fam.bodies:
+        V = body.verts.shape[0]
+        one_sample[off + s * V : off + (s + 1) * V] = rng.uniform(0.1, 2.0, V)
+        off += S * V
+    sparse = np.zeros(n)
+    rows = rng.choice(n, max(1, round(0.004 * n)), replace=False)
+    sparse[rows] = rng.uniform(0.1, 2.0, rows.size)
+    dense = rng.standard_normal(n)
+    return {"zero": np.zeros(n), "one_vertex": one_vertex,
+            "one_sample": one_sample, "sparse": sparse, "dense": dense}
+
+
+@pytest.mark.parametrize("scenario", ["threelink", "fanuc6_static", "mobile2d"])
+def test_sdf_vjp_matches_full_sample_reference(scenario):
+    problem = assemble(_bundled(scenario))
+    (fam,) = [f for f in problem.families if type(f) is SDFClearanceFamily]
+    rng = np.random.default_rng(37)
+    for _ in range(3):
+        x = _perturbed_point(problem, rng)
+        _, vjp = fam.evaluate(x)
+        for kind, w in _sdf_weights(fam, rng).items():
+            got = vjp(w)
+            want = reference_sdf_vjp(fam, x, w)
+            assert got.tobytes() == want.tobytes(), (kind, got - want)

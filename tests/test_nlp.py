@@ -133,6 +133,34 @@ class TestQPFloor:
         assert all(e["inner_iterations"] == 0
                    and e["lbfgsb_message"].startswith("ABNORMAL") for e in tail)
 
+    def test_unconverged_kkt_residual_is_of_the_returned_iterate(self, monkeypatch):
+        # The slalom stops on a later iterate than the best one it returns;
+        # the KKT residual it reports must be the returned decision's.
+        from perfbench.workloads import generate
+        from splinetraj.planner import solve
+
+        original = nlp.AugmentedLagrangianSolver._kkt_residual
+        calls = []
+
+        def recording(solver, x, multipliers, evals, scales):
+            calls.append((solver, [m.copy() for m in multipliers], scales))
+            return original(solver, x, multipliers, evals, scales)
+
+        monkeypatch.setattr(nlp.AugmentedLagrangianSolver, "_kkt_residual",
+                            recording)
+        obj = next(o for o in generate("mobile_sdf")
+                   if o["name"] == "bench2d_slalom_3_0")
+        problem = assemble(parse_scenario(obj))
+        sol = solve(problem)
+        assert not sol.converged
+        solver, multipliers, scales = calls[-1]
+        x = problem.layout.pack(sol.decision)
+        kkt, kkt_scale = original(solver, x, multipliers, solver._eval_blocks(x),
+                                  scales)
+        assert sol.kkt_residual == kkt
+        assert sol.stop["kkt_residual"] == kkt
+        assert sol.stop["kkt_scale"] == kkt_scale
+
     def test_unconstrained_path(self):
         def objective(x):
             return float((x[0] - 2) ** 2), np.array([2 * (x[0] - 2)])
