@@ -151,7 +151,8 @@ def run(scenario: Scenario, output_dir=None, samples: int = 1000,
 
     With an output directory (created first), report.json records the
     verification, problem size, solver trace, block scales, the test that
-    stopped the solve and wall time of each phase.
+    stopped the solve, how the initial guess was found and wall time of
+    each phase.
     """
     out = None if output_dir is None else _output_path(output_dir)
     t0 = time.perf_counter()
@@ -177,6 +178,7 @@ def run(scenario: Scenario, output_dir=None, samples: int = 1000,
                     "trace": solution.trace,
                     "block_scales": solution.block_scales,
                     "stop": solution.stop,
+                    "initial_guess": solution.initial_guess,
                 },
                 indent=2,
             )

@@ -7,10 +7,15 @@ The field lives in memory only: the planner builds it from the scenario
 Moving obstacles are kept apart by time-varying separating hyperplanes,
 whose constraint rows the planner computes in Bernstein form; this module
 supplies their shapes (centers, corners, radii) and the exact box-sphere
-distance used to check the result.
+distance used to check the result.  ``lattice_path`` searches the
+field's nodes for a collision-free path, from which the planner seeds its
+initial guess.
 """
 
 from __future__ import annotations
+
+import itertools
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,12 +26,22 @@ __all__ = [
     "SignedDistanceField",
     "OutOfBoundsError",
     "build_sdf",
+    "LatticePath",
+    "lattice_path",
     "point_box_distance",
     "box_sphere_distance",
 ]
 
 EMPTY_FIELD_VALUE = 1e9
 SDF_BLOCK_POINTS = 1 << 16
+# Most nodes of the lattice that ``lattice_path`` searches: it takes every
+# stride-th field node along each axis, with the smallest stride that
+# leaves at most this many.
+LATTICE_MAX_NODES = 1 << 14
+# The first search region of ``lattice_path`` admits paths this fraction
+# longer than the obstacle-free lattice distance; each miss doubles the
+# slack.
+LATTICE_SLACK = 0.125
 
 
 class OutOfBoundsError(ValueError):
@@ -322,6 +337,121 @@ def build_sdf(primitives, bounds, cell_size: float) -> SignedDistanceField:
         for p in primitives[1:]:
             np.minimum(block, _grid_distance(p, slab_axes), out=block)
     return SignedDistanceField(lo, cell_size, values)
+
+
+@dataclass(frozen=True)
+class LatticePath:
+    """Outcome of ``lattice_path``: how many lattice nodes were kept, and
+    the polyline (P, dim) from start to goal through them, or None."""
+
+    nodes: int
+    points: np.ndarray | None
+
+    @property
+    def length(self) -> float:
+        """The polyline's length in meters (nan without a path)."""
+        if self.points is None:
+            return float("nan")
+        return float(np.linalg.norm(np.diff(self.points, axis=0), axis=1).sum())
+
+
+def _free_lattice_distance(shape, node, step: float) -> np.ndarray:
+    """Shortest-path length from ``node`` to every node of an obstacle-free
+    lattice of ``shape`` and spacing ``step`` whose edges join each node to
+    its 3^dim - 1 neighbours: sum_k (sqrt(k) - sqrt(k - 1)) a_k over the
+    per-axis offsets sorted a_1 >= a_2 >= ...  (the octile distance in 2D).
+    """
+    dim = len(shape)
+    axes = [step * np.abs(np.arange(n) - c).reshape((-1,) + (1,) * (dim - 1 - k))
+            for k, (n, c) in enumerate(zip(shape, node))]
+    if dim == 2:
+        return np.maximum(*axes) + (np.sqrt(2.0) - 1.0) * np.minimum(*axes)
+    offsets = np.sort(np.stack(np.broadcast_arrays(*axes)), axis=0)[::-1]
+    weights = np.sqrt(np.arange(1, dim + 1)) - np.sqrt(np.arange(dim))
+    return np.tensordot(weights, offsets, axes=1)
+
+
+def lattice_path(field: SignedDistanceField, start, goal,
+                 clearance: float) -> LatticePath:
+    """Shortest path from ``start`` to ``goal`` through field nodes that
+    clear ``clearance`` with room to spare.
+
+    The lattice takes every stride-th node of the field along each axis,
+    with the smallest stride that leaves at most LATTICE_MAX_NODES, and
+    joins each node to its 3^dim - 1 neighbours.  A node stays in it when
+    its value is at least clearance + sqrt(dim) x the longest edge (the
+    cell diagonal, sqrt(dim) x stride x cell size): a point of an edge
+    lies within half an edge of a node, and the interpolated field changes
+    by at most sqrt(dim) per meter, so the whole edge clears ``clearance``.
+    Start and goal join the nearest lattice node; when either of those is
+    not kept, or no path joins them, ``points`` is None.
+
+    Dijkstra's search (``scipy.sparse.csgraph``) runs on the kept nodes u
+    with d(start, u) + d(u, goal) <= d(start, goal) + slack, d being the
+    obstacle-free lattice distance.  Every path no longer than that bound
+    lies inside the region, so a path found within it is a shortest path
+    of the whole lattice; otherwise the slack, first LATTICE_SLACK x
+    d(start, goal), doubles until the region holds every kept node, so the
+    searches before the last one cost about as much as the last together.
+    """
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import dijkstra
+
+    dim = field.dim
+    dims = np.array(field.dims)
+    stride = 1
+    while np.prod(-(-dims // stride)) > LATTICE_MAX_NODES:
+        stride += 1
+    values = field.values[(slice(None, None, stride),) * dim]
+    step = stride * field.cell_size
+    kept = values >= clearance + dim * step
+    n_kept = int(np.count_nonzero(kept))
+    shape = values.shape
+    ends = [tuple(np.clip(np.rint((np.asarray(p, dtype=float) - field.origin)
+                                  / step).astype(int), 0, np.array(shape) - 1))
+            for p in (start, goal)]
+    if not (kept[ends[0]] and kept[ends[1]]):
+        return LatticePath(n_kept, None)
+
+    span = (_free_lattice_distance(shape, ends[0], step)
+            + _free_lattice_distance(shape, ends[1], step))
+    direct = float(span[ends[0]])
+    # The region sits in a grid padded by one unused node on every side,
+    # so each kept node's neighbours are at fixed flat offsets.
+    padded = np.zeros(tuple(n + 2 for n in shape), dtype=bool)
+    inner = padded[(slice(1, -1),) * dim]
+    flat = padded.reshape(-1)
+    strides = np.cumprod((padded.shape[1:] + (1,))[::-1])[::-1]
+    moves = np.array([m for m in itertools.product((-1, 0, 1), repeat=dim) if any(m)])
+    offsets = moves @ strides
+    lengths = step * np.linalg.norm(moves, axis=1)
+    source, target = (int((np.array(e) + 1) @ strides) for e in ends)
+    label = np.zeros(flat.size, dtype=np.int32)
+    slack = max(LATTICE_SLACK * direct, step)
+    while True:
+        np.logical_and(kept, span <= direct + slack, out=inner)
+        nodes = np.flatnonzero(flat)
+        label[nodes] = np.arange(nodes.size, dtype=np.int32)
+        # Every node lists all its neighbours; an edge to a node outside
+        # the region is infinitely long, so the search never takes it.
+        neighbours = nodes[:, None] + offsets
+        lengths_or_inf = np.where(flat[neighbours], lengths, np.inf)
+        indptr = np.arange(0, lengths_or_inf.size + 1, offsets.size)
+        graph = csr_matrix((lengths_or_inf.ravel(), label[neighbours].ravel(),
+                            indptr), shape=(nodes.size, nodes.size))
+        s, t = label[source], label[target]
+        dist, pred = dijkstra(graph, indices=s, return_predecessors=True)
+        if dist[t] <= direct + slack or nodes.size == n_kept:
+            break
+        slack *= 2.0
+    if not np.isfinite(dist[t]):
+        return LatticePath(n_kept, None)
+    path = [t]
+    while path[-1] != s:
+        path.append(pred[path[-1]])
+    index = np.stack(np.unravel_index(nodes[path[::-1]], padded.shape), axis=1) - 1
+    points = np.vstack([start, field.origin + step * index, goal])
+    return LatticePath(n_kept, points)
 
 
 def point_box_distance(points: np.ndarray, box_min, box_max) -> np.ndarray:

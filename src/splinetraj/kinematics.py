@@ -218,36 +218,22 @@ class NumericFK:
         self._entry = [link.entry_matrices() for link in chain.links]
         self._kinds = [link.joint_kind for link in chain.links]
 
-    def link_values(self, qmat: np.ndarray, with_grad: bool = False):
-        """Per-link transform factors at S samples.
+    def link_values(self, qmat: np.ndarray) -> list[np.ndarray]:
+        """Per-link numeric transforms T_j (S, 4, 4) at S samples.
 
         qmat has shape (S, L): substituted values for revolute links,
-        variable offsets for prismatic links.  Returns per link the numeric
-        transform T_j (S,4,4) and, when requested, its derivative dT_j/dq_j.
+        variable offsets for prismatic links.
         """
-        S, L = qmat.shape
-        Ts, dTs = [], []
-        for j in range(L):
+        Ts = []
+        for j in range(qmat.shape[1]):
             Mc, Ms, M0 = self._entry[j]
             qj = qmat[:, j]
             if self._kinds[j] == REVOLUTE:
-                if with_grad:
-                    c, s, dc, ds = halfangle_cos_sin(qj, self.depths[j], True)
-                else:
-                    c, s = halfangle_cos_sin(qj, self.depths[j])
-                Ts.append(
-                    c[:, None, None] * Mc
-                    + s[:, None, None] * Ms
-                    + M0[None, :, :]
-                )
-                if with_grad:
-                    dTs.append(dc[:, None, None] * Mc + ds[:, None, None] * Ms)
+                c, s = halfangle_cos_sin(qj, self.depths[j])
+                Ts.append(c[:, None, None] * Mc + s[:, None, None] * Ms
+                          + M0[None, :, :])
             else:
                 Ts.append(qj[:, None, None] * Mc + M0[None, :, :])
-                if with_grad:
-                    dTs.append(np.broadcast_to(Mc, (S, 4, 4)).copy())
-        if with_grad:
-            return Ts, dTs
         return Ts
 
     def chain_state(self, qmat: np.ndarray, link_index: int):
@@ -276,18 +262,38 @@ class NumericFK:
         prefix[k] is the base-to-link-k transform; A[j] = prefix[j] @ dT_j
         is the shared left part of every d(position)/d(q_j).
         """
-        if with_grad:
-            Ts, dTs = self.link_values(qmat, True)
-        else:
-            Ts = self.link_values(qmat)
+        Ts = self.link_values(qmat)
         S = qmat.shape[0]
         prefix = [np.broadcast_to(self.chain.base_pose, (S, 4, 4)).copy()]
         for T in Ts:
             prefix.append(prefix[-1] @ T)
         state = {"prefix": prefix, "Ts": Ts}
         if with_grad:
-            state["A"] = [prefix[j] @ dTs[j] for j in range(len(Ts))]
+            state["A"] = self._gradient_factors(prefix, qmat)
         return state
+
+    def gradient_state(self, state, qmat: np.ndarray, idx: np.ndarray):
+        """``state`` of the samples qmat (from ``shared_state``) cut to the
+        samples ``idx``, with the gradient factors A taken there only:
+        ``shared_state(qmat[idx], with_grad=True)`` bit for bit, since every
+        factor is formed sample by sample."""
+        prefix = [p[idx] for p in state["prefix"]]
+        return {"prefix": prefix, "Ts": [T[idx] for T in state["Ts"]],
+                "A": self._gradient_factors(prefix, qmat[idx])}
+
+    def _gradient_factors(self, prefix, qmat: np.ndarray) -> list[np.ndarray]:
+        """A[j] = prefix[j] @ dT_j/dq_j (S, 4, 4) at the samples qmat."""
+        S, L = qmat.shape
+        A = []
+        for j in range(L):
+            Mc, Ms, _ = self._entry[j]
+            if self._kinds[j] == REVOLUTE:
+                _, _, dc, ds = halfangle_cos_sin(qmat[:, j], self.depths[j], True)
+                dT = dc[:, None, None] * Mc + ds[:, None, None] * Ms
+            else:
+                dT = np.broadcast_to(Mc, (S, 4, 4)).copy()
+            A.append(prefix[j] @ dT)
+        return A
 
     @staticmethod
     def body_positions(state, link_index: int, verts: np.ndarray,

@@ -21,7 +21,9 @@ adjoints for analytic gradients.
 
 from __future__ import annotations
 
+import logging
 import math
+import time
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -36,7 +38,12 @@ from .bernstein import (
     to_spans,
 )
 from .bspline import BSpline, KnotVector, basis_matrix
-from .collision import ObstaclePrimitive, SignedDistanceField, build_sdf
+from .collision import (
+    ObstaclePrimitive,
+    SignedDistanceField,
+    build_sdf,
+    lattice_path,
+)
 from .kinematics import NumericFK, homogeneous, unwrap_half_angles
 from .nlp import AugmentedLagrangianSolver, ConstraintBlock
 from .scenario import (
@@ -60,6 +67,8 @@ __all__ = [
     "solve",
     "verify",
 ]
+
+log = logging.getLogger(__name__)
 
 # Relative strictness margin added inside the hull-relaxed inequality
 # families, so converged solutions satisfy the underlying constraints
@@ -547,9 +556,11 @@ class SDFClearanceFamily(ConstraintBlock):
 
     ``evaluate`` places a chain's vertices by forward kinematics without
     gradients.  The vjp takes the FK gradients only at the samples where
-    some row carries weight, usually a few near an obstacle, and scatters
-    each link's contribution into a full-length column, so the result
-    equals the all-sample formula bit for bit.
+    some row carries weight, usually a few near an obstacle: it cuts
+    evaluate's link transforms and prefixes to those samples and forms
+    only the derivative factors there (``NumericFK.gradient_state``).  It
+    scatters each link's contribution into a full-length column, so the
+    result equals the all-sample formula bit for bit.
     """
 
     def __init__(self, name, layout, field: SignedDistanceField, taus,
@@ -646,11 +657,11 @@ class SDFClearanceFamily(ConstraintBlock):
             # weight; every other sample adds zero to gC.
             idx = np.flatnonzero(weighted)
             if idx.size:
-                state = self.nfk.shared_state(qmat[idx], with_grad=True)
+                grad_state = self.nfk.gradient_state(state, qmat, idx)
                 column = np.zeros(qmat.shape[0])
                 for b, (body, wp) in enumerate(zip(self.bodies, wpos)):
                     dpos = self.nfk.body_position_grads(
-                        state, body.link_index, body.verts, self._homs[b]
+                        grad_state, body.link_index, body.verts, self._homs[b]
                     )
                     contrib = (wp[idx] * dpos[:, :, :, :dim]).sum(axis=(2, 3))
                     for j in range(body.link_index):
@@ -1170,6 +1181,13 @@ def assemble(scenario: Scenario) -> PlanningProblem:
 
 
 def initial_guess(problem: PlanningProblem) -> DecisionVector:
+    """The solver's start: the straight line of ``_straight_line`` or,
+    for a mobile robot whose line runs into a static obstacle, the
+    coefficients of a collision-free lattice path (see ``_seeded_guess``)."""
+    return _seeded_guess(problem)[0]
+
+
+def _straight_line(problem: PlanningProblem) -> DecisionVector:
     """Linear coefficient interpolation, a rate-based time heuristic, and
     planes seeded between each protected body and its obstacle."""
     scenario = problem.scenario
@@ -1199,6 +1217,76 @@ def initial_guess(problem: PlanningProblem) -> DecisionVector:
     return DecisionVector(C, T, planes)
 
 
+def _path_rows(Bpos: np.ndarray, C: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """The free rows of ``C`` (all but the three pinned at each end)
+    fitted by least squares on ``Bpos`` to the polyline ``points``.
+
+    Each site reads the polyline at the straight line's own pace: at the
+    fraction of its length that the line of ``_straight_line`` has gone
+    there.  That map eases in and out, since the pinned rows start and end
+    the line at rest, and a straight polyline gives back the line's rows.
+    """
+    arc = np.concatenate([[0.0], np.cumsum(
+        np.linalg.norm(np.diff(points, axis=0), axis=1))])
+    pace = np.linspace(0.0, 1.0, C.shape[0])
+    pace[:3] = 0.0
+    pace[-3:] = 1.0
+    target = np.column_stack([np.interp(arc[-1] * (Bpos @ pace), arc, p)
+                              for p in points.T])
+    rhs = target - Bpos[:, :3] @ C[:3] - Bpos[:, -3:] @ C[-3:]
+    return np.linalg.lstsq(Bpos[:, 3:-3], rhs, rcond=None)[0]
+
+
+def _line_record() -> dict:
+    """The initial-guess record of a straight line taken without a search."""
+    return {"start": "straight_line", "lattice_nodes": 0,
+            "path_length_m": None, "search_s": 0.0}
+
+
+def _seeded_guess(problem: PlanningProblem) -> tuple[DecisionVector, dict]:
+    """The initial guess and a record of how it was found.
+
+    A mobile robot with SDF clearance keeps the straight line bit for bit
+    when the field reads at least the robot radius at every collocation
+    site of the clearance family.  Otherwise its coefficients follow the
+    shortest collision-free path of ``collision.lattice_path`` (clearance:
+    the radius plus the family's cushion), fitted to the family's sites;
+    without such a path the straight line stays.  T stays the rate-based
+    heuristic's.  Chains, and mobile robots without an SDF family, start
+    from the straight line.
+
+    The record is ``{"start": "straight_line" | "lattice_path",
+    "lattice_nodes", "path_length_m", "search_s"}``: the nodes the lattice
+    kept (0 when no search ran), the path's length (None without one) and
+    the seconds spent checking the line and searching.
+    """
+    dv = _straight_line(problem)
+    record = _line_record()
+    family = next((f for f in problem.families
+                   if isinstance(f, SDFClearanceFamily)), None)
+    if family is None or problem.nfk is not None:
+        return dv, record
+    t0 = time.perf_counter()
+    radius = problem.bodies[0].radius
+    values, _ = family.field.query_extended(family.Bpos @ dv.joint_coeffs)
+    if not np.all(values >= radius):
+        search = lattice_path(family.field, problem.q_init, problem.q_goal,
+                              radius + family.cushion)
+        record["lattice_nodes"] = search.nodes
+        if search.points is not None:
+            dv.joint_coeffs[3:-3] = _path_rows(family.Bpos, dv.joint_coeffs,
+                                               search.points)
+            record["start"] = "lattice_path"
+            record["path_length_m"] = search.length
+    record["search_s"] = time.perf_counter() - t0
+    length = record["path_length_m"]
+    log.info("initial guess: %s (%d lattice nodes, %s, search %.2f ms)",
+             record["start"], record["lattice_nodes"],
+             "no path" if length is None else f"path {length:.3f} m",
+             1e3 * record["search_s"])
+    return dv, record
+
+
 @dataclass
 class Solution:
     """Solved trajectory with diagnostics.
@@ -1206,8 +1294,10 @@ class Solution:
     ``trace`` holds the solver's per-outer-iteration record,
     ``block_scales`` its fixed scale per constraint family and ``stop`` the
     test that ended a converged solve with the final KKT residual and its
-    scale (see ``nlp.AugmentedLagrangianSolver.solve``); all three are run
-    diagnostics and not part of the stored solution.
+    scale (see ``nlp.AugmentedLagrangianSolver.solve``); ``initial_guess``
+    records how the start was found (see ``_seeded_guess``; empty when the
+    caller gave the guess).  All four are run diagnostics and not part of
+    the stored solution.
     """
 
     decision: DecisionVector
@@ -1221,6 +1311,7 @@ class Solution:
     trace: list = field(default_factory=list)
     block_scales: dict[str, float] = field(default_factory=dict)
     stop: dict = field(default_factory=dict)
+    initial_guess: dict = field(default_factory=dict)
 
     @property
     def converged(self) -> bool:
@@ -1272,15 +1363,19 @@ class Solution:
 def solve(problem: PlanningProblem, guess: DecisionVector | None = None) -> Solution:
     """Run the augmented Lagrangian solver on the assembled problem.
 
-    A degenerate scenario (start equals goal) returns the constant
+    Without a ``guess`` the solve starts from ``initial_guess``.  A
+    degenerate scenario (start equals goal) returns the constant
     trajectory at the minimum time without invoking the solver.
     """
     if np.array_equal(problem.q_init, problem.q_goal):
-        dv = initial_guess(problem)
+        dv = _straight_line(problem)
         dv.T = T_MIN
-        return Solution(dv, "converged", dv.T, 0, 0, 0.0, 0.0, {})
-    dv0 = guess or initial_guess(problem)
-    x0 = problem.layout.pack(dv0)
+        return Solution(dv, "converged", dv.T, 0, 0, 0.0, 0.0, {},
+                        initial_guess=_line_record())
+    record = {}
+    if guess is None:
+        guess, record = _seeded_guess(problem)
+    x0 = problem.layout.pack(guess)
     solver = AugmentedLagrangianSolver(problem.objective, problem.families,
                                        bounds=problem.layout.bounds(T_MIN))
     result = solver.solve(x0)
@@ -1296,6 +1391,7 @@ def solve(problem: PlanningProblem, guess: DecisionVector | None = None) -> Solu
         trace=result.trace,
         block_scales=result.block_scales,
         stop=result.stop,
+        initial_guess=record,
     )
 
 

@@ -11,11 +11,13 @@ import pytest
 from splinetraj.bernstein import bezier_extraction, left_inverse, product, to_spans
 from splinetraj.bspline import BSpline, basis_matrix, clamp_knots
 from splinetraj.collision import (
+    LATTICE_MAX_NODES,
     ObstaclePrimitive,
     OutOfBoundsError,
     SignedDistanceField,
     box_sphere_distance,
     build_sdf,
+    lattice_path,
     point_box_distance,
 )
 from splinetraj.kinematics import DHChain, DHLink, NumericFK
@@ -400,6 +402,117 @@ class TestSignCorrectness:
             # Distance lower bound check via any hull vertex.
             true_dist = np.linalg.norm(verts - p, axis=1).min()
             assert v <= true_dist + 1e-9
+
+
+def reference_lattice_distance(field, start, goal, clearance):
+    """Dijkstra over the whole lattice that ``lattice_path`` describes,
+    built move by move from shifted node masks: the length from start to
+    goal through the nearest nodes, or inf."""
+    from itertools import product
+
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import dijkstra
+
+    dims = np.array(field.dims)
+    stride = next(k for k in range(1, 100)
+                  if np.prod(-(-dims // k)) <= LATTICE_MAX_NODES)
+    values = field.values[(slice(None, None, stride),) * field.dim]
+    step = stride * field.cell_size
+    kept = values >= clearance + field.dim * step
+    ids = np.arange(values.size).reshape(values.shape)
+    rows, cols, lengths = [], [], []
+    for move in product((-1, 0, 1), repeat=field.dim):
+        if not any(move):
+            continue
+        src = tuple(slice(max(0, -m), n - max(0, m)) for m, n in zip(move, values.shape))
+        dst = tuple(slice(max(0, m), n - max(0, -m)) for m, n in zip(move, values.shape))
+        both = kept[src] & kept[dst]
+        rows.append(ids[src][both])
+        cols.append(ids[dst][both])
+        lengths.append(np.full(both.sum(), step * math.sqrt(sum(m * m for m in move))))
+    graph = coo_matrix((np.concatenate(lengths), (np.concatenate(rows),
+                                                  np.concatenate(cols))),
+                       shape=(values.size,) * 2).tocsr()
+    ends = [tuple(np.clip(np.rint((np.asarray(p) - field.origin) / step).astype(int),
+                          0, np.array(values.shape) - 1)) for p in (start, goal)]
+    if not (kept[ends[0]] and kept[ends[1]]):
+        return math.inf
+    dist = dijkstra(graph, indices=ids[ends[0]])[ids[ends[1]]]
+    nodes = [field.origin + step * np.array(e) for e in ends]
+    return (dist + np.linalg.norm(nodes[0] - start)
+            + np.linalg.norm(goal - nodes[1]))
+
+
+def bench2d_field(obstacles):
+    return build_sdf(obstacles, ([-0.5, -1.5], [3.5, 1.5]), 4.0 / 128)
+
+
+def mobile_sdf_field(name):
+    from perfbench.workloads import generate
+
+    return static_field(parse_scenario(next(o for o in generate("mobile_sdf")
+                                            if o["name"] == name)))
+
+
+class TestLatticePath:
+    START, GOAL = np.array([0.0, 0.0]), np.array([3.0, 0.0])
+
+    @pytest.mark.parametrize("field", [
+        pytest.param(lambda: mobile_sdf_field("bench2d_slalom_5_0"), id="slalom_5_0"),
+        pytest.param(lambda: mobile_sdf_field("bench2d_one_sided_1_0"),
+                     id="one_sided_1_0"),
+        # A wall with one gap at the edge: the detour is longer than the
+        # first search region admits, so the region grows.
+        pytest.param(lambda: bench2d_field([ObstaclePrimitive.box([1.4, -1.2],
+                                                                  [1.6, 1.6])]),
+                     id="wall_with_edge_gap"),
+        # Two staggered walls: the first region holds only the path that
+        # winds between them; the shorter one passes under both, outside
+        # it, so the found path is too long to accept and the region grows.
+        pytest.param(lambda: bench2d_field([
+            ObstaclePrimitive.box([0.9, -0.6], [1.1, 1.6]),
+            ObstaclePrimitive.box([1.9, -1.2], [2.1, 0.6])]), id="staggered_walls"),
+    ])
+    def test_shortest_path_of_the_whole_lattice_that_clears(self, field):
+        field = field()
+        clearance = 0.152
+        path = lattice_path(field, self.START, self.GOAL, clearance)
+        assert path.points is not None
+        assert path.length == pytest.approx(
+            reference_lattice_distance(field, self.START, self.GOAL, clearance),
+            rel=1e-12)
+        np.testing.assert_array_equal(path.points[0], self.START)
+        np.testing.assert_array_equal(path.points[-1], self.GOAL)
+        # Every point of every edge clears the clearance.
+        s = np.linspace(0.0, 1.0, 11)[:, None, None]
+        seg = path.points[1:-1]
+        dense = (seg[:-1] + s * (seg[1:] - seg[:-1])).reshape(-1, 2)
+        assert field.query_extended(dense)[0].min() >= clearance
+
+    def test_walled_off_goal_has_no_path(self):
+        field = bench2d_field([ObstaclePrimitive.box([1.4, -1.6], [1.6, 1.6])])
+        path = lattice_path(field, self.START, self.GOAL, 0.152)
+        assert path.points is None and math.isnan(path.length)
+        assert path.nodes > 0
+        assert reference_lattice_distance(field, self.START, self.GOAL,
+                                          0.152) == math.inf
+
+    def test_goal_node_too_close_has_no_path(self):
+        field = bench2d_field([ObstaclePrimitive.sphere([3.0, 0.3], 0.2)])
+        assert lattice_path(field, self.START, self.GOAL, 0.152).points is None
+
+    def test_3d_lattice_is_strided_to_the_node_cap(self):
+        scn = load_scenario(SCENARIO_DIR / "mobile3d.json")
+        field = static_field(scn)
+        assert field.values.size > LATTICE_MAX_NODES
+        start, goal = np.array([0.0, 0.0, 0.0]), np.array([2.4, 0.6, -0.3])
+        path = lattice_path(field, start, goal, 0.0)
+        assert 0 < path.nodes <= LATTICE_MAX_NODES
+        assert path.length == pytest.approx(
+            reference_lattice_distance(field, start, goal, 0.0), rel=1e-12)
+        # Interior nodes sit on the strided lattice: 5 field cells apart.
+        steps = np.abs(np.diff(path.points[1:-1], axis=0)).max(axis=1)
+        np.testing.assert_allclose(steps, 5 * field.cell_size, rtol=1e-12)
 
 
 def layout_for(C, world_dim, n_planes=0):

@@ -118,15 +118,18 @@ class TestQPFloor:
         assert result.stop["test"] is None
 
     def test_stalled_line_search_is_not_infeasible(self):
-        # A 3-circle slalom of the mobile benchmark: once rho is at its cap,
-        # every L-BFGS-B call fails its first line search, so the plan
-        # stops without showing the geometry infeasible.
+        # A 3-circle slalom of the mobile benchmark, planned from the
+        # straight line through its circles (the default guess goes round
+        # them and converges): once rho is at its cap, every L-BFGS-B call
+        # fails its first line search, so the plan stops without showing
+        # the geometry infeasible.
         from perfbench.workloads import generate
-        from splinetraj.planner import solve
+        from splinetraj.planner import _straight_line, solve
 
         obj = next(o for o in generate("mobile_sdf")
                    if o["name"] == "bench2d_slalom_3_0")
-        sol = solve(assemble(parse_scenario(obj)))
+        problem = assemble(parse_scenario(obj))
+        sol = solve(problem, _straight_line(problem))
         assert sol.status == "stalled"
         assert not sol.converged
         tail = sol.trace[-3:]
@@ -134,10 +137,11 @@ class TestQPFloor:
                    and e["lbfgsb_message"].startswith("ABNORMAL") for e in tail)
 
     def test_unconverged_kkt_residual_is_of_the_returned_iterate(self, monkeypatch):
-        # The slalom stops on a later iterate than the best one it returns;
-        # the KKT residual it reports must be the returned decision's.
+        # The slalom, planned from the straight line through its circles,
+        # stops on a later iterate than the best one it returns; the KKT
+        # residual it reports must be the returned decision's.
         from perfbench.workloads import generate
-        from splinetraj.planner import solve
+        from splinetraj.planner import _straight_line, solve
 
         original = nlp.AugmentedLagrangianSolver._kkt_residual
         calls = []
@@ -151,7 +155,7 @@ class TestQPFloor:
         obj = next(o for o in generate("mobile_sdf")
                    if o["name"] == "bench2d_slalom_3_0")
         problem = assemble(parse_scenario(obj))
-        sol = solve(problem)
+        sol = solve(problem, _straight_line(problem))
         assert not sol.converged
         solver, multipliers, scales = calls[-1]
         x = problem.layout.pack(sol.decision)
@@ -381,3 +385,16 @@ class TestChainPlansConverge:
             sol = solve(problem, guess)
             assert sol.status == "converged", seed
             assert sol.objective == pytest.approx(1.125454, rel=1e-5), seed
+
+
+def test_jitter_sweep_takes_one_plan_of_a_workload():
+    # The label output_digest.py prints for one plan of a workload
+    # names that plan alone.
+    from tools.jitter_sweep import scenario_dicts
+
+    root = Path(__file__).resolve().parents[1]
+    (obj,) = scenario_dicts(root, "mobile_sdf/bench2d_slalom_5_0")
+    assert obj["name"] == "bench2d_slalom_5_0"
+    assert len(scenario_dicts(root, "mobile_sdf")) == 30
+    with pytest.raises(SystemExit, match="no scenario"):
+        scenario_dicts(root, "mobile_sdf/bench2d_nothing")

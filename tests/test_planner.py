@@ -1,6 +1,7 @@
 """Planner: assembly structure, relaxation soundness, solve/verify behavior."""
 
 import json
+import logging
 from dataclasses import replace
 from pathlib import Path
 
@@ -9,7 +10,7 @@ import pytest
 
 from splinetraj import nlp
 from splinetraj.bspline import BSpline, KnotVector, basis_matrix, clamp_knots
-from splinetraj.cli import benchmark_obstacles, export_trajectory
+from splinetraj.cli import benchmark_obstacles, export_trajectory, run
 from splinetraj.kinematics import NumericFK, unwrap_half_angles
 from splinetraj.planner import (
     CUSHION,
@@ -20,6 +21,8 @@ from splinetraj.planner import (
     Solution,
     TrajectoryBasis,
     TrajectorySamples,
+    _seeded_guess,
+    _straight_line,
     assemble,
     initial_guess,
     solve,
@@ -288,6 +291,100 @@ class TestInitialGuess:
         assert len(trace) >= 1
         assert np.isfinite(trace[0]["violation"])
         assert trace[-1]["raw_violation"] <= trace[0]["raw_violation"] + 1e-12
+
+
+def bench2d_layout(name):
+    from perfbench.workloads import generate
+
+    return parse_scenario(next(o for o in generate("mobile_sdf")
+                               if o["name"] == name))
+
+
+def assert_straight_line_start(prob):
+    dv, record = _seeded_guess(prob)
+    line = _straight_line(prob)
+    np.testing.assert_array_equal(dv.joint_coeffs, line.joint_coeffs)
+    assert dv.T == line.T
+    assert record["start"] == "straight_line"
+    assert record["path_length_m"] is None
+    return record
+
+
+class TestLatticeStart:
+    def test_slalom_through_five_circles_converges(self, tmp_path):
+        # From the straight line this slalom ends infeasible; the lattice
+        # start goes round its circles.
+        report = run(bench2d_layout("bench2d_slalom_5_0"), output_dir=tmp_path)
+        assert report.converged
+        assert report.family_violations["sdf_clearance"] == 0.0
+        assert all(v == 0.0 for v in report.family_violations.values())
+        assert report.objective <= 2.501
+        guess = json.loads((tmp_path / "report.json").read_text())["initial_guess"]
+        assert set(guess) == {"start", "lattice_nodes", "path_length_m",
+                              "search_s"}
+        assert guess["start"] == "lattice_path"
+        assert 0 < guess["lattice_nodes"] <= 1 << 14
+        assert guess["path_length_m"] > 3.0  # longer than the straight line
+        assert guess["search_s"] > 0.0
+        assert "initial_guess" not in json.loads(
+            (tmp_path / "solution.json").read_text())
+
+    @pytest.mark.parametrize("prob", [
+        pytest.param(lambda: load_scenario(SCENARIO_DIR / "mobile2d.json"),
+                     id="mobile2d"),
+        pytest.param(lambda: bench2d_layout("bench2d_clear_1_0"),
+                     id="bench2d_clear_1_0"),
+        pytest.param(lambda: replace(
+            load_scenario(SCENARIO_DIR / "bench2d.json"),
+            obstacles=tuple(benchmark_obstacles(20))), id="benchmark_obstacles20"),
+    ])
+    def test_clear_line_keeps_the_straight_line(self, prob):
+        record = assert_straight_line_start(assemble(prob()))
+        assert record["lattice_nodes"] == 0
+
+    def test_goal_inside_obstacle_falls_back_to_the_line(self):
+        prob = assemble(mobile_scenario(
+            boundary={"initial": [0.0, 0.0], "goal": [1.5, 0.45], "units": "m"}))
+        record = assert_straight_line_start(prob)
+        assert record["lattice_nodes"] > 0  # searched, found no path
+
+    def test_mobile3d_converges_from_the_line(self):
+        # The straight line runs into the box; at the 3D lattice's stride
+        # the node nearest the goal is too close to it to be kept, so the
+        # search finds no path and the plan starts from the line as before.
+        prob = assemble(load_scenario(SCENARIO_DIR / "mobile3d.json"))
+        fam = prob.families[-1]
+        vals, _ = fam.field.query_extended(
+            fam.Bpos @ _straight_line(prob).joint_coeffs)
+        assert vals.min() - prob.bodies[0].radius == pytest.approx(-0.37, abs=5e-3)
+        record = assert_straight_line_start(prob)
+        assert record["lattice_nodes"] > 0
+        sol = solve(prob)
+        assert sol.converged
+        assert sol.initial_guess["start"] == "straight_line"
+        assert sol.objective == pytest.approx(2.5003011, abs=1e-7)
+        assert verify(sol, prob).passed
+
+    def test_one_info_line_per_plan(self, caplog):
+        prob = assemble(bench2d_layout("bench2d_one_sided_1_0"))
+        with caplog.at_level(logging.INFO, logger="splinetraj.planner"):
+            sol = solve(prob)
+        lines = [r.getMessage() for r in caplog.records
+                 if r.name == "splinetraj.planner"]
+        record = sol.initial_guess
+        assert lines == [
+            f"initial guess: lattice_path ({record['lattice_nodes']} lattice "
+            f"nodes, path {record['path_length_m']:.3f} m, search "
+            f"{1e3 * record['search_s']:.2f} ms)"]
+
+    def test_lattice_start_keeps_the_pinned_rows_and_time(self):
+        prob = assemble(bench2d_layout("bench2d_one_sided_1_0"))
+        dv, line = initial_guess(prob), _straight_line(prob)
+        np.testing.assert_array_equal(dv.joint_coeffs[:3], line.joint_coeffs[:3])
+        np.testing.assert_array_equal(dv.joint_coeffs[-3:], line.joint_coeffs[-3:])
+        assert dv.T == line.T
+        assert np.abs(dv.joint_coeffs[3:-3, 1]).max() > 0.1  # off the line
+        assert solve(prob, line).initial_guess == {}
 
 
 class TestRelaxationSoundness:

@@ -15,8 +15,12 @@ seeded 0 .. K - 1, and prints one line per start:
 
 then the medians of the last five columns.  BLAS runs on one thread, as
 in the test suite and the benchmark.  The scenario is a bundled scenario
-name, a scenario file path or a perfbench workload name (its first
-scenario).
+name, a scenario file path, a perfbench workload name (its first
+scenario) or ``<workload>/<scenario name>``, the label that
+``output_digest.py`` prints for one plan of a workload:
+
+    python3 tools/jitter_sweep.py mobile_sdf/bench2d_slalom_5_0 -k 6
+
 ``--tree`` plans with the ``src/`` (and ``perfbench/``) of another
 checkout, so one copy of this script compares two trees:
 
@@ -48,8 +52,9 @@ BOUNDARY_ROWS = 3
 
 def scenario_dicts(tree: Path, name: str) -> list[dict]:
     """The bundled scenario ``name`` of ``tree``, or the scenario file at
-    the path ``name``, as a one-item list; or every scenario of the
-    perfbench workload ``name``.  ``tree``'s ``src/`` and root must lead
+    the path ``name``, as a one-item list; every scenario of the perfbench
+    workload ``name``; or, for ``<workload>/<scenario name>``, that one
+    scenario of the workload.  ``tree``'s ``src/`` and root must lead
     ``sys.path``."""
     for path in (tree / "src" / "splinetraj" / "scenarios" / f"{name}.json",
                  Path(name)):
@@ -57,10 +62,17 @@ def scenario_dicts(tree: Path, name: str) -> list[dict]:
             return [json.loads(path.read_text())]
     from perfbench.workloads import WORKLOADS, generate
 
-    if name not in WORKLOADS:
+    workload, _, scenario = name.partition("/")
+    if workload not in WORKLOADS:
         raise SystemExit(f"{name}: neither a bundled scenario nor a workload "
                          f"({', '.join(WORKLOADS)})")
-    return generate(name)
+    batch = generate(workload)
+    if scenario:
+        batch = [obj for obj in batch if obj["name"] == scenario]
+        if not batch:
+            raise SystemExit(f"{name}: workload {workload} has no scenario "
+                             f"{scenario!r}")
+    return batch
 
 
 def plan(problem, guess) -> dict:
@@ -90,7 +102,8 @@ def plan(problem, guess) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("scenario", help="bundled scenario name, scenario file "
-                                         "path or perfbench workload name")
+                                         "path, perfbench workload name or "
+                                         "<workload>/<scenario name>")
     parser.add_argument("-k", type=int, default=6, help="jittered starts (default 6)")
     parser.add_argument("--tree", default=str(Path(__file__).resolve().parents[1]),
                         help="checkout whose src/ is planned (default: this one)")

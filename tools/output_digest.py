@@ -30,7 +30,8 @@ that no bundled scenario does.  A perfbench workload
 name (``mobile_sdf``, ``arm_sdf``, ``arm_dynamic``) prints one such line
 for each scenario of that workload, labelled
 ``<workload>/<scenario name>``, so every plan's T is compared, not a
-mean over the workload.
+mean over the workload; that label on the command line plans the one
+scenario.
 
 The verification object holds each family's dense violation, tolerance
 and sample count; the run's timings sit beside it in ``report.json`` and
@@ -101,8 +102,9 @@ VARIANTS = {"+hyperplane": _hyperplane, "+limits": _limits,
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("scenarios", nargs="*",
-                        help="bundled scenario names, scenario file paths or "
-                             "perfbench workload names, each optionally with "
+                        help="bundled scenario names, scenario file paths, "
+                             "perfbench workload names or <workload>/<scenario "
+                             "name> labels, each optionally with "
                              "one or more of the suffixes +hyperplane, +limits "
                              "and +polytope (default: every bundled scenario, "
                              "then mobile2d and mobile3d +hyperplane, "
@@ -141,7 +143,7 @@ def plans(tree: Path, names: list[str]):
             suffixes.insert(0, key)
         one_file = (bundled / f"{base}.json").exists() or Path(base).is_file()
         for obj in scenario_dicts(tree, base):
-            label = name if one_file else f"{name}/{obj['name']}"
+            label = name if one_file or "/" in base else f"{name}/{obj['name']}"
             for key in suffixes:
                 VARIANTS[key](obj)
             yield label, obj
