@@ -11,12 +11,9 @@ from .bspline import (
     BSpline,
     DegreeError,
     DomainError,
-    HullBounds,
     KnotVector,
     basis_matrix,
     clamp_knots,
-    eval_basis,
-    hull_bounds,
 )
 from .collision import (
     ObstaclePrimitive,
@@ -54,7 +51,6 @@ __all__ = [
     "DecisionVector",
     "DegreeError",
     "DomainError",
-    "HullBounds",
     "KnotVector",
     "MobileRobot",
     "ObstaclePrimitive",
@@ -69,8 +65,6 @@ __all__ = [
     "basis_matrix",
     "build_sdf",
     "clamp_knots",
-    "eval_basis",
-    "hull_bounds",
     "initial_guess",
     "load_scenario",
     "multiply",

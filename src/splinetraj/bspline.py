@@ -1,8 +1,8 @@
 """Clamped B-spline curves on the normalized parameter interval [0, 1].
 
-Provides knot vectors, Cox-de Boor basis evaluation, spline evaluation,
-closed-form derivatives, and the coefficient bounding box that backs all
-convex-hull constraint relaxations elsewhere in the package.
+Provides knot vectors, vectorized Cox-de Boor basis evaluation, spline
+evaluation and closed-form derivatives.  The convex-hull relaxations live
+in the planner's constraint families, as sign conditions on control points.
 """
 
 from __future__ import annotations
@@ -14,11 +14,8 @@ __all__ = [
     "DegreeError",
     "KnotVector",
     "BSpline",
-    "HullBounds",
-    "eval_basis",
     "basis_matrix",
     "clamp_knots",
-    "hull_bounds",
 ]
 
 
@@ -71,7 +68,8 @@ class KnotVector:
         )
 
     def __hash__(self):
-        return hash(self.values.tobytes())
+        # + 0.0 turns -0.0 into 0.0, which compares equal to it.
+        return hash((self.values + 0.0).tobytes())
 
     def __repr__(self):
         return f"KnotVector({self.values.tolist()})"
@@ -137,59 +135,13 @@ def clamp_knots(interior, degree: int) -> KnotVector:
     return KnotVector(full)
 
 
-def _check_tau(knots: KnotVector, tau: float) -> None:
-    if not (knots.first <= tau <= knots.last):
-        raise DomainError(
-            f"tau = {tau} outside knot domain [{knots.first}, {knots.last}]"
-        )
-
-
-def eval_basis(knots: KnotVector, i: int, degree: int, tau: float) -> float:
-    """Evaluate the basis function B_{i,p}(tau) by the Cox-de Boor recursion.
-
-    0/0 terms in the recursion evaluate to 0.  The half-open interval
-    convention is closed on the right at the final knot, so the last basis
-    function of a clamped spline evaluates to 1 there.
-
-    Args:
-        knots: Knot vector.
-        i: Basis function index, 0 <= i <= len(knots) - degree - 2.
-        degree: Basis degree p.
-        tau: Evaluation parameter inside the knot domain.
-    """
-    if not isinstance(knots, KnotVector):
-        knots = KnotVector(knots)
-    u = knots.values
-    n_basis = len(u) - degree - 1
-    if not 0 <= i < n_basis:
-        raise IndexError(f"basis index {i} invalid for {n_basis} functions")
-    _check_tau(knots, tau)
-    return _cox_de_boor(u, i, degree, float(tau), float(u[-1]))
-
-
-def _cox_de_boor(u: np.ndarray, i: int, p: int, tau: float, end: float) -> float:
-    if p == 0:
-        if u[i] <= tau < u[i + 1]:
-            return 1.0
-        # Close the last nonempty interval on the right.
-        if tau == end and u[i + 1] == end and u[i] < u[i + 1]:
-            return 1.0
-        return 0.0
-    total = 0.0
-    d1 = u[i + p] - u[i]
-    if d1 > 0.0:
-        total += (tau - u[i]) / d1 * _cox_de_boor(u, i, p - 1, tau, end)
-    d2 = u[i + p + 1] - u[i + 1]
-    if d2 > 0.0:
-        total += (u[i + p + 1] - tau) / d2 * _cox_de_boor(u, i + 1, p - 1, tau, end)
-    return total
-
-
 def basis_matrix(knots: KnotVector, degree: int, taus) -> np.ndarray:
     """Evaluate all basis functions at many parameters at once.
 
-    Same recursion as :func:`eval_basis`, vectorized over both the basis
-    index and the parameter values.
+    The Cox-de Boor recursion (Piegl & Tiller, The NURBS Book, 2.2),
+    vectorized over both the basis index and the parameter values.  0/0
+    terms evaluate to 0, and the last nonempty knot span is closed on the
+    right, so the last basis function of a clamped spline is 1 at the end.
 
     Returns:
         Array of shape (len(taus), n_basis) with entries B_{i,p}(tau_k).
@@ -220,39 +172,6 @@ def basis_matrix(knots: KnotVector, degree: int, taus) -> np.ndarray:
             )
         B = w1 * B[:, :ncols] + w2 * B[:, 1 : 1 + ncols]
     return B
-
-
-class HullBounds:
-    """Per-coordinate bounding box of a spline's control points.
-
-    By the convex hull property the spline graph never leaves this box.
-    """
-
-    __slots__ = ("lower", "upper")
-
-    def __init__(self, lower, upper):
-        lo = np.atleast_1d(np.asarray(lower, dtype=float)).copy()
-        hi = np.atleast_1d(np.asarray(upper, dtype=float)).copy()
-        if lo.shape != hi.shape:
-            raise ValueError("lower/upper shape mismatch")
-        if np.any(lo > hi):
-            raise ValueError("lower bound exceeds upper bound")
-        lo.flags.writeable = False
-        hi.flags.writeable = False
-        object.__setattr__(self, "lower", lo)
-        object.__setattr__(self, "upper", hi)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("HullBounds is immutable")
-
-    def contains(self, points, atol: float = 0.0) -> bool:
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        return bool(
-            np.all(pts >= self.lower - atol) and np.all(pts <= self.upper + atol)
-        )
-
-    def __repr__(self):
-        return f"HullBounds(lower={self.lower.tolist()}, upper={self.upper.tolist()})"
 
 
 class BSpline:
@@ -345,11 +264,6 @@ class BSpline:
             d = np.where(spans[:, None] > 0.0, p * diff / spans[:, None], 0.0)
         return BSpline(p - 1, KnotVector(u[1:-1]), d)
 
-    def hull_bounds(self) -> HullBounds:
-        return HullBounds(
-            self.control_points.min(axis=0), self.control_points.max(axis=0)
-        )
-
     @classmethod
     def constant(cls, value, degree: int = 0, knots: KnotVector | None = None) -> "BSpline":
         """Constant curve; by partition of unity every coefficient equals value."""
@@ -364,8 +278,3 @@ class BSpline:
             f"BSpline(degree={self.degree}, n_coefficients={self.n_coefficients}, "
             f"dim={self.dim})"
         )
-
-
-def hull_bounds(spline: BSpline) -> HullBounds:
-    """Coefficient bounding box; contains S(tau) for every tau in the domain."""
-    return spline.hull_bounds()

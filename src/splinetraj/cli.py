@@ -77,8 +77,6 @@ class RunReport:
     objective: float
     solve_time: float
     family_violations: dict[str, float]
-    samples: int
-    output_dir: str | None
 
     @property
     def converged(self) -> bool:
@@ -190,8 +188,6 @@ def run(scenario: Scenario, output_dir=None, samples: int = 1000,
         objective=solution.objective,
         solve_time=solve_time,
         family_violations=violations,
-        samples=samples,
-        output_dir=str(output_dir) if output_dir else None,
     )
 
 
@@ -211,7 +207,7 @@ def benchmark_sdf_vs_hyperplane(base_scenario: Scenario, obstacle_counts,
                                 trials: int = 5) -> list[dict]:
     """Solve each obstacle count with both static-obstacle formulations.
 
-    Returns one row per count with mean and minimum wall times, the time
+    Returns one row per count with the mean wall times, the time
     ratio of the means, the inner iterations and the constraint counts of
     each formulation.  Rows where either formulation fails to converge are
     flagged so trend checks can exclude them.  A chain robot or a moving
@@ -241,7 +237,6 @@ def benchmark_sdf_vs_hyperplane(base_scenario: Scenario, obstacle_counts,
                 times.append(time.perf_counter() - t0)
             counts = problem.constraint_counts()
             row[f"t_{mode}"] = float(np.mean(times))
-            row[f"t_min_{mode}"] = float(min(times))
             row[f"status_{mode}"] = solutions[0].status
             row[f"objective_{mode}"] = solutions[0].objective
             row[f"inner_{mode}"] = solutions[0].inner_iterations

@@ -12,12 +12,9 @@ from splinetraj.bspline import (
     BSpline,
     DegreeError,
     DomainError,
-    HullBounds,
     KnotVector,
     basis_matrix,
     clamp_knots,
-    eval_basis,
-    hull_bounds,
 )
 
 
@@ -74,6 +71,12 @@ class TestKnotVector:
         with pytest.raises(ValueError):
             kv.values[0] = 3.0
 
+    def test_signed_zero_eq_and_hash(self):
+        neg, pos = KnotVector([-0.0, 0.5, 1]), KnotVector([0.0, 0.5, 1])
+        assert neg == pos
+        assert hash(neg) == hash(pos)
+        assert len({neg, pos}) == 1
+
 
 class TestClampKnots:
     def test_paper_13_coefficient_sequence(self):
@@ -98,45 +101,6 @@ class TestClampKnots:
             clamp_knots([0.6, 0.4], 2)
 
 
-class TestEvalBasis:
-    def test_clamped_endpoint(self):
-        assert eval_basis(CLAMPED_CUBIC, 0, 3, 0.0) == 1.0
-        assert eval_basis(CLAMPED_CUBIC, 4, 3, 1.0) == 1.0
-
-    def test_matches_oracle_midspan(self):
-        val = eval_basis(CLAMPED_CUBIC, 2, 3, 0.25)
-        ref = oracle_basis(CLAMPED_CUBIC.values, 2, 3, 0.25)
-        assert val == pytest.approx(ref, abs=1e-15)
-
-    def test_matches_oracle_everywhere(self):
-        rng = np.random.default_rng(7)
-        for _ in range(20):
-            s = random_clamped(rng)
-            u = s.knots
-            taus = rng.uniform(0.0, 1.0, size=10)
-            for i in range(s.n_coefficients):
-                for tau in taus:
-                    assert eval_basis(u, i, s.degree, tau) == pytest.approx(
-                        oracle_basis(u.values, i, s.degree, tau), abs=1e-14
-                    )
-
-    def test_nonnegative(self):
-        rng = np.random.default_rng(11)
-        for _ in range(50):
-            s = random_clamped(rng)
-            tau = rng.uniform(0, 1)
-            i = int(rng.integers(0, s.n_coefficients))
-            assert eval_basis(s.knots, i, s.degree, tau) >= 0.0
-
-    def test_domain_error(self):
-        with pytest.raises(DomainError):
-            eval_basis(CLAMPED_CUBIC, 0, 3, 1.5)
-
-    def test_index_error(self):
-        with pytest.raises(IndexError):
-            eval_basis(CLAMPED_CUBIC, 9, 3, 0.5)
-
-
 class TestBasisMatrix:
     def test_matches_scalar_eval(self):
         rng = np.random.default_rng(3)
@@ -147,8 +111,42 @@ class TestBasisMatrix:
             for r, tau in enumerate(taus):
                 for i in range(s.n_coefficients):
                     assert B[r, i] == pytest.approx(
-                        eval_basis(s.knots, i, s.degree, tau), abs=1e-14
+                        oracle_basis(s.knots.values, i, s.degree, tau), abs=1e-14
                     )
+
+    def test_clamped_endpoint(self):
+        B = basis_matrix(CLAMPED_CUBIC, 3, [0.0, 1.0])
+        assert B[0, 0] == 1.0
+        assert B[1, 4] == 1.0
+
+    def test_matches_oracle_midspan(self):
+        val = basis_matrix(CLAMPED_CUBIC, 3, [0.25])[0, 2]
+        ref = oracle_basis(CLAMPED_CUBIC.values, 2, 3, 0.25)
+        assert val == pytest.approx(ref, abs=1e-15)
+
+    def test_matches_oracle_everywhere(self):
+        rng = np.random.default_rng(7)
+        for _ in range(20):
+            s = random_clamped(rng)
+            u = s.knots
+            taus = rng.uniform(0.0, 1.0, size=10)
+            B = basis_matrix(u, s.degree, taus)
+            for i in range(s.n_coefficients):
+                for r, tau in enumerate(taus):
+                    assert B[r, i] == pytest.approx(
+                        oracle_basis(u.values, i, s.degree, tau), abs=1e-14
+                    )
+
+    def test_nonnegative(self):
+        rng = np.random.default_rng(11)
+        for _ in range(50):
+            s = random_clamped(rng)
+            tau = rng.uniform(0, 1)
+            assert np.all(basis_matrix(s.knots, s.degree, [tau]) >= 0.0)
+
+    def test_domain_error(self):
+        with pytest.raises(DomainError):
+            basis_matrix(CLAMPED_CUBIC, 3, [1.5])
 
     def test_partition_of_unity(self):
         rng = np.random.default_rng(5)
@@ -246,32 +244,17 @@ class TestDerivative:
             s.derivative()
 
 
-class TestHullBounds:
-    def test_simple(self):
-        s = BSpline(1, KnotVector([0, 0, 0.5, 1, 1]), [[0.0], [2.0], [1.0]])
-        hb = hull_bounds(s)
-        assert hb.lower[0] == 0.0
-        assert hb.upper[0] == 2.0
-
-    def test_single_control_point(self):
-        s = BSpline(0, KnotVector([0, 1]), [[3.5]])
-        hb = s.hull_bounds()
-        assert hb.lower[0] == hb.upper[0] == 3.5
+class TestInvariants:
+    """Spec-level invariants over randomized splines."""
 
     def test_dense_sampling_containment(self):
         rng = np.random.default_rng(31)
         taus = np.linspace(0, 1, 1000)
         for _ in range(200):
             s = random_clamped(rng, dim=int(rng.integers(1, 4)))
-            assert s.hull_bounds().contains(s.eval(taus), atol=1e-12)
-
-    def test_invalid_bounds(self):
-        with pytest.raises(ValueError):
-            HullBounds([1.0], [0.0])
-
-
-class TestInvariants:
-    """Spec-level invariants over randomized splines."""
+            vals = s.eval(taus)
+            assert np.all(vals >= s.control_points.min(axis=0) - 1e-12)
+            assert np.all(vals <= s.control_points.max(axis=0) + 1e-12)
 
     def test_hull_containment_bulk(self):
         rng = np.random.default_rng(37)
@@ -283,9 +266,8 @@ class TestInvariants:
             n = len(knots) - p - 1
             s = BSpline(p, knots, rng.uniform(-5, 5, (n, 1)))
             vals = s.eval(taus)[:, 0]
-            hb = s.hull_bounds()
-            assert vals.min() >= hb.lower[0] - 1e-12
-            assert vals.max() <= hb.upper[0] + 1e-12
+            assert vals.min() >= s.control_points.min() - 1e-12
+            assert vals.max() <= s.control_points.max() + 1e-12
 
 
 class TestSerialization:

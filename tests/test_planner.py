@@ -16,6 +16,7 @@ from splinetraj.planner import (
     CUSHION,
     T_MIN,
     ChainRateFamily,
+    CoeffBoxFamily,
     DecisionVector,
     PlaneRobotSideFamily,
     Solution,
@@ -617,6 +618,31 @@ class TestSolve:
         np.testing.assert_array_equal(back.decision.joint_coeffs,
                                       sol.decision.joint_coeffs)
         assert back.status == sol.status
+
+    def test_binding_angle_box(self, monkeypatch):
+        # output_digest.py's threelink+limits box: without it joint 2 rises
+        # to 54.8 deg, so its 50 deg rows carry weight and the box vjp runs.
+        from tools.output_digest import LIMITS
+
+        vjp_calls = []
+        evaluate = CoeffBoxFamily.evaluate
+
+        def counted(self, x):
+            r, vjp = evaluate(self, x)
+            return r, lambda w: vjp_calls.append(1) or vjp(w)
+
+        monkeypatch.setattr(CoeffBoxFamily, "evaluate", counted)
+        obj = json.loads((SCENARIO_DIR / "threelink.json").read_text())
+        obj["limits"]["angle_min"], obj["limits"]["angle_max"] = LIMITS["threelink"]
+        prob = assemble(parse_scenario(obj))
+        sol = solve(prob)
+        assert sol.converged
+        assert verify(sol, prob).passed
+        assert vjp_calls
+        # The bundled threelink's T, which the box leaves in place.
+        assert sol.objective == pytest.approx(1.7397890878042128, abs=1e-6)
+        angles = prob.samples(sol.decision, np.linspace(0.0, 1.0, 10001)).angles()
+        assert np.degrees(angles[:, 1].max()) <= 50.0
 
 
 def prismatic_chain():

@@ -16,10 +16,13 @@ plans that scenario with its static obstacles as separating planes, built
 in memory from the tree's bundled file: the two by default are the only
 bundled route into a mobile robot's plane rows.  The suffix ``+limits``
 adds a box on the coordinates: angle limits of +-150 degrees for
-``threelink`` and the position box [-0.4, -0.6] to [3.4, 0.6] for
-``mobile2d``.  No bundled scenario builds that box family otherwise: the
-bundled chains' limits lie at or beyond the recoverable range, where
-they add no rows, and no mobile scenario sets one.  The suffix
+``threelink``, but 50 degrees above for its second joint, and the
+position box [-0.4, -0.6] to [3.4, 0.6] for ``mobile2d``.  No bundled
+scenario builds that box family otherwise: the bundled chains' limits
+lie at or beyond the recoverable range, where they add no rows, and no
+mobile scenario sets one.  The second joint of ``threelink`` rises past
+50 degrees without the box, so there the box binds and the solver
+enters its vjp; ``mobile2d``'s box stays slack.  The suffix
 ``+polytope`` replaces each circle of a 2D scenario by its circumscribed
 regular hexagon (vertices at r / cos 30 degrees from the center, at 30,
 90, ..., 330 degrees, rounded to 6 decimals): no bundled scenario has a polytope obstacle, so
@@ -69,7 +72,8 @@ import numpy as np  # noqa: E402
 
 OUTPUTS = ("solution.json", "trajectory.csv", "cartesian.csv")
 # The +limits box of each scenario that takes one, in its file's units.
-LIMITS = {"threelink": (-150, 150), "mobile2d": ([-0.4, -0.6], [3.4, 0.6])}
+LIMITS = {"threelink": ([-150, -150, -150], [150, 50, 150]),
+          "mobile2d": ([-0.4, -0.6], [3.4, 0.6])}
 
 
 def _hyperplane(obj: dict) -> None:
