@@ -148,6 +148,12 @@ class TestBasisMatrix:
         with pytest.raises(DomainError):
             basis_matrix(CLAMPED_CUBIC, 3, [1.5])
 
+    def test_column_count(self):
+        # One column per coefficient, one row per parameter, also for none.
+        B = basis_matrix(CLAMPED_CUBIC, 3, np.linspace(0, 1, 7))
+        assert B.shape == (7, len(CLAMPED_CUBIC) - 3 - 1)
+        assert basis_matrix(CLAMPED_CUBIC, 3, []).shape == (0, 5)
+
     def test_partition_of_unity(self):
         rng = np.random.default_rng(5)
         for _ in range(50):
@@ -246,6 +252,21 @@ class TestDerivative:
 
 class TestInvariants:
     """Spec-level invariants over randomized splines."""
+
+    def test_simple(self):
+        # A linear spline passes through its control points, so its range
+        # is exactly the control points' min/max.
+        s = BSpline(1, KnotVector([0, 0, 0.5, 1, 1]), [[0.0], [2.0], [1.0]])
+        np.testing.assert_allclose(s.eval([0.0, 0.5, 1.0])[:, 0], [0.0, 2.0, 1.0])
+        vals = s.eval(np.linspace(0, 1, 1001))[:, 0]
+        assert vals.min() == s.control_points.min() == 0.0
+        assert vals.max() == s.control_points.max() == 2.0
+
+    def test_single_control_point(self):
+        s = BSpline(0, KnotVector([0, 1]), [[3.5]])
+        taus = np.linspace(0, 1, 11)
+        np.testing.assert_array_equal(basis_matrix(s.knots, 0, taus), np.ones((11, 1)))
+        np.testing.assert_array_equal(s.eval(taus), np.full((11, 1), 3.5))
 
     def test_dense_sampling_containment(self):
         rng = np.random.default_rng(31)
