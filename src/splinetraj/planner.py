@@ -1044,6 +1044,21 @@ def _time_heuristic(scenario: Scenario) -> float:
     return max(t, T_MIN)
 
 
+def _rest_to_rest_time(scenario: Scenario) -> float:
+    """The least travel time of any rest-to-rest motion within the limits
+    (at least ``T_MIN``).
+
+    Each coordinate moving a distance d under its velocity limit v and
+    acceleration limit a needs at least its bang-coast-bang time: d/v + v/a
+    when d >= v^2/a, where it reaches v and coasts, and 2 sqrt(d/a)
+    otherwise.  The slowest coordinate bounds T.
+    """
+    d = np.abs(scenario.boundary_goal - scenario.boundary_initial)
+    v, a = scenario.limits.velocity, scenario.limits.acceleration
+    t = np.where(d >= v * v / a, d / v + v / a, 2.0 * np.sqrt(d / a))
+    return max(float(np.max(t, initial=0.0)), T_MIN)
+
+
 def assemble(scenario: Scenario) -> PlanningProblem:
     """Build the relaxed coefficient-space problem for a scenario.
 
@@ -1183,13 +1198,23 @@ def assemble(scenario: Scenario) -> PlanningProblem:
 def initial_guess(problem: PlanningProblem) -> DecisionVector:
     """The solver's start: the straight line of ``_straight_line`` or,
     for a mobile robot whose line runs into a static obstacle, the
-    coefficients of a collision-free lattice path (see ``_seeded_guess``)."""
+    coefficients of a collision-free lattice path (see ``_seeded_guess``).
+    Its T is the rate-based heuristic's, but at least the rest-to-rest
+    bound, which the heuristic misses since it ignores the acceleration
+    limits."""
     return _seeded_guess(problem)[0]
 
 
 def _straight_line(problem: PlanningProblem) -> DecisionVector:
-    """Linear coefficient interpolation, a rate-based time heuristic, and
-    planes seeded between each protected body and its obstacle."""
+    """Linear coefficient interpolation, a travel time T, and planes
+    seeded between each protected body and its obstacle.
+
+    T is the rate-based ``_time_heuristic`` (the cushions' ``t_guess``),
+    raised to ``_rest_to_rest_time`` where it lies below: the heuristic
+    ignores the acceleration limits, and no trajectory reaches a time
+    below that bound, so a start there only costs the solver iterations
+    climbing to it.
+    """
     scenario = problem.scenario
     n = problem.basis.n_coeffs
     alphas = np.linspace(0.0, 1.0, n)[:, None]
@@ -1197,7 +1222,7 @@ def _straight_line(problem: PlanningProblem) -> DecisionVector:
     C[:3] = problem.q_init
     C[-3:] = problem.q_goal
 
-    T = _time_heuristic(scenario)
+    T = max(_time_heuristic(scenario), _rest_to_rest_time(scenario))
 
     planes = []
     for body, obs in problem.plane_specs:
@@ -1237,10 +1262,12 @@ def _path_rows(Bpos: np.ndarray, C: np.ndarray, points: np.ndarray) -> np.ndarra
     return np.linalg.lstsq(Bpos[:, 3:-3], rhs, rcond=None)[0]
 
 
-def _line_record() -> dict:
-    """The initial-guess record of a straight line taken without a search."""
+def _line_record(dv: DecisionVector, scenario: Scenario) -> dict:
+    """The initial-guess record of a straight line ``dv`` taken without a
+    search."""
     return {"start": "straight_line", "lattice_nodes": 0,
-            "path_length_m": None, "search_s": 0.0}
+            "path_length_m": None, "search_s": 0.0, "T": dv.T,
+            "T_bound": _rest_to_rest_time(scenario)}
 
 
 def _seeded_guess(problem: PlanningProblem) -> tuple[DecisionVector, dict]:
@@ -1251,17 +1278,20 @@ def _seeded_guess(problem: PlanningProblem) -> tuple[DecisionVector, dict]:
     site of the clearance family.  Otherwise its coefficients follow the
     shortest collision-free path of ``collision.lattice_path`` (clearance:
     the radius plus the family's cushion), fitted to the family's sites;
-    without such a path the straight line stays.  T stays the rate-based
-    heuristic's.  Chains, and mobile robots without an SDF family, start
-    from the straight line.
+    without such a path the straight line stays.  T stays the straight
+    line's: the rate-based heuristic, raised to the rest-to-rest bound
+    where it lies below (see ``_straight_line``).  Chains, and mobile
+    robots without an SDF family, start from the straight line.
 
     The record is ``{"start": "straight_line" | "lattice_path",
-    "lattice_nodes", "path_length_m", "search_s"}``: the nodes the lattice
-    kept (0 when no search ran), the path's length (None without one) and
-    the seconds spent checking the line and searching.
+    "lattice_nodes", "path_length_m", "search_s", "T", "T_bound"}``: the
+    nodes the lattice kept (0 when no search ran), the path's length (None
+    without one), the seconds spent checking the line and searching, the
+    start's travel time and the rest-to-rest bound of
+    ``_rest_to_rest_time``; the start was clamped when the two are equal.
     """
     dv = _straight_line(problem)
-    record = _line_record()
+    record = _line_record(dv, problem.scenario)
     family = next((f for f in problem.families
                    if isinstance(f, SDFClearanceFamily)), None)
     if family is None or problem.nfk is not None:
@@ -1371,7 +1401,7 @@ def solve(problem: PlanningProblem, guess: DecisionVector | None = None) -> Solu
         dv = _straight_line(problem)
         dv.T = T_MIN
         return Solution(dv, "converged", dv.T, 0, 0, 0.0, 0.0, {},
-                        initial_guess=_line_record())
+                        initial_guess=_line_record(dv, problem.scenario))
     record = {}
     if guess is None:
         guess, record = _seeded_guess(problem)

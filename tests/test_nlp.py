@@ -398,3 +398,14 @@ def test_jitter_sweep_takes_one_plan_of_a_workload():
     assert len(scenario_dicts(root, "mobile_sdf")) == 30
     with pytest.raises(SystemExit, match="no scenario"):
         scenario_dicts(root, "mobile_sdf/bench2d_nothing")
+
+
+def test_jitter_sweep_prints_the_start_and_its_bound():
+    # Above its table the sweep shows whether the start sat at the bound.
+    from tools.jitter_sweep import start_line
+
+    threelink = assemble(load_scenario(SCENARIO_DIR / "threelink.json"))
+    assert start_line(threelink) == ("     start T 1.549193338 "
+                                     "T_bound 1.549193338")
+    mobile2d = assemble(load_scenario(SCENARIO_DIR / "mobile2d.json"))
+    assert start_line(mobile2d) == "     start T 3 T_bound 2.25"

@@ -22,8 +22,10 @@ from splinetraj.planner import (
     Solution,
     TrajectoryBasis,
     TrajectorySamples,
+    _rest_to_rest_time,
     _seeded_guess,
     _straight_line,
+    _time_heuristic,
     assemble,
     initial_guess,
     solve,
@@ -269,6 +271,49 @@ class TestInitialGuess:
         dv = initial_guess(prob)
         assert dv.T == pytest.approx(3.0 / 1.5 * 1.5)
 
+    @pytest.mark.parametrize("goal, velocity, acceleration, bound", [
+        # d = 3 >= v^2/a = 0.375: accelerate, coast, brake: 3/1.5 + 1.5/6.
+        ([3.0, 0.0], 1.5, 6.0, 2.25),
+        # d = 0.24 < 0.375: no coast, 2 sqrt(0.24 / 6).
+        ([0.24, 0.0], 1.5, 6.0, 0.4),
+        # The first coordinate does not move and bounds nothing.
+        ([0.0, 0.24], 1.5, 6.0, 0.4),
+        # The slowest coordinate bounds T: the second coasts, 1/0.25 + 0.25/0.5.
+        ([3.0, 1.0], [1.5, 0.25], [6.0, 0.5], 4.5),
+        # 2 sqrt(0.001 / 6) = 0.026 lies below the floor T_MIN.
+        ([0.001, 0.0], 1.5, 6.0, T_MIN),
+    ], ids=["coast", "no_coast", "zero_distance", "slowest", "t_min"])
+    def test_rest_to_rest_time(self, goal, velocity, acceleration, bound):
+        scn = mobile_scenario(
+            boundary={"initial": [0.0, 0.0], "goal": goal, "units": "m"},
+            limits={"velocity": velocity, "acceleration": acceleration})
+        assert _rest_to_rest_time(scn) == pytest.approx(bound, rel=1e-15)
+
+    def test_threelink_starts_at_its_bound(self):
+        # The heuristic ignores the acceleration limits: 0.9 s lies below
+        # the bang-coast-bang time no trajectory can beat.
+        scn = load_scenario(SCENARIO_DIR / "threelink.json")
+        dv, record = _seeded_guess(assemble(scn))
+        assert _time_heuristic(scn) == pytest.approx(0.9)
+        assert dv.T == _rest_to_rest_time(scn) == pytest.approx(1.5492, abs=1e-4)
+        assert record["T"] == record["T_bound"] == dv.T
+
+    @pytest.mark.parametrize("path", sorted(SCENARIO_DIR.glob("*.json")),
+                             ids=lambda p: p.stem)
+    def test_start_is_at_least_the_bound(self, path):
+        scn = load_scenario(path)
+        dv, record = _seeded_guess(assemble(scn))
+        assert dv.T >= _rest_to_rest_time(scn)
+        assert (record["T"], record["T_bound"]) == (dv.T, _rest_to_rest_time(scn))
+
+    @pytest.mark.parametrize("name", ["mobile2d", "mobile3d", "bench2d",
+                                      "fanuc6_static", "fanuc6_dynamic",
+                                      "unconstrained"])
+    def test_start_above_the_bound_keeps_the_heuristic(self, name):
+        scn = load_scenario(SCENARIO_DIR / f"{name}.json")
+        assert _time_heuristic(scn) > _rest_to_rest_time(scn)
+        assert initial_guess(assemble(scn)).T == _time_heuristic(scn)
+
     def test_plane_guess_norm(self):
         scn = mobile_scenario(obstacles=[
             {"kind": "sphere", "center": [1.5, -0.5], "radius": 0.2,
@@ -322,7 +367,7 @@ class TestLatticeStart:
         assert report.objective <= 2.501
         guess = json.loads((tmp_path / "report.json").read_text())["initial_guess"]
         assert set(guess) == {"start", "lattice_nodes", "path_length_m",
-                              "search_s"}
+                              "search_s", "T", "T_bound"}
         assert guess["start"] == "lattice_path"
         assert 0 < guess["lattice_nodes"] <= 1 << 14
         assert guess["path_length_m"] > 3.0  # longer than the straight line

@@ -8,7 +8,13 @@ iteration count.  This script separates the two.  It plans the scenario
 through ``planner.solve(problem, guess)`` from the unjittered initial
 guess and from K starts whose interior joint coefficients (all rows but
 the three boundary rows at each end) are scaled by ``1 + 1e-12 N(0, 1)``,
-seeded 0 .. K - 1, and prints one line per start:
+seeded 0 .. K - 1.  It first prints the unjittered start's travel time
+and the rest-to-rest bound of its initial-guess record (``-`` for a tree
+whose record lacks it), equal when the start was clamped at the bound:
+
+         start T <T> T_bound <bound>
+
+then one line per start:
 
     <start> <status> <float.hex(T)> <outer> <inner> <objective calls>
         <CPU s> <CPU s per objective call>
@@ -27,7 +33,8 @@ checkout, so one copy of this script compares two trees:
     python3 tools/jitter_sweep.py arm_dynamic -k 6 --tree ../parent
     python3 tools/jitter_sweep.py arm_dynamic -k 6
 
-The ``arm_dynamic`` sweep at K = 6 takes one to two minutes per tree.
+The ``arm_dynamic`` sweep at K = 6 took 11 s wall per tree on a 2-core
+x86-64 host with one BLAS thread.
 """
 
 from __future__ import annotations
@@ -99,6 +106,16 @@ def plan(problem, guess) -> dict:
             "s_per_call": cpu / max(calls, 1)}
 
 
+def start_line(problem) -> str:
+    """The line of the unjittered start's T and its rest-to-rest bound."""
+    from splinetraj.planner import _seeded_guess
+
+    guess, record = _seeded_guess(problem)
+    bound = record.get("T_bound")
+    return (f"{'start':>10} T {guess.T:.10g} T_bound "
+            f"{'-' if bound is None else format(bound, '.10g')}")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("scenario", help="bundled scenario name, scenario file "
@@ -116,6 +133,7 @@ def main(argv=None) -> int:
     from splinetraj.planner import assemble, initial_guess
 
     problem = assemble(parse_scenario(scenario_dicts(tree, args.scenario)[0]))
+    print(start_line(problem), flush=True)
     rows = []
     for start in range(-1, args.k):
         guess = initial_guess(problem)

@@ -50,8 +50,8 @@ script compares any two trees:
     python3 tools/output_digest.py > change.txt
     diff parent.txt change.txt
 
-All seven bundled scenarios take a few minutes; ``fanuc6_dynamic`` is
-most of that.
+The default list took 11 s wall on a 2-core x86-64 host with one BLAS
+thread.
 """
 
 from __future__ import annotations
