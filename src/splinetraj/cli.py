@@ -27,6 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .collision import ObstaclePrimitive
+from .nlp import SolveOutcome
 from .planner import PlanningProblem, Solution, assemble, solve, verify
 from .scenario import ChainRobot, Scenario, ScenarioError, _read_json, load_scenario
 
@@ -68,19 +69,15 @@ def _write_csv(path: Path, header: list[str], rows: list[str]) -> None:
     path.write_text("\n".join([",".join(header)] + rows) + "\n")
 
 
-@dataclass
-class RunReport:
-    """Outcome of one scenario run."""
+@dataclass(kw_only=True)
+class RunReport(SolveOutcome):
+    """One scenario run: the solve's outcome (the ``Solution``'s own
+    objects), the scenario's name, the solve's wall time in seconds and
+    each verified family's worst dense violation."""
 
     name: str
-    status: str
-    objective: float
     solve_time: float
     family_violations: dict[str, float]
-
-    @property
-    def converged(self) -> bool:
-        return self.status == "converged"
 
 
 def _output_path(path, file: bool = False) -> Path:
@@ -170,7 +167,6 @@ def run(scenario: Scenario, output_dir=None, samples: int = 1000,
             json.dumps(
                 {
                     "verification": report.to_json(),
-                    "solve_time_s": solve_time,
                     "timings": timings,
                     "problem": problem.describe(),
                     "trace": solution.trace,
@@ -182,13 +178,8 @@ def run(scenario: Scenario, output_dir=None, samples: int = 1000,
             )
             + "\n"
         )
-    return RunReport(
-        name=scenario.name,
-        status=solution.status,
-        objective=solution.objective,
-        solve_time=solve_time,
-        family_violations=violations,
-    )
+    return RunReport(**solution.outcome(), name=scenario.name,
+                     solve_time=solve_time, family_violations=violations)
 
 
 def benchmark_obstacles(k: int) -> list[dict]:
@@ -255,23 +246,13 @@ def benchmark_sdf_vs_hyperplane(base_scenario: Scenario, obstacle_counts,
 
 
 def write_benchmark_csv(rows, path) -> None:
-    header = "count,t_sdf,t_hyp,ratio,ok,constraints_sdf,constraints_hyp"
-    lines = [header]
-    for r in rows:
-        lines.append(
-            ",".join(
-                [
-                    str(r["count"]),
-                    _fmt(r["t_sdf"]),
-                    _fmt(r["t_hyperplane"]),
-                    _fmt(r["ratio"]),
-                    str(int(r["ok"])),
-                    str(r["constraints_sdf"]),
-                    str(r["constraints_hyperplane"]),
-                ]
-            )
-        )
-    Path(path).write_text("\n".join(lines) + "\n")
+    header = ["count", "t_sdf", "t_hyp", "ratio", "ok", "constraints_sdf",
+              "constraints_hyp"]
+    _write_csv(Path(path), header, [
+        ",".join([str(r["count"]), _fmt(r["t_sdf"]), _fmt(r["t_hyperplane"]),
+                  _fmt(r["ratio"]), str(int(r["ok"])),
+                  str(r["constraints_sdf"]), str(r["constraints_hyperplane"])])
+        for r in rows])
 
 
 def _cmd_solve(args) -> int:

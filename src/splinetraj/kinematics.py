@@ -256,26 +256,24 @@ class NumericFK:
         transform: ``body_positions`` at that link."""
         return NumericFK.body_positions(state, len(state["prefix"]) - 1, verts)
 
-    def shared_state(self, qmat: np.ndarray, with_grad: bool = False):
+    def shared_state(self, qmat: np.ndarray):
         """Full-chain factors computed once for use by every link.
 
-        prefix[k] is the base-to-link-k transform; A[j] = prefix[j] @ dT_j
-        is the shared left part of every d(position)/d(q_j).
+        prefix[k] is the base-to-link-k transform and Ts[j] link j's
+        transform; ``gradient_state`` adds A[j] = prefix[j] @ dT_j, the
+        shared left part of every d(position)/d(q_j).
         """
         Ts = self.link_values(qmat)
         S = qmat.shape[0]
         prefix = [np.broadcast_to(self.chain.base_pose, (S, 4, 4)).copy()]
         for T in Ts:
             prefix.append(prefix[-1] @ T)
-        state = {"prefix": prefix, "Ts": Ts}
-        if with_grad:
-            state["A"] = self._gradient_factors(prefix, qmat)
-        return state
+        return {"prefix": prefix, "Ts": Ts}
 
     def gradient_state(self, state, qmat: np.ndarray, idx: np.ndarray):
         """``state`` of the samples qmat (from ``shared_state``) cut to the
-        samples ``idx``, with the gradient factors A taken there only:
-        ``shared_state(qmat[idx], with_grad=True)`` bit for bit, since every
+        samples ``idx``, with the gradient factors A taken there only.  It
+        equals ``shared_state(qmat[idx])`` plus A bit for bit, since every
         factor is formed sample by sample."""
         prefix = [p[idx] for p in state["prefix"]]
         return {"prefix": prefix, "Ts": [T[idx] for T in state["Ts"]],

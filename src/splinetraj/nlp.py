@@ -29,13 +29,14 @@ the result names which (``stop``), and the solve logs it once at INFO.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 from scipy.optimize import minimize
 
 __all__ = [
     "ConstraintBlock",
+    "SolveOutcome",
     "SolverResult",
     "AugmentedLagrangianSolver",
 ]
@@ -110,18 +111,24 @@ def _trace_entry(outer, rho, f, viol, raw_viol, res, per_block) -> dict:
 
 
 @dataclass
-class SolverResult:
-    """``status``: converged, max-iterations (the outer limit ran out,
+class SolveOutcome:
+    """How a solve ended, declared once for every record that reports it:
+    ``SolverResult`` adds the solver's point ``x``,
+    ``planner.Solution`` the trajectory and how its start was found, and
+    ``cli.RunReport`` the run's name, wall time and verification.  Each is
+    built from the one before it with ``outcome()``.
+
+    ``status``: converged, max-iterations (the outer limit ran out,
     whatever the violation), infeasible (the violation stopped shrinking at
     the largest penalty) or stalled (it did, but each of those inner solves
-    failed its first line search and took no step).  Unless converged,
-    ``x`` is the iterate of least raw violation, then least objective.
-    ``block_scales`` maps each block's name to its fixed scale s_b.
+    failed its first line search and took no step).  ``max_violation`` and
+    ``block_violations`` are the raw violations of the returned point, in
+    all and per block.  ``trace`` holds one record per outer iteration,
+    ``block_scales`` maps each block's name to its fixed scale s_b, and
     ``stop`` names the test that ended a converged solve (``kkt`` or
     ``flat_objective``; None otherwise) with the KKT residual of the
-    returned ``x`` and its scale."""
+    returned point and its scale."""
 
-    x: np.ndarray
     status: str
     objective: float
     outer_iterations: int
@@ -136,6 +143,20 @@ class SolverResult:
     @property
     def converged(self) -> bool:
         return self.status == "converged"
+
+    def outcome(self) -> dict:
+        """The outcome fields by name, each this record's own object: the
+        keyword arguments that build the next record."""
+        return {f.name: getattr(self, f.name) for f in fields(SolveOutcome)}
+
+
+@dataclass(kw_only=True)
+class SolverResult(SolveOutcome):
+    """A solve's outcome and the point ``x`` it returns.  Unless
+    converged, ``x`` is the iterate of least raw violation, then least
+    objective."""
+
+    x: np.ndarray
 
 
 class AugmentedLagrangianSolver:
@@ -340,7 +361,5 @@ class AugmentedLagrangianSolver:
         stop = {"test": stop_test, "kkt_residual": kkt, "kkt_scale": kkt_scale}
         log.info("stop: %s, kkt residual %.3e, scale %.3g", stop_test, kkt,
                  kkt_scale)
-        return SolverResult(
-            x, status, f, outer, inner_total, raw_viol, kkt, per_block, trace,
-            block_scales, stop,
-        )
+        return SolverResult(status, f, outer, inner_total, raw_viol, kkt,
+                            per_block, trace, block_scales, stop, x=x)

@@ -45,7 +45,7 @@ from .collision import (
     lattice_path,
 )
 from .kinematics import NumericFK, homogeneous, unwrap_half_angles
-from .nlp import AugmentedLagrangianSolver, ConstraintBlock
+from .nlp import AugmentedLagrangianSolver, ConstraintBlock, SolveOutcome
 from .scenario import (
     ChainRobot,
     Scenario,
@@ -572,7 +572,6 @@ class SDFClearanceFamily(ConstraintBlock):
         self.taus = np.asarray(taus, dtype=float)
         self.bodies = list(bodies)
         self.lipschitz = math.sqrt(field.dim)
-        self.cushion = cushion_abs
         self.cushion_gap = cushion_abs
         gaps = np.diff(self.taus)
         half = np.zeros_like(self.taus)
@@ -630,7 +629,7 @@ class SDFClearanceFamily(ConstraintBlock):
         for b, (body, pos) in enumerate(zip(self.bodies, positions)):
             S, V = pos.shape[0], pos.shape[1]
             m = np.repeat(margin[b], V)
-            residuals.append(m + body.radius + self.cushion - vals[off : off + S * V])
+            residuals.append(m + body.radius + self.cushion_gap - vals[off : off + S * V])
             off += S * V
         r = np.concatenate(residuals)
 
@@ -714,7 +713,6 @@ class PlaneRobotSideFamily(ConstraintBlock):
         self.layout = layout
         self.plane_index = plane_index
         self.body = body
-        self.cushion = cushion
         self.cushion_gap = cushion
         self.fk_cache = fk_cache
         p = basis.degree
@@ -748,7 +746,7 @@ class PlaneRobotSideFamily(ConstraintBlock):
             y = product(plane, pts)  # (S, D + p + 1, 1, 4)
         coeffs = (self.lift @ y.reshape(-1, y.shape[3])) @ self.hom  # (rows, V)
         V = coeffs.shape[1]
-        r = (self.cushion - coeffs).T.reshape(-1)
+        r = (self.cushion_gap - coeffs).T.reshape(-1)
 
         def vjp(w):
             # minus from cushion - coeffs
@@ -784,7 +782,6 @@ class PlaneObstacleSideFamily(ConstraintBlock):
         self.layout = layout
         self.plane_index = plane_index
         self.obstacle = obstacle
-        self.cushion = cushion
         self.cushion_gap = cushion
         center = obstacle.motion
         if center is None:
@@ -809,7 +806,7 @@ class PlaneObstacleSideFamily(ConstraintBlock):
 
     def evaluate(self, x):
         ab = self.layout.unpack(x).plane_coeffs[self.plane_index]
-        r = self.G @ ab.reshape(-1) + (self.shift + self.cushion)
+        r = self.G @ ab.reshape(-1) + (self.shift + self.cushion_gap)
 
         def vjp(w):
             return self.layout.grad(
@@ -838,7 +835,6 @@ class PlaneNormFamily(ConstraintBlock):
         self.name = name
         self.layout = layout
         self.plane_index = plane_index
-        self.cushion = cushion
         self.cushion_gap = cushion
         n = basis.n_coeffs
         self.Q = multiply(basis.units, basis.units).control_points.reshape(-1, n, n)
@@ -848,7 +844,7 @@ class PlaneNormFamily(ConstraintBlock):
         ab = self.layout.unpack(x).plane_coeffs[self.plane_index]
         a_c = ab[:, :-1]
         Qa = self.Q @ a_c  # (rows, n, d)
-        r = (Qa * a_c).sum(axis=(1, 2)) + (self.cushion - 1.0)
+        r = (Qa * a_c).sum(axis=(1, 2)) + (self.cushion_gap - 1.0)
 
         def vjp(w):
             gab = np.zeros_like(ab)  # b does not enter the norm
@@ -1301,7 +1297,7 @@ def _seeded_guess(problem: PlanningProblem) -> tuple[DecisionVector, dict]:
     values, _ = family.field.query_extended(family.Bpos @ dv.joint_coeffs)
     if not np.all(values >= radius):
         search = lattice_path(family.field, problem.q_init, problem.q_goal,
-                              radius + family.cushion)
+                              radius + family.cushion_gap)
         record["lattice_nodes"] = search.nodes
         if search.points is not None:
             dv.joint_coeffs[3:-3] = _path_rows(family.Bpos, dv.joint_coeffs,
@@ -1317,77 +1313,61 @@ def _seeded_guess(problem: PlanningProblem) -> tuple[DecisionVector, dict]:
     return dv, record
 
 
-@dataclass
-class Solution:
-    """Solved trajectory with diagnostics.
+def _stored_text(value, path: str) -> str:
+    if not isinstance(value, str):
+        raise ScenarioError(f"{path}: expected a string")
+    return value
 
-    ``trace`` holds the solver's per-outer-iteration record,
-    ``block_scales`` its fixed scale per constraint family and ``stop`` the
-    test that ended a converged solve with the final KKT residual and its
-    scale (see ``nlp.AugmentedLagrangianSolver.solve``); ``initial_guess``
-    records how the start was found (see ``_seeded_guess``; empty when the
-    caller gave the guess).  All four are run diagnostics and not part of
-    the stored solution.
+
+def _stored_count(value, path: str) -> int:
+    return _count(value, path, 0)
+
+
+def _stored_object(value, path: str) -> dict:
+    if not isinstance(value, dict):
+        raise ScenarioError(f"{path}: expected an object")
+    return dict(value)
+
+
+# The outcome fields solution.json stores after ``decision``, in its key
+# order, each with the reader of its stored value.
+STORED_OUTCOME = {
+    "status": _stored_text,
+    "objective": _stored_number,
+    "outer_iterations": _stored_count,
+    "inner_iterations": _stored_count,
+    "max_violation": _stored_number,
+    "kkt_residual": _stored_number,
+    "block_violations": _stored_object,
+}
+
+
+@dataclass(kw_only=True)
+class Solution(SolveOutcome):
+    """A solve's outcome (``nlp.SolveOutcome``, the solver's own objects)
+    with the solved trajectory ``decision`` in place of the solver's point.
+
+    ``initial_guess`` records how the start was found (see
+    ``_seeded_guess``; empty when the caller gave the guess).  It and the
+    outcome's ``trace``, ``block_scales`` and ``stop`` are run diagnostics;
+    solution.json stores ``decision`` and the ``STORED_OUTCOME`` fields.
     """
 
     decision: DecisionVector
-    status: str
-    objective: float
-    outer_iterations: int
-    inner_iterations: int
-    max_violation: float
-    kkt_residual: float
-    block_violations: dict[str, float]
-    trace: list = field(default_factory=list)
-    block_scales: dict[str, float] = field(default_factory=dict)
-    stop: dict = field(default_factory=dict)
     initial_guess: dict = field(default_factory=dict)
 
-    @property
-    def converged(self) -> bool:
-        return self.status == "converged"
-
     def to_json(self) -> dict:
-        return {
-            "decision": self.decision.to_json(),
-            "status": self.status,
-            "objective": self.objective,
-            "outer_iterations": self.outer_iterations,
-            "inner_iterations": self.inner_iterations,
-            "max_violation": self.max_violation,
-            "kkt_residual": self.kkt_residual,
-            "block_violations": self.block_violations,
-        }
+        return {"decision": self.decision.to_json(),
+                **{key: getattr(self, key) for key in STORED_OUTCOME}}
 
     @classmethod
     def from_json(cls, obj: dict, layout: VariableLayout) -> "Solution":
         """A stored solution of the problem with ``layout``; a missing key
         or a malformed entry raises ScenarioError naming the key."""
-        _require_keys(obj, "solution", (
-            "decision", "status", "objective", "outer_iterations",
-            "inner_iterations", "max_violation", "kkt_residual",
-            "block_violations"))
-        if not isinstance(obj["status"], str):
-            raise ScenarioError("solution.status: expected a string")
-        if not isinstance(obj["block_violations"], dict):
-            raise ScenarioError("solution.block_violations: expected an object")
-
-        def number(key):
-            return _stored_number(obj[key], f"solution.{key}")
-
-        def count(key):
-            return _count(obj[key], f"solution.{key}", 0)
-
-        return cls(
-            decision=DecisionVector.from_json(obj["decision"], layout),
-            status=obj["status"],
-            objective=number("objective"),
-            outer_iterations=count("outer_iterations"),
-            inner_iterations=count("inner_iterations"),
-            max_violation=number("max_violation"),
-            kkt_residual=number("kkt_residual"),
-            block_violations=dict(obj["block_violations"]),
-        )
+        _require_keys(obj, "solution", ["decision", *STORED_OUTCOME])
+        return cls(**{key: read(obj[key], f"solution.{key}")
+                      for key, read in STORED_OUTCOME.items()},
+                   decision=DecisionVector.from_json(obj["decision"], layout))
 
 
 def solve(problem: PlanningProblem, guess: DecisionVector | None = None) -> Solution:
@@ -1400,7 +1380,7 @@ def solve(problem: PlanningProblem, guess: DecisionVector | None = None) -> Solu
     if np.array_equal(problem.q_init, problem.q_goal):
         dv = _straight_line(problem)
         dv.T = T_MIN
-        return Solution(dv, "converged", dv.T, 0, 0, 0.0, 0.0, {},
+        return Solution("converged", dv.T, 0, 0, 0.0, 0.0, decision=dv,
                         initial_guess=_line_record(dv, problem.scenario))
     record = {}
     if guess is None:
@@ -1409,20 +1389,9 @@ def solve(problem: PlanningProblem, guess: DecisionVector | None = None) -> Solu
     solver = AugmentedLagrangianSolver(problem.objective, problem.families,
                                        bounds=problem.layout.bounds(T_MIN))
     result = solver.solve(x0)
-    return Solution(
-        decision=problem.layout.unpack(result.x).copy(),
-        status=result.status,
-        objective=result.objective,
-        outer_iterations=result.outer_iterations,
-        inner_iterations=result.inner_iterations,
-        max_violation=result.max_violation,
-        kkt_residual=result.kkt_residual,
-        block_violations=result.block_violations,
-        trace=result.trace,
-        block_scales=result.block_scales,
-        stop=result.stop,
-        initial_guess=record,
-    )
+    return Solution(**result.outcome(),
+                    decision=problem.layout.unpack(result.x).copy(),
+                    initial_guess=record)
 
 
 # ---------------------------------------------------------------------------

@@ -235,100 +235,102 @@ class Scenario:
         return clamp_knots(self.basis_interior, self.basis_degree)
 
 
+def _kind(obj, path: str, noun: str, keys: dict) -> str:
+    """The ``kind`` of the object ``obj``: a key of ``keys``, which maps
+    each kind to its (required, optional) keys besides ``kind``.  A key of
+    another kind is an unknown field."""
+    if not isinstance(obj, dict):
+        raise ScenarioError(f"{path}: expected an object")
+    if "kind" not in obj:
+        raise ScenarioError(f"{path}.kind: missing required field")
+    kind = obj["kind"]
+    if not isinstance(kind, str) or kind not in keys:
+        raise ScenarioError(f"{path}.kind: unknown {noun} kind {kind!r}")
+    required, optional = keys[kind]
+    _require_keys(obj, path, ("kind", *required), optional)
+    return kind
+
+
+_MOTION_KEYS = {"static": ((), ()), "linear": (("target",), ()),
+                "spline": (("degree", "knots", "control_points"), ())}
+_OBSTACLE_KEYS = {"sphere": (("center", "radius"), ("motion",)),
+                  "box": (("min", "max"), ("motion",)),
+                  "polytope": (("vertices",), ("motion",))}
+_ROBOT_KEYS = {"mobile": (("dimension", "radius"), ()),
+               "chain": (("base_pose", "links", "cuboids"), ("halving_depth",))}
+
+
 def _parse_motion(obj, path: str, dim: int, nominal: np.ndarray) -> BSpline | None:
     if obj is None:
         return None
-    _require_keys(obj, path, ["kind"], ["target", "degree", "knots", "control_points"])
-    kind = obj["kind"]
+    kind = _kind(obj, path, "motion", _MOTION_KEYS)
     if kind == "static":
         return None
     if kind == "linear":
-        target = _vector(obj.get("target"), f"{path}.target", dim)
+        target = _vector(obj["target"], f"{path}.target", dim)
         return BSpline(1, KnotVector([0.0, 0.0, 1.0, 1.0]),
                        np.stack([nominal, target]))
-    if kind == "spline":
-        for key in ("degree", "knots", "control_points"):
-            if key not in obj:
-                raise ScenarioError(f"{path}.{key}: missing for spline motion")
-        spline = BSpline(_count(obj["degree"], f"{path}.degree", 0),
-                         _vector(obj["knots"], f"{path}.knots"),
-                         _points(obj["control_points"], f"{path}.control_points", dim))
-        if spline.domain != (0.0, 1.0):
-            raise ScenarioError(f"{path}.knots: motion domain must be [0, 1]")
-        return spline
-    raise ScenarioError(f"{path}.kind: unknown motion kind {kind!r}")
+    spline = BSpline(_count(obj["degree"], f"{path}.degree", 0),
+                     _vector(obj["knots"], f"{path}.knots"),
+                     _points(obj["control_points"], f"{path}.control_points", dim))
+    if spline.domain != (0.0, 1.0):
+        raise ScenarioError(f"{path}.knots: motion domain must be [0, 1]")
+    return spline
 
 
 def _parse_obstacle(obj, path: str, dim: int) -> ObstaclePrimitive:
-    _require_keys(obj, path, ["kind"], ["center", "radius", "min", "max",
-                                        "vertices", "motion"])
-    kind = obj.get("kind")
+    kind = _kind(obj, path, "obstacle", _OBSTACLE_KEYS)
+    motion = obj.get("motion")
     try:
         if kind == "sphere":
-            center = _vector(obj.get("center"), f"{path}.center", dim)
-            radius = _number(obj.get("radius", 0.0), f"{path}.radius")
-            motion = _parse_motion(obj.get("motion"), f"{path}.motion", dim, center)
+            center = _vector(obj["center"], f"{path}.center", dim)
+            radius = _number(obj["radius"], f"{path}.radius")
+            motion = _parse_motion(motion, f"{path}.motion", dim, center)
             return ObstaclePrimitive.sphere(center, radius, motion=motion)
         if kind == "box":
-            lo = _vector(obj.get("min"), f"{path}.min", dim)
-            hi = _vector(obj.get("max"), f"{path}.max", dim)
-            nominal = 0.5 * (lo + hi)
-            motion = _parse_motion(obj.get("motion"), f"{path}.motion", dim, nominal)
+            lo = _vector(obj["min"], f"{path}.min", dim)
+            hi = _vector(obj["max"], f"{path}.max", dim)
+            motion = _parse_motion(motion, f"{path}.motion", dim, 0.5 * (lo + hi))
             return ObstaclePrimitive.box(lo, hi, motion=motion)
-        if kind == "polytope":
-            verts = _points(obj.get("vertices"), f"{path}.vertices", dim)
-            motion = _parse_motion(obj.get("motion"), f"{path}.motion", dim,
-                                   verts.mean(axis=0))
-            return ObstaclePrimitive.polytope(verts, motion=motion)
+        verts = _points(obj["vertices"], f"{path}.vertices", dim)
+        motion = _parse_motion(motion, f"{path}.motion", dim, verts.mean(axis=0))
+        return ObstaclePrimitive.polytope(verts, motion=motion)
     except ScenarioError:
         raise
     except (TypeError, ValueError) as exc:
         raise ScenarioError(f"{path}: {exc}") from exc
-    raise ScenarioError(f"{path}.kind: unknown obstacle kind {kind!r}")
 
 
 def _parse_robot(obj):
-    _require_keys(obj, "robot", ["kind"],
-                  ["dimension", "radius", "base_pose", "links", "cuboids",
-                   "halving_depth"])
-    kind = obj["kind"]
-    if kind == "mobile":
-        for key in ("dimension", "radius"):
-            if key not in obj:
-                raise ScenarioError(f"robot.{key}: missing required field")
+    if _kind(obj, "robot", "robot", _ROBOT_KEYS) == "mobile":
         return MobileRobot(_count(obj["dimension"], "robot.dimension", 2),
                            _number(obj["radius"], "robot.radius"))
-    if kind == "chain":
-        for key in ("base_pose", "links", "cuboids"):
-            if key not in obj:
-                raise ScenarioError(f"robot.{key}: missing required field")
-        base = _vector(obj["base_pose"], "robot.base_pose", 16).reshape(4, 4)
-        links = []
-        for i, entry in enumerate(_list(obj["links"], "robot.links")):
-            path = f"robot.links[{i}]"
-            _require_keys(entry, path, ["a", "alpha", "d"], ["theta0", "kind"])
-            a, alpha, d, theta0 = (_number(entry.get(key, 0.0), f"{path}.{key}")
-                                   for key in ("a", "alpha", "d", "theta0"))
-            kind = entry.get("kind", "revolute")
-            if kind not in ("revolute", "prismatic"):
-                raise ScenarioError(f"{path}.kind: must be 'revolute' or 'prismatic'")
-            links.append(DHLink(a, alpha, d, theta0, kind))
-        cuboids = []
-        for i, verts in enumerate(_list(obj["cuboids"], "robot.cuboids")):
-            arr = _points(verts, f"robot.cuboids[{i}]", 3)
-            if arr.shape != (8, 3):
-                raise ScenarioError(f"robot.cuboids[{i}]: expected 8x3 vertices")
-            cuboids.append(arr)
-        depths = obj.get("halving_depth", 1)
-        if not isinstance(depths, (list, tuple)):
-            depths = [depths] * len(links)
-        depths = tuple(_count(d, "robot.halving_depth") for d in depths)
-        try:
-            chain = DHChain(base, tuple(links), tuple(cuboids))
-        except ValueError as exc:
-            raise ScenarioError(f"robot: {exc}") from exc
-        return ChainRobot(chain, depths)
-    raise ScenarioError(f"robot.kind: unknown robot kind {kind!r}")
+    base = _vector(obj["base_pose"], "robot.base_pose", 16).reshape(4, 4)
+    links = []
+    for i, entry in enumerate(_list(obj["links"], "robot.links")):
+        path = f"robot.links[{i}]"
+        _require_keys(entry, path, ["a", "alpha", "d"], ["theta0", "kind"])
+        a, alpha, d, theta0 = (_number(entry.get(key, 0.0), f"{path}.{key}")
+                               for key in ("a", "alpha", "d", "theta0"))
+        kind = entry.get("kind", "revolute")
+        if kind not in ("revolute", "prismatic"):
+            raise ScenarioError(f"{path}.kind: must be 'revolute' or 'prismatic'")
+        links.append(DHLink(a, alpha, d, theta0, kind))
+    cuboids = []
+    for i, verts in enumerate(_list(obj["cuboids"], "robot.cuboids")):
+        arr = _points(verts, f"robot.cuboids[{i}]", 3)
+        if arr.shape != (8, 3):
+            raise ScenarioError(f"robot.cuboids[{i}]: expected 8x3 vertices")
+        cuboids.append(arr)
+    depths = obj.get("halving_depth", 1)
+    if not isinstance(depths, (list, tuple)):
+        depths = [depths] * len(links)
+    depths = tuple(_count(d, "robot.halving_depth") for d in depths)
+    try:
+        chain = DHChain(base, tuple(links), tuple(cuboids))
+    except ValueError as exc:
+        raise ScenarioError(f"robot: {exc}") from exc
+    return ChainRobot(chain, depths)
 
 
 def parse_scenario(obj: dict) -> Scenario:

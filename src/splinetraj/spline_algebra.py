@@ -114,18 +114,14 @@ class FitOperator:
         return self.matrix.shape[1]
 
     def fit_coefficients(self, values: np.ndarray) -> np.ndarray:
-        """Least-squares coefficients, shape (n_coefficients, d)."""
-        vals = np.asarray(values, dtype=float)
-        if vals.ndim == 1:
-            vals = vals[:, None]
-        return self._Vt.T @ ((self._U.T @ vals) / self._s[:, None])
+        """Least-squares coefficients (n_coefficients, d) of the site
+        values (n_sites, d)."""
+        return self._Vt.T @ ((self._U.T @ values) / self._s[:, None])
 
     def adjoint_apply(self, weights: np.ndarray) -> np.ndarray:
-        """Transpose of the fit map: maps coefficient weights to site weights."""
-        w = np.asarray(weights, dtype=float)
-        if w.ndim == 1:
-            return self._U @ ((self._Vt @ w) / self._s)
-        return self._U @ ((self._Vt @ w) / self._s[:, None])
+        """Transpose of the fit map: coefficient weights (n_coefficients,
+        d) to site weights (n_sites, d)."""
+        return self._U @ ((self._Vt @ weights) / self._s[:, None])
 
 
 def _on_common_spans(s1: BSpline, s2: BSpline, degree: int):

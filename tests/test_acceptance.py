@@ -328,7 +328,7 @@ class TestCriterion8:
         # and as a spline equal to den_6 (a . x + b) of every vertex x
         fam = next(f for f in prob.families
                    if isinstance(f, PlaneRobotSideFamily) and f.body.link_index == 6)
-        rows = (fam.cushion - fam.evaluate(prob.layout.pack(dv))[0]).reshape(8, -1)
+        rows = (fam.cushion_gap - fam.evaluate(prob.layout.pack(dv))[0]).reshape(8, -1)
         target = prob.basis.degree + sum(
             2 * prob.basis.degree * 2 ** (d - 1) for d in scn.robot.halving_depths)
         knots = elevated_union([(prob.basis.knots, prob.basis.degree)], target)

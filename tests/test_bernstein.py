@@ -329,7 +329,7 @@ def test_robot_side_rows_match_exact_rationals():
                 pos = [_psum([pscale(P[r][c], hom[c]) for c in range(4)]) for r in range(3)]
                 y = _psum([pmul(a[d], pos[d]) for d in range(3)] + [pmul(b, cumden)])
                 bez[v].extend(to_bernstein(y, target))
-        rows = (fam.cushion - fam.evaluate(x)[0]).reshape(len(bez), n_t)
+        rows = (fam.cushion_gap - fam.evaluate(x)[0]).reshape(len(bez), n_t)
         for v in range(len(bez)):
             exact = exact_coefficients(E, bez[v], n_t, target)
             assert close(rows[v], exact) <= REL, (fam.name, v)

@@ -248,7 +248,8 @@ def reference_sdf_vjp(fam, x, w):
     if fam.nfk is None:
         positions = [qmat[:, None, :]]
     else:
-        state = fam.nfk.shared_state(qmat, with_grad=True)
+        state = fam.nfk.gradient_state(fam.nfk.shared_state(qmat), qmat,
+                                       np.arange(len(qmat)))
         positions = [fam.nfk.body_positions(state, b.link_index, b.verts, hom)
                      for b, hom in zip(fam.bodies, fam._homs)]
     flat = np.concatenate([p.reshape(-1, p.shape[2])[:, :dim] for p in positions])

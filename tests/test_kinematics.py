@@ -470,7 +470,8 @@ class TestPolynomialDynamics:
 
     def test_exponential_residual_matches_representation_error(self):
         sites = collocation_sites(CUBIC_KNOTS, 16)
-        coeffs = FitOperator(3, CUBIC_KNOTS, sites).fit_coefficients(np.exp(sites))
+        coeffs = FitOperator(3, CUBIC_KNOTS, sites).fit_coefficients(
+            np.exp(sites)[:, None])
         state = BSpline(3, CUBIC_KNOTS, coeffs)
         resid = dynamics_residual(state, lambda s: s)
         taus = np.linspace(0, 1, 1000)
@@ -507,7 +508,8 @@ class TestNumericFK:
         taus = np.linspace(0.1, 0.9, 7)
         qmat = rng.uniform(-0.5, 0.5, (taus.size, 3))
         verts = THREE_LINK.link_cuboids[2]
-        state = nfk.shared_state(qmat, with_grad=True)
+        state = nfk.gradient_state(nfk.shared_state(qmat), qmat,
+                                   np.arange(len(qmat)))
         grads = nfk.body_position_grads(state, 3, verts)
         h = 1e-7
         for j in range(3):

@@ -1,5 +1,6 @@
 """Embedded augmented-Lagrangian solver against independent oracles."""
 
+import re
 from pathlib import Path
 
 import numpy as np
@@ -409,3 +410,22 @@ def test_jitter_sweep_prints_the_start_and_its_bound():
                                      "T_bound 1.549193338")
     mobile2d = assemble(load_scenario(SCENARIO_DIR / "mobile2d.json"))
     assert start_line(mobile2d) == "     start T 3 T_bound 2.25"
+
+
+def test_reachability_lists_statements_never_run(capsys, monkeypatch):
+    # On mobile2d the start-equals-goal branch of solve is entered code
+    # that never runs; the summary counts definitions and statements.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]
+                                    / "tools"))
+    from tools.reachability import main
+
+    assert main(["mobile2d"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    heading = next(i for i, line in enumerate(out)
+                   if re.fullmatch(r"planner:\d+ solve: \d+ of \d+ statements "
+                                   r"never run", line))
+    assert re.fullmatch(r"    planner:\d+ dv = _straight_line\(problem\) "
+                        r"\(3 statements\)", out[heading + 1])
+    assert re.fullmatch(r"\d+ of \d+ definitions never entered, \d+ lines; "
+                        r"\d+ of \d+ statements in entered definitions never "
+                        r"run", out[-1])

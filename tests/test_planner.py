@@ -161,7 +161,7 @@ class TestTrajectorySamples:
         # 2^n q' / (T (1 + q^2)), written out as the export formed them.
         prob = assemble(load_scenario(SCENARIO_DIR / "threelink.json"))
         dv = initial_guess(prob)
-        solution = Solution(dv, "converged", dv.T, 0, 0, 0.0, 0.0, {})
+        solution = Solution("converged", dv.T, 0, 0, 0.0, 0.0, decision=dv)
         calls = {"shared_state": 0, "chain_state": 0}
         for name in calls:
             def counted(self, *args, _name=name, _f=getattr(NumericFK, name)):
@@ -522,7 +522,7 @@ class TestFastPathEquivalence:
         # fam residual is cushion - (coeffs of a . pos + b - d_r)
         p = prob.basis.degree
         rows = BSpline(2 * p, elevated_union([(prob.basis.knots, p)], 2 * p),
-                       (fam.cushion - r)[:, None])
+                       (fam.cushion_gap - r)[:, None])
         taus = np.linspace(0.0, 1.0, 500)
         B = basis_matrix(prob.basis.knots, p, taus)
         expect = ((B @ a_c) * (B @ dv.joint_coeffs)).sum(axis=1) + B @ b_c - scn.robot.radius
@@ -797,7 +797,7 @@ class TestVerify:
         dv.T = 0.2  # far too fast: velocity limits must flag
         from splinetraj.planner import Solution
 
-        fake = Solution(dv, "converged", dv.T, 0, 0, 0.0, 0.0, {})
+        fake = Solution("converged", dv.T, 0, 0, 0.0, 0.0, decision=dv)
         rep = verify(fake, prob, oversample=4)
         assert rep.family("velocity_limits").max_violation > 0.0
         assert not rep.family("velocity_limits").passed
@@ -811,7 +811,7 @@ class TestVerify:
         dv.T = float("nan")
         from splinetraj.planner import Solution
 
-        rep = verify(Solution(dv, "converged", dv.T, 0, 0, 0.0, 0.0, {}), prob)
+        rep = verify(Solution("converged", dv.T, 0, 0, 0.0, 0.0, decision=dv), prob)
         for name in ("velocity_limits", "acceleration_limits"):
             assert np.isnan(rep.family(name).max_violation), name
             assert not rep.family(name).passed
@@ -827,7 +827,7 @@ class TestVerify:
         dv.T = T
         from splinetraj.planner import T_MIN, Solution
 
-        rep = verify(Solution(dv, "converged", dv.T, 0, 0, 0.0, 0.0, {}), prob,
+        rep = verify(Solution("converged", dv.T, 0, 0, 0.0, 0.0, decision=dv), prob,
                      oversample=1)
         ends = rep.family("endpoint_conditions")
         assert ends.max_violation == pytest.approx(T_MIN - T)

@@ -1,5 +1,6 @@
 """Scenario parsing, CSV exports, CLI commands, benchmark structure."""
 
+import dataclasses
 import json
 import logging
 import math
@@ -210,13 +211,33 @@ class TestParsing:
         ("mobile", ("obstacles", 0, "motion", "control_points", 0, 0), True,
          "obstacles[0].motion.control_points"),
         ("mobile", ("name",), ["x"], "name: must be a string"),
+        ("mobile", ("robot", "links"), [], "robot.links: unknown field"),
+        ("mobile", ("robot", "halving_depth"), 1,
+         "robot.halving_depth: unknown field"),
+        ("chain", ("robot", "radius"), 0.1, "robot.radius: unknown field"),
+        ("chain", ("robot", "dimension"), 3, "robot.dimension: unknown field"),
+        ("mobile", ("obstacles", 0, "min"), [0.0, 0.0],
+         "obstacles[0].min: unknown field"),
+        ("mobile", ("obstacles", 0, "vertices"), [[0, 0], [1, 0], [0, 1]],
+         "obstacles[0].vertices: unknown field"),
+        ("mobile", ("obstacles", 0, "motion"),
+         {"kind": "linear", "target": [1.0, 0.5], "degree": 1},
+         "obstacles[0].motion.degree: unknown field"),
+        ("mobile", ("obstacles", 0, "motion"),
+         {"kind": "static", "target": [1.0, 0.5]},
+         "obstacles[0].motion.target: unknown field"),
+        ("mobile", ("obstacles", 0), {"kind": "sphere", "center": [0.5, 0.5]},
+         "obstacles[0].radius: missing required field"),
     ])
     def test_value_that_would_crash_the_solve_rejected(self, tmp_path, capsys,
                                                        base, where, value, key):
         # Each value used to parse and then end the plan in a non-finite
         # residual or an out-of-bounds SDF query, to leak a bare
         # TypeError/ValueError from the parser, or to be read as a number
-        # (or, for the name, as a string).
+        # (or, for the name, as a string).  Each key of another kind (a
+        # chain's links on a mobile robot, a target on a static motion)
+        # used to be accepted and ignored, and a sphere without a radius
+        # to be read as radius 0.
         if base == "chain":
             obj = json.loads((SCENARIO_DIR / "threelink.json").read_text())
         else:
@@ -317,7 +338,7 @@ class TestExport:
         dv = initial_guess(prob)
         from splinetraj.planner import Solution
 
-        sol = Solution(dv, "converged", dv.T, 0, 0, 0.0, 0.0, {})
+        sol = Solution("converged", dv.T, 0, 0, 0.0, 0.0, decision=dv)
         export_trajectory(sol, prob, tmp_path, samples=20)
         traj = np.loadtxt(tmp_path / "trajectory.csv", delimiter=",", skiprows=1)
         cart = np.loadtxt(tmp_path / "cartesian.csv", delimiter=",", skiprows=1)
@@ -410,7 +431,7 @@ class TestCsvText:
         dv = initial_guess(prob)
         rng = np.random.default_rng(8)
         dv.joint_coeffs[3:-3] += rng.uniform(-0.3, 0.3, dv.joint_coeffs[3:-3].shape)
-        sol = Solution(dv, "converged", dv.T, 0, 0, 0.0, 0.0, {})
+        sol = Solution("converged", dv.T, 0, 0, 0.0, 0.0, decision=dv)
         export_trajectory(sol, prob, tmp_path, samples=120)
         traj_rows, cart_rows = reference_export_text(sol, prob, 120)
         assert (tmp_path / "trajectory.csv").read_text().splitlines()[1:] == traj_rows
@@ -418,6 +439,25 @@ class TestCsvText:
 
 
 class TestRun:
+    def test_outcome_passes_through(self, monkeypatch):
+        # solve() hands on each outcome field of the solver's result as
+        # that same object, and run() hands on the Solution's.
+        prob = assemble(load_scenario(SCENARIO_DIR / "mobile2d.json"))
+        result = nlp.SolverResult(
+            "stalled", 2.5, 7, 1234, 0.25, 0.125, {"b": 0.25}, [{"outer": 1}],
+            {"b": 2.0}, {"test": None}, x=prob.layout.pack(initial_guess(prob)))
+        monkeypatch.setattr(nlp.AugmentedLagrangianSolver, "solve",
+                            lambda self, x0: result)
+        sol = solve(prob)
+        names = [f.name for f in dataclasses.fields(nlp.SolveOutcome)]
+        for name in names:
+            assert getattr(sol, name) is getattr(result, name), name
+        monkeypatch.setattr(cli, "solve", lambda problem: sol)
+        report = run(prob.scenario)
+        for name in names:
+            assert getattr(report, name) is getattr(sol, name), name
+        assert not report.converged and report.name == "mobile2d"
+
     def test_report_and_outputs(self, tmp_path):
         scn = load_scenario(SCENARIO_DIR / "mobile2d.json")
         report = run(scn, output_dir=tmp_path, samples=100)
@@ -591,7 +631,7 @@ class TestCLI:
         dv = initial_guess(assemble(load_scenario(scenario)))
         solution = tmp_path / "solution.json"
         solution.write_text(json.dumps(
-            Solution(dv, "converged", dv.T, 0, 0, 0.0, 0.0, {}).to_json()))
+            Solution("converged", dv.T, 0, 0, 0.0, 0.0, decision=dv).to_json()))
         bad = tmp_path / kind
         if kind == "directory":
             bad.mkdir()
@@ -672,7 +712,7 @@ class TestCLI:
         # named by its key, not a traceback from building the trajectory.
         scn_path = SCENARIO_DIR / "mobile2d.json"
         dv = initial_guess(assemble(load_scenario(scn_path)))
-        obj = Solution(dv, "converged", dv.T, 0, 0, 0.0, 0.0, {}).to_json()
+        obj = Solution("converged", dv.T, 0, 0, 0.0, 0.0, decision=dv).to_json()
         edit(obj["decision"])
         sol_path = tmp_path / "solution.json"
         sol_path.write_text(json.dumps(obj))
