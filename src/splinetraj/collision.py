@@ -4,6 +4,9 @@ Static obstacles are baked into a signed distance field that the planner
 queries at collocation parameters with a Lipschitz-based motion margin.
 The field lives in memory only: the planner builds it from the scenario
 (``planner.static_field``), and ``query_extended`` is its one query.
+Each obstacle's signed distance has one formula,
+``ObstaclePrimitive.distance_at``, which fills the field's grid and
+answers point queries.
 Moving obstacles are kept apart by time-varying separating hyperplanes,
 whose constraint rows the planner computes in Bernstein form; this module
 supplies their shapes (centers, corners, radii) and the exact box-sphere
@@ -140,24 +143,42 @@ class ObstaclePrimitive:
         raise ValueError("sphere obstacles have no corner representation")
 
     def signed_distance(self, points: np.ndarray) -> np.ndarray:
-        """Signed distance of the static shape at its nominal position.
-
-        Spheres and boxes are analytic and exact.  Polytopes use the
-        support-function form max_i(n_i . p - h_i) over face normals:
-        exact inside and on the boundary, a lower bound outside near
-        edges and corners, hence conservative for clearance constraints.
-        """
+        """Signed distance of the static shape at its nominal position at
+        points (N, dim); see ``distance_at``."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        if self.kind == "sphere":
-            return np.linalg.norm(pts - self.center, axis=1) - self.radius
-        if self.kind == "box":
-            c = self.nominal_center()
+        return self.distance_at(list(pts.T))
+
+    def distance_at(self, coords) -> np.ndarray:
+        """Signed distance of the static shape at its nominal position at
+        the points whose coordinates are ``coords``, one array per axis;
+        the arrays broadcast together, to the result's shape.
+
+        Spheres and boxes are analytic and exact: per-axis terms, their
+        squares added axis by axis.  Polytopes use the support-function
+        form max_i(n_i . p - h_i) over face normals: exact inside and on
+        the boundary, a lower bound outside near edges and corners, hence
+        conservative for clearance constraints.
+        """
+        if self.kind == "polytope":
+            coords = np.broadcast_arrays(*coords)
+            pts = np.stack([c.ravel() for c in coords], axis=1)
+            return (pts @ self._normals.T - self._offsets).max(axis=1).reshape(
+                coords[0].shape)
+        box = self.kind == "box"
+        center = self.nominal_center()
+        if box:
             half = 0.5 * (self.box_max - self.box_min)
-            q = np.abs(pts - c) - half
-            outside = np.linalg.norm(np.maximum(q, 0.0), axis=1)
-            inside = np.minimum(q.max(axis=1), 0.0)
-            return outside + inside
-        return (pts @ self._normals.T - self._offsets).max(axis=1)
+        sq = worst = None
+        for a, x in enumerate(coords):
+            d = x - center[a]
+            if box:
+                q = np.abs(d) - half[a]
+                d = np.maximum(q, 0.0)
+                worst = q if worst is None else np.maximum(worst, q)
+            sq = d * d if sq is None else sq + d * d
+        if box:
+            return np.sqrt(sq) + np.minimum(worst, 0.0)
+        return np.sqrt(sq) - self.radius
 
 
 class SignedDistanceField:
@@ -265,48 +286,15 @@ class SignedDistanceField:
         return vals, grads
 
 
-def _grid_distance(primitive: ObstaclePrimitive, axes) -> np.ndarray:
-    """``primitive.signed_distance`` at every node of the grid spanned by
-    the 1-D coordinate arrays ``axes``; shape (len(axes[0]), ...).
-
-    Spheres and boxes broadcast per-axis terms and add the squares axis by
-    axis, in the order ``signed_distance`` sums a point's coordinates, so
-    every node gets the same bits without a point block.  Polytopes
-    evaluate the nodes as points.
-    """
-    if primitive.kind == "polytope":
-        grid = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([g.ravel() for g in grid], axis=1)
-        return primitive.signed_distance(pts).reshape(grid[0].shape)
-    box = primitive.kind == "box"
-    center = primitive.nominal_center()
-    if box:
-        half = 0.5 * (primitive.box_max - primitive.box_min)
-    sq = worst = None
-    for a, x in enumerate(axes):
-        col = (-1,) + (1,) * (len(axes) - 1 - a)  # broadcasts along axis a
-        d = x - center[a]
-        if box:
-            q = np.abs(d) - half[a]
-            d = np.maximum(q, 0.0)
-            q = q.reshape(col)
-            worst = q if worst is None else np.maximum(worst, q)
-        term = (d * d).reshape(col)
-        sq = term if sq is None else sq + term
-    if box:
-        return np.sqrt(sq) + np.minimum(worst, 0.0)
-    return np.sqrt(sq) - primitive.radius
-
-
 def build_sdf(primitives, bounds, cell_size: float) -> SignedDistanceField:
     """Sample min-over-primitives signed distance on a regular grid.
 
     The grid is filled in slabs along its first axis, so the working
     memory beyond the field itself stays at a few slabs of about
     SDF_BLOCK_POINTS nodes.  Each primitive fills a slab through
-    ``_grid_distance``: spheres and boxes from the 1-D axis arrays by
-    broadcasting, polytopes from the slab's nodes as points.  The values
-    equal ``signed_distance`` at the nodes bit for bit.
+    ``ObstaclePrimitive.distance_at`` on the slab's axes, each shaped to
+    broadcast along its own dimension: the formula ``signed_distance``
+    applies to points, so the values equal it at the nodes bit for bit.
     Without primitives every node holds EMPTY_FIELD_VALUE.
 
     Args:
@@ -325,7 +313,9 @@ def build_sdf(primitives, bounds, cell_size: float) -> SignedDistanceField:
         if not p.is_static:
             raise ValueError("signed distance fields accept static primitives only")
     dims = np.maximum(np.ceil((hi - lo) / cell_size).astype(int) + 1, 2)
-    axes = [lo[i] + cell_size * np.arange(dims[i]) for i in range(lo.size)]
+    # Axis i of the grid, shaped to broadcast along dimension i.
+    axes = [(lo[i] + cell_size * np.arange(dims[i])).reshape(
+        (-1,) + (1,) * (lo.size - 1 - i)) for i in range(lo.size)]
     values = np.full(tuple(dims), EMPTY_FIELD_VALUE)
     if not primitives:
         return SignedDistanceField(lo, cell_size, values)
@@ -333,9 +323,9 @@ def build_sdf(primitives, bounds, cell_size: float) -> SignedDistanceField:
     for start in range(0, dims[0], step):
         slab_axes = [axes[0][start : start + step], *axes[1:]]
         block = values[start : start + step]
-        block[...] = _grid_distance(primitives[0], slab_axes)
+        block[...] = primitives[0].distance_at(slab_axes)
         for p in primitives[1:]:
-            np.minimum(block, _grid_distance(p, slab_axes), out=block)
+            np.minimum(block, p.distance_at(slab_axes), out=block)
     return SignedDistanceField(lo, cell_size, values)
 
 

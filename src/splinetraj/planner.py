@@ -902,14 +902,13 @@ class PlanningProblem:
 
     def samples(self, dv: DecisionVector, taus) -> TrajectorySamples:
         """The decision sampled at ``taus``, as verify and the export read it."""
-        return TrajectorySamples(self.trajectory(dv), taus, dv, self)
+        return TrajectorySamples(self, dv, taus)
 
 
 class TrajectorySamples:
     """A decision sampled at fixed parameters, built by
     ``PlanningProblem.samples``: all that one verify or export call reads
-    of it, each piece formed on first use and kept.  From a bare spline,
-    without the decision and its problem, it gives the values alone.
+    of it, each piece formed on first use and kept.
 
     The spline is differentiated as a whole, and each derivative order's
     basis matrix at ``taus`` is built once.  The values are formed one
@@ -918,14 +917,12 @@ class TrajectorySamples:
     to the bit, which a single ``B @ C`` does not.
     """
 
-    def __init__(self, trajectory: BSpline, taus,
-                 decision: DecisionVector | None = None,
-                 problem: PlanningProblem | None = None):
+    def __init__(self, problem: PlanningProblem, decision: DecisionVector, taus):
         self.taus = taus
-        self.T = None if decision is None else decision.T
+        self.T = decision.T
         self._decision = decision
         self._problem = problem
-        self._kept = {("spline", 0): trajectory}
+        self._kept = {("spline", 0): problem.trajectory(decision)}
 
     def _keep(self, key, make):
         """The piece ``key``, formed by ``make()`` on first use."""
@@ -982,8 +979,8 @@ class TrajectorySamples:
     def positions(self, body: TrackedBody) -> np.ndarray:
         """The body's workspace points: a chain link's vertices (S, V, 3),
         placed from one forward-kinematics pass for all links, or a mobile
-        robot's coordinates (S, 1, n_coords), also without a problem."""
-        nfk = None if self._problem is None else self._problem.nfk
+        robot's coordinates (S, 1, n_coords)."""
+        nfk = self._problem.nfk
         if nfk is None:
             return self.values(0)[:, None, :]
         state = self._keep("fk", lambda: nfk.shared_state(self.values(0)))
@@ -1258,16 +1255,10 @@ def _path_rows(Bpos: np.ndarray, C: np.ndarray, points: np.ndarray) -> np.ndarra
     return np.linalg.lstsq(Bpos[:, 3:-3], rhs, rcond=None)[0]
 
 
-def _line_record(dv: DecisionVector, scenario: Scenario) -> dict:
-    """The initial-guess record of a straight line ``dv`` taken without a
-    search."""
-    return {"start": "straight_line", "lattice_nodes": 0,
-            "path_length_m": None, "search_s": 0.0, "T": dv.T,
-            "T_bound": _rest_to_rest_time(scenario)}
-
-
 def _seeded_guess(problem: PlanningProblem) -> tuple[DecisionVector, dict]:
-    """The initial guess and a record of how it was found.
+    """The initial guess and a record of how it was found.  ``solve``
+    starts from it whenever it is given no guess, also when the start
+    equals the goal (the line is then constant).
 
     A mobile robot with SDF clearance keeps the straight line bit for bit
     when the field reads at least the robot radius at every collocation
@@ -1287,7 +1278,9 @@ def _seeded_guess(problem: PlanningProblem) -> tuple[DecisionVector, dict]:
     ``_rest_to_rest_time``; the start was clamped when the two are equal.
     """
     dv = _straight_line(problem)
-    record = _line_record(dv, problem.scenario)
+    record = {"start": "straight_line", "lattice_nodes": 0,
+              "path_length_m": None, "search_s": 0.0, "T": dv.T,
+              "T_bound": _rest_to_rest_time(problem.scenario)}
     family = next((f for f in problem.families
                    if isinstance(f, SDFClearanceFamily)), None)
     if family is None or problem.nfk is not None:
@@ -1373,15 +1366,12 @@ class Solution(SolveOutcome):
 def solve(problem: PlanningProblem, guess: DecisionVector | None = None) -> Solution:
     """Run the augmented Lagrangian solver on the assembled problem.
 
-    Without a ``guess`` the solve starts from ``initial_guess``.  A
-    degenerate scenario (start equals goal) returns the constant
-    trajectory at the minimum time without invoking the solver.
+    Without a ``guess`` the solve starts from ``initial_guess``.  Every
+    plan goes through the solver, one whose start equals its goal too:
+    its constant line is checked against every constraint family like any
+    other start, and meets the KKT test at the minimum time when nothing
+    moves into it.
     """
-    if np.array_equal(problem.q_init, problem.q_goal):
-        dv = _straight_line(problem)
-        dv.T = T_MIN
-        return Solution("converged", dv.T, 0, 0, 0.0, 0.0, decision=dv,
-                        initial_guess=_line_record(dv, problem.scenario))
     record = {}
     if guess is None:
         guess, record = _seeded_guess(problem)

@@ -3,6 +3,7 @@ and separating-plane families on hand-checkable geometry."""
 
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +30,6 @@ from splinetraj.planner import (
     SDFClearanceFamily,
     TrackedBody,
     TrajectoryBasis,
-    TrajectorySamples,
     VariableLayout,
     assemble,
     static_field,
@@ -43,17 +43,19 @@ CUBIC = clamp_knots(np.round(np.arange(0.1, 0.95, 0.1), 10), 3)
 BASIS = TrajectoryBasis(3, CUBIC)
 
 
+# Closed-form signed distances, written apart from the program's
+# per-axis formula: the sphere's |p - c| - r, and the box's distance to
+# its nearest point (the point clipped into it) outside and minus the
+# distance to its nearest face inside.
 def brute_force_sphere_sd(pts, center, radius):
     return np.linalg.norm(pts - center, axis=1) - radius
 
 
 def brute_force_box_sd(pts, lo, hi):
-    c = 0.5 * (np.asarray(lo) + np.asarray(hi))
-    half = 0.5 * (np.asarray(hi) - np.asarray(lo))
-    q = np.abs(pts - c) - half
-    outside = np.linalg.norm(np.maximum(q, 0), axis=1)
-    inside = np.minimum(q.max(axis=1), 0)
-    return outside + inside
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    outside = np.linalg.norm(np.clip(pts, lo, hi) - pts, axis=1)
+    to_face = np.minimum(pts - lo, hi - pts).min(axis=1)
+    return np.where(to_face > 0.0, -to_face, outside)
 
 
 class TestBuildSDF:
@@ -360,6 +362,44 @@ class TestBlockedBuild:
         assert peak < field.values.nbytes + 6 * slab
 
 
+class TestDistanceValues:
+    """``signed_distance`` at points and ``build_sdf`` at its nodes equal
+    the closed-form references, in 2D and 3D, inside and outside."""
+
+    SHAPES = {
+        "sphere_2d": (ObstaclePrimitive.sphere([0.2, -0.1], 0.6),
+                      lambda p: brute_force_sphere_sd(p, [0.2, -0.1], 0.6)),
+        "sphere_3d": (ObstaclePrimitive.sphere([0.3, -0.2, 0.1], 0.35),
+                      lambda p: brute_force_sphere_sd(p, [0.3, -0.2, 0.1], 0.35)),
+        "box_2d": (ObstaclePrimitive.box([-0.4, -0.6], [0.5, 0.2]),
+                   lambda p: brute_force_box_sd(p, [-0.4, -0.6], [0.5, 0.2])),
+        "box_3d": (ObstaclePrimitive.box([-0.8, -0.1, -0.6], [-0.2, 0.7, 0.2]),
+                   lambda p: brute_force_box_sd(p, [-0.8, -0.1, -0.6],
+                                                [-0.2, 0.7, 0.2])),
+    }
+
+    @pytest.mark.parametrize("case", sorted(SHAPES))
+    def test_points(self, case):
+        shape, reference = self.SHAPES[case]
+        pts = np.random.default_rng(19).uniform(-1.5, 1.5, (5000, shape.dim))
+        values = shape.signed_distance(pts)
+        want = reference(pts)
+        assert (values < 0).any() and (values > 0).any()
+        np.testing.assert_allclose(values, want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("case", sorted(SHAPES))
+    def test_grid_nodes(self, case):
+        shape, reference = self.SHAPES[case]
+        lo, hi = -np.ones(shape.dim), np.array([1.05, 1.0, 0.8][:shape.dim])
+        cell = 0.03 if shape.dim == 2 else 0.07
+        field = build_sdf([shape], (lo, hi), cell)
+        nodes = np.stack(np.meshgrid(*[lo[i] + cell * np.arange(n)
+                                       for i, n in enumerate(field.dims)],
+                                     indexing="ij"), axis=-1).reshape(-1, shape.dim)
+        np.testing.assert_allclose(field.values.ravel(), reference(nodes),
+                                   rtol=0, atol=1e-12)
+
+
 class TestSignCorrectness:
     def test_sphere_box_polytope_signs(self):
         rng = np.random.default_rng(11)
@@ -523,6 +563,13 @@ def point_body(radius=0.0):
     return TrackedBody("body", 0, np.zeros((1, 3)), radius, 1.0, 1.0)
 
 
+def point_robot_problem():
+    """A 2-D point robot's problem on BASIS: the hand-built families'
+    dense checks read no more of it than its basis and its lack of FK."""
+    return replace(assemble(load_scenario(SCENARIO_DIR / "mobile2d.json")),
+                   basis=BASIS)
+
+
 class TestStaticClearance:
     """The planner's SDF clearance rows: field value minus the derived
     motion margin margins(T) at each collocation parameter (cushion 0, a
@@ -546,9 +593,8 @@ class TestStaticClearance:
         taus = np.linspace(0, 1, 40)
         out, fam, dv = self.clearance([1.2, 1.2], [1.5, 1.0], taus)
         assert out.min() > 0.5
-        trajectory = BSpline(3, CUBIC, dv.joint_coeffs)
-        assert fam.dense_violation(
-            TrajectorySamples(trajectory, np.linspace(0, 1, 1000), dv)) == 0.0
+        samples = point_robot_problem().samples(dv, np.linspace(0, 1, 1000))
+        assert fam.dense_violation(samples) == 0.0
 
     def test_through_obstacle_negative(self):
         taus = np.linspace(0, 1, 40)
@@ -674,6 +720,7 @@ class TestHyperplaneConstraints:
         rng = np.random.default_rng(17)
         taus = np.linspace(0, 1, 10000)
         sphere = ObstaclePrimitive.sphere([-1.0, 0.0], 0.3)
+        problem = point_robot_problem()
         found = 0
         for _ in range(10):
             C = rng.uniform(0.5, 1.5, (13, 2))
@@ -683,10 +730,9 @@ class TestHyperplaneConstraints:
             if robot.min() < 0.0 or obst.max() > 0.0 or norm.max() > 0.0:
                 continue
             found += 1
-            trajectory = BSpline(3, CUBIC, C)
+            samples = problem.samples(dv, taus)
             for fam in fams:
-                assert fam.dense_violation(
-                    TrajectorySamples(trajectory, taus, dv)) == 0.0, fam.name
+                assert fam.dense_violation(samples) == 0.0, fam.name
         assert found >= 3
 
 

@@ -231,7 +231,7 @@ def test_dense_violation_matches_per_coordinate_reference(problems, scenario, cl
     for T, scale in ((point.T, 1.0), (point.T / 3.0, 1.0), (point.T, 8.0)):
         dv = DecisionVector(scale * point.joint_coeffs, T, point.plane_coeffs)
         samples = problem.samples(dv, taus)
-        reference = PerCoordinateSamples(problem.trajectory(dv), taus, dv, problem)
+        reference = PerCoordinateSamples(problem, dv, taus)
         for fam in families:
             got = fam.dense_violation(samples)
             want = reference_dense_violation(fam, reference)

@@ -16,7 +16,6 @@ from splinetraj.planner import (
     CUSHION,
     CoeffBoxFamily,
     DecisionVector,
-    TrajectorySamples,
     assemble,
 )
 from splinetraj.scenario import ChainRobot, ScenarioError, parse_scenario
@@ -158,10 +157,9 @@ class TestJointMap:
         for scale in (1.0, 8.0):  # 8x breaks the box
             dv = DecisionVector(scale * point.joint_coeffs, point.T,
                                 point.plane_coeffs)
-            values = TrajectorySamples(problem.trajectory(dv), taus).values(0)
-            want = reference_box_violation(problem.scenario, values,
-                                           box.raw_lo, box.raw_hi)
             samples = problem.samples(dv, taus)
+            want = reference_box_violation(problem.scenario, samples.values(0),
+                                           box.raw_lo, box.raw_hi)
             assert float(box.dense_violation(samples)).hex() == float(want).hex()
 
     def test_sampled_angles_and_rates(self, problems, name):
@@ -169,9 +167,8 @@ class TestJointMap:
         point = problem.layout.unpack(_perturbed_point(problem, np.random.default_rng(7)))
         taus = collocation_sites(problem.basis.knots, 40)
         samples = problem.samples(point, taus)
-        reference = TrajectorySamples(problem.trajectory(point), taus)
         angles, rates = reference_angles_and_rates(problem.scenario,
-                                                   reference.values, point.T)
+                                                   samples.values, point.T)
         assert samples.angles().tobytes() == angles.tobytes()
         assert samples.rates().tobytes() == rates.tobytes()
 
@@ -204,11 +201,10 @@ def test_limits_at_or_beyond_the_range_add_no_rows():
     assert not any(isinstance(f, CoeffBoxFamily) for f in problem.families)
 
 
-def test_mobile_positions_without_a_problem(problems):
+def test_mobile_positions_are_the_coordinates(problems):
     problem = problems("mobile2d")
     point = problem.layout.unpack(_perturbed_point(problem, np.random.default_rng(3)))
-    taus = np.linspace(0.0, 1.0, 50)
-    samples = TrajectorySamples(problem.trajectory(point), taus, point)
+    samples = problem.samples(point, np.linspace(0.0, 1.0, 50))
     body, = problem.bodies
     assert samples.positions(body).tobytes() == (
         samples.values(0)[:, None, :].tobytes())

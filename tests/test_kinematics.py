@@ -366,7 +366,7 @@ class TestRecoverTheta:
         # angle, prismatic offsets as they are, mobile coordinates as they are.
         import json
 
-        from splinetraj.planner import TrajectorySamples, assemble
+        from splinetraj.planner import DecisionVector, assemble
         from splinetraj.scenario import ChainRobot, parse_scenario
 
         from tests.test_planner import SCENARIO_DIR
@@ -383,8 +383,7 @@ class TestRecoverTheta:
             prob = assemble(parse_scenario(obj))
             rng = np.random.default_rng(3)
             C = rng.uniform(-2.0, 2.0, (prob.basis.n_coeffs, prob.layout.n_coords))
-            trajectory = BSpline(prob.basis.degree, prob.basis.knots, C)
-            got = TrajectorySamples(trajectory, taus, problem=prob).angles()
+            got = prob.samples(DecisionVector(C, 1.0, []), taus).angles()
             robot = prob.scenario.robot
             for j in range(prob.layout.n_coords):
                 column = BSpline(prob.basis.degree, prob.basis.knots, C[:, j : j + 1])

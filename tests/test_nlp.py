@@ -413,8 +413,9 @@ def test_jitter_sweep_prints_the_start_and_its_bound():
 
 
 def test_reachability_lists_statements_never_run(capsys, monkeypatch):
-    # On mobile2d the start-equals-goal branch of solve is entered code
-    # that never runs; the summary counts definitions and statements.
+    # mobile2d has spheres only, so the box branch of the one distance
+    # formula is entered code that never runs; the summary counts
+    # definitions and statements.
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]
                                     / "tools"))
     from tools.reachability import main
@@ -422,10 +423,11 @@ def test_reachability_lists_statements_never_run(capsys, monkeypatch):
     assert main(["mobile2d"]) == 0
     out = capsys.readouterr().out.splitlines()
     heading = next(i for i, line in enumerate(out)
-                   if re.fullmatch(r"planner:\d+ solve: \d+ of \d+ statements "
-                                   r"never run", line))
-    assert re.fullmatch(r"    planner:\d+ dv = _straight_line\(problem\) "
-                        r"\(3 statements\)", out[heading + 1])
+                   if re.fullmatch(r"collision:\d+ ObstaclePrimitive.distance_at: "
+                                   r"\d+ of \d+ statements never run", line))
+    assert any(re.fullmatch(r"    collision:\d+ half = 0\.5 \* \(self\.box_max "
+                            r"- self\.box_min\) \(1 statement\)", line)
+               for line in out[heading + 1 : heading + 4])
     assert re.fullmatch(r"\d+ of \d+ definitions never entered, \d+ lines; "
                         r"\d+ of \d+ statements in entered definitions never "
                         r"run", out[-1])

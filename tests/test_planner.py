@@ -96,11 +96,12 @@ class PerCoordinateSamples(TrajectorySamples):
     """The trajectory as one one-column spline per coordinate, each
     differentiated and evaluated on its own: how verify and export sampled
     it before they read the joint-coefficient spline as a whole, kept as
-    the byte-for-byte reference.  Given the decision and its problem, the
-    rest of ``TrajectorySamples`` reads these values."""
+    the byte-for-byte reference.  The rest of ``TrajectorySamples`` reads
+    these values."""
 
-    def __init__(self, trajectory, taus, decision=None, problem=None):
-        super().__init__(trajectory, taus, decision, problem)
+    def __init__(self, problem, decision, taus):
+        super().__init__(problem, decision, taus)
+        trajectory = problem.trajectory(decision)
         self.splines = [BSpline(trajectory.degree, trajectory.knots,
                                 trajectory.control_points[:, j : j + 1])
                         for j in range(trajectory.dim)]
@@ -130,14 +131,16 @@ class TestTrajectorySamples:
     ], ids=["bundled", "uneven"])
     def test_values_equal_per_coordinate_splines_bit_for_bit(self, degree, interior):
         knots = clamp_knots(interior, degree)
+        # The samples read no more of the problem than its basis.
+        problem = replace(assemble(mobile_scenario(obstacles=[])),
+                          basis=TrajectoryBasis(degree, knots))
         rng = np.random.default_rng(degree)
         n = len(knots) - degree - 1
         for n_coords in (2, 3, 6):
-            C = rng.uniform(-2.0, 2.0, (n, n_coords))
-            trajectory = BSpline(degree, knots, C)
+            dv = DecisionVector(rng.uniform(-2.0, 2.0, (n, n_coords)), 1.0, [])
             taus = collocation_sites(knots, 80)
-            samples = TrajectorySamples(trajectory, taus)
-            reference = PerCoordinateSamples(trajectory, taus)
+            samples = problem.samples(dv, taus)
+            reference = PerCoordinateSamples(problem, dv, taus)
             for order in range(3):
                 got = samples.values(order)
                 assert got.shape == (taus.size, n_coords)
@@ -626,6 +629,19 @@ class TestSolve:
         np.testing.assert_array_equal(
             sol.decision.joint_coeffs, np.tile([1.0, 0.5], (13, 1))
         )
+
+    def test_start_equals_goal_meets_every_family(self):
+        # A sphere sweeps through the robot standing at [1, 0], so the
+        # constant line at T_MIN collides: a plan reported converged must
+        # verify.  From that constant start the solver cannot dodge.
+        obj = json.loads((SCENARIO_DIR / "mobile2d.json").read_text())
+        obj["boundary"]["initial"] = obj["boundary"]["goal"] = [1.0, 0.0]
+        obj["obstacles"] = [{"kind": "sphere", "center": [1.0, 1.0],
+                             "radius": 0.2, "motion": {"kind": "linear",
+                                                       "target": [1.0, -1.0]}}]
+        prob = assemble(parse_scenario(obj))
+        sol = solve(prob)
+        assert not sol.converged or verify(sol, prob).passed
 
     def test_infeasible_goal_inside_obstacle(self, monkeypatch):
         monkeypatch.setattr(nlp, "MAX_OUTER", 12)

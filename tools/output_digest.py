@@ -2,8 +2,9 @@
 
 For each scenario under ``src/splinetraj/scenarios/``, for ``mobile2d``
 and ``mobile3d`` with ``"static_mode": "hyperplane"``, for ``threelink``
-and ``mobile2d`` with a limits box and for ``mobile2d`` with hexagons for
-circles, in SDF and in hyperplane mode (or for the bundled names or
+and ``mobile2d`` with a limits box, for ``mobile2d`` with hexagons for
+circles, in SDF and in hyperplane mode, and for ``mobile2d`` standing
+still (or for the bundled names or
 scenario file paths given on the command line) this plans it through
 ``splinetraj.cli.run`` with 1000 export samples and prints one line:
 
@@ -27,8 +28,10 @@ enters its vjp; ``mobile2d``'s box stays slack.  The suffix
 regular hexagon (vertices at r / cos 30 degrees from the center, at 30,
 90, ..., 330 degrees, rounded to 6 decimals): no bundled scenario has a polytope obstacle, so
 ``mobile2d+polytope`` and ``mobile2d+polytope+hyperplane`` are the
-default list's route into the polytope's field and plane rows.  Suffixes
-chain and apply from left to right.  A scenario file reaches other plans
+default list's route into the polytope's field and plane rows.  The
+suffix ``+still`` sets the goal to the start: ``mobile2d+still`` is the
+default list's plan whose start equals its goal, which the solver takes
+like any other.  Suffixes chain and apply from left to right.  A scenario file reaches other plans
 that no bundled scenario does.  A perfbench workload
 name (``mobile_sdf``, ``arm_sdf``, ``arm_dynamic``) prints one such line
 for each scenario of that workload, labelled
@@ -99,8 +102,12 @@ def _polytope(obj: dict) -> None:
                             vertices=np.round(center + radius * unit, 6).tolist())
 
 
+def _still(obj: dict) -> None:
+    obj["boundary"]["goal"] = list(obj["boundary"]["initial"])
+
+
 VARIANTS = {"+hyperplane": _hyperplane, "+limits": _limits,
-            "+polytope": _polytope}
+            "+polytope": _polytope, "+still": _still}
 
 
 def main(argv=None) -> int:
@@ -109,11 +116,11 @@ def main(argv=None) -> int:
                         help="bundled scenario names, scenario file paths, "
                              "perfbench workload names or <workload>/<scenario "
                              "name> labels, each optionally with "
-                             "one or more of the suffixes +hyperplane, +limits "
-                             "and +polytope (default: every bundled scenario, "
-                             "then mobile2d and mobile3d +hyperplane, "
+                             "one or more of the suffixes +hyperplane, +limits, "
+                             "+polytope and +still (default: every bundled "
+                             "scenario, then mobile2d and mobile3d +hyperplane, "
                              "threelink and mobile2d +limits, mobile2d "
-                             "+polytope and +polytope+hyperplane)")
+                             "+polytope, +polytope+hyperplane and +still)")
     parser.add_argument("--tree", default=str(Path(__file__).resolve().parents[1]),
                         help="checkout whose src/ (and perfbench/) is planned "
                              "(default: this one)")
@@ -139,7 +146,7 @@ def plans(tree: Path, names: list[str]):
         sorted(p.stem for p in bundled.glob("*.json"))
         + ["mobile2d+hyperplane", "mobile3d+hyperplane",
            "threelink+limits", "mobile2d+limits", "mobile2d+polytope",
-           "mobile2d+polytope+hyperplane"])
+           "mobile2d+polytope+hyperplane", "mobile2d+still"])
     for name in names:
         base, suffixes = name, []
         while key := next((k for k in VARIANTS if base.endswith(k)), None):

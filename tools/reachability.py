@@ -6,9 +6,9 @@ records every function entry and, in package frames only, every line
 run:
 
 - ``splinetraj solve`` of each scenario on ``output_digest.py``'s list:
-  the same names and ``+hyperplane``/``+limits``/``+polytope`` variants,
-  or the names given on the command line, each written to a temporary
-  scenario file;
+  the same names and ``+hyperplane``/``+limits``/``+polytope``/``+still``
+  variants, or the names given on the command line, each written to a
+  temporary scenario file;
 - ``splinetraj verify`` of the first plan's stored solution;
 - ``splinetraj bench bench2d --counts 1 --trials 1``.
 
