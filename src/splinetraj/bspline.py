@@ -54,12 +54,6 @@ class KnotVector:
     def __len__(self):
         return self.values.size
 
-    def __getitem__(self, idx):
-        return self.values[idx]
-
-    def __iter__(self):
-        return iter(self.values)
-
     def __eq__(self, other):
         if not isinstance(other, KnotVector):
             return NotImplemented
@@ -70,9 +64,6 @@ class KnotVector:
     def __hash__(self):
         # + 0.0 turns -0.0 into 0.0, which compares equal to it.
         return hash((self.values + 0.0).tobytes())
-
-    def __repr__(self):
-        return f"KnotVector({self.values.tolist()})"
 
     @property
     def first(self) -> float:
@@ -146,8 +137,6 @@ def basis_matrix(knots: KnotVector, degree: int, taus) -> np.ndarray:
     Returns:
         Array of shape (len(taus), n_basis) with entries B_{i,p}(tau_k).
     """
-    if not isinstance(knots, KnotVector):
-        knots = KnotVector(knots)
     u = knots.values
     t = np.atleast_1d(np.asarray(taus, dtype=float))
     if t.size and (t.min() < knots.first or t.max() > knots.last):
@@ -183,14 +172,10 @@ class BSpline:
 
     __slots__ = ("degree", "knots", "control_points")
 
-    def __init__(self, degree: int, knots, control_points):
+    def __init__(self, degree: int, knots: KnotVector, control_points):
         if degree < 0:
             raise DegreeError("degree must be non-negative")
-        if not isinstance(knots, KnotVector):
-            knots = KnotVector(knots)
         coeffs = np.array(control_points, dtype=float)
-        if coeffs.ndim == 1:
-            coeffs = coeffs[:, None]
         if coeffs.ndim != 2 or coeffs.shape[1] < 1:
             raise ValueError("control points must form an (n+1, d) array")
         if not np.all(np.isfinite(coeffs)):
@@ -241,9 +226,6 @@ class BSpline:
         out = B @ self.control_points
         return out[0] if scalar else out
 
-    def __call__(self, taus):
-        return self.eval(taus)
-
     def derivative(self) -> "BSpline":
         """Spline of the first derivative with respect to tau.
 
@@ -272,9 +254,3 @@ class BSpline:
         point = np.atleast_1d(np.asarray(value, dtype=float))
         n = len(knots) - degree - 1
         return cls(degree, knots, np.tile(point, (n, 1)))
-
-    def __repr__(self):
-        return (
-            f"BSpline(degree={self.degree}, n_coefficients={self.n_coefficients}, "
-            f"dim={self.dim})"
-        )

@@ -25,6 +25,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from .collision import ObstaclePrimitive
 from .nlp import SolveOutcome
@@ -146,8 +147,8 @@ def run(scenario: Scenario, output_dir=None, samples: int = 1000,
 
     With an output directory (created first), report.json records the
     verification, problem size, solver trace, block scales, the test that
-    stopped the solve, how the initial guess was found and wall time of
-    each phase.
+    stopped the solve, how the initial guess was found, wall time of each
+    phase and the numeric environment (``_environment``).
     """
     out = None if output_dir is None else _output_path(output_dir)
     t0 = time.perf_counter()
@@ -173,6 +174,7 @@ def run(scenario: Scenario, output_dir=None, samples: int = 1000,
                     "block_scales": solution.block_scales,
                     "stop": solution.stop,
                     "initial_guess": solution.initial_guess,
+                    "environment": _environment(),
                 },
                 indent=2,
             )
@@ -180,6 +182,18 @@ def run(scenario: Scenario, output_dir=None, samples: int = 1000,
         )
     return RunReport(**solution.outcome(), name=scenario.name,
                      solve_time=solve_time, family_violations=violations)
+
+
+def _environment() -> dict:
+    """The numpy, scipy and BLAS versions and BLAS thread variables."""
+    try:  # numpy before 1.26 takes no mode
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = f"{blas['name']} {blas['version']}"
+    except (TypeError, KeyError):
+        blas = "unknown"
+    threads = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    return {"numpy": np.__version__, "scipy": scipy.__version__, "blas": blas,
+            **{v: os.environ.get(v) for v in threads}}
 
 
 def benchmark_obstacles(k: int) -> list[dict]:

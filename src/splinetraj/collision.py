@@ -4,9 +4,8 @@ Static obstacles are baked into a signed distance field that the planner
 queries at collocation parameters with a Lipschitz-based motion margin.
 The field lives in memory only: the planner builds it from the scenario
 (``planner.static_field``), and ``query_extended`` is its one query.
-Each obstacle's signed distance has one formula,
-``ObstaclePrimitive.distance_at``, which fills the field's grid and
-answers point queries.
+Each obstacle's signed distance has one formula, which fills the field's
+grid: ``ObstaclePrimitive.distance_at``, over one array per axis.
 Moving obstacles are kept apart by time-varying separating hyperplanes,
 whose constraint rows the planner computes in Bernstein form; this module
 supplies their shapes (centers, corners, radii) and the exact box-sphere
@@ -141,12 +140,6 @@ class ObstaclePrimitive:
         if self.kind == "polytope":
             return self.vertices_arr - self.nominal_center()
         raise ValueError("sphere obstacles have no corner representation")
-
-    def signed_distance(self, points: np.ndarray) -> np.ndarray:
-        """Signed distance of the static shape at its nominal position at
-        points (N, dim); see ``distance_at``."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        return self.distance_at(list(pts.T))
 
     def distance_at(self, coords) -> np.ndarray:
         """Signed distance of the static shape at its nominal position at
@@ -293,8 +286,7 @@ def build_sdf(primitives, bounds, cell_size: float) -> SignedDistanceField:
     memory beyond the field itself stays at a few slabs of about
     SDF_BLOCK_POINTS nodes.  Each primitive fills a slab through
     ``ObstaclePrimitive.distance_at`` on the slab's axes, each shaped to
-    broadcast along its own dimension: the formula ``signed_distance``
-    applies to points, so the values equal it at the nodes bit for bit.
+    broadcast along its own dimension: the same bits as at each node alone.
     Without primitives every node holds EMPTY_FIELD_VALUE.
 
     Args:

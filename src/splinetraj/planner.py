@@ -1412,19 +1412,9 @@ class VerificationReport:
     oversample: int
 
     @property
-    def max_violation(self) -> float:
-        return max((f.max_violation for f in self.families), default=0.0)
-
-    @property
     def passed(self) -> bool:
         """True when no family's dense violation exceeds zero."""
         return all(f.passed for f in self.families)
-
-    def family(self, name: str) -> FamilyReport:
-        for f in self.families:
-            if f.name == name:
-                return f
-        raise KeyError(name)
 
     def to_json(self) -> dict:
         return {

@@ -271,7 +271,7 @@ def _parse_motion(obj, path: str, dim: int, nominal: np.ndarray) -> BSpline | No
         return BSpline(1, KnotVector([0.0, 0.0, 1.0, 1.0]),
                        np.stack([nominal, target]))
     spline = BSpline(_count(obj["degree"], f"{path}.degree", 0),
-                     _vector(obj["knots"], f"{path}.knots"),
+                     KnotVector(_vector(obj["knots"], f"{path}.knots")),
                      _points(obj["control_points"], f"{path}.control_points", dim))
     if spline.domain != (0.0, 1.0):
         raise ScenarioError(f"{path}.knots: motion domain must be [0, 1]")

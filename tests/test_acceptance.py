@@ -20,6 +20,7 @@ from splinetraj.planner import PlaneRobotSideFamily, assemble, solve, verify
 from splinetraj.scenario import load_scenario
 from splinetraj.spline_algebra import add, elevated_union, multiply
 from tests.test_kinematics import eval_spans
+from tests.test_planner import families_by_name
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "src/splinetraj/scenarios"
 
@@ -190,13 +191,14 @@ class TestCriterion5:
             for f in rep.families
             if f.name != "sdf_clearance"
         )
-        sdf_zero = rep.family("sdf_clearance").max_violation == 0.0
+        sdf_zero = families_by_name(rep)["sdf_clearance"].max_violation == 0.0
         report(
             5,
             f"feasibility guarantee on {name}",
             sol.converged and hull_zero and sdf_zero and elapsed < 300.0,
             f"status {sol.status}, max dense violation "
-            f"{rep.max_violation:.1e}, {elapsed:.1f}s < 300s",
+            f"{max(f.max_violation for f in rep.families):.1e}, "
+            f"{elapsed:.1f}s < 300s",
         )
 
 

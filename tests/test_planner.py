@@ -53,6 +53,11 @@ def mobile_scenario(**overrides):
     return parse_scenario(base)
 
 
+def families_by_name(report):
+    """A verification report's family records, keyed by family name."""
+    return {f.name: f for f in report.families}
+
+
 def closed_form_derivative_map(knots, degree):
     """The first-written derivative coefficient map, kept as the reference:
     row i is p (e_{i+1} - e_i) / (u_{i+p+1} - u_{i+1}), zero over an empty
@@ -815,8 +820,9 @@ class TestVerify:
 
         fake = Solution("converged", dv.T, 0, 0, 0.0, 0.0, decision=dv)
         rep = verify(fake, prob, oversample=4)
-        assert rep.family("velocity_limits").max_violation > 0.0
-        assert not rep.family("velocity_limits").passed
+        velocity = families_by_name(rep)["velocity_limits"]
+        assert velocity.max_violation > 0.0
+        assert not velocity.passed
         assert not rep.passed
 
     def test_nan_travel_time_fails(self):
@@ -828,9 +834,10 @@ class TestVerify:
         from splinetraj.planner import Solution
 
         rep = verify(Solution("converged", dv.T, 0, 0, 0.0, 0.0, decision=dv), prob)
+        families = families_by_name(rep)
         for name in ("velocity_limits", "acceleration_limits"):
-            assert np.isnan(rep.family(name).max_violation), name
-            assert not rep.family(name).passed
+            assert np.isnan(families[name].max_violation), name
+            assert not families[name].passed
         assert not rep.passed
 
     @pytest.mark.parametrize("scenario", ["mobile2d", "threelink"])
@@ -845,7 +852,7 @@ class TestVerify:
 
         rep = verify(Solution("converged", dv.T, 0, 0, 0.0, 0.0, decision=dv), prob,
                      oversample=1)
-        ends = rep.family("endpoint_conditions")
+        ends = families_by_name(rep)["endpoint_conditions"]
         assert ends.max_violation == pytest.approx(T_MIN - T)
         assert not ends.passed and not rep.passed
 
@@ -854,9 +861,8 @@ class TestVerify:
         sol = solve(prob)
         rep5 = verify(sol, prob, oversample=5)
         rep10 = verify(sol, prob, oversample=10)
-        assert rep10.family("sdf_clearance").n_samples > rep5.family(
-            "sdf_clearance"
-        ).n_samples
+        n5 = families_by_name(rep5)["sdf_clearance"].n_samples
+        assert families_by_name(rep10)["sdf_clearance"].n_samples > n5
         # Below 1 there is no density to check at.
         for bad in (0, -3):
             with pytest.raises(ValueError, match="oversample"):

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
 import splinetraj
 from splinetraj import cli
@@ -228,6 +229,8 @@ class TestParsing:
          "obstacles[0].motion.target: unknown field"),
         ("mobile", ("obstacles", 0), {"kind": "sphere", "center": [0.5, 0.5]},
          "obstacles[0].radius: missing required field"),
+        ("mobile", ("obstacles", 0, "motion", "knots", 1), 2.0,
+         "obstacles[0]: knot vector must be non-decreasing"),
     ])
     def test_value_that_would_crash_the_solve_rejected(self, tmp_path, capsys,
                                                        base, where, value, key):
@@ -469,9 +472,14 @@ class TestRun:
         assert not (tmp_path / "metadata.json").exists()
         solution = json.loads((tmp_path / "solution.json").read_text())
         assert solution["status"] == "converged"
-        families = json.loads((tmp_path / "report.json").read_text())[
-            "verification"]["families"]
-        assert all(f["tolerance"] == 0.0 for f in families)
+        stored = json.loads((tmp_path / "report.json").read_text())
+        assert all(f["tolerance"] == 0.0
+                   for f in stored["verification"]["families"])
+        environment = stored["environment"]
+        assert environment["numpy"] == np.__version__
+        assert environment["scipy"] == scipy.__version__
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            assert environment[var] == os.environ.get(var)
 
     def test_report_carries_solver_trace(self, tmp_path, caplog):
         scn = load_scenario(SCENARIO_DIR / "mobile2d.json")
@@ -720,6 +728,51 @@ class TestCLI:
         err = capsys.readouterr().err
         assert err.startswith("invalid input: ")
         assert key in err
+
+    @staticmethod
+    def _mobile2d_planes(tmp_path) -> Path:
+        """mobile2d in hyperplane mode: one stored plane per circle."""
+        obj = json.loads((SCENARIO_DIR / "mobile2d.json").read_text())
+        obj["collision"]["static_mode"] = "hyperplane"
+        path = tmp_path / "mobile2d_planes.json"
+        path.write_text(json.dumps(obj))
+        return path
+
+    def test_stored_planes_round_trip(self, tmp_path, monkeypatch):
+        # The planes a hyperplane-mode plan writes are read back bit for
+        # bit, and verify passes on them.
+        scn_path = self._mobile2d_planes(tmp_path)
+        solved = []
+
+        def keep(problem):
+            solved.append(solve(problem))
+            return solved[-1]
+
+        monkeypatch.setattr(cli, "solve", keep)
+        out = tmp_path / "out"
+        sol_path = out / "solution.json"
+        assert main(["solve", str(scn_path), "--out", str(out)]) == 0
+        assert main(["verify", str(scn_path), str(sol_path)]) == 0
+        layout = assemble(load_scenario(scn_path)).layout
+        stored = Solution.from_json(json.loads(sol_path.read_text()), layout)
+        planes = solved[0].decision.plane_coeffs
+        assert len(planes) == 3
+        assert len(stored.decision.plane_coeffs) == len(planes)
+        for got, want in zip(stored.decision.plane_coeffs, planes):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    def test_verify_plane_of_wrong_width_exit_three(self, tmp_path, capsys):
+        scn_path = self._mobile2d_planes(tmp_path)
+        dv = initial_guess(assemble(load_scenario(scn_path)))
+        obj = Solution("converged", dv.T, 0, 0, 0.0, 0.0, decision=dv).to_json()
+        plane = obj["decision"]["planes"][0]
+        plane["a"] = [row[:1] for row in plane["a"]]
+        sol_path = tmp_path / "solution.json"
+        sol_path.write_text(json.dumps(obj))
+        assert main(["verify", str(scn_path), str(sol_path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("invalid input: ")
+        assert "solution.decision.planes[0].a" in err
 
     def test_verify_malformed_json_exit_three(self, tmp_path, capsys):
         sol_path = tmp_path / "solution.json"

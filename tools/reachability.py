@@ -9,7 +9,9 @@ run:
   the same names and ``+hyperplane``/``+limits``/``+polytope``/``+still``
   variants, or the names given on the command line, each written to a
   temporary scenario file;
-- ``splinetraj verify`` of the first plan's stored solution;
+- ``splinetraj verify`` of the first plan's stored solution, and of
+  the first ``+hyperplane`` plan's when the list has one, so that
+  reading stored planes counts;
 - ``splinetraj bench bench2d --counts 1 --trials 1``.
 
 Then, for each function or method defined in ``src/splinetraj/*.py``,
@@ -35,7 +37,7 @@ docstrings, ``pass``, ``global`` and ``nonlocal``, which run no code.
 Code that only the tests call is listed by design: it is reached by no
 program path.  The commands' own output goes to stderr.
 
-    python3 tools/reachability.py            # the default list, 22 s
+    python3 tools/reachability.py            # the default list, about 20 s
     python3 tools/reachability.py mobile2d   # one plan, 3 s
 
 Those times are wall seconds on a 2-core x86-64 host with one BLAS
@@ -197,20 +199,21 @@ def run_commands(names: list[str], tmp: Path) -> None:
     from splinetraj.cli import main
 
     bundled = PACKAGE / "scenarios"
-    solutions = []
+    solutions = {}
     for i, (label, obj) in enumerate(plans(TREE, names)):
         scenario = tmp / f"{i}.json"
         scenario.write_text(json.dumps(obj))
         out = tmp / f"out{i}"
         code = main(["solve", str(scenario), "--out", str(out)])
         print(f"solve {label}: exit {code}", file=sys.stderr)
-        solutions.append((scenario, out / "solution.json"))
-    scenario, solution = solutions[0]
-    commands = {
-        "verify": ["verify", str(scenario), str(solution)],
-        "bench": ["bench", str(bundled / "bench2d.json"), "--counts", "1",
-                  "--trials", "1", "--out", str(tmp / "bench.csv")],
-    }
+        solutions[label] = [str(scenario), str(out / "solution.json")]
+    first = next(iter(solutions))
+    planes = next((label for label in solutions if "+hyperplane" in label),
+                  None)
+    commands = {f"verify {label}": ["verify", *solutions[label]]
+                for label in (first, planes) if label is not None}
+    commands["bench"] = ["bench", str(bundled / "bench2d.json"), "--counts",
+                         "1", "--trials", "1", "--out", str(tmp / "bench.csv")]
     for label, argv in commands.items():
         print(f"{label}: exit {main(argv)}", file=sys.stderr)
 
