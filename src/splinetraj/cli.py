@@ -29,8 +29,10 @@ import scipy
 
 from .collision import ObstaclePrimitive
 from .nlp import SolveOutcome
-from .planner import PlanningProblem, Solution, assemble, solve, verify
-from .scenario import ChainRobot, Scenario, ScenarioError, _read_json, load_scenario
+from .planner import (STORED_OUTCOME, DecisionVector, PlanningProblem,
+                      Solution, assemble, solve, verify)
+from .scenario import (ChainRobot, Scenario, ScenarioError, _read_json,
+                       _require_keys, load_scenario)
 
 log = logging.getLogger("splinetraj")
 
@@ -157,7 +159,7 @@ def run(scenario: Scenario, output_dir=None, samples: int = 1000,
     solution = solve(problem)
     t2 = time.perf_counter()
     solve_time = t2 - t1
-    report = verify(solution, problem, oversample=oversample)
+    report = verify(solution.decision, problem, oversample=oversample)
     t3 = time.perf_counter()
     violations = {f.name: f.max_violation for f in report.families}
     if out is not None:
@@ -215,11 +217,13 @@ def benchmark_sdf_vs_hyperplane(base_scenario: Scenario, obstacle_counts,
     Returns one row per count with the mean wall times, the time
     ratio of the means, the inner iterations and the constraint counts of
     each formulation.  Rows where either formulation fails to converge are
-    flagged so trend checks can exclude them.  A chain robot or a moving
-    obstacle in the base scenario is invalid input (ScenarioError).
+    flagged so trend checks can exclude them.  The layout's circles are
+    2-D, so a chain robot, a 3-D robot or a moving obstacle in the base
+    scenario is invalid input (ScenarioError).
     """
-    if isinstance(base_scenario.robot, ChainRobot):
-        raise ScenarioError("benchmark expects a mobile-robot base scenario")
+    robot = base_scenario.robot
+    if isinstance(robot, ChainRobot) or robot.dimension != 2:
+        raise ScenarioError("benchmark expects a 2-D mobile-robot base scenario")
     if any(not o.is_static for o in base_scenario.obstacles):
         raise ScenarioError("benchmark expects static obstacles only")
     rows = []
@@ -281,8 +285,10 @@ def _cmd_solve(args) -> int:
 
 def _cmd_verify(args) -> int:
     problem = assemble(load_scenario(args.scenario))
-    solution = Solution.from_json(_read_json(args.solution), problem.layout)
-    report = verify(solution, problem, oversample=args.oversample)
+    obj = _read_json(args.solution)
+    _require_keys(obj, "solution", ["decision", *STORED_OUTCOME])
+    dv = DecisionVector.from_json(obj["decision"], problem.layout)
+    report = verify(dv, problem, oversample=args.oversample)
     for fam in report.families:
         flag = "" if fam.passed else "  VIOLATED"
         print(f"  {fam.name:32s} {fam.kind:5s} max {fam.max_violation:.3e} "

@@ -50,9 +50,9 @@ from .scenario import (
     ChainRobot,
     Scenario,
     ScenarioError,
-    _count,
     _floats,
     _list,
+    _number,
     _require_keys,
 )
 from .spline_algebra import FitOperator, collocation_sites, elevated_union, multiply
@@ -110,10 +110,10 @@ class DecisionVector:
 
     @classmethod
     def from_json(cls, obj: dict, layout: "VariableLayout") -> "DecisionVector":
-        """The stored decision, its keys and shapes checked against
-        ``layout``; a mismatch, a non-finite coefficient or a non-finite
-        T raises ScenarioError naming the key.  A finite T's value is left
-        to ``verify``."""
+        """The decision of a stored solution.json, its keys and shapes
+        checked against ``layout``; a mismatch, a non-finite coefficient
+        or a non-finite T raises ScenarioError naming the key.  A finite
+        T's value is left to ``verify``."""
         path = "solution.decision"
         _require_keys(obj, path, ("joint_coeffs", "T", "planes"))
         n = layout.n_coeffs
@@ -129,13 +129,10 @@ class DecisionVector:
                 _stored_array(plane["a"], f"{key}.a", (n, layout.world_dim)),
                 _stored_array(plane["b"], f"{key}.b", (n,)),
             ]))
-        T = _stored_number(obj["T"], f"{path}.T")
-        if not np.isfinite(T):
-            raise ScenarioError(f"{path}.T: expected a finite number")
         return cls(
             _stored_array(obj["joint_coeffs"], f"{path}.joint_coeffs",
                           (n, layout.n_coords)),
-            T,
+            _number(obj["T"], f"{path}.T"),
             plane_coeffs,
         )
 
@@ -146,14 +143,6 @@ def _stored_array(value, path: str, shape: tuple) -> np.ndarray:
     if arr is None or arr.shape != shape or not np.isfinite(arr).all():
         raise ScenarioError(f"{path}: expected a finite {shape} array")
     return arr
-
-
-def _stored_number(value, path: str) -> float:
-    """``value`` as a float; NaN and inf pass, for ``verify`` to judge."""
-    arr = _floats(value)
-    if arr is None or arr.shape != ():
-        raise ScenarioError(f"{path}: expected a number")
-    return float(arr)
 
 
 class TrajectoryBasis:
@@ -1306,33 +1295,11 @@ def _seeded_guess(problem: PlanningProblem) -> tuple[DecisionVector, dict]:
     return dv, record
 
 
-def _stored_text(value, path: str) -> str:
-    if not isinstance(value, str):
-        raise ScenarioError(f"{path}: expected a string")
-    return value
-
-
-def _stored_count(value, path: str) -> int:
-    return _count(value, path, 0)
-
-
-def _stored_object(value, path: str) -> dict:
-    if not isinstance(value, dict):
-        raise ScenarioError(f"{path}: expected an object")
-    return dict(value)
-
-
 # The outcome fields solution.json stores after ``decision``, in its key
-# order, each with the reader of its stored value.
-STORED_OUTCOME = {
-    "status": _stored_text,
-    "objective": _stored_number,
-    "outer_iterations": _stored_count,
-    "inner_iterations": _stored_count,
-    "max_violation": _stored_number,
-    "kkt_residual": _stored_number,
-    "block_violations": _stored_object,
-}
+# order.
+STORED_OUTCOME = ("status", "objective", "outer_iterations",
+                  "inner_iterations", "max_violation", "kkt_residual",
+                  "block_violations")
 
 
 @dataclass(kw_only=True)
@@ -1342,8 +1309,9 @@ class Solution(SolveOutcome):
 
     ``initial_guess`` records how the start was found (see
     ``_seeded_guess``; empty when the caller gave the guess).  It and the
-    outcome's ``trace``, ``block_scales`` and ``stop`` are run diagnostics;
-    solution.json stores ``decision`` and the ``STORED_OUTCOME`` fields.
+    outcome's ``trace``, ``block_scales`` and ``stop`` are run diagnostics.
+    solution.json stores ``decision`` and the ``STORED_OUTCOME`` keys;
+    ``verify`` reads back only ``decision`` (``DecisionVector.from_json``).
     """
 
     decision: DecisionVector
@@ -1352,15 +1320,6 @@ class Solution(SolveOutcome):
     def to_json(self) -> dict:
         return {"decision": self.decision.to_json(),
                 **{key: getattr(self, key) for key in STORED_OUTCOME}}
-
-    @classmethod
-    def from_json(cls, obj: dict, layout: VariableLayout) -> "Solution":
-        """A stored solution of the problem with ``layout``; a missing key
-        or a malformed entry raises ScenarioError naming the key."""
-        _require_keys(obj, "solution", ["decision", *STORED_OUTCOME])
-        return cls(**{key: read(obj[key], f"solution.{key}")
-                      for key, read in STORED_OUTCOME.items()},
-                   decision=DecisionVector.from_json(obj["decision"], layout))
 
 
 def solve(problem: PlanningProblem, guess: DecisionVector | None = None) -> Solution:
@@ -1432,9 +1391,10 @@ class VerificationReport:
         }
 
 
-def verify(solution: Solution, problem: PlanningProblem,
+def verify(dv: DecisionVector, problem: PlanningProblem,
            oversample: int = 10) -> VerificationReport:
-    """Sample every continuous constraint at oversample x collocation density.
+    """Sample every continuous constraint of the trajectory ``dv`` at
+    oversample x collocation density.
 
     Each family reports its worst dense violation, and passes only at
     zero or below: the hull-relaxed families, the endpoint conditions and
@@ -1443,7 +1403,6 @@ def verify(solution: Solution, problem: PlanningProblem,
     """
     if oversample < 1:
         raise ValueError(f"oversample must be >= 1, got {oversample}")
-    dv = solution.decision
     per_span = problem.scenario.collision.collocation_per_span * oversample
     taus = collocation_sites(problem.basis.knots, per_span)
     samples = problem.samples(dv, taus)

@@ -185,7 +185,7 @@ class TestCriterion5:
     @pytest.mark.parametrize("name", ["mobile2d", "threelink", "fanuc6_static"])
     def test_feasibility_guarantee(self, name):
         scn, prob, sol, elapsed = solved(name)
-        rep = verify(sol, prob, oversample=10)
+        rep = verify(sol.decision, prob, oversample=10)
         hull_zero = all(
             f.max_violation == 0.0
             for f in rep.families

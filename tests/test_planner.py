@@ -176,7 +176,7 @@ class TestTrajectorySamples:
                 calls[_name] += 1
                 return _f(self, *args)
             monkeypatch.setattr(NumericFK, name, counted)
-        verify(solution, prob)
+        verify(dv, prob)
         assert calls == {"shared_state": 1, "chain_state": 0}
         export_trajectory(solution, prob, tmp_path, samples=200)
         assert calls == {"shared_state": 2, "chain_state": 0}
@@ -417,7 +417,7 @@ class TestLatticeStart:
         assert sol.converged
         assert sol.initial_guess["start"] == "straight_line"
         assert sol.objective == pytest.approx(2.5003011, abs=1e-7)
-        assert verify(sol, prob).passed
+        assert verify(sol.decision, prob).passed
 
     def test_one_info_line_per_plan(self, caplog):
         prob = assemble(bench2d_layout("bench2d_one_sided_1_0"))
@@ -646,7 +646,7 @@ class TestSolve:
                                                        "target": [1.0, -1.0]}}]
         prob = assemble(parse_scenario(obj))
         sol = solve(prob)
-        assert not sol.converged or verify(sol, prob).passed
+        assert not sol.converged or verify(sol.decision, prob).passed
 
     def test_infeasible_goal_inside_obstacle(self, monkeypatch):
         monkeypatch.setattr(nlp, "MAX_OUTER", 12)
@@ -678,12 +678,10 @@ class TestSolve:
     def test_solution_json_round_trip(self):
         prob = assemble(mobile_scenario())
         sol = solve(prob)
-        from splinetraj.planner import Solution
-
-        back = Solution.from_json(json.loads(json.dumps(sol.to_json())), prob.layout)
-        np.testing.assert_array_equal(back.decision.joint_coeffs,
-                                      sol.decision.joint_coeffs)
-        assert back.status == sol.status
+        stored = json.loads(json.dumps(sol.to_json()))
+        back = DecisionVector.from_json(stored["decision"], prob.layout)
+        np.testing.assert_array_equal(back.joint_coeffs, sol.decision.joint_coeffs)
+        assert stored["status"] == sol.status
 
     def test_binding_angle_box(self, monkeypatch):
         # output_digest.py's threelink+limits box: without it joint 2 rises
@@ -703,7 +701,7 @@ class TestSolve:
         prob = assemble(parse_scenario(obj))
         sol = solve(prob)
         assert sol.converged
-        assert verify(sol, prob).passed
+        assert verify(sol.decision, prob).passed
         assert vjp_calls
         # The bundled threelink's T, which the box leaves in place.
         assert sol.objective == pytest.approx(1.7397890878042128, abs=1e-6)
@@ -741,7 +739,7 @@ class TestPrismaticJoint:
         np.testing.assert_array_equal(prob.q_goal[1:], [0.3])
         sol = solve(prob)
         assert sol.converged
-        report = verify(sol, prob)
+        report = verify(sol.decision, prob)
         assert report.passed, report.to_json()
         export_trajectory(sol, prob, tmp_path, samples=40)
         rows = np.loadtxt(tmp_path / "trajectory.csv", delimiter=",", skiprows=1)
@@ -800,7 +798,7 @@ class TestVerify:
     def test_converged_solution_all_hull_families_zero(self):
         prob = assemble(mobile_scenario())
         sol = solve(prob)
-        rep = verify(sol, prob, oversample=10)
+        rep = verify(sol.decision, prob, oversample=10)
         for fam in rep.families:
             assert fam.max_violation == 0.0, fam.name
             assert fam.tolerance == 0.0, fam.name
@@ -810,30 +808,26 @@ class TestVerify:
         prob = assemble(load_scenario(SCENARIO_DIR / "mobile2d.json"))
         sol = solve(prob)
         assert sol.converged
-        assert verify(sol, prob).passed
+        assert verify(sol.decision, prob).passed
 
     def test_hand_built_violation_flagged(self):
         prob = assemble(mobile_scenario())
         dv = initial_guess(prob)
         dv.T = 0.2  # far too fast: velocity limits must flag
-        from splinetraj.planner import Solution
-
-        fake = Solution("converged", dv.T, 0, 0, 0.0, 0.0, decision=dv)
-        rep = verify(fake, prob, oversample=4)
+        rep = verify(dv, prob, oversample=4)
         velocity = families_by_name(rep)["velocity_limits"]
         assert velocity.max_violation > 0.0
         assert not velocity.passed
         assert not rep.passed
 
     def test_nan_travel_time_fails(self):
-        # A stored solution.json may read "T": NaN; the limit checks used
-        # to drop the NaN samples and pass it.
+        # A caller may hand verify a NaN T (a stored solution.json may not:
+        # DecisionVector.from_json rejects it); the limit checks used to
+        # drop the NaN samples and pass it.
         prob = assemble(mobile_scenario())
         dv = initial_guess(prob)
         dv.T = float("nan")
-        from splinetraj.planner import Solution
-
-        rep = verify(Solution("converged", dv.T, 0, 0, 0.0, 0.0, decision=dv), prob)
+        rep = verify(dv, prob)
         families = families_by_name(rep)
         for name in ("velocity_limits", "acceleration_limits"):
             assert np.isnan(families[name].max_violation), name
@@ -848,10 +842,7 @@ class TestVerify:
         prob = assemble(load_scenario(SCENARIO_DIR / f"{scenario}.json"))
         dv = initial_guess(prob)
         dv.T = T
-        from splinetraj.planner import T_MIN, Solution
-
-        rep = verify(Solution("converged", dv.T, 0, 0, 0.0, 0.0, decision=dv), prob,
-                     oversample=1)
+        rep = verify(dv, prob, oversample=1)
         ends = families_by_name(rep)["endpoint_conditions"]
         assert ends.max_violation == pytest.approx(T_MIN - T)
         assert not ends.passed and not rep.passed
@@ -859,12 +850,12 @@ class TestVerify:
     def test_oversample_density(self):
         prob = assemble(mobile_scenario())
         sol = solve(prob)
-        rep5 = verify(sol, prob, oversample=5)
-        rep10 = verify(sol, prob, oversample=10)
+        rep5 = verify(sol.decision, prob, oversample=5)
+        rep10 = verify(sol.decision, prob, oversample=10)
         n5 = families_by_name(rep5)["sdf_clearance"].n_samples
         assert families_by_name(rep10)["sdf_clearance"].n_samples > n5
         # Below 1 there is no density to check at.
         for bad in (0, -3):
             with pytest.raises(ValueError, match="oversample"):
-                verify(sol, prob, oversample=bad)
+                verify(sol.decision, prob, oversample=bad)
 

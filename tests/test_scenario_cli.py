@@ -27,6 +27,7 @@ from splinetraj.cli import (
 )
 from splinetraj import nlp
 from splinetraj.planner import (
+    DecisionVector,
     Solution,
     assemble,
     initial_guess,
@@ -481,6 +482,17 @@ class TestRun:
         for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
             assert environment[var] == os.environ.get(var)
 
+    def test_environment_without_show_config_mode(self, monkeypatch):
+        # numpy before 1.26 has no ``mode`` for show_config.
+        def show_config(**kwargs):
+            raise TypeError("show_config() got an unexpected keyword "
+                            "argument 'mode'")
+
+        monkeypatch.setattr(np, "show_config", show_config)
+        environment = cli._environment()
+        assert environment["blas"] == "unknown"
+        assert environment["numpy"] == np.__version__
+
     def test_report_carries_solver_trace(self, tmp_path, caplog):
         scn = load_scenario(SCENARIO_DIR / "mobile2d.json")
         with caplog.at_level(logging.INFO, logger="splinetraj.nlp"):
@@ -684,10 +696,13 @@ class TestCLI:
         assert main(argv) == 3
         assert f"boundary.{end}: outside the workspace box" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("scenario", ["threelink", "moving_obstacle"])
+    @pytest.mark.parametrize("scenario", ["threelink", "moving_obstacle",
+                                          "mobile3d"])
     def test_bench_rejects_its_base_scenario_exit_three(self, tmp_path, capsys,
                                                         scenario):
-        path = SCENARIO_DIR / "threelink.json"
+        # The benchmark places 2-D circles, so a 3-D robot is rejected
+        # with the chain and the moving obstacle, before any solve.
+        path = SCENARIO_DIR / f"{scenario}.json"
         if scenario == "moving_obstacle":
             obj = json.loads((SCENARIO_DIR / "mobile2d.json").read_text())
             obj["obstacles"][0]["motion"] = {"kind": "linear",
@@ -754,12 +769,59 @@ class TestCLI:
         assert main(["solve", str(scn_path), "--out", str(out)]) == 0
         assert main(["verify", str(scn_path), str(sol_path)]) == 0
         layout = assemble(load_scenario(scn_path)).layout
-        stored = Solution.from_json(json.loads(sol_path.read_text()), layout)
+        stored = DecisionVector.from_json(
+            json.loads(sol_path.read_text())["decision"], layout)
         planes = solved[0].decision.plane_coeffs
         assert len(planes) == 3
-        assert len(stored.decision.plane_coeffs) == len(planes)
-        for got, want in zip(stored.decision.plane_coeffs, planes):
+        assert len(stored.plane_coeffs) == len(planes)
+        for got, want in zip(stored.plane_coeffs, planes):
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    def test_stored_chain_planes_round_trip(self, tmp_path):
+        # Each fanuc6_dynamic plane is a (13, 4) [a | b] block in a 3-D
+        # world.  The file holds the initial guess, written as export
+        # writes a solution, so no solve is needed.
+        scn_path = SCENARIO_DIR / "fanuc6_dynamic.json"
+        prob = assemble(load_scenario(scn_path))
+        dv = initial_guess(prob)
+        obj = Solution("converged", dv.T, 0, 0, 0.0, 0.0, decision=dv).to_json()
+        sol_path = tmp_path / "solution.json"
+        sol_path.write_text(json.dumps(obj))
+        stored = DecisionVector.from_json(
+            json.loads(sol_path.read_text())["decision"], prob.layout)
+        assert len(dv.plane_coeffs) == len(stored.plane_coeffs) > 0
+        for got, want in zip(stored.plane_coeffs, dv.plane_coeffs):
+            assert got.shape == want.shape == (13, 4)
+            assert got.tobytes() == want.tobytes()
+        assert main(["verify", str(scn_path), str(sol_path)]) != 3
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda obj: obj.pop("status"), "solution.status: missing required field"),
+        (lambda obj: obj.update(turbo=1), "solution.turbo: unknown field"),
+    ], ids=["missing_status", "unknown_key"])
+    def test_verify_checks_the_top_level_keys(self, tmp_path, capsys, edit,
+                                              message):
+        scn_path = SCENARIO_DIR / "mobile2d.json"
+        dv = initial_guess(assemble(load_scenario(scn_path)))
+        obj = Solution("converged", dv.T, 0, 0, 0.0, 0.0, decision=dv).to_json()
+        edit(obj)
+        sol_path = tmp_path / "solution.json"
+        sol_path.write_text(json.dumps(obj))
+        assert main(["verify", str(scn_path), str(sol_path)]) == 3
+        assert message in capsys.readouterr().err
+
+    def test_verify_reads_only_the_decision(self, tmp_path, capsys):
+        # The outcome values are the solve's record, not the trajectory:
+        # edited, the stored plan still verifies.
+        scn_path = SCENARIO_DIR / "mobile2d.json"
+        sol_path = tmp_path / "solution.json"
+        assert main(["solve", str(scn_path), "--out", str(tmp_path)]) == 0
+        obj = json.loads(sol_path.read_text())
+        obj.update(status="stalled", objective=99.0)
+        sol_path.write_text(json.dumps(obj))
+        capsys.readouterr()
+        assert main(["verify", str(scn_path), str(sol_path)]) == 0
+        assert "verification PASSED" in capsys.readouterr().out
 
     def test_verify_plane_of_wrong_width_exit_three(self, tmp_path, capsys):
         scn_path = self._mobile2d_planes(tmp_path)
