@@ -172,16 +172,12 @@ def elevation_matrix(n: int, r: int) -> np.ndarray:
 
 
 def elevate(a: np.ndarray, r: int) -> np.ndarray:
-    """Raise the degree of per-span polynomials (S, n + 1, ...) by r."""
-    if r == 0:
-        return a
+    """Raise the degree of per-span polynomials (S, n + 1, ...) by r >= 0."""
     return np.einsum("ki,si...->sk...", elevation_matrix(a.shape[1] - 1, r), a)
 
 
 def elevate_vjp(g: np.ndarray, r: int) -> np.ndarray:
     """Adjoint of :func:`elevate`: weights on the raised polynomials back."""
-    if r == 0:
-        return g
     return np.einsum("ki,sk...->si...", elevation_matrix(g.shape[1] - 1 - r, r), g)
 
 

@@ -214,12 +214,12 @@ def benchmark_sdf_vs_hyperplane(base_scenario: Scenario, obstacle_counts,
                                 trials: int = 5) -> list[dict]:
     """Solve each obstacle count with both static-obstacle formulations.
 
-    Returns one row per count with the mean wall times, the time
-    ratio of the means, the inner iterations and the constraint counts of
-    each formulation.  Rows where either formulation fails to converge are
-    flagged so trend checks can exclude them.  The layout's circles are
-    2-D, so a chain robot, a 3-D robot or a moving obstacle in the base
-    scenario is invalid input (ScenarioError).
+    Returns one row per count with the mean wall times, the time ratio
+    of the means, the warm-up solve's outcome and the constraint counts
+    of each formulation.  Rows where either formulation fails to
+    converge are flagged so trend checks can exclude them.  The layout's
+    circles are 2-D, so a chain robot, a 3-D robot or a moving obstacle
+    in the base scenario is invalid input (ScenarioError).
     """
     robot = base_scenario.robot
     if isinstance(robot, ChainRobot) or robot.dimension != 2:
@@ -237,18 +237,17 @@ def benchmark_sdf_vs_hyperplane(base_scenario: Scenario, obstacle_counts,
                 collision=replace(base_scenario.collision, static_mode=mode),
             )
             problem = assemble(scen)
-            solve(problem)  # warmup, untimed
+            first = solve(problem)  # untimed warm-up; solves are deterministic
             times = []
-            solutions = []
             for _ in range(trials):
                 t0 = time.perf_counter()
-                solutions.append(solve(problem))
+                solve(problem)
                 times.append(time.perf_counter() - t0)
             counts = problem.constraint_counts()
             row[f"t_{mode}"] = float(np.mean(times))
-            row[f"status_{mode}"] = solutions[0].status
-            row[f"objective_{mode}"] = solutions[0].objective
-            row[f"inner_{mode}"] = solutions[0].inner_iterations
+            row[f"status_{mode}"] = first.status
+            row[f"objective_{mode}"] = first.objective
+            row[f"inner_{mode}"] = first.inner_iterations
             row[f"constraints_{mode}"] = int(sum(counts.values()))
         row["ratio"] = row["t_hyperplane"] / row["t_sdf"]
         row["ok"] = (

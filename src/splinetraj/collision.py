@@ -52,9 +52,12 @@ class OutOfBoundsError(ValueError):
 
 def _convex_face_planes(vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Outward face normals and offsets (n . x <= h) of a convex vertex set."""
-    from scipy.spatial import ConvexHull
+    from scipy.spatial import ConvexHull, QhullError
 
-    hull = ConvexHull(vertices)
+    try:
+        hull = ConvexHull(vertices)
+    except QhullError as exc:  # a hull too flat for qhull's initial simplex
+        raise ValueError("polytope vertices are too close to flat") from exc
     eqs = hull.equations  # rows [n, -h] with n . x + (-h) <= 0
     normals = eqs[:, :-1]
     offsets = -eqs[:, -1]

@@ -260,7 +260,8 @@ class AugmentedLagrangianSolver:
         The blocks are evaluated once per outer iterate; that one
         evaluation feeds the violation measures, the multiplier update
         and the KKT residual.  The evaluation at x0 fixes the block
-        scales for the whole solve.
+        scales for the whole solve, and the violations and objective
+        reported are those the returned iterate's outer iteration computed.
         """
         x = np.array(x0, dtype=float)
         evals = self._eval_blocks(x)
@@ -349,9 +350,7 @@ class AugmentedLagrangianSolver:
                         break
             prev_viol = viol
 
-        _, raw_viol, per_block = self._violations(evals)
-        f, _ = self.objective(x)
-        if status != "converged" and best is not None and (raw_viol, f) > best[:2]:
+        if status != "converged" and (raw_viol, f) > best[:2]:
             raw_viol, f, x, per_block, evals = best
 
         # A converged solve computed the residual at x; any other may

@@ -576,13 +576,10 @@ class SDFClearanceFamily(ConstraintBlock):
         # 1/2; collocation grids hold 1/2 itself or nothing that close.
         self._speed = np.array([[b.speed_bound] for b in self.bodies])
         accel = np.array([[b.accel_bound] for b in self.bodies])
-        rest_tau = 1.0 - self.taus
-        from_start = self.taus <= rest_tau
-        self._cap_tau = np.where(from_start, self.taus, rest_tau)
+        self._cap_tau = np.minimum(self.taus, 1.0 - self.taus)
         self._accel = accel
         self._lip_half = self.lipschitz * half
-        self._dspeed = np.where(from_start, accel * (self.taus + half),
-                                accel * (rest_tau + half))
+        self._dspeed = accel * (self._cap_tau + half)
         self.Bpos = basis_matrix(basis.knots, basis.degree, self.taus)
         self.nfk = nfk
         self._homs = [homogeneous(b.verts) for b in self.bodies]
@@ -727,12 +724,12 @@ class PlaneRobotSideFamily(ConstraintBlock):
             C = dv.joint_coeffs
             pts = to_spans(self.extraction, np.column_stack([C, np.ones(len(C))]),
                            p)[..., None]  # (S, p + 1, d + 1, 1)
-            y = product(plane, pts) - self.body.radius
             state = None
         else:
             state = self.fk_cache.state(dv.joint_coeffs)
             pts = state["prefix"][self.body.link_index]  # (S, D + 1, 4, 4)
-            y = product(plane, pts)  # (S, D + p + 1, 1, 4)
+        # (S, D + p + 1, 1, 1 or 4); chain links carry radius 0.0
+        y = product(plane, pts) - self.body.radius
         coeffs = (self.lift @ y.reshape(-1, y.shape[3])) @ self.hom  # (rows, V)
         V = coeffs.shape[1]
         r = (self.cushion_gap - coeffs).T.reshape(-1)
@@ -1409,15 +1406,14 @@ def verify(dv: DecisionVector, problem: PlanningProblem,
     reports = []
 
     # Endpoint conditions are exact by construction; report the residuals.
-    # The clamped basis is a unit row at either end, so each value is one
-    # control point times 1 whatever the product's summation order.  T's
-    # bounds T_MIN <= T < inf hold by construction too, and are checked
-    # with them: the limit checks read T only as |q'/T| or T^2, so a
-    # negated or an infinite T would pass them.
-    ends = problem.samples(dv, np.array([0.0, 1.0]))
-    q = ends.values(0)
-    residuals = [q[0] - problem.q_init, q[1] - problem.q_goal,
-                 ends.values(1), ends.values(2)]
+    # The sites run from 0.0 to 1.0, where the clamped basis is a unit row,
+    # so rows 0 and -1 are one control point times 1 whatever the product's
+    # summation order.  T's bounds T_MIN <= T < inf hold by construction
+    # too, and are checked with them: the limit checks read T only as
+    # |q'/T| or T^2, so a negated or an infinite T would pass them.
+    q = samples.values(0)
+    residuals = [q[0] - problem.q_init, q[-1] - problem.q_goal,
+                 samples.values(1)[[0, -1]], samples.values(2)[[0, -1]]]
     t_viol = T_MIN - dv.T if math.isfinite(dv.T) else math.inf
     end_viol = float(np.concatenate(
         [np.abs(r).ravel() for r in residuals] + [[t_viol]]).max())

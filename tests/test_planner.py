@@ -810,6 +810,29 @@ class TestVerify:
         assert sol.converged
         assert verify(sol.decision, prob).passed
 
+    def test_endpoint_residuals_follow_the_end_rows(self):
+        # Move one control row at either end, one at a time: the position,
+        # rate and acceleration residuals verify reports must be those an
+        # independent evaluation of the spline at tau = 0 and 1 gives.
+        prob = assemble(load_scenario(SCENARIO_DIR / "mobile2d.json"))
+        sol = solve(prob)
+        assert sol.converged
+        ends = np.array([0.0, 1.0])
+        for row in (0, 1, -1, -2):
+            dv = sol.decision.copy()
+            dv.joint_coeffs[row] += 1e-3
+            spline = BSpline(prob.basis.degree, prob.basis.knots, dv.joint_coeffs)
+            rate = spline.derivative()
+            q = spline.eval(ends)
+            expected = max(np.abs(q[0] - prob.q_init).max(),
+                           np.abs(q[1] - prob.q_goal).max(),
+                           np.abs(rate.eval(ends)).max(),
+                           np.abs(rate.derivative().eval(ends)).max())
+            assert expected > 0.0, row
+            rep = verify(dv, prob)
+            assert (families_by_name(rep)["endpoint_conditions"].max_violation
+                    == expected), row
+
     def test_hand_built_violation_flagged(self):
         prob = assemble(mobile_scenario())
         dv = initial_guess(prob)

@@ -147,11 +147,13 @@ class TestParsing:
             parse_scenario(obj)
 
 
-    @pytest.mark.parametrize("depth", [0, -1, 1.5, [1, 0, 1], [1, 2.5, 1]])
+    @pytest.mark.parametrize("depth", [0, -1, 1.5, [1, 0, 1], [1, 2.5, 1],
+                                       5, [1, 5, 1]])
     def test_bad_halving_depth_rejected(self, depth):
         # Depth 0 used to plan with q = tan(theta) but read each joint at
         # depth 1, twice its angle; -1 failed on the boundary range and 1.5
-        # was read as 1.
+        # was read as 1.  Depth 5 used to be accepted, though the plane
+        # rows' degree, and so their cost, doubles with each step of depth.
         obj = json.loads((SCENARIO_DIR / "threelink.json").read_text())
         obj["robot"]["halving_depth"] = depth
         with pytest.raises(ScenarioError, match="robot.halving_depth"):
@@ -232,6 +234,9 @@ class TestParsing:
          "obstacles[0].radius: missing required field"),
         ("mobile", ("obstacles", 0, "motion", "knots", 1), 2.0,
          "obstacles[0]: knot vector must be non-decreasing"),
+        ("mobile", ("obstacles", 0),
+         {"kind": "polytope", "vertices": [[1, 0.5], [2, 0.5], [1, 0.500000000000001]]},
+         "obstacles[0]: polytope vertices are too close to flat"),
     ])
     def test_value_that_would_crash_the_solve_rejected(self, tmp_path, capsys,
                                                        base, where, value, key):
@@ -240,8 +245,9 @@ class TestParsing:
         # TypeError/ValueError from the parser, or to be read as a number
         # (or, for the name, as a string).  Each key of another kind (a
         # chain's links on a mobile robot, a target on a static motion)
-        # used to be accepted and ignored, and a sphere without a radius
-        # to be read as radius 0.
+        # used to be accepted and ignored, a sphere without a radius to be
+        # read as radius 0, and a polytope that passes the rank check but
+        # is too flat for qhull to end the solve in a traceback (exit 1).
         if base == "chain":
             obj = json.loads((SCENARIO_DIR / "threelink.json").read_text())
         else:
@@ -563,6 +569,7 @@ class TestCLI:
         ("threelink", "limits", "units", "degrees"),
         # Any solver key is rejected now, by name: the settings are constants.
         ("mobile2d", "solver", "max_outer", 0),
+        ("threelink", "robot", "halving_depth", 5),
     ])
     def test_bad_numeric_input_exit_three(self, tmp_path, capsys, name, block,
                                           key, value):
