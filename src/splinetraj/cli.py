@@ -116,7 +116,7 @@ def export_trajectory(solution: Solution, problem: PlanningProblem,
         + [f"q{j + 1}" for j in range(J)]
         + [f"dq{j + 1}" for j in range(J)]
     )
-    traj_rows = _csv_rows([taus, taus * dv.T, traj.angles(), traj.rates()])
+    traj_rows = _csv_rows([taus, taus * dv.T, traj.joint(0), traj.joint(1)])
     traj_path = out / "trajectory.csv"
     _write_csv(traj_path, header, traj_rows)
 

@@ -14,14 +14,13 @@ The same forms as exact polynomial products, span by span, are
 ``bernstein.ChainNumerators``.
 
 The joint variables live in one joint-space spline, the planner's
-coefficient matrix; ``unwrap_half_angles`` turns one revolute column of
-it, sampled, back into branch-continuous angles, which is how
-``planner.TrajectorySamples.angles`` recovers them.
+coefficient matrix.  A revolute column maps back by theta = 2^n atan q,
+strictly inside the recoverable range +-2^(n-1) pi for every finite q
+(``planner._angles``, read through ``planner.TrajectorySamples.joint``).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +28,6 @@ import numpy as np
 __all__ = [
     "DHLink",
     "DHChain",
-    "unwrap_half_angles",
     "NumericFK",
     "halfangle_cos_sin",
     "homogeneous",
@@ -155,28 +153,6 @@ class DHChain:
         for j in range(link_index):
             T = T @ self.links[j].numeric_transform(joint_values[j])
         return T
-
-
-def unwrap_half_angles(qvals: np.ndarray, n: int,
-                       theta_init: float | None = None) -> np.ndarray:
-    """Branch-continuous joint angles from sampled values of the substituted
-    variable q = tan(theta / 2^n).
-
-    theta = 2^n atan(q) is defined up to multiples of 2^n pi; the samples
-    are unwrapped in order so consecutive angles stay on the same branch,
-    seeded by theta_init when given.
-    """
-    period = (2.0**n) * np.pi
-    raw = ((2.0**n) * np.arctan(qvals)).tolist()
-    out = []
-    prev = raw[0] if theta_init is None else float(theta_init)
-    for val in raw:
-        turns = (prev - val) / period
-        if math.isfinite(turns):  # round half to even, keeping the sign of a zero
-            turns = math.copysign(round(turns), turns)
-        prev = val + period * turns
-        out.append(prev)
-    return np.array(out)
 
 
 def halfangle_cos_sin(qvals: np.ndarray, depth: int, with_grad: bool = False):

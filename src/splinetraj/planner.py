@@ -44,7 +44,7 @@ from .collision import (
     build_sdf,
     lattice_path,
 )
-from .kinematics import NumericFK, homogeneous, unwrap_half_angles
+from .kinematics import NumericFK, homogeneous
 from .nlp import AugmentedLagrangianSolver, ConstraintBlock, SolveOutcome
 from .scenario import (
     ChainRobot,
@@ -272,6 +272,12 @@ def _coords(robot, theta: np.ndarray) -> np.ndarray:
     return np.where(robot.revolute, np.tan(angles / robot.factors), theta)
 
 
+def _angles(robot, q: np.ndarray) -> np.ndarray:
+    """Joint values at coordinates q, the inverse of ``_coords``: factor
+    atan q for an angle, inside its recoverable range; a linear entry as is."""
+    return np.where(robot.revolute, robot.factors * np.arctan(q), q)
+
+
 def _excess(x: np.ndarray) -> float:
     """A dense check's violation: the largest entry of x above zero, 0.0
     when there is none, and NaN when x holds a NaN, which fails verify."""
@@ -322,8 +328,7 @@ class DerivBoxFamily(ConstraintBlock):
         return r, vjp
 
     def dense_violation(self, samples) -> float:
-        vals = samples.values(self.power) / samples.T**self.power
-        return _excess(np.abs(vals) - self.bound)
+        return _excess(np.abs(samples.joint(self.power)) - self.bound)
 
 
 class CoeffBoxFamily(ConstraintBlock):
@@ -339,7 +344,6 @@ class CoeffBoxFamily(ConstraintBlock):
         self.layout = layout
         self.raw_lo = np.full(layout.n_coords, -np.inf) if lo is None else lo
         self.raw_hi = np.full(layout.n_coords, np.inf) if hi is None else hi
-        self.revolute, self.factors = robot.revolute, robot.factors
         half_range = robot.half_range
         inner = half_range * (1 - 1e-9)
         lo = np.where(self.raw_lo > -half_range,
@@ -377,8 +381,7 @@ class CoeffBoxFamily(ConstraintBlock):
         return r, vjp
 
     def dense_violation(self, samples) -> float:
-        vals = samples.values(0)
-        vals = np.where(self.revolute, self.factors * np.arctan(vals), vals)
+        vals = samples.joint(0)
         # An infinite side reads -inf and never counts.
         return _excess(np.maximum(vals - self.raw_hi, self.raw_lo - vals))
 
@@ -449,6 +452,9 @@ class _ChainLimitFamily(ConstraintBlock):
         n = self.layout.n_coords
         return V[:, :n], V[:, n:]
 
+    def dense_violation(self, samples) -> float:
+        return _excess(np.abs(samples.joint(self.order)) - self.bound)
+
 
 class ChainRateFamily(_ChainLimitFamily):
     """Hull-relaxed joint velocity limits through the half-angle substitution.
@@ -473,9 +479,6 @@ class ChainRateFamily(_ChainLimitFamily):
             return -(vT * 2.0 * q * (vu + vl)), f * (vu - vl), None, gT
 
         return np.hstack([f * dq - vT * W, -f * dq - vT * W]), pullback
-
-    def dense_violation(self, samples) -> float:
-        return _excess(np.abs(samples.rates()) - self.bound)
 
 
 class ChainAccelFamily(_ChainLimitFamily):
@@ -509,13 +512,6 @@ class ChainAccelFamily(_ChainLimitFamily):
             return s * dE_dq - t * dA_dq, s * dE_ddq, s * dE_dddq, gT
 
         return np.hstack([E - aT2W2, -E - aT2W2]), pullback
-
-    def dense_violation(self, samples) -> float:
-        q = samples.values(0) * self.revolute
-        qd, qdd = samples.values(1), samples.values(2)
-        W = 1.0 + q * q
-        theta_dd = self.factors * (qdd * W - 2.0 * q * qd * qd) / (samples.T**2 * W * W)
-        return _excess(np.abs(theta_dd) - self.bound)
 
 
 @dataclass(frozen=True)
@@ -900,7 +896,8 @@ class TrajectorySamples:
     basis matrix at ``taus`` is built once.  The values are formed one
     coordinate column at a time, ``B @ C[:, j]``: the product
     ``BSpline.eval`` forms for a one-coordinate spline, so they equal it
-    to the bit, which a single ``B @ C`` does not.
+    to the bit, which a single ``B @ C`` does not.  The export and the
+    limit families' dense checks read joint space through ``joint``.
     """
 
     def __init__(self, problem: PlanningProblem, decision: DecisionVector, taus):
@@ -932,28 +929,23 @@ class TrajectorySamples:
         return self._keep(("values", order), lambda: np.column_stack(
             [B @ C[:, j] for j in range(C.shape[1])]))
 
-    def angles(self) -> np.ndarray:
-        """Joint angles and prismatic offsets (chain) or positions (mobile),
-        (S, n_coords); revolute columns unwrap from their start angles."""
+    def joint(self, order: int = 0) -> np.ndarray:
+        """Joint values (order 0), rates (1) or accelerations (2), (S,
+        n_coords).  A half-angle coordinate reads theta = factor atan q, so
+        with W = 1 + q^2, theta' = factor q' / (T W) and theta'' = factor
+        (q'' W - 2 q q'^2) / (T^2 W^2); a linear one reads factor 1 and
+        q = 0: q' / T and q'' / T^2 to the bit, up to the sign of a zero."""
+        robot = self._problem.scenario.robot
         def make():
-            q, scenario = self.values(0).copy(), self._problem.scenario
-            start, robot = scenario.boundary_initial, scenario.robot
-            for j in np.flatnonzero(robot.revolute):  # sequential; chains only
-                q[:, j] = unwrap_half_angles(q[:, j], robot.halving_depths[j],
-                                             theta_init=float(start[j]))
-            return q
-        return self._keep("angles", make)
-
-    def rates(self) -> np.ndarray:
-        """Joint rates (chain) or velocities (mobile), (S, n_coords):
-        factor q' / (T (1 + q^2)) for a half-angle joint; a linear
-        coordinate reads factor 1 and q = 0, so its rate is q' / T to the
-        bit."""
-        def make():
-            robot = self._problem.scenario.robot
+            if order == 0:
+                return _angles(robot, self.values(0))
             q = self.values(0) * robot.revolute
-            return robot.factors * self.values(1) / (self.T * (1.0 + q * q))
-        return self._keep("rates", make)
+            qd, W = self.values(1), 1.0 + q * q
+            if order == 1:
+                return robot.factors * qd / (self.T * W)
+            return robot.factors * (self.values(2) * W - 2.0 * q * qd * qd) / (
+                self.T**2 * W * W)
+        return self._keep(("joint", order), make)
 
     def plane(self, k: int) -> tuple[np.ndarray, np.ndarray]:
         """a(tau) and b(tau) of plane k: two products, since one
@@ -1045,12 +1037,15 @@ def assemble(scenario: Scenario) -> PlanningProblem:
     acceleration, and angle limits become coefficient families; static
     obstacles turn into signed-distance collocation constraints (or
     per-obstacle planes in hyperplane mode); moving obstacles get
-    separating-plane families.
+    separating-plane families.  A limit whose derived bound overflows (the
+    squared time estimate, an SDF body's workspace bounds) is a ScenarioError.
     """
     basis = TrajectoryBasis(scenario.basis_degree, scenario.basis_knots())
     robot = scenario.robot
     is_chain = isinstance(robot, ChainRobot)
     t_guess = _time_heuristic(scenario)
+    if not math.isfinite(t_guess * t_guess):  # the limit cushions scale by it
+        raise ScenarioError("limits.velocity: too small for the distance to travel")
 
     q_init, q_goal = (_coords(robot, theta) for theta in
                       (scenario.boundary_initial, scenario.boundary_goal))
@@ -1134,6 +1129,12 @@ def assemble(scenario: Scenario) -> PlanningProblem:
             families.append(box)
 
     if static_obs and not use_planes_for_static:
+        for body in bodies:  # the SDF motion margin scales by these
+            for key, bound in (("velocity", body.speed_bound),
+                               ("acceleration", body.accel_bound)):
+                if not math.isfinite(bound):
+                    raise ScenarioError(f"limits.{key}: {body.name}'s workspace "
+                                        "bound is not finite")
         taus = collocation_sites(basis.knots,
                                  scenario.collision.collocation_per_span)
         families.append(

@@ -176,7 +176,7 @@ def test_vjp_matches_central_differences(problems, scenario, cls, count):
             )
 
 
-def reference_dense_violation(fam, samples):
+def reference_dense_violation(fam, samples, robot):
     """The per-coordinate loops of the limit families' dense checks, as
     they ran before they read the sampled matrix; kept as the byte-for-byte
     reference.  Other families read the matrix as they did."""
@@ -188,8 +188,8 @@ def reference_dense_violation(fam, samples):
             worst = max(worst, float(np.maximum(np.abs(vals) - fam.bound[j], 0.0).max()))
     elif isinstance(fam, CoeffBoxFamily):
         for j, vals in enumerate(cols(0)):
-            if fam.revolute[j]:
-                vals = fam.factors[j] * np.arctan(vals)
+            if robot.revolute[j]:
+                vals = robot.factors[j] * np.arctan(vals)
             if np.isfinite(fam.raw_hi[j]):
                 worst = max(worst, float(np.maximum(vals - fam.raw_hi[j], 0.0).max()))
             if np.isfinite(fam.raw_lo[j]):
@@ -234,7 +234,8 @@ def test_dense_violation_matches_per_coordinate_reference(problems, scenario, cl
         reference = PerCoordinateSamples(problem, dv, taus)
         for fam in families:
             got = fam.dense_violation(samples)
-            want = reference_dense_violation(fam, reference)
+            want = reference_dense_violation(fam, reference,
+                                             problem.scenario.robot)
             assert float(got).hex() == float(want).hex(), (fam.name, T, got, want)
 
 

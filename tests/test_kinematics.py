@@ -14,7 +14,6 @@ from splinetraj.kinematics import (
     DHLink,
     NumericFK,
     halfangle_cos_sin,
-    unwrap_half_angles,
 )
 from splinetraj.spline_algebra import FitOperator, add, collocation_sites, multiply
 
@@ -322,9 +321,9 @@ class TestTransformPoint:
             np.testing.assert_allclose(pos[k], (ref @ np.append(vert, 1))[:3], atol=1e-6)
 
 
-def recover(joint, taus, theta_init=None):
+def recover(joint, taus):
     """Angles of one sampled joint, as the export recovers them."""
-    return unwrap_half_angles(joint.q.eval(taus)[:, 0], joint.halving_depth, theta_init)
+    return (2.0**joint.halving_depth) * np.arctan(joint.q.eval(taus)[:, 0])
 
 
 class TestRecoverTheta:
@@ -343,7 +342,7 @@ class TestRecoverTheta:
         theta_targets = np.linspace(0.0, 1.4 * np.pi, n)
         q = BSpline(3, knots, np.tan(theta_targets / 4.0)[:, None])
         taus = np.linspace(0, 1, 500)
-        theta = recover(Joint(q, halving_depth=2), taus, theta_init=0.0)
+        theta = recover(Joint(q, halving_depth=2), taus)
         steps = np.abs(np.diff(theta))
         assert steps.max() < np.pi
 
@@ -355,15 +354,15 @@ class TestRecoverTheta:
         theta_targets = np.linspace(-1.5 * np.pi, 1.5 * np.pi, n)
         q = BSpline(3, knots, np.tan(theta_targets / 4.0)[:, None])
         taus = np.linspace(0, 1, 200)
-        recovered = recover(Joint(q, halving_depth=2), taus, theta_init=-1.5 * np.pi)
+        recovered = recover(Joint(q, halving_depth=2), taus)
         qvals = q.eval(taus)[:, 0]
         np.testing.assert_allclose(np.tan(recovered / 4.0), qvals, atol=1e-9)
         assert recovered.min() < -1.2 * np.pi and recovered.max() > 1.2 * np.pi
         assert np.abs(np.diff(recovered)).max() < np.pi
 
     def test_recovered_angles_per_joint(self):
-        # The export's route: revolute columns unwrapped from the start
-        # angle, prismatic offsets as they are, mobile coordinates as they are.
+        # The export's route: revolute columns 2^n atan q, prismatic
+        # offsets as they are, mobile coordinates as they are.
         import json
 
         from splinetraj.planner import DecisionVector, assemble
@@ -383,68 +382,69 @@ class TestRecoverTheta:
             prob = assemble(parse_scenario(obj))
             rng = np.random.default_rng(3)
             C = rng.uniform(-2.0, 2.0, (prob.basis.n_coeffs, prob.layout.n_coords))
-            got = prob.samples(DecisionVector(C, 1.0, []), taus).angles()
+            got = prob.samples(DecisionVector(C, 1.0, []), taus).joint(0)
             robot = prob.scenario.robot
             for j in range(prob.layout.n_coords):
                 column = BSpline(prob.basis.degree, prob.basis.knots, C[:, j : j + 1])
                 want = column.eval(taus)[:, 0]
                 if isinstance(robot, ChainRobot) and robot.revolute[j]:
                     joint = Joint(column, robot.halving_depths[j])
-                    want = recover(joint, taus, float(prob.scenario.boundary_initial[j]))
+                    want = recover(joint, taus)
                 assert got[:, j].tobytes() == want.tobytes(), (obj["name"], j)
 
 
-def reference_unwrap(qvals, n, theta_init=None):
-    """The numpy-scalar loop that unwrap_half_angles replaced, kept as the
-    byte-for-byte reference."""
-    period = (2.0**n) * np.pi
-    raw = (2.0**n) * np.arctan(qvals)
-    out = np.empty_like(raw)
-    prev = raw[0] if theta_init is None else theta_init
-    for k, val in enumerate(raw):
-        out[k] = val + period * np.round((prev - val) / period)
-        prev = out[k]
-    return out
+def angle_map_cases():
+    """Inputs of the joint map q -> factor atan q, with their ids."""
+    rng = np.random.default_rng(21)
+    big = np.tan(np.pi / 2 - 1e-9)
+    yield "signed_zeros", np.array([0.0, -0.0, 0.0, -0.0, -0.0])
+    yield "tiny", np.array([-0.0, 1e-300, -1e-300, 0.0])
+    # sign flips through +-infinity in q, where theta reaches +-factor pi / 2
+    yield "big_and_inf", np.array([big, -big, big, -big, -0.0, big, np.inf, -np.inf])
+    yield "uniform", rng.uniform(-5.0, 5.0, 400)
+    yield "tan_grid", np.tan(np.linspace(-3.0, 3.0, 301) / 2.0)
+    yield "normal", rng.standard_normal(50) * 1e3
+    yield "nan", np.array([0.5, np.nan, 0.5])
 
 
-class TestUnwrapHalfAngles:
-    """The Python-float loop reproduces the numpy-scalar loop bit for bit."""
+class TestAngleMap:
+    """The one map from coordinates back to joint values."""
 
-    @staticmethod
-    def cases():
-        rng = np.random.default_rng(21)
-        big = np.tan(np.pi / 2 - 1e-9)
-        yield np.array([0.0, -0.0, 0.0, -0.0, -0.0])
-        yield np.array([-0.0, 1e-300, -1e-300, 0.0])
-        # sign flips through +-infinity in q: the angle wraps every step
-        yield np.array([big, -big, big, -big, -0.0, big, np.inf, -np.inf])
-        yield rng.uniform(-5.0, 5.0, 400)
-        yield np.tan(np.linspace(-3.0, 3.0, 301) / 2.0)
-        yield rng.standard_normal(50) * 1e3
+    @pytest.mark.parametrize("q", [q for _, q in angle_map_cases()],
+                             ids=[name for name, _ in angle_map_cases()])
+    def test_angles_are_factor_atan(self, q):
+        from splinetraj.planner import _angles
+        from splinetraj.scenario import ChainRobot
 
-    @pytest.mark.parametrize("n", [1, 2, 3])
-    def test_matches_reference_loop(self, n):
-        period = (2.0**n) * np.pi
-        inits = [None, 0.0, -0.0, 0.3, -0.3, 1e300]
-        # exact half-period ties with raw = 0, both signs, several turns
-        inits += [k * period / 2.0 for k in range(-7, 8)]
-        for q in self.cases():
-            for theta_init in inits:
-                want = reference_unwrap(q, n, theta_init)
-                got = unwrap_half_angles(q, n, theta_init)
-                assert got.dtype == want.dtype and got.shape == want.shape
-                assert got.tobytes() == want.tobytes(), (q[:4], theta_init)
+        links = THREE_LINK.links + (DHLink(0.1, 0.0, 0.0, joint_kind="prismatic"),)
+        chain = DHChain(np.eye(4), links, (default_cuboid(),) * 4)
+        robot = ChainRobot(chain, (1, 2, 3, 1))
+        got = _angles(robot, np.column_stack([q] * 4))
+        inf = np.isinf(q)
+        for j, factor in enumerate((2.0, 4.0, 8.0)):
+            assert got[:, j].tobytes() == (factor * np.arctan(q)).tobytes()
+            assert (got[inf, j] == np.sign(q[inf]) * factor * np.pi / 2).all()
+            assert (np.isnan(got[:, j]) == np.isnan(q)).all()
+        assert got[:, 3].tobytes() == q.tobytes()  # a prismatic offset
 
-    def test_ties_round_to_even(self):
-        period = 2.0 * np.pi
-        for k, turns in [(1, 0.0), (3, 2.0), (-1, -0.0), (-3, -2.0)]:
-            out = unwrap_half_angles(np.array([0.0]), 1, theta_init=k * period / 2.0)
-            assert out.tobytes() == np.array([0.0 + turns * period]).tobytes()
+    def test_far_coefficients_stay_in_range(self):
+        # Joint 1's interior coefficients alternate +-1e5, so q jumps
+        # through 0 between samples (679.8 to -436.4 at sample 252): each
+        # angle is still 2 atan q, inside +-pi, with no branch carried over.
+        from splinetraj.planner import DecisionVector, assemble, initial_guess
+        from splinetraj.scenario import load_scenario
 
-    def test_nan_propagates(self):
-        q = np.array([0.5, np.nan, 0.5])
-        assert (unwrap_half_angles(q, 1).tobytes()
-                == reference_unwrap(q, 1).tobytes())
+        from tests.test_planner import SCENARIO_DIR
+
+        prob = assemble(load_scenario(SCENARIO_DIR / "threelink.json"))
+        start = initial_guess(prob)
+        C = start.joint_coeffs.copy()
+        C[3:-3, 0] = 1e5 * (-1.0) ** np.arange(C.shape[0] - 6)
+        samples = prob.samples(DecisionVector(C, start.T, start.plane_coeffs),
+                               np.linspace(0.0, 1.0, 1000))
+        theta = samples.joint(0)[:, 0]
+        assert (np.abs(theta) < prob.scenario.robot.half_range[0]).all()
+        assert theta.tobytes() == (2.0 * np.arctan(samples.values(0)[:, 0])).tobytes()
 
 
 def dynamics_residual(state, rhs):

@@ -11,7 +11,7 @@ import pytest
 from splinetraj import nlp
 from splinetraj.bspline import BSpline, KnotVector, basis_matrix, clamp_knots
 from splinetraj.cli import benchmark_obstacles, export_trajectory, run
-from splinetraj.kinematics import NumericFK, unwrap_half_angles
+from splinetraj.kinematics import NumericFK
 from splinetraj.planner import (
     CUSHION,
     T_MIN,
@@ -165,8 +165,8 @@ class TestTrajectorySamples:
                                                                monkeypatch):
         # Every link's vertices come from one shared_state per call; the
         # per-link chain_state rebuilt the prefix products for each link.
-        # The angles and rates are the unwrapped half angles and
-        # 2^n q' / (T (1 + q^2)), written out as the export formed them.
+        # The angles and rates are 2^n atan q and 2^n q' / (T (1 + q^2)),
+        # written out as the export forms them.
         prob = assemble(load_scenario(SCENARIO_DIR / "threelink.json"))
         dv = initial_guess(prob)
         solution = Solution("converged", dv.T, 0, 0, 0.0, 0.0, decision=dv)
@@ -183,16 +183,12 @@ class TestTrajectorySamples:
 
         samples = prob.samples(dv, np.linspace(0.0, 1.0, 1000))
         robot, q = prob.scenario.robot, samples.values(0)
-        angles = q.copy()
-        for j in np.flatnonzero(robot.revolute):
-            angles[:, j] = unwrap_half_angles(
-                q[:, j], robot.halving_depths[j],
-                theta_init=float(prob.scenario.boundary_initial[j]))
         factors = np.where(robot.revolute, 2.0 ** np.array(robot.halving_depths), 1.0)
+        angles = np.where(robot.revolute, factors * np.arctan(q), q)
         qr = q * robot.revolute
         rates = factors * samples.values(1) / (dv.T * (1.0 + qr * qr))
-        assert samples.angles().tobytes() == angles.tobytes()
-        assert samples.rates().tobytes() == rates.tobytes()
+        assert samples.joint(0).tobytes() == angles.tobytes()
+        assert samples.joint(1).tobytes() == rates.tobytes()
 
 class TestAssemble:
     def test_threelink_decision_structure(self):
@@ -705,7 +701,7 @@ class TestSolve:
         assert vjp_calls
         # The bundled threelink's T, which the box leaves in place.
         assert sol.objective == pytest.approx(1.7397890878042128, abs=1e-6)
-        angles = prob.samples(sol.decision, np.linspace(0.0, 1.0, 10001)).angles()
+        angles = prob.samples(sol.decision, np.linspace(0.0, 1.0, 10001)).joint(0)
         assert np.degrees(angles[:, 1].max()) <= 50.0
 
 

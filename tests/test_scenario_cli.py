@@ -383,8 +383,6 @@ def per_value_rows(table):
 def reference_export_text(sol, prob, samples):
     """trajectory.csv and cartesian.csv as first written: every coordinate
     a spline evaluated on its own, every value formatted on its own."""
-    from splinetraj.kinematics import unwrap_half_angles
-
     dv, scn = sol.decision, prob.scenario
     taus = np.linspace(0.0, 1.0, samples)
     splines = [splinetraj.BSpline(prob.basis.degree, prob.basis.knots,
@@ -401,8 +399,7 @@ def reference_export_text(sol, prob, samples):
                 rates.append(qd[j] / dv.T)
                 continue
             depth = scn.robot.halving_depths[j]
-            angles.append(unwrap_half_angles(q[j], depth,
-                                             float(scn.boundary_initial[j])))
+            angles.append((2.0**depth) * np.arctan(q[j]))
             rates.append((2.0**depth) * qd[j] / (dv.T * (1.0 + q[j] * q[j])))
         state = prob.nfk.shared_state(np.column_stack(q))
         cart = [prob.nfk.body_positions(state, b.link_index, b.verts)
@@ -570,6 +567,8 @@ class TestCLI:
         # Any solver key is rejected now, by name: the settings are constants.
         ("mobile2d", "solver", "max_outer", 0),
         ("threelink", "robot", "halving_depth", 5),
+        # A travel-time estimate of 4.5e200 s, whose square overflows.
+        ("mobile2d", "limits", "velocity", 1e-200),
     ])
     def test_bad_numeric_input_exit_three(self, tmp_path, capsys, name, block,
                                           key, value):
@@ -579,6 +578,17 @@ class TestCLI:
         bad.write_text(json.dumps(obj))
         assert main(["solve", str(bad)]) == 3
         assert f"{block}.{key}" in capsys.readouterr().err
+
+    def test_huge_limits_exit_three(self, tmp_path, capsys):
+        # The norm of [1e300, 1e300] overflows, so the body's workspace
+        # speed bound, and with it the SDF motion margin, is not finite.
+        obj = json.loads((SCENARIO_DIR / "mobile2d.json").read_text())
+        obj["limits"].update(velocity=1e300, acceleration=1e300)
+        bad = tmp_path / "huge.json"
+        bad.write_text(json.dumps(obj))
+        with np.errstate(over="ignore"):
+            assert main(["solve", str(bad)]) == 3
+        assert "limits.velocity" in capsys.readouterr().err
 
     @pytest.mark.parametrize("block, value, message", [
         ("solver", {}, "scenario.solver: unknown field"),

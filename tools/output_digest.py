@@ -3,8 +3,9 @@
 For each scenario under ``src/splinetraj/scenarios/``, for ``mobile2d``
 and ``mobile3d`` with ``"static_mode": "hyperplane"``, for ``threelink``
 and ``mobile2d`` with a limits box, for ``mobile2d`` with hexagons for
-circles, in SDF and in hyperplane mode, and for ``mobile2d`` standing
-still (or for the bundled names or
+circles, in SDF and in hyperplane mode, for ``mobile2d`` standing
+still, and for ``threelink`` with a prismatic third joint, in SDF and in
+hyperplane mode (or for the bundled names or
 scenario file paths given on the command line) this plans it through
 ``splinetraj.cli.run`` with 1000 export samples and prints one line:
 
@@ -31,7 +32,12 @@ regular hexagon (vertices at r / cos 30 degrees from the center, at 30,
 default list's route into the polytope's field and plane rows.  The
 suffix ``+still`` sets the goal to the start: ``mobile2d+still`` is the
 default list's plan whose start equals its goal, which the solver takes
-like any other.  Suffixes chain and apply from left to right.  A scenario file reaches other plans
+like any other.  The suffix ``+prismatic`` makes ``threelink``'s third
+joint prismatic, moving 0.1 -> 0.3 m within offset limits [0, 0.5] m at
+1 m/s and 2 m/s^2: no bundled scenario has a linear chain coordinate,
+so ``threelink+prismatic`` and ``threelink+prismatic+hyperplane`` are
+the default list's route into the prismatic branches of the kinematics,
+the plane rows and the SDF speed bounds.  Suffixes chain and apply from left to right.  A scenario file reaches other plans
 that no bundled scenario does.  A perfbench workload
 name (``mobile_sdf``, ``arm_sdf``, ``arm_dynamic``) prints one such line
 for each scenario of that workload, labelled
@@ -106,8 +112,18 @@ def _still(obj: dict) -> None:
     obj["boundary"]["goal"] = list(obj["boundary"]["initial"])
 
 
+def _prismatic(obj: dict) -> None:
+    if obj["name"] != "threelink":
+        raise SystemExit(f"{obj['name']}: +prismatic takes threelink")
+    obj["robot"]["links"][2]["kind"] = "prismatic"
+    obj["boundary"]["initial"][2], obj["boundary"]["goal"][2] = 0.1, 0.3
+    # deg for the revolute joints, m for the prismatic one
+    obj["limits"].update(velocity=[200, 200, 1.0], acceleration=[200, 200, 2.0],
+                         angle_min=[-200, -200, 0.0], angle_max=[200, 200, 0.5])
+
+
 VARIANTS = {"+hyperplane": _hyperplane, "+limits": _limits,
-            "+polytope": _polytope, "+still": _still}
+            "+polytope": _polytope, "+still": _still, "+prismatic": _prismatic}
 
 
 def main(argv=None) -> int:
@@ -117,10 +133,12 @@ def main(argv=None) -> int:
                              "perfbench workload names or <workload>/<scenario "
                              "name> labels, each optionally with "
                              "one or more of the suffixes +hyperplane, +limits, "
-                             "+polytope and +still (default: every bundled "
-                             "scenario, then mobile2d and mobile3d +hyperplane, "
-                             "threelink and mobile2d +limits, mobile2d "
-                             "+polytope, +polytope+hyperplane and +still)")
+                             "+polytope, +still and +prismatic (default: every "
+                             "bundled scenario, then mobile2d and mobile3d "
+                             "+hyperplane, threelink and mobile2d +limits, "
+                             "mobile2d +polytope, +polytope+hyperplane and "
+                             "+still, threelink +prismatic and "
+                             "+prismatic+hyperplane)")
     parser.add_argument("--tree", default=str(Path(__file__).resolve().parents[1]),
                         help="checkout whose src/ (and perfbench/) is planned "
                              "(default: this one)")
@@ -146,7 +164,8 @@ def plans(tree: Path, names: list[str]):
         sorted(p.stem for p in bundled.glob("*.json"))
         + ["mobile2d+hyperplane", "mobile3d+hyperplane",
            "threelink+limits", "mobile2d+limits", "mobile2d+polytope",
-           "mobile2d+polytope+hyperplane", "mobile2d+still"])
+           "mobile2d+polytope+hyperplane", "mobile2d+still",
+           "threelink+prismatic", "threelink+prismatic+hyperplane"])
     for name in names:
         base, suffixes = name, []
         while key := next((k for k in VARIANTS if base.endswith(k)), None):
