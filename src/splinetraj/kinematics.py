@@ -60,7 +60,8 @@ class DHLink:
 
         v is the revolute joint variable; the theta offset is folded into
         Mc and Ms via the angle-sum identities.  For prismatic links Mc
-        carries the coefficient of the variable offset instead (Ms = 0).
+        carries the coefficient of the variable offset instead (Ms = 0),
+        and M0 is the classic DH matrix at offset 0.
         """
         ca, sa = np.cos(self.alpha), np.sin(self.alpha)
         if self.joint_kind == REVOLUTE:
@@ -92,27 +93,16 @@ class DHLink:
             return Ac * c0 + As * s0, -Ac * s0 + As * c0, A0
         Md = np.zeros((4, 4))
         Md[2, 3] = 1.0
-        M0 = self.numeric_transform(0.0)
-        return Md, np.zeros((4, 4)), M0
-
-    def numeric_transform(self, variable: float) -> np.ndarray:
-        """Classic numeric DH matrix at one joint value."""
-        if self.joint_kind == REVOLUTE:
-            th = self.theta_offset + variable
-            dd = self.d
-        else:
-            th = self.theta_offset
-            dd = self.d + variable
-        ct, st = np.cos(th), np.sin(th)
-        ca, sa = np.cos(self.alpha), np.sin(self.alpha)
-        return np.array(
+        ct, st = np.cos(self.theta_offset), np.sin(self.theta_offset)
+        M0 = np.array(
             [
                 [ct, -st * ca, st * sa, self.a * ct],
                 [st, ct * ca, -ct * sa, self.a * st],
-                [0.0, sa, ca, dd],
+                [0.0, sa, ca, self.d],
                 [0.0, 0.0, 0.0, 1.0],
             ]
         )
+        return Md, np.zeros((4, 4)), M0
 
 
 @dataclass(frozen=True)
@@ -146,13 +136,6 @@ class DHChain:
 
     def __len__(self):
         return len(self.links)
-
-    def numeric_fk(self, joint_values, link_index: int) -> np.ndarray:
-        """Plain numeric forward kinematics up to the given link (1-based)."""
-        T = self.base_pose.copy()
-        for j in range(link_index):
-            T = T @ self.links[j].numeric_transform(joint_values[j])
-        return T
 
 
 def halfangle_cos_sin(qvals: np.ndarray, depth: int, with_grad: bool = False):

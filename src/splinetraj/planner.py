@@ -334,7 +334,7 @@ class DerivBoxFamily(ConstraintBlock):
 class CoeffBoxFamily(ConstraintBlock):
     """Box on the control rows themselves (angle or position limits).
 
-    ``lo`` and ``hi`` bound the joint values, a missing side unbounded.
+    ``lo`` and ``hi`` bound the joint values; an infinite side bounds nothing.
     An angle bound within the recoverable range bounds tan(theta / factor)
     and one beyond it nothing; the dense check reads factor * atan(q).
     """
@@ -342,14 +342,11 @@ class CoeffBoxFamily(ConstraintBlock):
     def __init__(self, name, layout, robot, lo, hi, cushion: float):
         self.name = name
         self.layout = layout
-        self.raw_lo = np.full(layout.n_coords, -np.inf) if lo is None else lo
-        self.raw_hi = np.full(layout.n_coords, np.inf) if hi is None else hi
+        self.raw_lo, self.raw_hi = lo, hi
         half_range = robot.half_range
         inner = half_range * (1 - 1e-9)
-        lo = np.where(self.raw_lo > -half_range,
-                      _coords(robot, np.maximum(self.raw_lo, -inner)), -np.inf)
-        hi = np.where(self.raw_hi < half_range,
-                      _coords(robot, np.minimum(self.raw_hi, inner)), np.inf)
+        lo = np.where(lo > -half_range, _coords(robot, np.maximum(lo, -inner)), -np.inf)
+        hi = np.where(hi < half_range, _coords(robot, np.minimum(hi, inner)), np.inf)
         self.mask_lo = np.isfinite(lo)
         self.mask_hi = np.isfinite(hi)
         inset = cushion * np.where(self.mask_lo & self.mask_hi,
@@ -973,7 +970,8 @@ def _chain_workspace_bounds(scenario: Scenario, rates: np.ndarray) -> list[float
     revolute joints j, where r_jk bounds the distance from joint j's axis
     to any vertex of link k, plus rate_j for each prismatic joint j, which
     translates the vertex.  Across a prismatic link the reach is |a| plus
-    the largest |d + offset| within the offset limits.
+    the largest |d + offset| within the offset limits, infinite where a
+    limit side is infinite.
     """
     chain = scenario.robot.chain
     lo, hi = scenario.limits.angle_min, scenario.limits.angle_max
@@ -981,8 +979,6 @@ def _chain_workspace_bounds(scenario: Scenario, rates: np.ndarray) -> list[float
     for i, link in enumerate(chain.links):
         if link.joint_kind == "revolute":
             link_reach.append(abs(link.a) + abs(link.d))
-        elif lo is None or hi is None:
-            link_reach.append(math.inf)  # parse_scenario requires them for SDF
         else:
             link_reach.append(abs(link.a) + max(abs(link.d + lo[i]), abs(link.d + hi[i])))
     bounds = []
@@ -1119,14 +1115,13 @@ def assemble(scenario: Scenario) -> PlanningProblem:
             DerivBoxFamily("acceleration_limits", layout, basis.D2,
                            scenario.limits.acceleration, 2, CUSHION, t_guess)
         )
-    # The angle (chain) or position (mobile) box; angle limits at or beyond
-    # the recoverable range bound nothing and add no rows.
-    lo, hi = scenario.limits.angle_min, scenario.limits.angle_max
-    if lo is not None or hi is not None:
-        box = CoeffBoxFamily("angle_limits" if is_chain else "position_limits",
-                             layout, robot, lo, hi, CUSHION)
-        if box.n_rows:
-            families.append(box)
+    # The angle (chain) or position (mobile) box; infinite sides and angle
+    # limits at or beyond the recoverable range bound nothing and add no rows.
+    box = CoeffBoxFamily("angle_limits" if is_chain else "position_limits", layout,
+                         robot, scenario.limits.angle_min, scenario.limits.angle_max,
+                         CUSHION)
+    if box.n_rows:
+        families.append(box)
 
     if static_obs and not use_planes_for_static:
         for body in bodies:  # the SDF motion margin scales by these
@@ -1187,7 +1182,9 @@ def initial_guess(problem: PlanningProblem) -> DecisionVector:
 
 def _straight_line(problem: PlanningProblem) -> DecisionVector:
     """Linear coefficient interpolation, a travel time T, and planes
-    seeded between each protected body and its obstacle.
+    seeded between each protected body and its obstacle: each plane's
+    normal points from the obstacle's center at tau = 0 to the mean of the
+    body's points sampled at tau = 0, and it passes their midpoint.
 
     T is the rate-based ``_time_heuristic`` (the cushions' ``t_guess``),
     raised to ``_rest_to_rest_time`` where it lies below: the heuristic
@@ -1204,15 +1201,11 @@ def _straight_line(problem: PlanningProblem) -> DecisionVector:
 
     T = max(_time_heuristic(scenario), _rest_to_rest_time(scenario))
 
+    start = problem.samples(DecisionVector(C, T, []), np.zeros(1))
     planes = []
     for body, obs in problem.plane_specs:
         o0 = obs.center_at(0.0)[0]
-        if problem.nfk is None:
-            r0 = problem.q_init  # the point robot's position
-        else:
-            Tfk = scenario.robot.chain.numeric_fk(scenario.boundary_initial,
-                                                  body.link_index)
-            r0 = (Tfk @ homogeneous(body.verts)).T[:, :3].mean(axis=0)
+        r0 = start.positions(body)[0].mean(axis=0)
         sep = r0 - o0
         norm = np.linalg.norm(sep)
         direction = sep / norm if norm > 1e-12 else np.eye(len(sep))[0]

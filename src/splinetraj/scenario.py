@@ -181,18 +181,21 @@ class ChainRobot:
 
 @dataclass(frozen=True)
 class Limits:
-    """Per-coordinate bounds in SI units (rad or m based)."""
+    """Per-coordinate bounds in SI units (rad or m based).  A box side
+    that the scenario leaves out is infinite and bounds nothing."""
 
     velocity: np.ndarray
     acceleration: np.ndarray
-    angle_min: np.ndarray | None = None
-    angle_max: np.ndarray | None = None
+    angle_min: np.ndarray
+    angle_max: np.ndarray
 
     def __post_init__(self):
         if np.any(self.velocity <= 0.0):
             raise ScenarioError("limits.velocity: must be positive")
         if np.any(self.acceleration <= 0.0):
             raise ScenarioError("limits.acceleration: must be positive")
+        if np.any(self.angle_min > self.angle_max):
+            raise ScenarioError("limits.angle_min: must not exceed angle_max")
 
 
 @dataclass(frozen=True)
@@ -394,13 +397,13 @@ def parse_scenario(obj: dict) -> Scenario:
             return _vector(value, path, n)
         return np.full(n, _number(value, path))  # one value for every coordinate
 
+    def _side(key, missing):  # a box side left out bounds nothing
+        return (_limit_vec(lim[key], f"limits.{key}") * lscale if key in lim
+                else np.full(n, missing))
+
     velocity = _limit_vec(lim["velocity"], "limits.velocity") * lscale
     acceleration = _limit_vec(lim["acceleration"], "limits.acceleration") * lscale
-    angle_min = angle_max = None
-    if "angle_min" in lim:
-        angle_min = _limit_vec(lim["angle_min"], "limits.angle_min") * lscale
-    if "angle_max" in lim:
-        angle_max = _limit_vec(lim["angle_max"], "limits.angle_max") * lscale
+    angle_min, angle_max = _side("angle_min", -np.inf), _side("angle_max", np.inf)
     limits = Limits(velocity, acceleration, angle_min, angle_max)
 
     ws = obj["workspace"]
@@ -433,14 +436,14 @@ def parse_scenario(obj: dict) -> Scenario:
             f"boundary: joint {k + 1} angle outside the recoverable range "
             f"(+-{half_range[k]:.4f} rad) at halving depth {robot.halving_depths[k]}"
         )
+    unbounded = ~robot.revolute & ~np.isfinite(limits.angle_max - limits.angle_min)
     if (
         is_chain
         and collision.static_mode == "sdf"
         and any(o.is_static for o in obstacles)
-        and (limits.angle_min is None or limits.angle_max is None)
-        and not all(robot.revolute)
+        and unbounded.any()
     ):
-        k = int(np.argmin(robot.revolute)) + 1
+        k = int(np.argmax(unbounded)) + 1
         raise ScenarioError(
             f"limits: prismatic joint {k} needs angle_min and angle_max (its "
             "offset range) to bound the SDF motion margin"
@@ -449,11 +452,9 @@ def parse_scenario(obj: dict) -> Scenario:
         for end, q in (("initial", q_init), ("goal", q_goal)):
             if np.any(q < ws_min) or np.any(q > ws_max):
                 raise ScenarioError(f"boundary.{end}: outside the workspace box")
-    if limits.angle_min is not None and limits.angle_max is not None:
-        if np.any(q_goal < limits.angle_min) or np.any(q_goal > limits.angle_max):
-            raise ScenarioError("boundary.goal: outside the configured angle limits")
-        if np.any(q_init < limits.angle_min) or np.any(q_init > limits.angle_max):
-            raise ScenarioError("boundary.initial: outside the configured angle limits")
+    for end, q in (("goal", q_goal), ("initial", q_init)):
+        if np.any(q < limits.angle_min) or np.any(q > limits.angle_max):
+            raise ScenarioError(f"boundary.{end}: outside the configured angle limits")
 
     return Scenario(
         name=obj["name"],

@@ -19,7 +19,7 @@ from splinetraj.collision import box_sphere_distance
 from splinetraj.planner import PlaneRobotSideFamily, assemble, solve, verify
 from splinetraj.scenario import load_scenario
 from splinetraj.spline_algebra import add, elevated_union, multiply
-from tests.test_kinematics import eval_spans
+from tests.test_kinematics import eval_spans, trig_fk
 from tests.test_planner import families_by_name
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "src/splinetraj/scenarios"
@@ -171,7 +171,7 @@ class TestCriterion4:
         M = eval_spans(P6, knots, taus)
         fk = M / M[:, 3:, 3:]
         theta = 2.0 * np.arctan(basis_matrix(knots, 3, taus) @ q)
-        ref = np.array([chain.numeric_fk(t, 6) for t in theta])
+        ref = np.array([trig_fk(chain, t, 6) for t in theta])
         worst = np.abs(fk - ref).max()
         report(
             4,

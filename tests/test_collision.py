@@ -36,6 +36,7 @@ from splinetraj.planner import (
 )
 from splinetraj.scenario import load_scenario, parse_scenario
 from splinetraj.spline_algebra import elevated_union
+from tests.test_kinematics import trig_fk
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "src/splinetraj/scenarios"
 
@@ -632,7 +633,7 @@ class TestStaticClearance:
         margin = np.repeat(fam.margins(1.0)[0][0], 8)
         theta = 2.0 * np.arctan(basis_matrix(CUBIC, 3, taus) @ C)
         hom = np.hstack([body.verts, np.ones((8, 1))]).T
-        pos = np.concatenate([(chain.numeric_fk(t, 2) @ hom)[:3].T for t in theta])
+        pos = np.concatenate([(trig_fk(chain, t, 2) @ hom)[:3].T for t in theta])
         vals, _ = field.query_extended(pos)
         np.testing.assert_allclose(-r + margin, vals, rtol=0, atol=1e-12)
 

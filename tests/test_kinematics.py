@@ -110,6 +110,19 @@ def rational_eval(P, taus):
     return vals / vals[:, 3:4, 3:4]
 
 
+def trig_fk(chain, joint_values, link_index):
+    """Trig FK oracle up to link ``link_index`` (1-based): the base pose
+    times each link's ``oracle_dh``, its joint value added to the angle
+    (revolute) or to the offset (prismatic)."""
+    T = chain.base_pose
+    for link, value in zip(chain.links[:link_index], joint_values):
+        if link.joint_kind == "revolute":
+            T = T @ oracle_dh(link.a, link.alpha, link.d, link.theta_offset + value)
+        else:
+            T = T @ oracle_dh(link.a, link.alpha, link.d + value, link.theta_offset)
+    return T
+
+
 def single(link, base=None):
     base = np.eye(4) if base is None else base
     return DHChain(base_pose=base, links=(link,), link_cuboids=(default_cuboid(),))

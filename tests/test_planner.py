@@ -33,6 +33,7 @@ from splinetraj.planner import (
 )
 from splinetraj.scenario import ScenarioError, load_scenario, parse_scenario
 from splinetraj.spline_algebra import collocation_sites, elevated_union
+from tests.test_kinematics import trig_fk
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "src/splinetraj/scenarios"
 
@@ -327,6 +328,30 @@ class TestInitialGuess:
         dv = initial_guess(prob)
         norms = np.linalg.norm(dv.plane_coeffs[0][:, :-1], axis=1)
         np.testing.assert_allclose(norms, 0.9, atol=1e-12)
+
+    @pytest.mark.parametrize("name, mode", [("fanuc6_dynamic", "sdf"),
+                                            ("mobile2d", "hyperplane")])
+    def test_planes_seeded_from_the_sampled_start(self, name, mode):
+        # Each plane is 0.9 times the unit vector from the obstacle's center
+        # to the body's mean point, both at tau = 0, through their midpoint;
+        # the body's points are the sampled kinematics that verify reads.
+        scn = load_scenario(SCENARIO_DIR / f"{name}.json")
+        scn = replace(scn, collision=replace(scn.collision, static_mode=mode))
+        prob = assemble(scn)
+        line = _straight_line(prob)
+        start = prob.samples(line, np.zeros(1))
+        assert len(line.plane_coeffs) == len(prob.plane_specs) > 0
+        for (body, obs), ab in zip(prob.plane_specs, line.plane_coeffs):
+            r0 = start.positions(body)[0].mean(axis=0)
+            o0 = obs.center_at(0.0)[0]
+            a = 0.9 * ((r0 - o0) / np.linalg.norm(r0 - o0))
+            row = np.append(a, -float(a @ (0.5 * (r0 + o0))))
+            np.testing.assert_array_equal(ab, np.tile(row, (len(ab), 1)))
+            if prob.nfk is not None:
+                hom = np.hstack([body.verts, np.ones((len(body.verts), 1))]).T
+                tip = trig_fk(scn.robot.chain, scn.boundary_initial, body.link_index)
+                np.testing.assert_allclose(r0, (tip @ hom)[:3].mean(axis=1),
+                                           rtol=0, atol=1e-12)
 
     def test_guess_violation_decreases_in_outer_loop(self):
         scn = load_scenario(SCENARIO_DIR / "mobile2d.json")
@@ -774,7 +799,7 @@ class TestPrismaticJoint:
             xd = rng.choice([-1.0, 1.0], len(chain)) * scn.limits.velocity
             for k in range(1, len(chain) + 1):
                 hom = np.hstack([chain.link_cuboids[k - 1], np.ones((8, 1))]).T
-                step = chain.numeric_fk(x + h * xd, k) - chain.numeric_fk(x - h * xd, k)
+                step = trig_fk(chain, x + h * xd, k) - trig_fk(chain, x - h * xd, k)
                 speeds = np.linalg.norm((step @ hom)[:3] / (2 * h), axis=0)
                 worst[k - 1] = max(worst[k - 1], speeds.max())
         bounds = [body.speed_bound for body in prob.bodies]

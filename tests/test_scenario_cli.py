@@ -39,6 +39,7 @@ from splinetraj.scenario import (
     load_scenario,
     parse_scenario,
 )
+from tests.test_kinematics import trig_fk
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "src/splinetraj/scenarios"
 
@@ -237,6 +238,10 @@ class TestParsing:
         ("mobile", ("obstacles", 0),
          {"kind": "polytope", "vertices": [[1, 0.5], [2, 0.5], [1, 0.500000000000001]]},
          "obstacles[0]: polytope vertices are too close to flat"),
+        ("mobile2d", ("limits", "angle_max"), [2.0, 5.0], "boundary.goal"),
+        ("mobile2d", ("limits", "angle_min"), [0.5, -1.0], "boundary.initial"),
+        ("chain", ("limits", "angle_min"), 250,
+         "limits.angle_min: must not exceed angle_max"),
     ])
     def test_value_that_would_crash_the_solve_rejected(self, tmp_path, capsys,
                                                        base, where, value, key):
@@ -248,8 +253,11 @@ class TestParsing:
         # used to be accepted and ignored, a sphere without a radius to be
         # read as radius 0, and a polytope that passes the rank check but
         # is too flat for qhull to end the solve in a traceback (exit 1).
-        if base == "chain":
-            obj = json.loads((SCENARIO_DIR / "threelink.json").read_text())
+        # A one-sided box was accepted with its boundary unchecked, and a
+        # reversed one named the goal, not the box.
+        if base != "mobile":  # a bundled scenario; "chain" is threelink
+            name = "threelink" if base == "chain" else base
+            obj = json.loads((SCENARIO_DIR / f"{name}.json").read_text())
         else:
             obj = minimal_mobile(
                 obstacles=[{"kind": "sphere", "center": [0.5, 0.5], "radius": 0.2,
@@ -267,6 +275,19 @@ class TestParsing:
         path.write_text(json.dumps(obj))
         assert main(["solve", str(path)]) == 3
         assert key in capsys.readouterr().err
+
+    def test_one_sided_prismatic_range_rejected(self, tmp_path, capsys):
+        # Only angle_max leaves the prismatic offset range infinite, which
+        # bounds no SDF motion margin.
+        obj = json.loads((SCENARIO_DIR / "threelink.json").read_text())
+        obj["robot"]["links"][2]["kind"] = "prismatic"
+        del obj["limits"]["angle_min"]
+        with pytest.raises(ScenarioError, match="prismatic joint 3"):
+            parse_scenario(obj)
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(obj))
+        assert main(["solve", str(path)]) == 3
+        assert "prismatic joint 3" in capsys.readouterr().err
 
     def test_integral_numbers_accepted(self):
         obj = json.loads((SCENARIO_DIR / "threelink.json").read_text())
@@ -358,7 +379,7 @@ class TestExport:
         col = header.index("link3_v1_x")
         for row_t, row_c in zip(traj, cart):
             thetas = row_t[2:5]
-            T = chain.numeric_fk(thetas, 3)
+            T = trig_fk(chain, thetas, 3)
             vert = np.append(chain.link_cuboids[2][0], 1.0)
             ref = (T @ vert)[:3]
             np.testing.assert_allclose(row_c[col : col + 3], ref, atol=1e-6)

@@ -2,12 +2,12 @@
 
 For each scenario under ``src/splinetraj/scenarios/``, for ``mobile2d``
 and ``mobile3d`` with ``"static_mode": "hyperplane"``, for ``threelink``
-and ``mobile2d`` with a limits box, for ``mobile2d`` with hexagons for
-circles, in SDF and in hyperplane mode, for ``mobile2d`` standing
-still, and for ``threelink`` with a prismatic third joint, in SDF and in
-hyperplane mode (or for the bundled names or
-scenario file paths given on the command line) this plans it through
-``splinetraj.cli.run`` with 1000 export samples and prints one line:
+and ``mobile2d`` with a limits box, for ``threelink`` with only its upper
+side, for ``mobile2d`` with hexagons for circles, in SDF and in hyperplane
+mode, for ``mobile2d`` standing still, and for ``threelink`` with a
+prismatic third joint, in SDF and in hyperplane mode (or for the bundled
+names or scenario file paths given on the command line) this plans it
+through ``splinetraj.cli.run`` with 1000 export samples and prints one line:
 
     <scenario> <status> <float.hex(T)> <sha256 of solution.json>
         <sha256 of trajectory.csv> <sha256 of cartesian.csv>
@@ -24,10 +24,13 @@ scenario builds that box family otherwise: the bundled chains' limits
 lie at or beyond the recoverable range, where they add no rows, and no
 mobile scenario sets one.  The second joint of ``threelink`` rises past
 50 degrees without the box, so there the box binds and the solver
-enters its vjp; ``mobile2d``'s box stays slack.  The suffix
-``+polytope`` replaces each circle of a 2D scenario by its circumscribed
-regular hexagon (vertices at r / cos 30 degrees from the center, at 30,
-90, ..., 330 degrees, rounded to 6 decimals): no bundled scenario has a polytope obstacle, so
+enters its vjp; ``mobile2d``'s box stays slack.  The suffix ``+upper``
+keeps only the upper side of that box (``angle_max``, no ``angle_min``):
+a side left out bounds nothing, so ``threelink+upper`` is the default
+list's one-sided box.  The suffix ``+polytope`` replaces each circle of
+a 2D scenario by its circumscribed regular hexagon (vertices at
+r / cos 30 degrees from the center, at 30, 90, ..., 330 degrees, rounded
+to 6 decimals): no bundled scenario has a polytope obstacle, so
 ``mobile2d+polytope`` and ``mobile2d+polytope+hyperplane`` are the
 default list's route into the polytope's field and plane rows.  The
 suffix ``+still`` sets the goal to the start: ``mobile2d+still`` is the
@@ -95,6 +98,11 @@ def _limits(obj: dict) -> None:
     obj["limits"]["angle_min"], obj["limits"]["angle_max"] = LIMITS[obj["name"]]
 
 
+def _upper(obj: dict) -> None:
+    _limits(obj)
+    del obj["limits"]["angle_min"]
+
+
 def _polytope(obj: dict) -> None:
     if len(obj["workspace"]["min"]) != 2:
         raise SystemExit(f"{obj['name']}: +polytope takes a 2D scenario")
@@ -122,7 +130,7 @@ def _prismatic(obj: dict) -> None:
                          angle_min=[-200, -200, 0.0], angle_max=[200, 200, 0.5])
 
 
-VARIANTS = {"+hyperplane": _hyperplane, "+limits": _limits,
+VARIANTS = {"+hyperplane": _hyperplane, "+limits": _limits, "+upper": _upper,
             "+polytope": _polytope, "+still": _still, "+prismatic": _prismatic}
 
 
@@ -133,10 +141,10 @@ def main(argv=None) -> int:
                              "perfbench workload names or <workload>/<scenario "
                              "name> labels, each optionally with "
                              "one or more of the suffixes +hyperplane, +limits, "
-                             "+polytope, +still and +prismatic (default: every "
-                             "bundled scenario, then mobile2d and mobile3d "
+                             "+upper, +polytope, +still and +prismatic (default: "
+                             "every bundled scenario, then mobile2d and mobile3d "
                              "+hyperplane, threelink and mobile2d +limits, "
-                             "mobile2d +polytope, +polytope+hyperplane and "
+                             "threelink +upper, mobile2d +polytope, +polytope+hyperplane and "
                              "+still, threelink +prismatic and "
                              "+prismatic+hyperplane)")
     parser.add_argument("--tree", default=str(Path(__file__).resolve().parents[1]),
@@ -163,7 +171,8 @@ def plans(tree: Path, names: list[str]):
     names = names or (
         sorted(p.stem for p in bundled.glob("*.json"))
         + ["mobile2d+hyperplane", "mobile3d+hyperplane",
-           "threelink+limits", "mobile2d+limits", "mobile2d+polytope",
+           "threelink+limits", "mobile2d+limits", "threelink+upper",
+           "mobile2d+polytope",
            "mobile2d+polytope+hyperplane", "mobile2d+still",
            "threelink+prismatic", "threelink+prismatic+hyperplane"])
     for name in names:
