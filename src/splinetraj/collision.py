@@ -66,10 +66,13 @@ def _convex_face_planes(vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 class ObstaclePrimitive:
-    """Convex obstacle: sphere, axis-aligned box, or convex polytope.
-
+    """Convex obstacle: sphere, axis-aligned box, or convex polytope, each
+    its ``corners`` (offsets from ``center``) swept by a ball of ``radius``.
+    A sphere is one zero corner and its radius; a box is its 2^d corners
+    and a polytope its vertices less their mean, with radius 0.0.
     ``motion`` is an optional center trajectory over the normalized time
-    domain [0, 1]; the shape translates rigidly along it.
+    domain [0, 1], clamped at both ends; the shape translates rigidly
+    along it.
     """
 
     def __init__(self, kind, *, center=None, radius=None, box_min=None,
@@ -81,27 +84,39 @@ class ObstaclePrimitive:
             self.radius = float(radius)
             if self.radius <= 0.0:
                 raise ValueError("sphere radius must be positive")
-            self.dim = self.center.size
+            self.corners = np.zeros((1, self.center.size))
         elif kind == "box":
             self.box_min = np.asarray(box_min, dtype=float)
             self.box_max = np.asarray(box_max, dtype=float)
             if np.any(self.box_min >= self.box_max):
                 raise ValueError("box min must be strictly below max componentwise")
-            self.dim = self.box_min.size
+            self.center = 0.5 * (self.box_min + self.box_max)
+            axes = [np.array([l, h]) for l, h in zip(self.box_min - self.center,
+                                                     self.box_max - self.center)]
+            grid = np.meshgrid(*axes, indexing="ij")
+            self.corners = np.stack([g.ravel() for g in grid], axis=1)
+            self.radius = 0.0
         elif kind == "polytope":
-            self.vertices_arr = np.asarray(vertices, dtype=float)
-            d = self.vertices_arr.shape[1]
-            if self.vertices_arr.shape[0] < d + 1:
+            vertices = np.asarray(vertices, dtype=float)
+            d = vertices.shape[1]
+            if vertices.shape[0] < d + 1:
                 raise ValueError("polytope needs at least d+1 vertices")
-            rel = self.vertices_arr[1:] - self.vertices_arr[0]
-            if np.linalg.matrix_rank(rel) < d:
+            if np.linalg.matrix_rank(vertices[1:] - vertices[0]) < d:
                 raise ValueError("polytope vertices must be affinely independent")
-            self.dim = d
-            self._normals, self._offsets = _convex_face_planes(self.vertices_arr)
+            self._normals, self._offsets = _convex_face_planes(vertices)
+            self.center = vertices.mean(axis=0)
+            self.corners = vertices - self.center
+            self.radius = 0.0
         else:
             raise ValueError(f"unknown obstacle kind {kind!r}")
-        if motion is not None and motion.dim != self.dim:
-            raise ValueError("motion spline dimension must match the obstacle")
+        self.dim = self.center.size
+        if motion is not None:
+            if motion.dim != self.dim:
+                raise ValueError("motion spline dimension must match the obstacle")
+            if any(motion.knots.multiplicity(u) != motion.degree + 1
+                   for u in motion.domain):
+                raise ValueError("motion knots must start and end with degree + 1 "
+                                 "equal knots")
 
     @classmethod
     def sphere(cls, center, radius, motion=None):
@@ -119,30 +134,11 @@ class ObstaclePrimitive:
     def is_static(self) -> bool:
         return self.motion is None
 
-    def nominal_center(self) -> np.ndarray:
-        if self.kind == "sphere":
-            return self.center
-        if self.kind == "box":
-            return 0.5 * (self.box_min + self.box_max)
-        return self.vertices_arr.mean(axis=0)
-
     def center_at(self, taus) -> np.ndarray:
+        t = np.atleast_1d(np.asarray(taus, dtype=float))
         if self.motion is None:
-            t = np.atleast_1d(np.asarray(taus, dtype=float))
-            return np.tile(self.nominal_center(), (t.size, 1))
-        return self.motion.eval(np.atleast_1d(np.asarray(taus, dtype=float)))
-
-    def corner_offsets(self) -> np.ndarray:
-        """Vertex positions relative to the nominal center (box/polytope)."""
-        if self.kind == "box":
-            lo = self.box_min - self.nominal_center()
-            hi = self.box_max - self.nominal_center()
-            axes = [np.array([l, h]) for l, h in zip(lo, hi)]
-            grid = np.meshgrid(*axes, indexing="ij")
-            return np.stack([g.ravel() for g in grid], axis=1)
-        if self.kind == "polytope":
-            return self.vertices_arr - self.nominal_center()
-        raise ValueError("sphere obstacles have no corner representation")
+            return np.tile(self.center, (t.size, 1))
+        return self.motion.eval(t)
 
     def distance_at(self, coords) -> np.ndarray:
         """Signed distance of the static shape at its nominal position at
@@ -161,7 +157,7 @@ class ObstaclePrimitive:
             return (pts @ self._normals.T - self._offsets).max(axis=1).reshape(
                 coords[0].shape)
         box = self.kind == "box"
-        center = self.nominal_center()
+        center = self.center
         if box:
             half = 0.5 * (self.box_max - self.box_min)
         sq = worst = None
@@ -198,7 +194,7 @@ class SignedDistanceField:
         self._flat = np.ascontiguousarray(self.values).reshape(-1)
         self._strides = np.cumprod((self.dims[1:] + (1,))[::-1])[::-1]
         shifts = np.indices((2,) * self.dim).reshape(self.dim, -1)
-        self._corner_offsets = (self._strides @ shifts)[:, None]
+        self._cell_corners = (self._strides @ shifts)[:, None]
         self._max_cell = np.array(self.dims)[:, None] - 2
 
     @property
@@ -217,7 +213,7 @@ class SignedDistanceField:
         idx = np.minimum(t.astype(int), self._max_cell)
         f = t - idx
         g = 1.0 - f
-        V = self._flat.take(self._strides @ idx + self._corner_offsets)
+        V = self._flat.take(self._strides @ idx + self._cell_corners)
         grads = np.empty_like(t)
         if self.dim == 2:
             fx, fy = f

@@ -167,7 +167,8 @@ class AugmentedLagrangianSolver:
         Args:
             objective: Callable x -> (value, gradient).
             blocks: Constraint blocks; may be empty.
-            bounds: Optional list of (lo, hi) pairs per variable (None = free).
+            bounds: Optional ``scipy.optimize.Bounds`` on the variables,
+                handed to L-BFGS-B as given.
         """
         self.objective = objective
         self.blocks = list(blocks)
@@ -247,11 +248,10 @@ class AugmentedLagrangianSolver:
                 scale = max(scale, float(np.abs(term).max(initial=0.0)))
                 grad += term
         if self.bounds is not None:
-            for i, (lo, hi) in enumerate(self.bounds):
-                if lo is not None and x[i] <= lo + 1e-12:
-                    grad[i] = min(grad[i], 0.0)
-                if hi is not None and x[i] >= hi - 1e-12:
-                    grad[i] = max(grad[i], 0.0)
+            at_lo = x <= self.bounds.lb + 1e-12
+            at_hi = x >= self.bounds.ub - 1e-12
+            grad[at_lo] = np.minimum(grad[at_lo], 0.0)
+            grad[at_hi] = np.maximum(grad[at_hi], 0.0)
         return float(np.abs(grad).max(initial=0.0)), scale
 
     def solve(self, x0: np.ndarray) -> SolverResult:

@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+from scipy.optimize import Bounds
 
 from .bernstein import (
     ChainNumerators,
@@ -254,10 +255,11 @@ class VariableLayout:
             b[k] += block[:, -1]
         return g
 
-    def bounds(self, t_min: float):
-        out = [(None, None)] * self.n_x
-        out[self.idx_T] = (t_min, None)
-        return out
+    def bounds(self, t_min: float) -> Bounds:
+        """T >= t_min; every other variable is free."""
+        lo = np.full(self.n_x, -np.inf)
+        lo[self.idx_T] = t_min
+        return Bounds(lo, np.full(self.n_x, np.inf))
 
 
 # ---------------------------------------------------------------------------
@@ -289,21 +291,19 @@ class DerivBoxFamily(ConstraintBlock):
     """Coefficient box on derivative rows: |D C| <= bound * T^power.
 
     The literal Eq-8-style relaxation for coordinates that are themselves
-    physical positions (mobile robots, prismatic offsets).  The cushion is
-    multiplicative so converged solutions satisfy the raw bound strictly.
+    physical positions (mobile robots, prismatic offsets).  ``gap`` is the
+    cushion of each coordinate's rows, so converged solutions satisfy the
+    raw bound strictly.
     """
 
     def __init__(self, name, layout: VariableLayout, D: np.ndarray,
-                 bound: np.ndarray, power: int, cushion: float, t_guess: float):
+                 bound: np.ndarray, power: int, gap: np.ndarray):
         self.name = name
         self.layout = layout
         self.D = D
         self.bound = bound
         self.power = power
-        gap_row = cushion * bound * t_guess**power
-        self.cushion_gap = np.tile(
-            np.tile(gap_row, D.shape[0]), 2
-        )
+        self.cushion_gap = np.tile(np.tile(gap, D.shape[0]), 2)
         self.n_rows = self.cushion_gap.size
 
     def evaluate(self, x):
@@ -386,7 +386,7 @@ class CoeffBoxFamily(ConstraintBlock):
 class _ChainLimitFamily(ConstraintBlock):
     """A joint rate (order 1) or acceleration (order 2) limit through the
     half-angle substitution: an upper and a lower row block per joint,
-    cushioned by cushion * bound * t_guess^order.
+    each cushioned by its joint's entry of ``gap``.
 
     The rows are the control points of the family's polynomial on
     ``elevated_union([(knots, p - order)], 2^order p)``, a space that holds
@@ -404,7 +404,7 @@ class _ChainLimitFamily(ConstraintBlock):
     order = 1
 
     def __init__(self, name, layout, basis: TrajectoryBasis, robot,
-                 bound: np.ndarray, cushion: float, t_guess: float):
+                 bound: np.ndarray, gap: np.ndarray):
         self.name = name
         self.layout = layout
         degree = 2**self.order * basis.degree
@@ -420,10 +420,7 @@ class _ChainLimitFamily(ConstraintBlock):
         self.revolute = robot.revolute.astype(float)
         self.bound = bound
         self.factors = robot.factors
-        gap = cushion * bound * t_guess**self.order
-        self.cushion_gap = np.repeat(
-            np.concatenate([gap, gap]), self.op.n_coefficients
-        )
+        self.cushion_gap = np.repeat(np.concatenate([gap, gap]), self.op.n_coefficients)
         self.n_rows = self.cushion_gap.size
 
     def evaluate(self, x):
@@ -747,7 +744,8 @@ class PlaneRobotSideFamily(ConstraintBlock):
 
 
 class PlaneObstacleSideFamily(ConstraintBlock):
-    """Family (ii): a . q_o + b + d_o <= -cushion (per corner for polytopes).
+    """Family (ii): a . q_k + b + r_o <= -cushion at each corner q_k of the
+    obstacle, which is those corners swept by a ball of radius r_o.
 
     The obstacle's corners are fixed splines, so the rows are a fixed
     linear map G of the plane coefficients, built once as the exact
@@ -764,16 +762,10 @@ class PlaneObstacleSideFamily(ConstraintBlock):
         self.cushion_gap = cushion
         center = obstacle.motion
         if center is None:
-            center = BSpline.constant(obstacle.nominal_center())
-        if obstacle.kind == "sphere":
-            self.offsets = np.zeros((1, obstacle.dim))
-            self.shift = obstacle.radius
-        else:
-            self.offsets = obstacle.corner_offsets()
-            self.shift = 0.0
+            center = BSpline.constant(obstacle.center)
         # Control points of the homogeneous corners, corner-major columns.
-        n, K, d1 = basis.n_coeffs, self.offsets.shape[0], obstacle.dim + 1
-        cp = center.control_points[:, None, :] + self.offsets
+        n, K, d1 = basis.n_coeffs, obstacle.corners.shape[0], obstacle.dim + 1
+        cp = center.control_points[:, None, :] + obstacle.corners
         cp = np.concatenate([cp, np.ones(cp.shape[:2] + (1,))], axis=2)
         corners = BSpline(center.degree, center.knots, cp.reshape(len(cp), -1))
         # The product's column (i, k, e) is basis function i times component
@@ -785,7 +777,7 @@ class PlaneObstacleSideFamily(ConstraintBlock):
 
     def evaluate(self, x):
         ab = self.layout.unpack(x).plane_coeffs[self.plane_index]
-        r = self.G @ ab.reshape(-1) + (self.shift + self.cushion_gap)
+        r = self.G @ ab.reshape(-1) + (self.obstacle.radius + self.cushion_gap)
 
         def vjp(w):
             return self.layout.grad(
@@ -796,8 +788,8 @@ class PlaneObstacleSideFamily(ConstraintBlock):
     def dense_violation(self, samples) -> float:
         a, b = samples.plane(self.plane_index)
         centers = self.obstacle.center_at(samples.taus)
-        pts = centers[:, None, :] + self.offsets[None, :, :]
-        y = np.einsum("sd,skd->sk", a, pts) + b[:, None] + self.shift
+        pts = centers[:, None, :] + self.obstacle.corners[None, :, :]
+        y = np.einsum("sd,skd->sk", a, pts) + b[:, None] + self.obstacle.radius
         return _excess(y)
 
 
@@ -1096,25 +1088,20 @@ def assemble(scenario: Scenario) -> PlanningProblem:
         np.tile(q_goal, (3, 1)),
     )
 
+    # The rate limits' cushions, in the units of their rows at T = t_guess.
+    v, a = scenario.limits.velocity, scenario.limits.acceleration
+    v_gap, a_gap = CUSHION * v * t_guess, CUSHION * a * t_guess**2
     families: list[ConstraintBlock] = []
     if is_chain:
-        families.append(
-            ChainRateFamily("velocity_limits", layout, basis, robot,
-                            scenario.limits.velocity, CUSHION, t_guess)
-        )
-        families.append(
-            ChainAccelFamily("acceleration_limits", layout, basis, robot,
-                             scenario.limits.acceleration, CUSHION, t_guess)
-        )
+        families.append(ChainRateFamily("velocity_limits", layout, basis, robot,
+                                        v, v_gap))
+        families.append(ChainAccelFamily("acceleration_limits", layout, basis,
+                                         robot, a, a_gap))
     else:
-        families.append(
-            DerivBoxFamily("velocity_limits", layout, basis.D1,
-                           scenario.limits.velocity, 1, CUSHION, t_guess)
-        )
-        families.append(
-            DerivBoxFamily("acceleration_limits", layout, basis.D2,
-                           scenario.limits.acceleration, 2, CUSHION, t_guess)
-        )
+        families.append(DerivBoxFamily("velocity_limits", layout, basis.D1, v, 1,
+                                       v_gap))
+        families.append(DerivBoxFamily("acceleration_limits", layout, basis.D2,
+                                       a, 2, a_gap))
     # The angle (chain) or position (mobile) box; infinite sides and angle
     # limits at or beyond the recoverable range bound nothing and add no rows.
     box = CoeffBoxFamily("angle_limits" if is_chain else "position_limits", layout,

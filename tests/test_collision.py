@@ -406,6 +406,32 @@ class TestDistanceValues:
                                    rtol=0, atol=1e-12)
 
 
+class TestCornersSweptByABall:
+    """Every obstacle is its corners, offsets from its center, swept by a
+    ball of its radius: the signed distance at center + corner is
+    -radius, so 0 on the vertices of a box or polytope."""
+
+    SHAPES = {  # the shape and its number of corners
+        "sphere_2d": (ObstaclePrimitive.sphere([0.2, -0.1], 0.6), 1),
+        "sphere_3d": (ObstaclePrimitive.sphere([0.3, -0.2, 0.1], 0.35), 1),
+        "box_2d": (ObstaclePrimitive.box([-0.4, -0.6], [0.5, 0.2]), 4),
+        "box_3d": (ObstaclePrimitive.box([-0.8, -0.1, -0.6], [-0.2, 0.7, 0.2]), 8),
+        "polytope_2d": (ObstaclePrimitive.polytope(
+            [[0.1, -0.3], [0.9, 0.2], [0.5, 0.9], [-0.4, 0.7]]), 4),
+        "polytope_3d": (ObstaclePrimitive.polytope(
+            [[0.1, 0.0, -0.2], [1.1, 0.2, 0.0], [0.3, 0.9, 0.1], [0.2, 0.1, 0.8],
+             [0.9, 0.8, 0.7]]), 5),
+    }
+
+    @pytest.mark.parametrize("case", sorted(SHAPES))
+    def test_distance_at_the_corners_is_minus_the_radius(self, case):
+        shape, n_corners = self.SHAPES[case]
+        assert shape.corners.shape == (n_corners, shape.dim)
+        assert (shape.radius > 0.0) == (shape.kind == "sphere")
+        values = signed_distance(shape, shape.center + shape.corners)
+        np.testing.assert_allclose(values, -shape.radius, rtol=0, atol=1e-12)
+
+
 class TestSignCorrectness:
     def test_sphere_box_polytope_signs(self):
         rng = np.random.default_rng(11)
@@ -704,7 +730,7 @@ class TestHyperplaneConstraints:
         box = ObstaclePrimitive.box([-1.5, -0.3], [-0.7, 0.3])
         (_, obst, _), fams, _ = separation(
             box, standing([1.0, 0.0]), *constant_plane([1.0, 0.0], 0.2), 0.1)
-        assert fams[1].offsets.shape[0] == 4
+        assert fams[1].obstacle.corners.shape[0] == 4
         assert obst.size % 4 == 0
         # Corners at x in {-1.5, -0.7}: a.v + b = x + 0.2 <= 0 for all.
         assert obst.max() == pytest.approx(-0.5, abs=1e-9)
@@ -759,16 +785,12 @@ def span_obstacle_rows(basis, obstacle):
     units = to_spans(bezier_extraction(basis.knots, p, breaks),
                      np.eye(basis.n_coeffs), p)  # (S, p + 1, n)
     if motion is None:
-        centers = np.broadcast_to(obstacle.nominal_center(),
+        centers = np.broadcast_to(obstacle.center,
                                   (units.shape[0], 1, obstacle.dim))
     else:
         centers = to_spans(bezier_extraction(motion.knots, motion.degree, breaks),
                            motion.control_points, motion.degree)
-    if obstacle.kind == "sphere":
-        offsets = np.zeros((1, obstacle.dim))
-    else:
-        offsets = obstacle.corner_offsets()
-    corners = centers[..., None] + offsets.T  # (S, m + 1, d, K)
+    corners = centers[..., None] + obstacle.corners.T  # (S, m + 1, d, K)
     ones = np.ones(corners.shape[:2] + (1, corners.shape[3]))
     corners = np.concatenate([corners, ones], axis=2)
     n, d1, K = basis.n_coeffs, corners.shape[2], corners.shape[3]
@@ -825,7 +847,7 @@ class TestFixedPlaneRows:
         a = rng.uniform(-1.0, 1.0, (13, 2))
         b = rng.uniform(-1.0, 1.0, 13)
         (_, obst, _), fams, _ = separation(box, standing([1.0, 0.0]), a, b, 0.1)
-        offsets = fams[1].offsets
+        offsets = fams[1].obstacle.corners
         space = elevated_union([(CUBIC, 3), (knots, degree)], 3 + degree)
         taus = np.linspace(0, 1, 1001)
         plane = BSpline(3, CUBIC, np.column_stack([a, b])).eval(taus)

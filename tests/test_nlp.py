@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.optimize import Bounds
 
 from splinetraj import nlp
 from splinetraj.nlp import RHO_MAX, AugmentedLagrangianSolver, ConstraintBlock
@@ -85,7 +86,7 @@ class TestQPFloor:
         solver = AugmentedLagrangianSolver(
             objective,
             [LinearInequalityBlock("box_rows", A, b)],
-            bounds=[(l, h) for l, h in zip(lo, hi)],
+            bounds=Bounds(lo, hi),
         )
         result = solver.solve(np.zeros(n))
         oracle = np.clip(target, -1.0, 1.0)  # analytic optimum of this QP
@@ -93,6 +94,16 @@ class TestQPFloor:
         assert result.converged
         np.testing.assert_allclose(result.x, oracle, atol=1e-6)
         np.testing.assert_allclose(result.x, pg, atol=1e-6)
+
+    def test_stops_at_an_upper_bound_with_zero_kkt_residual(self):
+        # min -x with x <= 1 as a variable bound: the optimum sits on the
+        # bound, where the projection zeroes the gradient -1.
+        solver = AugmentedLagrangianSolver(lambda x: (-float(x[0]), -np.ones(1)),
+                                           [], bounds=Bounds(-np.inf, 1.0))
+        result = solver.solve(np.zeros(1))
+        assert result.converged and result.stop["test"] == "kkt"
+        assert result.x[0] == 1.0
+        assert result.kkt_residual == 0.0
 
     def test_infeasible_detected(self, monkeypatch):
         monkeypatch.setattr(nlp, "MAX_OUTER", 30)

@@ -56,6 +56,15 @@ def minimal_mobile(**overrides):
     return base
 
 
+def moving_sphere(degree, knots, n_points):
+    """A sphere of radius 0.25 at [1.5, 0.6] on a spline motion that
+    returns to its start."""
+    points = [[1.5, 0.6], [1.6, 0.7], [1.5, 0.6]][:n_points]
+    return {"kind": "sphere", "center": [1.5, 0.6], "radius": 0.25,
+            "motion": {"kind": "spline", "degree": degree, "knots": knots,
+                       "control_points": points}}
+
+
 class TestParsing:
     def test_unknown_field_named(self):
         with pytest.raises(ScenarioError, match="scenario.turbo"):
@@ -242,6 +251,12 @@ class TestParsing:
         ("mobile2d", ("limits", "angle_min"), [0.5, -1.0], "boundary.initial"),
         ("chain", ("limits", "angle_min"), 250,
          "limits.angle_min: must not exceed angle_max"),
+        ("mobile2d", ("obstacles", 0), moving_sphere(2, [0, .2, .4, .6, .8, 1], 3),
+         "obstacles[0]: motion knots must start and end with degree + 1"),
+        ("mobile2d", ("obstacles", 0), moving_sphere(2, [0, 0, .3, .7, 1, 1], 3),
+         "obstacles[0]: motion knots must start and end with degree + 1"),
+        ("mobile2d", ("obstacles", 0), moving_sphere(2, [0, 0, 0, .5, 1, 1], 3),
+         "obstacles[0]: motion knots must start and end with degree + 1"),
     ])
     def test_value_that_would_crash_the_solve_rejected(self, tmp_path, capsys,
                                                        base, where, value, key):
@@ -254,7 +269,8 @@ class TestParsing:
         # read as radius 0, and a polytope that passes the rank check but
         # is too flat for qhull to end the solve in a traceback (exit 1).
         # A one-sided box was accepted with its boundary unchecked, and a
-        # reversed one named the goal, not the box.
+        # reversed one named the goal, not the box.  A spline motion whose
+        # knots are not clamped at both ends ended the solve in a traceback.
         if base != "mobile":  # a bundled scenario; "chain" is threelink
             name = "threelink" if base == "chain" else base
             obj = json.loads((SCENARIO_DIR / f"{name}.json").read_text())
@@ -288,6 +304,16 @@ class TestParsing:
         path.write_text(json.dumps(obj))
         assert main(["solve", str(path)]) == 3
         assert "prismatic joint 3" in capsys.readouterr().err
+
+    def test_clamped_degree_zero_motion_plans(self, tmp_path):
+        # At degree 0 one knot at each end clamps the motion: the sphere
+        # steps from [1.5, 0.6] to [1.6, 0.7] at tau = 0.5, and the plan
+        # goes round it.
+        obj = json.loads((SCENARIO_DIR / "mobile2d.json").read_text())
+        obj["obstacles"][0] = moving_sphere(0, [0, .5, 1], 2)
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(obj))
+        assert main(["solve", str(path), "--out", str(tmp_path / "out")]) == 0
 
     def test_integral_numbers_accepted(self):
         obj = json.loads((SCENARIO_DIR / "threelink.json").read_text())

@@ -31,8 +31,10 @@ change to the benchmark.  A definition nested in a listed one is counted
 in its lines and not listed apart.  A statement counts for the
 definition whose body holds it, not for one it is nested in; one
 nested in a statement that never ran is counted with it and not listed
-apart.  ``raise`` statements, and statements that hold nothing but
-them, are left out: error paths are expected not to run.  So are
+apart.  Error paths are left out, since they are expected not to run:
+``raise`` statements, every ``if`` branch or ``except`` handler that ends
+in one (with the statements before it, which build its message), and
+statements that hold nothing but those.  So are
 docstrings, ``pass``, ``global`` and ``nonlocal``, which run no code.
 Code that only the tests call is listed by design: it is reached by no
 program path.  The commands' own output goes to stderr.
@@ -99,20 +101,30 @@ def _silent(stmt) -> bool:
         isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Constant))
 
 
+def _error_path(block) -> bool:
+    """A statement list that ends in a ``raise``."""
+    return bool(block) and isinstance(block[-1], ast.Raise)
+
+
 def _blocks(stmt) -> list[list]:
-    """The statement lists nested in ``stmt``; none in a definition, whose
-    body belongs to itself."""
+    """The statement lists nested in ``stmt`` but error paths: the
+    branches of an ``if`` and the ``except`` handlers that end in a
+    ``raise``.  None in a definition, whose body belongs to itself."""
     if isinstance(stmt, DEFINITION):
         return []
     blocks = [getattr(stmt, key, None) for key in ("body", "orelse",
                                                    "finalbody")]
-    blocks += [h.body for h in getattr(stmt, "handlers", [])]
+    if isinstance(stmt, ast.If):
+        blocks = [b for b in blocks if not _error_path(b)]
+    blocks += [h.body for h in getattr(stmt, "handlers", [])
+               if not _error_path(h.body)]
     blocks += [c.body for c in getattr(stmt, "cases", [])]
     return [b for b in blocks if b]
 
 
 def _raises_only(stmt) -> bool:
-    """A ``raise``, or an ``if`` whose every branch holds only those."""
+    """A ``raise``, or an ``if`` whose every branch is an error path or
+    holds only such statements."""
     return isinstance(stmt, ast.Raise) or (
         isinstance(stmt, ast.If) and all(_raises_only(s) for b in _blocks(stmt)
                                          for s in b))
