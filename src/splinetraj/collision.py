@@ -65,6 +65,14 @@ def _convex_face_planes(vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return normals / scales[:, None], offsets / scales
 
 
+def _finite(name: str, value) -> np.ndarray:
+    """value as a float array, which must hold finite numbers only."""
+    arr = np.asarray(value, dtype=float)
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{name} must be finite")
+    return arr
+
+
 class ObstaclePrimitive:
     """Convex obstacle: sphere, axis-aligned box, or convex polytope, each
     its ``corners`` (offsets from ``center``) swept by a ball of ``radius``.
@@ -80,14 +88,14 @@ class ObstaclePrimitive:
         self.kind = kind
         self.motion = motion
         if kind == "sphere":
-            self.center = np.asarray(center, dtype=float)
-            self.radius = float(radius)
+            self.center = _finite("center", center)
+            self.radius = float(_finite("radius", radius))
             if self.radius <= 0.0:
                 raise ValueError("sphere radius must be positive")
             self.corners = np.zeros((1, self.center.size))
         elif kind == "box":
-            self.box_min = np.asarray(box_min, dtype=float)
-            self.box_max = np.asarray(box_max, dtype=float)
+            self.box_min = _finite("box_min", box_min)
+            self.box_max = _finite("box_max", box_max)
             if np.any(self.box_min >= self.box_max):
                 raise ValueError("box min must be strictly below max componentwise")
             self.center = 0.5 * (self.box_min + self.box_max)
@@ -97,7 +105,7 @@ class ObstaclePrimitive:
             self.corners = np.stack([g.ravel() for g in grid], axis=1)
             self.radius = 0.0
         elif kind == "polytope":
-            vertices = np.asarray(vertices, dtype=float)
+            vertices = _finite("vertices", vertices)
             d = vertices.shape[1]
             if vertices.shape[0] < d + 1:
                 raise ValueError("polytope needs at least d+1 vertices")
@@ -281,12 +289,13 @@ class SignedDistanceField:
 def build_sdf(primitives, bounds, cell_size: float) -> SignedDistanceField:
     """Sample min-over-primitives signed distance on a regular grid.
 
-    The grid is filled in slabs along its first axis, so the working
-    memory beyond the field itself stays at a few slabs of about
-    SDF_BLOCK_POINTS nodes.  Each primitive fills a slab through
+    Every node starts at EMPTY_FIELD_VALUE, the minimum over no
+    primitives, and each primitive lowers it to its own distance where
+    that is smaller.  The grid is filled in slabs along its first axis, so
+    the working memory beyond the field itself stays at a few slabs of
+    about SDF_BLOCK_POINTS nodes.  Each primitive fills a slab through
     ``ObstaclePrimitive.distance_at`` on the slab's axes, each shaped to
     broadcast along its own dimension: the same bits as at each node alone.
-    Without primitives every node holds EMPTY_FIELD_VALUE.
 
     Args:
         primitives: Static obstacle primitives (moving ones are rejected).
@@ -308,14 +317,11 @@ def build_sdf(primitives, bounds, cell_size: float) -> SignedDistanceField:
     axes = [(lo[i] + cell_size * np.arange(dims[i])).reshape(
         (-1,) + (1,) * (lo.size - 1 - i)) for i in range(lo.size)]
     values = np.full(tuple(dims), EMPTY_FIELD_VALUE)
-    if not primitives:
-        return SignedDistanceField(lo, cell_size, values)
     step = max(1, SDF_BLOCK_POINTS // int(np.prod(dims[1:])))
     for start in range(0, dims[0], step):
         slab_axes = [axes[0][start : start + step], *axes[1:]]
         block = values[start : start + step]
-        block[...] = primitives[0].distance_at(slab_axes)
-        for p in primitives[1:]:
+        for p in primitives:
             np.minimum(block, p.distance_at(slab_axes), out=block)
     return SignedDistanceField(lo, cell_size, values)
 

@@ -54,55 +54,51 @@ class DHLink:
     def __post_init__(self):
         if self.joint_kind not in (REVOLUTE, PRISMATIC):
             raise ValueError(f"unknown joint kind {self.joint_kind!r}")
+        for name in ("a", "alpha", "d", "theta_offset"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"DH parameter {name} must be finite")
 
     def entry_matrices(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Constant matrices (Mc, Ms, M0) with T = Mc*cos(v) + Ms*sin(v) + M0.
+        """Constant matrices (Mc, Ms, M0) with T = Mc*c + Ms*s + M0.
 
-        v is the revolute joint variable; the theta offset is folded into
-        Mc and Ms via the angle-sum identities.  For prismatic links Mc
-        carries the coefficient of the variable offset instead (Ms = 0),
-        and M0 is the classic DH matrix at offset 0.
+        A revolute link takes (c, s) = (cos v, sin v) of its variable v, the
+        theta offset folded into Mc and Ms by the angle-sum identities.  A
+        prismatic link is that link at its fixed angle, (c, s) = (q, 0), Mc
+        the unit z offset and Ms = 0: M0 = Mc + A0 is the classic DH matrix
+        at offset 0.
         """
         ca, sa = np.cos(self.alpha), np.sin(self.alpha)
-        if self.joint_kind == REVOLUTE:
-            Ac = np.array(
-                [
-                    [1.0, 0.0, 0.0, self.a],
-                    [0.0, ca, -sa, 0.0],
-                    [0.0, 0.0, 0.0, 0.0],
-                    [0.0, 0.0, 0.0, 0.0],
-                ]
-            )
-            As = np.array(
-                [
-                    [0.0, -ca, sa, 0.0],
-                    [1.0, 0.0, 0.0, self.a],
-                    [0.0, 0.0, 0.0, 0.0],
-                    [0.0, 0.0, 0.0, 0.0],
-                ]
-            )
-            A0 = np.array(
-                [
-                    [0.0, 0.0, 0.0, 0.0],
-                    [0.0, 0.0, 0.0, 0.0],
-                    [0.0, sa, ca, self.d],
-                    [0.0, 0.0, 0.0, 1.0],
-                ]
-            )
-            c0, s0 = np.cos(self.theta_offset), np.sin(self.theta_offset)
-            return Ac * c0 + As * s0, -Ac * s0 + As * c0, A0
-        Md = np.zeros((4, 4))
-        Md[2, 3] = 1.0
-        ct, st = np.cos(self.theta_offset), np.sin(self.theta_offset)
-        M0 = np.array(
+        Ac = np.array(
             [
-                [ct, -st * ca, st * sa, self.a * ct],
-                [st, ct * ca, -ct * sa, self.a * st],
+                [1.0, 0.0, 0.0, self.a],
+                [0.0, ca, -sa, 0.0],
+                [0.0, 0.0, 0.0, 0.0],
+                [0.0, 0.0, 0.0, 0.0],
+            ]
+        )
+        As = np.array(
+            [
+                [0.0, -ca, sa, 0.0],
+                [1.0, 0.0, 0.0, self.a],
+                [0.0, 0.0, 0.0, 0.0],
+                [0.0, 0.0, 0.0, 0.0],
+            ]
+        )
+        A0 = np.array(
+            [
+                [0.0, 0.0, 0.0, 0.0],
+                [0.0, 0.0, 0.0, 0.0],
                 [0.0, sa, ca, self.d],
                 [0.0, 0.0, 0.0, 1.0],
             ]
         )
-        return Md, np.zeros((4, 4)), M0
+        c0, s0 = np.cos(self.theta_offset), np.sin(self.theta_offset)
+        Mc, Ms = Ac * c0 + As * s0, -Ac * s0 + As * c0
+        if self.joint_kind == REVOLUTE:
+            return Mc, Ms, A0
+        Md = np.zeros((4, 4))
+        Md[2, 3] = 1.0
+        return Md, np.zeros((4, 4)), Mc + A0
 
 
 @dataclass(frozen=True)
@@ -167,6 +163,7 @@ class NumericFK:
     Values and joint-coefficient gradients of link transforms, separated
     into the shared positive denominator and the numerator matrices so the
     results match the rational spline construction exactly as functions.
+    Link j is c Mc + s Ms + M0, its (c, s, dc, ds) from ``_forms`` alone.
     """
 
     def __init__(self, chain: DHChain, halving_depths):
@@ -175,7 +172,18 @@ class NumericFK:
         if len(self.depths) != len(chain):
             raise ValueError("one halving depth per link required")
         self._entry = [link.entry_matrices() for link in chain.links]
-        self._kinds = [link.joint_kind for link in chain.links]
+        # Joint j's denominator is (1 + q^2)^power[j], power 0 if prismatic.
+        self._den_powers = [2 ** (d - 1) if link.joint_kind == REVOLUTE else 0
+                            for link, d in zip(chain.links, self.depths)]
+
+    def _forms(self, j: int, q: np.ndarray, with_grad: bool = False):
+        """Joint j's (c, s) at the values q, so that T_j = c Mc + s Ms + M0,
+        then (dc, ds) with with_grad.  A joint with a denominator takes the
+        half-angle forms; a prismatic one is linear: (q, 0) and (1, 0)."""
+        if self._den_powers[j]:
+            return halfangle_cos_sin(q, self.depths[j], with_grad)
+        zero = np.zeros_like(q)
+        return (q, zero, np.ones_like(q), zero) if with_grad else (q, zero)
 
     def link_values(self, qmat: np.ndarray) -> list[np.ndarray]:
         """Per-link numeric transforms T_j (S, 4, 4) at S samples.
@@ -186,26 +194,20 @@ class NumericFK:
         Ts = []
         for j in range(qmat.shape[1]):
             Mc, Ms, M0 = self._entry[j]
-            qj = qmat[:, j]
-            if self._kinds[j] == REVOLUTE:
-                c, s = halfangle_cos_sin(qj, self.depths[j])
-                Ts.append(c[:, None, None] * Mc + s[:, None, None] * Ms
-                          + M0[None, :, :])
-            else:
-                Ts.append(qj[:, None, None] * Mc + M0[None, :, :])
+            c, s = self._forms(j, qmat[:, j])
+            Ts.append(c[:, None, None] * Mc + s[:, None, None] * Ms + M0)
         return Ts
 
     def chain_state(self, qmat: np.ndarray, link_index: int):
         """``shared_state`` of the first link_index links, plus ``den``: the
         cumulative denominator of the link transform (S,), the product of
-        (1 + q_j^2)^(2^(n_j - 1)) over revolute links.  Tests read it as
-        the sampled oracle of the rational forms."""
+        the joints' (1 + q_j^2)^(2^(n_j - 1)), a prismatic joint's being 1.
+        Tests read it as the sampled oracle of the rational forms."""
         q = qmat[:, :link_index]
         state = self.shared_state(q)
         den = np.ones(q.shape[0])
         for j in range(link_index):
-            if self._kinds[j] == REVOLUTE:
-                den = den * (1.0 + q[:, j] * q[:, j]) ** (2 ** (self.depths[j] - 1))
+            den = den * (1.0 + q[:, j] * q[:, j]) ** self._den_powers[j]
         state["den"] = den
         return state
 
@@ -240,16 +242,11 @@ class NumericFK:
 
     def _gradient_factors(self, prefix, qmat: np.ndarray) -> list[np.ndarray]:
         """A[j] = prefix[j] @ dT_j/dq_j (S, 4, 4) at the samples qmat."""
-        S, L = qmat.shape
         A = []
-        for j in range(L):
+        for j in range(qmat.shape[1]):
             Mc, Ms, _ = self._entry[j]
-            if self._kinds[j] == REVOLUTE:
-                _, _, dc, ds = halfangle_cos_sin(qmat[:, j], self.depths[j], True)
-                dT = dc[:, None, None] * Mc + ds[:, None, None] * Ms
-            else:
-                dT = np.broadcast_to(Mc, (S, 4, 4)).copy()
-            A.append(prefix[j] @ dT)
+            _, _, dc, ds = self._forms(j, qmat[:, j], with_grad=True)
+            A.append(prefix[j] @ (dc[:, None, None] * Mc + ds[:, None, None] * Ms))
         return A
 
     @staticmethod

@@ -958,32 +958,25 @@ class TrajectorySamples:
 def _chain_workspace_bounds(scenario: Scenario, rates: np.ndarray) -> list[float]:
     """Workspace speed/acceleration bound of each link's vertices.
 
-    A vertex of link k moves at most sum_{j<=k} rate_j * r_jk over the
-    revolute joints j, where r_jk bounds the distance from joint j's axis
-    to any vertex of link k, plus rate_j for each prismatic joint j, which
-    translates the vertex.  Across a prismatic link the reach is |a| plus
-    the largest |d + offset| within the offset limits, infinite where a
-    limit side is infinite.
+    A vertex of link k moves at most sum_{j<=k} rate_j * lever_jk.  A
+    revolute joint's lever r_jk bounds the distance from its axis to any
+    vertex of link k; a prismatic joint translates the vertex, a lever
+    of 1.  The reach across link i is |a| plus the largest |d + offset|
+    over its offset range: the limits of a prismatic joint (infinite
+    where a limit side is infinite), [0, 0] for a revolute one.
     """
     chain = scenario.robot.chain
-    lo, hi = scenario.limits.angle_min, scenario.limits.angle_max
-    link_reach = []
-    for i, link in enumerate(chain.links):
-        if link.joint_kind == "revolute":
-            link_reach.append(abs(link.a) + abs(link.d))
-        else:
-            link_reach.append(abs(link.a) + max(abs(link.d + lo[i]), abs(link.d + hi[i])))
+    revolute = scenario.robot.revolute
+    lo = np.where(revolute, 0.0, scenario.limits.angle_min)
+    hi = np.where(revolute, 0.0, scenario.limits.angle_max)
+    link_reach = [abs(link.a) + max(abs(link.d + low), abs(link.d + high))
+                  for link, low, high in zip(chain.links, lo, hi)]
     bounds = []
     for k in range(1, len(chain) + 1):
         vert_reach = float(np.linalg.norm(chain.link_cuboids[k - 1], axis=1).max())
-        total = 0.0
-        for j in range(k):
-            if chain.links[j].joint_kind != "revolute":
-                total += rates[j]
-                continue
-            reach = sum(link_reach[i] for i in range(j, k))
-            total += rates[j] * (reach + vert_reach)
-        bounds.append(total)
+        levers = [sum(link_reach[j:k]) + vert_reach if revolute[j] else 1.0
+                  for j in range(k)]
+        bounds.append(sum(rates[j] * levers[j] for j in range(k)))
     return bounds
 
 

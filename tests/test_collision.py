@@ -12,6 +12,7 @@ import pytest
 from splinetraj.bernstein import bezier_extraction, left_inverse, product, to_spans
 from splinetraj.bspline import BSpline, basis_matrix, clamp_knots
 from splinetraj.collision import (
+    EMPTY_FIELD_VALUE,
     LATTICE_MAX_NODES,
     ObstaclePrimitive,
     OutOfBoundsError,
@@ -90,8 +91,10 @@ class TestBuildSDF:
         np.testing.assert_allclose(vals, ref, atol=1e-10)
 
     def test_empty_primitive_set_sentinel(self):
-        field = build_sdf([], ([-1, -1], [1, 1]), 0.5)
-        assert np.all(field.values >= 1e8)
+        # The minimum over no primitives, at every node, in 2D and 3D.
+        for bounds in (([-1, -1], [1, 1]), ([-1, -1, -0.5], [1, 0.5, 1])):
+            field = build_sdf([], bounds, 0.5)
+            assert (field.values == EMPTY_FIELD_VALUE).all()
 
     def test_rejects_moving_primitive(self):
         motion = BSpline(3, CUBIC, np.zeros((13, 2)))
@@ -269,6 +272,31 @@ class TestInterpolationKernel:
             SignedDistanceField(np.zeros(len(dims)), 0.1, np.zeros(dims))
 
 
+class TestNonFiniteGeometry:
+    """The constructors reject NaN and infinite geometry, naming the field."""
+
+    CASES = {
+        "sphere_nan_center": (lambda: ObstaclePrimitive.sphere([np.nan, 0.0], 0.2),
+                              "center"),
+        "sphere_inf_radius": (lambda: ObstaclePrimitive.sphere([0.0, 0.0], np.inf),
+                              "radius"),
+        "sphere_nan_radius": (lambda: ObstaclePrimitive.sphere([0.0, 0.0], np.nan),
+                              "radius"),
+        "box_nan_min": (lambda: ObstaclePrimitive.box([np.nan, 0.0], [1.0, 1.0]),
+                        "box_min"),
+        "box_inf_max": (lambda: ObstaclePrimitive.box([0.0, 0.0], [np.inf, 1.0]),
+                        "box_max"),
+        "polytope_nan_vertex": (lambda: ObstaclePrimitive.polytope(
+            [[0.0, 0.0], [1.0, 0.0], [0.0, np.nan]]), "vertices"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES), ids=sorted(CASES))
+    def test_rejected_naming_the_field(self, case):
+        build, field = self.CASES[case]
+        with pytest.raises(ValueError, match=f"^{field} must be finite$"):
+            build()
+
+
 class TestBlockedBuild:
     """build_sdf fills the grid in slabs; the field must equal a one-shot
     evaluation over every node bit for bit."""
@@ -399,11 +427,13 @@ class TestDistanceValues:
         lo, hi = -np.ones(shape.dim), np.array([1.05, 1.0, 0.8][:shape.dim])
         cell = 0.03 if shape.dim == 2 else 0.07
         field = build_sdf([shape], (lo, hi), cell)
-        nodes = np.stack(np.meshgrid(*[lo[i] + cell * np.arange(n)
-                                       for i, n in enumerate(field.dims)],
-                                     indexing="ij"), axis=-1).reshape(-1, shape.dim)
+        grid = np.meshgrid(*[lo[i] + cell * np.arange(n)
+                             for i, n in enumerate(field.dims)], indexing="ij")
+        nodes = np.stack(grid, axis=-1).reshape(-1, shape.dim)
         np.testing.assert_allclose(field.values.ravel(), reference(nodes),
                                    rtol=0, atol=1e-12)
+        # One primitive's field is its distance_at at the nodes, bit for bit.
+        assert field.values.tobytes() == shape.distance_at(grid).tobytes()
 
 
 class TestCornersSweptByABall:

@@ -2,6 +2,7 @@
 Bernstein form, numeric FK, against independent DH oracles."""
 
 import math
+from dataclasses import replace
 from typing import NamedTuple
 
 import numpy as np
@@ -180,6 +181,18 @@ class TestHalfAngleTrig:
                 assert np.all(den > 0.0)
 
 
+# Prismatic links at fixed angles whose cosines and sines take both signs,
+# so that the revolute cosine matrix holds zeros of both signs.
+PRISMATIC_LINKS = {
+    "plain": DHLink(0.0, 0.0, 0.0, joint_kind="prismatic"),
+    "offset_angle": DHLink(0.1, 0.0, 0.2, theta_offset=0.3, joint_kind="prismatic"),
+    "obtuse": DHLink(-0.25, 2.5, 0.4, theta_offset=-2.2, joint_kind="prismatic"),
+    "negative_zero_a": DHLink(-0.0, -np.pi / 2, 0.0, theta_offset=np.pi,
+                              joint_kind="prismatic"),
+    "threelink_third": replace(THREE_LINK.links[2], joint_kind="prismatic"),
+}
+
+
 class TestDHTransform:
     def test_constant_zero_joint(self):
         link = DHLink(a=0.5, alpha=-np.pi / 2, d=0.0)
@@ -213,6 +226,29 @@ class TestDHTransform:
         for M, tau in zip(vals, taus):
             dval = 0.2 + offset.eval(tau)[0]
             np.testing.assert_allclose(M, oracle_dh(0.1, 0.0, dval, 0.3), atol=1e-10)
+
+    @pytest.mark.parametrize("link", PRISMATIC_LINKS.values(),
+                             ids=PRISMATIC_LINKS.keys())
+    def test_prismatic_entries_are_classic_dh_at_offset_zero(self, link):
+        # The revolute construction at the fixed angle: equal to the classic
+        # matrix up to the sign of some zeros, which np.array_equal ignores.
+        Mc, Ms, M0 = link.entry_matrices()
+        classic = oracle_dh(link.a, link.alpha, link.d, link.theta_offset)
+        assert np.array_equal(M0, classic)
+        unit_z = np.zeros((4, 4))
+        unit_z[2, 3] = 1.0
+        assert np.array_equal(Mc, unit_z)
+        assert not Ms.any()
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf],
+                             ids=["nan", "inf", "minus_inf"])
+    @pytest.mark.parametrize("field", ["a", "alpha", "d", "theta_offset"],
+                             ids=["a", "alpha", "d", "theta_offset"])
+    def test_rejects_non_finite_parameters(self, field, value):
+        params = dict(a=0.1, alpha=0.2, d=0.3, theta_offset=0.4, joint_kind="prismatic")
+        params[field] = value
+        with pytest.raises(ValueError, match=f"DH parameter {field} must be finite"):
+            DHLink(**params)
 
     def test_rotation_block_orthonormal(self):
         rng = np.random.default_rng(19)
@@ -513,6 +549,21 @@ class TestNumericFK:
         # depth 2 squares its joint's factor
         ref = (1 + qmat[:, 0] ** 2) * (1 + qmat[:, 1] ** 2) ** 2 * (1 + qmat[:, 2] ** 2)
         np.testing.assert_allclose(state["den"], ref, rtol=1e-14)
+
+    @pytest.mark.parametrize("q", [-0.3, 0.0, 0.25],
+                             ids=["retracted", "zero", "extended"])
+    def test_prismatic_joint_is_linear(self, q):
+        # T = q Mc + M0 and dT/dq = Mc, bit for bit, on either side of 0.
+        links = THREE_LINK.links[:2] + (PRISMATIC_LINKS["threelink_third"],)
+        chain = DHChain(np.eye(4), links, THREE_LINK.link_cuboids)
+        nfk = NumericFK(chain, [1, 2, 1])
+        rng = np.random.default_rng(71)
+        qmat = np.column_stack([rng.uniform(-0.8, 0.8, (6, 2)), np.full(6, q)])
+        Mc, _, M0 = links[2].entry_matrices()
+        T = nfk.link_values(qmat)[2]
+        assert T.tobytes() == np.broadcast_to(q * Mc + M0, T.shape).tobytes()
+        state = nfk.gradient_state(nfk.shared_state(qmat), qmat, np.arange(6))
+        assert state["A"][2].tobytes() == (state["prefix"][2] @ Mc).tobytes()
 
     def test_vertex_gradients_finite_difference(self):
         rng = np.random.default_rng(61)

@@ -751,6 +751,56 @@ def prismatic_chain_dict():
     return obj
 
 
+def per_joint_workspace_bounds(scenario, rates):
+    """The workspace bounds as a loop over the joints, with a branch for
+    each joint kind: the oracle of ``_chain_workspace_bounds``."""
+    chain = scenario.robot.chain
+    lo, hi = scenario.limits.angle_min, scenario.limits.angle_max
+    link_reach = []
+    for i, link in enumerate(chain.links):
+        if link.joint_kind == "revolute":
+            link_reach.append(abs(link.a) + abs(link.d))
+        else:
+            link_reach.append(abs(link.a)
+                              + max(abs(link.d + lo[i]), abs(link.d + hi[i])))
+    bounds = []
+    for k in range(1, len(chain) + 1):
+        vert_reach = float(np.linalg.norm(chain.link_cuboids[k - 1], axis=1).max())
+        total = 0.0
+        for j in range(k):
+            if chain.links[j].joint_kind != "revolute":
+                total += rates[j]
+                continue
+            reach = sum(link_reach[i] for i in range(j, k))
+            total += rates[j] * (reach + vert_reach)
+        bounds.append(total)
+    return bounds
+
+
+def _bundled_dict(name, *variants):
+    """A bundled scenario's dict with ``output_digest.py`` variants applied."""
+    from tools.output_digest import VARIANTS
+
+    obj = json.loads((SCENARIO_DIR / f"{name}.json").read_text())
+    for key in variants:
+        VARIANTS[key](obj)
+    return obj
+
+
+WORKSPACE_BOUND_CASES = {
+    "threelink": lambda: _bundled_dict("threelink"),
+    "threelink+limits": lambda: _bundled_dict("threelink", "+limits"),
+    "threelink+prismatic": lambda: _bundled_dict("threelink", "+prismatic"),
+    "threelink+prismatic+retract": lambda: _bundled_dict("threelink", "+prismatic",
+                                                          "+retract"),
+    "prismatic_chain": lambda: dict(prismatic_chain_dict(), limits={
+        "velocity": 2.0, "acceleration": 4.0,
+        "angle_min": [-2.0, -0.3], "angle_max": [2.0, 1.0]}),
+    "fanuc6_static": lambda: _bundled_dict("fanuc6_static"),
+    "fanuc6_dynamic": lambda: _bundled_dict("fanuc6_dynamic"),
+}
+
+
 class TestPrismaticJoint:
     """A prismatic coordinate is the offset itself, never tan(offset / 2^n)."""
 
@@ -804,6 +854,17 @@ class TestPrismaticJoint:
                 worst[k - 1] = max(worst[k - 1], speeds.max())
         bounds = [body.speed_bound for body in prob.bodies]
         assert np.all(worst <= bounds), (worst, bounds)
+
+    @pytest.mark.parametrize("name", sorted(WORKSPACE_BOUND_CASES),
+                             ids=sorted(WORKSPACE_BOUND_CASES))
+    def test_workspace_bounds_match_the_per_joint_loop(self, name):
+        from splinetraj.planner import _chain_workspace_bounds
+
+        scn = parse_scenario(WORKSPACE_BOUND_CASES[name]())
+        for rates in (scn.limits.velocity, scn.limits.acceleration):
+            got = _chain_workspace_bounds(scn, rates)
+            want = per_joint_workspace_bounds(scn, rates)
+            assert [float(b).hex() for b in got] == [float(b).hex() for b in want]
 
     def test_sdf_mode_needs_offset_limits(self):
         obj = prismatic_chain_dict()

@@ -5,7 +5,8 @@ and ``mobile3d`` with ``"static_mode": "hyperplane"``, for ``threelink``
 and ``mobile2d`` with a limits box, for ``threelink`` with only its upper
 side, for ``mobile2d`` with hexagons for circles, in SDF and in hyperplane
 mode, for ``mobile2d`` standing still, and for ``threelink`` with a
-prismatic third joint, in SDF and in hyperplane mode (or for the bundled
+prismatic third joint, extending and retracting, each in SDF and in
+hyperplane mode (or for the bundled
 names or scenario file paths given on the command line) this plans it
 through ``splinetraj.cli.run`` with 1000 export samples and prints one line:
 
@@ -39,9 +40,14 @@ like any other.  The suffix ``+prismatic`` makes ``threelink``'s third
 joint prismatic, moving 0.1 -> 0.3 m within offset limits [0, 0.5] m at
 1 m/s and 2 m/s^2: no bundled scenario has a linear chain coordinate,
 so ``threelink+prismatic`` and ``threelink+prismatic+hyperplane`` are
-the default list's route into the prismatic branches of the kinematics,
-the plane rows and the SDF speed bounds.  Suffixes chain and apply from left to right.  A scenario file reaches other plans
-that no bundled scenario does.  A perfbench workload
+the default list's route into the linear joint of the kinematics, the
+plane rows and the SDF speed bounds.  The suffix ``+retract``, after
+``+prismatic``, moves that offset 0.2 -> -0.2 m within [-0.5, 0.5] m:
+``threelink+prismatic+retract`` and its ``+hyperplane`` plan are the
+default list's plans with a negative prismatic offset, where a zero
+scaled by the offset takes its sign.  Suffixes chain and apply from
+left to right.  A scenario file reaches other plans that no bundled
+scenario does.  A perfbench workload
 name (``mobile_sdf``, ``arm_sdf``, ``arm_dynamic``) prints one such line
 for each scenario of that workload, labelled
 ``<workload>/<scenario name>``, so every plan's T is compared, not a
@@ -62,7 +68,7 @@ script compares any two trees:
     python3 tools/output_digest.py > change.txt
     diff parent.txt change.txt
 
-The default list took 11 s wall on a 2-core x86-64 host with one BLAS
+The default list took 15 s wall on a 2-core x86-64 host with one BLAS
 thread.
 """
 
@@ -130,8 +136,16 @@ def _prismatic(obj: dict) -> None:
                          angle_min=[-200, -200, 0.0], angle_max=[200, 200, 0.5])
 
 
+def _retract(obj: dict) -> None:
+    if obj["name"] != "threelink" or obj["robot"]["links"][2]["kind"] != "prismatic":
+        raise SystemExit(f"{obj['name']}: +retract follows +prismatic")
+    obj["boundary"]["initial"][2], obj["boundary"]["goal"][2] = 0.2, -0.2
+    obj["limits"]["angle_min"][2] = -0.5
+
+
 VARIANTS = {"+hyperplane": _hyperplane, "+limits": _limits, "+upper": _upper,
-            "+polytope": _polytope, "+still": _still, "+prismatic": _prismatic}
+            "+polytope": _polytope, "+still": _still, "+prismatic": _prismatic,
+            "+retract": _retract}
 
 
 def main(argv=None) -> int:
@@ -141,12 +155,14 @@ def main(argv=None) -> int:
                              "perfbench workload names or <workload>/<scenario "
                              "name> labels, each optionally with "
                              "one or more of the suffixes +hyperplane, +limits, "
-                             "+upper, +polytope, +still and +prismatic (default: "
+                             "+upper, +polytope, +still, +prismatic and "
+                             "+retract (default: "
                              "every bundled scenario, then mobile2d and mobile3d "
                              "+hyperplane, threelink and mobile2d +limits, "
                              "threelink +upper, mobile2d +polytope, +polytope+hyperplane and "
-                             "+still, threelink +prismatic and "
-                             "+prismatic+hyperplane)")
+                             "+still, threelink +prismatic, "
+                             "+prismatic+hyperplane, +prismatic+retract and "
+                             "+prismatic+retract+hyperplane)")
     parser.add_argument("--tree", default=str(Path(__file__).resolve().parents[1]),
                         help="checkout whose src/ (and perfbench/) is planned "
                              "(default: this one)")
@@ -174,7 +190,9 @@ def plans(tree: Path, names: list[str]):
            "threelink+limits", "mobile2d+limits", "threelink+upper",
            "mobile2d+polytope",
            "mobile2d+polytope+hyperplane", "mobile2d+still",
-           "threelink+prismatic", "threelink+prismatic+hyperplane"])
+           "threelink+prismatic", "threelink+prismatic+hyperplane",
+           "threelink+prismatic+retract",
+           "threelink+prismatic+retract+hyperplane"])
     for name in names:
         base, suffixes = name, []
         while key := next((k for k in VARIANTS if base.endswith(k)), None):

@@ -7,8 +7,8 @@ run:
 
 - ``splinetraj solve`` of each scenario on ``output_digest.py``'s list:
   the same names and ``+hyperplane``/``+limits``/``+upper``/``+polytope``/
-  ``+still``/``+prismatic`` variants, or the names given on the command
-  line, each written to a temporary scenario file;
+  ``+still``/``+prismatic``/``+retract`` variants, or the names given on
+  the command line, each written to a temporary scenario file;
 - ``splinetraj verify`` of the first plan's stored solution, and of
   the first ``+hyperplane`` plan's when the list has one, so that
   reading stored planes counts;
