@@ -207,9 +207,6 @@ class BSpline:
     def domain(self) -> tuple[float, float]:
         return (self.knots.first, self.knots.last)
 
-    def same_basis(self, other: "BSpline") -> bool:
-        return self.degree == other.degree and self.knots == other.knots
-
     def basis(self, taus) -> np.ndarray:
         return basis_matrix(self.knots, self.degree, taus)
 

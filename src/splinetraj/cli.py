@@ -40,32 +40,19 @@ __all__ = ["run", "export_trajectory", "benchmark_sdf_vs_hyperplane", "main",
            "RunReport"]
 
 
-def _fmt(value: float) -> str:
-    """Shortest round-trip decimal form; deterministic across runs."""
-    return repr(float(value))
-
-
 # Values the CSV writer turns into Python floats at a time.
 CSV_CHUNK_VALUES = 4096
 
 
-def _csv_rows(columns, prefix=None) -> list[str]:
-    """The columns as CSV rows of ``_fmt`` values, each row joined onto
-    ``prefix[k] + ","`` when a list of row prefixes is given.
-
-    The table goes to Python floats (``tolist``) a block of rows at a
-    time, so the text equals per-value ``_fmt`` without holding a wide
-    table as Python floats at once.
-    """
+def _csv_rows(columns) -> list[str]:
+    """The columns as CSV rows, each value formatted once, as its shortest
+    round-trip form ``repr(float(v))``.  The table goes to Python floats
+    (``tolist``) a block of rows at a time, never a wide table at once."""
     table = np.column_stack(columns)
     step = max(1, CSV_CHUNK_VALUES // table.shape[1])
-    rows = []
-    for start in range(0, len(table), step):
-        rows += [",".join(map(repr, row))
-                 for row in table[start : start + step].tolist()]
-    if prefix is None:
-        return rows
-    return [head + "," + row for head, row in zip(prefix, rows)]
+    return [",".join(map(repr, row))
+            for start in range(0, len(table), step)
+            for row in table[start : start + step].tolist()]
 
 
 def _write_csv(path: Path, header: list[str], rows: list[str]) -> None:
@@ -127,9 +114,7 @@ def export_trajectory(solution: Solution, problem: PlanningProblem,
             blocks.append(traj.positions(body).reshape(samples, -1))
             for v in range(body.verts.shape[0]):
                 cart_header += [f"{body.name}_v{v + 1}_{ax}" for ax in "xyz"]
-        # Each row starts with the "tau,t" text of its trajectory row.
-        times = [row[: row.find(",", row.find(",") + 1)] for row in traj_rows]
-        cart_rows = _csv_rows(blocks, times)
+        cart_rows = _csv_rows([taus, taus * dv.T, *blocks])
     else:
         cart_header = ["tau", "t"] + [f"body_{ax}" for ax in "xyz"[:J]]
         # A mobile robot's positions are its coordinates: its Cartesian
@@ -266,8 +251,8 @@ def write_benchmark_csv(rows, path) -> None:
     header = ["count", "t_sdf", "t_hyp", "ratio", "ok", "constraints_sdf",
               "constraints_hyp"]
     _write_csv(Path(path), header, [
-        ",".join([str(r["count"]), _fmt(r["t_sdf"]), _fmt(r["t_hyperplane"]),
-                  _fmt(r["ratio"]), str(int(r["ok"])),
+        ",".join([str(r["count"]), repr(r["t_sdf"]), repr(r["t_hyperplane"]),
+                  repr(r["ratio"]), str(int(r["ok"])),
                   str(r["constraints_sdf"]), str(r["constraints_hyperplane"])])
         for r in rows])
 

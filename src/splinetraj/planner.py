@@ -24,7 +24,7 @@ from __future__ import annotations
 import logging
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -77,10 +77,6 @@ log = logging.getLogger(__name__)
 CUSHION = 1e-4
 # Lower bound on the travel time T, in seconds.
 T_MIN = 0.1
-
-
-class AssemblyError(ValueError):
-    """Scenario cannot be assembled into a consistent problem."""
 
 
 @dataclass
@@ -154,16 +150,19 @@ class TrajectoryBasis:
     D1 maps control rows to those of the tau-derivative on ``knots1``, and
     D2 to those of the second derivative on ``knots2``: the derivatives of
     ``units``, by ``BSpline.derivative``.
+    A degree below 3 or under 7 coefficients raises ``parse_scenario``'s
+    ScenarioError, so a hand-built ``Scenario`` fails as its file would.
     """
 
     def __init__(self, degree: int, knots: KnotVector):
         if degree < 3:
-            raise AssemblyError("planner requires basis degree >= 3")
+            raise ScenarioError("basis.degree: must be an integer >= 3")
         self.degree = degree
         self.knots = knots
         self.n_coeffs = len(knots) - degree - 1
         if self.n_coeffs < 7:
-            raise AssemblyError("need at least 7 control points (6 are pinned)")
+            raise ScenarioError("basis.interior_knots: need at least 7 coefficients "
+                                "(6 are pinned by the boundary conditions)")
         self.units = BSpline(degree, knots, np.eye(self.n_coeffs))
         d1 = self.units.derivative()
         d2 = BSpline(degree - 1, d1.knots, np.eye(self.n_coeffs - 1)).derivative()
@@ -760,9 +759,7 @@ class PlaneObstacleSideFamily(ConstraintBlock):
         self.plane_index = plane_index
         self.obstacle = obstacle
         self.cushion_gap = cushion
-        center = obstacle.motion
-        if center is None:
-            center = BSpline.constant(obstacle.center)
+        center = obstacle.motion or BSpline.constant(obstacle.center)
         # Control points of the homogeneous corners, corner-major columns.
         n, K, d1 = basis.n_coeffs, obstacle.corners.shape[0], obstacle.dim + 1
         cp = center.control_points[:, None, :] + obstacle.corners
@@ -1349,16 +1346,8 @@ class VerificationReport:
     def to_json(self) -> dict:
         return {
             "oversample": self.oversample,
-            "families": [
-                {
-                    "name": f.name,
-                    "kind": f.kind,
-                    "max_violation": f.max_violation,
-                    "tolerance": f.tolerance,
-                    "n_samples": f.n_samples,
-                }
-                for f in self.families
-            ],
+            "families": [{**asdict(f), "tolerance": f.tolerance}
+                         for f in self.families],
         }
 
 
@@ -1379,7 +1368,8 @@ def verify(dv: DecisionVector, problem: PlanningProblem,
     samples = problem.samples(dv, taus)
     reports = []
 
-    # Endpoint conditions are exact by construction; report the residuals.
+    # Endpoint conditions are exact by construction; report the residuals
+    # at their two sites, tau = 0 and 1.
     # The sites run from 0.0 to 1.0, where the clamped basis is a unit row,
     # so rows 0 and -1 are one control point times 1 whatever the product's
     # summation order.  T's bounds T_MIN <= T < inf hold by construction
@@ -1391,7 +1381,7 @@ def verify(dv: DecisionVector, problem: PlanningProblem,
     t_viol = T_MIN - dv.T if math.isfinite(dv.T) else math.inf
     end_viol = float(np.concatenate(
         [np.abs(r).ravel() for r in residuals] + [[t_viol]]).max())
-    reports.append(FamilyReport("endpoint_conditions", "eq", end_viol, 12))
+    reports.append(FamilyReport("endpoint_conditions", "eq", end_viol, 2))
 
     for fam in problem.families:
         v = fam.dense_violation(samples)

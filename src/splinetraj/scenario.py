@@ -284,22 +284,24 @@ def _parse_motion(obj, path: str, dim: int, nominal: np.ndarray) -> BSpline | No
 
 
 def _parse_obstacle(obj, path: str, dim: int) -> ObstaclePrimitive:
+    """The obstacle ``obj``, built by its kind's classmethod: first the
+    static shape, whose ``center`` a linear motion starts from, then the
+    same fields with the motion.  What the primitive rejects is a
+    ScenarioError naming ``path``."""
     kind = _kind(obj, path, "obstacle", _OBSTACLE_KEYS)
-    motion = obj.get("motion")
     try:
         if kind == "sphere":
-            center = _vector(obj["center"], f"{path}.center", dim)
-            radius = _number(obj["radius"], f"{path}.radius")
-            motion = _parse_motion(motion, f"{path}.motion", dim, center)
-            return ObstaclePrimitive.sphere(center, radius, motion=motion)
-        if kind == "box":
-            lo = _vector(obj["min"], f"{path}.min", dim)
-            hi = _vector(obj["max"], f"{path}.max", dim)
-            motion = _parse_motion(motion, f"{path}.motion", dim, 0.5 * (lo + hi))
-            return ObstaclePrimitive.box(lo, hi, motion=motion)
-        verts = _points(obj["vertices"], f"{path}.vertices", dim)
-        motion = _parse_motion(motion, f"{path}.motion", dim, verts.mean(axis=0))
-        return ObstaclePrimitive.polytope(verts, motion=motion)
+            shape = {"center": _vector(obj["center"], f"{path}.center", dim),
+                     "radius": _number(obj["radius"], f"{path}.radius")}
+        elif kind == "box":
+            shape = {"box_min": _vector(obj["min"], f"{path}.min", dim),
+                     "box_max": _vector(obj["max"], f"{path}.max", dim)}
+        else:
+            shape = {"vertices": _points(obj["vertices"], f"{path}.vertices", dim)}
+        build = getattr(ObstaclePrimitive, kind)
+        center = build(**shape).center
+        motion = _parse_motion(obj.get("motion"), f"{path}.motion", dim, center)
+        return build(**shape, motion=motion)
     except ScenarioError:
         raise
     except (TypeError, ValueError) as exc:

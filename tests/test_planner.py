@@ -97,6 +97,27 @@ class TestTrajectoryBasis:
             assert got.shape == want.shape
             assert got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("degree, interior, message", [
+        (2, np.round(np.arange(0.1, 0.95, 0.1), 10),
+         "basis.degree: must be an integer >= 3"),
+        (3, [1 / 3, 2 / 3],
+         "basis.interior_knots: need at least 7 coefficients "
+         "(6 are pinned by the boundary conditions)"),
+    ], ids=["degree2", "six_coefficients"])
+    def test_hand_built_scenario_fails_as_its_file_would(self, degree, interior,
+                                                          message):
+        # A Scenario built in code skips parse_scenario; assemble names the
+        # fault in the parser's words, with the same error type.
+        scenario = replace(mobile_scenario(), basis_degree=degree,
+                           basis_interior=np.asarray(interior))
+        with pytest.raises(ScenarioError) as raised:
+            assemble(scenario)
+        assert str(raised.value) == message
+        with pytest.raises(ScenarioError) as parsed:
+            mobile_scenario(basis={"degree": degree,
+                                   "interior_knots": list(interior)})
+        assert str(parsed.value) == message
+
 
 class PerCoordinateSamples(TrajectorySamples):
     """The trajectory as one one-column spline per coordinate, each
@@ -951,6 +972,31 @@ class TestVerify:
         ends = families_by_name(rep)["endpoint_conditions"]
         assert ends.max_violation == pytest.approx(T_MIN - T)
         assert not ends.passed and not rep.passed
+
+    @pytest.mark.parametrize("name", ["mobile2d", "threelink"],
+                             ids=["mobile", "chain"])
+    def test_endpoint_conditions_count_their_two_sites(self, name):
+        # The endpoint check reads the trajectory at tau = 0 and tau = 1,
+        # whatever the robot and the sampling density.
+        prob = assemble(load_scenario(SCENARIO_DIR / f"{name}.json"))
+        dv = initial_guess(prob)
+        for oversample in (1, 3):
+            rep = verify(dv, prob, oversample=oversample)
+            assert families_by_name(rep)["endpoint_conditions"].n_samples == 2
+
+    @pytest.mark.parametrize("name", ["mobile2d", "threelink"],
+                             ids=["mobile", "chain"])
+    def test_json_is_each_record_with_its_tolerance(self, name):
+        # The layout report.json held when each entry was written key by key.
+        prob = assemble(load_scenario(SCENARIO_DIR / f"{name}.json"))
+        rep = verify(initial_guess(prob), prob, oversample=2)
+        assert rep.to_json() == {
+            "oversample": 2,
+            "families": [{"name": f.name, "kind": f.kind,
+                          "max_violation": f.max_violation,
+                          "tolerance": f.tolerance, "n_samples": f.n_samples}
+                         for f in rep.families],
+        }
 
     def test_oversample_density(self):
         prob = assemble(mobile_scenario())

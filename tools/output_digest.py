@@ -4,11 +4,13 @@ For each scenario under ``src/splinetraj/scenarios/``, for ``mobile2d``
 and ``mobile3d`` with ``"static_mode": "hyperplane"``, for ``threelink``
 and ``mobile2d`` with a limits box, for ``threelink`` with only its upper
 side, for ``mobile2d`` with hexagons for circles, in SDF and in hyperplane
-mode, for ``mobile2d`` standing still, and for ``threelink`` with a
+mode, for ``mobile2d`` standing still, for ``threelink`` with a
 prismatic third joint, extending and retracting, each in SDF and in
-hyperplane mode (or for the bundled
-names or scenario file paths given on the command line) this plans it
-through ``splinetraj.cli.run`` with 1000 export samples and prints one line:
+hyperplane mode, for ``threelink`` at halving depth 2, and for
+``mobile2d`` with its goal at its first obstacle's center (or for the
+bundled names or scenario file paths given on the command line) this
+plans it through ``splinetraj.cli.run`` with 1000 export samples and
+prints one line:
 
     <scenario> <status> <float.hex(T)> <sha256 of solution.json>
         <sha256 of trajectory.csv> <sha256 of cartesian.csv>
@@ -45,8 +47,16 @@ plane rows and the SDF speed bounds.  The suffix ``+retract``, after
 ``+prismatic``, moves that offset 0.2 -> -0.2 m within [-0.5, 0.5] m:
 ``threelink+prismatic+retract`` and its ``+hyperplane`` plan are the
 default list's plans with a negative prismatic offset, where a zero
-scaled by the offset takes its sign.  Suffixes chain and apply from
-left to right.  A scenario file reaches other plans that no bundled
+scaled by the offset takes its sign.  The suffix ``+depth2`` sets every
+joint of a chain to halving depth 2: ``threelink+depth2`` is the default
+list's route into the half-angle recursion's gradient at depth 2.
+``threelink+depth2+hyperplane`` is left out: it took 8.4 s, and
+``ChainNumerators``' depth recursion stays covered by the depth-2 case
+of ``tests/test_family_vjp.py``.  The suffix ``+blocked`` moves the goal
+of a mobile robot to its first obstacle's center: ``mobile2d+blocked``
+is the default list's plan that cannot converge, so it reaches the
+solver's stagnation and best-iterate path and the field's queries
+outside its grid.  Suffixes chain and apply from left to right.  A scenario file reaches other plans that no bundled
 scenario does.  A perfbench workload
 name (``mobile_sdf``, ``arm_sdf``, ``arm_dynamic``) prints one such line
 for each scenario of that workload, labelled
@@ -68,7 +78,7 @@ script compares any two trees:
     python3 tools/output_digest.py > change.txt
     diff parent.txt change.txt
 
-The default list took 15 s wall on a 2-core x86-64 host with one BLAS
+The default list took 25 s wall on a 2-core x86-64 host with one BLAS
 thread.
 """
 
@@ -143,9 +153,23 @@ def _retract(obj: dict) -> None:
     obj["limits"]["angle_min"][2] = -0.5
 
 
+def _depth2(obj: dict) -> None:
+    if obj["robot"]["kind"] != "chain":
+        raise SystemExit(f"{obj['name']}: +depth2 takes a chain robot")
+    obj["robot"]["halving_depth"] = 2
+
+
+def _blocked(obj: dict) -> None:
+    first = (obj.get("obstacles") or [{}])[0]
+    if obj["robot"]["kind"] != "mobile" or "center" not in first:
+        raise SystemExit(f"{obj['name']}: +blocked takes a mobile robot "
+                         "whose first obstacle is a sphere")
+    obj["boundary"]["goal"] = list(first["center"])
+
+
 VARIANTS = {"+hyperplane": _hyperplane, "+limits": _limits, "+upper": _upper,
             "+polytope": _polytope, "+still": _still, "+prismatic": _prismatic,
-            "+retract": _retract}
+            "+retract": _retract, "+depth2": _depth2, "+blocked": _blocked}
 
 
 def main(argv=None) -> int:
@@ -155,14 +179,15 @@ def main(argv=None) -> int:
                              "perfbench workload names or <workload>/<scenario "
                              "name> labels, each optionally with "
                              "one or more of the suffixes +hyperplane, +limits, "
-                             "+upper, +polytope, +still, +prismatic and "
-                             "+retract (default: "
+                             "+upper, +polytope, +still, +prismatic, "
+                             "+retract, +depth2 and +blocked (default: "
                              "every bundled scenario, then mobile2d and mobile3d "
                              "+hyperplane, threelink and mobile2d +limits, "
                              "threelink +upper, mobile2d +polytope, +polytope+hyperplane and "
                              "+still, threelink +prismatic, "
-                             "+prismatic+hyperplane, +prismatic+retract and "
-                             "+prismatic+retract+hyperplane)")
+                             "+prismatic+hyperplane, +prismatic+retract, "
+                             "+prismatic+retract+hyperplane and +depth2, "
+                             "mobile2d +blocked)")
     parser.add_argument("--tree", default=str(Path(__file__).resolve().parents[1]),
                         help="checkout whose src/ (and perfbench/) is planned "
                              "(default: this one)")
@@ -192,7 +217,8 @@ def plans(tree: Path, names: list[str]):
            "mobile2d+polytope+hyperplane", "mobile2d+still",
            "threelink+prismatic", "threelink+prismatic+hyperplane",
            "threelink+prismatic+retract",
-           "threelink+prismatic+retract+hyperplane"])
+           "threelink+prismatic+retract+hyperplane",
+           "threelink+depth2", "mobile2d+blocked"])
     for name in names:
         base, suffixes = name, []
         while key := next((k for k in VARIANTS if base.endswith(k)), None):

@@ -7,8 +7,9 @@ run:
 
 - ``splinetraj solve`` of each scenario on ``output_digest.py``'s list:
   the same names and ``+hyperplane``/``+limits``/``+upper``/``+polytope``/
-  ``+still``/``+prismatic``/``+retract`` variants, or the names given on
-  the command line, each written to a temporary scenario file;
+  ``+still``/``+prismatic``/``+retract``/``+depth2``/``+blocked`` variants,
+  or the names given on the command line, each written to a temporary
+  scenario file;
 - ``splinetraj verify`` of the first plan's stored solution, and of
   the first ``+hyperplane`` plan's when the list has one, so that
   reading stored planes counts;
@@ -39,7 +40,7 @@ docstrings, ``pass``, ``global`` and ``nonlocal``, which run no code.
 Code that only the tests call is listed by design: it is reached by no
 program path.  The commands' own output goes to stderr.
 
-    python3 tools/reachability.py            # the default list, about 20 s
+    python3 tools/reachability.py            # the default list, about 28 s
     python3 tools/reachability.py mobile2d   # one plan, 3 s
 
 Those times are wall seconds on a 2-core x86-64 host with one BLAS
