@@ -3,7 +3,9 @@
 Static obstacles are baked into a signed distance field that the planner
 queries at collocation parameters with a Lipschitz-based motion margin.
 The field lives in memory only: the planner builds it from the scenario
-(``planner.static_field``), and ``query_extended`` is its one query.
+(``planner.static_field``), and ``query_extended`` is its one query: it
+returns the values at once and the gradients of the points asked for
+later, so a caller that reads only values forms no gradient.
 Each obstacle's signed distance has one formula, which fills the field's
 grid: ``ObstaclePrimitive.distance_at``, over one array per axis.
 Moving obstacles are kept apart by time-varying separating hyperplanes,
@@ -185,8 +187,8 @@ class SignedDistanceField:
     """Regular 2D or 3D grid of signed distances with multilinear interpolation."""
 
     def __init__(self, origin, cell_size: float, values: np.ndarray):
-        self.origin = np.asarray(origin, dtype=float)
-        self.cell_size = float(cell_size)
+        self.origin = _finite("origin", origin)
+        self.cell_size = float(_finite("cell_size", cell_size))
         if self.cell_size <= 0.0:
             raise ValueError("cell_size must be positive")
         self.values = np.asarray(values, dtype=float)
@@ -194,62 +196,95 @@ class SignedDistanceField:
             raise ValueError("values rank must match origin dimension")
         if self.values.ndim not in (2, 3):
             raise ValueError("signed distance fields must be 2D or 3D")
+        if min(self.values.shape) < 2:
+            raise ValueError("values must hold at least 2 nodes along each axis")
         self.dims = self.values.shape
         self.upper = self.origin + self.cell_size * (np.array(self.dims) - 1)
         # Flat C-order view for gathers: node (i, j[, k]) sits at
         # strides . (i, j[, k]), and the 2^dim corners of a cell at its
         # lowest node plus offsets, in the order (0,0[,0]), (0,0[,1]), ...
         self._flat = np.ascontiguousarray(self.values).reshape(-1)
-        self._strides = np.cumprod((self.dims[1:] + (1,))[::-1])[::-1]
+        strides = np.cumprod((self.dims[1:] + (1,))[::-1])[::-1]
         shifts = np.indices((2,) * self.dim).reshape(self.dim, -1)
-        self._cell_corners = (self._strides @ shifts)[:, None]
-        self._max_cell = np.array(self.dims)[:, None] - 2
+        self._cell_corners = (strides @ shifts)[:, None]
+        self._strides = strides.astype(float)
+        self._max_cell = np.array(self.dims, dtype=float)[:, None] - 2.0
+        # Rows of an interpolation state (see ``_gather``): f, g, the 2^dim
+        # corner values V, then the lerp levels c (and cc in 3D).
+        sizes = [self.dim, self.dim, 2**self.dim, 2 ** (self.dim - 1)]
+        sizes += [2] * (self.dim - 2)
+        ends = np.cumsum(sizes)
+        self._state_rows = int(ends[-1])
+        self._state_slices = [slice(e - n, e) for n, e in zip(sizes, ends)]
 
     @property
     def dim(self) -> int:
         return len(self.dims)
 
-    def _interpolate(self, pts: np.ndarray):
-        """Values (N,) and gradients (N, dim) of the interpolant at points
-        inside the field, given as (dim, N) rows.
+    def _gather(self, pts: np.ndarray) -> np.ndarray:
+        """The interpolation state of points inside the field, given as
+        (dim, N) rows: one (R, N) block whose rows are the fractions f and
+        their complements g (dim rows each), the 2^dim corner values V of
+        each point's cell, fetched in one flat gather, and room for the lerp
+        levels that ``_lerp`` fills.  ``_rows`` names the rows."""
+        state = np.empty((self._state_rows, pts.shape[1]))
+        f, g, V = self._rows(state)[:3]
+        t = np.divide(pts - self.origin[:, None], self.cell_size, out=f)
+        # t >= 0 inside the field, so truncation is the floor.  The cell
+        # indices are whole numbers far below 2^53, exact as floats, and so
+        # is their flat index; every corner index is in range.
+        idx = np.trunc(t)
+        np.minimum(idx, self._max_cell, out=idx)
+        np.subtract(t, idx, out=f)
+        np.subtract(1.0, f, out=g)
+        base = (self._strides @ idx).astype(np.intp)
+        del idx  # the corner indices below are the query's largest temporary
+        self._flat.take(base + self._cell_corners, out=V, mode="clip")
+        return state
 
-        One flat gather fetches every cell corner; the lerps then run
-        along z, y, x (3D) or y, x (2D) on whole rows of corners at once.
-        """
-        t = (pts - self.origin[:, None]) / self.cell_size
-        # t >= 0 inside the field, so truncation is the floor.
-        idx = np.minimum(t.astype(int), self._max_cell)
-        f = t - idx
-        g = 1.0 - f
-        V = self._flat.take(self._strides @ idx + self._cell_corners)
-        grads = np.empty_like(t)
+    def _rows(self, state: np.ndarray) -> list[np.ndarray]:
+        """f, g, V and the lerp levels c (and cc in 3D) of a state block."""
+        return [state[rows] for rows in self._state_slices]
+
+    def _lerp(self, state: np.ndarray) -> np.ndarray:
+        """Values (N,) of the interpolant from ``_gather``'s state, whose
+        lerp levels it fills.  The lerps run along z, y, x (3D) or y, x (2D)
+        on whole rows of corners at once."""
         if self.dim == 2:
-            fx, fy = f
-            gx, gy = g
+            f, g, V, c = self._rows(state)
             # v00 v01 v10 v11 -> (gy v00 + fy v01, gy v10 + fy v11)
-            c = gy * V[0::2] + fy * V[1::2]
-            out = gx * c[0] + fx * c[1]
-            d = V[2:] - V[:2]  # v10 - v00, v11 - v01
-            grads[0] = gy * d[0] + fy * d[1]
-            e = V[1::2] - V[0::2]  # v01 - v00, v11 - v10
-            grads[1] = gx * e[0] + fx * e[1]
-            return out, (grads / self.cell_size).T
-        fx, fy, fz = f
-        gx, gy, gz = g
-        c = gz * V[0::2] + fz * V[1::2]  # c00 c01 c10 c11
-        cc = gy * c[0::2] + fy * c[1::2]  # c0 c1
-        out = gx * cc[0] + fx * cc[1]
-        grads[0] = cc[1] - cc[0]
-        d = c[1::2] - c[0::2]  # c01 - c00, c11 - c10
-        grads[1] = gx * d[0] + fx * d[1]
-        e = V[1::2] - V[0::2]  # v001 - v000, v011 - v010, v101 - v100, v111 - v110
-        ee = gy * e[0::2] + fy * e[1::2]
-        grads[2] = gx * ee[0] + fx * ee[1]
-        return out, (grads / self.cell_size).T
+            np.add(g[1] * V[0::2], f[1] * V[1::2], out=c)
+            return g[0] * c[0] + f[0] * c[1]
+        f, g, V, c, cc = self._rows(state)
+        np.add(g[2] * V[0::2], f[2] * V[1::2], out=c)  # c00 c01 c10 c11
+        np.add(g[1] * c[0::2], f[1] * c[1::2], out=cc)  # c0 c1
+        return g[0] * cc[0] + f[0] * cc[1]
 
-    def query_extended(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Interpolated values (N,) and gradients (N, dim) at points (N, dim),
-        with a Lipschitz lower-bound extension outside the field.
+    def _gradients(self, state: np.ndarray) -> np.ndarray:
+        """Gradients (dim, n) of the interpolant from the state of n points
+        (``_gather``'s block after ``_lerp``, or columns cut from it)."""
+        grads = np.empty((self.dim, state.shape[1]))
+        if self.dim == 2:
+            f, g, V, _ = self._rows(state)
+            d = V[2:] - V[:2]  # v10 - v00, v11 - v01
+            np.add(g[1] * d[0], f[1] * d[1], out=grads[0])
+            e = V[1::2] - V[0::2]  # v01 - v00, v11 - v10
+            np.add(g[0] * e[0], f[0] * e[1], out=grads[1])
+        else:
+            f, g, V, c, cc = self._rows(state)
+            np.subtract(cc[1], cc[0], out=grads[0])
+            d = c[1::2] - c[0::2]  # c01 - c00, c11 - c10
+            np.add(g[0] * d[0], f[0] * d[1], out=grads[1])
+            e = V[1::2] - V[0::2]  # v001 - v000, v011 - v010, v101 - v100, v111 - v110
+            ee = g[1] * e[0::2] + f[1] * e[1::2]
+            np.add(g[0] * ee[0], f[0] * ee[1], out=grads[2])
+        return np.divide(grads, self.cell_size, out=grads)
+
+    def query_extended(self, points: np.ndarray):
+        """Interpolated values (N,) at points (N, dim), with a Lipschitz
+        lower-bound extension outside the field, and ``gradient``: the
+        function that gives the gradients (len(rows), dim) of the points
+        ``rows`` (any index of the N points) from this batch's state.
 
         Inside, the gradient is the exact derivative of the multilinear
         interpolant in each cell (continuous value, per-cell-face piecewise
@@ -258,32 +293,51 @@ class SignedDistanceField:
         valid lower bound on the true signed distance (the field is
         1-Lipschitz) and drives an optimizer back toward the interior.  A
         NaN coordinate raises OutOfBoundsError.
+
+        The query works on the points as one contiguous (dim, N) block:
+        passing the transpose of such a block costs no copy.  A batch whose
+        bounding box lies inside the field skips the clip.  The gradients
+        are formed only when asked, on the rows asked for, by the same
+        operations as the values' own, so they do not depend on which rows
+        are asked together.
         """
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        # np.maximum/np.minimum skip np.clip's Python wrapper.  With the
-        # bound first, a tie of zeros keeps the point's zero, as np.clip
-        # does, and a NaN passes through to the check below.
-        clipped = np.empty((self.dim, pts.shape[0]))
-        for a in range(self.dim):
-            np.maximum(self.origin[a], pts[:, a], out=clipped[a])
-            np.minimum(self.upper[a], clipped[a], out=clipped[a])
-        excess = pts - clipped.T
-        moved = excess.any()
+        pts = np.ascontiguousarray(np.atleast_2d(np.asarray(points, dtype=float)).T)
+        if (np.all(self.origin <= pts.min(axis=1, initial=np.inf))
+                and np.all(pts.max(axis=1, initial=-np.inf) <= self.upper)):
+            clipped = pts
+            moved = False
+        else:
+            # np.maximum/np.minimum skip np.clip's Python wrapper.  With the
+            # bound first, a tie of zeros keeps the point's zero, as np.clip
+            # does, and a NaN passes through to the check below.
+            clipped = np.maximum(self.origin[:, None], pts)
+            np.minimum(self.upper[:, None], clipped, out=clipped)
+            excess = pts - clipped
+            moved = excess.any()
         # Clipping puts every point inside the field but a NaN one.
         if moved and np.isnan(excess).any():
-            bad = pts[np.isnan(excess).any(axis=1)][0]
+            bad = pts[:, np.isnan(excess).any(axis=0)][:, 0]
             raise OutOfBoundsError(f"query point {bad.tolist()} outside field bounds")
-        vals, grads = self._interpolate(clipped)
-        if not moved:
-            return vals, grads
-        dist = np.linalg.norm(excess, axis=1)
-        outside = dist > 0.0
-        if np.any(outside):
+        state = self._gather(clipped)
+        vals = self._lerp(state)
+        extended = False
+        if moved:
+            dist = np.linalg.norm(excess, axis=0)
+            outside = dist > 0.0
+            extended = bool(outside.any())
+        if extended:
             vals = vals - dist
-            unit = np.zeros_like(excess)
-            unit[outside] = excess[outside] / dist[outside, None]
-            grads = np.where(excess != 0.0, -unit, grads)
-        return vals, grads
+
+        def gradient(rows) -> np.ndarray:
+            grads = self._gradients(state[:, rows])
+            if not extended:
+                return grads.T
+            ex, out = excess[:, rows], outside[rows]
+            unit = np.zeros_like(ex)
+            unit[:, out] = ex[:, out] / dist[rows][out]
+            return np.where(ex != 0.0, -unit, grads).T
+
+        return vals, gradient
 
 
 def build_sdf(primitives, bounds, cell_size: float) -> SignedDistanceField:
@@ -302,8 +356,9 @@ def build_sdf(primitives, bounds, cell_size: float) -> SignedDistanceField:
         bounds: (lower, upper) workspace corners.
         cell_size: Grid node spacing in meters.
     """
-    lo = np.asarray(bounds[0], dtype=float)
-    hi = np.asarray(bounds[1], dtype=float)
+    lo = _finite("bounds", bounds[0])
+    hi = _finite("bounds", bounds[1])
+    cell_size = float(_finite("cell_size", cell_size))
     if cell_size <= 0.0:
         raise ValueError("cell_size must be positive")
     if np.any(hi <= lo):

@@ -164,6 +164,12 @@ class NumericFK:
     into the shared positive denominator and the numerator matrices so the
     results match the rational spline construction exactly as functions.
     Link j is c Mc + s Ms + M0, its (c, s, dc, ds) from ``_forms`` alone.
+    Links whose forms are alike are grouped as in
+    ``bernstein.ChainNumerators``: the prismatic ones, and the revolute ones
+    at each halving depth.  Each group forms its (c, s) or (dc, ds) once on
+    a (k, S) block, and its transforms on a (k, S, 4, 4) block, so every
+    link's T_j and A_j stays a contiguous (S, 4, 4) slice: element by
+    element the same operations as link by link.
     """
 
     def __init__(self, chain: DHChain, halving_depths):
@@ -171,31 +177,51 @@ class NumericFK:
         self.depths = tuple(int(d) for d in halving_depths)
         if len(self.depths) != len(chain):
             raise ValueError("one halving depth per link required")
-        self._entry = [link.entry_matrices() for link in chain.links]
         # Joint j's denominator is (1 + q^2)^power[j], power 0 if prismatic.
         self._den_powers = [2 ** (d - 1) if link.joint_kind == REVOLUTE else 0
                             for link, d in zip(chain.links, self.depths)]
+        # (depth, ascending links, their Mc, Ms and M0 stacked (k, 1, 4, 4))
+        # per group, depth 0 for the prismatic group.
+        kinds = [d if power else 0 for d, power in zip(self.depths, self._den_powers)]
+        entries = [link.entry_matrices() for link in chain.links]
+        self._groups = []
+        for depth in dict.fromkeys(kinds):
+            links = np.flatnonzero(np.array(kinds) == depth)
+            Mc, Ms, M0 = (np.stack([entries[j][m] for j in links])[:, None]
+                          for m in range(3))
+            self._groups.append((depth, links, Mc, Ms, M0))
 
-    def _forms(self, j: int, q: np.ndarray, with_grad: bool = False):
-        """Joint j's (c, s) at the values q, so that T_j = c Mc + s Ms + M0,
-        then (dc, ds) with with_grad.  A joint with a denominator takes the
-        half-angle forms; a prismatic one is linear: (q, 0) and (1, 0)."""
-        if self._den_powers[j]:
-            return halfangle_cos_sin(q, self.depths[j], with_grad)
+    @staticmethod
+    def _forms(depth: int, q: np.ndarray, with_grad: bool = False):
+        """A group's (c, s) at the values q, so that T = c Mc + s Ms + M0,
+        then (dc, ds) with with_grad.  Revolute joints at halving depth
+        ``depth`` take the half-angle forms; prismatic ones (depth 0) are
+        linear: (q, 0) and (1, 0)."""
+        if depth:
+            return halfangle_cos_sin(q, depth, with_grad)
         zero = np.zeros_like(q)
         return (q, zero, np.ones_like(q), zero) if with_grad else (q, zero)
 
-    def link_values(self, qmat: np.ndarray) -> list[np.ndarray]:
-        """Per-link numeric transforms T_j (S, 4, 4) at S samples.
+    def _grouped(self, qmat: np.ndarray):
+        """Per group of the first L = qmat.shape[1] links: its links, their
+        (Mc, Ms, M0) and their values q as a contiguous (k, S) block."""
+        L = qmat.shape[1]
+        for depth, links, Mc, Ms, M0 in self._groups:
+            k = int(np.count_nonzero(links < L))
+            if k:
+                q = np.ascontiguousarray(qmat.T[links[:k]])
+                yield depth, links[:k], (Mc[:k], Ms[:k], M0[:k]), q
+
+    def link_values(self, qmat: np.ndarray) -> np.ndarray:
+        """Per-link numeric transforms T_j (L, S, 4, 4) at S samples.
 
         qmat has shape (S, L): substituted values for revolute links,
         variable offsets for prismatic links.
         """
-        Ts = []
-        for j in range(qmat.shape[1]):
-            Mc, Ms, M0 = self._entry[j]
-            c, s = self._forms(j, qmat[:, j])
-            Ts.append(c[:, None, None] * Mc + s[:, None, None] * Ms + M0)
+        Ts = np.empty((qmat.shape[1], qmat.shape[0], 4, 4))
+        for depth, links, (Mc, Ms, M0), q in self._grouped(qmat):
+            c, s = self._forms(depth, q)
+            Ts[links] = c[:, :, None, None] * Mc + s[:, :, None, None] * Ms + M0
         return Ts
 
     def chain_state(self, qmat: np.ndarray, link_index: int):
@@ -220,15 +246,16 @@ class NumericFK:
     def shared_state(self, qmat: np.ndarray):
         """Full-chain factors computed once for use by every link.
 
-        prefix[k] is the base-to-link-k transform and Ts[j] link j's
-        transform; ``gradient_state`` adds A[j] = prefix[j] @ dT_j, the
-        shared left part of every d(position)/d(q_j).
+        prefix[k] (of an (L + 1, S, 4, 4) block) is the base-to-link-k
+        transform and Ts[j] link j's transform; ``gradient_state`` adds
+        A[j] = prefix[j] @ dT_j, the shared left part of every
+        d(position)/d(q_j).
         """
         Ts = self.link_values(qmat)
-        S = qmat.shape[0]
-        prefix = [np.broadcast_to(self.chain.base_pose, (S, 4, 4)).copy()]
-        for T in Ts:
-            prefix.append(prefix[-1] @ T)
+        prefix = np.empty((Ts.shape[0] + 1,) + Ts.shape[1:])
+        prefix[0] = self.chain.base_pose
+        for j, T in enumerate(Ts):
+            np.matmul(prefix[j], T, out=prefix[j + 1])
         return {"prefix": prefix, "Ts": Ts}
 
     def gradient_state(self, state, qmat: np.ndarray, idx: np.ndarray):
@@ -236,17 +263,18 @@ class NumericFK:
         samples ``idx``, with the gradient factors A taken there only.  It
         equals ``shared_state(qmat[idx])`` plus A bit for bit, since every
         factor is formed sample by sample."""
-        prefix = [p[idx] for p in state["prefix"]]
-        return {"prefix": prefix, "Ts": [T[idx] for T in state["Ts"]],
+        prefix = state["prefix"][:, idx]
+        return {"prefix": prefix, "Ts": state["Ts"][:, idx],
                 "A": self._gradient_factors(prefix, qmat[idx])}
 
-    def _gradient_factors(self, prefix, qmat: np.ndarray) -> list[np.ndarray]:
-        """A[j] = prefix[j] @ dT_j/dq_j (S, 4, 4) at the samples qmat."""
-        A = []
-        for j in range(qmat.shape[1]):
-            Mc, Ms, _ = self._entry[j]
-            _, _, dc, ds = self._forms(j, qmat[:, j], with_grad=True)
-            A.append(prefix[j] @ (dc[:, None, None] * Mc + ds[:, None, None] * Ms))
+    def _gradient_factors(self, prefix, qmat: np.ndarray) -> np.ndarray:
+        """A[j] = prefix[j] @ dT_j/dq_j (L, S, 4, 4) at the samples qmat."""
+        A = np.empty((qmat.shape[1], qmat.shape[0], 4, 4))
+        for depth, links, (Mc, Ms, _), q in self._grouped(qmat):
+            _, _, dc, ds = self._forms(depth, q, with_grad=True)
+            dT = dc[:, :, None, None] * Mc + ds[:, :, None, None] * Ms
+            for j, dT_j in zip(links, dT):
+                np.matmul(prefix[j], dT_j, out=A[j])
         return A
 
     @staticmethod

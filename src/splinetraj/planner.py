@@ -532,13 +532,18 @@ class SDFClearanceFamily(ConstraintBlock):
     interpolated field's gradient norm is at most sqrt(dim), so that is the
     Lipschitz factor the margin scales by.
 
-    ``evaluate`` places a chain's vertices by forward kinematics without
-    gradients.  The vjp takes the FK gradients only at the samples where
-    some row carries weight, usually a few near an obstacle: it cuts
-    evaluate's link transforms and prefixes to those samples and forms
-    only the derivative factors there (``NumericFK.gradient_state``).  It
-    scatters each link's contribution into a full-length column, so the
-    result equals the all-sample formula bit for bit.
+    Every body tracks as many points (8 cuboid corners, or the mobile
+    body's one point), so ``evaluate`` places them all, by forward
+    kinematics without gradients, in one contiguous (dim, bodies x
+    samples x vertices) block, queries the field's values once and forms
+    every residual in one broadcast.  The vjp finds the samples where some
+    row carries weight, usually a few near an obstacle, and only there
+    asks the query for the field gradients of every body's vertices and
+    takes the FK gradients: it cuts evaluate's link transforms and
+    prefixes to those samples and forms only the derivative factors there
+    (``NumericFK.gradient_state``).  It scatters each link's contribution
+    into a full-length column, so the result equals the all-sample
+    formula bit for bit.
     """
 
     def __init__(self, name, layout, field: SignedDistanceField, taus,
@@ -572,7 +577,13 @@ class SDFClearanceFamily(ConstraintBlock):
         self.Bpos = basis_matrix(basis.knots, basis.degree, self.taus)
         self.nfk = nfk
         self._homs = [homogeneous(b.verts) for b in self.bodies]
-        self.n_rows = self.taus.size * sum(b.verts.shape[0] for b in self.bodies)
+        self._radius = np.array([[[b.radius]] for b in self.bodies])
+        (V,) = {b.verts.shape[0] for b in self.bodies}
+        B, S = len(self.bodies), self.taus.size
+        self._n_verts = V
+        # Row of vertex v of body b at sample 0: b S V + v, (B, 1, V).
+        self._row_starts = S * V * np.arange(B)[:, None, None] + np.arange(V)
+        self.n_rows = B * S * V
 
     def margins(self, T: float) -> tuple[np.ndarray, np.ndarray]:
         """Clearance margin (meters) per body and sample, and its T-derivative;
@@ -587,60 +598,51 @@ class SDFClearanceFamily(ConstraintBlock):
     def evaluate(self, x):
         dv = self.layout.unpack(x)
         qmat = self.Bpos @ dv.joint_coeffs
+        S, dim = qmat.shape[0], self.field.dim
+        B, V = len(self.bodies), self._n_verts
         if self.nfk is None:
-            positions = [qmat[:, None, :]]
+            points = qmat[:, :dim].T
         else:
+            # Every tracked point of every body in one contiguous block
+            # (dim, B, S, V), in the residuals' order: body, sample, vertex.
             state = self.nfk.shared_state(qmat)
-            positions = [
-                self.nfk.body_positions(state, body.link_index, body.verts, hom)
-                for body, hom in zip(self.bodies, self._homs)
-            ]
-        dim = self.field.dim
-        flat = np.concatenate([p.reshape(-1, p.shape[2])[:, :dim] for p in positions])
-        vals, grads = self.field.query_extended(flat)
+            points = np.empty((dim, B, S, V))
+            for b, (body, hom) in enumerate(zip(self.bodies, self._homs)):
+                out = state["prefix"][body.link_index] @ hom  # (S, 4, V)
+                points[:, b] = out[:, :dim].transpose(1, 0, 2)
+        vals, gradient = self.field.query_extended(points.reshape(dim, -1).T)
         margin, margin_dT = self.margins(dv.T)
-        residuals = []
-        off = 0
-        for b, (body, pos) in enumerate(zip(self.bodies, positions)):
-            S, V = pos.shape[0], pos.shape[1]
-            m = np.repeat(margin[b], V)
-            residuals.append(m + body.radius + self.cushion_gap - vals[off : off + S * V])
-            off += S * V
-        r = np.concatenate(residuals)
+        r = ((margin[:, :, None] + self._radius) + self.cushion_gap
+             - vals.reshape(B, S, V)).reshape(-1)
 
         def vjp(w):
+            W = w.reshape(B, S, V)
             gC = np.zeros_like(dv.joint_coeffs)
             gT = 0.0
-            wpos = []
-            weighted = np.zeros(qmat.shape[0], dtype=bool)
-            off = 0
-            for b, pos in enumerate(positions):
-                S, V, _ = pos.shape
-                wb = w[off : off + S * V].reshape(S, V)
-                g = grads[off : off + S * V].reshape(S, V, dim)
-                off += S * V
-                gT += float(margin_dT[b] @ wb.sum(axis=1))
-                # d(residual)/d(pos) = -grad_sdf
-                wp = -wb[:, :, None] * g
-                if self.nfk is None:
-                    gC += self.Bpos.T @ wp[:, 0, : self.layout.n_coords]
-                    continue
-                wpos.append(wp)
-                weighted |= (wb != 0.0).any(axis=1)
-            # FK gradients only at the samples where some row carries
-            # weight; every other sample adds zero to gC.
-            idx = np.flatnonzero(weighted)
-            if idx.size:
-                grad_state = self.nfk.gradient_state(state, qmat, idx)
-                column = np.zeros(qmat.shape[0])
-                for b, (body, wp) in enumerate(zip(self.bodies, wpos)):
-                    dpos = self.nfk.body_position_grads(
-                        grad_state, body.link_index, body.verts, self._homs[b]
-                    )
-                    contrib = (wp[idx] * dpos[:, :, :, :dim]).sum(axis=(2, 3))
-                    for j in range(body.link_index):
-                        column[idx] = contrib[j]
-                        gC[:, j] += self.Bpos.T @ column
+            for b in range(B):
+                gT += float(margin_dT[b] @ W[b].sum(axis=1))
+            # Only the samples where some row carries weight add to gC;
+            # there every vertex of every body takes its field gradient.
+            idx = np.flatnonzero(W.any(axis=(0, 2)))
+            rows = self._row_starts + V * idx[:, None]
+            g = gradient(rows.reshape(-1)).reshape(B, idx.size, V, dim)
+            # d(residual)/d(pos) = -grad_sdf
+            wpos = -W[:, idx, :, None] * g
+            if self.nfk is None:
+                wp = np.zeros((S, dim))
+                wp[idx] = wpos[0, :, 0]
+                gC += self.Bpos.T @ wp
+                return self.layout.grad(dC=gC, dT=gT)
+            grad_state = self.nfk.gradient_state(state, qmat, idx)
+            column = np.zeros(S)
+            for b, body in enumerate(self.bodies):
+                dpos = self.nfk.body_position_grads(
+                    grad_state, body.link_index, body.verts, self._homs[b]
+                )
+                contrib = (wpos[b] * dpos[:, :, :, :dim]).sum(axis=(2, 3))
+                for j in range(body.link_index):
+                    column[idx] = contrib[j]
+                    gC[:, j] += self.Bpos.T @ column
             return self.layout.grad(dC=gC, dT=gT)
 
         return r, vjp

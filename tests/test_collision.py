@@ -139,7 +139,7 @@ class TestSDFQuery:
         assert np.abs(vals - ref).max() <= self.field.cell_size
 
     def test_gradient_points_outward(self):
-        _, grads = self.field.query_extended([1.0, 0.0, 0.0])
+        _, grads = full_query(self.field, [1.0, 0.0, 0.0])
         assert grads[0, 0] > 0.5
         np.testing.assert_allclose(grads[0, 1:], 0.0, atol=0.05)
 
@@ -151,7 +151,7 @@ class TestSDFQuery:
         pts = rng.uniform(-6.0, 6.0, (400, 3))
         pts = pts[np.abs(pts).max(axis=1) > 2.0]
         clipped = np.clip(pts, self.field.origin, self.field.upper)
-        vals, grads = self.field.query_extended(pts)
+        vals, grads = full_query(self.field, pts)
         inside, _ = self.field.query_extended(clipped)
         dist = np.linalg.norm(pts - clipped, axis=1)
         np.testing.assert_allclose(vals, inside - dist, rtol=0, atol=1e-12)
@@ -164,10 +164,16 @@ class TestSDFQuery:
 
     def test_extended_query_lower_bound(self):
         p = np.array([[3.0, 0.0, 0.0]])
-        vals, grads = self.field.query_extended(p)
+        vals, grads = full_query(self.field, p)
         inside_vals, _ = self.field.query_extended([2.0, 0.0, 0.0])
         assert vals[0] == pytest.approx(inside_vals[0] - 1.0, abs=1e-12)
         assert grads[0][0] < 0.0
+
+
+def full_query(field, pts):
+    """query_extended's values and the gradients of every point."""
+    vals, gradient = field.query_extended(pts)
+    return vals, gradient(np.arange(vals.size))
 
 
 def reference_interpolate(field, pts):
@@ -246,7 +252,7 @@ class TestInterpolationKernel:
         nodes = lo + h * rng.integers(0, np.array(dims), (100, len(dims)))
         corners = np.array([lo, hi])
         pts = np.vstack([inside, last_cell, nodes, corners])
-        for mine, ref in zip(field.query_extended(pts),
+        for mine, ref in zip(full_query(field, pts),
                              reference_interpolate(field, pts)):
             assert_bitwise(mine, ref)
         span = hi - lo
@@ -254,7 +260,7 @@ class TestInterpolationKernel:
         one_axis = inside.copy()
         one_axis[:, 0] = hi[0] + rng.uniform(0.0, 1.0, inside.shape[0])
         for batch in (pts, outside, one_axis, np.vstack([outside, pts])):
-            mine = field.query_extended(batch)
+            mine = full_query(field, batch)
             ref = reference_query_extended(field, batch)
             for a, b in zip(mine, ref):
                 assert_bitwise(a, b)
@@ -270,6 +276,123 @@ class TestInterpolationKernel:
     def test_rejects_rank_other_than_2_or_3(self, dims):
         with pytest.raises(ValueError):
             SignedDistanceField(np.zeros(len(dims)), 0.1, np.zeros(dims))
+
+
+class TestLazyGradient:
+    """``gradient(rows)`` gives the reference gradients of exactly the rows
+    asked, bit for bit, whichever rows are asked together, at points
+    inside the field, on its faces and outside it."""
+
+    FIELDS = {"2d": (7, 5), "3d": (6, 9, 4)}
+    WHERE = ("inside", "faces", "outside", "one_axis_clipped", "mixed")
+    ROWS = ("all", "random", "empty", "repeated")
+
+    @staticmethod
+    def points(field, where, rng):
+        lo, hi = field.origin, field.upper
+        n, dim = 200, field.dim
+        inside = rng.uniform(lo, hi, (n, dim))
+        if where == "inside":
+            return inside
+        if where == "faces":
+            axis = rng.integers(dim, size=n)
+            inside[np.arange(n), axis] = np.where(rng.integers(2, size=n),
+                                                  hi[axis], lo[axis])
+            return inside
+        if where == "outside":
+            span = hi - lo
+            return rng.uniform(lo - span, hi + span, (n, dim))
+        if where == "one_axis_clipped":
+            inside[:, -1] = lo[-1] - rng.uniform(0.0, 1.0, n)
+            return inside
+        return np.vstack([TestLazyGradient.points(field, w, rng)
+                          for w in TestLazyGradient.WHERE[:-1]])
+
+    @pytest.mark.parametrize("rows", ROWS, ids=list(ROWS))
+    @pytest.mark.parametrize("where", WHERE, ids=list(WHERE))
+    @pytest.mark.parametrize("dims", sorted(FIELDS), ids=sorted(FIELDS))
+    def test_rows_equal_reference(self, dims, where, rows):
+        shape = self.FIELDS[dims]
+        rng = np.random.default_rng([len(shape), self.WHERE.index(where),
+                                     self.ROWS.index(rows)])
+        field = SignedDistanceField(rng.uniform(-1.0, 1.0, len(shape)), 0.37,
+                                    rng.normal(size=shape))
+        pts = self.points(field, where, rng)
+        n = len(pts)
+        picked = {"all": np.arange(n),
+                  "random": rng.choice(n, n // 5, replace=False),
+                  "empty": np.array([], dtype=int),
+                  "repeated": np.array([n - 1, 0, n - 1, 7, 0])}[rows]
+        vals, gradient = field.query_extended(pts)
+        ref_vals, ref_grads = reference_query_extended(field, pts)
+        assert_bitwise(vals, ref_vals)
+        assert_bitwise(gradient(picked), ref_grads[picked])
+
+    @pytest.mark.parametrize("dims", sorted(FIELDS), ids=sorted(FIELDS))
+    def test_nan_point_raises(self, dims):
+        shape = self.FIELDS[dims]
+        field = SignedDistanceField(np.zeros(len(shape)), 0.5, np.zeros(shape))
+        pts = np.full((4, len(shape)), 0.5)
+        pts[2, -1] = np.nan
+        with pytest.raises(OutOfBoundsError):
+            field.query_extended(pts)
+
+    def test_value_query_memory_stays_within_its_state(self):
+        # A 3D query holds f, g, the 8 corner values and the lerp levels
+        # (20 doubles a point) and, at its peak, the 8 corner indices and
+        # the points' (dim, N) copy: 32 doubles a point.  The kernel that
+        # formed every gradient with the values took 48.
+        import tracemalloc
+
+        field = static_field(load_scenario(SCENARIO_DIR / "threelink.json"))
+        pts = np.random.default_rng(3).uniform(field.origin, field.upper,
+                                               (48000, 3))
+        tracemalloc.start()
+        try:
+            vals, _ = field.query_extended(pts)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert vals.shape == (48000,)
+        assert peak < 36 * 8 * len(pts)
+
+
+class TestFieldGridRejected:
+    """A grid the query cannot read is rejected when it is made, naming
+    the field: a NaN cell size passed ``cell_size <= 0`` and made the
+    first query raise OutOfBoundsError at a point inside the field, and
+    an axis of one node made the corner gather wrap to index -1."""
+
+    CASES = {
+        "nan_cell_size": (lambda: SignedDistanceField(
+            [0.0, 0.0], np.nan, np.zeros((4, 4))), "cell_size must be finite"),
+        "inf_cell_size": (lambda: SignedDistanceField(
+            [0.0, 0.0], np.inf, np.zeros((4, 4))), "cell_size must be finite"),
+        "nan_origin": (lambda: SignedDistanceField(
+            [np.nan, 0.0], 0.5, np.zeros((4, 4))), "origin must be finite"),
+        "inf_origin_3d": (lambda: SignedDistanceField(
+            [0.0, -np.inf, 0.0], 0.5, np.zeros((3, 3, 3))), "origin must be finite"),
+        "one_node_axis_2d": (lambda: SignedDistanceField(
+            [0.0, 0.0], 0.5, np.zeros((1, 4))),
+            "values must hold at least 2 nodes along each axis"),
+        "one_node_axis_3d": (lambda: SignedDistanceField(
+            [0.0, 0.0, 0.0], 0.5, np.zeros((4, 4, 1))),
+            "values must hold at least 2 nodes along each axis"),
+        "build_nan_cell_size": (lambda: build_sdf(
+            [], ([0.0, 0.0], [1.0, 1.0]), np.nan), "cell_size must be finite"),
+        "build_inf_cell_size": (lambda: build_sdf(
+            [], ([0.0, 0.0], [1.0, 1.0]), np.inf), "cell_size must be finite"),
+        "build_nan_bound": (lambda: build_sdf(
+            [], ([0.0, np.nan], [1.0, 1.0]), 0.1), "bounds must be finite"),
+        "build_inf_bound": (lambda: build_sdf(
+            [], ([0.0, 0.0], [np.inf, 1.0]), 0.1), "bounds must be finite"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES), ids=sorted(CASES))
+    def test_rejected_naming_the_field(self, case):
+        build, message = self.CASES[case]
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            build()
 
 
 class TestNonFiniteGeometry:

@@ -254,7 +254,8 @@ def reference_sdf_vjp(fam, x, w):
         positions = [fam.nfk.body_positions(state, b.link_index, b.verts, hom)
                      for b, hom in zip(fam.bodies, fam._homs)]
     flat = np.concatenate([p.reshape(-1, p.shape[2])[:, :dim] for p in positions])
-    _, grads = fam.field.query_extended(flat)
+    _, gradient = fam.field.query_extended(flat)
+    grads = gradient(np.arange(len(flat)))
     _, margin_dT = fam.margins(dv.T)
     gC = np.zeros_like(dv.joint_coeffs)
     gT = 0.0
@@ -311,3 +312,62 @@ def test_sdf_vjp_matches_full_sample_reference(scenario):
             got = vjp(w)
             want = reference_sdf_vjp(fam, x, w)
             assert got.tobytes() == want.tobytes(), (kind, got - want)
+
+
+@pytest.mark.parametrize("scenario", ["threelink", "mobile2d"],
+                         ids=["threelink", "mobile2d"])
+def test_sdf_vjp_asks_gradients_only_at_weighted_samples(scenario, monkeypatch):
+    # Weight on a few rows asks the field for the gradients of every
+    # vertex of every body at those rows' samples, and nothing else; all-zero
+    # weight asks for no row and cuts the FK state to no sample, leaving
+    # the T-only gradient (zero).  Both equal the all-sample reference bit
+    # for bit.
+    problem = assemble(_bundled(scenario))
+    (fam,) = [f for f in problem.families if type(f) is SDFClearanceFamily]
+    rng = np.random.default_rng(41)
+    x = _perturbed_point(problem, rng)
+    B, S, V = len(fam.bodies), fam.taus.size, fam.bodies[0].verts.shape[0]
+    few = np.zeros(fam.n_rows)
+    few[rng.choice(fam.n_rows, 4, replace=False)] = rng.uniform(0.1, 2.0, 4)
+    zero = np.zeros(fam.n_rows)
+    references = [reference_sdf_vjp(fam, x, w) for w in (few, zero)]
+
+    asked, cuts = [], []
+    query = fam.field.query_extended
+
+    def recording_query(points):
+        vals, gradient = query(points)
+
+        def recording_gradient(rows):
+            asked.append(np.sort(rows).tolist())
+            return gradient(rows)
+
+        return vals, recording_gradient
+
+    monkeypatch.setattr(fam.field, "query_extended", recording_query)
+    if fam.nfk is not None:
+        cut = fam.nfk.gradient_state
+
+        def recording_cut(state, qmat, idx):
+            cuts.append(idx.tolist())
+            return cut(state, qmat, idx)
+
+        monkeypatch.setattr(fam.nfk, "gradient_state", recording_cut)
+    _, vjp = fam.evaluate(x)
+
+    assert vjp(few).tobytes() == references[0].tobytes()
+    samples = np.flatnonzero(few.reshape(B, S, V).any(axis=(0, 2)))
+    rows = (S * V * np.arange(B)[:, None, None] + V * samples[:, None]
+            + np.arange(V))
+    assert asked == [np.sort(rows.ravel()).tolist()]
+    assert cuts == ([] if fam.nfk is None else [samples.tolist()])
+
+    asked.clear()
+    cuts.clear()
+    got = vjp(zero)
+    assert asked == [[]]
+    assert cuts == ([] if fam.nfk is None else [[]])
+    assert got.tobytes() == references[1].tobytes()
+    t_only = fam.layout.grad(dC=np.zeros_like(fam.layout.unpack(x).joint_coeffs),
+                             dT=0.0)
+    assert got.tobytes() == t_only.tobytes()

@@ -527,6 +527,43 @@ class TestPolynomialDynamics:
         np.testing.assert_allclose(resid.eval(taus), independent, atol=1e-10)
 
 
+# Revolute joints at depths 1 and 2 interleaved with a prismatic one
+# (whose depth the forms ignore), under a rotated and shifted base.
+MIXED_CHAIN = DHChain(
+    base_pose=np.array([[0.0, -1.0, 0.0, 0.1], [1.0, 0.0, 0.0, -0.2],
+                        [0.0, 0.0, 1.0, 0.3], [0.0, 0.0, 0.0, 1.0]]),
+    links=(
+        DHLink(a=0.5, alpha=-np.pi / 2, d=0.1),
+        DHLink(0.1, 0.0, 0.2, theta_offset=0.3, joint_kind="prismatic"),
+        DHLink(a=0.44, alpha=np.pi, d=0.0, theta_offset=0.7),
+        DHLink(a=0.35, alpha=-np.pi / 2, d=0.05),
+        DHLink(a=0.2, alpha=np.pi / 3, d=-0.1),
+    ),
+    link_cuboids=(default_cuboid(),) * 5,
+)
+MIXED_DEPTHS = [1, 2, 2, 1, 2]
+
+
+def per_link_state(chain, depths, qmat, idx):
+    """NumericFK's factors formed link by link, each joint's forms on its
+    own column: T_j = c Mc + s Ms + M0, the prefix products, and
+    A_j = prefix_j @ (dc Mc + ds Ms) at the samples idx."""
+    Ts, dTs = [], []
+    for link, depth, q in zip(chain.links, depths, qmat.T):
+        Mc, Ms, M0 = link.entry_matrices()
+        if link.joint_kind == "revolute":
+            c, s, dc, ds = halfangle_cos_sin(q, depth, with_grad=True)
+        else:
+            c, s, dc, ds = q, np.zeros_like(q), np.ones_like(q), np.zeros_like(q)
+        Ts.append(c[:, None, None] * Mc + s[:, None, None] * Ms + M0)
+        dTs.append(dc[:, None, None] * Mc + ds[:, None, None] * Ms)
+    prefix = [np.broadcast_to(chain.base_pose, (len(qmat), 4, 4)).copy()]
+    for T in Ts:
+        prefix.append(prefix[-1] @ T)
+    A = [prefix[j][idx] @ dT[idx] for j, dT in enumerate(dTs)]
+    return Ts, prefix, A
+
+
 class TestNumericFK:
     def test_matches_spline_fk(self):
         rng = np.random.default_rng(53)
@@ -582,6 +619,31 @@ class TestNumericFK:
             pp = nfk.vertex_positions(nfk.chain_state(qp, 3), verts)
             pm = nfk.vertex_positions(nfk.chain_state(qm, 3), verts)
             np.testing.assert_allclose(grads[j], (pp - pm) / (2 * h), atol=1e-6)
+
+    @pytest.mark.parametrize("links", [5, 3, 1], ids=["all_links", "first_three",
+                                                       "first_link"])
+    def test_grouped_forms_equal_per_link(self, links):
+        # Links grouped as prismatic or revolute at one depth form the same
+        # bits as link by link, the groups interleaved along the chain and
+        # cut to the first links as ``chain_state`` cuts them.
+        nfk = NumericFK(MIXED_CHAIN, MIXED_DEPTHS)
+        rng = np.random.default_rng(73)
+        qmat = rng.uniform(-0.9, 0.9, (17, 5))[:, :links]
+        idx = np.array([0, 3, 4, 11, 16])
+        Ts, prefix, A = per_link_state(MIXED_CHAIN, MIXED_DEPTHS, qmat, idx)
+        values = nfk.link_values(qmat)
+        state = nfk.shared_state(qmat)
+        cut = nfk.gradient_state(state, qmat, idx)
+        assert len(values) == len(state["Ts"]) == len(cut["A"]) == links
+        for j in range(links):
+            assert values[j].tobytes() == Ts[j].tobytes()
+            assert state["Ts"][j].tobytes() == Ts[j].tobytes()
+            assert cut["Ts"][j].tobytes() == Ts[j][idx].tobytes()
+            assert cut["A"][j].tobytes() == A[j].tobytes()
+        assert len(state["prefix"]) == links + 1
+        for k in range(links + 1):
+            assert state["prefix"][k].tobytes() == prefix[k].tobytes()
+            assert cut["prefix"][k].tobytes() == prefix[k][idx].tobytes()
 
     def test_halfangle_cos_sin_gradients(self):
         rng = np.random.default_rng(67)
