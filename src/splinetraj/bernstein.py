@@ -244,12 +244,8 @@ class ChainNumerators:
         entries[0] = base @ entries[0]
         # (Mc, Ms, M0) of each link as the rows of one (3, 16) matrix
         self.entries = np.stack(entries).reshape(len(entries), 3, 16)
-        kinds = [(link.joint_kind == "revolute", d)
-                 for link, d in zip(chain.links, depths)]
         # (revolute, depth, ascending link indices) per group
-        self.groups = [(rev, d, np.array([j for j, kind in enumerate(kinds)
-                                          if kind == (rev, d)]))
-                       for rev, d in dict.fromkeys(kinds)]
+        self.groups = chain.link_groups(depths)
         self.extraction = extraction
         self.n_spans = self.extraction.shape[0] // (degree + 1)
         self.base = np.broadcast_to(base, (self.n_spans, 1, 4, 4))

@@ -295,36 +295,30 @@ class SignedDistanceField:
         NaN coordinate raises OutOfBoundsError.
 
         The query works on the points as one contiguous (dim, N) block:
-        passing the transpose of such a block costs no copy.  A batch whose
-        bounding box lies inside the field skips the clip.  The gradients
+        passing the transpose of such a block costs no copy.  The gradients
         are formed only when asked, on the rows asked for, by the same
         operations as the values' own, so they do not depend on which rows
         are asked together.
         """
         pts = np.ascontiguousarray(np.atleast_2d(np.asarray(points, dtype=float)).T)
-        if (np.all(self.origin <= pts.min(axis=1, initial=np.inf))
-                and np.all(pts.max(axis=1, initial=-np.inf) <= self.upper)):
-            clipped = pts
-            moved = False
-        else:
-            # np.maximum/np.minimum skip np.clip's Python wrapper.  With the
-            # bound first, a tie of zeros keeps the point's zero, as np.clip
-            # does, and a NaN passes through to the check below.
-            clipped = np.maximum(self.origin[:, None], pts)
-            np.minimum(self.upper[:, None], clipped, out=clipped)
-            excess = pts - clipped
-            moved = excess.any()
-        # Clipping puts every point inside the field but a NaN one.
-        if moved and np.isnan(excess).any():
-            bad = pts[:, np.isnan(excess).any(axis=0)][:, 0]
-            raise OutOfBoundsError(f"query point {bad.tolist()} outside field bounds")
-        state = self._gather(clipped)
-        vals = self._lerp(state)
+        # np.maximum/np.minimum skip np.clip's Python wrapper.  With the
+        # bound first, a tie of zeros keeps the point's zero, as np.clip
+        # does, and a NaN passes through to the check below.
+        clipped = np.maximum(self.origin[:, None], pts)
+        np.minimum(self.upper[:, None], clipped, out=clipped)
+        # A batch inside the field forms no excess; a NaN is never equal.
         extended = False
-        if moved:
+        if (clipped != pts).any():
+            excess = pts - clipped
+            # Clipping puts every point inside the field but a NaN one.
+            if np.isnan(excess).any():
+                bad = pts[:, np.isnan(excess).any(axis=0)][:, 0]
+                raise OutOfBoundsError(f"query point {bad.tolist()} outside field bounds")
             dist = np.linalg.norm(excess, axis=0)
             outside = dist > 0.0
             extended = bool(outside.any())
+        state = self._gather(clipped)
+        vals = self._lerp(state)
         if extended:
             vals = vals - dist
 

@@ -133,6 +133,14 @@ class DHChain:
     def __len__(self):
         return len(self.links)
 
+    def link_groups(self, depths) -> list[tuple[bool, int, np.ndarray]]:
+        """(revolute, halving depth, ascending link indices) per group of
+        links alike in both, in order of each group's first link."""
+        kinds = [(link.joint_kind == REVOLUTE, int(d))
+                 for link, d in zip(self.links, depths)]
+        return [(rev, d, np.array([j for j, kind in enumerate(kinds) if kind == (rev, d)]))
+                for rev, d in dict.fromkeys(kinds)]
+
 
 def halfangle_cos_sin(qvals: np.ndarray, depth: int, with_grad: bool = False):
     """cos/sin of the recovered angle from substituted values, vectorized.
@@ -165,8 +173,8 @@ class NumericFK:
     results match the rational spline construction exactly as functions.
     Link j is c Mc + s Ms + M0, its (c, s, dc, ds) from ``_forms`` alone.
     Links whose forms are alike are grouped as in
-    ``bernstein.ChainNumerators``: the prismatic ones, and the revolute ones
-    at each halving depth.  Each group forms its (c, s) or (dc, ds) once on
+    ``bernstein.ChainNumerators``, by ``DHChain.link_groups``: by joint
+    kind and halving depth.  Each group forms its (c, s) or (dc, ds) once on
     a (k, S) block, and its transforms on a (k, S, 4, 4) block, so every
     link's T_j and A_j stays a contiguous (S, 4, 4) slice: element by
     element the same operations as link by link.
@@ -177,40 +185,41 @@ class NumericFK:
         self.depths = tuple(int(d) for d in halving_depths)
         if len(self.depths) != len(chain):
             raise ValueError("one halving depth per link required")
+        if min(self.depths) < 1:
+            raise ValueError("halving depths must be at least 1")
         # Joint j's denominator is (1 + q^2)^power[j], power 0 if prismatic.
         self._den_powers = [2 ** (d - 1) if link.joint_kind == REVOLUTE else 0
                             for link, d in zip(chain.links, self.depths)]
-        # (depth, ascending links, their Mc, Ms and M0 stacked (k, 1, 4, 4))
-        # per group, depth 0 for the prismatic group.
-        kinds = [d if power else 0 for d, power in zip(self.depths, self._den_powers)]
+        # (revolute, depth, ascending links, their Mc, Ms and M0 stacked
+        # (k, 1, 4, 4)) per group.
         entries = [link.entry_matrices() for link in chain.links]
         self._groups = []
-        for depth in dict.fromkeys(kinds):
-            links = np.flatnonzero(np.array(kinds) == depth)
+        for revolute, depth, links in chain.link_groups(self.depths):
             Mc, Ms, M0 = (np.stack([entries[j][m] for j in links])[:, None]
                           for m in range(3))
-            self._groups.append((depth, links, Mc, Ms, M0))
+            self._groups.append((revolute, depth, links, Mc, Ms, M0))
 
     @staticmethod
-    def _forms(depth: int, q: np.ndarray, with_grad: bool = False):
+    def _forms(revolute: bool, depth: int, q: np.ndarray, with_grad: bool = False):
         """A group's (c, s) at the values q, so that T = c Mc + s Ms + M0,
-        then (dc, ds) with with_grad.  Revolute joints at halving depth
-        ``depth`` take the half-angle forms; prismatic ones (depth 0) are
-        linear: (q, 0) and (1, 0)."""
-        if depth:
+        then (dc, ds) with with_grad.  Revolute joints take the half-angle
+        forms at their halving depth; prismatic ones are linear: (q, 0) and
+        (1, 0)."""
+        if revolute:
             return halfangle_cos_sin(q, depth, with_grad)
         zero = np.zeros_like(q)
         return (q, zero, np.ones_like(q), zero) if with_grad else (q, zero)
 
     def _grouped(self, qmat: np.ndarray):
-        """Per group of the first L = qmat.shape[1] links: its links, their
-        (Mc, Ms, M0) and their values q as a contiguous (k, S) block."""
+        """Per group of the first L = qmat.shape[1] links: its kind and
+        depth, its links, their (Mc, Ms, M0) and their values q as a
+        contiguous (k, S) block."""
         L = qmat.shape[1]
-        for depth, links, Mc, Ms, M0 in self._groups:
+        for revolute, depth, links, Mc, Ms, M0 in self._groups:
             k = int(np.count_nonzero(links < L))
             if k:
                 q = np.ascontiguousarray(qmat.T[links[:k]])
-                yield depth, links[:k], (Mc[:k], Ms[:k], M0[:k]), q
+                yield (revolute, depth), links[:k], (Mc[:k], Ms[:k], M0[:k]), q
 
     def link_values(self, qmat: np.ndarray) -> np.ndarray:
         """Per-link numeric transforms T_j (L, S, 4, 4) at S samples.
@@ -219,8 +228,8 @@ class NumericFK:
         variable offsets for prismatic links.
         """
         Ts = np.empty((qmat.shape[1], qmat.shape[0], 4, 4))
-        for depth, links, (Mc, Ms, M0), q in self._grouped(qmat):
-            c, s = self._forms(depth, q)
+        for kind, links, (Mc, Ms, M0), q in self._grouped(qmat):
+            c, s = self._forms(*kind, q)
             Ts[links] = c[:, :, None, None] * Mc + s[:, :, None, None] * Ms + M0
         return Ts
 
@@ -270,8 +279,8 @@ class NumericFK:
     def _gradient_factors(self, prefix, qmat: np.ndarray) -> np.ndarray:
         """A[j] = prefix[j] @ dT_j/dq_j (L, S, 4, 4) at the samples qmat."""
         A = np.empty((qmat.shape[1], qmat.shape[0], 4, 4))
-        for depth, links, (Mc, Ms, _), q in self._grouped(qmat):
-            _, _, dc, ds = self._forms(depth, q, with_grad=True)
+        for kind, links, (Mc, Ms, _), q in self._grouped(qmat):
+            _, _, dc, ds = self._forms(*kind, q, with_grad=True)
             dT = dc[:, :, None, None] * Mc + ds[:, :, None, None] * Ms
             for j, dT_j in zip(links, dT):
                 np.matmul(prefix[j], dT_j, out=A[j])

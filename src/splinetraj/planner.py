@@ -536,14 +536,15 @@ class SDFClearanceFamily(ConstraintBlock):
     body's one point), so ``evaluate`` places them all, by forward
     kinematics without gradients, in one contiguous (dim, bodies x
     samples x vertices) block, queries the field's values once and forms
-    every residual in one broadcast.  The vjp finds the samples where some
-    row carries weight, usually a few near an obstacle, and only there
-    asks the query for the field gradients of every body's vertices and
-    takes the FK gradients: it cuts evaluate's link transforms and
-    prefixes to those samples and forms only the derivative factors there
-    (``NumericFK.gradient_state``).  It scatters each link's contribution
-    into a full-length column, so the result equals the all-sample
-    formula bit for bit.
+    every residual in one broadcast.  The mobile body's vjp asks the query
+    for the field gradients at every sample.  A chain's vjp finds the
+    samples where some row carries weight, usually a few near an
+    obstacle, and only there asks for the field gradients of every body's
+    vertices and takes the FK gradients: it cuts evaluate's link
+    transforms and prefixes to those samples and forms only the
+    derivative factors there (``NumericFK.gradient_state``).  It scatters
+    each link's contribution into a full-length column, so the result
+    equals the all-sample formula bit for bit.
     """
 
     def __init__(self, name, layout, field: SignedDistanceField, taus,
@@ -608,8 +609,8 @@ class SDFClearanceFamily(ConstraintBlock):
             state = self.nfk.shared_state(qmat)
             points = np.empty((dim, B, S, V))
             for b, (body, hom) in enumerate(zip(self.bodies, self._homs)):
-                out = state["prefix"][body.link_index] @ hom  # (S, 4, V)
-                points[:, b] = out[:, :dim].transpose(1, 0, 2)
+                pos = self.nfk.body_positions(state, body.link_index, body.verts, hom)
+                points[:, b] = pos[..., :dim].transpose(2, 0, 1)
         vals, gradient = self.field.query_extended(points.reshape(dim, -1).T)
         margin, margin_dT = self.margins(dv.T)
         r = ((margin[:, :, None] + self._radius) + self.cushion_gap
@@ -621,18 +622,16 @@ class SDFClearanceFamily(ConstraintBlock):
             gT = 0.0
             for b in range(B):
                 gT += float(margin_dT[b] @ W[b].sum(axis=1))
+            # d(residual)/d(pos) = -grad_sdf
+            if self.nfk is None:
+                gC += self.Bpos.T @ (-W[0] * gradient(np.arange(S)))
+                return self.layout.grad(dC=gC, dT=gT)
             # Only the samples where some row carries weight add to gC;
             # there every vertex of every body takes its field gradient.
             idx = np.flatnonzero(W.any(axis=(0, 2)))
             rows = self._row_starts + V * idx[:, None]
             g = gradient(rows.reshape(-1)).reshape(B, idx.size, V, dim)
-            # d(residual)/d(pos) = -grad_sdf
             wpos = -W[:, idx, :, None] * g
-            if self.nfk is None:
-                wp = np.zeros((S, dim))
-                wp[idx] = wpos[0, :, 0]
-                gC += self.Bpos.T @ wp
-                return self.layout.grad(dC=gC, dT=gT)
             grad_state = self.nfk.gradient_state(state, qmat, idx)
             column = np.zeros(S)
             for b, body in enumerate(self.bodies):

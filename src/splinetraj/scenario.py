@@ -156,6 +156,8 @@ class ChainRobot:
     def __post_init__(self):
         if len(self.halving_depths) != len(self.chain):
             raise ScenarioError("robot.halving_depth: one entry per link required")
+        if any(d < 1 for d in self.halving_depths):
+            raise ScenarioError("robot.halving_depth: must be at least 1")
         if any(d > 4 for d in self.halving_depths):  # rows grow as 2^depth
             raise ScenarioError("robot.halving_depth: must be at most 4")
 

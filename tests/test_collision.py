@@ -339,9 +339,9 @@ class TestLazyGradient:
 
     def test_value_query_memory_stays_within_its_state(self):
         # A 3D query holds f, g, the 8 corner values and the lerp levels
-        # (20 doubles a point) and, at its peak, the 8 corner indices and
-        # the points' (dim, N) copy: 32 doubles a point.  The kernel that
-        # formed every gradient with the values took 48.
+        # (20 doubles a point) and, at its peak, the 8 corner indices, the
+        # points' (dim, N) copy and their clipped copy: 35 doubles a point.
+        # The kernel that formed every gradient with the values took 48.
         import tracemalloc
 
         field = static_field(load_scenario(SCENARIO_DIR / "threelink.json"))

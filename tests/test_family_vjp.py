@@ -317,11 +317,12 @@ def test_sdf_vjp_matches_full_sample_reference(scenario):
 @pytest.mark.parametrize("scenario", ["threelink", "mobile2d"],
                          ids=["threelink", "mobile2d"])
 def test_sdf_vjp_asks_gradients_only_at_weighted_samples(scenario, monkeypatch):
-    # Weight on a few rows asks the field for the gradients of every
-    # vertex of every body at those rows' samples, and nothing else; all-zero
-    # weight asks for no row and cuts the FK state to no sample, leaving
-    # the T-only gradient (zero).  Both equal the all-sample reference bit
-    # for bit.
+    # On a chain, weight on a few rows asks the field for the gradients of
+    # every vertex of every body at those rows' samples, and nothing else;
+    # all-zero weight asks for no row and cuts the FK state to no sample.
+    # The mobile body asks for every sample's row either way.  All-zero
+    # weight leaves the T-only gradient (zero).  Both equal the all-sample
+    # reference bit for bit.
     problem = assemble(_bundled(scenario))
     (fam,) = [f for f in problem.families if type(f) is SDFClearanceFamily]
     rng = np.random.default_rng(41)
@@ -359,13 +360,14 @@ def test_sdf_vjp_asks_gradients_only_at_weighted_samples(scenario, monkeypatch):
     samples = np.flatnonzero(few.reshape(B, S, V).any(axis=(0, 2)))
     rows = (S * V * np.arange(B)[:, None, None] + V * samples[:, None]
             + np.arange(V))
-    assert asked == [np.sort(rows.ravel()).tolist()]
+    every_sample = list(range(S))
+    assert asked == [every_sample if fam.nfk is None else np.sort(rows.ravel()).tolist()]
     assert cuts == ([] if fam.nfk is None else [samples.tolist()])
 
     asked.clear()
     cuts.clear()
     got = vjp(zero)
-    assert asked == [[]]
+    assert asked == [every_sample if fam.nfk is None else []]
     assert cuts == ([] if fam.nfk is None else [[]])
     assert got.tobytes() == references[1].tobytes()
     t_only = fam.layout.grad(dC=np.zeros_like(fam.layout.unpack(x).joint_coeffs),

@@ -645,6 +645,29 @@ class TestNumericFK:
             assert state["prefix"][k].tobytes() == prefix[k].tobytes()
             assert cut["prefix"][k].tobytes() == prefix[k][idx].tobytes()
 
+    def test_link_groups_key_on_kind_and_depth(self):
+        # A prismatic link at depth 1 groups apart from the revolute links
+        # at depth 1; ChainNumerators and NumericFK share these groups.
+        depths = [1, 1, 2, 1, 2]
+        groups = MIXED_CHAIN.link_groups(depths)
+        assert [(rev, d, links.tolist()) for rev, d, links in groups] == [
+            (True, 1, [0, 3]), (False, 1, [1]), (True, 2, [2, 4])]
+        numerators = ChainNumerators(MIXED_CHAIN, depths,
+                                     bezier_extraction(CUBIC_KNOTS, 3), 3)
+        assert [(rev, d, links.tolist()) for rev, d, links in numerators.groups] == [
+            (rev, d, links.tolist()) for rev, d, links in groups]
+
+    @pytest.mark.parametrize("depths", [[0, 2, 2, 1, 2], [1, 0, 2, 1, 2], [1, 2, 2, 1, -1]],
+                             ids=["revolute_depth_0", "prismatic_depth_0",
+                                  "negative_depth"])
+    def test_depth_below_one_rejected(self, depths):
+        from splinetraj.scenario import ChainRobot, ScenarioError
+
+        with pytest.raises(ValueError, match="halving depths must be at least 1"):
+            NumericFK(MIXED_CHAIN, depths)
+        with pytest.raises(ScenarioError, match="halving_depth: must be at least 1"):
+            ChainRobot(MIXED_CHAIN, tuple(depths))
+
     def test_halfangle_cos_sin_gradients(self):
         rng = np.random.default_rng(67)
         q = rng.uniform(-1.5, 1.5, 100)
