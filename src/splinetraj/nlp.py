@@ -22,6 +22,12 @@ solve can trade it away and not recover.  The scales are positive, so the
 feasible set is unchanged, and the violation measures, the best-iterate
 rule and every status test read the unscaled rows.
 
+Inside an inner minimization each block that screens also receives the
+mask of its rows whose multiplier is zero, fixed per outer iteration,
+and may skip the rows it proves <= 0 there (``ConstraintBlock.evaluate``);
+the value and gradient stay the same to the bit.  Every evaluation the
+outer loop makes itself forms every row.
+
 A converged solve stops through the KKT test or the flat-objective rule;
 the result names which (``stop``), and the solve logs it once at INFO.
 """
@@ -80,8 +86,20 @@ class ConstraintBlock:
     name: str = "block"
     n_rows: int = 0
     cushion_gap: float = 0.0
+    screens: bool = False
 
-    def evaluate(self, x: np.ndarray):
+    def evaluate(self, x: np.ndarray, masked: np.ndarray | None = None):
+        """(residuals, vjp) at x.
+
+        A block whose ``screens`` is true also takes ``masked``: None, or
+        a boolean mask over its rows, true where the row's multiplier is
+        zero.  A masked row with r <= 0 adds max(0, 0 + r / s) = 0 to the
+        penalty and no weight, so for a masked row the block proves <= 0
+        without forming it, it may return any finite value <= 0; its vjp
+        then takes weight only on rows it formed, and every row it forms
+        equals the unmasked one bit for bit.  With no mask every row is
+        formed.  Blocks that do not screen take x alone.
+        """
         raise NotImplementedError
 
     def dense_violation(self, samples) -> float:
@@ -174,10 +192,12 @@ class AugmentedLagrangianSolver:
         self.blocks = list(blocks)
         self.bounds = bounds
 
-    def _eval_blocks(self, x: np.ndarray):
+    def _eval_blocks(self, x: np.ndarray, masks=None):
+        """(block, residuals, vjp) per block at x; ``masks`` from
+        ``_screen_masks``, or None to form every row."""
         out = []
-        for block in self.blocks:
-            r, vjp = block.evaluate(x)
+        for block, masked in zip(self.blocks, masks or [None] * len(self.blocks)):
+            r, vjp = block.evaluate(x) if masked is None else block.evaluate(x, masked)
             if not np.isfinite(r).all():
                 raise FloatingPointError(
                     f"non-finite residual in constraint family {block.name!r}"
@@ -203,15 +223,23 @@ class AugmentedLagrangianSolver:
             out.append((scaled, scaled @ scaled))
         return out
 
-    def _al_value_grad(self, x, rho, scaled, scales):
+    def _screen_masks(self, multipliers):
+        """Per block: the mask of its rows whose multiplier is zero if the
+        block screens (``ConstraintBlock.evaluate``), else None.  Fixed
+        for one inner solve."""
+        return [mult == 0.0 if block.screens else None
+                for block, mult in zip(self.blocks, multipliers)]
+
+    def _al_value_grad(self, x, rho, scaled, scales, masks=None):
         """Augmented Lagrangian value and gradient over the rows r_b / s_b;
-        ``scaled`` is ``_scaled_multipliers(multipliers, rho)`` and
-        ``scales`` the blocks' s_b."""
+        ``scaled`` is ``_scaled_multipliers(multipliers, rho)``, ``scales``
+        the blocks' s_b and ``masks`` ``_screen_masks(multipliers)``, or
+        None; the masks leave both results unchanged to the bit."""
         f, g = self.objective(x)
         total = f
         grad = np.array(g, dtype=float)
         for (_, r, vjp), (m_rho, m_rho_sq), s in zip(
-                self._eval_blocks(x), scaled, scales):
+                self._eval_blocks(x, masks), scaled, scales):
             shifted = np.maximum(0.0, m_rho + r / s)
             total += 0.5 * rho * float(shifted @ shifted - m_rho_sq)
             w = rho * shifted
@@ -287,8 +315,9 @@ class AugmentedLagrangianSolver:
         stop_test = None
         for outer in range(1, MAX_OUTER + 1):
             scaled = self._scaled_multipliers(multipliers, rho)
+            masks = self._screen_masks(multipliers)
             res = minimize(
-                lambda z: self._al_value_grad(z, rho, scaled, scales),
+                lambda z: self._al_value_grad(z, rho, scaled, scales, masks),
                 x,
                 jac=True,
                 method="L-BFGS-B",

@@ -77,6 +77,11 @@ log = logging.getLogger(__name__)
 CUSHION = 1e-4
 # Lower bound on the travel time T, in seconds.
 T_MIN = 0.1
+# Rounding allowance of the SDF family's screen, relative to the field's
+# largest magnitude (values and corners): a skipped row's bound must
+# clear zero by this much more than the field's own rounding could move
+# it.
+SCREEN_ALLOWANCE = 1e-9
 
 
 @dataclass
@@ -519,6 +524,23 @@ class TrackedBody:
     accel_bound: float  # workspace acceleration bound (endpoint margin refinement)
 
 
+@dataclass(frozen=True)
+class LeverTable:
+    """How fast a chain's links can move per unit joint rate.
+
+    ``levers[k - 1, j]`` bounds the workspace speed of any vertex of link
+    k per unit rate of joint j (0 where j >= k), as long as every joint
+    coordinate lies in [``lo``, ``hi``]: a prismatic joint's offset
+    limits, unbounded for a revolute one.  ``factors`` is each joint's
+    d(angle)/dq bound, 2^n for theta = 2^n atan q and 1 for an offset.
+    """
+
+    levers: np.ndarray
+    factors: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+
+
 class SDFClearanceFamily(ConstraintBlock):
     """Signed-distance clearance at collocation parameters with motion margin.
 
@@ -545,11 +567,28 @@ class SDFClearanceFamily(ConstraintBlock):
     derivative factors there (``NumericFK.gradient_state``).  It scatters
     each link's contribution into a full-length column, so the result
     equals the all-sample formula bit for bit.
+
+    A chain screens its samples (``ConstraintBlock.evaluate``).  For each
+    sample it keeps the coordinates q_ref and each body's least field
+    value v_ref from the last evaluation that formed that sample.  Under a
+    mask it skips a sample whose rows are all masked when, for every body
+    b, v_ref[b] - L sum_j lever[b, j] f_j |q_j - q_ref,j| - allowance
+    exceeds margin + radius + cushion, with L = sqrt(dim), the lever table
+    and factors f of ``levers`` and both q and q_ref inside its box: a
+    vertex moves at most sum_j lever f |dq| between them, and the field
+    changes by at most L per unit of motion.  A skipped row reads that
+    bound, below zero.  It runs FK and the field query only on the
+    samples it keeps, each formed sample by sample, so every row it forms
+    equals the unmasked row bit for bit.  Without ``levers`` nothing is
+    bounded and every sample is formed.  The mobile body forms every
+    sample: for its one point a sample costs less than its bound.
     """
+
+    screens = True
 
     def __init__(self, name, layout, field: SignedDistanceField, taus,
                  bodies, cushion_abs: float, basis: TrajectoryBasis,
-                 nfk: NumericFK | None):
+                 nfk: NumericFK | None, levers: LeverTable | None = None):
         self.name = name
         self.layout = layout
         self.field = field
@@ -580,11 +619,36 @@ class SDFClearanceFamily(ConstraintBlock):
         self._homs = [homogeneous(b.verts) for b in self.bodies]
         self._radius = np.array([[[b.radius]] for b in self.bodies])
         (V,) = {b.verts.shape[0] for b in self.bodies}
-        B, S = len(self.bodies), self.taus.size
+        B, S, n = len(self.bodies), self.taus.size, layout.n_coords
         self._n_verts = V
-        # Row of vertex v of body b at sample 0: b S V + v, (B, 1, V).
-        self._row_starts = S * V * np.arange(B)[:, None, None] + np.arange(V)
         self.n_rows = B * S * V
+        # The screen.  Each body's vertex speed per unit change of each
+        # coordinate, (n, B), from the lever table and the joint factors;
+        # a body with an infinite lever (or every body, without a table)
+        # takes an infinite allowance instead, so no bound clears it.  The
+        # coordinates with a finite box side and that box.  The last
+        # formed q and least value of each sample, NaN (never skipped)
+        # until formed, and the mask last read, reduced to its samples.
+        if levers is None:
+            q_levers, cols = np.full((B, n), np.inf), np.zeros(0, dtype=int)
+            lo = hi = np.zeros(0)
+        else:
+            rows = [b.link_index - 1 for b in self.bodies]
+            q_levers = levers.levers[rows] * levers.factors
+            cols = np.flatnonzero(np.isfinite(levers.lo) | np.isfinite(levers.hi))
+            lo, hi = levers.lo[cols], levers.hi[cols]
+        bounded = np.isfinite(q_levers).all(axis=1)
+        self._q_levers = np.where(bounded[:, None], q_levers, 0.0).T
+        self._box = (cols, lo, hi)
+        values = field.values
+        scale = max(float(values.max()), -float(values.min()),
+                    float(np.abs(field.origin).max()), float(np.abs(field.upper).max()))
+        self._allowance = np.where(bounded, SCREEN_ALLOWANCE * (1.0 + scale),
+                                   np.inf)[:, None]
+        self._q_ref = np.full((S, n), np.nan)
+        self._v_ref = np.full((B, S), np.nan)
+        self._mask_key = None
+        self._masked_samples = np.zeros(S, dtype=bool)
 
     def margins(self, T: float) -> tuple[np.ndarray, np.ndarray]:
         """Clearance margin (meters) per body and sample, and its T-derivative;
@@ -596,25 +660,64 @@ class SDFClearanceFamily(ConstraintBlock):
         return (self.lipschitz * local_speed * h,
                 self._lip_half * (local_speed + dspeed * T))
 
-    def evaluate(self, x):
+    def _screen(self, qmat, need, masked):
+        """The samples to skip (S,) and, per body and sample, an upper
+        bound on the rows: need - (v_ref - L reach - allowance), below
+        zero at every skipped sample.  With no mask no sample is masked.
+        A NaN gives no bound below zero."""
+        B, S = need.shape
+        key = None if masked is None else masked.tobytes()
+        if key != self._mask_key:
+            self._mask_key = key
+            self._masked_samples = (np.zeros(S, dtype=bool) if masked is None
+                                    else masked.reshape(B, S, -1).all(axis=(0, 2)))
+        cols, lo, hi = self._box
+        q, ref = qmat[:, cols], self._q_ref[:, cols]
+        boxed = ((np.minimum(q, ref) >= lo) & (np.maximum(q, ref) <= hi)).all(axis=1)
+        reach = np.abs(qmat - self._q_ref) @ self._q_levers
+        bound = need - ((self._v_ref - self.lipschitz * reach.T) - self._allowance)
+        skip = self._masked_samples & boxed & (bound.max(axis=0) < 0.0)
+        return skip, bound
+
+    def evaluate(self, x, masked=None):
         dv = self.layout.unpack(x)
         qmat = self.Bpos @ dv.joint_coeffs
         S, dim = qmat.shape[0], self.field.dim
         B, V = len(self.bodies), self._n_verts
-        if self.nfk is None:
-            points = qmat[:, :dim].T
-        else:
-            # Every tracked point of every body in one contiguous block
-            # (dim, B, S, V), in the residuals' order: body, sample, vertex.
-            state = self.nfk.shared_state(qmat)
-            points = np.empty((dim, B, S, V))
-            for b, (body, hom) in enumerate(zip(self.bodies, self._homs)):
-                pos = self.nfk.body_positions(state, body.link_index, body.verts, hom)
-                points[:, b] = pos[..., :dim].transpose(2, 0, 1)
-        vals, gradient = self.field.query_extended(points.reshape(dim, -1).T)
         margin, margin_dT = self.margins(dv.T)
-        r = ((margin[:, :, None] + self._radius) + self.cushion_gap
-             - vals.reshape(B, S, V)).reshape(-1)
+        need = (margin[:, :, None] + self._radius) + self.cushion_gap
+        if self.nfk is None:
+            vals, gradient = self.field.query_extended(qmat[:, :dim])
+            r = (need - vals.reshape(B, S, V)).reshape(-1)
+
+            def vjp(w):
+                W = w.reshape(B, S, V)
+                gC = np.zeros_like(dv.joint_coeffs)
+                gT = 0.0
+                gT += float(margin_dT[0] @ W[0].sum(axis=1))
+                # d(residual)/d(pos) = -grad_sdf
+                gC += self.Bpos.T @ (-W[0] * gradient(np.arange(S)))
+                return self.layout.grad(dC=gC, dT=gT)
+
+            return r, vjp
+
+        skip, bound = self._screen(qmat, need[:, :, 0], masked)
+        kept = np.flatnonzero(~skip)
+        q = qmat[kept]
+        # Every tracked point of every kept sample in one contiguous block
+        # (dim, B, kept, V), in the residuals' order: body, sample, vertex.
+        state = self.nfk.shared_state(q)
+        points = np.empty((dim, B, kept.size, V))
+        for b, (body, hom) in enumerate(zip(self.bodies, self._homs)):
+            pos = self.nfk.body_positions(state, body.link_index, body.verts, hom)
+            points[:, b] = pos[..., :dim].transpose(2, 0, 1)
+        vals, gradient = self.field.query_extended(points.reshape(dim, -1).T)
+        vals = vals.reshape(B, kept.size, V)
+        self._q_ref[kept] = q
+        self._v_ref[:, kept] = vals.min(axis=2)
+        r = np.empty((B, S, V))
+        r[...] = bound[:, :, None]  # what a skipped sample's rows read
+        r[:, kept] = need[:, kept] - vals
 
         def vjp(w):
             W = w.reshape(B, S, V)
@@ -622,17 +725,20 @@ class SDFClearanceFamily(ConstraintBlock):
             gT = 0.0
             for b in range(B):
                 gT += float(margin_dT[b] @ W[b].sum(axis=1))
-            # d(residual)/d(pos) = -grad_sdf
-            if self.nfk is None:
-                gC += self.Bpos.T @ (-W[0] * gradient(np.arange(S)))
-                return self.layout.grad(dC=gC, dT=gT)
             # Only the samples where some row carries weight add to gC;
             # there every vertex of every body takes its field gradient.
             idx = np.flatnonzero(W.any(axis=(0, 2)))
-            rows = self._row_starts + V * idx[:, None]
+            place = np.full(S, -1)
+            place[kept] = np.arange(kept.size)
+            at = place[idx]  # their places among the kept samples
+            if (at < 0).any():
+                raise ValueError(f"{self.name}: weight on a skipped sample")
+            rows = (kept.size * V * np.arange(B)[:, None, None]
+                    + V * at[:, None] + np.arange(V))
             g = gradient(rows.reshape(-1)).reshape(B, idx.size, V, dim)
+            # d(residual)/d(pos) = -grad_sdf
             wpos = -W[:, idx, :, None] * g
-            grad_state = self.nfk.gradient_state(state, qmat, idx)
+            grad_state = self.nfk.gradient_state(state, q, at)
             column = np.zeros(S)
             for b, body in enumerate(self.bodies):
                 dpos = self.nfk.body_position_grads(
@@ -644,7 +750,7 @@ class SDFClearanceFamily(ConstraintBlock):
                     gC[:, j] += self.Bpos.T @ column
             return self.layout.grad(dC=gC, dT=gT)
 
-        return r, vjp
+        return r.reshape(-1), vjp
 
     def dense_violation(self, samples) -> float:
         gaps = []
@@ -953,29 +1059,37 @@ class TrajectorySamples:
             state, body.link_index, body.verts))
 
 
-def _chain_workspace_bounds(scenario: Scenario, rates: np.ndarray) -> list[float]:
-    """Workspace speed/acceleration bound of each link's vertices.
+def _chain_levers(scenario: Scenario) -> LeverTable:
+    """The chain's lever table.
 
-    A vertex of link k moves at most sum_{j<=k} rate_j * lever_jk.  A
-    revolute joint's lever r_jk bounds the distance from its axis to any
-    vertex of link k; a prismatic joint translates the vertex, a lever
+    A revolute joint's lever r_jk bounds the distance from its axis to
+    any vertex of link k; a prismatic joint translates the vertex, a lever
     of 1.  The reach across link i is |a| plus the largest |d + offset|
     over its offset range: the limits of a prismatic joint (infinite
     where a limit side is infinite), [0, 0] for a revolute one.
     """
-    chain = scenario.robot.chain
-    revolute = scenario.robot.revolute
+    robot = scenario.robot
+    chain, revolute = robot.chain, robot.revolute
     lo = np.where(revolute, 0.0, scenario.limits.angle_min)
     hi = np.where(revolute, 0.0, scenario.limits.angle_max)
     link_reach = [abs(link.a) + max(abs(link.d + low), abs(link.d + high))
                   for link, low, high in zip(chain.links, lo, hi)]
-    bounds = []
+    levers = np.zeros((len(chain), len(chain)))
     for k in range(1, len(chain) + 1):
         vert_reach = float(np.linalg.norm(chain.link_cuboids[k - 1], axis=1).max())
-        levers = [sum(link_reach[j:k]) + vert_reach if revolute[j] else 1.0
-                  for j in range(k)]
-        bounds.append(sum(rates[j] * levers[j] for j in range(k)))
-    return bounds
+        levers[k - 1, :k] = [sum(link_reach[j:k]) + vert_reach if revolute[j] else 1.0
+                             for j in range(k)]
+    return LeverTable(levers, robot.factors, np.where(revolute, -np.inf, lo),
+                      np.where(revolute, np.inf, hi))
+
+
+def _chain_workspace_bounds(scenario: Scenario, rates: np.ndarray) -> list[float]:
+    """Workspace speed/acceleration bound of each link's vertices: a
+    vertex of link k moves at most sum_{j<k} rate_j * lever_jk
+    (``_chain_levers``), summed joint by joint."""
+    levers = _chain_levers(scenario).levers
+    return [sum(rates[j] * row[j] for j in range(k))
+            for k, row in enumerate(levers, start=1)]
 
 
 def static_field(scenario: Scenario) -> SignedDistanceField:
@@ -1114,6 +1228,7 @@ def assemble(scenario: Scenario) -> PlanningProblem:
             SDFClearanceFamily(
                 "sdf_clearance", layout, static_field(scenario), taus, bodies,
                 cushion_abs=max(CUSHION, 2e-3), basis=basis, nfk=nfk,
+                levers=_chain_levers(scenario) if is_chain else None,
             )
         )
 

@@ -111,6 +111,57 @@ class TestBuildSDF:
             assert diffs.max() <= field.cell_size * (1 + 1e-12)
 
 
+def _pairs_in(rng, lo, hi, n, steps):
+    """n points uniform in the box [lo, hi] and each one's partner a
+    random step away, one step length per point from ``steps``."""
+    p = rng.uniform(lo, hi, (n, lo.size))
+    d = rng.standard_normal((n, lo.size))
+    d *= (rng.choice(steps, n) / np.linalg.norm(d, axis=1))[:, None]
+    return p, p + d
+
+
+class TestFieldLipschitz:
+    """The interpolated field and its outside extension V(clip p) -
+    |p - clip p| change by at most sqrt(dim) per unit of motion: the
+    factor that the SDF motion margin and the sample screen both scale
+    by.  Checked on random point pairs over ``threelink``'s 3D field, at
+    step lengths from a fifth of a cell to half the box."""
+
+    STEPS = (0.2, 1.0, 3.0, 60.0)  # in cells
+
+    @pytest.fixture(scope="class")
+    def field(self):
+        return static_field(load_scenario(SCENARIO_DIR / "threelink.json"))
+
+    @pytest.mark.parametrize("region", ["inside", "outside", "straddling"],
+                             ids=["inside", "outside", "straddling"])
+    def test_value_moves_at_most_sqrt_dim_per_unit(self, field, region):
+        rng = np.random.default_rng({"inside": 61, "outside": 62,
+                                     "straddling": 63}[region])
+        lo, hi = field.origin, field.upper
+        steps = field.cell_size * np.array(self.STEPS)
+        if region == "inside":
+            p, q = _pairs_in(rng, lo, hi, 20000, steps)
+            keep = ((q >= lo) & (q <= hi)).all(axis=1)
+        else:
+            # Points within half a metre outside the box, partners on
+            # either side of it.
+            p, q = _pairs_in(rng, lo - 0.5, hi + 0.5, 60000, steps)
+            p_out = ((p < lo) | (p > hi)).any(axis=1)
+            q_out = ((q < lo) | (q > hi)).any(axis=1)
+            keep = p_out & (q_out if region == "outside" else ~q_out)
+        p, q = p[keep], q[keep]
+        assert len(p) > 2000
+        vp, _ = field.query_extended(p)
+        vq, _ = field.query_extended(q)
+        dist = np.linalg.norm(p - q, axis=1)
+        assert np.all(np.abs(vp - vq) <= math.sqrt(3) * dist * (1 + 1e-12))
+        if region != "inside":  # the extension itself is what was read
+            clipped = np.clip(p, lo, hi)
+            want = field.query_extended(clipped)[0] - np.linalg.norm(p - clipped, axis=1)
+            np.testing.assert_allclose(vp, want, rtol=0, atol=1e-12)
+
+
 class TestSDFQuery:
     def setup_method(self):
         self.sphere = ObstaclePrimitive.sphere([0.0, 0.0, 0.0], 0.5)
